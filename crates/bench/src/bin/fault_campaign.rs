@@ -21,7 +21,8 @@
 //!    advance as lanes of **one** golden simulation (compiled instant
 //!    plan armed), with shadow injector banks replaying each lane's
 //!    fault decisions and only lanes whose fault actually fires
-//!    de-opting to a solo interpreted run. Per-seed outcomes are
+//!    de-opting to a solo replay with a real injector (plan still
+//!    armed, replays spread over the host's cores). Per-seed outcomes are
 //!    asserted identical to a serial per-seed loop, and both backends'
 //!    seeds/sec are recorded.
 //! 4. **Degradation** — a PE's command-delivery channel stuck dead
@@ -551,11 +552,10 @@ fn batch_campaign(lanes_per_mode: u64) -> Vec<BatchModeRow> {
     let wl = vec_mul();
     let program = orchestrator_program();
     let table = table_words(&wl.entries);
-    // The golden run carries no real injector, so the compiled
-    // instant plan stays armed and every converged lane shares its
-    // schedule. The serial comparator gets the same config —
-    // `inject_fault` de-opts it to the interpreted path, exactly as
-    // each batch de-opt replay de-opts itself.
+    // Golden run, de-opt replays and the serial comparator all get
+    // the same config: a fault injector changes what a channel
+    // commits, not the schedule, so the compiled instant plan stays
+    // armed in every one of them.
     let cfg = SocConfig {
         compiled_schedule: true,
         ..SocConfig::default()

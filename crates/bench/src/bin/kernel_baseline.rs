@@ -22,10 +22,14 @@
 //! full sweep: interpreted vs compiled instant plan on the selected
 //! workloads, asserting cycle-identical results, a clean (de-opt-free)
 //! armed run, and a wall-clock win.
-//! `--deopt-smoke` verifies the plan's automatic fallback: a fault
-//! injection into an armed SoC must de-opt to the interpreted path
-//! (observed via the `sim.plan.deopt_count` telemetry probe) and the
-//! degraded run must still complete.
+//! `--deopt-smoke` verifies the plan's automatic fallback: a hang
+//! watchdog trip on an armed SoC must de-opt to the interpreted path
+//! before diagnosing, observed via the reason-coded
+//! `sim.plan.deopt.watchdog_trip` telemetry probe.
+//! `--armed-faults-smoke` verifies the opposite for fault injection: a
+//! seeded `bit_flip` on `n5.eject` leaves the plan armed end to end
+//! (`sim.plan.armed == 1`, `sim.plan.deopt_count == 0`) and the run
+//! reports exactly what the interpreted run reports.
 //! `--telemetry <path>` additionally runs one instrumented pass (hub /
 //! PE / NoC probes, command spans, kernel tick profiling) and writes
 //! the validated snapshot JSON to `<path>`; full runs always emit one
@@ -63,7 +67,7 @@
 
 use craft_bench::{json_meta_block, validate_json};
 use craft_connections::FaultConfig;
-use craft_sim::Telemetry;
+use craft_sim::{SimError, Telemetry};
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{
     dot_product, orchestrator_program, run_workload_soc, table_words, vec_mul, Workload,
@@ -470,42 +474,89 @@ fn run_repartition_smoke(wl: &Workload) {
     );
 }
 
-/// De-opt smoke: inject a fault into an armed SoC and observe the
-/// automatic fallback through the `sim.plan.*` telemetry probes.
-fn run_deopt_smoke(wl: &Workload) {
-    let tel = Telemetry::new();
-    let mut soc = Soc::build_with_telemetry(
+/// Builds `wl` on an instrumented SoC with the instant plan
+/// requested, for the two plan smokes below.
+fn plan_smoke_soc(wl: &Workload, program: &[u32], compiled_schedule: bool) -> Soc {
+    Soc::build_with_telemetry(
         SocConfig {
-            compiled_schedule: true,
+            compiled_schedule,
             ..SocConfig::default()
         },
-        &orchestrator_program(),
+        program,
         &table_words(&wl.entries),
         &wl.gmem_init,
-        Some(tel),
-    );
-    assert!(soc.sim().plan_armed(), "plan must arm at build");
-    let touched = soc
-        .inject_fault("n5.eject", FaultConfig::bit_flip(0.02), 11)
-        .expect("NoC channel exists");
-    assert_eq!(touched, 1, "one eject channel armed with faults");
-    let r = soc.run(8_000_000);
-    assert!(r.completed, "degraded run must still complete");
+        Some(Telemetry::new()),
+    )
+}
+
+/// One `sim.plan.*` probe row of `soc`'s telemetry snapshot.
+fn plan_probe(soc: &Soc, path: &str) -> u64 {
     let snap = soc.telemetry_snapshot().expect("telemetry attached");
-    let row = |path: &str| {
-        snap.metrics
-            .iter()
-            .find(|m| m.path == path)
-            .unwrap_or_else(|| panic!("missing probe {path}"))
-            .value
-    };
-    assert_eq!(row("sim.plan.armed"), 0, "fault injection must de-opt");
-    assert_eq!(row("sim.plan.deopt_count"), 1, "exactly one de-opt");
+    snap.metric(path)
+        .unwrap_or_else(|| panic!("missing probe {path}"))
+}
+
+/// De-opt smoke: wedge an armed SoC (the controller spins on
+/// `jal zero, 0`, so nothing ever counts as progress) and observe the
+/// watchdog trip's automatic fallback through the reason-coded
+/// `sim.plan.deopt.*` telemetry probes.
+fn run_deopt_smoke(wl: &Workload) {
+    let spin = [craft_riscv::asm::jal(craft_riscv::asm::ZERO, 0)];
+    let mut soc = plan_smoke_soc(wl, &spin, true);
+    assert!(soc.sim().plan_armed(), "plan must arm at build");
+    let err = soc
+        .run_checked(2_000_000, 20_000)
+        .expect_err("a spinning controller must be diagnosed as hung");
+    assert!(matches!(err, SimError::Hang { .. }), "expected Hang: {err}");
+    assert_eq!(plan_probe(&soc, "sim.plan.armed"), 0, "the trip de-opts");
+    assert_eq!(plan_probe(&soc, "sim.plan.deopt.watchdog_trip"), 1);
+    assert_eq!(
+        plan_probe(&soc, "sim.plan.deopt_count"),
+        1,
+        "and nothing else did"
+    );
     println!(
-        "de-opt smoke OK: {} completed interpreted after fault injection \
-         (sim.plan.deopt_count = 1, {} compiled instants before the de-opt)",
+        "de-opt smoke OK: {} watchdog trip diagnosed interpreted \
+         (sim.plan.deopt.watchdog_trip = 1, {} compiled instants before the trip)",
         wl.name,
-        row("sim.plan.instants")
+        plan_probe(&soc, "sim.plan.instants")
+    );
+}
+
+/// Armed-faults smoke: a fault injector on an armed SoC is not a
+/// de-opt — the plan runs the whole faulted workload and the report
+/// is the interpreted run's.
+fn run_armed_faults_smoke(wl: &Workload) {
+    let run = |compiled: bool| {
+        let mut soc = plan_smoke_soc(wl, &orchestrator_program(), compiled);
+        let touched = soc
+            .inject_fault("n5.eject", FaultConfig::bit_flip(0.02), 11)
+            .expect("NoC channel exists");
+        assert_eq!(touched, 1, "one eject channel armed with faults");
+        let r = soc.run(8_000_000);
+        assert!(r.completed, "degraded run must still complete");
+        (r.cycles, soc.report().to_json(), soc)
+    };
+    let (interp_cycles, interp_report, _) = run(false);
+    let (cycles, report, soc) = run(true);
+    assert_eq!(
+        plan_probe(&soc, "sim.plan.armed"),
+        1,
+        "still armed at the end"
+    );
+    assert_eq!(plan_probe(&soc, "sim.plan.deopt_count"), 0, "no de-opt");
+    assert_eq!(
+        plan_probe(&soc, "sim.plan.instants"),
+        soc.sim().instants(),
+        "every instant ran compiled"
+    );
+    assert_eq!((cycles, &report), (interp_cycles, &interp_report));
+    let flips = soc.report().faults.stats.flips;
+    assert!(flips > 0, "{}: no traffic on n5.eject to fault", wl.name);
+    println!(
+        "armed-faults smoke OK: {} ran {} cycles with {flips} bit flips on n5.eject, \
+         plan armed throughout, report identical to the interpreted run",
+        wl.name, cycles
     );
 }
 
@@ -659,10 +710,16 @@ fn run() -> Result<(), String> {
         ));
     }
 
-    // --deopt-smoke: fault injection must fall back to the
+    // --deopt-smoke: a watchdog trip must fall back to the
     // interpreted path, observed through telemetry (CI check).
     if has_flag("deopt-smoke") {
         run_deopt_smoke(&workloads[workloads.len() - 1]);
+        return Ok(());
+    }
+
+    // --armed-faults-smoke: fault injection must *not* (CI check).
+    if has_flag("armed-faults-smoke") {
+        run_armed_faults_smoke(&workloads[0]);
         return Ok(());
     }
 

@@ -20,8 +20,8 @@
 //! The moment a lane's decision would perturb the stream (a bit flip,
 //! a drop, or a duplicate that the FIFO had room for), the lane is
 //! marked **diverged** in the shared [`LaneSet`] and drops out of the
-//! hot loop; the caller de-opts it to a solo interpreted run — the
-//! golden reference path. Lanes whose injectors never fire finish the
+//! hot loop; the caller de-opts it to a solo run with a real injector
+//! — the golden reference path. Lanes whose injectors never fire finish the
 //! batch bit-identical to the golden run for free, with exact
 //! [`FaultStats`] (tokens seen, duplicates suppressed by a full FIFO)
 //! accumulated by the shadow injectors.

@@ -15,6 +15,10 @@ use craft_hls::{
 };
 use craft_tech::TechLibrary;
 
+/// The workspace's one parallel map (claim-next scoped workers, results
+/// in input order), re-exported where sweeps have always found it.
+pub use craft_sim::par_map;
+
 /// One explored design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
@@ -94,72 +98,6 @@ fn eval_point(
 ) -> DesignPoint {
     let sched = schedule_with(ctx, &c);
     point_from_schedule(optimized, lib, c, &sched)
-}
-
-/// Evaluates `f` over `items` on scoped worker threads and returns the
-/// results in input order — the parallel-map core of [`sweep`], public
-/// so other sweep-shaped campaigns (e.g. seeded fault-injection runs)
-/// can farm out their points the same way.
-///
-/// Strided assignment (worker w takes indices i with i % workers == w)
-/// keeps the load balanced; reassembly by index restores exact input
-/// order regardless of completion order, so the output is bit-identical
-/// to a serial `items.iter().enumerate().map(f)`.
-///
-/// `f` receives the item index alongside the item (for seeding).
-/// Evaluations must be independent; per-item state that is not `Send`
-/// (simulators, `Rc` graphs) should be built inside `f`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len());
-    par_map_with_workers(items, workers, f)
-}
-
-/// [`par_map`] with an explicit worker count — the testable core; the
-/// public wrapper picks `workers` from the host's parallelism.
-fn par_map_with_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|wid| {
-                let f = &f;
-                s.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == wid)
-                        .map(|(i, t)| (i, f(i, t)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, p) in per_worker.into_iter().flatten() {
-        slots[i] = Some(p);
-    }
-    slots
-        .into_iter()
-        .map(|p| p.expect("every item evaluated"))
-        .collect()
 }
 
 /// Sweeps `kernel` across every combination of the given clocks and
@@ -350,28 +288,6 @@ mod tests {
         let ser = sweep_serial(&k, &lib, &clocks, &budgets);
         // Same Vec: same grid order, same values (f64s exact).
         assert_eq!(batched, ser);
-    }
-
-    /// [`par_map_with_workers`] must reassemble results in input order
-    /// at both extremes of the worker cap: a single worker (the serial
-    /// fallback path) and one worker per item (maximum interleaving,
-    /// where strided assignment degenerates to one index per worker).
-    #[test]
-    fn par_map_order_is_pinned_at_worker_cap_one_and_n() {
-        let items: Vec<u64> = (0..17).map(|i| (i * 37 + 11) % 97).collect();
-        let expect: Vec<(usize, u64)> =
-            items.iter().enumerate().map(|(i, &v)| (i, v * v)).collect();
-        for workers in [1, items.len()] {
-            let got = par_map_with_workers(&items, workers, |i, &v| {
-                // Skew per-item latency so completion order differs
-                // from input order unless reassembly restores it.
-                std::thread::sleep(std::time::Duration::from_micros(
-                    ((items.len() - i) as u64) * 100,
-                ));
-                (i, v * v)
-            });
-            assert_eq!(got, expect, "workers={workers}");
-        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ use crate::checkpoint::{KernelDigest, WatchdogState};
 use crate::clock::{ClockId, ClockSpec, ClockState};
 use crate::component::{ClockRequest, Component, Sequential, TickCtx};
 use crate::error::{CompDiag, HangReport, SimError};
-use crate::plan::{PlanDesc, PlanNode, PlanReject, PlanState};
+use crate::plan::{PlanDeopt, PlanDeoptCounts, PlanDesc, PlanNode, PlanReject, PlanState};
 use crate::telemetry::TickProfile;
 use crate::time::Picoseconds;
 use std::cell::{Cell, RefCell};
@@ -175,9 +175,10 @@ pub struct Simulator {
     /// dispatch to the plan fast path while this is `Some`; any
     /// irregular event disarms it and the interpreted loop resumes.
     plan: Option<Box<PlanState>>,
-    /// De-opts (plan disarms) so far — `Rc` so telemetry probes can
-    /// observe it live (`sim.plan.deopt_count`).
-    plan_deopts: Rc<Cell<u64>>,
+    /// De-opts (plan disarms) so far, per reason — shared cells so
+    /// telemetry probes can observe them live (`sim.plan.deopt_count`,
+    /// `sim.plan.deopt.<reason>`).
+    plan_deopts: PlanDeoptCounts,
     /// Instants executed by the compiled plan (`sim.plan.instants`).
     plan_instants: Rc<Cell<u64>>,
     /// 1 while a plan is armed, 0 otherwise (`sim.plan.armed`).
@@ -218,7 +219,7 @@ impl Simulator {
             mid_instant: false,
             instant_edges: Vec::new(),
             plan: None,
-            plan_deopts: Rc::new(Cell::new(0)),
+            plan_deopts: PlanDeoptCounts::default(),
             plan_instants: Rc::new(Cell::new(0)),
             plan_armed_flag: Rc::new(Cell::new(0)),
         }
@@ -226,7 +227,7 @@ impl Simulator {
 
     /// Registers a clock domain and returns its id.
     pub fn add_clock(&mut self, spec: ClockSpec) -> ClockId {
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::Structural);
         let id = ClockId(self.clocks.len());
         self.clocks.push(ClockState::new(spec));
         self.by_clock.push(Vec::new());
@@ -247,7 +248,7 @@ impl Simulator {
         component: C,
     ) -> ComponentId {
         assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::Structural);
         let id = ComponentId(self.components.len());
         self.components.push(ComponentEntry {
             clock,
@@ -268,7 +269,7 @@ impl Simulator {
     /// component runnable again — typically its input channels (see
     /// `craft-connections`' `In::set_wake_token`).
     pub fn set_wake_token(&mut self, id: ComponentId, token: ActivityToken) {
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::Structural);
         self.components[id.0].wake = Some(token);
     }
 
@@ -279,7 +280,7 @@ impl Simulator {
     /// Panics if `clock` is unknown.
     pub fn add_sequential(&mut self, clock: ClockId, state: Rc<RefCell<dyn Sequential>>) {
         assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::Structural);
         let idx = self.sequentials.len();
         self.sequentials.push(SequentialEntry {
             state,
@@ -307,7 +308,7 @@ impl Simulator {
         dirty: ActivityToken,
     ) {
         assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::Structural);
         dirty.set();
         let idx = self.sequentials.len();
         self.sequentials.push(SequentialEntry {
@@ -390,7 +391,7 @@ impl Simulator {
     pub fn set_tick_profiling(&mut self, on: bool) {
         if on {
             // The plan fast path has no timing hooks.
-            self.disarm_plan();
+            self.disarm_plan(PlanDeopt::Profiling);
         }
         self.tick_profiling = on;
         if on && self.tick_costs.len() < self.components.len() {
@@ -435,7 +436,7 @@ impl Simulator {
     /// Results are identical either way; only wall clock and
     /// [`ticks_delivered`](Self::ticks_delivered) differ.
     pub fn set_gating(&mut self, enabled: bool) {
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::GatingToggle);
         self.gating = enabled;
         if !enabled {
             for entry in &mut self.components {
@@ -476,7 +477,7 @@ impl Simulator {
 
     /// Pauses `clock`: no further edges until [`resume_clock`](Self::resume_clock).
     pub fn pause_clock(&mut self, clock: ClockId) {
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::PauseResume);
         self.clocks[clock.0].paused = true;
         self.recompute_single_active();
     }
@@ -491,7 +492,7 @@ impl Simulator {
     /// `resume_mid_period_restarts_full_period` test.
     pub fn resume_clock(&mut self, clock: ClockId) {
         if self.clocks[clock.0].paused {
-            self.disarm_plan();
+            self.disarm_plan(PlanDeopt::PauseResume);
         }
         let st = &mut self.clocks[clock.0];
         if st.paused {
@@ -996,8 +997,9 @@ impl Simulator {
     /// including between an `eval_instant` and its `commit_instant` —
     /// token flags remain the source of truth while armed, so the
     /// interpreted loop resumes with exactly the state it would have
-    /// had. No-op when no plan is armed.
-    pub fn disarm_plan(&mut self) {
+    /// had. No-op (and not counted) when no plan is armed; otherwise
+    /// counted once under `reason`.
+    pub fn disarm_plan(&mut self, reason: PlanDeopt) {
         let Some(plan) = self.plan.take() else {
             return;
         };
@@ -1020,7 +1022,7 @@ impl Simulator {
             }
         }
         self.plan_armed_flag.set(0);
-        self.plan_deopts.set(self.plan_deopts.get() + 1);
+        self.plan_deopts.bump(reason);
         self.heap_synced = false;
         self.recompute_single_active();
     }
@@ -1032,7 +1034,7 @@ impl Simulator {
 
     /// How many times a compiled plan has been disarmed (de-opted).
     pub fn plan_deopt_count(&self) -> u64 {
-        self.plan_deopts.get()
+        self.plan_deopts.total()
     }
 
     /// Instants executed by the compiled fast path (a subset of
@@ -1041,9 +1043,10 @@ impl Simulator {
         self.plan_instants.get()
     }
 
-    /// Live handle to the de-opt counter, for telemetry probes.
-    pub fn plan_deopt_handle(&self) -> Rc<Cell<u64>> {
-        Rc::clone(&self.plan_deopts)
+    /// Live handle to the per-reason de-opt counters, for telemetry
+    /// probes and "why did this run leave the plan" checks.
+    pub fn plan_deopts(&self) -> PlanDeoptCounts {
+        self.plan_deopts.clone()
     }
 
     /// Live handle to the compiled-instant counter, for telemetry.
@@ -1277,7 +1280,7 @@ impl Simulator {
         self.heap_synced = false;
         self.plan = Some(plan);
         if deopt || advance_failed {
-            self.disarm_plan();
+            self.disarm_plan(PlanDeopt::ClockRequest);
         }
     }
 
@@ -1311,7 +1314,7 @@ impl Simulator {
             // no-op and in particular does not de-opt a compiled plan.
             return;
         }
-        self.disarm_plan();
+        self.disarm_plan(PlanDeopt::ExternalEdge);
         self.clocks[clock.0].next_edge = at;
         // The heap entry for the old edge is now stale; rebuild on
         // demand (same lazy-invalidation path pause/resume uses).
@@ -1469,7 +1472,7 @@ impl Simulator {
                 // Watchdog trip is a de-opt trigger: diagnose from the
                 // interpreted state so the report is identical to an
                 // interpreted run's (and later runs stay interpreted).
-                self.disarm_plan();
+                self.disarm_plan(PlanDeopt::WatchdogTrip);
                 self.flush_skipped_commits();
                 let report = self.diagnose(wd.idle);
                 return Err(SimError::Hang {
@@ -2366,6 +2369,7 @@ mod tests {
         hybrid.sim.set_gating(true);
         assert!(!hybrid.sim.plan_armed());
         assert_eq!(hybrid.sim.plan_deopt_count(), 1);
+        assert_eq!(hybrid.sim.plan_deopts().get(PlanDeopt::GatingToggle), 1);
         hybrid.sim.run_cycles(hybrid.clk, 300);
         hybrid.sim.arm_plan().expect("re-arms mid-run");
         hybrid.sim.run_cycles(hybrid.clk, 300);
@@ -2444,6 +2448,7 @@ mod tests {
         assert_eq!(sim.now(), Picoseconds(350));
         assert!(!sim.plan_armed(), "stretch must de-opt");
         assert_eq!(sim.plan_deopt_count(), 1);
+        assert_eq!(sim.plan_deopts().get(PlanDeopt::ClockRequest), 1);
         assert_eq!(sim.plan_instants(), 2, "compiled until the stretch");
     }
 
@@ -2472,6 +2477,20 @@ mod tests {
         sim.arm_plan().expect("arms again after resume");
         sim.run_cycles(clk, 5);
         assert_eq!(qhits.get(), 10);
+
+        // An unarmed disarm is not a de-opt; each armed one is counted
+        // under its reason and the total is their sum.
+        sim.disarm_plan(PlanDeopt::Explicit);
+        sim.disarm_plan(PlanDeopt::Explicit);
+        let counts = sim.plan_deopts();
+        for reason in PlanDeopt::ALL {
+            let want = matches!(
+                reason,
+                PlanDeopt::Structural | PlanDeopt::PauseResume | PlanDeopt::Explicit
+            );
+            assert_eq!(counts.get(reason), u64::from(want), "{}", reason.name());
+        }
+        assert_eq!(sim.plan_deopt_count(), 3);
     }
 
     /// The hang watchdog fires identically under the plan, de-opts,
@@ -2500,7 +2519,7 @@ mod tests {
                 .run_until_checked(clk, 10_000, 64, || false)
                 .expect_err("must hang");
             assert!(!sim.plan_armed(), "hang trip must leave us interpreted");
-            (err, sim.plan_deopt_count())
+            (err, sim.plan_deopts().get(PlanDeopt::WatchdogTrip))
         };
         let (interp_err, d0) = run(false);
         let (compiled_err, d1) = run(true);

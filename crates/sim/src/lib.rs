@@ -17,6 +17,8 @@
 //!   ([`Simulator::run_until_checked`]) that diagnoses deadlocks via a
 //!   per-component / per-channel [`HangReport`],
 //! * [`Trace`] VCD-lite waveform recording and [`stats`] helpers,
+//! * [`par_map`], the order-preserving claim-next fan-out over scoped
+//!   threads that every sweep, campaign and batch replay shares,
 //! * [`checkpoint`] plumbing — a typed [`CheckpointError`], the
 //!   [`Checkpointable`] codec trait, and a length+checksum-framed
 //!   snapshot container used by the SoC layer's replay-based
@@ -50,6 +52,7 @@ mod component;
 pub mod cover;
 mod error;
 mod kernel;
+mod par;
 pub mod parallel;
 mod plan;
 pub mod stats;
@@ -65,11 +68,12 @@ pub use clock::{ClockId, ClockSpec};
 pub use component::{Component, Sequential, TickCtx};
 pub use error::{CompDiag, HangReport, SeqDiag, SimError};
 pub use kernel::{ComponentId, Simulator};
+pub use par::{par_map, par_map_with_workers};
 pub use parallel::{
     publish_hang_idle, run_parallel, EpochOutcome, EpochSync, EpochVerdict, EpochWorker,
     SpinBarrier, WaitHist, WAIT_HIST_BUCKETS,
 };
-pub use plan::{PlanDesc, PlanNode, PlanReject};
+pub use plan::{PlanDeopt, PlanDeoptCounts, PlanDesc, PlanNode, PlanReject};
 pub use telemetry::{TelLaneCounters, Telemetry, TelemetrySnapshot, TickProfile};
 pub use time::Picoseconds;
 pub use trace::{SignalId, Trace};

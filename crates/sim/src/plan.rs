@@ -17,8 +17,12 @@
 //! clock pause/resume or stretch/override requests, structural
 //! mutation, gating or profiling toggles, watchdog trips, externally
 //! moved clock edges — all route through the kernel's plan guard and
-//! de-opt (`Simulator::disarm_plan`), incrementing the
-//! `sim.plan.deopt_count` telemetry counter.
+//! de-opt (`Simulator::disarm_plan`) with a [`PlanDeopt`] reason,
+//! incrementing the `sim.plan.deopt_count` telemetry counter and its
+//! per-reason `sim.plan.deopt.<reason>` row. Fault injectors are *not*
+//! irregular events: a faulted channel re-arms its own dirty token on
+//! every commit, which is the plan's notification source exactly as it
+//! is the gated interpreter's.
 //!
 //! Invariants the kernel maintains while a plan is armed:
 //!
@@ -34,6 +38,8 @@
 //!   (via `commit_skipped`) is all a disarm owes the sequentials.
 
 use crate::activity::NotifySink;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Frozen steady-state schedule plus the mutable worklists the fast
 /// path runs on. Boxed inside the kernel so arming and the per-phase
@@ -119,6 +125,81 @@ impl std::fmt::Display for PlanReject {
             PlanReject::SharedDirtyToken => "a dirty token is shared between sequentials",
         };
         f.write_str(s)
+    }
+}
+
+/// Why an armed plan was disarmed — the argument of
+/// [`Simulator::disarm_plan`](crate::Simulator::disarm_plan), counted
+/// per reason in [`PlanDeoptCounts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanDeopt {
+    /// The hang watchdog tripped; the diagnosis reads interpreted state.
+    WatchdogTrip,
+    /// A stretch/override request (or a clock-advance overflow) broke
+    /// the uniform-schedule invariant at commit.
+    ClockRequest,
+    /// A clock was paused or resumed.
+    PauseResume,
+    /// A clock, component, wake token or sequential was registered.
+    Structural,
+    /// Quiescence gating was toggled.
+    GatingToggle,
+    /// Tick profiling was switched on (the fast path has no timers).
+    Profiling,
+    /// An external scheduler moved a clock's next edge.
+    ExternalEdge,
+    /// A caller outside the kernel asked for the interpreted path.
+    Explicit,
+}
+
+impl PlanDeopt {
+    /// Every reason, in counter order.
+    pub const ALL: [PlanDeopt; 8] = [
+        PlanDeopt::WatchdogTrip,
+        PlanDeopt::ClockRequest,
+        PlanDeopt::PauseResume,
+        PlanDeopt::Structural,
+        PlanDeopt::GatingToggle,
+        PlanDeopt::Profiling,
+        PlanDeopt::ExternalEdge,
+        PlanDeopt::Explicit,
+    ];
+
+    /// Snake-case name — the `<reason>` of the
+    /// `sim.plan.deopt.<reason>` telemetry probes.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanDeopt::WatchdogTrip => "watchdog_trip",
+            PlanDeopt::ClockRequest => "clock_request",
+            PlanDeopt::PauseResume => "pause_resume",
+            PlanDeopt::Structural => "structural",
+            PlanDeopt::GatingToggle => "gating_toggle",
+            PlanDeopt::Profiling => "profiling",
+            PlanDeopt::ExternalEdge => "external_edge",
+            PlanDeopt::Explicit => "explicit",
+        }
+    }
+}
+
+/// Live per-reason de-opt counters of one simulator; clones share the
+/// cells, so telemetry probes observe them as they move.
+#[derive(Debug, Clone, Default)]
+pub struct PlanDeoptCounts(Rc<[Cell<u64>; PlanDeopt::ALL.len()]>);
+
+impl PlanDeoptCounts {
+    /// De-opts so far for `reason`.
+    pub fn get(&self, reason: PlanDeopt) -> u64 {
+        self.0[reason as usize].get()
+    }
+
+    /// De-opts so far, all reasons.
+    pub fn total(&self) -> u64 {
+        self.0.iter().map(Cell::get).sum()
+    }
+
+    pub(crate) fn bump(&self, reason: PlanDeopt) {
+        let c = &self.0[reason as usize];
+        c.set(c.get() + 1);
     }
 }
 

@@ -21,16 +21,25 @@
 //!  lane N-1 ────▶ │    │   injector[N-1]                 │
 //!                 │    └─ shared LaneSet (live list)     │ ─▶ Diverged:
 //!                 └──────────────────────────────────────┘    de-opt → solo
-//!                                                             interpreted Soc
+//!                                                             replay on a
+//!                                                             host worker
 //! ```
 //!
 //! The moment a lane's drawn decision would perturb the stream (bit
 //! flip, drop, or a duplicate the FIFO had room for) the lane **de-ops
-//! to a solo interpreted [`Soc`]** — a fresh build with a real
-//! injector, replayed from t=0. The interpreted path stays the golden
-//! reference; batching never invents a third semantics. Lanes whose
-//! injectors never fire finish bit-identical to the golden run for
-//! free, with exact [`FaultStats`] accumulated by the shadows.
+//! to a solo replay**: a fresh [`Soc`] build with a real injector, run
+//! from t=0 under the batch's limits — the instant plan armed when
+//! [`SocConfig::compiled_schedule`] is set, since an injector changes
+//! what a channel commits and not the schedule. A solo run stays the
+//! golden reference; batching never invents a third semantics. Once
+//! the golden run ends, the diverged lanes are replayed across the
+//! host's cores ([`craft_sim::par_map`]: a hung lane waiting out its
+//! watchdog holds one worker while the others drain the rest); each
+//! worker builds, runs and drops its `Soc` locally and hands back plain
+//! data, so after the run the batch holds no simulation but the golden
+//! one. Lanes whose injectors never fire finish bit-identical to the
+//! golden run for free, with exact [`FaultStats`] accumulated by the
+//! shadows.
 //!
 //! Divergence is conservative (see [`craft_connections::LaneSet`]): a
 //! false positive costs one replay, a false negative would corrupt
@@ -40,9 +49,9 @@
 //!
 //! When batching wins: low per-token fault probability and many lanes,
 //! so most lanes ride the golden run. With D diverged lanes out of N
-//! the cost is ~(1 + D) runs instead of N. When most lanes fire early,
-//! [`crate::parallel::ParallelSoc`] or a `par_map` over solo runs is
-//! the better backend — the campaign driver picks per mode.
+//! on W host workers the cost is ~(1 + D / W) runs instead of N, the
+//! longest replay (a hung lane) being the floor. When every lane
+//! fires the batch is a `par_map` over solo runs plus one golden pass.
 
 use crate::checkpoint::BatchSnapshot;
 use crate::engine::SegmentStatus;
@@ -52,7 +61,7 @@ use crate::soc::{
 };
 use craft_connections::{FaultConfig, FaultLaneBank, FaultStats, LaneSet, LaneStatus};
 use craft_sim::checkpoint::{fnv64, CheckpointError};
-use craft_sim::{SimError, TelLaneCounters, Telemetry};
+use craft_sim::{par_map, par_map_with_workers, SimError, TelLaneCounters, Telemetry};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,17 +108,24 @@ pub struct ReplayInputs {
     pub gmem_init: Vec<(usize, Vec<u64>)>,
 }
 
-/// Runs one diverged lane solo: a fresh interpreted [`Soc`] with a
-/// real injector, replayed from t=0 under the same run limits the
-/// batch used. This *is* the golden reference path — [`BatchSoc::run`]
-/// calls it for every de-opted lane, and campaign drivers can call it
-/// on worker threads via [`BatchSoc::replay_inputs`].
+/// What a solo replay hands back — result, report, injector counters
+/// and the lane's final global-memory image (`cfg.gmem_words` words).
+/// Plain owned data, so it crosses from the worker thread that ran the
+/// `!Send` [`Soc`] back to the batch.
+pub type LaneReplay = (Result<RunResult, SimError>, SocReport, FaultStats, Vec<u64>);
+
+/// Runs one diverged lane solo: a fresh [`Soc`] with a real injector
+/// (instant plan armed when [`SocConfig::compiled_schedule`]), replayed
+/// from t=0 under the same run limits the batch used. This *is* the
+/// golden reference path — [`BatchSoc::run`] calls it for every
+/// de-opted lane, and campaign drivers can call it on worker threads
+/// via [`BatchSoc::replay_inputs`].
 pub fn replay_lane_solo(
     inputs: &ReplayInputs,
     spec: &LaneSpec,
     max_cycles: u64,
     no_progress_limit: u64,
-) -> (Result<RunResult, SimError>, SocReport, FaultStats, Soc) {
+) -> LaneReplay {
     let mut soc = Soc::build(
         inputs.cfg,
         &inputs.program,
@@ -123,7 +139,8 @@ pub fn replay_lane_solo(
     let stats = soc
         .fault_stats(&spec.pattern)
         .expect("pattern matched the golden registry at batch build");
-    (res, report, stats, soc)
+    let gmem = soc.gmem_read(0, inputs.cfg.gmem_words);
+    (res, report, stats, gmem)
 }
 
 /// Outcome of one lane after [`BatchSoc::run`].
@@ -182,8 +199,12 @@ pub struct BatchSoc {
     banked: Vec<usize>,
     set: Rc<RefCell<LaneSet>>,
     golden: Soc,
-    /// De-opted lanes' solo simulations, kept for memory verification.
-    solos: Vec<Option<Soc>>,
+    /// De-opted lanes' final global-memory images, kept for memory
+    /// verification (`None`: converged, panicked, or not yet run).
+    lane_gmem: Vec<Option<Vec<u64>>>,
+    /// Threads the settle phase may replay de-opted lanes on; `None`
+    /// takes the host's parallelism (tests pin a count).
+    workers: Option<usize>,
     tel_tokens: Option<TelLaneCounters>,
     tel_injected: Option<TelLaneCounters>,
     ran: bool,
@@ -266,7 +287,7 @@ impl BatchSoc {
         for (i, bank) in banks {
             golden.noc_registry()[i].1.attach_lane_bank(bank);
         }
-        let solos = (0..specs.len()).map(|_| None).collect();
+        let lane_gmem = vec![None; specs.len()];
         Ok(BatchSoc {
             cfg,
             program: program.to_vec(),
@@ -277,7 +298,8 @@ impl BatchSoc {
             banked,
             set,
             golden,
-            solos,
+            lane_gmem,
+            workers: None,
             tel_tokens,
             tel_injected,
             ran: false,
@@ -334,8 +356,9 @@ impl BatchSoc {
     /// Advances the golden run to completion under the watchdog, then
     /// settles every lane: converged lanes inherit the golden result
     /// with their shadow fault stats patched in; diverged lanes are
-    /// replayed solo (interpreted, real injector, from t=0) under the
-    /// same limits, with panics contained per lane.
+    /// replayed solo (real injector, from t=0) under the same limits on
+    /// up to `available_parallelism` host threads, with panics
+    /// contained per lane.
     ///
     /// With [`SocConfig::checkpoint_every`] set, the golden run is
     /// segmented at that interval with a [`BatchSnapshot`] captured at
@@ -457,10 +480,29 @@ impl BatchSoc {
     ) -> BatchReport {
         let golden_report = self.golden.report();
         let inputs = self.replay_inputs();
+        let statuses: Vec<LaneStatus> = {
+            let set = self.set.borrow();
+            (0..self.specs.len()).map(|l| set.status(l)).collect()
+        };
+        let diverged: Vec<usize> = (0..statuses.len())
+            .filter(|&l| matches!(statuses[l], LaneStatus::Diverged { .. }))
+            .collect();
+        // Each replay builds, runs and drops its own `Soc` on whichever
+        // worker claims it; `None` is a contained fail-stop panic.
+        let specs = &self.specs;
+        let replay = |_: usize, &lane: &usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                replay_lane_solo(&inputs, &specs[lane], max_cycles, no_progress_limit)
+            }))
+            .ok()
+        };
+        let mut replays = match self.workers {
+            Some(n) => par_map_with_workers(&diverged, n, replay),
+            None => par_map(&diverged, replay),
+        }
+        .into_iter();
         let mut lanes = Vec::with_capacity(self.specs.len());
-        let mut deopt_lanes = 0;
-        for lane in 0..self.specs.len() {
-            let status = self.set.borrow().status(lane);
+        for (lane, status) in statuses.into_iter().enumerate() {
             match status {
                 LaneStatus::Converged => {
                     let stats = self.shadow_stats(lane);
@@ -484,37 +526,27 @@ impl BatchSoc {
                     });
                 }
                 LaneStatus::Diverged { token } => {
-                    deopt_lanes += 1;
-                    let spec = self.specs[lane].clone();
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        replay_lane_solo(&inputs, &spec, max_cycles, no_progress_limit)
-                    }));
-                    match out {
-                        Ok((res, report, stats, soc)) => {
-                            self.solos[lane] = Some(soc);
-                            lanes.push(LaneRun {
-                                lane,
-                                deopted: true,
-                                diverged_at_token: Some(token),
-                                panicked: false,
-                                result: Some(res),
-                                report: Some(report),
-                                fault_stats: Some(stats),
-                            });
-                        }
-                        Err(_) => lanes.push(LaneRun {
-                            lane,
-                            deopted: true,
-                            diverged_at_token: Some(token),
-                            panicked: true,
-                            result: None,
-                            report: None,
-                            fault_stats: None,
-                        }),
+                    let replay = replays.next().expect("one replay per diverged lane");
+                    let mut run = LaneRun {
+                        lane,
+                        deopted: true,
+                        diverged_at_token: Some(token),
+                        panicked: replay.is_none(),
+                        result: None,
+                        report: None,
+                        fault_stats: None,
+                    };
+                    if let Some((res, report, stats, gmem)) = replay {
+                        run.result = Some(res);
+                        run.report = Some(report);
+                        run.fault_stats = Some(stats);
+                        self.lane_gmem[lane] = Some(gmem);
                     }
+                    lanes.push(run);
                 }
             }
         }
+        let deopt_lanes = diverged.len();
         if let Some(tc) = &self.tel_tokens {
             for r in &lanes {
                 tc.set(r.lane, r.fault_stats.as_ref().map_or(0, |s| s.tokens));
@@ -538,8 +570,8 @@ impl BatchSoc {
     /// de-opted ones. `None` when the lane has no simulation to read
     /// (its replay panicked, or the batch has not run).
     pub fn gmem_read_lane(&self, lane: usize, base: usize, len: usize) -> Option<Vec<u64>> {
-        if let Some(solo) = &self.solos[lane] {
-            return Some(solo.gmem_read(base, len));
+        if let Some(gmem) = &self.lane_gmem[lane] {
+            return Some(gmem[base..base + len].to_vec());
         }
         if self.ran && matches!(self.set.borrow().status(lane), LaneStatus::Converged) {
             return Some(self.golden.gmem_read(base, len));
@@ -822,6 +854,61 @@ mod tests {
                 assert_eq!(field, "lane0.stats");
             }
             other => panic!("expected ReplayDivergence, got {other:?}"),
+        }
+    }
+
+    /// Settling on one worker and on many gives the same report, lane
+    /// for lane, whatever order the replays finish in: a converged
+    /// lane, completing de-opts, fail-stops (contained as `panicked`
+    /// on whichever thread ran them) and a hang the watchdog ends.
+    #[test]
+    fn settle_is_identical_on_one_worker_and_many() {
+        let specs = vec![
+            LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 6),
+            LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 7),
+            LaneSpec::new(HOT_LINK, FaultConfig::drop(0.01), 0),
+            LaneSpec::new(HOT_LINK, FaultConfig::drop(0.01), 9),
+            LaneSpec::new(HOT_LINK, FaultConfig::duplicate(0.01), 7),
+            LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 3),
+            LaneSpec::new(HOT_LINK, FaultConfig::drop(0.01), 2),
+        ];
+        let wl = vec_mul();
+        let (out_base, out_len) = (wl.expected[0].0, wl.expected[0].1.len());
+        let run = |workers: usize| {
+            let mut batch = build_batch(specs.clone());
+            batch.workers = Some(workers);
+            let rep = batch.run(MAX_CYCLES, 5_000);
+            let lanes: Vec<String> = rep
+                .lanes
+                .iter()
+                .map(|l| {
+                    let result = l.result.as_ref().map(|r| match r {
+                        Ok(r) => format!("{:?}", (r.cycles, r.completed, r.ctrl)),
+                        Err(e) => format!("{e:?}"),
+                    });
+                    let gmem = batch.gmem_read_lane(l.lane, out_base, out_len);
+                    assert_eq!(gmem.is_none(), l.panicked, "lane {} memory", l.lane);
+                    format!(
+                        "{} {} {:?} {} {result:?} {:?} {:?} {gmem:?}",
+                        l.lane, l.deopted, l.diverged_at_token, l.panicked, l.report, l.fault_stats
+                    )
+                })
+                .collect();
+            (lanes, rep)
+        };
+        let (serial, rep) = run(1);
+        assert_eq!((rep.converged_lanes, rep.deopt_lanes), (1, 6));
+        assert_eq!(
+            rep.lanes.iter().map(|l| l.panicked).collect::<Vec<_>>(),
+            [false, false, true, false, true, false, true],
+            "the drop/duplicate fail-stops are contained per lane"
+        );
+        assert!(
+            matches!(rep.lanes[3].result, Some(Err(SimError::Hang { .. }))),
+            "lane 3 waits out the watchdog"
+        );
+        for workers in [2, 6] {
+            assert_eq!(run(workers).0, serial, "{workers} workers");
         }
     }
 

@@ -49,7 +49,9 @@ pub mod schedplan;
 pub mod soc;
 pub mod workloads;
 
-pub use batch::{replay_lane_solo, BatchReport, BatchSoc, LaneRun, LaneSpec, ReplayInputs};
+pub use batch::{
+    replay_lane_solo, BatchReport, BatchSoc, LaneReplay, LaneRun, LaneSpec, ReplayInputs,
+};
 pub use checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, SessionState, SimSnapshot};
 pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus, SimEngine};
 pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};

@@ -1,7 +1,7 @@
 //! Property tests for the batched lockstep backend's equivalence
 //! contract: every lane of a [`BatchSoc`] — converged lanes riding the
-//! shared golden run and lanes that de-opted to a solo interpreted
-//! simulation mid-run alike — must be **bit-identical** to a solo
+//! shared golden run and lanes that de-opted to a solo replay
+//! mid-run alike — must be **bit-identical** to a solo
 //! [`Soc`] run of the same `(pattern, fault config, seed)` triple:
 //! same cycle count and completion, same full [`SocReport`], same
 //! fault statistics, same global memory. Random workload × fidelity ×

@@ -27,8 +27,11 @@ cargo run --release -p craft-bench --bin kernel_baseline -- --workload vec_mul
 echo "==> compiled-schedule smoke (release, instant plan vs interpreted; cycle-identity asserted)"
 cargo run --release -p craft-bench --bin kernel_baseline -- --workload smoke --compiled-schedule
 
-echo "==> de-opt smoke (fault injection must fall back to the interpreted path)"
+echo "==> de-opt smoke (a watchdog trip must fall back to the interpreted path: sim.plan.deopt.watchdog_trip == 1)"
 cargo run --release -p craft-bench --bin kernel_baseline -- --workload smoke --deopt-smoke
+
+echo "==> armed-faults smoke (fault injection must keep the plan armed; report identical to the interpreted run)"
+cargo run --release -p craft-bench --bin kernel_baseline -- --workload dot_product --armed-faults-smoke
 
 echo "==> parallel kernel smoke (release, vec_mul, 4 shards; cycle-identity asserted)"
 cargo run --release -p craft-bench --bin kernel_baseline -- --workload vec_mul --threads 4
@@ -56,6 +59,18 @@ cargo run --release -p craft-bench --bin fault_campaign -- --batch --smoke
 
 echo "==> batched-lockstep kernel smoke (release, lane 0 vs solo replay asserted)"
 cargo run --release -p craft-bench --bin kernel_baseline -- --workload smoke --batch
+
+echo "==> benchmark correctness gate (2 s per campaign: every batch lane vs its solo run, sim_digest vs the recorded one)"
+# Read-only: benchmark/ has its own lock file, which cargo refreshes in
+# place when a workspace crate's dependency list has moved since the
+# benchmark was last touched; put back what was there.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+for campaign in campaign_dense campaign_sparse; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$campaign" --seed 1 --seconds 2 --trace 0
+done
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
 
 echo "==> checkpoint smoke (release, round-trip identity + corruption/truncation/version rejection)"
 cargo run --release -p craft-bench --bin fault_campaign -- --ckpt-smoke
