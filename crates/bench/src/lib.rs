@@ -1,8 +1,9 @@
 //! # craft-bench — experiment harnesses
 //!
 //! Shared logic behind the per-figure/per-table binaries (see
-//! `src/bin/`) and Criterion benches (see `benches/`). Each paper
-//! artifact has a regenerator:
+//! `src/bin/`) and the Criterion ablations (see `benches/`). How fast
+//! the engines run is measured by the repo's `benchmark/` package and
+//! nowhere here. Each paper artifact has a regenerator:
 //!
 //! | artifact | binary |
 //! |---|---|
@@ -192,36 +193,17 @@ impl Drop for SilentPanicGuard {
     }
 }
 
-/// Schema version stamped into every bench JSON artifact (see
-/// [`json_meta_block`]). Bump when a field is renamed, removed or
+/// Schema version stamped into the `fault_campaign` row artifact
+/// (see [`json_meta_block`]). Bump when a field is renamed, removed or
 /// changes meaning; additive fields do not require a bump.
-///
-/// v3: `fault_campaign` gained the `checkpoint` section (snapshot
-/// size, save/restore latency) and the resumable per-seed artifact
-/// (`fault_campaign_ckpt`, deterministic row schema).
-///
-/// v4: `fault_campaign` gained the `serve_throughput` section
-/// (served-jobs/s through the `craft-serve` worker pool) and the
-/// `checkpoint` rows now spell engines as [`craft_soc::EngineKind`]
-/// wire names (`soc`, `parallel:2`, `batch`).
-///
-/// v5: `sim_kernel` gained the `partition` section (per-workload
-/// modeled makespan of the fixed vertical strip vs the profile-guided
-/// cut, the adopted cut's wire spelling, measured per-shard
-/// `barrier_wait` p50/p95/max) and the `parallel` engine wire names
-/// extended with `parallel:<threads>:auto` and
-/// `parallel:spec:<16 hex>`.
-pub const BENCH_SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 5;
 
-/// Host facts recorded alongside every artifact so perf rows can be
-/// judged in context (the CI container is a 1-core box; wall-clock
-/// rows measured there are honest but not representative).
+/// Host facts recorded alongside the artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostMeta {
     /// Cores available to this process.
     pub cores: usize,
-    /// Fewer cores than the widest parallel sweep the harnesses run
-    /// (4 threads): scaling and wall-clock rows are oversubscribed.
+    /// Fewer than 4 cores.
     pub degraded_host: bool,
 }
 
@@ -236,9 +218,9 @@ impl HostMeta {
     }
 }
 
-/// Renders the shared JSON artifact header — schema version, generator
-/// name and host metadata — as object members (no surrounding braces),
-/// for the hand-rolled emitters to splice in first:
+/// Renders the JSON artifact header — schema version, generator name
+/// and host metadata — as object members (no surrounding braces), for
+/// a hand-rolled emitter to splice in first:
 ///
 /// ```
 /// let json = format!("{{\n  {}\n  \"rows\": []\n}}\n", craft_bench::json_meta_block("doc"));
@@ -247,16 +229,15 @@ impl HostMeta {
 pub fn json_meta_block(generator: &str) -> String {
     let host = HostMeta::detect();
     format!(
-        "\"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"generator\": \"{generator}\",\n  \
+        "\"schema_version\": {SCHEMA_VERSION},\n  \"generator\": \"{generator}\",\n  \
          \"host\": {{\"cores\": {}, \"degraded_host\": {}}},",
         host.cores, host.degraded_host
     )
 }
 
-/// The shared JSON well-formedness checker and string escaper now
-/// live in `craftflow-core` (the job server validates its wire output
-/// with the same code); re-exported here so every bench caller keeps
-/// compiling unchanged.
+/// The JSON well-formedness checker and string escaper live in
+/// `craftflow-core` (the job server validates its wire output with
+/// the same code).
 pub use craftflow_core::{json_escape, validate_json};
 
 #[cfg(test)]
@@ -329,7 +310,7 @@ mod tests {
         let block = json_meta_block("unit_test");
         let doc = format!("{{\n  {block}\n  \"rows\": [1, 2]\n}}\n");
         assert_eq!(validate_json(&doc), Ok(()));
-        assert!(block.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")));
+        assert!(block.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(block.contains("\"cores\":"));
         assert!(block.contains("\"degraded_host\":"));
     }

@@ -1,8 +1,9 @@
-//! Crash-safety integration test for the resumable fault campaign:
-//! `SIGKILL` the campaign mid-sweep, resume it with `--resume`, and
-//! the final artifact must be **byte-identical** to an uninterrupted
-//! run's — the per-row journal is atomic (a kill can only lose the
-//! row in flight) and idempotent (a second resume recomputes nothing).
+//! Crash-safety integration test for the fault campaign: `SIGKILL`
+//! the campaign mid-sweep, resume it with `--resume`, and the final
+//! artifact must be **byte-identical** to an uninterrupted run's —
+//! the per-row journal is atomic (a kill can only lose the row in
+//! flight), idempotent (a second resume recomputes nothing) and pure
+//! persistence (a run without one writes the same bytes).
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -10,7 +11,7 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_fault_campaign");
 
-/// Rows the `--smoke` resumable campaign journals in total: 3 modes x
+/// Rows the `--smoke` campaign journals in total: 3 modes x
 /// 4 link seeds + 3 modes x 3 soc seeds + degradation baseline + 1
 /// victim + watchdog.
 const TOTAL_ROWS: usize = 24;
@@ -25,17 +26,19 @@ fn journaled_rows(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-fn run_campaign(journal: &Path, out: &Path, resume: bool) {
+fn run_campaign(journal: Option<&Path>, out: &Path, resume: bool) {
     let mut cmd = Command::new(BIN);
     cmd.arg("--smoke");
     if resume {
         cmd.arg("--resume");
     }
+    if let Some(journal) = journal {
+        cmd.arg("--checkpoint-dir").arg(journal);
+    }
     let status = cmd
-        .arg("--checkpoint-dir")
-        .arg(journal)
         .arg("--out")
         .arg(out)
+        .stdout(Stdio::null())
         .status()
         .expect("spawn fault_campaign");
     assert!(status.success(), "campaign failed: {status:?}");
@@ -53,8 +56,18 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
     let kill_out = tmp.join("kill.json");
 
     // Uninterrupted reference.
-    run_campaign(&ref_journal, &ref_out, false);
+    run_campaign(Some(&ref_journal), &ref_out, false);
     assert_eq!(journaled_rows(&ref_journal), TOTAL_ROWS);
+    let reference = std::fs::read(&ref_out).expect("read reference artifact");
+
+    // No journal at all: the same rows, the same bytes.
+    let plain_out = tmp.join("plain.json");
+    run_campaign(None, &plain_out, false);
+    assert_eq!(
+        std::fs::read(&plain_out).expect("read unjournaled artifact"),
+        reference,
+        "unjournaled artifact differs from the journaled run's"
+    );
 
     // Killed run: SIGKILL (not a catchable signal) as soon as the
     // journal holds a couple of completed rows.
@@ -96,9 +109,8 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
 
     // Resume: only the missing rows are recomputed; the artifact is
     // byte-identical to the uninterrupted run's.
-    run_campaign(&kill_journal, &kill_out, true);
+    run_campaign(Some(&kill_journal), &kill_out, true);
     assert_eq!(journaled_rows(&kill_journal), TOTAL_ROWS);
-    let reference = std::fs::read(&ref_out).expect("read reference artifact");
     let resumed = std::fs::read(&kill_out).expect("read resumed artifact");
     assert_eq!(
         reference, resumed,
@@ -107,7 +119,7 @@ fn sigkill_mid_campaign_then_resume_is_byte_identical() {
 
     // Idempotent: a second resume recomputes nothing and emits the
     // same bytes again.
-    run_campaign(&kill_journal, &kill_out, true);
+    run_campaign(Some(&kill_journal), &kill_out, true);
     assert_eq!(std::fs::read(&kill_out).expect("read"), reference);
 
     std::fs::remove_dir_all(&tmp).ok();

@@ -1,5 +1,6 @@
 //! The bounded threaded worker pool — the production scheduler
-//! behind [`crate::server`] and the `serve_throughput` bench.
+//! behind [`crate::server`] (measured by the benchmark's `serve_tcp`
+//! and `serve_contended` workloads).
 //!
 //! `N` OS worker threads share one mutex-guarded job table
 //! (the crate-private `Core` in the scheduler module); each worker
@@ -12,7 +13,9 @@
 //! which is exactly why the bit-identity proptests run both.
 
 use crate::job::{JobError, JobSpec, ServeError};
-use crate::scheduler::{absorb_step, finish, Core, JobOutcome, JobPhase, ServeStats, StepResult};
+use crate::scheduler::{
+    absorb_step, construct, finish, pickup, Core, JobOutcome, JobPhase, ServeStats, StepResult,
+};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -177,22 +180,11 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 shared.cv.notify_all();
                 continue;
             }
-            let prepared = crate::scheduler::pickup(rec, worker);
+            let prepared = pickup(rec, worker);
             shared.cv.notify_all();
             prepared
         };
-        let built = match snapshot {
-            Some(bytes) => craft_soc::restore_engine(spec.engine, &bytes, spec.telemetry)
-                .map_err(JobError::SnapshotCorrupt),
-            None => spec
-                .build_engine()
-                .map_err(JobError::Rejected)
-                .map(|mut e| {
-                    e.begin(spec.max_cycles, spec.no_progress_limit);
-                    e
-                }),
-        };
-        let mut engine = match built {
+        let mut engine = match construct(&spec, snapshot) {
             Ok(e) => e,
             Err(err) => {
                 let mut core = shared.core.lock().expect("job table lock poisoned");

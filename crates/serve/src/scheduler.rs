@@ -167,44 +167,10 @@ pub(crate) fn finish(rec: &mut JobRecord, outcome: Result<JobOutcome, JobError>)
     rec.outcome = Some(outcome);
 }
 
-/// Picks up a queued or preempted job on worker `worker`: builds a
-/// fresh engine (and opens its session) or revives the snapshot.
-/// On failure the record is sealed with the typed error and `Err(())`
-/// tells the caller to move on.
-#[allow(clippy::result_unit_err)]
-pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Result<Box<dyn SimEngine>, ()> {
-    if let Some(bytes) = rec.snapshot.take() {
-        match restore_engine(rec.spec.engine, &bytes, rec.spec.telemetry) {
-            Ok(engine) => {
-                rec.phase = JobPhase::Running;
-                rec.push_event(JobEvent::Resumed { worker });
-                Ok(engine)
-            }
-            Err(e) => {
-                finish(rec, Err(JobError::SnapshotCorrupt(e)));
-                Err(())
-            }
-        }
-    } else {
-        match rec.spec.build_engine() {
-            Ok(mut engine) => {
-                rec.phase = JobPhase::Running;
-                rec.push_event(JobEvent::Running { worker });
-                engine.begin(rec.spec.max_cycles, rec.spec.no_progress_limit);
-                Ok(engine)
-            }
-            Err(e) => {
-                finish(rec, Err(JobError::Rejected(e)));
-                Err(())
-            }
-        }
-    }
-}
-
-/// Threaded-pool pickup: marks the record `Running`, emits the
-/// `running`/`resumed` event, and hands back what engine
-/// construction needs so the expensive build/replay can happen
-/// outside the job-table lock.
+/// Marks the record `Running` on worker `worker`, emits the
+/// `running`/`resumed` event, and hands back what [`construct`] needs
+/// — so the threaded pool can do the expensive build/replay outside
+/// the job-table lock.
 pub(crate) fn pickup(rec: &mut JobRecord, worker: usize) -> (JobSpec, Option<Vec<u8>>) {
     let snapshot = rec.snapshot.take();
     rec.phase = JobPhase::Running;
@@ -214,6 +180,39 @@ pub(crate) fn pickup(rec: &mut JobRecord, worker: usize) -> (JobSpec, Option<Vec
         JobEvent::Running { worker }
     });
     (rec.spec.clone(), snapshot)
+}
+
+/// The one build-or-restore both schedulers share: revives the
+/// preemption snapshot when there is one, else builds a fresh engine
+/// and opens its session.
+pub(crate) fn construct(
+    spec: &JobSpec,
+    snapshot: Option<Vec<u8>>,
+) -> Result<Box<dyn SimEngine>, JobError> {
+    match snapshot {
+        Some(bytes) => {
+            restore_engine(spec.engine, &bytes, spec.telemetry).map_err(JobError::SnapshotCorrupt)
+        }
+        None => {
+            let mut engine = spec.build_engine().map_err(JobError::Rejected)?;
+            engine.begin(spec.max_cycles, spec.no_progress_limit);
+            Ok(engine)
+        }
+    }
+}
+
+/// [`pickup`] + [`construct`] in one step, for the single-threaded
+/// scheduler. On failure the record is sealed with the typed error
+/// and `None` tells the caller to move on.
+pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Option<Box<dyn SimEngine>> {
+    let (spec, snapshot) = pickup(rec, worker);
+    match construct(&spec, snapshot) {
+        Ok(engine) => Some(engine),
+        Err(e) => {
+            finish(rec, Err(e));
+            None
+        }
+    }
 }
 
 /// What [`step_job`] tells the servicing worker to do next.
@@ -430,7 +429,7 @@ impl DeterministicScheduler {
                     if let Some(idx) = self.core.queue.pop_front() {
                         progress = true;
                         let rec = &mut self.core.jobs[idx];
-                        if let Ok(engine) = activate(rec, w) {
+                        if let Some(engine) = activate(rec, w) {
                             *slot = Some((idx, engine));
                         }
                     }

@@ -2,9 +2,9 @@
 //!
 //! [`Soc`] (sequential), [`ParallelSoc`] (GALS-sharded) and
 //! [`BatchSoc`] (lockstep fault lanes) grew three divergent
-//! run/checkpoint/report surfaces, so every caller — the fault
-//! campaign, the kernel baseline, the job server — re-implemented
-//! engine selection with hand-rolled match arms. [`SimEngine`] is the
+//! run/checkpoint/report surfaces, so every caller — the benchmark,
+//! the job server — would re-implement engine selection with
+//! hand-rolled match arms. [`SimEngine`] is the
 //! object-safe seam that replaces them: `build` ([`build_engine`]) /
 //! `run_checked` / `checkpoint` ([`SimEngine::snapshot_bytes`]) /
 //! `restore` ([`restore_engine`]) / `report` / `telemetry`, plus the
@@ -438,6 +438,14 @@ impl SimEngine for BatchSoc {
     }
 }
 
+/// The cut a `parallel:<threads>:auto` engine starts on; `None` when
+/// `threads` is outside `1..=MAX_SHARDS`.
+fn auto_seed_cut(threads: usize) -> Option<PartitionSpec> {
+    (1..=MAX_SHARDS)
+        .contains(&threads)
+        .then(|| PartitionSpec::balanced(threads))
+}
+
 /// Builds a fresh engine of `kind` with every fault vector in
 /// `faults` injected before the first cycle. For the sequential and
 /// parallel engines each [`LaneSpec`] arms a real injector on the one
@@ -454,6 +462,18 @@ pub fn build_engine(
     telemetry: bool,
 ) -> Result<Box<dyn SimEngine>, EngineError> {
     cfg.validate()?;
+    // Every parallel spelling is one facade on a starting cut, adaptive
+    // or not.
+    let parallel = |spec: PartitionSpec, auto: bool| -> Result<Box<dyn SimEngine>, EngineError> {
+        spec.validate_for(&cfg)?;
+        let mut soc =
+            ParallelSoc::build_partitioned(cfg, program, staging_init, gmem_init, spec, telemetry);
+        soc.set_auto_repartition(auto);
+        for f in faults {
+            soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
+        }
+        Ok(Box::new(soc))
+    };
     match kind {
         EngineKind::Soc => {
             let tel = telemetry.then(Telemetry::new);
@@ -463,58 +483,16 @@ pub fn build_engine(
             }
             Ok(Box::new(soc))
         }
-        EngineKind::Parallel { threads } => {
-            if !matches!(threads, 1 | 2 | 4 | 8) {
-                return Err(EngineError::BadThreads(threads));
-            }
-            let mut soc = ParallelSoc::build_with_telemetry(
-                cfg,
-                program,
-                staging_init,
-                gmem_init,
-                threads,
-                telemetry,
-            );
-            for f in faults {
-                soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
-            }
-            Ok(Box::new(soc))
-        }
-        EngineKind::ParallelAuto { threads } => {
-            if !(1..=MAX_SHARDS).contains(&threads) {
-                return Err(EngineError::BadThreads(threads));
-            }
-            let spec = PartitionSpec::balanced(threads);
-            spec.validate_for(&cfg)?;
-            let mut soc = ParallelSoc::build_partitioned(
-                cfg,
-                program,
-                staging_init,
-                gmem_init,
-                spec,
-                telemetry,
-            );
-            soc.set_auto_repartition(true);
-            for f in faults {
-                soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
-            }
-            Ok(Box::new(soc))
-        }
-        EngineKind::ParallelSpec { spec } => {
-            spec.validate_for(&cfg)?;
-            let mut soc = ParallelSoc::build_partitioned(
-                cfg,
-                program,
-                staging_init,
-                gmem_init,
-                spec,
-                telemetry,
-            );
-            for f in faults {
-                soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
-            }
-            Ok(Box::new(soc))
-        }
+        EngineKind::Parallel { threads } => parallel(
+            PartitionSpec::vertical_strips_checked(threads)
+                .ok_or(EngineError::BadThreads(threads))?,
+            false,
+        ),
+        EngineKind::ParallelAuto { threads } => parallel(
+            auto_seed_cut(threads).ok_or(EngineError::BadThreads(threads))?,
+            true,
+        ),
+        EngineKind::ParallelSpec { spec } => parallel(spec, false),
         EngineKind::Batch => {
             if faults.is_empty() {
                 return Err(EngineError::EmptyBatch);
@@ -544,39 +522,31 @@ pub fn restore_engine(
     bytes: &[u8],
     telemetry: bool,
 ) -> Result<Box<dyn SimEngine>, CheckpointError> {
+    let parallel =
+        |spec: PartitionSpec, auto: bool| -> Result<Box<dyn SimEngine>, CheckpointError> {
+            let snap = SimSnapshot::from_bytes(bytes)?;
+            let mut soc = ParallelSoc::restore_partitioned(&snap, spec, telemetry)?;
+            soc.set_auto_repartition(auto);
+            Ok(Box::new(soc))
+        };
+    let bad_threads = |threads: usize| {
+        CheckpointError::Malformed(format!("no cut for engine thread count {threads}"))
+    };
     match kind {
         EngineKind::Soc => {
             let snap = SimSnapshot::from_bytes(bytes)?;
             let tel = telemetry.then(Telemetry::new);
             Ok(Box::new(Soc::restore_with_telemetry(&snap, tel)?))
         }
-        EngineKind::Parallel { threads } => {
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            Ok(Box::new(ParallelSoc::restore_with_telemetry(
-                &snap, threads, telemetry,
-            )?))
-        }
-        EngineKind::ParallelAuto { threads } => {
-            if !(1..=MAX_SHARDS).contains(&threads) {
-                return Err(CheckpointError::Malformed(format!(
-                    "auto engine thread count {threads} outside 1..={MAX_SHARDS}"
-                )));
-            }
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            let mut soc = ParallelSoc::restore_partitioned(
-                &snap,
-                PartitionSpec::balanced(threads),
-                telemetry,
-            )?;
-            soc.set_auto_repartition(true);
-            Ok(Box::new(soc))
-        }
-        EngineKind::ParallelSpec { spec } => {
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            Ok(Box::new(ParallelSoc::restore_partitioned(
-                &snap, spec, telemetry,
-            )?))
-        }
+        EngineKind::Parallel { threads } => parallel(
+            PartitionSpec::vertical_strips_checked(threads).ok_or_else(|| bad_threads(threads))?,
+            false,
+        ),
+        EngineKind::ParallelAuto { threads } => parallel(
+            auto_seed_cut(threads).ok_or_else(|| bad_threads(threads))?,
+            true,
+        ),
+        EngineKind::ParallelSpec { spec } => parallel(spec, false),
         EngineKind::Batch => {
             let snap = BatchSnapshot::from_bytes(bytes)?;
             Ok(Box::new(BatchSoc::restore(&snap)?))
@@ -848,12 +818,20 @@ mod tests {
                 "{kind}: batch frame must be WrongKind"
             );
         }
-        // Out-of-range auto restore is a typed malformed error, not a
-        // panic.
-        assert!(matches!(
-            restore_engine(EngineKind::ParallelAuto { threads: 0 }, &bytes, false),
-            Err(CheckpointError::Malformed(_))
-        ));
+        // A thread count with no cut is a typed malformed error on
+        // restore, not a panic.
+        for kind in [
+            EngineKind::ParallelAuto { threads: 0 },
+            EngineKind::Parallel { threads: 3 },
+        ] {
+            assert!(
+                matches!(
+                    restore_engine(kind, &bytes, false),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{kind}: must be Malformed"
+            );
+        }
     }
 
     #[test]

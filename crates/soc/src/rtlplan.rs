@@ -3,11 +3,13 @@
 //! [`crate::bitrtl`] is the *interpreted* RTL path: every add is a
 //! ripple-carry loop, every multiply a shift-add array, and every
 //! clocked region re-walks its packed signal state word by word each
-//! cycle. That is faithful but slow — the ~60× RTL-vs-sim-accurate gap
-//! in `BENCH_sim_kernel.json`. Compiled RTL simulators (Verilator,
-//! LightningSimV2, OmniSim) close the gap by lowering the design
-//! *once* into a levelized word-level schedule and then executing that
-//! schedule as straight-line native code every cycle.
+//! cycle. That is faithful but slow — the gap the repo's benchmark
+//! reports as `fig6_rtl / soc.fig6.speedup_x`, the compiled path's
+//! share of it as `fig6_rtl / soc.rtlplan.speedup_x`. Compiled RTL
+//! simulators (Verilator, LightningSimV2, OmniSim) close the gap by
+//! lowering the design *once* into a levelized word-level schedule and
+//! then executing that schedule as straight-line native code every
+//! cycle.
 //!
 //! This module is that lowering pass:
 //!

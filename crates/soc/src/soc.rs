@@ -767,9 +767,8 @@ impl Soc {
         let mut sim = Simulator::new();
         // RTL-fidelity PEs and the hub never quiesce (every gate is
         // re-evaluated each cycle), so gating only pays its bookkeeping
-        // there without skipping anything — measured at 0.78-0.96x on
-        // the kernel baseline. Auto-disable it; results are identical
-        // either way (see `gating_tests`).
+        // there without skipping anything. Auto-disable it; results are
+        // identical either way (see `gating_tests`).
         sim.set_gating(cfg.gating && !cfg.fidelity.is_rtl());
 
         // --- Clock domains ---
@@ -2548,32 +2547,55 @@ mod compiled_schedule_tests {
     }
 
     /// The `sim.plan.*` telemetry probes publish the armed flag, the
-    /// fast-path instant count and the de-opt counter.
+    /// fast-path instant count and the reason-coded de-opt counters:
+    /// a clean run stays armed with none, a watchdog trip on an armed
+    /// SoC falls back to the interpreter under `watchdog_trip` and
+    /// nothing else.
     #[test]
     fn telemetry_reports_plan_counters() {
         let wl = vec_mul();
-        let tel = craft_sim::Telemetry::new();
-        let mut soc = Soc::build_with_telemetry(
-            compiled(SocConfig::default()),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-            Some(tel),
-        );
+        let build = |program: &[u32]| {
+            Soc::build_with_telemetry(
+                compiled(SocConfig::default()),
+                program,
+                &crate::workloads::table_words(&wl.entries),
+                &wl.gmem_init,
+                Some(craft_sim::Telemetry::new()),
+            )
+        };
+        let row = |soc: &Soc, path: &str| {
+            soc.telemetry_snapshot()
+                .expect("sink attached")
+                .metric(path)
+                .unwrap_or_else(|| panic!("missing probe {path}"))
+        };
+
+        let mut soc = build(&crate::workloads::orchestrator_program());
         let r = soc.run(8_000_000);
         assert!(r.completed);
-        let snap = soc.telemetry_snapshot().expect("sink attached");
-        let row = |path: &str| {
-            snap.metrics
-                .iter()
-                .find(|m| m.path == path)
-                .unwrap_or_else(|| panic!("missing probe {path}"))
-                .value
-        };
-        assert_eq!(row("sim.plan.armed"), 1, "plan armed at snapshot");
-        assert_eq!(row("sim.plan.deopt_count"), 0);
-        assert!(row("sim.plan.instants") > 0, "fast path executed instants");
-        assert_eq!(row("sim.plan.instants"), soc.sim().instants());
+        assert_eq!(row(&soc, "sim.plan.armed"), 1, "plan armed at snapshot");
+        assert_eq!(row(&soc, "sim.plan.deopt_count"), 0);
+        assert!(
+            row(&soc, "sim.plan.instants") > 0,
+            "fast path executed instants"
+        );
+        assert_eq!(row(&soc, "sim.plan.instants"), soc.sim().instants());
+
+        // The controller spins on `jal zero, 0`: nothing ever counts
+        // as progress, so the watchdog trips.
+        let mut hung = build(&[craft_riscv::asm::jal(craft_riscv::asm::ZERO, 0)]);
+        assert!(hung.sim().plan_armed(), "plan must arm at build");
+        let err = hung
+            .run_checked(2_000_000, 20_000)
+            .expect_err("a spinning controller must be diagnosed as hung");
+        assert!(matches!(err, SimError::Hang { .. }), "expected Hang: {err}");
+        assert_eq!(row(&hung, "sim.plan.armed"), 0, "the trip de-opts");
+        assert_eq!(row(&hung, "sim.plan.deopt.watchdog_trip"), 1);
+        assert_eq!(
+            row(&hung, "sim.plan.deopt_count"),
+            1,
+            "and nothing else did"
+        );
     }
 }
 

@@ -101,7 +101,8 @@ proptest! {
             (0u64..1_000_000).prop_map(|noise_seed| ClockingMode::GalsAdaptive { noise_seed }),
         ],
         gating: bool,
-        threads in prop::sample::select(vec![2usize, 4, 8]),
+        // 1 is the degenerate cut: epoch machinery on, a single shard.
+        threads in prop::sample::select(vec![1usize, 2, 4, 8]),
     ) {
         let cfg = SocConfig { fidelity, clocking, gating, ..SocConfig::default() };
         let wl = vec_mul();
