@@ -322,6 +322,24 @@ impl<T> ChannelCore<T> {
         self.kind.enq_when_full() && self.popped_committed
     }
 
+    /// Backpressure that only a consumer's pop can lift: a push is
+    /// refused now *and* nothing staged this cycle will change that at
+    /// commit — no pop frees a slot, no push of our own occupies the
+    /// port for just this cycle. The output-side dual of
+    /// [`has_pending`](Self::has_pending), and like it an input to
+    /// sleep decisions: a pop staged earlier in the same instant is
+    /// invisible to [`can_push`](Self::can_push) on registered kinds
+    /// but fires the producer's wake token only once, so a producer
+    /// that sleeps on `!can_push()` alone misses the freed slot.
+    /// A stuck `ready` wire is deliberately not "blocked": the fault
+    /// model owns that state, so its producer stays awake.
+    pub(crate) fn push_blocked(&self) -> bool {
+        !self.pushed_this_cycle
+            && !self.popped_committed
+            && !self.fault.as_ref().is_some_and(|f| f.ready_stuck)
+            && self.committed_len() >= self.kind.capacity()
+    }
+
     pub(crate) fn push_nb(&mut self, v: T) -> Result<(), T> {
         if self.can_push() {
             let mut v = v;

@@ -39,6 +39,34 @@ impl<T> Out<T> {
         self.core.borrow_mut().push_nb(v)
     }
 
+    /// Backpressure that only a consumer's pop can lift: a push is
+    /// refused now and no pop (or push) staged this cycle will change
+    /// that at commit. This — not `!can_push()` — is the input for a
+    /// [`craft_sim::Component::can_sleep`] decision of a producer with
+    /// data in hand: a pop staged earlier in the same instant leaves
+    /// [`can_push`](Self::can_push) false on registered kinds but
+    /// fires the wake token only once, so the producer must stay awake
+    /// for the slot it frees.
+    pub fn is_blocked(&self) -> bool {
+        self.core.borrow().push_blocked()
+    }
+
+    /// The producer-visible state survives the next commit unless a
+    /// peer acts (and fires the wake token): either a push is accepted
+    /// now, or the port [`is_blocked`](Self::is_blocked).
+    pub fn is_settled(&self) -> bool {
+        let core = self.core.borrow();
+        core.can_push() || core.push_blocked()
+    }
+
+    /// Catch-up for a producer whose retrying ticks were elided while
+    /// it slept blocked on this port: books the `n` refused pushes
+    /// those ticks would have made (see
+    /// [`craft_sim::Component::ticks_skipped`]).
+    pub fn push_backpressure_skipped(&self, n: u64) {
+        self.core.borrow_mut().stats.push_backpressure += n;
+    }
+
     /// Name of the connected channel.
     pub fn channel_name(&self) -> String {
         self.core.borrow().name.clone()
@@ -126,6 +154,24 @@ impl<T> In<T> {
         self.pending.get()
     }
 
+    /// The consumer-visible state survives the next commit unless a
+    /// peer acts (and fires the wake token): the channel is empty, or
+    /// its head is poppable now. Data that is pending but not poppable
+    /// — staged behind a register, withheld by a stall or a stuck
+    /// `valid` — may appear by commit alone, so a consumer must not
+    /// sleep on it.
+    pub fn is_settled(&self) -> bool {
+        !self.pending.get() || self.core.borrow().can_pop()
+    }
+
+    /// Catch-up for a consumer whose polling ticks were elided while
+    /// it slept on this (empty) port: books the `n` failed pops those
+    /// ticks would have made (see
+    /// [`craft_sim::Component::ticks_skipped`]).
+    pub fn pop_empty_skipped(&self, n: u64) {
+        self.core.borrow_mut().stats.pop_empty += n;
+    }
+
     /// Registers the consuming component's wake token: every
     /// successful push on the far end sets it, so a consumer sleeping
     /// on an empty queue is roused when traffic arrives.
@@ -187,6 +233,37 @@ mod tests {
         assert!(producer.is_set(), "pop wakes producer");
         assert!(dirty.is_set(), "pop dirties commit");
         assert!(!rx.has_pending());
+    }
+
+    /// The staged-aware sleep inputs: a full registered channel is
+    /// *blocked* only until a pop is staged — `can_push` stays false
+    /// until commit, but the slot is already on its way — and an input
+    /// is *settled* only once staged data has landed.
+    #[test]
+    fn blocked_and_settled_see_staged_pops_and_pushes() {
+        let (mut tx, mut rx, h) = channel::<u8>("c", ChannelKind::Buffer(1));
+        assert!(tx.is_settled() && !tx.is_blocked(), "empty: ready");
+        assert!(rx.is_settled(), "empty: nothing to wait for");
+
+        assert!(tx.push_nb(1).is_ok());
+        assert!(!tx.can_push() && !tx.is_blocked(), "own push this cycle");
+        assert!(!tx.is_settled());
+        assert!(!rx.is_settled(), "staged behind the register");
+        h.sequential().borrow_mut().commit();
+        assert!(rx.is_settled() && rx.can_pop());
+        assert!(!tx.can_push() && tx.is_blocked() && tx.is_settled());
+
+        assert_eq!(rx.pop_nb(), Some(1));
+        assert!(!tx.can_push(), "registered backpressure");
+        assert!(!tx.is_blocked() && !tx.is_settled(), "but a pop is staged");
+        h.sequential().borrow_mut().commit();
+        assert!(tx.can_push() && tx.is_settled() && !tx.is_blocked());
+
+        // Catch-ups book on the channel's own counters.
+        tx.push_backpressure_skipped(3);
+        rx.pop_empty_skipped(4);
+        assert_eq!(h.stats().push_backpressure, 3);
+        assert_eq!(h.stats().pop_empty, 4);
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! bit-identical observations (value + arrival cycle) and identical
 //! per-clock cycle counts whether gating is enabled or not. Gating is
 //! a wall-clock optimisation; determinism is the contract.
+//!
+//! The second property swaps the scripted producer for one that holds
+//! a backlog and sleeps *blocked* while its output is backpressured
+//! (`Component::can_sleep` beyond `is_quiescent`), woken by the
+//! consumer's pop through `Out::set_wake_token` — across clock domains,
+//! so the pop that frees a slot is often staged when the wake arrives.
 
 use craft_connections::{channel, ChannelKind, In, Out};
-use craft_sim::{ActivityToken, ClockSpec, Component, Picoseconds, Simulator, TickCtx};
+use craft_sim::{ActivityToken, ClockSpec, Component, Picoseconds, Simulator, Sleep, TickCtx};
 use proptest::prelude::*;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Pushes an increasing sequence on the cycles its script marks
@@ -48,6 +55,17 @@ impl Component for Relay {
     fn is_quiescent(&self) -> bool {
         self.hold.is_none() && !self.input.has_pending()
     }
+    /// Holding a value against a full output, the tick below only
+    /// retries the push.
+    fn can_sleep(&self) -> Sleep {
+        if self.is_quiescent() {
+            Sleep::Idle
+        } else if self.hold.is_some() && self.out.is_blocked() {
+            Sleep::Blocked
+        } else {
+            Sleep::No
+        }
+    }
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
         if self.hold.is_none() {
             self.hold = self.input.pop_nb();
@@ -81,15 +99,58 @@ impl Component for Sink {
     }
 }
 
+/// Pushes its whole backlog as fast as the channel takes it: idle once
+/// the backlog is gone, blocked while the output is full and no pop is
+/// staged. Either way only its own output can rouse it.
+struct BurstProducer {
+    out: Out<u32>,
+    backlog: VecDeque<u32>,
+}
+
+impl Component for BurstProducer {
+    fn name(&self) -> &str {
+        "burst-producer"
+    }
+    fn is_quiescent(&self) -> bool {
+        self.backlog.is_empty()
+    }
+    fn can_sleep(&self) -> Sleep {
+        if self.backlog.is_empty() {
+            Sleep::Idle
+        } else if self.out.is_blocked() {
+            Sleep::Blocked
+        } else {
+            Sleep::No
+        }
+    }
+    fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+        if let Some(&v) = self.backlog.front() {
+            if self.out.push_nb(v).is_ok() {
+                self.backlog.pop_front();
+            }
+        }
+    }
+}
+
+/// What feeds the pipeline.
+enum Source<'a> {
+    /// Pushes on the cycles the script marks active; never gated.
+    Scripted(&'a [bool]),
+    /// Pushes `0..n` back to back; gated when `gate_mask` bit 2 is set.
+    Burst(u32),
+}
+
 /// Builds the pipeline and runs it to a fixed horizon. `gate_mask`
-/// bit 0 opts the relay into gating, bit 1 the sink.
+/// bit 0 opts the relay into gating, bit 1 the sink, bit 2 a burst
+/// producer. Returns the sink's log, the per-clock cycle counts and
+/// the kernel's skipped / blocked-skipped tick counts.
 fn run_pipeline(
     gating: bool,
     periods: [u64; 3],
-    script: &[bool],
+    source: Source<'_>,
     depth: usize,
     gate_mask: u8,
-) -> (Vec<(u64, u32)>, [u64; 3], u64) {
+) -> (Vec<(u64, u32)>, [u64; 3], u64, u64) {
     let mut sim = Simulator::new();
     sim.set_gating(gating);
     let clks: Vec<_> = periods
@@ -109,15 +170,36 @@ fn run_pipeline(
     r_tx.set_wake_token(relay_wake.clone());
     s_rx.set_wake_token(sink_wake.clone());
 
-    sim.add_component(
-        clks[0],
-        Producer {
-            out: p_tx,
-            script: script.to_vec(),
-            idx: 0,
-            next: 0,
-        },
-    );
+    let steps = match source {
+        Source::Scripted(script) => {
+            sim.add_component(
+                clks[0],
+                Producer {
+                    out: p_tx,
+                    script: script.to_vec(),
+                    idx: 0,
+                    next: 0,
+                },
+            );
+            script.len() as u64
+        }
+        Source::Burst(n) => {
+            let producer_wake = ActivityToken::new();
+            p_tx.set_wake_token(producer_wake.clone());
+            let id = sim.add_component(
+                clks[0],
+                BurstProducer {
+                    out: p_tx,
+                    backlog: (0..n).collect(),
+                },
+            );
+            if gate_mask & 4 != 0 {
+                sim.set_wake_token(id, producer_wake);
+            }
+            // Every value crosses two channels at the slowest clock.
+            u64::from(n) * 3
+        }
+    };
     let relay_id = sim.add_component(
         clks[1],
         Relay {
@@ -141,7 +223,7 @@ fn run_pipeline(
         sim.set_wake_token(sink_id, sink_wake);
     }
 
-    let horizon = (script.len() as u64 + 64) * periods.iter().max().copied().unwrap_or(1);
+    let horizon = (steps + 64) * periods.iter().max().copied().unwrap_or(1);
     sim.run_until_time(Picoseconds::new(horizon));
 
     let cycles = [
@@ -150,7 +232,28 @@ fn run_pipeline(
         sim.cycles(clks[2]),
     ];
     let out = log.borrow().clone();
-    (out, cycles, sim.ticks_skipped())
+    (
+        out,
+        cycles,
+        sim.ticks_skipped(),
+        sim.ticks_skipped_blocked(),
+    )
+}
+
+/// A fast producer behind a one-deep channel and a four-times slower
+/// consumer: the producer spends most of the run asleep on
+/// backpressure, and nothing the sink sees moves.
+#[test]
+fn backpressured_producer_sleeps_while_blocked() {
+    let periods = [400, 1600, 1600];
+    let (log_on, cyc_on, _, blocked_on) = run_pipeline(true, periods, Source::Burst(20), 1, 7);
+    let (log_off, cyc_off, skipped_off, blocked_off) =
+        run_pipeline(false, periods, Source::Burst(20), 1, 7);
+    assert_eq!(log_on, log_off, "observations diverged");
+    assert_eq!(cyc_on, cyc_off);
+    assert_eq!(log_on.len(), 20, "every value arrives");
+    assert_eq!((skipped_off, blocked_off), (0, 0));
+    assert!(blocked_on > 40, "the producer barely slept: {blocked_on}");
 }
 
 proptest! {
@@ -166,10 +269,10 @@ proptest! {
         depth in 1usize..5,
         gate_mask in 0u8..4,
     ) {
-        let (log_on, cyc_on, _skipped) =
-            run_pipeline(true, periods, &script, depth, gate_mask);
-        let (log_off, cyc_off, skipped_off) =
-            run_pipeline(false, periods, &script, depth, gate_mask);
+        let (log_on, cyc_on, _skipped, _) =
+            run_pipeline(true, periods, Source::Scripted(&script), depth, gate_mask);
+        let (log_off, cyc_off, skipped_off, _) =
+            run_pipeline(false, periods, Source::Scripted(&script), depth, gate_mask);
         prop_assert_eq!(&log_on, &log_off, "observations diverged");
         prop_assert_eq!(cyc_on, cyc_off, "cycle counts diverged");
         prop_assert_eq!(skipped_off, 0);
@@ -177,5 +280,27 @@ proptest! {
         let values: Vec<u32> = log_on.iter().map(|&(_, v)| v).collect();
         let expect: Vec<u32> = (0..values.len() as u32).collect();
         prop_assert_eq!(values, expect);
+    }
+
+    /// A backlogged producer that sleeps while backpressured, over
+    /// random clock ratios and channel depths: the sink's observations
+    /// and the cycle counts are those of the ungated run, and the whole
+    /// backlog arrives in order.
+    #[test]
+    fn blocked_sleep_never_changes_observations(
+        periods in proptest::array::uniform3(400u64..1600),
+        n in 1u32..60,
+        depth in 1usize..5,
+        gate_mask in 0u8..8,
+    ) {
+        let (log_on, cyc_on, _, _) =
+            run_pipeline(true, periods, Source::Burst(n), depth, gate_mask);
+        let (log_off, cyc_off, skipped_off, _) =
+            run_pipeline(false, periods, Source::Burst(n), depth, gate_mask);
+        prop_assert_eq!(&log_on, &log_off, "observations diverged");
+        prop_assert_eq!(cyc_on, cyc_off, "cycle counts diverged");
+        prop_assert_eq!(skipped_off, 0);
+        let values: Vec<u32> = log_on.iter().map(|&(_, v)| v).collect();
+        prop_assert_eq!(values, (0..n).collect::<Vec<u32>>());
     }
 }

@@ -157,6 +157,12 @@ impl<T: Copy + Default> ArbitratedScratchpad<T> {
         }
     }
 
+    /// No request is queued at any bank: [`tick`](Self::tick) would
+    /// serve nothing.
+    pub fn is_idle(&self) -> bool {
+        self.bank_queues.iter().all(Fifo::is_empty)
+    }
+
     /// Pops the next in-issue-order response for `lane`, if complete.
     ///
     /// # Panics

@@ -10,9 +10,23 @@
 //! Addresses are **word** (64-bit) granular. Provided components:
 //! [`AxiMemorySlave`] (memory-backed slave), [`AxiMaster`] (queue-driven
 //! master), and [`AxiBus`] (1-master/N-slave address-decoding bridge).
+//!
+//! # Gating
+//!
+//! All three sleep while they have no beat to move (see
+//! [`craft_sim::Component::can_sleep`]): each remembers whether its
+//! last tick moved anything and, if not, sleeps once every port is
+//! settled. None defines `is_quiescent`, so the sleep is always of the
+//! *blocked* kind. Register a wake token with the kernel and hand it to the
+//! component's ports ([`AxiMasterPorts::set_wake_token`] /
+//! [`AxiSlavePorts::set_wake_token`]; the master also wakes on
+//! [`AxiMasterHandle::master_wake`]). Without a token they tick every
+//! cycle as before. The failed pops and pushes of elided ticks are
+//! not booked on the AXI channels' statistics: [`axi_link`] hands out
+//! no handle through which they could be read.
 
 use craft_connections::{In, Out};
-use craft_sim::{Component, TickCtx};
+use craft_sim::{ActivityToken, Component, Sleep, TickCtx};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -74,6 +88,29 @@ pub struct AxiSlavePorts {
     pub r: Out<AxiReadBeat>,
 }
 
+impl AxiSlavePorts {
+    /// Hands `token` to all five channels: a beat arriving on AW/W/AR
+    /// or space freeing on B/R rouses the owning component.
+    pub fn set_wake_token(&self, token: &ActivityToken) {
+        self.aw.set_wake_token(token.clone());
+        self.w.set_wake_token(token.clone());
+        self.b.set_wake_token(token.clone());
+        self.ar.set_wake_token(token.clone());
+        self.r.set_wake_token(token.clone());
+    }
+
+    /// Every channel is settled ([`In::is_settled`] /
+    /// [`Out::is_settled`]): what the owner sees next tick is what it
+    /// saw this tick unless a peer acts.
+    pub fn is_settled(&self) -> bool {
+        self.aw.is_settled()
+            && self.w.is_settled()
+            && self.b.is_settled()
+            && self.ar.is_settled()
+            && self.r.is_settled()
+    }
+}
+
 /// The five master-side channel endpoints.
 #[derive(Debug)]
 pub struct AxiMasterPorts {
@@ -87,6 +124,27 @@ pub struct AxiMasterPorts {
     pub ar: Out<AxiAddrCmd>,
     /// Read-data input.
     pub r: In<AxiReadBeat>,
+}
+
+impl AxiMasterPorts {
+    /// Hands `token` to all five channels: a beat arriving on B/R or
+    /// space freeing on AW/W/AR rouses the owning component.
+    pub fn set_wake_token(&self, token: &ActivityToken) {
+        self.aw.set_wake_token(token.clone());
+        self.w.set_wake_token(token.clone());
+        self.b.set_wake_token(token.clone());
+        self.ar.set_wake_token(token.clone());
+        self.r.set_wake_token(token.clone());
+    }
+
+    /// Every channel is settled; see [`AxiSlavePorts::is_settled`].
+    pub fn is_settled(&self) -> bool {
+        self.aw.is_settled()
+            && self.w.is_settled()
+            && self.b.is_settled()
+            && self.ar.is_settled()
+            && self.r.is_settled()
+    }
 }
 
 /// One AXI channel's commit handle paired with its commit-dirty token.
@@ -161,6 +219,8 @@ pub struct AxiMemorySlave {
     mem: crate::MemArray<u64>,
     wstate: WriteState,
     rstate: ReadState,
+    /// The last tick moved no beat.
+    idle_tick: bool,
 }
 
 impl AxiMemorySlave {
@@ -172,6 +232,7 @@ impl AxiMemorySlave {
             mem: crate::MemArray::new(depth),
             wstate: WriteState::Idle,
             rstate: ReadState::Idle,
+            idle_tick: false,
         }
     }
 
@@ -195,16 +256,26 @@ impl Component for AxiMemorySlave {
         &self.name
     }
 
+    /// Sleeps while neither engine has a beat to move: both engines
+    /// advance only with a successful pop or push, so a tick without
+    /// one repeats until a peer acts on a (settled) port.
+    fn can_sleep(&self) -> Sleep {
+        Sleep::blocked_if(self.idle_tick && self.ports.is_settled())
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+        let mut moved = false;
         // Write engine.
         match &mut self.wstate {
             WriteState::Idle => {
                 if let Some(cmd) = self.ports.aw.pop_nb() {
                     self.wstate = WriteState::Data { cmd, beat: 0 };
+                    moved = true;
                 }
             }
             WriteState::Data { cmd, beat } => {
                 if let Some(wbeat) = self.ports.w.pop_nb() {
+                    moved = true;
                     let addr = cmd.addr + *beat;
                     let okay = (addr as usize) < self.mem.depth();
                     if okay {
@@ -228,6 +299,7 @@ impl Component for AxiMemorySlave {
                 };
                 if self.ports.b.push_nb(resp).is_ok() {
                     self.wstate = WriteState::Idle;
+                    moved = true;
                 }
             }
         }
@@ -237,6 +309,7 @@ impl Component for AxiMemorySlave {
                 if let Some(cmd) = self.ports.ar.pop_nb() {
                     let okay = self.in_range(cmd);
                     self.rstate = ReadState::Data { cmd, beat: 0, okay };
+                    moved = true;
                 }
             }
             ReadState::Data { cmd, beat, okay } => {
@@ -250,6 +323,7 @@ impl Component for AxiMemorySlave {
                     okay: *okay,
                 };
                 if self.ports.r.push_nb(rbeat).is_ok() {
+                    moved = true;
                     if last {
                         self.rstate = ReadState::Idle;
                     } else {
@@ -258,6 +332,7 @@ impl Component for AxiMemorySlave {
                 }
             }
         }
+        self.idle_tick = !moved;
     }
 }
 
@@ -303,6 +378,10 @@ pub enum AxiResult {
 pub struct AxiMasterHandle {
     queue: Rc<RefCell<VecDeque<AxiOp>>>,
     results: Rc<RefCell<VecDeque<AxiResult>>>,
+    /// Set by [`submit`](Self::submit): rouses a sleeping master.
+    master_wake: ActivityToken,
+    /// Set when the master queues a result: rouses a sleeping client.
+    client_wake: ActivityToken,
 }
 
 impl AxiMasterHandle {
@@ -328,6 +407,21 @@ impl AxiMasterHandle {
             }
         }
         self.queue.borrow_mut().push_back(op);
+        self.master_wake.set();
+    }
+
+    /// The token [`submit`](Self::submit) sets. Hand it to the
+    /// master's ports and register it as the master's kernel wake
+    /// token so an idle master may sleep until the next operation.
+    pub fn master_wake(&self) -> ActivityToken {
+        self.master_wake.clone()
+    }
+
+    /// The token the master sets with every completed
+    /// [`result`](Self::result). A component that sleeps while it
+    /// waits for one registers it as its kernel wake token.
+    pub fn client_wake(&self) -> ActivityToken {
+        self.client_wake.clone()
     }
 
     /// Pops the oldest completed result, if any.
@@ -357,6 +451,8 @@ pub struct AxiMaster {
     handle: AxiMasterHandle,
     state: MasterState,
     next_id: u8,
+    /// The last tick moved no beat and left the FSM where it was.
+    idle_tick: bool,
 }
 
 impl AxiMaster {
@@ -368,6 +464,7 @@ impl AxiMaster {
             handle,
             state: MasterState::Idle,
             next_id: 0,
+            idle_tick: false,
         }
     }
 }
@@ -377,12 +474,24 @@ impl Component for AxiMaster {
         &self.name
     }
 
+    /// Sleeps with no operation queued, and while the one in flight
+    /// waits on a B or R beat or a full W channel. A refused AW/AR
+    /// push is not a no-op (it burns a transaction id), so the master
+    /// stays up through that retry.
+    fn can_sleep(&self) -> Sleep {
+        Sleep::blocked_if(self.idle_tick && self.ports.is_settled())
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+        // Every arm below either moves a beat, changes the FSM, or
+        // returns early having done neither.
+        self.idle_tick = true;
         match &mut self.state {
             MasterState::Idle => {
                 let Some(op) = self.handle.queue.borrow_mut().pop_front() else {
                     return;
                 };
+                self.idle_tick = false;
                 let id = self.next_id;
                 self.next_id = self.next_id.wrapping_add(1);
                 match op {
@@ -431,10 +540,12 @@ impl Component for AxiMaster {
                     };
                     if self.ports.w.push_nb(wbeat).is_ok() {
                         *beat += 1;
+                        self.idle_tick = false;
                     }
                 }
                 if *beat == data.len() {
                     self.state = MasterState::AwaitB;
+                    self.idle_tick = false;
                 }
             }
             MasterState::AwaitB => {
@@ -443,11 +554,14 @@ impl Component for AxiMaster {
                         .results
                         .borrow_mut()
                         .push_back(AxiResult::WriteDone { okay: resp.okay });
+                    self.handle.client_wake.set();
                     self.state = MasterState::Idle;
+                    self.idle_tick = false;
                 }
             }
             MasterState::Read { collected, okay } => {
                 if let Some(rbeat) = self.ports.r.pop_nb() {
+                    self.idle_tick = false;
                     collected.push(rbeat.data);
                     *okay &= rbeat.okay;
                     if rbeat.last {
@@ -456,6 +570,7 @@ impl Component for AxiMaster {
                             .results
                             .borrow_mut()
                             .push_back(AxiResult::ReadDone { okay: *okay, data });
+                        self.handle.client_wake.set();
                         self.state = MasterState::Idle;
                     }
                 }
@@ -495,6 +610,8 @@ pub struct AxiBus {
     /// Read routing state.
     read_target: Option<usize>,
     read_err_pending: Option<(u8, u8)>,
+    /// The last tick moved no beat.
+    idle_tick: bool,
 }
 
 impl AxiBus {
@@ -522,6 +639,7 @@ impl AxiBus {
             write_beats_to_drop: false,
             read_target: None,
             read_err_pending: None,
+            idle_tick: false,
         }
     }
 
@@ -537,7 +655,19 @@ impl Component for AxiBus {
         &self.name
     }
 
+    /// Sleeps while no beat can cross in either direction: routing
+    /// state changes only together with a successful pop or push, so a
+    /// tick without one repeats until a peer acts on a (settled) port.
+    fn can_sleep(&self) -> Sleep {
+        Sleep::blocked_if(
+            self.idle_tick
+                && self.upstream.is_settled()
+                && self.downstream.iter().all(|(_, p)| p.is_settled()),
+        )
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+        let mut moved = false;
         // --- Write path ---
         if self.write_target.is_none() && self.write_err_pending.is_none() {
             if let Some(cmd) = self.upstream.aw.peek() {
@@ -550,12 +680,14 @@ impl Component for AxiBus {
                         if self.downstream[slave].1.aw.push_nb(local).is_ok() {
                             let _ = self.upstream.aw.pop_nb();
                             self.write_target = Some(slave);
+                            moved = true;
                         }
                     }
                     None => {
                         let _ = self.upstream.aw.pop_nb();
                         self.write_err_pending = Some(cmd.id);
                         self.write_beats_to_drop = true;
+                        moved = true;
                     }
                 }
             }
@@ -565,10 +697,12 @@ impl Component for AxiBus {
             if let Some(beat) = self.upstream.w.peek() {
                 if self.downstream[slave].1.w.push_nb(beat).is_ok() {
                     let _ = self.upstream.w.pop_nb();
+                    moved = true;
                 }
             }
             // Route the response back.
             if let Some(resp) = self.downstream[slave].1.b.pop_nb() {
+                moved = true;
                 if self.upstream.b.push_nb(resp).is_err() {
                     // Upstream full: retry next cycle. (Response channel
                     // depth should cover this; drop-free by re-staging.)
@@ -581,6 +715,7 @@ impl Component for AxiBus {
             // Swallow the data beats of the errored write, then respond.
             if self.write_beats_to_drop {
                 if let Some(beat) = self.upstream.w.pop_nb() {
+                    moved = true;
                     if beat.last {
                         self.write_beats_to_drop = false;
                     }
@@ -595,6 +730,7 @@ impl Component for AxiBus {
                     .is_ok()
                 {
                     self.write_err_pending = None;
+                    moved = true;
                 }
             }
         }
@@ -611,11 +747,13 @@ impl Component for AxiBus {
                         if self.downstream[slave].1.ar.push_nb(local).is_ok() {
                             let _ = self.upstream.ar.pop_nb();
                             self.read_target = Some(slave);
+                            moved = true;
                         }
                     }
                     None => {
                         let _ = self.upstream.ar.pop_nb();
                         self.read_err_pending = Some((cmd.id, cmd.len));
+                        moved = true;
                     }
                 }
             }
@@ -624,6 +762,7 @@ impl Component for AxiBus {
             if let Some(beat) = self.downstream[slave].1.r.peek() {
                 if self.upstream.r.push_nb(beat).is_ok() {
                     let _ = self.downstream[slave].1.r.pop_nb();
+                    moved = true;
                     if beat.last {
                         self.read_target = None;
                     }
@@ -639,8 +778,10 @@ impl Component for AxiBus {
             };
             if self.upstream.r.push_nb(beat).is_ok() {
                 self.read_err_pending = if last { None } else { Some((id, len - 1)) };
+                moved = true;
             }
         }
+        self.idle_tick = !moved;
     }
 }
 
@@ -842,5 +983,106 @@ mod bus_burst_tests {
                 data: words
             })
         );
+    }
+}
+
+#[cfg(test)]
+mod gating_tests {
+    use super::*;
+    use craft_sim::{ClockSpec, Picoseconds, Simulator};
+
+    /// Master → bus → two slaves with every component on a wake token;
+    /// a late second batch of operations exercises the `submit` wake.
+    /// Returns each result with the cycle it became readable, and the
+    /// kernel's skipped-tick count.
+    fn run(gating: bool) -> (Vec<(u64, AxiResult)>, u64) {
+        let mut sim = Simulator::new();
+        sim.set_gating(gating);
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(1000)));
+        let (mports, bus_up, s1) = axi_link("m2bus", 2);
+        let (bus_dn0, slave0, s2) = axi_link("bus2s0", 2);
+        let (bus_dn1, slave1, s3) = axi_link("bus2s1", 2);
+        for (s, dirty) in s1.into_iter().chain(s2).chain(s3) {
+            sim.add_sequential_gated(clk, s, dirty);
+        }
+        let handle = AxiMasterHandle::new();
+        let master_wake = handle.master_wake();
+        mports.set_wake_token(&master_wake);
+        let id = sim.add_component(clk, AxiMaster::new("m", mports, handle.clone()));
+        sim.set_wake_token(id, master_wake);
+        let bus_wake = ActivityToken::new();
+        bus_up.set_wake_token(&bus_wake);
+        bus_dn0.set_wake_token(&bus_wake);
+        bus_dn1.set_wake_token(&bus_wake);
+        let id = sim.add_component(
+            clk,
+            AxiBus::new(
+                "bus",
+                bus_up,
+                vec![
+                    (AddrRange { base: 0, words: 32 }, bus_dn0),
+                    (
+                        AddrRange {
+                            base: 32,
+                            words: 32,
+                        },
+                        bus_dn1,
+                    ),
+                ],
+            ),
+        );
+        sim.set_wake_token(id, bus_wake);
+        for (name, ports) in [("s0", slave0), ("s1", slave1)] {
+            let wake = ActivityToken::new();
+            ports.set_wake_token(&wake);
+            let id = sim.add_component(clk, AxiMemorySlave::new(name, ports, 32));
+            sim.set_wake_token(id, wake);
+        }
+
+        let words: Vec<u64> = (500..516).collect();
+        handle.submit(AxiOp::Write {
+            addr: 40,
+            data: words,
+        });
+        handle.submit(AxiOp::Read {
+            addr: 40,
+            beats: 16,
+        });
+        handle.submit(AxiOp::Read { addr: 99, beats: 2 }); // undecoded
+        let mut results = Vec::new();
+        for cycle in 0..400u64 {
+            if cycle == 250 {
+                // Everything is asleep by now.
+                handle.submit(AxiOp::Write {
+                    addr: 3,
+                    data: vec![7],
+                });
+                handle.submit(AxiOp::Read { addr: 3, beats: 1 });
+            }
+            sim.run_cycles(clk, 1);
+            while let Some(r) = handle.result() {
+                results.push((cycle, r));
+            }
+        }
+        (results, sim.ticks_skipped())
+    }
+
+    #[test]
+    fn sleeping_axi_plane_is_cycle_identical() {
+        let (on, skipped_on) = run(true);
+        let (off, skipped_off) = run(false);
+        assert_eq!(on.len(), 5, "{on:?}");
+        assert_eq!(on, off, "a result arrived on a different cycle");
+        assert_eq!(
+            on[4].1,
+            AxiResult::ReadDone {
+                okay: true,
+                data: vec![7]
+            }
+        );
+        assert_eq!(skipped_off, 0);
+        // 4 components x 400 cycles; the plane is busy for well under
+        // half of them.
+        assert!(skipped_on > 800, "the plane barely slept: {skipped_on}");
     }
 }

@@ -73,6 +73,16 @@ impl Component for SfRouter {
     /// streaming, and no input channel holds committed or staged
     /// flits. Idle ticks touch no arbiter state (`pick(0)` is a
     /// no-op), so eliding them is behaviour-exact.
+    ///
+    /// Deliberately no `can_sleep` override: unlike
+    /// [`super::WhvcRouter`], a backpressured tick here is not free of
+    /// side effects — it retries `push_nb` on every streaming output
+    /// and `pop_nb` on every empty input, and each refusal is booked
+    /// on the channel (`push_backpressure`, `pop_empty`, both in the
+    /// SoC's NoC report). Sleeping blocked would need a
+    /// `ticks_skipped` that replays those per port; the baseline
+    /// router is not worth that, so it stays awake while it holds a
+    /// packet (pinned by `backpressured_router_stays_awake`).
     fn is_quiescent(&self) -> bool {
         self.assembling.iter().all(Vec::is_empty)
             && self.complete.iter().all(Fifo::is_empty)
@@ -234,6 +244,68 @@ mod tests {
             b.drain[1].pop_nb().is_none(),
             "flit escaped before tail arrived"
         );
+    }
+
+    /// A four-flit packet streams two flits into an undrained
+    /// `Buffer(2)` output and wedges with two in hand. Returns the
+    /// output channel's statistics at cycle 50 and the kernel's
+    /// skip counters.
+    fn wedge(gating: bool) -> (craft_connections::ChannelStats, u64, u64) {
+        let mut sim = Simulator::new();
+        sim.set_gating(gating);
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(1000)));
+        let kind = ChannelKind::Buffer(2);
+        let (mut inject, rx0, h_in0) = channel::<NocFlit>("in0", kind);
+        let (_stub_tx, rx1, h_in1) = channel::<NocFlit>("in1", kind);
+        let (tx0, _stub_rx, h_out0) = channel::<NocFlit>("out0", kind);
+        let (tx1, _undrained, h_out1) = channel::<NocFlit>("out1", kind);
+        for h in [&h_in0, &h_in1, &h_out0, &h_out1] {
+            sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
+        }
+        let wake = craft_sim::ActivityToken::new();
+        let (ins, outs) = (vec![rx0, rx1], vec![tx0, tx1]);
+        for i in &ins {
+            i.set_wake_token(wake.clone());
+        }
+        for o in &outs {
+            o.set_wake_token(wake.clone());
+        }
+        let id = sim.add_component(clk, SfRouter::new("sf", ins, outs, 2, |dst| dst as usize));
+        sim.set_wake_token(id, wake);
+        let pkt = make_packet(1, 0, 0, &[1, 2, 3, 4]);
+        let mut sent = 0;
+        for _ in 0..50 {
+            if sent < pkt.len() && inject.push_nb(pkt[sent]).is_ok() {
+                sent += 1;
+            }
+            sim.run_cycles(clk, 1);
+        }
+        assert_eq!(sent, pkt.len());
+        (
+            h_out1.stats(),
+            sim.ticks_skipped(),
+            sim.ticks_skipped_blocked(),
+        )
+    }
+
+    /// Pins the choice documented at `is_quiescent`: holding a packet
+    /// against a full output, the router keeps ticking — and keeps
+    /// booking its refused pushes — under gating exactly as without.
+    #[test]
+    fn backpressured_router_stays_awake() {
+        let (out_on, skipped_on, blocked_on) = wedge(true);
+        let (out_off, skipped_off, _) = wedge(false);
+        assert_eq!(out_on, out_off);
+        assert!(
+            out_on.push_backpressure > 30,
+            "wedged for most of the run: {out_on:?}"
+        );
+        assert_eq!(blocked_on, 0, "no blocked sleep");
+        assert!(
+            skipped_on < 10,
+            "asleep only before the packet: {skipped_on}"
+        );
+        assert_eq!(skipped_off, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use super::NocFlit;
 use crate::{Arbiter, Fifo};
 use craft_connections::{In, Out};
-use craft_sim::{Component, TickCtx};
+use craft_sim::{Component, Sleep, TickCtx};
 
 /// Router configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +49,8 @@ pub struct WhvcRouter {
     allocators: Vec<Arbiter>,
     /// Flits forwarded (lifetime).
     forwarded: u64,
+    /// The last tick accepted no flit and forwarded none.
+    idle_tick: bool,
 }
 
 impl WhvcRouter {
@@ -83,6 +85,7 @@ impl WhvcRouter {
             output_owner: vec![None; ports],
             allocators: (0..ports).map(|_| Arbiter::new(slots)).collect(),
             forwarded: 0,
+            idle_tick: false,
         }
     }
 
@@ -135,8 +138,35 @@ impl Component for WhvcRouter {
         self.buffers.iter().all(Fifo::is_empty) && self.inputs.iter().all(|i| !i.has_pending())
     }
 
+    /// Also sleeps *blocked*: the last tick moved nothing — every
+    /// pending input flit faces a full VC buffer, every buffered flit a
+    /// full output or an output whose wormhole owner has nothing to
+    /// send — and every port is settled, so the next tick would see
+    /// the same channels and make the same non-moves (the route locks
+    /// it may have cached are re-read, not re-decided, and
+    /// `Arbiter::pick` only advances on a grant). A peer's push or pop
+    /// fires the wake token. The port check is what keeps a wake from
+    /// being wasted: a drain that popped earlier in this instant leaves
+    /// `can_push` false until commit, but `Out::is_settled` sees the
+    /// staged pop and keeps the router up for the slot it frees. The
+    /// O(ports) scan runs only after a tick that moved nothing, so busy
+    /// routers pay one flag test.
+    fn can_sleep(&self) -> Sleep {
+        if self.is_quiescent() {
+            Sleep::Idle
+        } else if self.idle_tick
+            && self.inputs.iter().all(In::is_settled)
+            && self.outputs.iter().all(Out::is_settled)
+        {
+            Sleep::Blocked
+        } else {
+            Sleep::No
+        }
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
         let ports = self.inputs.len();
+        let mut moved = false;
         // Input stage: accept at most one flit per input port, into the
         // VC buffer the flit names, only when that buffer has room.
         for i in 0..ports {
@@ -147,6 +177,7 @@ impl Component for WhvcRouter {
                 if !self.buffers[slot].is_full() {
                     let flit = self.inputs[i].pop_nb().expect("peeked");
                     self.buffers[slot].push(flit).expect("had room");
+                    moved = true;
                 }
             }
         }
@@ -185,6 +216,7 @@ impl Component for WhvcRouter {
                 .expect("candidate has flit");
             self.outputs[out].push_nb(flit).expect("output ready");
             self.forwarded += 1;
+            moved = true;
             if flit.kind.is_tail() {
                 self.output_owner[out] = None;
                 self.route_lock[granted_slot] = None;
@@ -192,6 +224,7 @@ impl Component for WhvcRouter {
                 self.output_owner[out] = Some(granted_slot);
             }
         }
+        self.idle_tick = !moved;
     }
 }
 
@@ -341,6 +374,97 @@ mod tests {
             r.sim.run_cycles(r.clk, 1);
         }
         assert!(accepted, "vc1 flit blocked by vc0 congestion");
+    }
+
+    /// Pops one flit on each scripted cycle. Registered *before* the
+    /// router, so its pop is already staged when the router's wake
+    /// check runs in the same instant.
+    struct ScriptedDrain {
+        input: In<NocFlit>,
+        pop_at: Vec<u64>,
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u64, u64)>>>,
+    }
+
+    impl Component for ScriptedDrain {
+        fn name(&self) -> &str {
+            "drain"
+        }
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            if self.pop_at.contains(&ctx.cycle()) {
+                if let Some(f) = self.input.pop_nb() {
+                    self.log.borrow_mut().push((ctx.cycle(), f.data));
+                }
+            }
+        }
+    }
+
+    /// A six-flit packet wedges the router against an undrained
+    /// `Buffer(2)` output (two flits in the channel, four in the VC
+    /// buffer); the drain then pops once at cycle 30 and again at 40
+    /// and 41. Returns the drain's log, the output channel's statistics
+    /// (its occupancy integral moves if a forward lands a cycle late)
+    /// and the kernel's blocked-skip count.
+    fn wedge_then_drain(gating: bool) -> (Vec<(u64, u64)>, craft_connections::ChannelStats, u64) {
+        let mut sim = Simulator::new();
+        sim.set_gating(gating);
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(1000)));
+        let kind = ChannelKind::Buffer(2);
+        let (mut inject, rx0, h_in0) = channel::<NocFlit>("in0", kind);
+        let (_stub_tx, rx1, h_in1) = channel::<NocFlit>("in1", kind);
+        let (tx0, _stub_rx, h_out0) = channel::<NocFlit>("out0", kind);
+        let (tx1, drain_rx, h_out1) = channel::<NocFlit>("out1", kind);
+        for h in [&h_in0, &h_in1, &h_out0, &h_out1] {
+            sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
+        }
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        sim.add_component(
+            clk,
+            ScriptedDrain {
+                input: drain_rx,
+                pop_at: vec![30, 40, 41],
+                log: std::rc::Rc::clone(&log),
+            },
+        );
+        let wake = craft_sim::ActivityToken::new();
+        let (ins, outs) = (vec![rx0, rx1], vec![tx0, tx1]);
+        for i in &ins {
+            i.set_wake_token(wake.clone());
+        }
+        for o in &outs {
+            o.set_wake_token(wake.clone());
+        }
+        let router = WhvcRouter::new("r", ins, outs, WhvcConfig::default(), |dst| dst as usize);
+        let id = sim.add_component(clk, router);
+        sim.set_wake_token(id, wake);
+
+        let pkt = make_packet(1, 0, 0, &[10, 11, 12, 13, 14, 15]);
+        let mut sent = 0;
+        for _ in 0..60 {
+            if sent < pkt.len() && inject.push_nb(pkt[sent]).is_ok() {
+                sent += 1;
+            }
+            sim.run_cycles(clk, 1);
+        }
+        assert_eq!(sent, pkt.len(), "channel and VC buffer absorb the packet");
+        let got = log.borrow().clone();
+        (got, h_out1.stats(), sim.ticks_skipped_blocked())
+    }
+
+    /// The trap a blocked predicate must not fall into: the drain's
+    /// pop at cycle 30 is staged before the router's wake check, fires
+    /// the wake token once, and leaves `can_push` false until commit.
+    /// A router that went back to sleep on `!can_push()` would spend
+    /// its only wake on a tick that still sees the output full and
+    /// forward flit 12 at cycle 40 instead of 31.
+    #[test]
+    fn blocked_router_forwards_on_the_same_cycle_gated_and_ungated() {
+        let (log_on, out_on, blocked_on) = wedge_then_drain(true);
+        let (log_off, out_off, blocked_off) = wedge_then_drain(false);
+        assert_eq!(log_on, vec![(30, 10), (40, 11), (41, 12)]);
+        assert_eq!(log_on, log_off);
+        assert_eq!(out_on, out_off, "a forward landed on a different cycle");
+        assert_eq!(blocked_off, 0);
+        assert!(blocked_on > 40, "the wedged router slept: {blocked_on}");
     }
 
     #[test]

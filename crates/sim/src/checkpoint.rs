@@ -25,9 +25,17 @@ use std::path::Path;
 /// Magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CRFTSNAP";
 /// Current snapshot format version. Bump on any incompatible layout
-/// change; readers reject other versions with
+/// change — and on any change to what a replay reproduces, since a
+/// snapshot verifies itself against the [`KernelDigest`] recorded at
+/// capture; readers reject other versions with
 /// [`CheckpointError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// * 1 — the original layout.
+/// * 2 — same layout; blocked components sleep, so a replay's
+///   `ticks_delivered` / `ticks_skipped` no longer match a digest that
+///   version 1 recorded. Refusing the version keeps that a typed
+///   "unsupported", not a misleading [`CheckpointError::ReplayDivergence`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be saved, loaded, or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -614,6 +622,17 @@ mod tests {
             unframe_snapshot(&bad, 3),
             Err(CheckpointError::UnsupportedVersion { .. })
         ));
+
+        // A frame written before blocked components slept.
+        let mut v1 = framed.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            unframe_snapshot(&v1, 3),
+            Err(CheckpointError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        );
 
         // Kind mismatch.
         assert!(matches!(

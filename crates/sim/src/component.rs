@@ -10,6 +10,33 @@ use crate::clock::ClockId;
 use crate::error::SeqDiag;
 use crate::time::Picoseconds;
 
+/// A component's answer to "may the kernel stop ticking you?"
+/// ([`Component::can_sleep`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sleep {
+    /// Keep ticking.
+    No,
+    /// Nothing to do ([`Component::is_quiescent`]): a tick would be a
+    /// no-op that counts nothing.
+    Idle,
+    /// Work in hand, but a tick would move nothing until a peer acts
+    /// on one of the component's ports. What such a tick still counts
+    /// is settled through [`Component::ticks_skipped`].
+    Blocked,
+}
+
+impl Sleep {
+    /// [`Sleep::Blocked`] when `nothing_to_move`, else [`Sleep::No`] —
+    /// the whole answer of a component that is never idle.
+    pub fn blocked_if(nothing_to_move: bool) -> Sleep {
+        if nothing_to_move {
+            Sleep::Blocked
+        } else {
+            Sleep::No
+        }
+    }
+}
+
 /// A clocked hardware process.
 pub trait Component {
     /// Name used in traces and diagnostics. Must be non-empty.
@@ -41,6 +68,54 @@ pub trait Component {
     /// `true` here without a token is ignored.
     fn is_quiescent(&self) -> bool {
         false
+    }
+
+    /// The kernel's sleep decision, asked after every delivered tick
+    /// of a component that registered a wake token. Defaults to
+    /// [`is_quiescent`](Self::is_quiescent): [`Sleep::Idle`] when it
+    /// holds, [`Sleep::No`] otherwise — "idle" is the first reason to
+    /// sleep.
+    ///
+    /// Override it to add the second reason, [`Sleep::Blocked`]: the
+    /// component has work, but its next tick would move nothing because
+    /// every port it needs is backpressured or empty, and only a peer's
+    /// push or pop (which fires the wake token) can change that. The
+    /// same strict contract applies, and the answer must hold against
+    /// channel state committed **and staged**: a pop a consumer staged
+    /// earlier this instant frees a slot at commit without firing the
+    /// token again, so a full output with a pop staged is not blocked
+    /// (`craft-connections`' `Out::is_blocked` / `In::is_settled` are
+    /// the staged-aware inputs). Prefer an O(1) "my last tick moved
+    /// nothing" flag over re-deriving the predicate on every awake
+    /// tick. An override answers [`Sleep::Idle`] exactly when
+    /// `is_quiescent` holds; `is_quiescent` keeps its meaning, so a
+    /// component that is blocked-asleep still shows up as busy in a
+    /// [`crate::HangReport`].
+    fn can_sleep(&self) -> Sleep {
+        if self.is_quiescent() {
+            Sleep::Idle
+        } else {
+            Sleep::No
+        }
+    }
+
+    /// Catch-up hook mirroring [`Sequential::commit_skipped`]: the
+    /// kernel elided `n` consecutive ticks while this component slept
+    /// [`Sleep::Blocked`] and is about to deliver a real tick, or is
+    /// settling statistics at the end of a `run_*` call
+    /// ([`crate::Simulator::flush_skipped_commits`]). The component's
+    /// own state is exactly what it was when it fell asleep; its
+    /// channels are not — at a wake-up they already hold whatever fired
+    /// the token — so decide from the former only.
+    ///
+    /// Components whose blocked tick still counts something (busy
+    /// cycles, stall cycles, refused pushes and empty pops) apply the
+    /// arithmetic for `n` such ticks here, so those counters are
+    /// identical whether or not the ticks were delivered. An idle
+    /// sleep needs no catch-up — by the `is_quiescent` contract its
+    /// ticks count nothing — and gets none. The default does nothing.
+    fn ticks_skipped(&mut self, n: u64) {
+        let _ = n;
     }
 
     /// Diagnosis hook for the hang watchdog: a one-line explanation of

@@ -23,7 +23,9 @@ pub struct CompDiag {
     pub name: String,
     /// Name of the clock domain the component is registered on.
     pub clock: String,
-    /// Whether quiescence gating had put the component to sleep.
+    /// Whether quiescence gating had put the component to sleep —
+    /// idle, or (with `quiescent` false) blocked on its ports with
+    /// work in hand.
     pub asleep: bool,
     /// The component's own [`crate::Component::is_quiescent`] answer.
     pub quiescent: bool,
@@ -218,6 +220,43 @@ mod tests {
         assert!(s.contains("fetch: got 3/16 words"), "{s}");
         assert!(s.contains("l0p1->1"), "{s}");
         assert!(err.hang_report().is_some());
+
+        // A component that is busy *and* asleep: parked on its ports
+        // with work in hand (`Sleep::Blocked`, not quiescent).
+        let parked = HangReport {
+            idle_cycles: 100_000,
+            components: vec![
+                CompDiag {
+                    name: "r11".into(),
+                    clock: "hub".into(),
+                    asleep: true,
+                    quiescent: false,
+                    wait: None,
+                },
+                CompDiag {
+                    name: "pe3".into(),
+                    clock: "hub".into(),
+                    asleep: true,
+                    quiescent: false,
+                    wait: Some("pe3: writeback 16/64 words, done_sent=false".into()),
+                },
+            ],
+            channels: Vec::new(),
+        };
+        assert_eq!(parked.busy_components().count(), 2, "asleep is not idle");
+        let s = parked.to_string();
+        assert!(
+            s.contains("2 components (2 busy)"),
+            "the blocked sleepers stay suspects: {s}"
+        );
+        assert!(
+            s.contains("component r11 [hub] asleep: busy (no wait reason reported)"),
+            "{s}"
+        );
+        assert!(
+            s.contains("component pe3 [hub] asleep: pe3: writeback 16/64 words"),
+            "{s}"
+        );
 
         let t = SimError::TimeOverflow {
             clock: "c".into(),

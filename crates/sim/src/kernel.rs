@@ -38,7 +38,20 @@
 //! ticks are elided until some activity source sets the token (e.g. a
 //! channel push landing in its input). Wake-up is checked at the
 //! sleeper's own edges, in registration order, so delivery order among
-//! awake components is exactly what an ungated run produces. Likewise,
+//! awake components is exactly what an ungated run produces. There is a
+//! second reason to sleep: a component that has work but whose next tick
+//! would move nothing — every port it needs is backpressured or empty —
+//! may answer [`Component::can_sleep`] with [`Sleep::Blocked`] while
+//! `is_quiescent` stays false, and sleeps *blocked* until a peer's push
+//! or pop fires the same token. Per-tick counters a blocked tick would
+//! have bumped are settled through [`Component::ticks_skipped`] at the
+//! wake-up and wherever skipped commits are flushed, and
+//! [`Simulator::ticks_skipped_blocked`] says how many of the elided
+//! ticks were of this kind. A blocked sleep is transparent to everything
+//! the idle kind already made observable: the run is the one in which
+//! the component stayed awake ticking no-ops, down to the watchdog's
+//! trip cycle (only an idle sleeper's wake counts as progress) and the
+//! level a wake token keeps (see the `level_owed` field). Likewise,
 //! sequentials registered with a dirty token
 //! ([`Simulator::add_sequential_gated`]) have clean commits elided and
 //! receive an arithmetic catch-up ([`Sequential::commit_skipped`])
@@ -65,7 +78,7 @@
 use crate::activity::{ActivityToken, NotifySink};
 use crate::checkpoint::{KernelDigest, WatchdogState};
 use crate::clock::{ClockId, ClockSpec, ClockState};
-use crate::component::{ClockRequest, Component, Sequential, TickCtx};
+use crate::component::{ClockRequest, Component, Sequential, Sleep, TickCtx};
 use crate::error::{CompDiag, HangReport, SimError};
 use crate::plan::{PlanDeopt, PlanDeoptCounts, PlanDesc, PlanNode, PlanReject, PlanState};
 use crate::telemetry::TickProfile;
@@ -87,6 +100,70 @@ struct ComponentEntry {
     wake: Option<ActivityToken>,
     /// While `true`, evaluate-phase ticks are elided until `wake` fires.
     asleep: bool,
+    /// The sleep is of the blocked kind ([`Sleep::Blocked`]).
+    blocked: bool,
+    /// While asleep blocked: the first edge index of `clock` whose
+    /// tick has not yet been reported through
+    /// [`Component::ticks_skipped`].
+    asleep_from: u64,
+    /// A wake from a blocked sleep took the token's level. Had the
+    /// component stayed awake through that stretch (blocked sleep must
+    /// be indistinguishable from that) the level would still stand and
+    /// rouse it once more right after its next idle sleep; it is
+    /// re-raised there.
+    level_owed: bool,
+}
+
+impl ComponentEntry {
+    /// The sleep decision after the tick at edge `cycle`; returns
+    /// whether the component fell asleep.
+    #[inline]
+    fn try_sleep(&mut self, cycle: u64) -> bool {
+        match self.component.can_sleep() {
+            Sleep::No => return false,
+            Sleep::Idle => {
+                self.blocked = false;
+                if std::mem::take(&mut self.level_owed) {
+                    if let Some(token) = &self.wake {
+                        token.set();
+                    }
+                }
+            }
+            Sleep::Blocked => {
+                self.blocked = true;
+                self.asleep_from = cycle + 1;
+            }
+        }
+        self.asleep = true;
+        true
+    }
+
+    /// Wakes the sleeper at edge `cycle`, its token just taken.
+    /// Returns whether the wake-up counts as watchdog progress: an
+    /// idle sleeper coming back to life does, even before its channels
+    /// move data; a blocked one was never idle, and waking it must not
+    /// move a watchdog trip.
+    #[inline]
+    fn wake_up(&mut self, cycle: u64, blocked_skips: &Cell<u64>) -> bool {
+        self.asleep = false;
+        if self.blocked {
+            self.settle_skipped_ticks(cycle, blocked_skips);
+            self.level_owed = true;
+        }
+        !self.blocked
+    }
+
+    /// Reports the ticks a blocked sleeper was not delivered up to
+    /// (excluding) edge index `edge` of its clock, and moves its mark
+    /// there.
+    fn settle_skipped_ticks(&mut self, edge: u64, blocked_skips: &Cell<u64>) {
+        let n = edge - self.asleep_from;
+        if n > 0 {
+            self.component.ticks_skipped(n);
+            blocked_skips.set(blocked_skips.get() + n);
+            self.asleep_from = edge;
+        }
+    }
 }
 
 struct SequentialEntry {
@@ -129,6 +206,10 @@ pub struct Simulator {
     ticks_delivered: u64,
     /// Ticks elided because the component was asleep.
     ticks_skipped: u64,
+    /// The share of `ticks_skipped` elided from blocked sleepers,
+    /// settled with the tick catch-ups (shared so telemetry can probe
+    /// it: `sim.kernel.ticks_skipped_blocked`).
+    ticks_skipped_blocked: Rc<Cell<u64>>,
     /// Sequential commits elided because the dirty token was clear.
     commits_skipped: u64,
     /// Master switch for quiescence gating (on by default).
@@ -153,7 +234,7 @@ pub struct Simulator {
     /// [`Simulator::fatal`].
     fatal: Option<SimError>,
     /// Shared progress flag for the hang watchdog: activity sources
-    /// (channel pushes/pops, component wake-ups) set it; the
+    /// (channel pushes/pops, idle components waking up) set it; the
     /// `*_checked` run methods clear it once per reference-clock cycle
     /// and count how long it stays clear.
     progress: ActivityToken,
@@ -204,6 +285,7 @@ impl Simulator {
             instants: 0,
             ticks_delivered: 0,
             ticks_skipped: 0,
+            ticks_skipped_blocked: Rc::new(Cell::new(0)),
             commits_skipped: 0,
             gating: true,
             stop_requested: false,
@@ -255,19 +337,24 @@ impl Simulator {
             component: Box::new(component),
             wake: None,
             asleep: false,
+            blocked: false,
+            asleep_from: 0,
+            level_owed: false,
         });
         self.by_clock[clock.0].push(id.0);
         id
     }
 
     /// Attaches a wake token to a registered component, opting it into
-    /// quiescence gating: once the component reports
-    /// [`Component::is_quiescent`] after a tick it sleeps until some
-    /// activity source sets the token.
+    /// quiescence gating: once [`Component::can_sleep`] answers
+    /// [`Sleep::Idle`] or [`Sleep::Blocked`] after a tick it sleeps
+    /// until some activity source sets the token.
     ///
     /// Hand clones of the same token to everything that can make the
-    /// component runnable again — typically its input channels (see
-    /// `craft-connections`' `In::set_wake_token`).
+    /// component runnable again — its input channels and, for a
+    /// component that sleeps on backpressure, its output channels too
+    /// (see `craft-connections`' `In::set_wake_token` /
+    /// `Out::set_wake_token`).
     pub fn set_wake_token(&mut self, id: ComponentId, token: ActivityToken) {
         self.disarm_plan(PlanDeopt::Structural);
         self.components[id.0].wake = Some(token);
@@ -342,6 +429,22 @@ impl Simulator {
     /// every component-edge the schedule produced.
     pub fn ticks_skipped(&self) -> u64 {
         self.ticks_skipped
+    }
+
+    /// The share of [`ticks_skipped`](Self::ticks_skipped) elided from
+    /// components asleep for the second reason — blocked on their
+    /// ports with work in hand ([`Sleep::Blocked`]). Settled together
+    /// with the
+    /// [`Component::ticks_skipped`] catch-ups: exact at every `run_*`
+    /// boundary and after
+    /// [`flush_skipped_commits`](Self::flush_skipped_commits).
+    pub fn ticks_skipped_blocked(&self) -> u64 {
+        self.ticks_skipped_blocked.get()
+    }
+
+    /// Live handle to the blocked-skip counter, for telemetry.
+    pub fn ticks_skipped_blocked_handle(&self) -> Rc<Cell<u64>> {
+        Rc::clone(&self.ticks_skipped_blocked)
     }
 
     /// Sequential commits elided because nothing was staged.
@@ -439,18 +542,31 @@ impl Simulator {
         self.disarm_plan(PlanDeopt::GatingToggle);
         self.gating = enabled;
         if !enabled {
+            // Settle the sleepers' tick catch-ups before waking them.
+            self.flush_skipped_commits();
             for entry in &mut self.components {
                 entry.asleep = false;
             }
-            self.flush_skipped_commits();
         }
     }
 
-    /// Delivers pending [`Sequential::commit_skipped`] catch-ups so
-    /// externally read statistics are exact. Called automatically at
-    /// the end of every `run_*` method; needed manually only around
-    /// raw [`step`](Self::step) loops.
+    /// Delivers pending [`Sequential::commit_skipped`] and
+    /// [`Component::ticks_skipped`] catch-ups so externally read
+    /// statistics are exact. Called automatically at the end of every
+    /// `run_*` method; needed manually only around raw
+    /// [`step`](Self::step) loops.
     pub fn flush_skipped_commits(&mut self) {
+        for entry in &mut self.components {
+            if entry.asleep && entry.blocked {
+                // Edges of the sleeper's clock evaluated so far: an
+                // open instant has ticked (or skipped) its own edge but
+                // not yet counted it.
+                let ci = entry.clock.0;
+                let open = self.mid_instant && self.instant_edges.contains(&ci);
+                let edges = self.clocks[ci].cycles + u64::from(open);
+                entry.settle_skipped_ticks(edges, &self.ticks_skipped_blocked);
+            }
+        }
         // Settle compiled-plan elisions first (without disarming): the
         // plan tracks skipped commits as `epoch - seq_seen` instead of
         // per-entry counters.
@@ -545,7 +661,8 @@ impl Simulator {
     /// activity source that should count as forward progress for the
     /// hang watchdog — typically data channels (see
     /// `craft-connections`' `ChannelHandle::set_progress_token`).
-    /// Component wake-ups set it automatically.
+    /// A component waking from an idle sleep sets it automatically; a
+    /// blocked sleeper's wake-up does not (see the module docs).
     ///
     /// [`run_until_checked`](Self::run_until_checked) counts
     /// reference-clock cycles during which the token stays clear;
@@ -687,10 +804,9 @@ impl Simulator {
                 if entry.asleep {
                     let woke = entry.wake.as_ref().is_some_and(ActivityToken::take);
                     if woke {
-                        entry.asleep = false;
-                        // A sleeper coming back to life is forward
-                        // progress even before its channels move data.
-                        self.progress.set();
+                        if entry.wake_up(cycle, &self.ticks_skipped_blocked) {
+                            self.progress.set();
+                        }
                     } else {
                         self.ticks_skipped += 1;
                         continue;
@@ -719,8 +835,8 @@ impl Simulator {
                 // is deliberately NOT cleared here: activity flagged
                 // earlier this instant (e.g. a pop freeing space) must
                 // survive into the next edge's wake check.
-                if self.gating && entry.wake.is_some() && entry.component.is_quiescent() {
-                    entry.asleep = true;
+                if self.gating && entry.wake.is_some() {
+                    entry.try_sleep(cycle);
                 }
             }
         }
@@ -1141,8 +1257,10 @@ impl Simulator {
                     if !(entry.asleep && entry.wake.as_ref().is_some_and(ActivityToken::take)) {
                         continue;
                     }
-                    entry.asleep = false;
-                    self.progress.set();
+                    let cycle = self.clocks[entry.clock.0].cycles;
+                    if entry.wake_up(cycle, &self.ticks_skipped_blocked) {
+                        self.progress.set();
+                    }
                     // Every rank processed so far is < p, so inserting
                     // at the walk cursor keeps `active` sorted.
                     plan.active.insert(i, p);
@@ -1151,21 +1269,21 @@ impl Simulator {
                 (Some(a), None) => a,
             };
             let entry = &mut self.components[plan.order[rank as usize] as usize];
+            let cycle = self.clocks[entry.clock.0].cycles;
             let mut ctx = TickCtx {
                 now: t,
-                cycle: self.clocks[entry.clock.0].cycles,
+                cycle,
                 clock: entry.clock,
                 clock_requests: &mut self.clock_requests,
                 stop: &mut self.stop_requested,
             };
             entry.component.tick(&mut ctx);
             delivered += 1;
-            if entry.wake.is_some() && entry.component.is_quiescent() {
+            if entry.wake.is_some() && entry.try_sleep(cycle) {
                 // Same contract as the interpreted loop: the wake flag
                 // is NOT cleared on sleep. An already-set flag produces
                 // no future sink notification, so queue the wake check
                 // for the next instant explicitly.
-                entry.asleep = true;
                 plan.active.remove(i);
                 if entry.wake.as_ref().is_some_and(ActivityToken::is_set) {
                     plan.deferred.push(rank);
@@ -1397,7 +1515,7 @@ impl Simulator {
     /// * `Err(SimError::Hang)` — `no_progress_limit` consecutive
     ///   `clock` cycles elapsed with no activity on the kernel's
     ///   [`progress token`](Self::progress_token) (no channel push/pop,
-    ///   no component wake), with a [`HangReport`] diagnosing every
+    ///   no idle component woken), with a [`HangReport`] diagnosing every
     ///   registered component and channel;
     /// * `Err(SimError::TimeOverflow)` /
     ///   `Err(SimError::ClockStretchOverflow)` — an internal arithmetic
@@ -2110,6 +2228,194 @@ mod tests {
         });
         assert!(matches!(res, Ok(false)), "cycle limit, not hang: {res:?}");
         assert_eq!(sim.cycles(clk), 40);
+    }
+
+    /// A component that sleeps *blocked* (work in hand, nothing to
+    /// move) has its per-tick counter settled through `ticks_skipped`
+    /// at the wake-up and at every flush, so the counter is the
+    /// ungated run's on the gated interpreter and under the plan, and
+    /// the blocked share of the elided ticks is told apart.
+    #[test]
+    fn blocked_sleep_catches_up_exactly() {
+        /// Counts a stall cycle per tick while `blocked`, a work cycle
+        /// otherwise; is never quiescent.
+        struct Staller {
+            blocked: Rc<Cell<bool>>,
+            stalls: Rc<Cell<u64>>,
+            work: Rc<Cell<u64>>,
+        }
+        impl Component for Staller {
+            fn name(&self) -> &str {
+                "staller"
+            }
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+                let counter = if self.blocked.get() {
+                    &self.stalls
+                } else {
+                    &self.work
+                };
+                counter.set(counter.get() + 1);
+            }
+            fn can_sleep(&self) -> Sleep {
+                Sleep::blocked_if(self.blocked.get())
+            }
+            fn ticks_skipped(&mut self, n: u64) {
+                self.stalls.set(self.stalls.get() + n);
+            }
+        }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Kernel {
+            Ungated,
+            Gated,
+            Plan,
+        }
+        let run = |kernel: Kernel| {
+            let blocked = Rc::new(Cell::new(false));
+            let stalls = Rc::new(Cell::new(0u64));
+            let work = Rc::new(Cell::new(0u64));
+            let wake = ActivityToken::new();
+            let mut sim = Simulator::new();
+            sim.set_gating(kernel != Kernel::Ungated);
+            let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
+            let id = sim.add_component(
+                clk,
+                Staller {
+                    blocked: Rc::clone(&blocked),
+                    stalls: Rc::clone(&stalls),
+                    work: Rc::clone(&work),
+                },
+            );
+            sim.set_wake_token(id, wake.clone());
+            if kernel == Kernel::Plan {
+                sim.arm_plan().expect("arms");
+            }
+            sim.run_cycles(clk, 3);
+            blocked.set(true);
+            // Ends asleep: the flush alone must settle the counter.
+            sim.run_cycles(clk, 10);
+            let mid = (stalls.get(), sim.ticks_skipped_blocked());
+            sim.run_cycles(clk, 7);
+            blocked.set(false);
+            wake.set();
+            sim.run_cycles(clk, 5);
+            assert_eq!(sim.plan_armed(), kernel == Kernel::Plan);
+            (
+                mid,
+                stalls.get(),
+                work.get(),
+                sim.ticks_delivered(),
+                sim.ticks_skipped(),
+                sim.ticks_skipped_blocked(),
+            )
+        };
+        let ungated = run(Kernel::Ungated);
+        assert_eq!(ungated, ((10, 0), 17, 8, 25, 0, 0));
+        let gated = run(Kernel::Gated);
+        // One blocked tick is delivered (the one that falls asleep);
+        // the other 16 are elided and caught up.
+        assert_eq!(gated, ((10, 9), 17, 8, 9, 16, 16));
+        assert_eq!(run(Kernel::Plan), gated);
+    }
+
+    /// Blocked sleep is transparent to what idle-sleep gating already
+    /// made observable. Waking a blocked sleeper is not watchdog
+    /// progress, and the token level such a wake takes is handed back
+    /// at the next idle sleep — so the run trips the watchdog on the
+    /// cycle, and delivers the idle-phase ticks, of the same component
+    /// with blocked sleep switched off.
+    #[test]
+    fn blocked_sleep_is_transparent_to_the_watchdog() {
+        const WORK: u8 = 0;
+        const BLOCKED: u8 = 1;
+        const IDLE: u8 = 2;
+        struct Gate {
+            mode: Rc<Cell<u8>>,
+            sleeps_blocked: bool,
+            idle_ticks: Rc<Cell<u64>>,
+        }
+        impl Component for Gate {
+            fn name(&self) -> &str {
+                "gate"
+            }
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+                if self.mode.get() == IDLE {
+                    self.idle_ticks.set(self.idle_ticks.get() + 1);
+                }
+            }
+            fn is_quiescent(&self) -> bool {
+                self.mode.get() == IDLE
+            }
+            fn can_sleep(&self) -> Sleep {
+                match self.mode.get() {
+                    IDLE => Sleep::Idle,
+                    BLOCKED if self.sleeps_blocked => Sleep::Blocked,
+                    _ => Sleep::No,
+                }
+            }
+        }
+        let run = |sleeps_blocked: bool, plan: bool, drains: bool| {
+            let mode = Rc::new(Cell::new(WORK));
+            let idle_ticks = Rc::new(Cell::new(0u64));
+            let wake = ActivityToken::new();
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock(ClockSpec::new("core", Picoseconds(100)));
+            let id = sim.add_component(
+                clk,
+                Gate {
+                    mode: Rc::clone(&mode),
+                    sleeps_blocked,
+                    idle_ticks: Rc::clone(&idle_ticks),
+                },
+            );
+            sim.set_wake_token(id, wake.clone());
+            if plan {
+                sim.arm_plan().expect("arms");
+            }
+            let progress = sim.progress_token();
+            let mut boundary = 0u64;
+            let err = sim
+                .run_until_checked(clk, 1_000, 16, move || {
+                    match boundary {
+                        // Channel traffic while the component works.
+                        0..=4 => progress.set(),
+                        5 => mode.set(BLOCKED),
+                        // A peer acts on a port; nothing can move yet.
+                        10 => wake.set(),
+                        // It acts again and, if `drains`, the work
+                        // is gone.
+                        15 => {
+                            if drains {
+                                mode.set(IDLE);
+                            }
+                            wake.set();
+                        }
+                        _ => {}
+                    }
+                    boundary += 1;
+                    false
+                })
+                .expect_err("nothing moves after boundary 4");
+            let SimError::Hang { cycle, .. } = err else {
+                panic!("expected a hang, got {err}");
+            };
+            (cycle, idle_ticks.get(), sim.ticks_skipped_blocked())
+        };
+        // Without blocked sleep: awake until it idles at edge 15 with
+        // the token still up from edge 10, so one spurious wake (and
+        // idle tick) at edge 16 is the last progress the watchdog sees.
+        let (trip, idle_ticks, blocked) = run(false, false, true);
+        assert_eq!((trip, idle_ticks, blocked), (16 + 1 + 16, 2, 0));
+        // Never draining, it never sleeps and never wakes: the last
+        // progress is the traffic up to edge 4.
+        let stuck = run(false, false, false);
+        assert_eq!(stuck, (4 + 1 + 16, 0, 0));
+        for plan in [false, true] {
+            let (t, i, b) = run(true, plan, true);
+            assert_eq!((t, i), (trip, idle_ticks), "plan={plan}");
+            assert!(b > 0, "plan={plan}: the blocked phase was slept through");
+            let (t, i, _) = run(true, plan, false);
+            assert_eq!((t, i), (stuck.0, stuck.1), "plan={plan}, never draining");
+        }
     }
 
     /// Gated sequentials skip clean commits and reconcile exactly via

@@ -65,7 +65,7 @@ pub use checkpoint::{
     CheckpointError, Checkpointable, KernelDigest, StateReader, StateWriter, WatchdogState,
 };
 pub use clock::{ClockId, ClockSpec};
-pub use component::{Component, Sequential, TickCtx};
+pub use component::{Component, Sequential, Sleep, TickCtx};
 pub use error::{CompDiag, HangReport, SeqDiag, SimError};
 pub use kernel::{ComponentId, Simulator};
 pub use par::{par_map, par_map_with_workers};

@@ -52,6 +52,13 @@
 //! on W host workers the cost is ~(1 + D / W) runs instead of N, the
 //! longest replay (a hung lane) being the floor. When every lane
 //! fires the batch is a `par_map` over solo runs plus one golden pass.
+//!
+//! A hung lane's replay is still the longest — it runs until the
+//! watchdog has counted its whole idle limit — but the wait is cheap:
+//! the routers and PE parked on the wedged wormhole sleep *blocked*
+//! ([`craft_sim::Sleep::Blocked`]) and only the controller's AXI
+//! poll loop keeps ticking, so a replay's idle tail costs the kernel's
+//! per-instant overhead and little else.
 
 use crate::checkpoint::BatchSnapshot;
 use crate::engine::SegmentStatus;

@@ -17,7 +17,7 @@
 
 use craft_matchlib::axi::{AxiMasterHandle, AxiOp, AxiResult};
 use craft_riscv::{AccessSize, Bus, Cpu, FlatMemory, StepOutcome};
-use craft_sim::{Component, TickCtx};
+use craft_sim::{Component, Sleep, TickCtx};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -118,6 +118,9 @@ pub struct Controller {
     axi: AxiMasterHandle,
     axi_state: AxiState,
     status: CtrlHandle,
+    /// The last tick only counted a stall cycle: an AXI result is
+    /// awaited and none had arrived.
+    stalled: bool,
 }
 
 impl Controller {
@@ -136,6 +139,7 @@ impl Controller {
             axi,
             axi_state: AxiState::Idle,
             status,
+            stalled: false,
         }
     }
 }
@@ -145,8 +149,21 @@ impl Component for Controller {
         &self.name
     }
 
+    /// Sleeps through an AXI stall: in `AwaitRead` / `AwaitWriteAck`
+    /// with no result queued the tick only counts a stall cycle, and
+    /// the result can only come from the master, which sets the
+    /// handle's client wake token with it.
+    fn can_sleep(&self) -> Sleep {
+        Sleep::blocked_if(self.stalled)
+    }
+
+    fn ticks_skipped(&mut self, n: u64) {
+        self.status.borrow_mut().axi_stall_cycles += n;
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
         let mut status = self.status.borrow_mut();
+        self.stalled = false;
         if status.halted {
             return;
         }
@@ -164,6 +181,7 @@ impl Component for Controller {
                 Some(other) => panic!("unexpected AXI result {other:?}"),
                 None => {
                     status.axi_stall_cycles += 1;
+                    self.stalled = true;
                     return;
                 }
             },
@@ -175,6 +193,7 @@ impl Component for Controller {
                 Some(other) => panic!("unexpected AXI result {other:?}"),
                 None => {
                     status.axi_stall_cycles += 1;
+                    self.stalled = true;
                     return;
                 }
             },

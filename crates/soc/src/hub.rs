@@ -17,7 +17,7 @@ use craft_connections::{In, Out};
 use craft_matchlib::axi::{AxiAddrCmd, AxiReadBeat, AxiSlavePorts, AxiWriteResp};
 use craft_matchlib::router::NocFlit;
 use craft_matchlib::Scratchpad;
-use craft_sim::{ActivityToken, Component, Telemetry, TickCtx};
+use craft_sim::{ActivityToken, Component, Sleep, Telemetry, TickCtx};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -265,13 +265,31 @@ impl Component for Hub {
     /// is the thing watching for a PE that will never answer, so it
     /// must not itself be gated off.
     fn is_quiescent(&self) -> bool {
-        let st = self.state.borrow();
-        !self.fidelity.is_rtl()
-            && self.jobs.is_empty()
-            && self.outbox.is_empty()
-            && !self.input.has_pending()
-            && st.doorbell.is_empty()
-            && (st.pe_timeout.is_none() || st.inflight.iter().all(|e| e.is_none()))
+        self.outbox.is_empty() && self.nothing_to_serve()
+    }
+
+    /// Also sleeps *blocked*: everything idle except an outbox facing
+    /// a full inject channel with no pop staged. Such a tick takes no
+    /// flit, serves no job and is refused its push; only the router
+    /// popping the inject channel (which fires the wake token) changes
+    /// that.
+    fn can_sleep(&self) -> Sleep {
+        if !self.nothing_to_serve() {
+            Sleep::No
+        } else if self.outbox.is_empty() {
+            Sleep::Idle
+        } else if self.output.is_blocked() {
+            Sleep::Blocked
+        } else {
+            Sleep::No
+        }
+    }
+
+    /// A blocked hub's elided ticks each found the eject channel empty
+    /// and were refused by the inject channel.
+    fn ticks_skipped(&mut self, n: u64) {
+        self.input.pop_empty_skipped(n);
+        self.output.push_backpressure_skipped(n);
     }
 
     /// Diagnosis for the hang watchdog: what the hub is waiting on.
@@ -414,6 +432,18 @@ impl Component for Hub {
 }
 
 impl Hub {
+    /// Everything but the outbox is idle: no job, no flit committed or
+    /// staged on the eject channel, no doorbell entry, no timeout scan
+    /// to keep running.
+    fn nothing_to_serve(&self) -> bool {
+        let st = self.state.borrow();
+        !self.fidelity.is_rtl()
+            && self.jobs.is_empty()
+            && !self.input.has_pending()
+            && st.doorbell.is_empty()
+            && (st.pe_timeout.is_none() || st.inflight.iter().all(|e| e.is_none()))
+    }
+
     fn service_head(&mut self) {
         let Some(job) = self.jobs.front_mut() else {
             return;
@@ -519,6 +549,8 @@ pub struct HubAxiSlave {
     state: HubHandle,
     wstate: AxiWriteEngine,
     rstate: AxiReadEngine,
+    /// The last tick moved no beat.
+    idle_tick: bool,
 }
 
 impl HubAxiSlave {
@@ -530,6 +562,7 @@ impl HubAxiSlave {
             state,
             wstate: AxiWriteEngine::Idle,
             rstate: AxiReadEngine::Idle,
+            idle_tick: false,
         }
     }
 
@@ -563,15 +596,27 @@ impl Component for HubAxiSlave {
         &self.name
     }
 
+    /// Sleeps while neither engine has a beat to move — the same rule
+    /// as `craft_matchlib::axi::AxiMemorySlave`: both engines advance
+    /// only with a successful pop or push.
+    fn can_sleep(&self) -> Sleep {
+        Sleep::blocked_if(self.idle_tick && self.ports.is_settled())
+    }
+
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+        let mut moved = false;
         let wstate = std::mem::replace(&mut self.wstate, AxiWriteEngine::Idle);
         self.wstate = match wstate {
             AxiWriteEngine::Idle => match self.ports.aw.pop_nb() {
-                Some(cmd) => AxiWriteEngine::Data { cmd, beat: 0 },
+                Some(cmd) => {
+                    moved = true;
+                    AxiWriteEngine::Data { cmd, beat: 0 }
+                }
                 None => AxiWriteEngine::Idle,
             },
             AxiWriteEngine::Data { cmd, beat } => match self.ports.w.pop_nb() {
                 Some(wbeat) => {
+                    moved = true;
                     let addr = cmd.addr + beat;
                     let okay_addr = self.write_word(addr, wbeat.data as u32);
                     let expected_last = beat == u64::from(cmd.len);
@@ -591,6 +636,7 @@ impl Component for HubAxiSlave {
             },
             AxiWriteEngine::Resp { id, okay } => {
                 if self.ports.b.push_nb(AxiWriteResp { id, okay }).is_ok() {
+                    moved = true;
                     AxiWriteEngine::Idle
                 } else {
                     AxiWriteEngine::Resp { id, okay }
@@ -601,7 +647,10 @@ impl Component for HubAxiSlave {
         let rstate = std::mem::replace(&mut self.rstate, AxiReadEngine::Idle);
         self.rstate = match rstate {
             AxiReadEngine::Idle => match self.ports.ar.pop_nb() {
-                Some(cmd) => AxiReadEngine::Data { cmd, beat: 0 },
+                Some(cmd) => {
+                    moved = true;
+                    AxiReadEngine::Data { cmd, beat: 0 }
+                }
                 None => AxiReadEngine::Idle,
             },
             AxiReadEngine::Data { cmd, beat } => {
@@ -615,6 +664,7 @@ impl Component for HubAxiSlave {
                     okay: value.is_some(),
                 };
                 if self.ports.r.push_nb(rbeat).is_ok() {
+                    moved = true;
                     if last {
                         AxiReadEngine::Idle
                     } else {
@@ -628,5 +678,6 @@ impl Component for HubAxiSlave {
                 }
             }
         };
+        self.idle_tick = !moved;
     }
 }

@@ -26,7 +26,7 @@ use craft_connections::{In, Out};
 use craft_matchlib::router::NocFlit;
 use craft_matchlib::{ArbitratedScratchpad, SpRequest, SpResponse};
 use craft_sim::cover::Coverage;
-use craft_sim::{Component, Telemetry, TickCtx};
+use craft_sim::{Component, Sleep, Telemetry, TickCtx};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -404,6 +404,48 @@ impl Component for ProcessingElement {
             && self.outbox.is_empty()
             && self.pending_writes.is_empty()
             && !self.input.has_pending()
+    }
+
+    /// Idle as [`is_quiescent`](Self::is_quiescent) says, or blocked:
+    /// operands or a drained outbox are what the PE waits for, and
+    /// neither can arrive without a push or pop on its two ports.
+    /// Blocked means the tick below would run through without moving
+    /// anything — no flit to take (`has_pending` sees staged ones), no
+    /// scratchpad write waiting, an FSM parked in `Fetch` short of
+    /// operands or in `WriteBack` behind its outbox, and an outbox that
+    /// is empty or faces a full inject channel with no pop staged
+    /// (`Out::is_blocked`). What such a tick still *counts* is settled
+    /// in [`ticks_skipped`](Self::ticks_skipped).
+    fn can_sleep(&self) -> Sleep {
+        if self.cfg.fidelity.is_rtl() || !self.pending_writes.is_empty() || self.input.has_pending()
+        {
+            return Sleep::No;
+        }
+        let outbox_stuck = || !self.outbox.is_empty() && self.output.is_blocked();
+        match &self.state {
+            PeState::Idle if self.outbox.is_empty() => Sleep::Idle,
+            // Complete operands would have moved on to `Compute` in
+            // this tick; a write still queued at a scratchpad bank
+            // (two lanes hit one bank) lands on a later one.
+            PeState::Fetch { .. }
+                if (self.outbox.is_empty() || outbox_stuck()) && self.scratchpad.is_idle() =>
+            {
+                Sleep::Blocked
+            }
+            PeState::WriteBack { .. } if outbox_stuck() => Sleep::Blocked,
+            _ => Sleep::No,
+        }
+    }
+
+    /// A blocked PE's elided ticks each counted a busy cycle, found
+    /// the eject channel empty and, with flits queued, were refused by
+    /// the inject channel.
+    fn ticks_skipped(&mut self, n: u64) {
+        self.stats.borrow_mut().busy_cycles += n;
+        self.input.pop_empty_skipped(n);
+        if !self.outbox.is_empty() {
+            self.output.push_backpressure_skipped(n);
+        }
     }
 
     /// Diagnosis for the hang watchdog: which FSM state the PE is

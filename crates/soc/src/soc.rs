@@ -1022,8 +1022,8 @@ impl Soc {
                 .iter_mut()
                 .map(|o| o.take().expect("port wired"))
                 .collect();
-            // Every flit entering the router (or space freeing on an
-            // output it is backpressured against) rouses it.
+            // Every flit entering the router, and space freeing on an
+            // output it sleeps backpressured against, rouses it.
             let wake = ActivityToken::new();
             for i in &ins {
                 i.set_wake_token(wake.clone());
@@ -1148,12 +1148,29 @@ impl Soc {
             for (s, dirty) in seqs.into_iter().chain(seqs2).chain(seqs3) {
                 sim.add_sequential_gated(hub_clock, s, dirty);
             }
+            // The AXI plane sleeps between beats: each component wakes
+            // on its own ports, the master also on `submit`, the
+            // controller on a completed result. None of these channels
+            // is a watchdog progress tap, so the controller's
+            // `DONE_COUNT` poll loop keeps running without masking a
+            // wedged NoC.
             let axi_handle = AxiMasterHandle::new();
-            sim.add_component(
+            let master_wake = axi_handle.master_wake();
+            m_ports.set_wake_token(&master_wake);
+            let id = sim.add_component(
                 hub_clock,
                 AxiMaster::new("ctl.axim", m_ports, axi_handle.clone()),
             );
-            sim.add_component(
+            sim.set_wake_token(id, master_wake);
+            let bus_wake = ActivityToken::new();
+            bus_up.set_wake_token(&bus_wake);
+            dn_staging.set_wake_token(&bus_wake);
+            dn_hub.set_wake_token(&bus_wake);
+            let staging_wake = ActivityToken::new();
+            staging_slave_ports.set_wake_token(&staging_wake);
+            let hub_slave_wake = ActivityToken::new();
+            hub_slave_ports.set_wake_token(&hub_slave_wake);
+            let id = sim.add_component(
                 hub_clock,
                 AxiBus::new(
                     "bus",
@@ -1176,6 +1193,7 @@ impl Soc {
                     ],
                 ),
             );
+            sim.set_wake_token(id, bus_wake);
             let mut staging =
                 AxiMemorySlave::new("staging", staging_slave_ports, cfg.staging_words);
             staging.debug_load(
@@ -1185,19 +1203,23 @@ impl Soc {
                     .map(|&w| u64::from(w))
                     .collect::<Vec<_>>(),
             );
-            sim.add_component(hub_clock, staging);
-            sim.add_component(
+            let id = sim.add_component(hub_clock, staging);
+            sim.set_wake_token(id, staging_wake);
+            let id = sim.add_component(
                 hub_clock,
                 HubAxiSlave::new("hub.axis", hub_slave_ports, Rc::clone(&hub_state)),
             );
+            sim.set_wake_token(id, hub_slave_wake);
 
             // --- Controller ---
             let mut ram = FlatMemory::new(1 << 20);
             ram.load_words(0, program);
-            sim.add_component(
+            let ctrl_wake = axi_handle.client_wake();
+            let id = sim.add_component(
                 hub_clock,
                 Controller::new("riscv", ram, axi_handle, Rc::clone(&ctrl)),
             );
+            sim.set_wake_token(id, ctrl_wake);
         }
 
         // --- Telemetry publication ---
@@ -1291,6 +1313,10 @@ impl Soc {
             tel.probe("sim.plan.deopt_count", move || deopts.total());
             tel.probe("sim.plan.instants", move || instants.get());
             tel.probe("sim.plan.armed", move || armed.get());
+            // Ticks elided from components asleep with work in hand
+            // (blocked on their ports); exact at run boundaries.
+            let blocked = sim.ticks_skipped_blocked_handle();
+            tel.probe("sim.kernel.ticks_skipped_blocked", move || blocked.get());
             // Checkpoint counters: captures taken, last framed size,
             // last capture latency. Observation-only by construction —
             // probes are lazily polled and capture never mutates sim
@@ -1590,6 +1616,13 @@ impl Soc {
     /// completion condition [`Soc::run`] polls.
     pub fn halted(&self) -> bool {
         self.ctrl.borrow().halted
+    }
+
+    /// The controller's status as of now — what [`RunResult::ctrl`]
+    /// carries for a run that returned, readable after one that ended
+    /// in an error too.
+    pub fn ctrl_status(&self) -> CtrlStatus {
+        *self.ctrl.borrow()
     }
 
     /// The hub (reference) clock of this SoC.

@@ -20,7 +20,10 @@ use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{
     dot_product, orchestrator_program, table_words, vec_mul, TableEntry, Workload,
 };
-use craft_soc::{ClockingMode, ParallelSoc, PeCommand, PeOp, Soc, SocConfig, SocReport};
+use craft_soc::{
+    restore_engine, ClockingMode, EngineKind, ParallelSoc, PeCommand, PeOp, Soc, SocConfig,
+    SocReport,
+};
 use proptest::prelude::*;
 
 const MAX_CYCLES: u64 = 2_000_000;
@@ -475,6 +478,32 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
             assert_eq!(found, supported + 1);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+
+    // A version-1 snapshot (written before blocked components slept)
+    // records tick counters a replay can no longer reproduce. Taken
+    // mid-run so the counters differ, it must still end in the typed
+    // unsupported-version error on every restore path — never in a
+    // `ReplayDivergence` that blames the snapshot's contents.
+    let mut mid = Soc::build(SocConfig::default(), &program, &table, &wl.gmem_init);
+    mid.run(2_000);
+    assert!(mid.sim().ticks_skipped_blocked() > 0);
+    let mut v1 = mid.checkpoint().to_bytes();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let unsupported = CheckpointError::UnsupportedVersion {
+        found: 1,
+        supported: 2,
+    };
+    assert_eq!(
+        SimSnapshot::from_bytes(&v1).err(),
+        Some(unsupported.clone())
+    );
+    for kind in [EngineKind::Soc, EngineKind::Parallel { threads: 2 }] {
+        assert_eq!(
+            restore_engine(kind, &v1, false).err(),
+            Some(unsupported.clone()),
+            "{kind:?}"
+        );
     }
 
     // Truncation → Truncated with the byte deficit.

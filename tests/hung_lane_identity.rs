@@ -1,0 +1,245 @@
+//! Hung fault lanes end identically however the kernel schedules them.
+//!
+//! Eight `fault_campaign` lanes that wedge the NoC (vec_mul, hot link
+//! into the hub, p = 3e-3, the campaign's limits) are run gated and
+//! ungated, interpreted and under `compiled_schedule`.
+//!
+//! * The two gated kernels — where blocked routers, PEs and the AXI
+//!   plane now sleep — must end exactly alike and exactly as they did
+//!   before blocked components could sleep: same watchdog trip cycle
+//!   (the values the benchmark's `campaign_dense` digest pins), same
+//!   [`SocReport`], fault counters, controller status, global memory,
+//!   hang diagnosis and kernel counters.
+//! * Against the ungated reference the gated kernel is compared *at
+//!   the same cycle*: everything above must agree but for which
+//!   components were asleep (`CompDiag::asleep`, masked) and one report
+//!   field documented at [`Ending::across_gating`].
+//! * The trip cycle itself is pinned per spelling and not compared
+//!   across the switch. The kernel has always counted an idle
+//!   component's wake-up as watchdog progress; an ungated run has no
+//!   wake-ups, so on two of the eight lanes (seeds 885 and 871) the
+//!   gated watchdog has always tripped 4 and 1 cycles after the
+//!   ungated one. The blocked sleeps this test was written for must
+//!   not move either number.
+//!
+//! A hung lane is also where blocked-sleep gating earns its keep: the
+//! second test counts the ticks the gated kernel delivers over the
+//! watchdog's idle tail and bounds them by the AXI plane's share (the
+//! controller polls `DONE_COUNT` forever; the wedged NoC must cost
+//! nothing). Counts are deterministic, so the guard cannot flake the
+//! way a timing gate would.
+
+use craftflow::connections::{FaultConfig, FaultStats};
+use craftflow::sim::{HangReport, SimError};
+use craftflow::soc::controller::CtrlStatus;
+use craftflow::soc::workloads::{orchestrator_program, table_words, vec_mul};
+use craftflow::soc::{Soc, SocConfig, SocReport};
+
+/// The mesh link into the hub: every result flit crosses it.
+const HOT_LINK: &str = "l11p3->15";
+const P: f64 = 3e-3;
+/// `fault_campaign`'s `SOC_MAX_CYCLES` / `SOC_NO_PROGRESS`.
+const MAX_CYCLES: u64 = 4_000_000;
+const NO_PROGRESS: u64 = 100_000;
+/// Controller, AXI master, bus, staging slave, hub AXI slave.
+const AXI_PLANE_COMPONENTS: u64 = 5;
+
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Flip,
+    Drop,
+    Dup,
+}
+
+/// `(seed, fault mode, gated trip cycle, ungated trip cycle)`, as the
+/// kernel produced them before blocked components could sleep.
+const CASES: [(u64, Mode, u64, u64); 8] = [
+    (800, Mode::Flip, 100_742, 100_742),
+    (806, Mode::Drop, 100_495, 100_495),
+    (808, Mode::Drop, 100_697, 100_697),
+    (819, Mode::Drop, 100_630, 100_630),
+    (881, Mode::Drop, 100_705, 100_705),
+    (885, Mode::Drop, 100_770, 100_766),
+    (871, Mode::Dup, 100_764, 100_763),
+    (893, Mode::Dup, 100_495, 100_495),
+];
+
+fn fault(mode: Mode) -> FaultConfig {
+    match mode {
+        Mode::Flip => FaultConfig::bit_flip(P),
+        Mode::Drop => FaultConfig::drop(P),
+        Mode::Dup => FaultConfig::duplicate(P),
+    }
+}
+
+fn build(cfg: SocConfig, seed: u64, mode: Mode) -> Soc {
+    let wl = vec_mul();
+    let mut soc = Soc::build(
+        cfg,
+        &orchestrator_program(),
+        &table_words(&wl.entries),
+        &wl.gmem_init,
+    );
+    soc.inject_fault(HOT_LINK, fault(mode), seed)
+        .expect("the hot link exists");
+    soc
+}
+
+/// Everything observable about a hung run.
+#[derive(Debug, PartialEq)]
+struct Ending {
+    trip_cycle: u64,
+    report: SocReport,
+    faults: FaultStats,
+    ctrl: CtrlStatus,
+    gmem: Vec<u64>,
+    hang: String,
+}
+
+impl Ending {
+    /// The comparison across the gating switch. One report field is
+    /// not gating-invariant and was not before blocked components
+    /// slept: an idle hub polls its empty eject channel on every
+    /// delivered tick, so `noc.pop_empty` counts the idle hub ticks a
+    /// gated kernel elides. Both spellings' values are pinned as they
+    /// are by the benchmark's digests (`fig6_sim` runs gated,
+    /// `fig6_rtl` ungated), so the field is masked here and compared
+    /// exactly between the two gated kernels.
+    fn across_gating(mut self) -> Ending {
+        self.report.noc.pop_empty = 0;
+        self
+    }
+
+    /// Field-by-field, so a failure names what moved.
+    fn assert_same(&self, want: &Ending, what: &str) {
+        assert_eq!(self.trip_cycle, want.trip_cycle, "{what}: trip cycle");
+        let (got_json, want_json) = (self.report.to_json(), want.report.to_json());
+        for (g, w) in got_json.lines().zip(want_json.lines()) {
+            assert_eq!(g, w, "{what}: SocReport::to_json");
+        }
+        assert_eq!(self.report, want.report, "{what}: SocReport");
+        assert_eq!(self.faults, want.faults, "{what}: FaultStats");
+        assert_eq!(self.ctrl, want.ctrl, "{what}: CtrlStatus");
+        assert_eq!(self.gmem, want.gmem, "{what}: gmem");
+        for (g, w) in self.hang.lines().zip(want.hang.lines()) {
+            assert_eq!(g, w, "{what}: HangReport");
+        }
+        assert_eq!(self, want, "{what}");
+    }
+}
+
+/// `Debug` rendering with the one field gating may change blanked.
+fn masked(report: &HangReport) -> String {
+    let mut r = report.clone();
+    for c in &mut r.components {
+        c.asleep = false;
+    }
+    format!("{r:#?}")
+}
+
+fn ending(soc: &Soc, trip_cycle: u64, report: &HangReport) -> Ending {
+    Ending {
+        trip_cycle,
+        report: soc.report(),
+        faults: soc.fault_stats(HOT_LINK).expect("the hot link exists"),
+        ctrl: soc.ctrl_status(),
+        gmem: soc.gmem_read(0, soc.config().gmem_words),
+        hang: masked(report),
+    }
+}
+
+fn run_to_hang(cfg: SocConfig, seed: u64, mode: Mode) -> (Ending, Soc) {
+    let mut soc = build(cfg, seed, mode);
+    let err = soc
+        .run_checked(MAX_CYCLES, NO_PROGRESS)
+        .expect_err("these lanes hang");
+    let SimError::Hang { cycle, report, .. } = err else {
+        panic!("seed {seed} {mode:?}: expected a hang, got {err}");
+    };
+    (ending(&soc, cycle, &report), soc)
+}
+
+/// The same lane, unsupervised, stopped at `cycle` and diagnosed there.
+fn run_to_cycle(cfg: SocConfig, seed: u64, mode: Mode, cycle: u64) -> Ending {
+    let mut soc = build(cfg, seed, mode);
+    let r = soc.run(cycle);
+    assert!(!r.completed && r.cycles == cycle);
+    ending(&soc, cycle, &soc.sim().diagnose_hang(NO_PROGRESS))
+}
+
+fn spelling(gating: bool, compiled_schedule: bool) -> SocConfig {
+    SocConfig {
+        gating,
+        compiled_schedule,
+        ..SocConfig::default()
+    }
+}
+
+#[test]
+fn hung_lanes_end_identically_under_every_kernel_spelling() {
+    for (seed, mode, gated_trip, ungated_trip) in CASES {
+        let lane = format!("seed {seed} {mode:?}");
+        let counters = |soc: &Soc| {
+            let sim = soc.sim();
+            (
+                sim.instants(),
+                sim.ticks_delivered(),
+                sim.ticks_skipped(),
+                sim.ticks_skipped_blocked(),
+                sim.commits_skipped(),
+            )
+        };
+        let (gated, soc_gated) = run_to_hang(spelling(true, false), seed, mode);
+        assert_eq!(gated.trip_cycle, gated_trip, "{lane}: gated trip cycle");
+        assert!(
+            soc_gated.sim().ticks_skipped_blocked() > 0,
+            "{lane}: no blocked component slept"
+        );
+        // The instant plan mirrors the gated interpreter's sleep and
+        // wake decisions exactly, blocked sleeps included.
+        let (gated_plan, soc_plan) = run_to_hang(spelling(true, true), seed, mode);
+        gated_plan.assert_same(&gated, &format!("{lane}: plan against gated interpreter"));
+        assert_eq!(
+            counters(&soc_plan),
+            counters(&soc_gated),
+            "{lane}: plan and gated interpreter disagree on kernel counters"
+        );
+
+        // `compiled_schedule` arms nothing with gating off, so one
+        // ungated spelling is the reference.
+        let (ungated, soc_ungated) = run_to_hang(spelling(false, false), seed, mode);
+        assert_eq!(
+            ungated.trip_cycle, ungated_trip,
+            "{lane}: ungated trip cycle"
+        );
+        assert_eq!(soc_ungated.sim().ticks_skipped(), 0);
+        run_to_cycle(spelling(true, false), seed, mode, ungated_trip)
+            .across_gating()
+            .assert_same(
+                &ungated.across_gating(),
+                &format!("{lane}: gated against ungated at cycle {ungated_trip}"),
+            );
+    }
+}
+
+#[test]
+fn a_wedged_noc_costs_no_ticks_over_the_watchdog_tail() {
+    for (seed, mode, trip, _) in CASES {
+        for compiled in [false, true] {
+            let cfg = spelling(true, compiled);
+            // The last progress event is `NO_PROGRESS` cycles before
+            // the trip; a second, unsupervised run stops there.
+            let mut head = build(cfg, seed, mode);
+            let r = head.run(trip - NO_PROGRESS);
+            assert!(!r.completed);
+            let (ending, full) = run_to_hang(cfg, seed, mode);
+            assert_eq!(ending.trip_cycle, trip);
+            let tail = full.sim().ticks_delivered() - head.sim().ticks_delivered();
+            assert!(
+                tail <= AXI_PLANE_COMPONENTS * NO_PROGRESS,
+                "seed {seed} {mode:?} compiled_schedule={compiled}: {tail} ticks over the \
+                 idle tail, more than the AXI plane's {AXI_PLANE_COMPONENTS} a cycle"
+            );
+        }
+    }
+}
