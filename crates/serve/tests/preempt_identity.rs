@@ -4,6 +4,13 @@
 //! [`craft_soc::SocReport`] **bit-identical** to an uninterrupted
 //! run of the same submission — across engine × workload × fidelity
 //! × checkpoint grain, with and without fault vectors.
+//!
+//! This suite takes about a minute whatever the optimisation level,
+//! because it is not compute-bound (run alone on 2 cores: 60 s real,
+//! 20 s user, 39 s sys): the `parallel:*` cases rebuild their worker
+//! sets at every preemption and their spin barriers contend for two
+//! cores. Worker-local parking (ROADMAP item 3a) is what shortens it,
+//! not fewer cases.
 
 use craft_connections::FaultConfig;
 use craft_serve::{DeterministicScheduler, JobSpec, WorkloadId};

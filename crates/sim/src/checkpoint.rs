@@ -13,16 +13,15 @@
 //! closures, `Rc` graphs and arbitrary user payload types; it trades
 //! restore CPU (a bounded re-run) for zero serialization blind spots.
 //!
-//! Framing: every on-disk snapshot is
+//! Framing: every serialized snapshot is
 //! `magic | version | kind | payload_len | payload | fnv64(payload)`.
 //! A reader rejects bad magic, unknown versions, short reads and
 //! checksum mismatches with a typed [`CheckpointError`] — never a
 //! panic, never silently divergent state.
 
 use std::fmt;
-use std::path::Path;
 
-/// Magic prefix of every snapshot file.
+/// Magic prefix of every framed snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CRFTSNAP";
 /// Current snapshot format version. Bump on any incompatible layout
 /// change — and on any change to what a replay reproduces, since a
@@ -37,12 +36,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CRFTSNAP";
 ///   "unsupported", not a misleading [`CheckpointError::ReplayDivergence`].
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Why a checkpoint could not be saved, loaded, or restored.
+/// Why a checkpoint could not be decoded or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Filesystem error (message carries the `std::io::Error` text).
-    Io(String),
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
+    /// The stream does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
     /// The snapshot was written by an incompatible format version.
     UnsupportedVersion {
@@ -91,8 +88,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
-            CheckpointError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
+            CheckpointError::BadMagic => write!(f, "not a snapshot (bad magic)"),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "snapshot format version {found} unsupported (reader supports {supported})"
@@ -401,29 +397,6 @@ pub fn unframe_snapshot(bytes: &[u8], kind: u8) -> Result<&[u8], CheckpointError
     Ok(payload)
 }
 
-/// Writes a framed snapshot to `path` atomically (write a `.tmp`
-/// sibling, fsync, rename), so a crash mid-write can never leave a
-/// half-written file under the final name. Returns the byte size.
-pub fn save_snapshot_file(path: &Path, kind: u8, payload: &[u8]) -> Result<u64, CheckpointError> {
-    let framed = frame_snapshot(kind, payload);
-    let tmp = path.with_extension("tmp");
-    let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-    std::fs::write(&tmp, &framed).map_err(io)?;
-    // Durability before visibility: the rename must not beat the data.
-    let f = std::fs::File::open(&tmp).map_err(io)?;
-    f.sync_all().map_err(io)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(io)?;
-    Ok(framed.len() as u64)
-}
-
-/// Reads a framed snapshot from `path` and returns its validated
-/// payload bytes.
-pub fn load_snapshot_file(path: &Path, kind: u8) -> Result<Vec<u8>, CheckpointError> {
-    let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    unframe_snapshot(&bytes, kind).map(<[u8]>::to_vec)
-}
-
 /// Hang-watchdog accumulator state, externalized so supervised runs
 /// can be segmented (checkpoint between segments) without changing
 /// when the watchdog trips: `idle` and `last_cycle` survive the seam
@@ -666,19 +639,6 @@ mod tests {
             unframe_snapshot(&bad, 3),
             Err(CheckpointError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn atomic_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("craft_ckpt_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.ckpt");
-        let payload = vec![9u8; 300];
-        let size = save_snapshot_file(&path, 1, &payload).unwrap();
-        assert_eq!(size, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(load_snapshot_file(&path, 1).unwrap(), payload);
-        assert!(!path.with_extension("tmp").exists(), "tmp must be renamed");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

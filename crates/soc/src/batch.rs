@@ -59,21 +59,30 @@
 //! ([`craft_sim::Sleep::Blocked`]) and only the controller's AXI
 //! poll loop keeps ticking, so a replay's idle tail costs the kernel's
 //! per-instant overhead and little else.
+//!
+//! As a [`SimEngine`] the batch *is* its golden [`Soc`]: it shares the
+//! golden run's [`RunCore`] (one [`Recipe`] behind an `Arc`, which each
+//! lane replay builds from as well) and forwards every primitive to
+//! it. Its own are the lane table framed around each capture, the lane
+//! verification after a replay, and the settle at the session's end.
 
-use crate::checkpoint::BatchSnapshot;
-use crate::engine::SegmentStatus;
+use crate::checkpoint::{BatchSnapshot, Recipe, SessionState, SimSnapshot};
+use crate::controller::CtrlStatus;
+use crate::engine::{revive, Advance, EngineKind, Position, RunCore, SimEngine};
 use crate::soc::{
     lane_fault_seed, merge_fault_stats, ChannelRole, FaultPatternError, FaultReport, RunResult,
     Soc, SocConfig, SocReport,
 };
 use craft_connections::{FaultConfig, FaultLaneBank, FaultStats, LaneSet, LaneStatus};
 use craft_sim::checkpoint::{fnv64, CheckpointError};
-use craft_sim::{par_map, par_map_with_workers, SimError, TelLaneCounters, Telemetry};
+use craft_sim::{
+    par_map, par_map_with_workers, SimError, TelLaneCounters, Telemetry, TelemetrySnapshot,
+};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// One lane of a batch: a fault scenario to co-simulate against the
 /// shared golden run. Identical to the `(pat, cfg, seed)` triple a
@@ -100,45 +109,25 @@ impl LaneSpec {
     }
 }
 
-/// Everything needed to rebuild a lane's simulation from t=0 — handed
-/// to de-opt replays, which may run on worker threads (the contained
-/// data is plain owned values, `Send`).
-#[derive(Debug, Clone)]
-pub struct ReplayInputs {
-    /// SoC build parameters of the golden run.
-    pub cfg: SocConfig,
-    /// Controller program image.
-    pub program: Vec<u32>,
-    /// Staging (controller table) memory image.
-    pub staging: Vec<u32>,
-    /// Global-memory init regions.
-    pub gmem_init: Vec<(usize, Vec<u64>)>,
-}
-
 /// What a solo replay hands back — result, report, injector counters
 /// and the lane's final global-memory image (`cfg.gmem_words` words).
 /// Plain owned data, so it crosses from the worker thread that ran the
 /// `!Send` [`Soc`] back to the batch.
-pub type LaneReplay = (Result<RunResult, SimError>, SocReport, FaultStats, Vec<u64>);
+type LaneReplay = (Result<RunResult, SimError>, SocReport, FaultStats, Vec<u64>);
 
-/// Runs one diverged lane solo: a fresh [`Soc`] with a real injector
-/// (instant plan armed when [`SocConfig::compiled_schedule`]), replayed
-/// from t=0 under the same run limits the batch used. This *is* the
-/// golden reference path — [`BatchSoc::run`] calls it for every
-/// de-opted lane, and campaign drivers can call it on worker threads
-/// via [`BatchSoc::replay_inputs`].
-pub fn replay_lane_solo(
-    inputs: &ReplayInputs,
+/// Runs one diverged lane solo: a fresh [`Soc`] off the batch's shared
+/// [`Recipe`] with a real injector (instant plan armed when
+/// [`SocConfig::compiled_schedule`]), replayed from t=0 under the same
+/// run limits the batch used. This *is* the golden reference path —
+/// the settle phase calls it for every de-opted lane, on whichever
+/// host worker claims it.
+fn replay_lane(
+    recipe: &Arc<Recipe>,
     spec: &LaneSpec,
     max_cycles: u64,
     no_progress_limit: u64,
 ) -> LaneReplay {
-    let mut soc = Soc::build(
-        inputs.cfg,
-        &inputs.program,
-        &inputs.staging,
-        &inputs.gmem_init,
-    );
+    let mut soc = Soc::from_recipe(Arc::clone(recipe), None, None);
     soc.inject_fault(&spec.pattern, spec.cfg, spec.seed)
         .expect("pattern matched the golden registry at batch build");
     let res = soc.run_checked(max_cycles, no_progress_limit);
@@ -146,7 +135,7 @@ pub fn replay_lane_solo(
     let stats = soc
         .fault_stats(&spec.pattern)
         .expect("pattern matched the golden registry at batch build");
-    let gmem = soc.gmem_read(0, inputs.cfg.gmem_words);
+    let gmem = soc.gmem_read(0, recipe.cfg.gmem_words);
     (res, report, stats, gmem)
 }
 
@@ -193,12 +182,11 @@ pub struct BatchReport {
 ///
 /// Build with [`BatchSoc::build`], run once with [`BatchSoc::run`],
 /// then read per-lane outcomes from the returned [`BatchReport`] and
-/// verify memory with [`BatchSoc::gmem_read_lane`].
+/// verify memory with [`BatchSoc::gmem_read_lane`]. As a [`SimEngine`]
+/// it *is* its golden [`Soc`] — same run state, same primitives — plus
+/// a lane table around every capture and a settle at the session's
+/// end.
 pub struct BatchSoc {
-    cfg: SocConfig,
-    program: Vec<u32>,
-    staging: Vec<u32>,
-    gmem_init: Vec<(usize, Vec<u64>)>,
     specs: Vec<LaneSpec>,
     /// Per-lane matched-channel count (the solo `armed_channels`).
     matched: Vec<usize>,
@@ -214,11 +202,6 @@ pub struct BatchSoc {
     workers: Option<usize>,
     tel_tokens: Option<TelLaneCounters>,
     tel_injected: Option<TelLaneCounters>,
-    ran: bool,
-    /// `(max_cycles, no_progress_limit)` of the in-flight batch run —
-    /// the settle phase replays de-opted lanes under the same limits.
-    limits: Option<(u64, u64)>,
-    last_ckpt: Option<BatchSnapshot>,
     /// The settled report of a finished run ([`BatchSoc::last_report`]).
     last_report: Option<BatchReport>,
 }
@@ -251,13 +234,25 @@ impl BatchSoc {
         specs: Vec<LaneSpec>,
         telemetry: Option<Telemetry>,
     ) -> Result<BatchSoc, FaultPatternError> {
+        let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
+        Self::from_recipe(recipe, specs, telemetry)
+    }
+
+    /// [`BatchSoc::build_with_telemetry`] from a shared [`Recipe`]: the
+    /// golden SoC and every de-opted lane's replay point at the one
+    /// copy of the images.
+    pub(crate) fn from_recipe(
+        recipe: Arc<Recipe>,
+        specs: Vec<LaneSpec>,
+        telemetry: Option<Telemetry>,
+    ) -> Result<BatchSoc, FaultPatternError> {
         let tel_tokens = telemetry
             .as_ref()
             .map(|t| t.lane_counters("batch.tokens", specs.len()));
         let tel_injected = telemetry
             .as_ref()
             .map(|t| t.lane_counters("batch.injected", specs.len()));
-        let golden = Soc::build_with_telemetry(cfg, program, staging_init, gmem_init, telemetry);
+        let golden = Soc::from_recipe(recipe, telemetry, None);
         let set = LaneSet::new(specs.len());
         let mut banks: BTreeMap<usize, FaultLaneBank> = BTreeMap::new();
         let mut matched = Vec::with_capacity(specs.len());
@@ -296,10 +291,6 @@ impl BatchSoc {
         }
         let lane_gmem = vec![None; specs.len()];
         Ok(BatchSoc {
-            cfg,
-            program: program.to_vec(),
-            staging: staging_init.to_vec(),
-            gmem_init: gmem_init.to_vec(),
             specs,
             matched,
             banked,
@@ -309,9 +300,6 @@ impl BatchSoc {
             workers: None,
             tel_tokens,
             tel_injected,
-            ran: false,
-            limits: None,
-            last_ckpt: None,
             last_report: None,
         })
     }
@@ -329,22 +317,6 @@ impl BatchSoc {
     /// This lane's current convergence status.
     pub fn lane_status(&self, lane: usize) -> LaneStatus {
         self.set.borrow().status(lane)
-    }
-
-    /// The shared golden simulation (fault-free reference).
-    pub fn golden(&self) -> &Soc {
-        &self.golden
-    }
-
-    /// Owned copies of the build inputs, for replaying de-opted lanes
-    /// on worker threads (see [`replay_lane_solo`]).
-    pub fn replay_inputs(&self) -> ReplayInputs {
-        ReplayInputs {
-            cfg: self.cfg,
-            program: self.program.clone(),
-            staging: self.staging.clone(),
-            gmem_init: self.gmem_init.clone(),
-        }
     }
 
     /// Shadow-exact fault counters for a converged lane, merged over
@@ -371,98 +343,35 @@ impl BatchSoc {
     /// segmented at that interval with a [`BatchSnapshot`] captured at
     /// each boundary (see [`BatchSoc::last_checkpoint`]) — the
     /// segmentation is observation-only, exactly as for
-    /// [`Soc::run_checked`].
+    /// [`Soc::run_checked`]. Schedulers that preempt between segments
+    /// step the batch through [`SimEngine::begin`] /
+    /// [`SimEngine::step_segment`] instead; when the golden session
+    /// ends — done or a watchdog error — the lanes settle immediately
+    /// into [`BatchSoc::last_report`].
     ///
     /// # Panics
-    /// Panics if called twice — the golden simulation is consumed by
-    /// the first run.
+    /// Panics if a golden session is already open.
     pub fn run(&mut self, max_cycles: u64, no_progress_limit: u64) -> BatchReport {
         self.begin(max_cycles, no_progress_limit);
         self.resume()
     }
 
-    /// Opens the golden supervised session without driving it — the
-    /// segmented entry point for schedulers that step the batch with
-    /// [`BatchSoc::step_segment`] and preempt between segments.
-    ///
-    /// # Panics
-    /// Panics if called twice — the golden simulation is consumed by
-    /// the first run.
-    pub fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        assert!(!self.ran, "BatchSoc::run may only be called once");
-        self.ran = true;
-        self.limits = Some((max_cycles, no_progress_limit));
-        self.golden.begin_checked(max_cycles, no_progress_limit);
-    }
-
     /// Drives the open golden session to completion (capturing
-    /// automatic [`BatchSnapshot`]s between segments), then settles
+    /// automatic [`BatchSnapshot`]s between segments), which settles
     /// the lanes — the entry point for a batch restored mid-run by
     /// [`BatchSoc::restore`].
     ///
     /// # Panics
     /// Panics if no golden session is open.
     pub fn resume(&mut self) -> BatchReport {
-        assert!(self.golden.session_open(), "no batch run to resume");
-        let t0 = Instant::now();
-        loop {
-            match self.step_segment() {
-                Ok(SegmentStatus::Boundary) => {}
-                Ok(SegmentStatus::Done(_)) | Err(_) => {
-                    let mut rep = self
-                        .last_report
-                        .clone()
-                        .expect("final segment settles the batch");
-                    if let Ok(r) = rep.golden.as_mut() {
-                        r.wall = t0.elapsed();
-                    }
-                    return rep;
-                }
-            }
-        }
-    }
-
-    /// Runs one segment of the open golden session — at most
-    /// [`SocConfig::checkpoint_every`] cycles (the whole budget when
-    /// unset). [`SegmentStatus::Boundary`] means budget remains and
-    /// the automatic [`BatchSnapshot`] was captured: a scheduler may
-    /// preempt here and revive the batch from the serialized
-    /// snapshot. When the golden run ends — [`SegmentStatus::Done`]
-    /// or a watchdog error — the lanes settle immediately and the
-    /// full [`BatchReport`] is stored in [`BatchSoc::last_report`].
-    ///
-    /// # Panics
-    /// Panics if no golden session is open.
-    pub fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        let (max_cycles, no_progress_limit) = self.limits.expect("no batch run to resume");
-        assert!(self.golden.session_open(), "no batch run to resume");
-        let t0 = Instant::now();
-        let auto = self.cfg.checkpoint_every;
-        match self.golden.advance_checked(auto.unwrap_or(u64::MAX)) {
-            Err(e) => {
-                let rep = self.settle(Err(e.clone()), max_cycles, no_progress_limit);
-                self.last_report = Some(rep);
-                Err(e)
-            }
-            Ok(Some(completed)) => {
-                let consumed = self.golden.close_session().expect("session open").consumed;
-                let res = RunResult {
-                    cycles: consumed,
-                    wall: t0.elapsed(),
-                    ctrl: *self.golden.ctrl_handle().borrow(),
-                    completed,
-                };
-                let rep = self.settle(Ok(res), max_cycles, no_progress_limit);
-                self.last_report = Some(rep);
-                Ok(SegmentStatus::Done(res))
-            }
-            Ok(None) => {
-                if auto.is_some() {
-                    self.last_ckpt = Some(self.checkpoint());
-                }
-                Ok(SegmentStatus::Boundary)
-            }
-        }
+        let golden = self.run_to_end();
+        let mut rep = self
+            .last_report
+            .clone()
+            .expect("the session's end settles the batch");
+        // The same result, its `wall` covering this whole call.
+        rep.golden = golden;
+        rep
     }
 
     /// The settled [`BatchReport`] of a finished batch run, if the
@@ -470,12 +379,6 @@ impl BatchSoc {
     /// erred — the lanes still settle).
     pub fn last_report(&self) -> Option<&BatchReport> {
         self.last_report.as_ref()
-    }
-
-    /// The configuration the golden SoC (and every lane replay) was
-    /// built from.
-    pub fn config(&self) -> &SocConfig {
-        &self.cfg
     }
 
     /// Finishes every lane once the golden run has ended.
@@ -486,7 +389,7 @@ impl BatchSoc {
         no_progress_limit: u64,
     ) -> BatchReport {
         let golden_report = self.golden.report();
-        let inputs = self.replay_inputs();
+        let recipe = Arc::clone(&self.golden.core().recipe);
         let statuses: Vec<LaneStatus> = {
             let set = self.set.borrow();
             (0..self.specs.len()).map(|l| set.status(l)).collect()
@@ -499,7 +402,7 @@ impl BatchSoc {
         let specs = &self.specs;
         let replay = |_: usize, &lane: &usize| {
             catch_unwind(AssertUnwindSafe(|| {
-                replay_lane_solo(&inputs, &specs[lane], max_cycles, no_progress_limit)
+                replay_lane(&recipe, &specs[lane], max_cycles, no_progress_limit)
             }))
             .ok()
         };
@@ -575,39 +478,44 @@ impl BatchSoc {
     /// Reads `len` words of a lane's global memory after the run: the
     /// golden memory for converged lanes, the solo replay's for
     /// de-opted ones. `None` when the lane has no simulation to read
-    /// (its replay panicked, or the batch has not run).
+    /// (its replay panicked, or the batch has not settled).
     pub fn gmem_read_lane(&self, lane: usize, base: usize, len: usize) -> Option<Vec<u64>> {
         if let Some(gmem) = &self.lane_gmem[lane] {
             return Some(gmem[base..base + len].to_vec());
         }
-        if self.ran && matches!(self.set.borrow().status(lane), LaneStatus::Converged) {
-            return Some(self.golden.gmem_read(base, len));
+        let converged = matches!(self.lane_status(lane), LaneStatus::Converged);
+        (self.last_report.is_some() && converged).then(|| self.golden.gmem_read(base, len))
+    }
+
+    /// Wraps a golden capture with the lane table as of now: every
+    /// lane's spec, divergence status and shadow fault counters.
+    fn with_lanes(&self, golden: SimSnapshot) -> BatchSnapshot {
+        let set = self.set.borrow();
+        let lanes = 0..self.specs.len();
+        BatchSnapshot {
+            golden,
+            specs: self.specs.clone(),
+            lane_status: lanes.clone().map(|l| set.status(l)).collect(),
+            lane_stats: lanes.map(|l| self.shadow_stats(l)).collect(),
         }
-        None
     }
 
     /// Captures a [`BatchSnapshot`] at the current golden-run
     /// boundary: the golden [`crate::SimSnapshot`] (with its open
-    /// session), every lane's spec, and each lane's divergence status
-    /// and shadow fault counters. Meaningful before the lanes settle —
-    /// a mid-golden-run capture restores to the exact same campaign
-    /// state.
+    /// session) inside the lane table. Meaningful before the lanes
+    /// settle — a mid-golden-run capture restores to the exact same
+    /// campaign state.
     pub fn checkpoint(&self) -> BatchSnapshot {
-        let set = self.set.borrow();
-        BatchSnapshot {
-            golden: self.golden.checkpoint(),
-            specs: self.specs.clone(),
-            lane_status: (0..self.specs.len()).map(|l| set.status(l)).collect(),
-            lane_stats: (0..self.specs.len())
-                .map(|l| self.shadow_stats(l))
-                .collect(),
-        }
+        self.with_lanes(SimEngine::checkpoint(self))
     }
 
     /// The most recent automatic checkpoint taken by a segmented
-    /// golden run ([`SocConfig::checkpoint_every`]), if any.
-    pub fn last_checkpoint(&self) -> Option<&BatchSnapshot> {
-        self.last_ckpt.as_ref()
+    /// golden run ([`SocConfig::checkpoint_every`]), if any — decoded
+    /// from the frame that boundary encoded, so its lane table is the
+    /// boundary's, not the settled one.
+    pub fn last_checkpoint(&self) -> Option<BatchSnapshot> {
+        self.last_checkpoint_bytes()
+            .map(|frame| BatchSnapshot::from_bytes(frame).expect("own frame decodes"))
     }
 
     /// Rebuilds a batch from `snap`: re-arms every lane's shadow bank
@@ -619,15 +527,19 @@ impl BatchSoc {
     /// snapshot captured mid-golden-run reinstates the session, ready
     /// for [`BatchSoc::resume`].
     pub fn restore(snap: &BatchSnapshot) -> Result<BatchSoc, CheckpointError> {
-        let mut batch = BatchSoc::build(
-            snap.golden.cfg,
-            &snap.golden.program,
-            &snap.golden.staging,
-            &snap.golden.gmem_init,
-            snap.specs.clone(),
-        )
-        .map_err(|e| CheckpointError::Malformed(format!("lane spec failed to re-arm: {e}")))?;
-        batch.golden.replay_to(&snap.golden)?;
+        Self::restore_with_telemetry(snap, None)
+    }
+
+    /// [`BatchSoc::restore`] with a telemetry sink attached to the
+    /// rebuilt batch.
+    pub fn restore_with_telemetry(
+        snap: &BatchSnapshot,
+        telemetry: Option<Telemetry>,
+    ) -> Result<BatchSoc, CheckpointError> {
+        let batch = revive(&snap.golden, |recipe| {
+            BatchSoc::from_recipe(recipe, snap.specs.clone(), telemetry)
+                .map_err(|e| CheckpointError::Malformed(format!("lane spec failed to re-arm: {e}")))
+        })?;
         // The divergence token ordinal doubles as the status word:
         // `u64::MAX` is unreachable as a token count and encodes
         // `Converged`.
@@ -641,7 +553,7 @@ impl BatchSoc {
             .zip(snap.lane_stats.iter())
             .enumerate()
         {
-            let got_status = batch.set.borrow().status(lane);
+            let got_status = batch.lane_status(lane);
             if got_status != *want_status {
                 return Err(CheckpointError::ReplayDivergence {
                     field: format!("lane{lane}.status"),
@@ -658,11 +570,87 @@ impl BatchSoc {
                 });
             }
         }
-        if let Some(s) = &snap.golden.session {
-            batch.ran = true;
-            batch.limits = Some((s.remaining + s.consumed, s.no_progress_limit));
-        }
         Ok(batch)
+    }
+}
+
+/// The batch engine is its golden [`Soc`] — run state and primitives
+/// alike — with two differences: a capture is framed inside the lane
+/// table, and the end of the session settles the lanes.
+impl SimEngine for BatchSoc {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Batch
+    }
+
+    fn core(&self) -> &RunCore {
+        self.golden.core()
+    }
+
+    fn core_mut(&mut self) -> &mut RunCore {
+        self.golden.core_mut()
+    }
+
+    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
+        self.golden.advance(budget, session)
+    }
+
+    fn position(&self) -> Position {
+        self.golden.position()
+    }
+
+    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError> {
+        self.golden.seek(instants, hub_cycles)
+    }
+
+    fn arm_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError> {
+        self.golden.arm_fault(pat, cfg, seed)
+    }
+
+    fn set_progress(&mut self, set: bool) {
+        self.golden.set_progress(set);
+    }
+
+    fn report(&self) -> SocReport {
+        self.golden.report()
+    }
+
+    fn ctrl_status(&self) -> CtrlStatus {
+        self.golden.ctrl_status()
+    }
+
+    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
+        self.golden.gmem_read(base, len)
+    }
+
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        self.golden.telemetry_snapshot()
+    }
+
+    /// The golden run carries shadow banks, not real injectors;
+    /// per-lane statistics come from the settled batch report.
+    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
+        self.golden.fault_stats(pat)
+    }
+
+    /// The lanes settle the moment the golden session ends — on an
+    /// error too — replaying de-opted lanes under the session's limits.
+    fn at_end(&mut self, session: &SessionState, res: Result<&RunResult, &SimError>) {
+        let res = res.copied().map_err(SimError::clone);
+        let max_cycles = session.remaining + session.consumed;
+        self.last_report = Some(self.settle(res, max_cycles, session.no_progress_limit));
+    }
+
+    fn frame(&self, snapshot: &SimSnapshot) -> Vec<u8> {
+        self.with_lanes(snapshot.clone()).to_bytes()
+    }
+
+    fn batch_report(&self) -> Option<&BatchReport> {
+        self.last_report.as_ref()
     }
 }
 
@@ -672,7 +660,7 @@ impl std::fmt::Debug for BatchSoc {
             .field("lanes", &self.specs.len())
             .field("live", &self.live_count())
             .field("banked_channels", &self.banked.len())
-            .field("ran", &self.ran)
+            .field("settled", &self.last_report.is_some())
             .finish()
     }
 }

@@ -1,14 +1,17 @@
 //! SoC-level snapshot types for deterministic checkpoint/restore.
 //!
 //! A [`SimSnapshot`] is a **replay recipe**, not a serialized object
-//! graph: the full build inputs (config, program, staging and gmem
-//! images), the ordered log of irregular events ([`FaultEvent`]s), a
-//! progress target (kernel instants for sequential captures, hub
-//! cycles for parallel ones), the open supervised-run session if any,
-//! and verification digests. [`crate::Soc::restore`] rebuilds the SoC
-//! from the recipe, re-executes deterministically to the target, and
-//! proves the reconstruction against the digests — any mismatch is a
-//! typed [`CheckpointError::ReplayDivergence`], never silent drift.
+//! graph: the shared build inputs ([`Recipe`]: config, program, staging
+//! and gmem images — one `Arc` that the engine, every shard, every
+//! de-opted lane replay and every snapshot point at), the ordered log
+//! of irregular events ([`FaultEvent`]s), a progress target (kernel
+//! instants for sequential captures, hub cycles for shard sets), the
+//! open supervised-run session if any ([`SessionState`] — the one live
+//! session type, held by the engines as is), and verification digests.
+//! [`crate::SimEngine::replay`] re-executes a freshly built engine
+//! deterministically to the target and proves the reconstruction
+//! against the digests — any mismatch is a typed
+//! [`CheckpointError::ReplayDivergence`], never silent drift.
 //!
 //! Why replay instead of state dump: the simulation state spans
 //! closures, `Rc` graphs, trait objects and seeded RNG streams. The
@@ -28,11 +31,11 @@ use crate::pe::Fidelity;
 use crate::soc::{ClockingMode, RouterKind, SocConfig};
 use craft_connections::{FaultConfig, FaultStats, LaneStatus};
 use craft_sim::checkpoint::{
-    frame_snapshot, load_snapshot_file, save_snapshot_file, unframe_snapshot, CheckpointError,
-    Checkpointable, KernelDigest, StateReader, StateWriter, WatchdogState,
+    frame_snapshot, unframe_snapshot, CheckpointError, Checkpointable, KernelDigest, StateReader,
+    StateWriter, WatchdogState,
 };
 use craft_sim::Picoseconds;
-use std::path::Path;
+use std::sync::Arc;
 
 /// Frame kind tag of a [`SimSnapshot`] (sequential or parallel SoC).
 pub const KIND_SOC: u8 = 1;
@@ -77,11 +80,13 @@ impl Checkpointable for FaultEvent {
     }
 }
 
-/// An open supervised-run session (`run_checked` split into segments),
-/// captured mid-flight so a restored SoC resumes the *same* run: the
-/// remaining cycle budget, the watchdog limit and its accumulated
-/// idle state, and the cycles already consumed (so the final
-/// [`crate::RunResult::cycles`] equals the uninterrupted run's).
+/// An open supervised-run session (`run_checked` split into segments)
+/// — the one live session type: every engine holds it as is while the
+/// run is open, and a capture copies it verbatim so a restored engine
+/// resumes the *same* run: the remaining cycle budget, the watchdog
+/// limit and its accumulated idle state, and the cycles already
+/// consumed (so the final [`crate::RunResult::cycles`] equals the
+/// uninterrupted run's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionState {
     /// Hub-cycle budget left in the session.
@@ -113,7 +118,7 @@ impl Checkpointable for SessionState {
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        Ok(SessionState {
+        let s = SessionState {
             remaining: r.get_u64()?,
             no_progress_limit: r.get_u64()?,
             consumed: r.get_u64()?,
@@ -128,7 +133,15 @@ impl Checkpointable for SessionState {
                     )))
                 }
             },
-        })
+        };
+        // The limit `SimEngine::begin` refuses: stepping such a session
+        // would trip the kernel's assertion on whichever thread runs it.
+        if s.no_progress_limit == 0 {
+            return Err(CheckpointError::Malformed(
+                "session no_progress_limit is zero".to_string(),
+            ));
+        }
+        Ok(s)
     }
 }
 
@@ -193,13 +206,13 @@ impl Checkpointable for ArchDigest {
     }
 }
 
-/// A versioned, self-verifying snapshot of one SoC simulation — see
-/// the [module docs](self) for the replay-recipe model. Produced by
-/// [`crate::Soc::checkpoint`] (instant-exact, with a [`KernelDigest`])
-/// and [`crate::ParallelSoc::checkpoint`] (epoch-boundary, cycle
-/// target only); consumed by the matching `restore`.
+/// The deterministic build inputs of one simulation — the half of the
+/// replay recipe that never changes after build. Held behind one `Arc`
+/// that the engine, every shard worker, every de-opted lane replay and
+/// every [`SimSnapshot`] of the run point at, so an N-shard facade or
+/// a 24-lane campaign holds one copy of the images, not one per user.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot {
+pub struct Recipe {
     /// Build configuration.
     pub cfg: SocConfig,
     /// Controller program image.
@@ -208,6 +221,35 @@ pub struct SimSnapshot {
     pub staging: Vec<u32>,
     /// Global-memory init regions `(base, words)`.
     pub gmem_init: Vec<(usize, Vec<u64>)>,
+}
+
+impl Recipe {
+    /// Copies the build inputs once into a shareable recipe.
+    pub fn new(
+        cfg: SocConfig,
+        program: &[u32],
+        staging: &[u32],
+        gmem_init: &[(usize, Vec<u64>)],
+    ) -> Arc<Recipe> {
+        Arc::new(Recipe {
+            cfg,
+            program: program.to_vec(),
+            staging: staging.to_vec(),
+            gmem_init: gmem_init.to_vec(),
+        })
+    }
+}
+
+/// A versioned, self-verifying snapshot of one SoC simulation — see
+/// the [module docs](self) for the replay-recipe model. Produced by
+/// [`crate::SimEngine::checkpoint`]: instant-exact with a
+/// [`KernelDigest`] when the engine is one kernel (a sequential capture
+/// can sit mid-cycle under GALS), hub-cycle target only when it is a
+/// shard set; consumed by [`crate::SimEngine::replay`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimSnapshot {
+    /// The shared build inputs.
+    pub recipe: Arc<Recipe>,
     /// Ordered fault-injection replay log.
     pub faults: Vec<FaultEvent>,
     /// Replay target as an exact kernel instant count — `Some` for
@@ -307,7 +349,38 @@ fn load_cfg(r: &mut StateReader<'_>) -> Result<SocConfig, CheckpointError> {
     Ok(cfg)
 }
 
-impl Checkpointable for SimSnapshot {
+/// Writes a length-prefixed sequence of values.
+fn save_all<T: Checkpointable>(items: &[T], w: &mut StateWriter) {
+    w.put_u64(items.len() as u64);
+    for item in items {
+        item.save(w);
+    }
+}
+
+/// Reads what [`save_all`] wrote.
+fn load_all<T: Checkpointable>(r: &mut StateReader<'_>) -> Result<Vec<T>, CheckpointError> {
+    let n = r.get_len()?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(T::load(r)?);
+    }
+    Ok(items)
+}
+
+/// Writes a presence flag, then the value when there is one.
+fn save_opt<T: Checkpointable>(v: &Option<T>, w: &mut StateWriter) {
+    w.put_bool(v.is_some());
+    if let Some(v) = v {
+        v.save(w);
+    }
+}
+
+/// Reads what [`save_opt`] wrote.
+fn load_opt<T: Checkpointable>(r: &mut StateReader<'_>) -> Result<Option<T>, CheckpointError> {
+    r.get_bool()?.then(|| T::load(r)).transpose()
+}
+
+impl Checkpointable for Recipe {
     fn save(&self, w: &mut StateWriter) {
         save_cfg(&self.cfg, w);
         w.put_u32s(&self.program);
@@ -317,28 +390,6 @@ impl Checkpointable for SimSnapshot {
             w.put_u64(*base as u64);
             w.put_u64s(words);
         }
-        w.put_u64(self.faults.len() as u64);
-        for ev in &self.faults {
-            ev.save(w);
-        }
-        w.put_opt_u64(self.instants);
-        w.put_u64(self.hub_cycles);
-        w.put_bool(self.progress_set);
-        match &self.session {
-            Some(s) => {
-                w.put_bool(true);
-                s.save(w);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.kernel {
-            Some(k) => {
-                w.put_bool(true);
-                k.save(w);
-            }
-            None => w.put_bool(false),
-        }
-        self.arch.save(w);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
@@ -351,37 +402,54 @@ impl Checkpointable for SimSnapshot {
             let base = r.get_u64()? as usize;
             gmem_init.push((base, r.get_u64s()?));
         }
-        let n = r.get_len()?;
-        let mut faults = Vec::with_capacity(n);
-        for _ in 0..n {
-            faults.push(FaultEvent::load(r)?);
-        }
-        Ok(SimSnapshot {
+        Ok(Recipe {
             cfg,
             program,
             staging,
             gmem_init,
-            faults,
+        })
+    }
+}
+
+impl Checkpointable for SimSnapshot {
+    fn save(&self, w: &mut StateWriter) {
+        self.recipe.save(w);
+        save_all(&self.faults, w);
+        w.put_opt_u64(self.instants);
+        w.put_u64(self.hub_cycles);
+        w.put_bool(self.progress_set);
+        save_opt(&self.session, w);
+        save_opt(&self.kernel, w);
+        self.arch.save(w);
+    }
+
+    fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
+        Ok(SimSnapshot {
+            recipe: Arc::new(Recipe::load(r)?),
+            faults: load_all(r)?,
             instants: r.get_opt_u64()?,
             hub_cycles: r.get_u64()?,
             progress_set: r.get_bool()?,
-            session: if r.get_bool()? {
-                Some(SessionState::load(r)?)
-            } else {
-                None
-            },
-            kernel: if r.get_bool()? {
-                Some(KernelDigest::load(r)?)
-            } else {
-                None
-            },
+            session: load_opt(r)?,
+            kernel: load_opt(r)?,
             arch: ArchDigest::load(r)?,
         })
     }
 }
 
-/// Decodes one payload, requiring it to be consumed exactly.
-fn decode_exact<T: Checkpointable>(payload: &[u8]) -> Result<T, CheckpointError> {
+/// Serializes `v` to a standalone framed byte stream (magic, version,
+/// `kind`, length, payload, checksum).
+fn encode_framed<T: Checkpointable>(kind: u8, v: &T) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    v.save(&mut w);
+    frame_snapshot(kind, &w.into_bytes())
+}
+
+/// Parses a framed byte stream of `kind`, requiring the payload to be
+/// consumed exactly; truncation, corruption, version and kind
+/// mismatches are each a typed error.
+fn decode_framed<T: Checkpointable>(kind: u8, bytes: &[u8]) -> Result<T, CheckpointError> {
+    let payload = unframe_snapshot(bytes, kind)?;
     let mut r = StateReader::new(payload);
     let v = T::load(&mut r)?;
     if r.remaining() != 0 {
@@ -394,31 +462,14 @@ fn decode_exact<T: Checkpointable>(payload: &[u8]) -> Result<T, CheckpointError>
 }
 
 impl SimSnapshot {
-    /// Serializes to a standalone framed byte stream (magic, version,
-    /// kind, length, payload, checksum).
+    /// Serializes to a standalone framed byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        self.save(&mut w);
-        frame_snapshot(KIND_SOC, &w.into_bytes())
+        encode_framed(KIND_SOC, self)
     }
 
-    /// Parses a framed byte stream, rejecting truncation, corruption,
-    /// version and kind mismatches with a typed error.
+    /// Parses a framed byte stream with typed rejection.
     pub fn from_bytes(bytes: &[u8]) -> Result<SimSnapshot, CheckpointError> {
-        decode_exact(unframe_snapshot(bytes, KIND_SOC)?)
-    }
-
-    /// Writes the framed snapshot to `path` atomically (tmp + rename).
-    /// Returns the file size in bytes.
-    pub fn write_to(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let mut w = StateWriter::new();
-        self.save(&mut w);
-        save_snapshot_file(path, KIND_SOC, &w.into_bytes())
-    }
-
-    /// Reads and validates a framed snapshot from `path`.
-    pub fn read_from(path: &Path) -> Result<SimSnapshot, CheckpointError> {
-        decode_exact(&load_snapshot_file(path, KIND_SOC)?)
+        decode_framed(KIND_SOC, bytes)
     }
 }
 
@@ -460,102 +511,76 @@ impl Checkpointable for LaneSpec {
 impl Checkpointable for BatchSnapshot {
     fn save(&self, w: &mut StateWriter) {
         self.golden.save(w);
-        w.put_u64(self.specs.len() as u64);
-        for s in &self.specs {
-            s.save(w);
-        }
-        w.put_u64(self.lane_status.len() as u64);
-        for s in &self.lane_status {
-            s.save(w);
-        }
-        w.put_u64(self.lane_stats.len() as u64);
-        for s in &self.lane_stats {
-            s.save(w);
-        }
+        save_all(&self.specs, w);
+        save_all(&self.lane_status, w);
+        save_all(&self.lane_stats, w);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let golden = SimSnapshot::load(r)?;
-        let n = r.get_len()?;
-        let mut specs = Vec::with_capacity(n);
-        for _ in 0..n {
-            specs.push(LaneSpec::load(r)?);
-        }
-        let n = r.get_len()?;
-        let mut lane_status = Vec::with_capacity(n);
-        for _ in 0..n {
-            lane_status.push(LaneStatus::load(r)?);
-        }
-        let n = r.get_len()?;
-        let mut lane_stats = Vec::with_capacity(n);
-        for _ in 0..n {
-            lane_stats.push(FaultStats::load(r)?);
-        }
-        if specs.len() != lane_status.len() || specs.len() != lane_stats.len() {
+        let snap = BatchSnapshot {
+            golden: SimSnapshot::load(r)?,
+            specs: load_all(r)?,
+            lane_status: load_all(r)?,
+            lane_stats: load_all(r)?,
+        };
+        let lanes = snap.specs.len();
+        if lanes != snap.lane_status.len() || lanes != snap.lane_stats.len() {
             return Err(CheckpointError::Malformed(format!(
-                "lane table lengths disagree: {} specs, {} statuses, {} stats",
-                specs.len(),
-                lane_status.len(),
-                lane_stats.len()
+                "lane table lengths disagree: {lanes} specs, {} statuses, {} stats",
+                snap.lane_status.len(),
+                snap.lane_stats.len()
             )));
         }
-        Ok(BatchSnapshot {
-            golden,
-            specs,
-            lane_status,
-            lane_stats,
-        })
+        Ok(snap)
     }
 }
 
 impl BatchSnapshot {
     /// Serializes to a standalone framed byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        self.save(&mut w);
-        frame_snapshot(KIND_BATCH, &w.into_bytes())
+        encode_framed(KIND_BATCH, self)
     }
 
     /// Parses a framed byte stream with typed rejection.
     pub fn from_bytes(bytes: &[u8]) -> Result<BatchSnapshot, CheckpointError> {
-        decode_exact(unframe_snapshot(bytes, KIND_BATCH)?)
-    }
-
-    /// Writes the framed snapshot to `path` atomically. Returns the
-    /// file size in bytes.
-    pub fn write_to(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let mut w = StateWriter::new();
-        self.save(&mut w);
-        save_snapshot_file(path, KIND_BATCH, &w.into_bytes())
-    }
-
-    /// Reads and validates a framed snapshot from `path`.
-    pub fn read_from(path: &Path) -> Result<BatchSnapshot, CheckpointError> {
-        decode_exact(&load_snapshot_file(path, KIND_BATCH)?)
+        decode_framed(KIND_BATCH, bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SegmentStatus, SimEngine};
     use crate::soc::Soc;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
 
-    fn mid_run_snapshot(cfg: SocConfig) -> (SimSnapshot, Soc) {
+    /// A vec_mul run (halts ~800 cycles) stopped at its first
+    /// `every`-cycle boundary.
+    fn at_first_boundary(every: u64, fault: Option<(&str, FaultConfig, u64)>) -> Soc {
         let wl = vec_mul();
-        let program = orchestrator_program();
+        let cfg = SocConfig {
+            checkpoint_every: Some(every),
+            ..SocConfig::default()
+        };
         let table = table_words(&wl.entries);
-        let mut soc = Soc::build(cfg, &program, &table, &wl.gmem_init);
-        soc.begin_checked(4_000_000, 100_000);
-        // A segment short enough to stop mid-run (vec_mul halts ~800).
-        let done = soc.advance_checked(300).expect("segment runs clean");
-        assert!(done.is_none(), "workload must not finish in 300 cycles");
+        let mut soc = Soc::build(cfg, &orchestrator_program(), &table, &wl.gmem_init);
+        if let Some((pat, fc, seed)) = fault {
+            soc.inject_fault(pat, fc, seed).expect("pattern matches");
+        }
+        soc.begin(4_000_000, 100_000);
+        let status = soc.step_segment().expect("segment runs clean");
+        assert_eq!(status, SegmentStatus::Boundary, "must stop mid-run");
+        soc
+    }
+
+    fn mid_run_snapshot() -> (SimSnapshot, Soc) {
+        let soc = at_first_boundary(300, None);
         (soc.checkpoint(), soc)
     }
 
     #[test]
     fn snapshot_bytes_round_trip() {
-        let (snap, _soc) = mid_run_snapshot(SocConfig::default());
+        let (snap, _soc) = mid_run_snapshot();
         let bytes = snap.to_bytes();
         let back = SimSnapshot::from_bytes(&bytes).expect("parses");
         assert_eq!(back, snap);
@@ -580,11 +605,29 @@ mod tests {
     }
 
     #[test]
+    fn a_session_with_a_zero_watchdog_limit_is_malformed() {
+        let load = |no_progress_limit: u64| {
+            let session = SessionState {
+                remaining: 10,
+                no_progress_limit,
+                consumed: 0,
+                wd: WatchdogState::default(),
+                carried_progress: None,
+            };
+            let mut w = StateWriter::new();
+            session.save(&mut w);
+            SessionState::load(&mut StateReader::new(&w.into_bytes())).map(|back| back == session)
+        };
+        assert_eq!(load(1), Ok(true));
+        assert!(matches!(load(0), Err(CheckpointError::Malformed(_))));
+    }
+
+    #[test]
     fn restore_then_run_equals_uninterrupted() {
-        let (snap, mut original) = mid_run_snapshot(SocConfig::default());
+        let (snap, mut original) = mid_run_snapshot();
         let mut restored = Soc::restore(&snap).expect("replay verifies");
-        let a = original.resume_checked().expect("original finishes");
-        let b = restored.resume_checked().expect("restored finishes");
+        let a = original.run_to_end().expect("original finishes");
+        let b = restored.run_to_end().expect("restored finishes");
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.ctrl, b.ctrl);
         assert_eq!(a.completed, b.completed);
@@ -602,21 +645,13 @@ mod tests {
 
     #[test]
     fn restore_with_faults_reproduces_stats() {
-        let wl = vec_mul();
-        let program = orchestrator_program();
-        let table = table_words(&wl.entries);
-        let cfg = SocConfig::default();
-        let mut soc = Soc::build(cfg, &program, &table, &wl.gmem_init);
-        soc.inject_fault("l11p3->15", FaultConfig::bit_flip(0.01), 7)
-            .expect("pattern matches");
-        soc.begin_checked(4_000_000, 100_000);
-        let done = soc.advance_checked(400).expect("runs");
-        assert!(done.is_none());
+        let fault = ("l11p3->15", FaultConfig::bit_flip(0.01), 7);
+        let mut soc = at_first_boundary(400, Some(fault));
         let snap = soc.checkpoint();
         assert_eq!(snap.faults.len(), 1);
         let mut restored = Soc::restore(&snap).expect("replay verifies");
-        let a = soc.resume_checked().expect("finishes");
-        let b = restored.resume_checked().expect("finishes");
+        let a = soc.run_to_end().expect("finishes");
+        let b = restored.run_to_end().expect("finishes");
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(
             soc.fault_stats("l11p3->15").unwrap(),
@@ -627,7 +662,7 @@ mod tests {
 
     #[test]
     fn tampered_snapshot_diverges_with_typed_error() {
-        let (mut snap, _soc) = mid_run_snapshot(SocConfig::default());
+        let (mut snap, _soc) = mid_run_snapshot();
         // Claim one more instant than the capture really had: replay
         // reaches the extra instant but the digests disagree.
         if let Some(k) = &mut snap.kernel {

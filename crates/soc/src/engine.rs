@@ -1,35 +1,58 @@
-//! # Unified engine surface — one trait over all three facades
+//! # One supervised-run core — the engine surface and its driver
 //!
-//! [`Soc`] (sequential), [`ParallelSoc`] (GALS-sharded) and
-//! [`BatchSoc`] (lockstep fault lanes) grew three divergent
-//! run/checkpoint/report surfaces, so every caller — the benchmark,
-//! the job server — would re-implement engine selection with
-//! hand-rolled match arms. [`SimEngine`] is the
-//! object-safe seam that replaces them: `build` ([`build_engine`]) /
-//! `run_checked` / `checkpoint` ([`SimEngine::snapshot_bytes`]) /
-//! `restore` ([`restore_engine`]) / `report` / `telemetry`, plus the
-//! segmented-run primitives ([`SimEngine::begin`],
-//! [`SimEngine::step_segment`]) that a scheduler needs to preempt a
-//! run at a [`SocConfig::checkpoint_every`] boundary and resume it —
-//! possibly in a different simulation instance — from the snapshot
-//! bytes.
+//! [`Soc`] (one kernel), [`ParallelSoc`] (a GALS shard set) and
+//! [`BatchSoc`] (lockstep fault lanes over a golden `Soc`) are one
+//! abstraction with the execution model swapped behind it — the
+//! paper's Connections idea turned on ourselves. [`SimEngine`] is that
+//! abstraction, in two halves:
+//!
+//! * the **primitives** an engine supplies, which are all that differs
+//!   between the three: [`advance`](SimEngine::advance) the open
+//!   session by at most a budget, say [where the run
+//!   stands](SimEngine::position), [`seek`](SimEngine::seek) a fresh
+//!   build forward unsupervised, [arm a fault](SimEngine::arm_fault),
+//!   the architectural view ([`report`](SimEngine::report),
+//!   [`ctrl_status`](SimEngine::ctrl_status),
+//!   [`gmem_read`](SimEngine::gmem_read)), and three hooks
+//!   ([`at_boundary`](SimEngine::at_boundary),
+//!   [`at_end`](SimEngine::at_end), [`frame`](SimEngine::frame));
+//! * the **driver**, written once as the provided methods over the
+//!   shared [`RunCore`] (recipe, fault log, live session, last
+//!   capture, `sim.ckpt.*` odometers): [`begin`](SimEngine::begin),
+//!   [`step_segment`](SimEngine::step_segment),
+//!   [`run_to_end`](SimEngine::run_to_end),
+//!   [`inject_fault`](SimEngine::inject_fault),
+//!   [`checkpoint`](SimEngine::checkpoint) /
+//!   [`snapshot_bytes`](SimEngine::snapshot_bytes) and
+//!   [`replay`](SimEngine::replay).
+//!
+//! A scheduler preempts a run at a [`SocConfig::checkpoint_every`]
+//! boundary and resumes it — possibly in a different simulation
+//! instance — from the snapshot bytes. A boundary is captured and
+//! encoded once; [`SimEngine::snapshot_bytes`] there hands out that
+//! capture rather than taking a second one.
 //!
 //! Engines are deliberately **not** [`Send`] (they are `Rc`-based
 //! simulations), so a job can only migrate between worker threads as
 //! serialized snapshot bytes; [`restore_engine`] rebuilds and
 //! deterministically replays on the receiving side, preserving the
-//! PR 8 golden contract: restore-then-run ≡ uninterrupted run,
+//! golden contract: restore-then-run ≡ uninterrupted run,
 //! bit-identical.
 
 use crate::batch::{BatchReport, BatchSoc, LaneSpec};
-use crate::checkpoint::{BatchSnapshot, SimSnapshot};
+use crate::checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
+use crate::controller::CtrlStatus;
 use crate::parallel::ParallelSoc;
 use crate::partition::{PartitionError, PartitionSpec, MAX_SHARDS};
 use crate::soc::{ConfigError, FaultPatternError, RunResult, Soc, SocConfig, SocReport};
-use craft_connections::FaultStats;
-use craft_sim::checkpoint::CheckpointError;
+use craft_connections::{FaultConfig, FaultStats};
+use craft_sim::checkpoint::{fnv64, CheckpointError, KernelDigest, StateWriter, WatchdogState};
 use craft_sim::{SimError, Telemetry, TelemetrySnapshot};
+use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Which simulation engine services a run — the typed replacement for
 /// string/flag dispatch in benches and the job-server submission
@@ -197,11 +220,156 @@ impl From<PartitionError> for EngineError {
     }
 }
 
-/// The unified, object-safe engine surface. One `dyn SimEngine`
-/// behaves identically whichever facade backs it: begin a supervised
-/// session, step it segment by segment (preempting at boundaries via
-/// snapshot bytes), and read the blended [`SocReport`] /
-/// [`TelemetrySnapshot`] at the end.
+/// Where a run stands — what a capture records of the engine's
+/// progress and what a replay steers by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Position {
+    /// Global kernel instants processed so far.
+    pub instants: u64,
+    /// Hub (reference) clock cycles elapsed so far.
+    pub hub_cycles: u64,
+    /// Whether the kernel's watchdog progress token is set.
+    pub progress_set: bool,
+    /// The kernel-exact digest, when the engine is one kernel. Its
+    /// presence makes a capture *instant-exact*: the snapshot records
+    /// `instants` as its replay target (a sequential capture can sit
+    /// mid-cycle under GALS). A shard set has no single kernel, is only
+    /// ever captured at a hub-cycle boundary, and replays to
+    /// `hub_cycles`.
+    pub kernel: Option<KernelDigest>,
+}
+
+/// What one [`SimEngine::advance`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Advance {
+    /// Hub cycles the call consumed.
+    pub cycles: u64,
+    /// `Some(completed)` when the run itself ended — the controller
+    /// halted (`true`) or the kernel stopped with nothing left to do
+    /// (`false`); `None` when only this call's budget ran out.
+    pub ended: Option<bool>,
+}
+
+/// The `sim.ckpt.{count,bytes,last_ns}` odometers: captures taken,
+/// the last framed size, the last capture latency. Observation-only —
+/// a capture never mutates simulation state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CkptOdometers(Rc<[Cell<u64>; 3]>);
+
+impl CkptOdometers {
+    const PATHS: [&'static str; 3] = ["sim.ckpt.count", "sim.ckpt.bytes", "sim.ckpt.last_ns"];
+
+    fn record(&self, bytes: usize, since: Instant) {
+        let [count, last_bytes, last_ns] = &*self.0;
+        count.set(count.get() + 1);
+        last_bytes.set(bytes as u64);
+        last_ns.set(u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// `(path, value)` per odometer, as of now.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Self::PATHS.into_iter().zip(self.0.iter().map(Cell::get))
+    }
+
+    /// Publishes the odometers into `tel` as lazily polled probes.
+    pub(crate) fn publish(&self, tel: &Telemetry) {
+        for (i, path) in Self::PATHS.into_iter().enumerate() {
+            let cells = Rc::clone(&self.0);
+            tel.probe(path, move || cells[i].get());
+        }
+    }
+}
+
+/// One capture: the snapshot and its framed encoding, taken together.
+#[derive(Debug, Clone)]
+pub(crate) struct Capture {
+    pub(crate) snapshot: SimSnapshot,
+    pub(crate) bytes: Vec<u8>,
+}
+
+/// The engine-independent state of a run, held once per engine and
+/// worked by the [`SimEngine`] driver: the shared build [`Recipe`], the
+/// ordered fault log beside it, the live supervised session, the last
+/// boundary's capture and the `sim.ckpt.*` odometers.
+#[derive(Debug)]
+pub struct RunCore {
+    pub(crate) recipe: Arc<Recipe>,
+    pub(crate) faults: Vec<FaultEvent>,
+    pub(crate) session: Option<SessionState>,
+    pub(crate) last: Option<Capture>,
+    pub(crate) ckpt: CkptOdometers,
+}
+
+impl RunCore {
+    /// A fresh core for an engine built from `recipe`: no faults, no
+    /// session, nothing captured.
+    pub(crate) fn new(recipe: Arc<Recipe>) -> RunCore {
+        RunCore {
+            recipe,
+            faults: Vec::new(),
+            session: None,
+            last: None,
+            ckpt: CkptOdometers::default(),
+        }
+    }
+}
+
+/// Takes a capture of `eng` now: one snapshot, one encode, one tick of
+/// the odometers.
+fn capture<E: SimEngine + ?Sized>(eng: &E) -> Capture {
+    let t0 = Instant::now();
+    let core = eng.core();
+    let pos = eng.position();
+    let snapshot = SimSnapshot {
+        recipe: Arc::clone(&core.recipe),
+        faults: core.faults.clone(),
+        instants: pos.kernel.is_some().then_some(pos.instants),
+        hub_cycles: pos.hub_cycles,
+        progress_set: pos.progress_set,
+        session: core.session,
+        arch: arch_digest(eng, pos.hub_cycles),
+        kernel: pos.kernel,
+    };
+    let bytes = eng.frame(&snapshot);
+    core.ckpt.record(bytes.len(), t0);
+    Capture { snapshot, bytes }
+}
+
+/// The capture of where `eng` stands: the last boundary's when nothing
+/// has moved since (same position, fault log and session), else a
+/// fresh one.
+pub(crate) fn current_capture<E: SimEngine + ?Sized>(eng: &E) -> Capture {
+    let core = eng.core();
+    if let Some(last) = &core.last {
+        let (snap, pos) = (&last.snapshot, eng.position());
+        if snap.hub_cycles == pos.hub_cycles
+            && snap.instants.is_none_or(|i| i == pos.instants)
+            && snap.faults.len() == core.faults.len()
+            && snap.session == core.session
+        {
+            return last.clone();
+        }
+    }
+    capture(eng)
+}
+
+/// Hashes the observable run state — the portable half of snapshot
+/// verification, identical whichever engine computes it.
+fn arch_digest<E: SimEngine + ?Sized>(eng: &E, hub_cycles: u64) -> ArchDigest {
+    let mut w = StateWriter::new();
+    w.put_u64s(&eng.gmem_read(0, eng.config().gmem_words));
+    ArchDigest {
+        hub_cycles,
+        report_fnv: fnv64(eng.report().to_json().as_bytes()),
+        ctrl_fnv: fnv64(format!("{:?}", eng.ctrl_status()).as_bytes()),
+        gmem_fnv: fnv64(&w.into_bytes()),
+    }
+}
+
+/// The one engine surface, object-safe: an engine supplies the
+/// primitives (the required methods) and gets the supervised run —
+/// session, segments, captures, replay — from the provided ones. One
+/// `dyn SimEngine` behaves identically whichever engine backs it.
 ///
 /// Obtain one with [`build_engine`] (fresh) or [`restore_engine`]
 /// (from snapshot bytes); both inject the submission's fault vectors
@@ -211,48 +379,190 @@ pub trait SimEngine {
     /// The engine's [`EngineKind`].
     fn kind(&self) -> EngineKind;
 
+    /// The shared run state the driver works on.
+    fn core(&self) -> &RunCore;
+
+    /// Mutable access to the shared run state.
+    fn core_mut(&mut self) -> &mut RunCore;
+
+    /// Primitive: advances the run by at most `budget` hub cycles
+    /// under the watchdog, carrying the watchdog state of `session`
+    /// (`no_progress_limit`, `wd`, `carried_progress`) across the call
+    /// so a segmented run trips on exactly the cycle an unsegmented
+    /// one would. The driver keeps the cycle accounting; a hang
+    /// diagnosis or kernel fault is the error.
+    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError>;
+
+    /// Primitive: where the run stands now.
+    fn position(&self) -> Position;
+
+    /// Primitive: steps a freshly built engine forward, unsupervised,
+    /// to exactly `instants` kernel instants when a target is given and
+    /// the engine is one kernel, else to `hub_cycles` hub cycles — the
+    /// two replay schemes. A target behind the current position, or one
+    /// the run cannot reach, is a typed error.
+    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError>;
+
+    /// Primitive: arms a seeded injector on every NoC channel whose
+    /// name contains `pat`, returning how many matched. Callers want
+    /// [`SimEngine::inject_fault`], which also logs the event.
+    fn arm_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError>;
+
+    /// Primitive: sets the watchdog progress flag to what a capture
+    /// recorded. Only a single kernel has one to set.
+    fn set_progress(&mut self, _set: bool) {}
+
+    /// Architectural view: the blended observable report (for the
+    /// batch engine: the golden run's report; per-lane reports live in
+    /// [`SimEngine::batch_report`]).
+    fn report(&self) -> SocReport;
+
+    /// Architectural view: the controller's status as of now.
+    fn ctrl_status(&self) -> CtrlStatus;
+
+    /// Architectural view: `len` words of global memory at `base`
+    /// (golden image for the batch engine).
+    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64>;
+
+    /// Telemetry snapshot, if the engine was built with a sink.
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot>;
+
+    /// Blended fault statistics over channels matching `pat` (the
+    /// injected vector's pattern for the sequential/parallel engines).
+    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError>;
+
+    /// Hook: a segment boundary was crossed and captured; the session
+    /// is open. The adaptive shard set re-cuts itself here.
+    fn at_boundary(&mut self) {}
+
+    /// Hook: the session just ended — `session` is its final state —
+    /// with a result or an error. The batch engine settles its lanes
+    /// here, under the session's limits.
+    fn at_end(&mut self, _session: &SessionState, _res: Result<&RunResult, &SimError>) {}
+
+    /// Hook: frames a capture into wire bytes — the [`SimSnapshot`]
+    /// frame, which the batch engine wraps with its lane table.
+    fn frame(&self, snapshot: &SimSnapshot) -> Vec<u8> {
+        snapshot.to_bytes()
+    }
+
+    /// The per-lane batch report once the batch engine has settled;
+    /// `None` for non-batch engines or before completion.
+    fn batch_report(&self) -> Option<&BatchReport> {
+        None
+    }
+
     /// The configuration this engine was built from.
-    fn config(&self) -> &SocConfig;
+    fn config(&self) -> &SocConfig {
+        &self.core().recipe.cfg
+    }
 
     /// Opens a supervised-run session: `max_cycles` total budget,
-    /// watchdog `no_progress_limit`. Mirrors `begin_checked` on the
-    /// facades.
+    /// watchdog `no_progress_limit`.
     ///
     /// # Panics
-    /// Panics if a session is already open (or, for the batch
-    /// engine, if its one-shot golden run was already consumed).
-    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64);
+    /// Panics if `no_progress_limit` is zero or a session is already
+    /// open.
+    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
+        assert!(
+            no_progress_limit > 0,
+            "no_progress_limit must be at least one cycle"
+        );
+        assert!(
+            !self.session_open(),
+            "a supervised run session is already open"
+        );
+        let last_cycle = self.position().hub_cycles;
+        self.core_mut().session = Some(SessionState {
+            remaining: max_cycles,
+            no_progress_limit,
+            consumed: 0,
+            wd: WatchdogState {
+                idle: 0,
+                last_cycle,
+            },
+            carried_progress: None,
+        });
+    }
 
     /// Whether a supervised session is open (a snapshot taken now
     /// resumes mid-budget).
-    fn session_open(&self) -> bool;
+    fn session_open(&self) -> bool {
+        self.core().session.is_some()
+    }
 
     /// Runs one segment of the open session — at most
     /// [`SocConfig::checkpoint_every`] cycles (the whole budget when
-    /// unset). At a [`SegmentStatus::Boundary`] the automatic
-    /// checkpoint has been captured and the engine may be dropped and
-    /// later revived with [`restore_engine`] from
-    /// [`SimEngine::snapshot_bytes`]. Errors (watchdog hang
-    /// diagnoses) close the session.
+    /// unset). At a [`SegmentStatus::Boundary`] budget remains and the
+    /// automatic checkpoint has been captured: the engine may be
+    /// dropped and later revived with [`restore_engine`] from
+    /// [`SimEngine::snapshot_bytes`]. [`SegmentStatus::Done`] carries
+    /// the whole-run blended result (its `wall` covers only the final
+    /// segment). Errors (watchdog hang diagnoses) close the session.
+    /// Segmentation and capture are observation-only: outcome, cycle
+    /// count and watchdog trip point are those of an unsegmented run.
     ///
     /// # Panics
     /// Panics if no session is open.
-    fn step_segment(&mut self) -> Result<SegmentStatus, SimError>;
+    fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
+        let t0 = Instant::now();
+        let open = self.core_mut().session.take();
+        let mut s = open.expect("no supervised run session open");
+        let every = self.config().checkpoint_every;
+        let budget = every.unwrap_or(u64::MAX).min(s.remaining);
+        let adv = match self.advance(budget, &mut s) {
+            Ok(adv) => adv,
+            Err(e) => {
+                self.at_end(&s, Err(&e));
+                return Err(e);
+            }
+        };
+        s.consumed += adv.cycles;
+        s.remaining -= adv.cycles.min(s.remaining);
+        // Only this segment's budget ran out and the session has more:
+        // a boundary, which can only exist when an interval is set.
+        if adv.ended.is_none() && s.remaining > 0 {
+            self.core_mut().session = Some(s);
+            let boundary = capture(self);
+            self.core_mut().last = Some(boundary);
+            self.at_boundary();
+            return Ok(SegmentStatus::Boundary);
+        }
+        let res = RunResult {
+            cycles: s.consumed,
+            wall: t0.elapsed(),
+            ctrl: self.ctrl_status(),
+            completed: adv.ended == Some(true),
+        };
+        self.at_end(&s, Ok(&res));
+        Ok(SegmentStatus::Done(res))
+    }
 
     /// Drives the open session to completion (the non-preempting
-    /// path): loops [`SimEngine::step_segment`] until it yields
-    /// [`SegmentStatus::Done`].
+    /// path). The result's `cycles` accumulate across every segment —
+    /// and, for a restored session, the cycles consumed before the
+    /// snapshot — so it equals the uninterrupted run's; its `wall`
+    /// covers this call.
     fn run_to_end(&mut self) -> Result<RunResult, SimError> {
+        let t0 = Instant::now();
         loop {
-            if let SegmentStatus::Done(r) = self.step_segment()? {
+            if let SegmentStatus::Done(mut r) = self.step_segment()? {
+                r.wall = t0.elapsed();
                 return Ok(r);
             }
         }
     }
 
     /// [`SimEngine::begin`] + [`SimEngine::run_to_end`] — the
-    /// uninterrupted supervised run, equivalent to the facades'
-    /// `run_checked`.
+    /// uninterrupted supervised run: every NoC flit channel is a
+    /// progress source, and `no_progress_limit` consecutive hub cycles
+    /// without one NoC push/pop turn a would-be infinite run into a
+    /// typed [`SimError::Hang`] carrying the diagnosis.
     fn run_checked(
         &mut self,
         max_cycles: u64,
@@ -262,188 +572,126 @@ pub trait SimEngine {
         self.run_to_end()
     }
 
-    /// Serializes a snapshot of the current boundary into the framed
-    /// PR 8 wire format ([`SimSnapshot`] for the sequential/parallel
-    /// engines, [`BatchSnapshot`] for the batch engine). Feed it back
-    /// through [`restore_engine`] with the same [`EngineKind`].
-    fn snapshot_bytes(&self) -> Vec<u8>;
-
-    /// The blended observable report (for the batch engine: the
-    /// golden run's report; per-lane reports live in
-    /// [`SimEngine::batch_report`]).
-    fn report(&self) -> SocReport;
-
-    /// Telemetry snapshot, if the engine was built with a sink.
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot>;
-
-    /// Reads `len` words of global memory at `base` (golden image for
-    /// the batch engine).
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64>;
-
-    /// Blended fault statistics over channels matching `pat` (the
-    /// injected vector's pattern for the sequential/parallel engines).
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError>;
-
-    /// The per-lane batch report once the batch engine has settled;
-    /// `None` for non-batch engines or before completion.
-    fn batch_report(&self) -> Option<&BatchReport> {
-        None
-    }
-}
-
-impl SimEngine for Soc {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Soc
+    /// Injects a seeded fault into every NoC flit channel whose name
+    /// contains `pat` ([`SimEngine::arm_fault`]) and, on success, logs
+    /// the event with both progress coordinates, so a restore re-arms
+    /// it at the same point and the injectors' decision streams replay
+    /// bit for bit. Returns how many channels matched.
+    fn inject_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError> {
+        let matched = self.arm_fault(pat, cfg, seed)?;
+        let pos = self.position();
+        self.core_mut().faults.push(FaultEvent {
+            pattern: pat.to_string(),
+            cfg,
+            seed,
+            at_instants: pos.instants,
+            at_cycles: pos.hub_cycles,
+        });
+        Ok(matched)
     }
 
-    fn config(&self) -> &SocConfig {
-        self.config()
+    /// A versioned [`SimSnapshot`] of where the run stands: the replay
+    /// recipe (shared build inputs, fault log), the progress target,
+    /// the open session if any, and the verification digests. At a
+    /// boundary this is that boundary's capture; anywhere else a fresh
+    /// one is taken (and counted by the `sim.ckpt.*` odometers).
+    /// Observation-only: a capture never perturbs the simulation.
+    fn checkpoint(&self) -> SimSnapshot {
+        current_capture(self).snapshot
     }
 
-    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        self.begin_checked(max_cycles, no_progress_limit);
-    }
-
-    fn session_open(&self) -> bool {
-        Soc::session_open(self)
-    }
-
-    fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        Soc::step_segment(self)
-    }
-
+    /// [`SimEngine::checkpoint`] in the framed wire format
+    /// ([`SimSnapshot`] for the sequential/parallel engines,
+    /// [`BatchSnapshot`] for the batch engine). A preemption — a
+    /// boundary, then this — captures and encodes once. Feed it back
+    /// through [`restore_engine`].
     fn snapshot_bytes(&self) -> Vec<u8> {
-        self.checkpoint().to_bytes()
+        current_capture(self).bytes
     }
 
-    fn report(&self) -> SocReport {
-        Soc::report(self)
+    /// The most recent automatic checkpoint taken at a segment
+    /// boundary ([`SocConfig::checkpoint_every`]), if any. It survives
+    /// the session's end, so after a [`SimError::Hang`] it is the last
+    /// capture before the diagnosis. (For the batch engine: the golden
+    /// half; [`BatchSoc::last_checkpoint`] has the lane table too.)
+    fn last_checkpoint(&self) -> Option<&SimSnapshot> {
+        self.core().last.as_ref().map(|c| &c.snapshot)
     }
 
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        Soc::telemetry_snapshot(self)
+    /// [`SimEngine::last_checkpoint`] as the wire bytes that boundary
+    /// encoded — what [`SimEngine::snapshot_bytes`] returned there.
+    fn last_checkpoint_bytes(&self) -> Option<&[u8]> {
+        self.core().last.as_ref().map(|c| c.bytes.as_slice())
     }
 
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        Soc::gmem_read(self, base, len)
-    }
-
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
-        Soc::fault_stats(self, pat)
-    }
-}
-
-impl SimEngine for ParallelSoc {
-    fn kind(&self) -> EngineKind {
-        // Honest kind recovery: adaptive facades are `:auto` whatever
-        // cut they currently sit on; a non-strip static cut is the
-        // explicit-spec kind; only the historical strips are plain
-        // `parallel:N`.
-        let spec = self.partition_spec();
-        if self.auto_repartition() {
-            EngineKind::ParallelAuto {
-                threads: self.threads(),
-            }
-        } else if PartitionSpec::vertical_strips_checked(self.threads()) == Some(spec) {
-            EngineKind::Parallel {
-                threads: self.threads(),
-            }
-        } else {
-            EngineKind::ParallelSpec { spec }
+    /// Replays this freshly built engine to `snap`'s capture point:
+    /// re-arms each logged fault at its recorded position in order,
+    /// seeks to the target (instant-exact for sequential captures,
+    /// hub-cycle for shard sets), verifies the kernel digest when both
+    /// sides have one and the architectural digest always, and
+    /// reinstates the open session — restore-then-run ≡ uninterrupted
+    /// run. Any mismatch is a typed
+    /// [`CheckpointError::ReplayDivergence`].
+    fn replay(&mut self, snap: &SimSnapshot) -> Result<(), CheckpointError> {
+        for ev in &snap.faults {
+            self.seek(snap.instants.map(|_| ev.at_instants), ev.at_cycles)?;
+            self.inject_fault(&ev.pattern, ev.cfg, ev.seed)
+                .map_err(|e| {
+                    CheckpointError::Malformed(format!("logged fault failed to re-arm: {e}"))
+                })?;
         }
-    }
-
-    fn config(&self) -> &SocConfig {
-        self.config()
-    }
-
-    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        self.begin_checked(max_cycles, no_progress_limit);
-    }
-
-    fn session_open(&self) -> bool {
-        ParallelSoc::session_open(self)
-    }
-
-    fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        ParallelSoc::step_segment(self)
-    }
-
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        self.checkpoint().to_bytes()
-    }
-
-    fn report(&self) -> SocReport {
-        ParallelSoc::report(self)
-    }
-
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        ParallelSoc::telemetry_snapshot(self)
-    }
-
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        ParallelSoc::gmem_read(self, base, len)
-    }
-
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
-        ParallelSoc::fault_stats(self, pat)
+        self.seek(snap.instants, snap.hub_cycles)?;
+        self.set_progress(snap.progress_set);
+        let pos = self.position();
+        if let (Some(want), Some(got)) = (&snap.kernel, &pos.kernel) {
+            want.verify(got)?;
+        }
+        snap.arch.verify(&arch_digest(self, pos.hub_cycles))?;
+        self.core_mut().session = snap.session;
+        Ok(())
     }
 }
 
-impl SimEngine for BatchSoc {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Batch
-    }
-
-    fn config(&self) -> &SocConfig {
-        self.config()
-    }
-
-    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        BatchSoc::begin(self, max_cycles, no_progress_limit);
-    }
-
-    fn session_open(&self) -> bool {
-        self.golden().session_open()
-    }
-
-    fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        BatchSoc::step_segment(self)
-    }
-
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        self.checkpoint().to_bytes()
-    }
-
-    fn report(&self) -> SocReport {
-        self.golden().report()
-    }
-
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.golden().telemetry_snapshot()
-    }
-
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        self.golden().gmem_read(base, len)
-    }
-
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
-        // The golden run carries shadow banks, not real injectors;
-        // per-lane statistics come from the settled batch report.
-        self.golden().fault_stats(pat)
-    }
-
-    fn batch_report(&self) -> Option<&BatchReport> {
-        self.last_report()
-    }
+/// Builds an engine from `snap`'s recipe with `build` and replays it to
+/// the capture point — the body of every facade's `restore`.
+pub(crate) fn revive<E: SimEngine>(
+    snap: &SimSnapshot,
+    build: impl FnOnce(Arc<Recipe>) -> Result<E, CheckpointError>,
+) -> Result<E, CheckpointError> {
+    snap.recipe
+        .cfg
+        .validate()
+        .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
+    let mut eng = build(Arc::clone(&snap.recipe))?;
+    eng.replay(snap)?;
+    Ok(eng)
 }
 
-/// The cut a `parallel:<threads>:auto` engine starts on; `None` when
-/// `threads` is outside `1..=MAX_SHARDS`.
-fn auto_seed_cut(threads: usize) -> Option<PartitionSpec> {
-    (1..=MAX_SHARDS)
-        .contains(&threads)
-        .then(|| PartitionSpec::balanced(threads))
+impl EngineKind {
+    /// The cut a parallel spelling starts on and whether it adapts;
+    /// `None` for the other engines.
+    fn parallel_cut(self) -> Result<Option<(PartitionSpec, bool)>, EngineError> {
+        let bad = EngineError::BadThreads;
+        Ok(match self {
+            EngineKind::Soc | EngineKind::Batch => None,
+            EngineKind::Parallel { threads } => Some((
+                PartitionSpec::vertical_strips_checked(threads).ok_or(bad(threads))?,
+                false,
+            )),
+            EngineKind::ParallelAuto { threads } => {
+                if !(1..=MAX_SHARDS).contains(&threads) {
+                    return Err(bad(threads));
+                }
+                Some((PartitionSpec::balanced(threads), true))
+            }
+            EngineKind::ParallelSpec { spec } => Some((spec, false)),
+        })
+    }
 }
 
 /// Builds a fresh engine of `kind` with every fault vector in
@@ -462,102 +710,73 @@ pub fn build_engine(
     telemetry: bool,
 ) -> Result<Box<dyn SimEngine>, EngineError> {
     cfg.validate()?;
-    // Every parallel spelling is one facade on a starting cut, adaptive
-    // or not.
-    let parallel = |spec: PartitionSpec, auto: bool| -> Result<Box<dyn SimEngine>, EngineError> {
-        spec.validate_for(&cfg)?;
-        let mut soc =
-            ParallelSoc::build_partitioned(cfg, program, staging_init, gmem_init, spec, telemetry);
-        soc.set_auto_repartition(auto);
-        for f in faults {
-            soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
+    let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
+    let tel = telemetry.then(Telemetry::new);
+    let mut eng: Box<dyn SimEngine> = match kind.parallel_cut()? {
+        Some((spec, auto)) => {
+            spec.validate_for(&cfg)?;
+            let mut soc = ParallelSoc::from_recipe(recipe, spec, telemetry);
+            soc.set_auto_repartition(auto);
+            Box::new(soc)
         }
-        Ok(Box::new(soc))
-    };
-    match kind {
-        EngineKind::Soc => {
-            let tel = telemetry.then(Telemetry::new);
-            let mut soc = Soc::build_with_telemetry(cfg, program, staging_init, gmem_init, tel);
-            for f in faults {
-                soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
-            }
-            Ok(Box::new(soc))
-        }
-        EngineKind::Parallel { threads } => parallel(
-            PartitionSpec::vertical_strips_checked(threads)
-                .ok_or(EngineError::BadThreads(threads))?,
-            false,
-        ),
-        EngineKind::ParallelAuto { threads } => parallel(
-            auto_seed_cut(threads).ok_or(EngineError::BadThreads(threads))?,
-            true,
-        ),
-        EngineKind::ParallelSpec { spec } => parallel(spec, false),
-        EngineKind::Batch => {
+        None if kind == EngineKind::Batch => {
             if faults.is_empty() {
                 return Err(EngineError::EmptyBatch);
             }
-            let tel = telemetry.then(Telemetry::new);
-            let batch = BatchSoc::build_with_telemetry(
-                cfg,
-                program,
-                staging_init,
-                gmem_init,
+            return Ok(Box::new(BatchSoc::from_recipe(
+                recipe,
                 faults.to_vec(),
                 tel,
-            )?;
-            Ok(Box::new(batch))
+            )?));
         }
+        None => Box::new(Soc::from_recipe(recipe, tel, None)),
+    };
+    for f in faults {
+        eng.inject_fault(&f.pattern, f.cfg, f.seed)?;
     }
+    Ok(eng)
 }
 
 /// Revives an engine of `kind` from [`SimEngine::snapshot_bytes`]:
 /// decodes the framed snapshot, rebuilds, deterministically replays
-/// to the capture boundary and verifies the architectural digest. An
-/// open session resumes exactly where the capture left it. Feeding
-/// bytes of the wrong snapshot kind (a batch frame to a non-batch
-/// engine, or vice versa) is a typed [`CheckpointError::WrongKind`].
+/// to the capture boundary and verifies the digests. An open session
+/// resumes exactly where the capture left it. Feeding bytes of the
+/// wrong snapshot kind (a batch frame to a non-batch engine, or vice
+/// versa) is a typed [`CheckpointError::WrongKind`]; a spelling with
+/// no cut is [`CheckpointError::Malformed`]. A `soc` snapshot restores
+/// under any `parallel:*` spelling and back — the architectural digest
+/// is portable.
 pub fn restore_engine(
     kind: EngineKind,
     bytes: &[u8],
     telemetry: bool,
 ) -> Result<Box<dyn SimEngine>, CheckpointError> {
-    let parallel =
-        |spec: PartitionSpec, auto: bool| -> Result<Box<dyn SimEngine>, CheckpointError> {
+    let tel = telemetry.then(Telemetry::new);
+    let cut = kind
+        .parallel_cut()
+        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    Ok(match cut {
+        Some((spec, auto)) => {
             let snap = SimSnapshot::from_bytes(bytes)?;
             let mut soc = ParallelSoc::restore_partitioned(&snap, spec, telemetry)?;
             soc.set_auto_repartition(auto);
-            Ok(Box::new(soc))
-        };
-    let bad_threads = |threads: usize| {
-        CheckpointError::Malformed(format!("no cut for engine thread count {threads}"))
-    };
-    match kind {
-        EngineKind::Soc => {
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            let tel = telemetry.then(Telemetry::new);
-            Ok(Box::new(Soc::restore_with_telemetry(&snap, tel)?))
+            Box::new(soc)
         }
-        EngineKind::Parallel { threads } => parallel(
-            PartitionSpec::vertical_strips_checked(threads).ok_or_else(|| bad_threads(threads))?,
-            false,
-        ),
-        EngineKind::ParallelAuto { threads } => parallel(
-            auto_seed_cut(threads).ok_or_else(|| bad_threads(threads))?,
-            true,
-        ),
-        EngineKind::ParallelSpec { spec } => parallel(spec, false),
-        EngineKind::Batch => {
+        None if kind == EngineKind::Batch => {
             let snap = BatchSnapshot::from_bytes(bytes)?;
-            Ok(Box::new(BatchSoc::restore(&snap)?))
+            Box::new(BatchSoc::restore_with_telemetry(&snap, tel)?)
         }
-    }
+        None => {
+            let snap = SimSnapshot::from_bytes(bytes)?;
+            Box::new(Soc::restore_with_telemetry(&snap, tel)?)
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{orchestrator_program, table_words, vec_mul};
+    use crate::workloads::{orchestrator_program, table_words, vec_mul, Workload};
 
     #[allow(clippy::type_complexity)]
     fn build_inputs() -> (Vec<u32>, Vec<u32>, Vec<(usize, Vec<u64>)>) {
@@ -721,46 +940,312 @@ mod tests {
         }
     }
 
-    #[test]
-    fn preempt_restore_round_trip_matches_uninterrupted() {
-        let (program, staging, gmem) = build_inputs();
+    /// Every wire spelling of an engine.
+    fn spellings() -> [EngineKind; 5] {
+        [
+            EngineKind::Soc,
+            EngineKind::Parallel { threads: 2 },
+            EngineKind::ParallelAuto { threads: 2 },
+            EngineKind::ParallelSpec {
+                spec: PartitionSpec::parse("1111020000000000").unwrap(),
+            },
+            EngineKind::Batch,
+        ]
+    }
+
+    const HOT_LINK: &str = "l11p3->15";
+
+    fn build(kind: EngineKind, every: u64, wl: &Workload, fault: &LaneSpec) -> Box<dyn SimEngine> {
+        build_with(kind, every, wl, fault, false)
+    }
+
+    fn build_with(
+        kind: EngineKind,
+        every: u64,
+        wl: &Workload,
+        fault: &LaneSpec,
+        telemetry: bool,
+    ) -> Box<dyn SimEngine> {
         let cfg = SocConfig {
-            checkpoint_every: Some(400),
+            checkpoint_every: Some(every),
             ..SocConfig::default()
         };
+        build_engine(
+            kind,
+            cfg,
+            &orchestrator_program(),
+            &table_words(&wl.entries),
+            &wl.gmem_init,
+            std::slice::from_ref(fault),
+            telemetry,
+        )
+        .expect("engine builds")
+    }
+
+    /// Everything observable about a finished run, wall clock folded
+    /// out; an error renders with its whole [`craft_sim::HangReport`].
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(u64, bool), String>,
+        report: String,
+        gmem: Vec<u64>,
+        lanes: Option<Vec<String>>,
+    }
+
+    /// A merged [`craft_sim::HangReport`] lists components and channels
+    /// shard by shard, and the adaptive engine's cut at the trip depends
+    /// on where it was last revived — so the listing is compared as a
+    /// set, everything else verbatim.
+    fn fold(res: &Result<RunResult, SimError>) -> Result<(u64, bool), String> {
+        match res {
+            Ok(r) => Ok((r.cycles, r.completed)),
+            Err(e) => {
+                let mut e = e.clone();
+                if let SimError::Hang { report, .. } = &mut e {
+                    report.components.sort_by_key(|c| format!("{c:?}"));
+                    report.channels.sort_by_key(|c| format!("{c:?}"));
+                }
+                Err(format!("{e:?}"))
+            }
+        }
+    }
+
+    fn observe(eng: &dyn SimEngine, res: &Result<RunResult, SimError>) -> Observed {
+        Observed {
+            result: fold(res),
+            report: eng.report().to_json(),
+            gmem: eng.gmem_read(0, eng.config().gmem_words),
+            lanes: eng.batch_report().map(|b| {
+                let lane = |l: &crate::batch::LaneRun| {
+                    format!(
+                        "{} {} {:?} {} {:?} {:?} {:?}",
+                        l.lane,
+                        l.deopted,
+                        l.diverged_at_token,
+                        l.panicked,
+                        l.result.as_ref().map(fold),
+                        l.report,
+                        l.fault_stats
+                    )
+                };
+                let mut lanes: Vec<String> = b.lanes.iter().map(lane).collect();
+                lanes.push(format!("{:?}", (fold(&b.golden), b.deopt_lanes)));
+                lanes
+            }),
+        }
+    }
+
+    /// The chain a contended server runs: snapshot, drop, restore at
+    /// *every* boundary. Returns the outcome and the boundaries crossed.
+    fn run_chain(mut eng: Box<dyn SimEngine>, kind: EngineKind) -> (Observed, usize) {
+        let mut boundaries = 0;
+        let res = loop {
+            match eng.step_segment() {
+                Ok(SegmentStatus::Boundary) => {
+                    boundaries += 1;
+                    let bytes = eng.snapshot_bytes();
+                    drop(eng);
+                    eng = restore_engine(kind, &bytes, false).expect("snapshot restores");
+                    assert!(eng.session_open(), "{kind}: session survives");
+                }
+                Ok(SegmentStatus::Done(r)) => break Ok(r),
+                Err(e) => break Err(e),
+            }
+        };
+        (observe(&*eng, &res), boundaries)
+    }
+
+    /// The engine contract, for every spelling: a run preempted and
+    /// revived from bytes at every boundary ≡ the uninterrupted run —
+    /// cycles, `completed`, report, memory and lane outcomes.
+    #[test]
+    fn restore_at_every_boundary_matches_uninterrupted() {
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
+        for kind in spellings() {
+            let mut base = build(kind, 200, &wl, &fault);
+            let base_res = base.run_checked(8_000_000, 50_000);
+            assert!(base_res.as_ref().is_ok_and(|r| r.completed), "{kind}");
+
+            let mut eng = build(kind, 200, &wl, &fault);
+            eng.begin(8_000_000, 50_000);
+            let (chained, boundaries) = run_chain(eng, kind);
+            assert!(boundaries >= 3, "{kind}: {boundaries} boundaries");
+            assert_eq!(chained, observe(&*base, &base_res), "{kind}");
+        }
+    }
+
+    /// The same chain through a hang: the lane ISSUE 16 measured
+    /// wedging near cycle 740. Every restore replays from t = 0, so the
+    /// watchdog tail is kept short and the interval coarse.
+    #[test]
+    fn restore_chain_through_a_hang_reproduces_the_diagnosis() {
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(3e-3), 800);
+        for kind in spellings() {
+            let mut base = build(kind, 1_000, &wl, &fault);
+            let base_res = base.run_checked(8_000_000, 5_000);
+            let base_out = observe(&*base, &base_res);
+            // The batch engine's golden run is fault-free; its one lane
+            // de-opts into the hang.
+            let hung = match &base_out.lanes {
+                Some(lanes) => &lanes[0],
+                None => base_out.result.as_ref().expect_err("the lane hangs"),
+            };
+            assert!(hung.contains("Hang"), "{kind}: {hung}");
+
+            // Segmented in place: the last boundary's capture survives
+            // the diagnosis.
+            let mut seg = build(kind, 1_000, &wl, &fault);
+            seg.begin(8_000_000, 5_000);
+            let mut last = None;
+            let seg_res = loop {
+                match seg.step_segment() {
+                    Ok(SegmentStatus::Boundary) => last = Some(seg.snapshot_bytes()),
+                    Ok(SegmentStatus::Done(r)) => break Ok(r),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert_eq!(observe(&*seg, &seg_res), base_out, "{kind}: segmented");
+            assert_eq!(seg.last_checkpoint_bytes(), last.as_deref(), "{kind}");
+            assert_eq!(last.is_some(), kind != EngineKind::Batch, "{kind}");
+
+            let mut eng = build(kind, 1_000, &wl, &fault);
+            eng.begin(8_000_000, 5_000);
+            assert_eq!(run_chain(eng, kind).0, base_out, "{kind}: chained");
+        }
+    }
+
+    /// A `soc` snapshot restores under `parallel:2` and back: the
+    /// architectural digest is portable, the kernel digest is skipped.
+    #[test]
+    fn snapshots_cross_between_soc_and_parallel() {
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
+        let (soc, par) = (EngineKind::Soc, EngineKind::Parallel { threads: 2 });
+        let mut base = build(soc, 300, &wl, &fault);
+        let base_res = base.run_checked(8_000_000, 50_000);
+        let base_out = observe(&*base, &base_res);
+        for (from, to) in [(soc, par), (par, soc)] {
+            let mut eng = build(from, 300, &wl, &fault);
+            eng.begin(8_000_000, 50_000);
+            assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
+            let mut revived = restore_engine(to, &eng.snapshot_bytes(), false)
+                .unwrap_or_else(|e| panic!("{from} -> {to}: {e}"));
+            assert_eq!(revived.kind(), to);
+            let res = revived.run_to_end();
+            assert_eq!(observe(&*revived, &res), base_out, "{from} -> {to}");
+        }
+    }
+
+    /// One capture per boundary: `snapshot_bytes()` at a boundary hands
+    /// out that boundary's capture, so N preemption points count N.
+    #[test]
+    fn a_boundary_is_captured_once() {
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 7);
+        for kind in spellings() {
+            let mut eng = build_with(kind, 150, &wl, &fault, true);
+            eng.begin(8_000_000, 50_000);
+            let (mut boundaries, mut framed) = (0, 0);
+            while eng.step_segment().expect("clean run") == SegmentStatus::Boundary {
+                boundaries += 1;
+                let bytes = eng.snapshot_bytes();
+                assert_eq!(
+                    eng.last_checkpoint_bytes(),
+                    Some(bytes.as_slice()),
+                    "{kind}"
+                );
+                assert_eq!(eng.snapshot_bytes(), bytes, "{kind}: stable at a boundary");
+                framed = bytes.len() as u64;
+            }
+            let tel = eng.telemetry_snapshot().expect("sink attached");
+            let row = |path: &str| tel.metrics.iter().find(|m| m.path == path).unwrap().value;
+            assert!(boundaries >= 3, "{kind}");
+            assert_eq!(row("sim.ckpt.count"), boundaries, "{kind}");
+            assert_eq!(row("sim.ckpt.bytes"), framed, "{kind}");
+        }
+    }
+
+    /// The wire format, pinned with bytes taken at the parent of the
+    /// PR that merged the three engines' capture code: the first
+    /// boundary of matvec at `checkpoint_every = 300`.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let wl = crate::workloads::matvec();
+        let pins: [(usize, u64); 5] = [
+            (16_998, 0x1fce_3259_c02d_39e7),
+            (16_925, 0x8240_d482_2da3_bba9),
+            (16_925, 0x8240_d482_2da3_bba9),
+            (16_925, 0x8240_d482_2da3_bba9),
+            (17_130, 0xec4d_26c4_a933_0464),
+        ];
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 7);
+        for telemetry in [false, true] {
+            for (kind, pin) in spellings().into_iter().zip(pins) {
+                let cfg = SocConfig {
+                    checkpoint_every: Some(300),
+                    ..SocConfig::default()
+                };
+                let lanes = std::slice::from_ref(&fault);
+                let mut eng = build_engine(
+                    kind,
+                    cfg,
+                    &orchestrator_program(),
+                    &table_words(&wl.entries),
+                    &wl.gmem_init,
+                    if kind == EngineKind::Batch {
+                        lanes
+                    } else {
+                        &[]
+                    },
+                    telemetry,
+                )
+                .unwrap();
+                eng.begin(8_000_000, 50_000);
+                assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
+                let bytes = eng.snapshot_bytes();
+                assert_eq!((bytes.len(), fnv64(&bytes)), pin, "{kind} tel={telemetry}");
+            }
+        }
+    }
+
+    /// A zero `no_progress_limit` is refused where a session starts —
+    /// at `begin` and at decode — never on the thread that steps it.
+    #[test]
+    fn a_zero_watchdog_limit_never_reaches_a_kernel() {
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 7);
         for kind in [
             EngineKind::Soc,
             EngineKind::Parallel { threads: 2 },
             EngineKind::Batch,
         ] {
-            let faults = [LaneSpec::new(
-                "l11p3->15",
-                craft_connections::FaultConfig::bit_flip(0.01),
-                11,
-            )];
-            let mut base =
-                build_engine(kind, cfg, &program, &staging, &gmem, &faults, false).unwrap();
-            let base_res = base.run_checked(8_000_000, 50_000).expect("clean run");
+            let refused =
+                std::panic::catch_unwind(|| build(kind, 300, &wl, &fault).begin(1_000, 0));
+            assert!(refused.is_err(), "{kind}: begin must refuse a zero limit");
 
-            let mut eng =
-                build_engine(kind, cfg, &program, &staging, &gmem, &faults, false).unwrap();
+            // Checksum-valid bytes carrying the same session.
+            let mut eng = build(kind, 300, &wl, &fault);
             eng.begin(8_000_000, 50_000);
-            assert!(matches!(
-                eng.step_segment().expect("first segment"),
-                SegmentStatus::Boundary
-            ));
-            // Preempt: serialize, drop the engine, revive elsewhere.
-            let bytes = eng.snapshot_bytes();
-            drop(eng);
-            let mut revived = restore_engine(kind, &bytes, false).expect("snapshot restores");
-            assert!(revived.session_open(), "{kind}: session survives");
-            let res = revived.run_to_end().expect("resumed run");
-            assert_eq!(res.cycles, base_res.cycles, "{kind}: cycle-identical");
-            assert_eq!(res.completed, base_res.completed);
-            assert_eq!(
-                revived.report().to_json(),
-                base.report().to_json(),
-                "{kind}: bit-identical report"
+            let zeroed = |snap: &mut SimSnapshot| {
+                snap.session.as_mut().expect("open").no_progress_limit = 0;
+            };
+            let bytes = if kind == EngineKind::Batch {
+                let mut snap = BatchSnapshot::from_bytes(&eng.snapshot_bytes()).unwrap();
+                zeroed(&mut snap.golden);
+                snap.to_bytes()
+            } else {
+                let mut snap = eng.checkpoint();
+                zeroed(&mut snap);
+                snap.to_bytes()
+            };
+            assert!(
+                matches!(
+                    restore_engine(kind, &bytes, false),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{kind}: decode must refuse a zero limit"
             );
         }
     }

@@ -49,13 +49,14 @@ pub mod schedplan;
 pub mod soc;
 pub mod workloads;
 
-pub use batch::{
-    replay_lane_solo, BatchReport, BatchSoc, LaneReplay, LaneRun, LaneSpec, ReplayInputs,
+pub use batch::{BatchReport, BatchSoc, LaneRun, LaneSpec};
+pub use checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
+pub use engine::{
+    build_engine, restore_engine, Advance, EngineError, EngineKind, Position, RunCore,
+    SegmentStatus, SimEngine,
 };
-pub use checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, SessionState, SimSnapshot};
-pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus, SimEngine};
 pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};
-pub use parallel::{partition, ParallelSoc, ShardStats};
+pub use parallel::{ParallelSoc, ShardStats};
 pub use partition::{partition_search, NodeCosts, PartitionError, PartitionSpec, MAX_SHARDS};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};
 pub use rtlplan::{DpEval, DpOp, EvalPlan, PlanCache, PlanStats, SignalPlan};

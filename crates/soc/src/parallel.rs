@@ -34,10 +34,18 @@
 //! boundary ([`NodeCosts::from_report`] +
 //! [`crate::partition::partition_search`]) and rebalances whenever the
 //! modeled makespan strictly improves.
+//!
+//! As a [`SimEngine`] the facade supplies only what differs from the
+//! sequential engine: `advance` is one `Cmd::Run` epoch broadcast,
+//! its position is hub cycles with no kernel digest (so captures are
+//! hub-cycle targeted), and the architectural view is merged from the
+//! shards through one closure call (`on_hub` / `on_all`) instead of a
+//! command per accessor. Session, segments, captures and replay are the
+//! shared driver's.
 
-use crate::checkpoint::{ArchDigest, FaultEvent, SessionState, SimSnapshot};
+use crate::checkpoint::{Recipe, SessionState, SimSnapshot};
 use crate::controller::CtrlStatus;
-use crate::engine::SegmentStatus;
+use crate::engine::{current_capture, revive, Advance, EngineKind, Position, RunCore, SimEngine};
 use crate::msg::{HUB_NODE, N_NODES};
 use crate::partition::{partition_search, NodeCosts, PartitionSpec};
 use crate::pe::Fidelity;
@@ -47,51 +55,16 @@ use crate::soc::{
 };
 use craft_connections::{FaultConfig, FaultStats, MailboxHub};
 use craft_matchlib::router::NocFlit;
-use craft_sim::checkpoint::{fnv64, CheckpointError, StateWriter, WatchdogState};
+use craft_sim::checkpoint::{CheckpointError, WatchdogState};
 use craft_sim::cover::Coverage;
 use craft_sim::telemetry::{MetricKind, MetricRow};
 use craft_sim::{
     publish_hang_idle, ClockId, EpochSync, EpochVerdict, EpochWorker, HangReport, Picoseconds,
     SimError, Simulator, Telemetry, TelemetrySnapshot, WaitHist,
 };
-use std::cell::Cell;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
-
-/// Maps each mesh node to its owning shard for a `threads`-way
-/// partition. Shards are vertical strips of the 4x4 mesh (plus a
-/// row-split at 8 threads), so every cut crosses only east-west (and
-/// north-south) mesh links — all latency-insensitive channels:
-///
-/// * 1 thread — one shard, the degenerate partition (no split
-///   channels; the epoch loop runs the full SoC alone);
-/// * 2 threads — west half (columns 0-1) / east half (columns 2-3);
-/// * 4 threads — one column per shard;
-/// * 8 threads — half a column (2 nodes) per shard.
-///
-/// The hub (node 15, column 3) lands on the last shard, which is the
-/// decider worker of the epoch protocol.
-///
-/// # Panics
-/// Panics unless `threads` is 1, 2, 4 or 8.
-pub fn partition(threads: usize) -> Vec<usize> {
-    assert!(
-        matches!(threads, 1 | 2 | 4 | 8),
-        "threads must be 1, 2, 4 or 8 (got {threads})"
-    );
-    (0..N_NODES as usize)
-        .map(|n| {
-            let (x, y) = (n % 4, n / 4);
-            match threads {
-                1 => 0,
-                2 => x / 2,
-                4 => x,
-                _ => x * 2 + y / 2,
-            }
-        })
-        .collect()
-}
 
 /// Epoch-loop statistics for one shard, accumulated over every run of
 /// a [`ParallelSoc`] — the observability feed for the
@@ -121,8 +94,6 @@ struct RunOut {
     abs_cycles: u64,
     /// Simulated time after the run.
     now: Picoseconds,
-    /// Controller status snapshot (hub worker's is authoritative).
-    ctrl: crate::controller::CtrlStatus,
     verdict: Option<EpochVerdict>,
     instants: u64,
     fired_instants: u64,
@@ -139,7 +110,13 @@ struct RunOut {
     last_progress: bool,
 }
 
+/// A call to run against a worker's shard; it carries its own reply
+/// channel (see [`ParallelSoc::call`]).
+type ShardCall = Box<dyn FnOnce(&mut Soc) + Send>;
+
 enum Cmd {
+    /// One epoch-synchronized run — the only command that needs every
+    /// shard in flight at once.
     Run {
         max_cycles: u64,
         watchdog: Option<u64>,
@@ -148,51 +125,27 @@ enum Cmd {
         /// Progress bit of the seam instant (`None` on a fresh run).
         carried: Option<bool>,
     },
-    Ctrl,
-    Report,
-    GmemRead {
-        base: usize,
-        len: usize,
-    },
-    InjectFault {
-        pat: String,
-        cfg: FaultConfig,
-        seed: u64,
-    },
-    FaultStats {
-        pat: String,
-    },
-    CoverageBins,
-    Telemetry,
-    Shutdown,
+    /// Anything else: read or poke the shard's [`Soc`].
+    Call(ShardCall),
 }
 
-enum Resp {
-    Ran(Box<RunOut>),
-    Ctrl(CtrlStatus),
-    Report(Box<SocReport>),
-    Gmem(Vec<u64>),
-    Injected(Result<usize, FaultPatternError>),
-    FaultStats(Result<FaultStats, FaultPatternError>),
-    CoverageBins(Vec<(String, u64)>),
-    Telemetry(Option<Box<TelemetrySnapshot>>),
-}
-
+/// A shard worker; dropping `cmd` ends its command loop.
 struct Worker {
     cmd: mpsc::Sender<Cmd>,
-    resp: mpsc::Receiver<Resp>,
-    join: Option<thread::JoinHandle<()>>,
+    ran: mpsc::Receiver<Box<RunOut>>,
+    join: thread::JoinHandle<()>,
 }
 
 /// The multi-threaded SoC simulator: a drop-in counterpart of [`Soc`]
 /// whose `run`/`run_checked`/`report`/`gmem_read`/fault/coverage
 /// surface produces **bit-identical, cycle-identical** results, with
-/// the mesh sharded across `threads` worker threads (see
-/// [`partition`]). See the [module docs](self) for the epoch model.
+/// the mesh sharded across one worker thread per shard of its
+/// [`PartitionSpec`]. See the [module docs](self) for the epoch model.
+/// The supervised run (`begin`, `step_segment`, `run_checked`,
+/// `inject_fault`, `checkpoint`, …) is the [`SimEngine`] driver's.
 pub struct ParallelSoc {
     workers: Vec<Worker>,
     hub_worker: usize,
-    threads: usize,
     spec: PartitionSpec,
     /// Re-cost and rebalance at segment boundaries when set.
     auto_repartition: bool,
@@ -201,45 +154,15 @@ pub struct ParallelSoc {
     sync: Arc<EpochSync>,
     has_telemetry: bool,
     shard_stats: Vec<ShardStats>,
-    // Replay recipe + progress bookkeeping for checkpoint/restore:
-    // the facade is the single entry point for runs and injections,
-    // so it can keep the full deterministic replay log itself.
-    cfg: SocConfig,
-    program: Vec<u32>,
-    staging_init: Vec<u32>,
-    gmem_init: Vec<(usize, Vec<u64>)>,
-    fault_log: Vec<FaultEvent>,
+    /// Recipe, fault log, session, last capture, odometers: the facade
+    /// is the single entry point for runs and injections, so it keeps
+    /// the whole deterministic replay log itself.
+    core: RunCore,
     /// Absolute hub cycles (mirrors the hub worker's kernel).
     hub_cycles: u64,
     /// Absolute global instants traversed (equals the sequential
     /// kernel's instant count — the merged sequence is identical).
     hub_instants: u64,
-    session: Option<ParSession>,
-    last_ckpt: Option<SimSnapshot>,
-    ckpt_count: Cell<u64>,
-    ckpt_bytes: Cell<u64>,
-    ckpt_last_ns: Cell<u64>,
-}
-
-/// An open supervised-run session on the facade, segmented across
-/// `Cmd::Run` broadcasts. `idle`/`carried` are the watchdog state that
-/// must cross each seam for segmented hang detection to trip on
-/// exactly the same cycle as an unsegmented run.
-struct ParSession {
-    remaining: u64,
-    no_progress_limit: u64,
-    consumed: u64,
-    idle: u64,
-    carried: Option<bool>,
-}
-
-/// How one segment (one `Cmd::Run` broadcast) ended, beyond the
-/// blended [`RunResult`]: the epoch verdict plus the watchdog state to
-/// carry into the next segment.
-struct SegmentEnd {
-    verdict: Option<EpochVerdict>,
-    idle: u64,
-    last_progress: bool,
 }
 
 impl ParallelSoc {
@@ -261,7 +184,7 @@ impl ParallelSoc {
 
     /// Like [`ParallelSoc::build`], but each worker additionally
     /// publishes into a private [`Telemetry`] sink;
-    /// [`ParallelSoc::telemetry_snapshot`] merges the per-worker
+    /// [`SimEngine::telemetry_snapshot`] merges the per-worker
     /// snapshots and injects the `sim.shard.<i>.*` epoch probes.
     /// (Sinks are per-worker because [`Telemetry`] is a
     /// single-threaded `Rc` handle.)
@@ -302,6 +225,18 @@ impl ParallelSoc {
         spec: PartitionSpec,
         telemetry: bool,
     ) -> ParallelSoc {
+        let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
+        Self::from_recipe(recipe, spec, telemetry)
+    }
+
+    /// [`ParallelSoc::build_partitioned`] from a shared [`Recipe`]:
+    /// every shard worker points at the one copy of the images.
+    pub(crate) fn from_recipe(
+        recipe: Arc<Recipe>,
+        spec: PartitionSpec,
+        telemetry: bool,
+    ) -> ParallelSoc {
+        let cfg = recipe.cfg;
         if let Err(e) = cfg.validate() {
             panic!("invalid SocConfig: {e}");
         }
@@ -309,8 +244,7 @@ impl ParallelSoc {
             panic!("invalid PartitionSpec: {e}");
         }
         let threads = spec.shards();
-        let owner = spec.owner_vec();
-        let hub_worker = owner[HUB_NODE as usize];
+        let hub_worker = spec.hub_shard();
         // One clock slot per domain, identical on every worker: just
         // the hub clock when synchronous, hub + 15 node domains under
         // either GALS scheme.
@@ -326,59 +260,42 @@ impl ParallelSoc {
             (cfg.fidelity == Fidelity::RtlCompiled).then(crate::rtlplan::PlanCache::handle);
         let workers = (0..threads)
             .map(|shard| {
-                let (cmd_tx, cmd_rx) = mpsc::channel();
-                let (resp_tx, resp_rx) = mpsc::channel();
-                let owner = owner.clone();
-                let sync = Arc::clone(&sync);
-                let mailboxes = mailboxes.clone();
-                let plan_cache = plan_cache.clone();
-                let program = program.to_vec();
-                let staging = staging_init.to_vec();
-                let gmem = gmem_init.to_vec();
+                let (cmd, cmds) = mpsc::channel();
+                let (ran_tx, ran) = mpsc::channel();
+                let shard_spec = ShardSpec {
+                    shard,
+                    owner: spec.owner_vec(),
+                    mailboxes: mailboxes.clone(),
+                    plan_cache: plan_cache.clone(),
+                };
+                let (sync, recipe) = (Arc::clone(&sync), Arc::clone(&recipe));
                 let join = thread::Builder::new()
                     .name(format!("soc-shard-{shard}"))
                     .spawn(move || {
-                        worker_main(
-                            shard, owner, sync, cfg, &program, &staging, &gmem, telemetry,
-                            mailboxes, plan_cache, &cmd_rx, &resp_tx,
-                        );
+                        worker_main(shard_spec, &sync, recipe, telemetry, &cmds, &ran_tx)
                     })
                     .expect("spawn shard worker");
-                Worker {
-                    cmd: cmd_tx,
-                    resp: resp_rx,
-                    join: Some(join),
-                }
+                Worker { cmd, ran, join }
             })
             .collect();
         ParallelSoc {
             workers,
             hub_worker,
-            threads,
             spec,
             auto_repartition: false,
             repartitions: 0,
             sync,
             has_telemetry: telemetry,
             shard_stats: vec![ShardStats::default(); threads],
-            cfg,
-            program: program.to_vec(),
-            staging_init: staging_init.to_vec(),
-            gmem_init: gmem_init.to_vec(),
-            fault_log: Vec::new(),
+            core: RunCore::new(recipe),
             hub_cycles: 0,
             hub_instants: 0,
-            session: None,
-            last_ckpt: None,
-            ckpt_count: Cell::new(0),
-            ckpt_bytes: Cell::new(0),
-            ckpt_last_ns: Cell::new(0),
         }
     }
 
     /// Worker-thread count of this build.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len()
     }
 
     /// The node→shard cut this worker set was built under.
@@ -419,165 +336,41 @@ impl ParallelSoc {
     ///
     /// # Panics
     /// Panics if a supervised session is open — finish it with
-    /// [`ParallelSoc::resume_checked`] first.
+    /// [`SimEngine::run_to_end`] first.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         assert!(
-            self.session.is_none(),
+            self.core.session.is_none(),
             "finish the open supervised session before ParallelSoc::run"
         );
-        self.run_inner(max_cycles, None, 0, None)
-            .expect("unchecked parallel run cannot fail")
-            .0
+        let t0 = Instant::now();
+        let end = self
+            .run_inner(max_cycles, None, 0, None)
+            .expect("unchecked parallel run cannot fail");
+        RunResult {
+            cycles: end.cycles,
+            wall: t0.elapsed(),
+            ctrl: self.ctrl_status(),
+            completed: end.verdict == Some(EpochVerdict::Predicate),
+        }
     }
 
-    /// Like [`ParallelSoc::run`] but supervised by the hang watchdog,
-    /// mirroring [`Soc::run_checked`]: every flit channel is tapped as
-    /// a progress source and `no_progress_limit` consecutive hub
+    /// One `Cmd::Run` broadcast: every shard runs the epoch loop until
+    /// the hub shard's verdict. With `watchdog` set, every flit channel
+    /// is a progress source and `no_progress_limit` consecutive hub
     /// cycles without data-plane progress *anywhere in the worker set*
     /// produce a [`SimError::Hang`] whose report merges every shard's
-    /// component/channel diagnosis.
-    ///
-    /// The watchdog aggregates each instant's progress bits at the
-    /// *next* epoch boundary, so detection can lag the sequential
-    /// kernel by one instant; the verdict and the diagnosed state are
-    /// the same.
-    ///
-    /// With [`SocConfig::checkpoint_every`] set, the run is segmented
-    /// at that interval with a coordinated epoch-boundary
-    /// [`SimSnapshot`] captured between segments while every worker is
-    /// idle (see [`ParallelSoc::last_checkpoint`]); the watchdog's
-    /// idle count and the seam instant's progress bit cross each seam,
-    /// so the outcome — including the hang trip cycle — is identical
-    /// to an unsegmented run.
-    ///
-    /// # Panics
-    /// Panics if `no_progress_limit` is zero or a session is open.
-    pub fn run_checked(
-        &mut self,
-        max_cycles: u64,
-        no_progress_limit: u64,
-    ) -> Result<RunResult, SimError> {
-        self.begin_checked(max_cycles, no_progress_limit);
-        self.resume_checked()
-    }
-
-    /// Opens a supervised-run session without advancing it, mirroring
-    /// [`Soc::begin_checked`]. Drive it with
-    /// [`ParallelSoc::resume_checked`].
-    ///
-    /// # Panics
-    /// Panics if a session is already open or `no_progress_limit` is
-    /// zero.
-    pub fn begin_checked(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        assert!(
-            no_progress_limit > 0,
-            "no_progress_limit must be at least one cycle"
-        );
-        assert!(
-            self.session.is_none(),
-            "a supervised run session is already open"
-        );
-        self.session = Some(ParSession {
-            remaining: max_cycles,
-            no_progress_limit,
-            consumed: 0,
-            idle: 0,
-            carried: None,
-        });
-    }
-
-    /// Whether a supervised-run session is open.
-    pub fn session_open(&self) -> bool {
-        self.session.is_some()
-    }
-
-    /// Drives the open session to completion in segments of
-    /// [`SocConfig::checkpoint_every`] cycles (one segment when
-    /// unset), capturing an automatic checkpoint at each boundary.
-    /// The final [`RunResult::cycles`] accumulates across segments —
-    /// and, for a restored session, the cycles consumed before the
-    /// snapshot — so it equals the uninterrupted run's.
-    ///
-    /// # Panics
-    /// Panics if no session is open.
-    pub fn resume_checked(&mut self) -> Result<RunResult, SimError> {
-        assert!(self.session.is_some(), "no supervised run session open");
-        let t0 = Instant::now();
-        loop {
-            if let SegmentStatus::Done(mut r) = self.step_segment()? {
-                r.wall = t0.elapsed();
-                return Ok(r);
-            }
-        }
-    }
-
-    /// Runs one segment of the open session — at most
-    /// [`SocConfig::checkpoint_every`] hub cycles (the whole budget
-    /// when unset). [`SegmentStatus::Boundary`] means budget remains
-    /// and the automatic epoch-boundary checkpoint was captured: a
-    /// scheduler may preempt here and revive the run from the
-    /// serialized snapshot. [`SegmentStatus::Done`] carries the
-    /// whole-run blended result (its `wall` covers only the final
-    /// segment).
-    ///
-    /// # Panics
-    /// Panics if no session is open.
-    pub fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        assert!(self.session.is_some(), "no supervised run session open");
-        let t0 = Instant::now();
-        let auto = self.cfg.checkpoint_every;
-        let s = self.session.as_ref().expect("session open");
-        let seg = auto.unwrap_or(u64::MAX).min(s.remaining);
-        let (npl, idle, carried) = (s.no_progress_limit, s.idle, s.carried);
-        let (res, end) = match self.run_inner(seg, Some(npl), idle, carried) {
-            Ok(out) => out,
-            Err(e) => {
-                self.session = None;
-                return Err(e);
-            }
-        };
-        let s = self.session.as_mut().expect("session open");
-        s.consumed += res.cycles;
-        s.remaining -= res.cycles.min(s.remaining);
-        s.idle = end.idle;
-        s.carried = Some(end.last_progress);
-        match end.verdict {
-            // Segment boundary: budget left, only the segment's
-            // own limit was hit. Anything else ends the session.
-            Some(EpochVerdict::MaxCycles) if s.remaining > 0 => {
-                if auto.is_some() {
-                    self.last_ckpt = Some(self.checkpoint());
-                }
-                if self.auto_repartition {
-                    self.maybe_repartition();
-                }
-                Ok(SegmentStatus::Boundary)
-            }
-            v => {
-                let s = self.session.take().expect("session open");
-                Ok(SegmentStatus::Done(RunResult {
-                    cycles: s.consumed,
-                    wall: t0.elapsed(),
-                    ctrl: res.ctrl,
-                    completed: v == Some(EpochVerdict::Predicate),
-                }))
-            }
-        }
-    }
-
-    /// The configuration this sharded SoC was built from.
-    pub fn config(&self) -> &SocConfig {
-        &self.cfg
-    }
-
+    /// component/channel diagnosis. The watchdog aggregates each
+    /// instant's progress bits at the *next* epoch boundary, so
+    /// detection can lag the sequential kernel by one instant; the
+    /// verdict and the diagnosed state are the same. Returns the hub
+    /// shard's outcome.
     fn run_inner(
         &mut self,
         max_cycles: u64,
         watchdog: Option<u64>,
         init_idle: u64,
         carried: Option<bool>,
-    ) -> Result<(RunResult, SegmentEnd), SimError> {
-        let t0 = Instant::now();
+    ) -> Result<Box<RunOut>, SimError> {
         self.sync.reset();
         for w in &self.workers {
             w.cmd
@@ -592,10 +385,7 @@ impl ParallelSoc {
         let mut outs: Vec<Box<RunOut>> = self
             .workers
             .iter()
-            .map(|w| match w.resp.recv().expect("shard worker died") {
-                Resp::Ran(o) => o,
-                _ => unreachable!("protocol violation"),
-            })
+            .map(|w| w.ran.recv().expect("shard worker died"))
             .collect();
         for (acc, o) in self.shard_stats.iter_mut().zip(&outs) {
             acc.instants += o.instants;
@@ -634,42 +424,212 @@ impl ParallelSoc {
                 report,
             });
         }
-        let hub = &outs[self.hub_worker];
-        Ok((
-            RunResult {
-                cycles: hub.cycles,
-                wall: t0.elapsed(),
-                ctrl: hub.ctrl,
-                completed: hub.verdict == Some(EpochVerdict::Predicate),
-            },
-            SegmentEnd {
-                verdict: hub.verdict,
-                idle: hub.idle,
-                last_progress: hub.last_progress,
-            },
-        ))
+        Ok(outs.swap_remove(self.hub_worker))
     }
 
-    /// Live controller status from the hub worker.
-    fn ctrl_status(&self) -> CtrlStatus {
-        let w = &self.workers[self.hub_worker];
-        w.cmd.send(Cmd::Ctrl).expect("shard worker hung up");
-        match w.resp.recv().expect("shard worker died") {
-            Resp::Ctrl(s) => s,
-            _ => unreachable!("protocol violation"),
+    /// Queues `f` against `shard`'s [`Soc`] and returns where its result
+    /// will arrive — the one way the facade reads or pokes worker state
+    /// between runs.
+    fn call<R: Send + 'static>(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&mut Soc) -> R + Send + 'static,
+    ) -> mpsc::Receiver<R> {
+        let (tx, rx) = mpsc::channel();
+        let call: ShardCall = Box::new(move |soc| {
+            let _ = tx.send(f(soc));
+        });
+        let cmd = &self.workers[shard].cmd;
+        cmd.send(Cmd::Call(call)).expect("shard worker hung up");
+        rx
+    }
+
+    /// Runs `f` on the hub's shard — where the controller and global
+    /// memory live.
+    fn on_hub<R: Send + 'static>(&self, f: impl FnOnce(&mut Soc) -> R + Send + 'static) -> R {
+        let reply = self.call(self.hub_worker, f);
+        reply.recv().expect("shard worker died")
+    }
+
+    /// Runs `f` on every shard, all in flight at once; results in
+    /// worker order.
+    fn on_all<R: Send + 'static>(
+        &self,
+        f: impl Fn(&mut Soc) -> R + Clone + Send + 'static,
+    ) -> Vec<R> {
+        let replies: Vec<_> = (0..self.workers.len())
+            .map(|shard| self.call(shard, f.clone()))
+            .collect();
+        replies
+            .into_iter()
+            .map(|reply| reply.recv().expect("shard worker died"))
+            .collect()
+    }
+
+    /// Rebuilds a sharded SoC from `snap` and deterministically
+    /// replays it to the capture boundary, verifying the architectural
+    /// digest. Accepts sequential captures too (the digest is
+    /// portable); `threads` need not match the capturing build. An
+    /// open session is reinstated, ready for
+    /// [`SimEngine::run_to_end`].
+    pub fn restore(snap: &SimSnapshot, threads: usize) -> Result<ParallelSoc, CheckpointError> {
+        Self::restore_partitioned(snap, PartitionSpec::vertical_strips(threads), false)
+    }
+
+    /// [`ParallelSoc::restore`] under an arbitrary cut, optionally with
+    /// per-worker telemetry sinks: the worker set need not match the
+    /// capturing build's partition at all — a snapshot taken on
+    /// vertical strips (or by the sequential `Soc`) revives on any
+    /// valid [`PartitionSpec`], because replay is pure recipe + fault
+    /// log + cycle target and the architectural digest is
+    /// partition-independent.
+    pub fn restore_partitioned(
+        snap: &SimSnapshot,
+        spec: PartitionSpec,
+        telemetry: bool,
+    ) -> Result<ParallelSoc, CheckpointError> {
+        revive(snap, |recipe| {
+            spec.validate_for(&recipe.cfg)
+                .map_err(|e| CheckpointError::Malformed(format!("invalid partition: {e}")))?;
+            Ok(Self::from_recipe(recipe, spec, telemetry))
+        })
+    }
+
+    /// Repartition-at-checkpoint: takes the coordinated epoch-boundary
+    /// capture of where the run stands (the boundary's own when called
+    /// from one), rebuilds the worker set under `spec` and
+    /// deterministically replays to the same boundary — the open
+    /// session (if any) crosses the rebuild intact, so a supervised
+    /// run resumed afterwards is identical to one that never
+    /// repartitioned. The replay re-runs the snapshot's history from
+    /// cycle zero, so the rebuild costs one full replay — cheap at
+    /// checkpoint cadence, not per instant.
+    ///
+    /// Checkpoint/repartition odometers carry over; the per-shard
+    /// [`ShardStats`] accumulators restart for the new worker layout
+    /// (they describe workers, and the workers are new).
+    pub fn repartition(&mut self, spec: PartitionSpec) -> Result<(), CheckpointError> {
+        if spec == self.spec {
+            return Ok(());
+        }
+        let at = current_capture(self);
+        let mut next = Self::restore_partitioned(&at.snapshot, spec, self.has_telemetry)?;
+        next.auto_repartition = self.auto_repartition;
+        next.repartitions = self.repartitions + 1;
+        next.core.ckpt = self.core.ckpt.clone();
+        next.core.last = Some(at);
+        *self = next;
+        Ok(())
+    }
+
+    /// The functional-coverage map merged across every shard's
+    /// collector (bin counts sum; see [`Coverage::absorb`]).
+    pub fn coverage(&self) -> Coverage {
+        let cov = Coverage::new();
+        for bins in self.on_all(|soc| soc.coverage().bins()) {
+            cov.absorb(&bins);
+        }
+        cov
+    }
+}
+
+/// The sharded engine: a set of kernels with no single instant count
+/// to address, captured only between `Cmd::Run` broadcasts — so its
+/// snapshots carry a hub-cycle target and no kernel digest.
+impl SimEngine for ParallelSoc {
+    fn kind(&self) -> EngineKind {
+        // Honest kind recovery: adaptive facades are `:auto` whatever
+        // cut they currently sit on; a non-strip static cut is the
+        // explicit-spec kind; only the historical strips are plain
+        // `parallel:N`.
+        let threads = self.threads();
+        if self.auto_repartition {
+            EngineKind::ParallelAuto { threads }
+        } else if PartitionSpec::vertical_strips_checked(threads) == Some(self.spec) {
+            EngineKind::Parallel { threads }
+        } else {
+            EngineKind::ParallelSpec { spec: self.spec }
         }
     }
 
-    /// Backdoor read of global memory (lives on the hub's shard).
-    pub fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        let w = &self.workers[self.hub_worker];
-        w.cmd
-            .send(Cmd::GmemRead { base, len })
-            .expect("shard worker hung up");
-        match w.resp.recv().expect("shard worker died") {
-            Resp::Gmem(v) => v,
-            _ => unreachable!("protocol violation"),
+    fn core(&self) -> &RunCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut RunCore {
+        &mut self.core
+    }
+
+    /// One watchdog-supervised `Cmd::Run` broadcast. The idle count
+    /// and the seam instant's progress bit cross each seam in
+    /// `session`, so a segmented run trips on exactly the cycle an
+    /// unsegmented one would (the seam contract on `run_one`).
+    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
+        let end = self.run_inner(
+            budget,
+            Some(session.no_progress_limit),
+            session.wd.idle,
+            session.carried_progress,
+        )?;
+        session.wd = WatchdogState {
+            idle: end.idle,
+            last_cycle: self.hub_cycles,
+        };
+        session.carried_progress = Some(end.last_progress);
+        Ok(Advance {
+            cycles: end.cycles,
+            ended: match end.verdict {
+                Some(EpochVerdict::MaxCycles) => None,
+                v => Some(v == Some(EpochVerdict::Predicate)),
+            },
+        })
+    }
+
+    fn position(&self) -> Position {
+        Position {
+            instants: self.hub_instants,
+            hub_cycles: self.hub_cycles,
+            progress_set: false,
+            kernel: None,
         }
+    }
+
+    /// Runs unsupervised to exactly `hub_cycles` (always reachable:
+    /// shard sets are only ever captured at a cycle boundary).
+    fn seek(&mut self, _instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError> {
+        if hub_cycles < self.hub_cycles {
+            return Err(CheckpointError::Malformed(format!(
+                "replay target cycle {hub_cycles} is behind the current cycle {}",
+                self.hub_cycles
+            )));
+        }
+        if hub_cycles > self.hub_cycles {
+            self.run_inner(hub_cycles - self.hub_cycles, None, 0, None)
+                .map_err(|e| CheckpointError::Malformed(format!("replay failed: {e}")))?;
+        }
+        if self.hub_cycles != hub_cycles {
+            return Err(CheckpointError::ReplayDivergence {
+                field: "arch.hub_cycles".to_string(),
+                expected: hub_cycles,
+                found: self.hub_cycles,
+            });
+        }
+        Ok(())
+    }
+
+    /// The match count and per-channel seeds are registry-wide, so
+    /// every worker answers alike and as the sequential build would;
+    /// each injector arms on the worker owning the producer end of its
+    /// channel.
+    fn arm_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError> {
+        let pat = pat.to_string();
+        let mut results = self.on_all(move |soc| soc.arm_fault(&pat, cfg, seed));
+        results.swap_remove(0)
     }
 
     /// Merged run report, field-for-field identical to the sequential
@@ -677,20 +637,14 @@ impl ParallelSoc {
     /// per-PE rows are concatenated, and NoC/fault/gate counters are
     /// summed (each channel's counters live on exactly one worker —
     /// split halves own disjoint fields).
-    pub fn report(&self) -> SocReport {
-        let reports: Vec<Box<SocReport>> = self
-            .broadcast(|| Cmd::Report)
-            .into_iter()
-            .map(|r| match r {
-                Resp::Report(r) => r,
-                _ => unreachable!("protocol violation"),
-            })
-            .collect();
+    fn report(&self) -> SocReport {
+        let reports = self.on_all(|soc| soc.report());
+        let hub = &reports[self.hub_worker];
         let mut merged = SocReport {
-            hub: reports[self.hub_worker].hub.clone(),
-            plan: reports[self.hub_worker].plan,
+            hub: hub.hub.clone(),
+            plan: hub.plan,
             noc: NocReport {
-                channels: reports[self.hub_worker].noc.channels,
+                channels: hub.noc.channels,
                 ..NocReport::default()
             },
             faults: FaultReport::default(),
@@ -711,287 +665,22 @@ impl ParallelSoc {
         merged
     }
 
-    /// Arms fault injectors on every NoC channel whose name contains
-    /// `pat`, exactly as [`Soc::inject_fault`]: the match count and
-    /// per-channel seeds are registry-wide, so they agree with the
-    /// sequential build; each injector arms on the worker owning the
-    /// producer end of its channel. Successful injections are recorded
-    /// in the facade's deterministic replay log for
-    /// [`ParallelSoc::checkpoint`].
-    pub fn inject_fault(
-        &mut self,
-        pat: &str,
-        cfg: FaultConfig,
-        seed: u64,
-    ) -> Result<usize, FaultPatternError> {
-        let results: Vec<_> = self
-            .broadcast(|| Cmd::InjectFault {
-                pat: pat.to_string(),
-                cfg,
-                seed,
-            })
-            .into_iter()
-            .map(|r| match r {
-                Resp::Injected(r) => r,
-                _ => unreachable!("protocol violation"),
-            })
-            .collect();
-        // Every worker matched the same registry; any result is THE
-        // result.
-        let res = results.into_iter().next().expect("at least one worker");
-        if res.is_ok() {
-            self.fault_log.push(FaultEvent {
-                pattern: pat.to_string(),
-                cfg,
-                seed,
-                at_instants: self.hub_instants,
-                at_cycles: self.hub_cycles,
-            });
-        }
-        res
+    fn ctrl_status(&self) -> CtrlStatus {
+        self.on_hub(|soc| soc.ctrl_status())
     }
 
-    /// Captures a versioned [`SimSnapshot`] at the current coordinated
-    /// epoch boundary (every worker idle between commands): the replay
-    /// recipe, the hub-cycle progress target, the open session if any,
-    /// and the architectural digest. Parallel captures carry no
-    /// [`craft_sim::KernelDigest`] — each worker holds only its
-    /// shard's kernel — and set `instants: None`, so restore replays
-    /// to the (always cycle-reachable) hub-cycle boundary instead.
-    pub fn checkpoint(&self) -> SimSnapshot {
-        let t0 = Instant::now();
-        let snap = SimSnapshot {
-            cfg: self.cfg,
-            program: self.program.clone(),
-            staging: self.staging_init.clone(),
-            gmem_init: self.gmem_init.clone(),
-            faults: self.fault_log.clone(),
-            instants: None,
-            hub_cycles: self.hub_cycles,
-            progress_set: false,
-            session: self.session.as_ref().map(|s| SessionState {
-                remaining: s.remaining,
-                no_progress_limit: s.no_progress_limit,
-                consumed: s.consumed,
-                wd: WatchdogState {
-                    idle: s.idle,
-                    last_cycle: self.hub_cycles,
-                },
-                carried_progress: s.carried,
-            }),
-            kernel: None,
-            arch: self.arch_digest(),
-        };
-        self.ckpt_count.set(self.ckpt_count.get() + 1);
-        self.ckpt_bytes.set(snap.to_bytes().len() as u64);
-        self.ckpt_last_ns
-            .set(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        snap
+    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
+        self.on_hub(move |soc| soc.gmem_read(base, len))
     }
 
-    /// The most recent automatic checkpoint taken by a segmented
-    /// supervised run ([`SocConfig::checkpoint_every`]), if any.
-    pub fn last_checkpoint(&self) -> Option<&SimSnapshot> {
-        self.last_ckpt.as_ref()
-    }
-
-    /// Hashes the observable run state for snapshot verification —
-    /// same fields as the sequential digest, computed from the merged
-    /// report, the hub worker's controller status and gmem image.
-    fn arch_digest(&self) -> ArchDigest {
-        let gmem = self.gmem_read(0, self.cfg.gmem_words);
-        let mut w = StateWriter::new();
-        w.put_u64s(&gmem);
-        ArchDigest {
-            hub_cycles: self.hub_cycles,
-            report_fnv: fnv64(self.report().to_json().as_bytes()),
-            ctrl_fnv: fnv64(format!("{:?}", self.ctrl_status()).as_bytes()),
-            gmem_fnv: fnv64(&w.into_bytes()),
-        }
-    }
-
-    /// Rebuilds a sharded SoC from `snap` and deterministically
-    /// replays it to the capture boundary, verifying the architectural
-    /// digest. Accepts sequential captures too (the digest is
-    /// portable); `threads` need not match the capturing build. An
-    /// open session is reinstated, ready for
-    /// [`ParallelSoc::resume_checked`].
-    pub fn restore(snap: &SimSnapshot, threads: usize) -> Result<ParallelSoc, CheckpointError> {
-        Self::restore_with_telemetry(snap, threads, false)
-    }
-
-    /// [`ParallelSoc::restore`] with per-worker telemetry sinks
-    /// attached to the rebuilt SoC.
-    pub fn restore_with_telemetry(
-        snap: &SimSnapshot,
-        threads: usize,
-        telemetry: bool,
-    ) -> Result<ParallelSoc, CheckpointError> {
-        Self::restore_partitioned(snap, PartitionSpec::vertical_strips(threads), telemetry)
-    }
-
-    /// [`ParallelSoc::restore`] under an arbitrary cut: the worker set
-    /// need not match the capturing build's partition at all — a
-    /// snapshot taken on vertical strips (or by the sequential `Soc`)
-    /// revives on any valid [`PartitionSpec`], because replay is pure
-    /// recipe + fault log + cycle target and the architectural digest
-    /// is partition-independent.
-    pub fn restore_partitioned(
-        snap: &SimSnapshot,
-        spec: PartitionSpec,
-        telemetry: bool,
-    ) -> Result<ParallelSoc, CheckpointError> {
-        snap.cfg
-            .validate()
-            .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
-        spec.validate_for(&snap.cfg)
-            .map_err(|e| CheckpointError::Malformed(format!("invalid partition: {e}")))?;
-        let mut soc = Self::build_partitioned(
-            snap.cfg,
-            &snap.program,
-            &snap.staging,
-            &snap.gmem_init,
-            spec,
-            telemetry,
-        );
-        soc.replay_to(snap)?;
-        Ok(soc)
-    }
-
-    /// Repartition-at-checkpoint: captures a coordinated
-    /// epoch-boundary snapshot, rebuilds the worker set under `spec`
-    /// and deterministically replays to the same boundary — the open
-    /// session (if any) crosses the rebuild intact, so a supervised
-    /// run resumed afterwards is identical to one that never
-    /// repartitioned. The replay re-runs the snapshot's history from
-    /// cycle zero, so the rebuild costs one full replay — cheap at
-    /// checkpoint cadence, not per instant.
-    ///
-    /// Checkpoint/repartition odometers carry over; the per-shard
-    /// [`ShardStats`] accumulators restart for the new worker layout
-    /// (they describe workers, and the workers are new).
-    pub fn repartition(&mut self, spec: PartitionSpec) -> Result<(), CheckpointError> {
-        if spec == self.spec {
-            return Ok(());
-        }
-        let snap = self.checkpoint();
-        let mut next = Self::restore_partitioned(&snap, spec, self.has_telemetry)?;
-        next.auto_repartition = self.auto_repartition;
-        next.repartitions = self.repartitions + 1;
-        next.ckpt_count.set(self.ckpt_count.get());
-        next.ckpt_bytes.set(self.ckpt_bytes.get());
-        next.ckpt_last_ns.set(self.ckpt_last_ns.get());
-        next.last_ckpt = Some(snap);
-        *self = next;
-        Ok(())
-    }
-
-    /// The auto-repartition step at a segment boundary: re-cost from
-    /// the merged report, search at the same shard count, rebuild only
-    /// on strict modeled-makespan improvement. Replay of a snapshot we
-    /// just captured cannot diverge unless determinism itself is
-    /// broken, so a failure here is a bug, not an input error.
-    fn maybe_repartition(&mut self) {
-        let costs = NodeCosts::from_report(&self.report());
-        let pen = costs.default_cut_penalty();
-        let cand = partition_search(&costs, self.threads, pen);
-        if costs.makespan(&cand, pen) < costs.makespan(&self.spec, pen) {
-            self.repartition(cand)
-                .expect("auto repartition replay diverged");
-        }
-    }
-
-    /// Runs exactly `delta` hub cycles of replay, mapping any early
-    /// stop to a typed divergence.
-    fn advance_exact(&mut self, delta: u64) -> Result<(), CheckpointError> {
-        let target = self.hub_cycles + delta;
-        self.run_inner(delta, None, 0, None)
-            .map_err(|e| CheckpointError::Malformed(format!("replay failed: {e}")))?;
-        if self.hub_cycles != target {
-            return Err(CheckpointError::ReplayDivergence {
-                field: "arch.hub_cycles".to_string(),
-                expected: target,
-                found: self.hub_cycles,
-            });
-        }
-        Ok(())
-    }
-
-    /// Replays this freshly built facade to `snap`'s capture boundary:
-    /// re-arms each logged fault injection at its recorded hub cycle,
-    /// runs to the cycle target, verifies the architectural digest,
-    /// and reinstates the open session.
-    fn replay_to(&mut self, snap: &SimSnapshot) -> Result<(), CheckpointError> {
-        for ev in &snap.faults {
-            if ev.at_cycles < self.hub_cycles {
-                return Err(CheckpointError::Malformed(format!(
-                    "fault log out of order: event at cycle {} behind cycle {}",
-                    ev.at_cycles, self.hub_cycles
-                )));
-            }
-            let delta = ev.at_cycles - self.hub_cycles;
-            if delta > 0 {
-                self.advance_exact(delta)?;
-            }
-            self.inject_fault(&ev.pattern, ev.cfg, ev.seed)
-                .map_err(|e| {
-                    CheckpointError::Malformed(format!("logged fault failed to re-arm: {e}"))
-                })?;
-        }
-        if snap.hub_cycles < self.hub_cycles {
-            return Err(CheckpointError::Malformed(format!(
-                "replay target cycle {} is behind the current cycle {}",
-                snap.hub_cycles, self.hub_cycles
-            )));
-        }
-        let delta = snap.hub_cycles - self.hub_cycles;
-        if delta > 0 {
-            self.advance_exact(delta)?;
-        }
-        snap.arch.verify(&self.arch_digest())?;
-        if let Some(s) = &snap.session {
-            self.session = Some(ParSession {
-                remaining: s.remaining,
-                no_progress_limit: s.no_progress_limit,
-                consumed: s.consumed,
-                idle: s.wd.idle,
-                carried: s.carried_progress,
-            });
-        }
-        Ok(())
-    }
-
-    /// Aggregated fault counters over channels matching `pat`, summed
-    /// across shards — identical to [`Soc::fault_stats`].
-    pub fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
+    /// Summed across shards — identical to [`Soc::fault_stats`].
+    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
+        let pat = pat.to_string();
         let mut total = FaultStats::default();
-        let mut err = None;
-        for r in self.broadcast(|| Cmd::FaultStats {
-            pat: pat.to_string(),
-        }) {
-            match r {
-                Resp::FaultStats(Ok(s)) => merge_fault_stats(&mut total, &s),
-                Resp::FaultStats(Err(e)) => err = Some(e),
-                _ => unreachable!("protocol violation"),
-            }
+        for s in self.on_all(move |soc| soc.fault_stats(&pat)) {
+            merge_fault_stats(&mut total, &s?);
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
-    }
-
-    /// The functional-coverage map merged across every shard's
-    /// collector (bin counts sum; see [`Coverage::absorb`]).
-    pub fn coverage(&self) -> Coverage {
-        let cov = Coverage::new();
-        for r in self.broadcast(|| Cmd::CoverageBins) {
-            match r {
-                Resp::CoverageBins(bins) => cov.absorb(&bins),
-                _ => unreachable!("protocol violation"),
-            }
-        }
-        cov
+        Ok(total)
     }
 
     /// Merged telemetry snapshot across every worker's sink, `None`
@@ -1002,24 +691,13 @@ impl ParallelSoc {
     /// `sim.shard.<i>.ticks` (fired instants),
     /// `sim.shard.<i>.mailbox_tokens` and
     /// `sim.shard.<i>.barrier_wait_ns`.
-    pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         if !self.has_telemetry {
             return None;
         }
-        let mut snaps: Vec<Option<Box<TelemetrySnapshot>>> = self
-            .broadcast(|| Cmd::Telemetry)
-            .into_iter()
-            .map(|r| match r {
-                Resp::Telemetry(s) => s,
-                _ => unreachable!("protocol violation"),
-            })
-            .collect();
-        let mut base = *snaps[self.hub_worker].take()?;
-        for (i, snap) in snaps.into_iter().enumerate() {
-            if i == self.hub_worker {
-                continue;
-            }
-            let snap = snap?;
+        let mut snaps = self.on_all(|soc| soc.telemetry_snapshot());
+        let mut base = snaps[self.hub_worker].take()?;
+        for snap in snaps.into_iter().flatten() {
             for row in snap.metrics {
                 match base.metrics.iter_mut().find(|m| m.path == row.path) {
                     Some(m) => {
@@ -1035,19 +713,22 @@ impl ParallelSoc {
             base.spans_dropped += snap.spans_dropped;
             base.profile.extend(snap.profile);
         }
+        let mut facade_row = |path: String, kind: MetricKind, value: u64| {
+            base.metrics.push(MetricRow {
+                path,
+                kind,
+                value,
+                p50: None,
+                p99: None,
+            });
+        };
         for (i, st) in self.shard_stats.iter().enumerate() {
             for (field, value) in [
                 ("ticks", st.fired_instants),
                 ("mailbox_tokens", st.drained_tokens),
                 ("barrier_wait_ns", st.barrier_wait_ns),
             ] {
-                base.metrics.push(MetricRow {
-                    path: format!("sim.shard.{i}.{field}"),
-                    kind: MetricKind::Counter,
-                    value,
-                    p50: None,
-                    p99: None,
-                });
+                facade_row(format!("sim.shard.{i}.{field}"), MetricKind::Counter, value);
             }
             // Per-instant wait distribution: imbalance per phase, not
             // just in aggregate (the flat sum above stays for
@@ -1057,121 +738,83 @@ impl ParallelSoc {
                 ("barrier_wait.p95_ns", st.barrier_hist.quantile_ns(0.95)),
                 ("barrier_wait.max_ns", st.barrier_hist.max_ns()),
             ] {
-                base.metrics.push(MetricRow {
-                    path: format!("sim.shard.{i}.{field}"),
-                    kind: MetricKind::Probe,
-                    value,
-                    p50: None,
-                    p99: None,
-                });
+                facade_row(format!("sim.shard.{i}.{field}"), MetricKind::Probe, value);
             }
         }
-        base.metrics.push(MetricRow {
-            path: "sim.repartitions".to_string(),
-            kind: MetricKind::Counter,
-            value: self.repartitions,
-            p50: None,
-            p99: None,
-        });
-        // Checkpoint counters live on the facade (workers never
-        // capture); fold them into the hub worker's zero-valued probe
-        // rows so the merged snapshot matches the sequential layout.
-        for (field, value) in [
-            ("count", self.ckpt_count.get()),
-            ("bytes", self.ckpt_bytes.get()),
-            ("last_ns", self.ckpt_last_ns.get()),
-        ] {
-            let path = format!("sim.ckpt.{field}");
-            match base.metrics.iter_mut().find(|m| m.path == path) {
-                Some(m) => m.value += value,
-                None => base.metrics.push(MetricRow {
-                    path,
-                    kind: MetricKind::Counter,
-                    value,
-                    p50: None,
-                    p99: None,
-                }),
-            }
+        facade_row(
+            "sim.repartitions".to_string(),
+            MetricKind::Counter,
+            self.repartitions,
+        );
+        // The checkpoint odometers live on the facade (workers never
+        // capture); fold them into the zero-valued probe rows the hub
+        // worker publishes, so the merged snapshot matches the
+        // sequential layout.
+        for (path, value) in self.core.ckpt.rows() {
+            let row = base.metrics.iter_mut().find(|m| m.path == path);
+            row.expect("the hub shard publishes sim.ckpt.*").value += value;
         }
         base.metrics.sort_by(|a, b| a.path.cmp(&b.path));
         Some(base)
     }
 
-    /// Sends `mk()` to every worker and collects one response each,
-    /// in worker order.
-    fn broadcast(&self, mk: impl Fn() -> Cmd) -> Vec<Resp> {
-        for w in &self.workers {
-            w.cmd.send(mk()).expect("shard worker hung up");
+    /// The auto-repartition step: re-cost from the merged report,
+    /// search at the same shard count, rebuild only on strict
+    /// modeled-makespan improvement. Replay of a snapshot we just
+    /// captured cannot diverge unless determinism itself is broken, so
+    /// a failure here is a bug, not an input error.
+    fn at_boundary(&mut self) {
+        if !self.auto_repartition {
+            return;
         }
-        self.workers
-            .iter()
-            .map(|w| w.resp.recv().expect("shard worker died"))
-            .collect()
+        let costs = NodeCosts::from_report(&self.report());
+        let pen = costs.default_cut_penalty();
+        let cand = partition_search(&costs, self.threads(), pen);
+        if costs.makespan(&cand, pen) < costs.makespan(&self.spec, pen) {
+            self.repartition(cand)
+                .expect("auto repartition replay diverged");
+        }
     }
 }
 
 impl Drop for ParallelSoc {
     fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.cmd.send(Cmd::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(j) = w.join.take() {
-                let _ = j.join();
-            }
+        for w in self.workers.drain(..) {
+            drop(w.cmd);
+            let _ = w.join.join();
         }
     }
 }
 
 /// One worker thread: builds its shard of the SoC, then serves
-/// commands until shutdown.
-#[allow(clippy::too_many_arguments)]
+/// commands until the facade hangs up.
 fn worker_main(
-    shard: usize,
-    owner: Vec<usize>,
-    sync: Arc<EpochSync>,
-    cfg: SocConfig,
-    program: &[u32],
-    staging: &[u32],
-    gmem: &[(usize, Vec<u64>)],
+    spec: ShardSpec,
+    sync: &EpochSync,
+    recipe: Arc<Recipe>,
     telemetry: bool,
-    mailboxes: MailboxHub<NocFlit>,
-    plan_cache: Option<crate::rtlplan::PlanCacheHandle>,
     cmds: &mpsc::Receiver<Cmd>,
-    resps: &mpsc::Sender<Resp>,
+    ran: &mpsc::Sender<Box<RunOut>>,
 ) {
-    let is_hub = owner[HUB_NODE as usize] == shard;
-    let spec = ShardSpec {
-        shard,
-        owner,
-        mailboxes,
-        plan_cache,
-    };
+    let (shard, is_hub) = (spec.shard, spec.owner[HUB_NODE as usize] == spec.shard);
     let sink = telemetry.then(Telemetry::new);
-    let mut soc = Soc::build_sharded(cfg, program, staging, gmem, sink, &spec);
+    let mut soc = Soc::from_recipe(recipe, sink, Some(&spec));
     while let Ok(cmd) = cmds.recv() {
-        let resp = match cmd {
+        match cmd {
             Cmd::Run {
                 max_cycles,
                 watchdog,
                 init_idle,
                 carried,
-            } => Resp::Ran(Box::new(run_one(
-                &mut soc, &sync, shard, is_hub, max_cycles, watchdog, init_idle, carried,
-            ))),
-            Cmd::Ctrl => Resp::Ctrl(*soc.ctrl_handle().borrow()),
-            Cmd::Report => Resp::Report(Box::new(soc.report())),
-            Cmd::GmemRead { base, len } => Resp::Gmem(soc.gmem_read(base, len)),
-            Cmd::InjectFault { pat, cfg, seed } => {
-                Resp::Injected(soc.inject_fault(&pat, cfg, seed))
+            } => {
+                let out = run_one(
+                    &mut soc, sync, shard, is_hub, max_cycles, watchdog, init_idle, carried,
+                );
+                if ran.send(Box::new(out)).is_err() {
+                    break;
+                }
             }
-            Cmd::FaultStats { pat } => Resp::FaultStats(soc.fault_stats(&pat)),
-            Cmd::CoverageBins => Resp::CoverageBins(soc.coverage().bins()),
-            Cmd::Telemetry => Resp::Telemetry(soc.telemetry_snapshot().map(Box::new)),
-            Cmd::Shutdown => break,
-        };
-        if resps.send(resp).is_err() {
-            break;
+            Cmd::Call(f) => f(&mut soc),
         }
     }
 }
@@ -1257,13 +900,10 @@ fn run_one(
     // barrier-ordered before the loop exits), the facade uses the
     // hub's.
     let last_progress = sync.aggregate_progress(out.instants);
-    let ctrl = soc.ctrl_handle();
-    let status = *ctrl.borrow();
     RunOut {
         cycles: soc.sim().cycles(hub_clock) - start,
         abs_cycles: soc.sim().cycles(hub_clock),
         now: soc.sim().now(),
-        ctrl: status,
         verdict: out.verdict,
         instants: out.instants,
         fired_instants: out.fired_instants,
@@ -1281,20 +921,6 @@ fn run_one(
 mod tests {
     use super::*;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
-
-    #[test]
-    fn partition_shapes() {
-        assert_eq!(partition(1), vec![0; 16]);
-        assert_eq!(partition(2)[0], 0);
-        assert_eq!(partition(2)[3], 1);
-        assert_eq!(partition(4)[HUB_NODE as usize], 3);
-        assert_eq!(partition(8)[HUB_NODE as usize], 7);
-        for t in [1, 2, 4, 8] {
-            let owner = partition(t);
-            assert_eq!(owner.len(), 16);
-            assert!(owner.iter().all(|&s| s < t));
-        }
-    }
 
     #[test]
     fn segmented_checkpoint_run_matches_unsegmented() {
@@ -1336,7 +962,7 @@ mod tests {
         // must equal the uninterrupted run's.
         let mut back = ParallelSoc::restore(snap, 2).expect("restores");
         assert!(back.session_open());
-        let back_res = back.resume_checked().expect("clean resume");
+        let back_res = back.run_to_end().expect("clean resume");
         assert!(back_res.completed);
         assert_eq!(
             back_res.cycles, base_res.cycles,
@@ -1357,14 +983,14 @@ mod tests {
         let cfg = SocConfig::default();
 
         let mut soc = ParallelSoc::build(cfg, &program, &table, &wl.gmem_init, 2);
-        soc.begin_checked(2_000_000, 100_000);
+        soc.begin(2_000_000, 100_000);
         soc.inject_fault("l11p3->15", FaultConfig::bit_flip(0.01), 7)
             .expect("pattern matches");
         let snap = {
             // Advance a partial segment by bounding the budget through
             // checkpoint_every-free manual segmentation: run a short
             // checked slice via a temporary session budget.
-            let res = soc.resume_checked().expect("clean run");
+            let res = soc.run_to_end().expect("clean run");
             assert!(res.completed);
             soc.checkpoint()
         };

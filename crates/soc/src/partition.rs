@@ -4,7 +4,7 @@
 //! 4x4 mesh into fixed vertical strips. This module generalizes the
 //! cut to **any** node→shard map at latency-insensitive channel
 //! boundaries: a [`PartitionSpec`] names each node's owning shard, and
-//! validation walks the same mesh-link topology `Soc::build_internal`
+//! validation walks the same mesh-link topology `Soc::from_recipe`
 //! wires, confirming every cut edge crosses only LI (buffered,
 //! capacity ≥ 1) channels — the property that makes one-instant epochs
 //! conservative-safe. Because every worker always builds the full
@@ -283,7 +283,7 @@ impl fmt::Display for PartitionSpec {
 }
 
 /// All undirected mesh edges of the 4x4 grid, each once as
-/// `(low, high)`, in the same scan order `Soc::build_internal` wires
+/// `(low, high)`, in the same scan order `Soc::from_recipe` wires
 /// the directed link channels.
 fn mesh_edges() -> impl Iterator<Item = (usize, usize)> {
     let w = MESH_WIDTH as usize;

@@ -4,9 +4,9 @@
 //! fine-grained GALS clocking with pausible bisynchronous FIFOs on
 //! every router-to-router link.
 
-use crate::checkpoint::{ArchDigest, FaultEvent, SessionState, SimSnapshot};
+use crate::checkpoint::{Recipe, SessionState, SimSnapshot};
 use crate::controller::{Controller, CtrlHandle, CtrlStatus};
-use crate::engine::SegmentStatus;
+use crate::engine::{revive, Advance, EngineKind, Position, RunCore, SimEngine};
 use crate::hub::{Hub, HubAxiSlave, HubHandle, HubState, CTRL_PAGE};
 use crate::msg::{HUB_NODE, MESH_WIDTH, N_NODES};
 use crate::pe::{Fidelity, PeConfig, ProcessingElement};
@@ -20,14 +20,15 @@ use craft_matchlib::axi::{
 };
 use craft_matchlib::router::{port, xy_route, NocFlit, SfRouter, WhvcConfig, WhvcRouter};
 use craft_riscv::FlatMemory;
-use craft_sim::checkpoint::{fnv64, CheckpointError, StateWriter};
+use craft_sim::checkpoint::CheckpointError;
 use craft_sim::{
     run_parallel, ActivityToken, ClockId, ClockSpec, EpochOutcome, EpochVerdict, EpochWorker,
-    Picoseconds, PlanDeopt, SimError, Simulator, Telemetry, TelemetrySnapshot, WatchdogState,
+    Picoseconds, PlanDeopt, SimError, Simulator, Telemetry, TelemetrySnapshot,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// AXI word-address base of the staging memory slave.
@@ -117,9 +118,10 @@ pub struct SocConfig {
     /// changes.
     pub compiled_schedule: bool,
     /// Periodic auto-checkpoint interval for supervised runs, in hub
-    /// cycles: `Some(k)` makes [`Soc::run_checked`] (and the parallel
-    /// facade's equivalent) capture a [`crate::SimSnapshot`] every `k`
-    /// cycles, retrievable via [`Soc::last_checkpoint`]. Captures are
+    /// cycles: `Some(k)` makes a supervised run on any engine
+    /// ([`SimEngine::run_checked`]) capture a [`crate::SimSnapshot`]
+    /// every `k` cycles — the boundaries a scheduler may preempt at —
+    /// retrievable via [`SimEngine::last_checkpoint`]. Captures are
     /// observation-only — results, cycle counts, reports and the
     /// watchdog's trip point are bit-identical with or without them
     /// (the segmented-run equivalence the checkpoint proptests pin).
@@ -587,7 +589,7 @@ pub(crate) enum ChannelRole {
     Inert,
 }
 
-/// Everything [`Soc::build_sharded`] needs to assemble one worker's
+/// Everything [`Soc::from_recipe`] needs to assemble one worker's
 /// shard of the SoC: which worker this is, the node→worker ownership
 /// map, the cross-worker mailbox registry, and the shared compile-plan
 /// cache (so shards hit one cache instead of recompiling per shard).
@@ -600,21 +602,6 @@ pub(crate) struct ShardSpec {
     pub mailboxes: MailboxHub<NocFlit>,
     /// Shared compile-plan cache ([`Fidelity::RtlCompiled`] only).
     pub plan_cache: Option<PlanCacheHandle>,
-}
-
-/// An open supervised run, segmentable around checkpoint captures:
-/// [`Soc::run_checked`] is `begin_checked` + `resume_checked`, and a
-/// restored SoC picks the session up mid-budget with the watchdog
-/// accumulators carried across the seam.
-pub(crate) struct CheckedSession {
-    /// Hub-cycle budget left.
-    pub remaining: u64,
-    /// Watchdog no-progress limit.
-    pub no_progress_limit: u64,
-    /// Hub cycles consumed so far (becomes [`RunResult::cycles`]).
-    pub consumed: u64,
-    /// Watchdog accumulators, persisted across segments.
-    pub wd: WatchdogState,
 }
 
 /// A built prototype SoC ready to run.
@@ -631,19 +618,9 @@ pub struct Soc {
     noc_roles: Vec<ChannelRole>,
     owned_clocks: Vec<ClockId>,
     telemetry: Option<Telemetry>,
-    // Replay recipe: the deterministic build inputs plus the ordered
-    // irregular-event log — everything a checkpoint needs to rebuild
-    // and retrace this simulation (see [`crate::checkpoint`]).
-    cfg: SocConfig,
-    program: Vec<u32>,
-    staging_init: Vec<u32>,
-    gmem_init: Vec<(usize, Vec<u64>)>,
-    fault_log: Vec<FaultEvent>,
-    session: Option<CheckedSession>,
-    last_ckpt: Option<SimSnapshot>,
-    ckpt_count: Rc<Cell<u64>>,
-    ckpt_bytes: Rc<Cell<u64>>,
-    ckpt_last_ns: Rc<Cell<u64>>,
+    /// Recipe, fault log, session, last capture, odometers — the state
+    /// the [`SimEngine`] driver works on.
+    core: RunCore,
 }
 
 /// Wires one NoC registry channel according to its endpoints' shard
@@ -722,41 +699,33 @@ impl Soc {
         gmem_init: &[(usize, Vec<u64>)],
         telemetry: Option<Telemetry>,
     ) -> Soc {
-        Self::build_internal(cfg, program, staging_init, gmem_init, telemetry, None)
+        let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
+        Self::from_recipe(recipe, telemetry, None)
     }
 
-    /// Builds one worker's shard of the SoC for parallel simulation:
-    /// the full clock table and channel registry (identical across
-    /// workers, so clock indices, fault seeds and channel names line
-    /// up), but only the components of nodes this shard owns. Channels
-    /// crossing a shard boundary are split into mailbox-coupled halves;
-    /// see [`ChannelRole`] and [`crate::parallel::ParallelSoc`].
-    pub(crate) fn build_sharded(
-        cfg: SocConfig,
-        program: &[u32],
-        staging_init: &[u32],
-        gmem_init: &[(usize, Vec<u64>)],
-        telemetry: Option<Telemetry>,
-        shard: &ShardSpec,
-    ) -> Soc {
-        Self::build_internal(
-            cfg,
-            program,
-            staging_init,
-            gmem_init,
-            telemetry,
-            Some(shard),
-        )
-    }
-
-    fn build_internal(
-        cfg: SocConfig,
-        program: &[u32],
-        staging_init: &[u32],
-        gmem_init: &[(usize, Vec<u64>)],
+    /// Builds from a shared [`Recipe`] — the whole SoC, or with `shard`
+    /// one worker's shard of it for parallel simulation: the full clock
+    /// table and channel registry (identical across workers, so clock
+    /// indices, fault seeds and channel names line up), but only the
+    /// components of nodes this shard owns. Channels crossing a shard
+    /// boundary are split into mailbox-coupled halves; see
+    /// [`ChannelRole`] and [`crate::parallel::ParallelSoc`].
+    ///
+    /// # Panics
+    /// Panics if the recipe's config fails [`SocConfig::validate`] or
+    /// any init region is out of range.
+    pub(crate) fn from_recipe(
+        recipe: Arc<Recipe>,
         telemetry: Option<Telemetry>,
         shard: Option<&ShardSpec>,
     ) -> Soc {
+        let Recipe {
+            cfg,
+            program,
+            staging: staging_init,
+            gmem_init,
+        } = &*recipe;
+        let cfg = *cfg;
         if let Err(e) = cfg.validate() {
             panic!("invalid SocConfig: {e}");
         }
@@ -1226,9 +1195,7 @@ impl Soc {
         // All registry wiring happens here, once, after assembly:
         // probes close over the same shared handles the accessors read,
         // so a snapshot any cycle agrees with `Soc::report`.
-        let ckpt_count = Rc::new(Cell::new(0u64));
-        let ckpt_bytes = Rc::new(Cell::new(0u64));
-        let ckpt_last_ns = Rc::new(Cell::new(0u64));
+        let core = RunCore::new(recipe);
         if let Some(tel) = &telemetry {
             // Hub and plan probes come from the hub-owning worker only;
             // publishing the shared plan cache (or the inert hub dummy)
@@ -1323,14 +1290,7 @@ impl Soc {
             // state (pinned by the checkpoint telemetry tests). Hub
             // worker only, like the other facade-level probes.
             if is_hub_worker {
-                let (c, b, n) = (
-                    Rc::clone(&ckpt_count),
-                    Rc::clone(&ckpt_bytes),
-                    Rc::clone(&ckpt_last_ns),
-                );
-                tel.probe("sim.ckpt.count", move || c.get());
-                tel.probe("sim.ckpt.bytes", move || b.get());
-                tel.probe("sim.ckpt.last_ns", move || n.get());
+                core.ckpt.publish(tel);
             }
             sim.set_tick_profiling(tel.profiling());
         }
@@ -1359,16 +1319,7 @@ impl Soc {
             noc_roles,
             owned_clocks,
             telemetry,
-            cfg,
-            program: program.to_vec(),
-            staging_init: staging_init.to_vec(),
-            gmem_init: gmem_init.to_vec(),
-            fault_log: Vec::new(),
-            session: None,
-            last_ckpt: None,
-            ckpt_count,
-            ckpt_bytes,
-            ckpt_last_ns,
+            core,
         }
     }
 
@@ -1379,50 +1330,15 @@ impl Soc {
     /// independent injector derived from `seed`. Returns how many
     /// channels matched, or [`FaultPatternError::NoMatch`] when the
     /// pattern names nothing — a typo'd pattern used to come back as a
-    /// silently ignorable `0`.
+    /// silently ignorable `0`. Successful injections join the replay
+    /// log ([`SimEngine::inject_fault`]).
     pub fn inject_fault(
         &mut self,
         pat: &str,
         cfg: FaultConfig,
         seed: u64,
     ) -> Result<usize, FaultPatternError> {
-        // An injector changes what a channel commits, not the schedule:
-        // the faulted channel re-arms its own dirty token on every
-        // commit, which notifies an armed instant plan exactly as it
-        // keeps the gated interpreter committing — no de-opt.
-        let mut matched = 0;
-        for (i, (name, h)) in self.noc_channels.iter().enumerate() {
-            if name.contains(pat) {
-                matched += 1;
-                // The injector perturbs tokens at the producer's commit,
-                // so in a sharded build it arms on the worker holding
-                // the producer end. Matching still runs over the full
-                // registry: the count and the per-channel seed (derived
-                // from the registry index) are identical on every
-                // worker and to the sequential build.
-                if matches!(self.noc_roles[i], ChannelRole::Local | ChannelRole::TxHalf) {
-                    h.inject_faults(cfg, lane_fault_seed(seed, i));
-                }
-            }
-        }
-        if matched == 0 {
-            return Err(FaultPatternError::NoMatch {
-                pattern: pat.to_string(),
-            });
-        }
-        // Successful injections join the replay log: a checkpoint's
-        // restore re-arms them at the same kernel instant, reproducing
-        // the injectors' decision streams bit-for-bit (each stream is
-        // a pure function of (cfg, per-channel salted seed, token
-        // index)).
-        self.fault_log.push(FaultEvent {
-            pattern: pat.to_string(),
-            cfg,
-            seed,
-            at_instants: self.sim.instants(),
-            at_cycles: self.sim.cycles(self.hub_clock),
-        });
-        Ok(matched)
+        SimEngine::inject_fault(self, pat, cfg, seed)
     }
 
     /// Aggregated fault-injection counters over every NoC channel
@@ -1585,7 +1501,7 @@ impl Soc {
 
     /// The configuration this SoC was built from.
     pub fn config(&self) -> &SocConfig {
-        &self.cfg
+        &self.core.recipe.cfg
     }
 
     /// Read-only view of the underlying kernel, exposing scheduling
@@ -1696,11 +1612,11 @@ impl Soc {
     ///
     /// # Panics
     /// Panics if a supervised session is open — finish it with
-    /// [`Soc::resume_checked`] first, or its cycle accounting would
+    /// [`SimEngine::run_to_end`] first, or its cycle accounting would
     /// silently drift.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         assert!(
-            self.session.is_none(),
+            self.core.session.is_none(),
             "finish the open supervised session before Soc::run"
         );
         let t0 = Instant::now();
@@ -1729,204 +1645,24 @@ impl Soc {
     /// over AXI forever and that busy-wait must not mask a wedged NoC.
     /// With [`SocConfig::checkpoint_every`] set, the run is segmented
     /// at that interval with a [`SimSnapshot`] captured at each
-    /// boundary (see [`Soc::last_checkpoint`]); segmentation and
+    /// boundary (see [`SimEngine::last_checkpoint`]); segmentation and
     /// capture are observation-only — outcome, cycle count and the
-    /// watchdog trip point are identical to an unsegmented run.
+    /// watchdog trip point are identical to an unsegmented run. This
+    /// is [`SimEngine::run_checked`]; the segmented entry points
+    /// (`begin`, `step_segment`, `run_to_end`) live on the trait.
     pub fn run_checked(
         &mut self,
         max_cycles: u64,
         no_progress_limit: u64,
     ) -> Result<RunResult, SimError> {
-        self.begin_checked(max_cycles, no_progress_limit);
-        self.resume_checked()
-    }
-
-    /// Opens a supervised-run session without advancing it: arms the
-    /// progress taps and records the budget and watchdog baseline.
-    /// Drive it with [`Soc::resume_checked`].
-    ///
-    /// # Panics
-    /// Panics if a session is already open.
-    pub fn begin_checked(&mut self, max_cycles: u64, no_progress_limit: u64) {
-        assert!(
-            self.session.is_none(),
-            "a supervised run session is already open"
-        );
-        self.arm_progress_taps();
-        self.session = Some(CheckedSession {
-            remaining: max_cycles,
-            no_progress_limit,
-            consumed: 0,
-            wd: WatchdogState {
-                idle: 0,
-                last_cycle: self.sim.cycles(self.hub_clock),
-            },
-        });
-    }
-
-    /// Whether a supervised-run session is open (a checkpoint taken
-    /// now captures it, and a restore resumes it mid-budget).
-    pub fn session_open(&self) -> bool {
-        self.session.is_some()
-    }
-
-    /// Takes the open session, ending it — for drivers (the batch
-    /// backend) that segment a session themselves via
-    /// [`Soc::advance_checked`] and blend the final result.
-    pub(crate) fn close_session(&mut self) -> Option<CheckedSession> {
-        self.session.take()
-    }
-
-    /// Runs one segment of the open session, at most `budget` hub
-    /// cycles. `Ok(Some(completed))` ends the session (predicate fired
-    /// or the whole budget ran out); `Ok(None)` means the segment
-    /// boundary was reached with budget to spare. The halt predicate
-    /// is pure, so the extra boundary evaluation at each seam is
-    /// invisible — the segmented run is step-for-step identical to an
-    /// uninterrupted one.
-    pub(crate) fn advance_checked(&mut self, budget: u64) -> Result<Option<bool>, SimError> {
-        let s = self.session.as_mut().expect("session open");
-        let seg = budget.min(s.remaining);
-        let npl = s.no_progress_limit;
-        let mut wd = s.wd;
-        let start = self.sim.cycles(self.hub_clock);
-        let ctrl = Rc::clone(&self.ctrl);
-        let outcome =
-            self.sim
-                .run_until_checked_with(self.hub_clock, seg, npl, &mut wd, move || {
-                    ctrl.borrow().halted
-                });
-        let advanced = self.sim.cycles(self.hub_clock) - start;
-        let s = self.session.as_mut().expect("session open");
-        s.consumed += advanced;
-        s.remaining -= advanced.min(s.remaining);
-        s.wd = wd;
-        match outcome {
-            Err(e) => {
-                self.session = None;
-                Err(e)
-            }
-            Ok(true) => Ok(Some(true)),
-            // `Ok(false)` with budget left in the session means only
-            // this segment's limit was hit — anything else (stop
-            // request, no edges, whole budget spent) ends the session.
-            Ok(false) if s.remaining > 0 && advanced == seg => Ok(None),
-            Ok(false) => Ok(Some(false)),
-        }
-    }
-
-    /// Drives the open session to completion, capturing an automatic
-    /// checkpoint every [`SocConfig::checkpoint_every`] cycles between
-    /// segments. Returns the session's final [`RunResult`] — with
-    /// `cycles` accumulated across every segment (and, for a restored
-    /// session, the cycles consumed before the snapshot), so it equals
-    /// the uninterrupted run's.
-    ///
-    /// # Panics
-    /// Panics if no session is open.
-    pub fn resume_checked(&mut self) -> Result<RunResult, SimError> {
-        assert!(self.session.is_some(), "no supervised run session open");
-        let t0 = Instant::now();
-        loop {
-            if let SegmentStatus::Done(mut r) = self.step_segment()? {
-                r.wall = t0.elapsed();
-                return Ok(r);
-            }
-        }
-    }
-
-    /// Runs one segment of the open session — at most
-    /// [`SocConfig::checkpoint_every`] cycles (the whole budget when
-    /// unset). [`SegmentStatus::Boundary`] means budget remains and
-    /// the automatic checkpoint was captured: a scheduler may preempt
-    /// here, serialize [`Soc::last_checkpoint`], and revive the run
-    /// elsewhere. [`SegmentStatus::Done`] carries the whole-run
-    /// blended result (its `wall` covers only the final segment).
-    ///
-    /// # Panics
-    /// Panics if no session is open.
-    pub fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
-        assert!(self.session.is_some(), "no supervised run session open");
-        let t0 = Instant::now();
-        let auto = self.cfg.checkpoint_every;
-        match self.advance_checked(auto.unwrap_or(u64::MAX))? {
-            Some(completed) => {
-                let s = self.session.take().expect("session open");
-                Ok(SegmentStatus::Done(RunResult {
-                    cycles: s.consumed,
-                    wall: t0.elapsed(),
-                    ctrl: *self.ctrl.borrow(),
-                    completed,
-                }))
-            }
-            None => {
-                if auto.is_some() {
-                    self.last_ckpt = Some(self.checkpoint());
-                }
-                Ok(SegmentStatus::Boundary)
-            }
-        }
-    }
-
-    /// Captures a versioned [`SimSnapshot`] of this simulation at the
-    /// current boundary: the replay recipe (config, memory images,
-    /// fault log), the exact kernel-instant target, the open session
-    /// if any, and the kernel + architectural verification digests.
-    /// Observation-only: capture reads shared state and never perturbs
-    /// the simulation. Updates the `sim.ckpt.{count,bytes,last_ns}`
-    /// telemetry counters.
-    pub fn checkpoint(&self) -> SimSnapshot {
-        let t0 = Instant::now();
-        let snap = SimSnapshot {
-            cfg: self.cfg,
-            program: self.program.clone(),
-            staging: self.staging_init.clone(),
-            gmem_init: self.gmem_init.clone(),
-            faults: self.fault_log.clone(),
-            instants: Some(self.sim.instants()),
-            hub_cycles: self.sim.cycles(self.hub_clock),
-            progress_set: self.sim.progress_token().is_set(),
-            session: self.session.as_ref().map(|s| SessionState {
-                remaining: s.remaining,
-                no_progress_limit: s.no_progress_limit,
-                consumed: s.consumed,
-                wd: s.wd,
-                carried_progress: None,
-            }),
-            kernel: Some(self.sim.kernel_digest()),
-            arch: self.arch_digest(),
-        };
-        self.ckpt_count.set(self.ckpt_count.get() + 1);
-        self.ckpt_bytes.set(snap.to_bytes().len() as u64);
-        self.ckpt_last_ns
-            .set(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        snap
-    }
-
-    /// The most recent automatic checkpoint taken by a segmented
-    /// supervised run ([`SocConfig::checkpoint_every`]), if any.
-    pub fn last_checkpoint(&self) -> Option<&SimSnapshot> {
-        self.last_ckpt.as_ref()
-    }
-
-    /// Hashes the observable run state for snapshot verification.
-    pub(crate) fn arch_digest(&self) -> ArchDigest {
-        let gmem = self.gmem_read(0, self.cfg.gmem_words);
-        let mut w = StateWriter::new();
-        w.put_u64s(&gmem);
-        ArchDigest {
-            hub_cycles: self.sim.cycles(self.hub_clock),
-            report_fnv: fnv64(self.report().to_json().as_bytes()),
-            ctrl_fnv: fnv64(format!("{:?}", *self.ctrl.borrow()).as_bytes()),
-            gmem_fnv: fnv64(&w.into_bytes()),
-        }
+        SimEngine::run_checked(self, max_cycles, no_progress_limit)
     }
 
     /// Rebuilds a SoC from `snap` and deterministically replays it to
     /// the capture boundary, verifying the kernel and architectural
     /// digests — the restore-then-run ≡ uninterrupted-run contract the
     /// checkpoint proptests pin. An open session in the snapshot is
-    /// reinstated, ready for [`Soc::resume_checked`].
+    /// reinstated, ready for [`SimEngine::run_to_end`].
     pub fn restore(snap: &SimSnapshot) -> Result<Soc, CheckpointError> {
         Self::restore_with_telemetry(snap, None)
     }
@@ -1938,106 +1674,31 @@ impl Soc {
         snap: &SimSnapshot,
         telemetry: Option<Telemetry>,
     ) -> Result<Soc, CheckpointError> {
-        snap.cfg
-            .validate()
-            .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
-        let mut soc = Soc::build_with_telemetry(
-            snap.cfg,
-            &snap.program,
-            &snap.staging,
-            &snap.gmem_init,
-            telemetry,
-        );
-        soc.replay_to(snap)?;
-        Ok(soc)
+        revive(snap, |recipe| Ok(Soc::from_recipe(recipe, telemetry, None)))
     }
 
-    /// Steps the kernel until `target` instants have been processed.
-    fn step_to_instant(&mut self, target: u64) -> Result<(), CheckpointError> {
-        if self.sim.instants() > target {
+    /// Steps the kernel until `at()` reaches `target`; `field` names
+    /// the coordinate in the typed error when the run cannot get there.
+    fn step_until(
+        &mut self,
+        field: &str,
+        target: u64,
+        at: impl Fn(&Simulator) -> u64,
+    ) -> Result<(), CheckpointError> {
+        if at(&self.sim) > target {
             return Err(CheckpointError::Malformed(format!(
-                "replay target {target} is behind the current instant {}",
-                self.sim.instants()
+                "replay target {field} {target} is behind the current {}",
+                at(&self.sim)
             )));
         }
-        while self.sim.instants() < target {
+        while at(&self.sim) < target {
             if !self.sim.step() {
                 return Err(CheckpointError::ReplayDivergence {
-                    field: "kernel.instants".to_string(),
+                    field: field.to_string(),
                     expected: target,
-                    found: self.sim.instants(),
+                    found: at(&self.sim),
                 });
             }
-        }
-        Ok(())
-    }
-
-    /// Steps the kernel until the hub clock reaches `target` cycles —
-    /// the replay scheme for parallel-captured snapshots, whose
-    /// capture boundaries are always cycle-reachable.
-    fn step_to_cycle(&mut self, target: u64) -> Result<(), CheckpointError> {
-        if self.sim.cycles(self.hub_clock) > target {
-            return Err(CheckpointError::Malformed(format!(
-                "replay target cycle {target} is behind the current cycle {}",
-                self.sim.cycles(self.hub_clock)
-            )));
-        }
-        while self.sim.cycles(self.hub_clock) < target {
-            if !self.sim.step() {
-                return Err(CheckpointError::ReplayDivergence {
-                    field: "arch.hub_cycles".to_string(),
-                    expected: target,
-                    found: self.sim.cycles(self.hub_clock),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Replays this freshly built SoC to `snap`'s capture boundary:
-    /// re-arms each logged fault injection at its recorded instant,
-    /// steps to the progress target, restores the progress-token
-    /// state, verifies the digests, and reinstates the open session.
-    pub(crate) fn replay_to(&mut self, snap: &SimSnapshot) -> Result<(), CheckpointError> {
-        for ev in &snap.faults {
-            match snap.instants {
-                Some(_) => self.step_to_instant(ev.at_instants)?,
-                None => self.step_to_cycle(ev.at_cycles)?,
-            }
-            self.inject_fault(&ev.pattern, ev.cfg, ev.seed)
-                .map_err(|e| {
-                    CheckpointError::Malformed(format!("logged fault failed to re-arm: {e}"))
-                })?;
-        }
-        match snap.instants {
-            Some(target) => self.step_to_instant(target)?,
-            None => self.step_to_cycle(snap.hub_cycles)?,
-        }
-        // Captures happen at run boundaries, where the kernel has
-        // settled its gating statistics; a raw step loop must settle
-        // them explicitly (exact-statistics contract: flush timing is
-        // behavior-neutral, totals at a given instant are unique).
-        self.sim.flush_skipped_commits();
-        // The progress token only feeds the watchdog, never behavior —
-        // restore its flag verbatim rather than mimicking takes.
-        let token = self.sim.progress_token();
-        if snap.progress_set {
-            token.set();
-        } else {
-            let _ = token.take();
-        }
-        if let Some(kernel) = &snap.kernel {
-            kernel.verify(&self.sim.kernel_digest())?;
-        }
-        snap.arch.verify(&self.arch_digest())?;
-        if let Some(s) = &snap.session {
-            self.arm_progress_taps();
-            self.session = Some(CheckedSession {
-                remaining: s.remaining,
-                no_progress_limit: s.no_progress_limit,
-                consumed: s.consumed,
-                wd: s.wd,
-            });
         }
         Ok(())
     }
@@ -2066,6 +1727,137 @@ impl Soc {
         let gmem = gmem_macro.access_energy_fj() * st.gmem_ops as f64;
         let noc = craft_tech::noc_hop_energy_fj(lib, 450.0) * st.noc_flits as f64 * 3.0;
         (mac + gmem + noc) / 1e6
+    }
+}
+
+/// The sequential engine: one kernel, so captures are instant-exact
+/// and carry a [`craft_sim::KernelDigest`].
+impl SimEngine for Soc {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Soc
+    }
+
+    fn core(&self) -> &RunCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut RunCore {
+        &mut self.core
+    }
+
+    /// One [`Simulator::run_until_checked_with`] call, every NoC
+    /// channel tapped as a progress source. The halt predicate is
+    /// pure, so the extra evaluation at each seam is invisible — a
+    /// segmented run is step-for-step an uninterrupted one.
+    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
+        self.arm_progress_taps();
+        // A kernel's watchdog state is wholly in `wd`; the seam bit a
+        // shard set left in a cross-restored session means nothing here.
+        session.carried_progress = None;
+        let start = self.sim.cycles(self.hub_clock);
+        let ctrl = Rc::clone(&self.ctrl);
+        let halted = self.sim.run_until_checked_with(
+            self.hub_clock,
+            budget,
+            session.no_progress_limit,
+            &mut session.wd,
+            move || ctrl.borrow().halted,
+        )?;
+        let cycles = self.sim.cycles(self.hub_clock) - start;
+        // Not halted with the whole budget spent: only the budget
+        // stopped the run. Anything short of it (stop request, no
+        // edges left) ended it.
+        Ok(Advance {
+            cycles,
+            ended: (halted || cycles < budget).then_some(halted),
+        })
+    }
+
+    fn position(&self) -> Position {
+        Position {
+            instants: self.sim.instants(),
+            hub_cycles: self.sim.cycles(self.hub_clock),
+            progress_set: self.sim.progress_token().is_set(),
+            kernel: Some(self.sim.kernel_digest()),
+        }
+    }
+
+    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError> {
+        let hub = self.hub_clock;
+        match instants {
+            Some(target) => self.step_until("kernel.instants", target, Simulator::instants)?,
+            None => self.step_until("arch.hub_cycles", hub_cycles, |sim| sim.cycles(hub))?,
+        }
+        // Captures happen at run boundaries, where the kernel has
+        // settled its gating statistics; a raw step loop must settle
+        // them explicitly (exact-statistics contract: flush timing is
+        // behavior-neutral, totals at a given instant are unique).
+        self.sim.flush_skipped_commits();
+        Ok(())
+    }
+
+    fn arm_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError> {
+        // An injector changes what a channel commits, not the schedule:
+        // the faulted channel re-arms its own dirty token on every
+        // commit, which notifies an armed instant plan exactly as it
+        // keeps the gated interpreter committing — no de-opt.
+        let mut matched = 0;
+        for (i, (name, h)) in self.noc_channels.iter().enumerate() {
+            if name.contains(pat) {
+                matched += 1;
+                // The injector perturbs tokens at the producer's commit,
+                // so in a sharded build it arms on the worker holding
+                // the producer end. Matching still runs over the full
+                // registry: the count and the per-channel seed (derived
+                // from the registry index) are identical on every
+                // worker and to the sequential build.
+                if matches!(self.noc_roles[i], ChannelRole::Local | ChannelRole::TxHalf) {
+                    h.inject_faults(cfg, lane_fault_seed(seed, i));
+                }
+            }
+        }
+        if matched == 0 {
+            return Err(FaultPatternError::NoMatch {
+                pattern: pat.to_string(),
+            });
+        }
+        Ok(matched)
+    }
+
+    /// The progress token only feeds the watchdog, never behavior —
+    /// its flag is restored verbatim rather than by mimicking takes.
+    fn set_progress(&mut self, set: bool) {
+        let token = self.sim.progress_token();
+        if set {
+            token.set();
+        } else {
+            let _ = token.take();
+        }
+    }
+
+    fn report(&self) -> SocReport {
+        Soc::report(self)
+    }
+
+    fn ctrl_status(&self) -> CtrlStatus {
+        Soc::ctrl_status(self)
+    }
+
+    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
+        Soc::gmem_read(self, base, len)
+    }
+
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        Soc::telemetry_snapshot(self)
+    }
+
+    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
+        Soc::fault_stats(self, pat)
     }
 }
 

@@ -7,6 +7,7 @@
 //! Expected results are computed by an independent Rust reference with
 //! the same wrapping-u64 semantics as the PE datapath.
 
+use crate::engine::SimEngine;
 use crate::hub::ctrl;
 use crate::msg::{PeCommand, PeOp, N_PES};
 use crate::parallel::ParallelSoc;

@@ -21,8 +21,8 @@ use craft_soc::workloads::{
     dot_product, orchestrator_program, table_words, vec_mul, TableEntry, Workload,
 };
 use craft_soc::{
-    restore_engine, ClockingMode, EngineKind, ParallelSoc, PeCommand, PeOp, Soc, SocConfig,
-    SocReport,
+    restore_engine, ClockingMode, EngineKind, ParallelSoc, PeCommand, PeOp, SimEngine, Soc,
+    SocConfig, SocReport,
 };
 use proptest::prelude::*;
 
@@ -168,7 +168,7 @@ proptest! {
         let decoded = SimSnapshot::from_bytes(&bytes).expect("codec round-trip");
         let mut rest = Soc::restore(&decoded).expect("restore");
         prop_assert!(rest.session_open(), "restore must reopen the session");
-        let rest_res = rest.resume_checked();
+        let rest_res = rest.run_to_end();
         let rest_out = observe_seq(&rest, rest_res, &wl, &fault);
         prop_assert_eq!(
             &base_out, &rest_out,
@@ -225,7 +225,7 @@ proptest! {
         let decoded = SimSnapshot::from_bytes(&bytes).expect("codec round-trip");
         let mut rest = ParallelSoc::restore(&decoded, threads).expect("restore");
         prop_assert!(rest.session_open(), "restore must reopen the session");
-        let rest_res = rest.resume_checked();
+        let rest_res = rest.run_to_end();
         let rest_out = observe_par(&rest, rest_res, &wl, &fault);
         prop_assert_eq!(
             &base_out, &rest_out,
@@ -414,7 +414,7 @@ fn mid_hang_checkpoint_reproduces_the_diagnosis() {
 
     let decoded = SimSnapshot::from_bytes(&snap.to_bytes()).expect("codec round-trip");
     let mut rest = Soc::restore(&decoded).expect("restore");
-    let rest_err = rest.resume_checked().expect_err("hang must reproduce");
+    let rest_err = rest.run_to_end().expect_err("hang must reproduce");
     assert_eq!(
         format!("{base_err:?}"),
         format!("{rest_err:?}"),
@@ -452,7 +452,7 @@ fn parallel_mid_hang_checkpoint_reproduces_the_diagnosis() {
 
     let decoded = SimSnapshot::from_bytes(&snap.to_bytes()).expect("codec round-trip");
     let mut rest = ParallelSoc::restore(&decoded, 2).expect("restore");
-    let rest_err = rest.resume_checked().expect_err("hang must reproduce");
+    let rest_err = rest.run_to_end().expect_err("hang must reproduce");
     assert_eq!(
         format!("{seg_err:?}"),
         format!("{rest_err:?}"),
@@ -575,10 +575,12 @@ fn telemetry_is_invariant_across_restore() {
         .run_checked(MAX_CYCLES, NO_PROGRESS)
         .expect("clean run");
     let mut snap = producer.last_checkpoint().expect("auto-capture").clone();
-    snap.cfg.checkpoint_every = None;
+    std::sync::Arc::make_mut(&mut snap.recipe)
+        .cfg
+        .checkpoint_every = None;
 
     let mut rest = Soc::restore_with_telemetry(&snap, Some(Telemetry::new())).expect("restore");
-    let rest_res = rest.resume_checked().expect("clean resume");
+    let rest_res = rest.run_to_end().expect("clean resume");
     assert_eq!(base_res.cycles, rest_res.cycles, "cycle counts diverged");
     let rest_json = rest.telemetry_snapshot().expect("sink attached").to_json();
     assert_eq!(base_json, rest_json, "telemetry diverged across restore");

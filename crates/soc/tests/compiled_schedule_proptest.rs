@@ -17,7 +17,9 @@ use craft_sim::{PlanDeopt, SimError};
 use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
-use craft_soc::{ClockingMode, ParallelSoc, RunResult, SegmentStatus, Soc, SocConfig, SocReport};
+use craft_soc::{
+    ClockingMode, ParallelSoc, RunResult, SegmentStatus, SimEngine, Soc, SocConfig, SocReport,
+};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -238,13 +240,13 @@ fn mid_run_injection_survives_checkpoint_restore_armed() {
             &table_words(&wl.entries),
             &wl.gmem_init,
         );
-        soc.begin_checked(FAULT_MAX_CYCLES, FAULT_NO_PROGRESS);
+        soc.begin(FAULT_MAX_CYCLES, FAULT_NO_PROGRESS);
         assert!(matches!(soc.step_segment(), Ok(SegmentStatus::Boundary)));
         soc.inject_fault(PATTERN, FaultConfig::bit_flip(0.05), 11)
             .expect("pattern matches");
         assert!(matches!(soc.step_segment(), Ok(SegmentStatus::Boundary)));
         let snap = soc.last_checkpoint().expect("auto checkpoint").clone();
-        let res = soc.resume_checked();
+        let res = soc.run_to_end();
         assert_armed_until_completion_or_trip(&soc, compiled_schedule, res.is_err(), "direct");
         (observe_faulted(&soc, res, PATTERN), snap)
     };
@@ -260,7 +262,7 @@ fn mid_run_injection_survives_checkpoint_restore_armed() {
         back.sim().plan_armed(),
         "replayed injection must not de-opt"
     );
-    let res = back.resume_checked();
+    let res = back.run_to_end();
     assert_armed_until_completion_or_trip(&back, true, res.is_err(), "restored");
     assert_eq!(observe_faulted(&back, res, PATTERN), fast);
 }

@@ -17,7 +17,7 @@ use craft_sim::{
 };
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{orchestrator_program, table_words, vec_mul, Workload};
-use craft_soc::{ClockingMode, ParallelSoc, Soc, SocConfig, SocReport};
+use craft_soc::{ClockingMode, ParallelSoc, SimEngine, Soc, SocConfig, SocReport};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;

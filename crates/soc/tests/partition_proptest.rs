@@ -12,7 +12,7 @@ use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{orchestrator_program, table_words, vec_mul, TableEntry, Workload};
 use craft_soc::{
     partition_search, ClockingMode, NodeCosts, ParallelSoc, PartitionSpec, PeCommand, PeOp,
-    SegmentStatus, Soc, SocConfig, SocReport,
+    SegmentStatus, SimEngine, Soc, SocConfig, SocReport,
 };
 use proptest::prelude::*;
 
@@ -223,7 +223,7 @@ fn run_repartitioned(
     npl: u64,
     next: PartitionSpec,
 ) -> (Result<craft_soc::RunResult, SimError>, bool) {
-    soc.begin_checked(max, npl);
+    soc.begin(max, npl);
     let mut swapped = false;
     loop {
         match soc.step_segment() {

@@ -2,6 +2,10 @@
 # Repo CI gate: formatting, lints, the full test suite, Criterion
 # compilation, the fault campaign, the benchmark's correctness gate on
 # every workload, and a served-job smoke through the socket.
+# The test step is what a bare `cargo test -q` at the root runs too
+# (Tier-1): the workspace's `default-members` are all of it, and the
+# dev profile is optimised so the identity suites take ~1.5 min warm.
+# Nothing here is timed; performance is judged by `benchmark/` alone.
 # Run from the repo root: ./scripts/ci.sh
 set -eu
 
