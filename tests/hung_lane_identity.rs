@@ -51,17 +51,73 @@ enum Mode {
     Dup,
 }
 
-/// `(seed, fault mode, gated trip cycle, ungated trip cycle)`, as the
-/// kernel produced them before blocked components could sleep.
-const CASES: [(u64, Mode, u64, u64); 8] = [
-    (800, Mode::Flip, 100_742, 100_742),
-    (806, Mode::Drop, 100_495, 100_495),
-    (808, Mode::Drop, 100_697, 100_697),
-    (819, Mode::Drop, 100_630, 100_630),
-    (881, Mode::Drop, 100_705, 100_705),
-    (885, Mode::Drop, 100_770, 100_766),
-    (871, Mode::Dup, 100_764, 100_763),
-    (893, Mode::Dup, 100_495, 100_495),
+/// `(instants, ticks_delivered, ticks_skipped, ticks_skipped_blocked,
+/// commits_skipped)` of a run, as [`craftflow::sim::Simulator`]
+/// reports them.
+type Counters = (u64, u64, u64, u64, u64);
+
+/// `(seed, fault mode, gated trip cycle, ungated trip cycle, gated
+/// kernel counters at the trip)`: the trip cycles as the kernel
+/// produced them before blocked components could sleep, the counters
+/// as the gated kernel produced them before its two dispatchers
+/// became one loop.
+const CASES: [(u64, Mode, u64, u64, Counters); 8] = [
+    (
+        800,
+        Mode::Flip,
+        100_742,
+        100_742,
+        (100_742, 270_126, 3_457_328, 739_984, 12_587_426),
+    ),
+    (
+        806,
+        Mode::Drop,
+        100_495,
+        100_495,
+        (100_495, 267_164, 3_451_151, 1_339_951, 12_558_849),
+    ),
+    (
+        808,
+        Mode::Drop,
+        100_697,
+        100_697,
+        (100_697, 269_557, 3_456_232, 940_127, 12_582_274),
+    ),
+    (
+        819,
+        Mode::Drop,
+        100_630,
+        100_630,
+        (100_630, 268_768, 3_454_542, 1_140_245, 12_574_524),
+    ),
+    (
+        881,
+        Mode::Drop,
+        100_705,
+        100_705,
+        (100_705, 269_805, 3_456_280, 739_900, 12_582_955),
+    ),
+    (
+        885,
+        Mode::Drop,
+        100_770,
+        100_766,
+        (100_770, 270_393, 3_458_097, 240_021, 12_590_804),
+    ),
+    (
+        871,
+        Mode::Dup,
+        100_764,
+        100_763,
+        (100_764, 270_338, 3_457_930, 540_022, 12_590_077),
+    ),
+    (
+        893,
+        Mode::Dup,
+        100_495,
+        100_495,
+        (100_495, 267_238, 3_451_077, 1_239_803, 12_558_744),
+    ),
 ];
 
 fn fault(mode: Mode) -> FaultConfig {
@@ -177,9 +233,9 @@ fn spelling(gating: bool, compiled_schedule: bool) -> SocConfig {
 
 #[test]
 fn hung_lanes_end_identically_under_every_kernel_spelling() {
-    for (seed, mode, gated_trip, ungated_trip) in CASES {
+    for (seed, mode, gated_trip, ungated_trip, gated_counters) in CASES {
         let lane = format!("seed {seed} {mode:?}");
-        let counters = |soc: &Soc| {
+        let counters = |soc: &Soc| -> Counters {
             let sim = soc.sim();
             (
                 sim.instants(),
@@ -190,6 +246,11 @@ fn hung_lanes_end_identically_under_every_kernel_spelling() {
             )
         };
         let (gated, soc_gated) = run_to_hang(spelling(true, false), seed, mode);
+        assert_eq!(
+            counters(&soc_gated),
+            gated_counters,
+            "{lane}: gated kernel counters"
+        );
         assert_eq!(gated.trip_cycle, gated_trip, "{lane}: gated trip cycle");
         assert!(
             soc_gated.sim().ticks_skipped_blocked() > 0,
@@ -224,7 +285,7 @@ fn hung_lanes_end_identically_under_every_kernel_spelling() {
 
 #[test]
 fn a_wedged_noc_costs_no_ticks_over_the_watchdog_tail() {
-    for (seed, mode, trip, _) in CASES {
+    for (seed, mode, trip, _, _) in CASES {
         for compiled in [false, true] {
             let cfg = spelling(true, compiled);
             // The last progress event is `NO_PROGRESS` cycles before
