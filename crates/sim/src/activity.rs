@@ -16,28 +16,28 @@
 //!
 //! # Notify sinks
 //!
-//! The compiled instant plan (see the kernel's `plan` module) replaces
-//! the kernel's per-edge token *scan* with an event queue: while a plan
-//! is armed, each scheduled token is attached to a [`NotifySink`] with
-//! a dense slot index, and every **false→true transition** of the flag
-//! pushes that slot into the sink. The flag itself remains the source
-//! of truth — detaching a sink loses no information, so the interpreted
-//! path can take over at any moment (the de-opt contract). While a
-//! token is already set, further `set()` calls notify nothing, exactly
-//! mirroring the level semantics above.
+//! The kernel does not scan tokens; it is told. Registering a token
+//! ([`crate::Simulator::set_wake_token`],
+//! [`crate::Simulator::add_sequential_gated`]) attaches it, for good,
+//! to a [`NotifySink`] of its owner's clock domain with the owner's
+//! position as slot index, and every **false→true transition** of the
+//! flag pushes that slot into the sink. The flag itself remains the
+//! source of truth: a queued slot is only a hint to look at the flag
+//! when the kernel's walk reaches that position, and while a token is
+//! already set, further `set()` calls notify nothing, exactly
+//! mirroring the level semantics above. A token has one slot and so
+//! one owner; the kernel registers a second owner of the same token
+//! ungated.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 #[derive(Debug, Default)]
 struct TokenInner {
     flag: Cell<bool>,
-    /// Fast guard so unattached tokens (the interpreted path) pay one
-    /// load + branch, not a `RefCell` borrow, per `set()`.
-    attached: Cell<bool>,
-    /// Dense index pushed into the sink on a false→true transition.
-    slot: Cell<u32>,
-    sink: RefCell<Option<NotifySink>>,
+    /// Where a false→true transition is announced and the slot index
+    /// it pushes there; written once, when the token is registered.
+    notify: OnceCell<(NotifySink, u32)>,
 }
 
 /// Shared "something happened, wake your owner" flag.
@@ -57,9 +57,9 @@ impl ActivityToken {
     /// set after a clear also enqueues the token's slot.
     #[inline]
     pub fn set(&self) {
-        if !self.0.flag.replace(true) && self.0.attached.get() {
-            if let Some(sink) = self.0.sink.borrow().as_ref() {
-                sink.push(self.0.slot.get());
+        if !self.0.flag.replace(true) {
+            if let Some((sink, slot)) = self.0.notify.get() {
+                sink.push(*slot);
             }
         }
     }
@@ -83,33 +83,15 @@ impl ActivityToken {
 
     /// Attaches `sink` so future false→true transitions enqueue `slot`.
     ///
-    /// Returns `None` when a sink is already attached — a token
-    /// registered under two plan slots cannot deliver to both, so the
-    /// caller must decline to arm. On success returns whether the flag
+    /// Returns `None` when a sink is already attached — a token has
+    /// one slot and cannot deliver to two owners, so the caller must
+    /// not gate the second on it. On success returns whether the flag
     /// was **already set** at attach time: such a token will produce no
     /// notification until taken and re-set, so the caller must seed its
     /// own queue with `slot`.
     pub fn attach_notify(&self, sink: &NotifySink, slot: u32) -> Option<bool> {
-        if self.0.attached.get() {
-            return None;
-        }
-        *self.0.sink.borrow_mut() = Some(sink.clone());
-        self.0.slot.set(slot);
-        self.0.attached.set(true);
+        self.0.notify.set((sink.clone(), slot)).ok()?;
         Some(self.0.flag.get())
-    }
-
-    /// Detaches any attached sink. The flag is untouched, so the
-    /// interpreted scan resumes with exactly the state the queue-based
-    /// path would have observed.
-    pub fn detach_notify(&self) {
-        self.0.attached.set(false);
-        *self.0.sink.borrow_mut() = None;
-    }
-
-    /// Whether a notify sink is currently attached.
-    pub fn notify_attached(&self) -> bool {
-        self.0.attached.get()
     }
 }
 
@@ -200,12 +182,7 @@ mod tests {
         assert_eq!(t.attach_notify(&sink, 3), Some(true), "flag already set");
         assert!(sink.is_empty(), "no retroactive notification");
         assert_eq!(t.attach_notify(&sink, 4), None, "double attach");
-        t.detach_notify();
-        assert!(t.is_set(), "detach leaves the flag untouched");
-        // Detached: transitions are silent again.
-        assert!(t.take());
-        t.set();
-        assert!(sink.is_empty());
+        assert!(t.is_set(), "attaching leaves the flag untouched");
     }
 
     #[test]
@@ -214,7 +191,7 @@ mod tests {
         let b = a.clone();
         let sink = NotifySink::new();
         assert_eq!(a.attach_notify(&sink, 1), Some(false));
-        assert!(b.notify_attached());
+        assert_eq!(b.attach_notify(&sink, 2), None);
         b.set();
         let mut got = Vec::new();
         sink.drain_into(&mut got);

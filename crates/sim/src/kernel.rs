@@ -61,26 +61,47 @@
 //! state — determinism is the contract, and
 //! [`Simulator::set_gating`] exists so tests can prove it.
 //!
-//! # Compiled instant plan
+//! # The loop: the awake set is the schedule
 //!
-//! When the schedule is steady-state — every unpaused clock on one
-//! period and phase — [`Simulator::arm_plan`] freezes it into a flat
-//! plan (see the `plan` module) and both phases switch to a fast path:
-//! the evaluate phase walks an `active` worklist of awake components
-//! instead of scanning every registration, and the commit phase walks
-//! only the sequentials whose dirty token actually transitioned
-//! (delivered by notify sinks) plus the always-commit list. The
-//! interpreted loop remains the golden reference; the plan reproduces
-//! its observable behaviour exactly and *de-opts* (disarms) on any
-//! irregular event — structural changes, clock pause/resume or
-//! stretch/override, gating/profiling toggles, watchdog trips.
+//! There is one dispatcher, and an instant costs what is awake and what
+//! is dirty, not what is registered. Every clock domain keeps four
+//! worklists (the `Domain` struct): its awake components by ascending
+//! index — registration order, which *is* delivery order — its wake
+//! candidates, its always-commit sequentials and its dirty candidates. Wake and dirty tokens are attached once, at
+//! [`Simulator::set_wake_token`] / [`Simulator::add_sequential_gated`],
+//! to the owning domain's notify sinks (see `activity`), so a
+//! false→true transition of a flag queues the owner's index in the one
+//! domain that will look at it. A sink is drained only when its
+//! domain fires: tokens set from another domain wait there exactly as
+//! the flag itself waits for the sleeper's own edge.
+//!
+//! The evaluate phase walks, for each fired clock in id order, *awake ∪
+//! candidates* of that clock in one ascending merge; the commit phase
+//! walks *always ∪ dirty* the same way. Flags stay the source of truth
+//! and candidates stay hints: a candidate's flag is checked — and
+//! consumed — only when the walk reaches its owner, never at notify
+//! time, so a later set from an earlier component in the same instant
+//! cannot schedule a spurious wake. A candidate at or behind the walk
+//! waits for the domain's next edge. Elided commits are owed as the
+//! domain's edge count minus the edge after the sequential's last real
+//! commit; elided ticks are registered-minus-delivered over the fired
+//! domains.
+//!
+//! Nothing about the schedule is assumed regular. GALS periods, pause /
+//! resume, stretch / override requests and
+//! [`Simulator::set_clock_next_edge`] only move an edge the next-edge
+//! structure already finds; registration appends to a domain's lists;
+//! tick profiling is a branch round the tick; a watchdog trip diagnoses
+//! from the sleep flags the walk maintains. With gating off nothing
+//! sleeps and every sequential is on its domain's always list: that
+//! ungated mode of the *same* loop is the reference the gated mode is
+//! tested against.
 
 use crate::activity::{ActivityToken, NotifySink};
 use crate::checkpoint::{KernelDigest, WatchdogState};
 use crate::clock::{ClockId, ClockSpec, ClockState};
 use crate::component::{ClockRequest, Component, Sequential, Sleep, TickCtx};
 use crate::error::{CompDiag, HangReport, SimError};
-use crate::plan::{PlanDeopt, PlanDeoptCounts, PlanDesc, PlanNode, PlanReject, PlanState};
 use crate::telemetry::TickProfile;
 use crate::time::Picoseconds;
 use std::cell::{Cell, RefCell};
@@ -167,12 +188,53 @@ impl ComponentEntry {
 }
 
 struct SequentialEntry {
+    clock: ClockId,
     state: Rc<RefCell<dyn Sequential>>,
     /// Set by writers when a commit has staged work; `None` means the
     /// sequential commits unconditionally every edge.
     dirty: Option<ActivityToken>,
-    /// Clean commits elided since the last real commit / catch-up.
-    skipped: u64,
+    /// Edge index of its clock after the last real commit or catch-up:
+    /// `cycles - seen` clean commits are owed as
+    /// [`Sequential::commit_skipped`].
+    seen: u64,
+}
+
+/// One clock domain's schedule: the worklists an instant actually
+/// walks. Entries are indices into the simulator's `components` /
+/// `sequentials`; within a domain ascending index is registration
+/// order, which is delivery and commit order, and an entry's index is
+/// the slot its token pushes into the domain's sink.
+///
+/// Invariants between instants: `awake` holds exactly the domain's
+/// components with `asleep == false`; every asleep component whose wake
+/// flag is set has a candidate in `deferred` or `wake_sink`; with
+/// gating on, every gated sequential whose dirty flag is set has a
+/// candidate in `dirty_sink`. Stale candidates are harmless — the flag
+/// is re-checked at the walk position.
+#[derive(Default)]
+struct Domain {
+    /// Components registered on this clock.
+    components: u64,
+    /// Awake components, ascending.
+    awake: Vec<u32>,
+    /// Receives components whose wake flag went false→true.
+    wake_sink: NotifySink,
+    /// Wake candidates the walk had already passed (or that fell asleep
+    /// with their flag still set): checked at the domain's next edge.
+    deferred: Vec<u32>,
+    /// This edge's wake candidates, ascending.
+    pending: Vec<u32>,
+    /// Drain buffer for notifications raised mid-walk.
+    scratch: Vec<u32>,
+    /// Sequentials registered on this clock.
+    sequentials: u64,
+    /// Sequentials that commit on every edge, ascending: those without
+    /// a dirty token — all of them while gating is off.
+    always: Vec<u32>,
+    /// Receives sequentials whose dirty flag went false→true.
+    dirty_sink: NotifySink,
+    /// This edge's dirty candidates, ascending.
+    dirty: Vec<u32>,
 }
 
 /// Cycle-driven multi-clock simulator.
@@ -195,10 +257,10 @@ struct SequentialEntry {
 pub struct Simulator {
     clocks: Vec<ClockState>,
     components: Vec<ComponentEntry>,
-    /// Component indices per clock domain, in registration order.
-    by_clock: Vec<Vec<usize>>,
     sequentials: Vec<SequentialEntry>,
-    seq_by_clock: Vec<Vec<usize>>,
+    /// Per clock domain, indexed like `clocks`: its registrations and
+    /// the worklists the loop walks.
+    domains: Vec<Domain>,
     now: Picoseconds,
     /// Total evaluate/commit instants processed.
     instants: u64,
@@ -251,19 +313,6 @@ pub struct Simulator {
     /// Clocks that fired at the instant currently being processed,
     /// carried from the evaluate phase to the commit phase.
     instant_edges: Vec<usize>,
-    /// Compiled steady-state schedule, when armed
-    /// ([`Simulator::arm_plan`]). `eval_instant`/`commit_instant`
-    /// dispatch to the plan fast path while this is `Some`; any
-    /// irregular event disarms it and the interpreted loop resumes.
-    plan: Option<Box<PlanState>>,
-    /// De-opts (plan disarms) so far, per reason — shared cells so
-    /// telemetry probes can observe them live (`sim.plan.deopt_count`,
-    /// `sim.plan.deopt.<reason>`).
-    plan_deopts: PlanDeoptCounts,
-    /// Instants executed by the compiled plan (`sim.plan.instants`).
-    plan_instants: Rc<Cell<u64>>,
-    /// 1 while a plan is armed, 0 otherwise (`sim.plan.armed`).
-    plan_armed_flag: Rc<Cell<u64>>,
 }
 
 impl Default for Simulator {
@@ -278,9 +327,8 @@ impl Simulator {
         Simulator {
             clocks: Vec::new(),
             components: Vec::new(),
-            by_clock: Vec::new(),
             sequentials: Vec::new(),
-            seq_by_clock: Vec::new(),
+            domains: Vec::new(),
             now: Picoseconds::ZERO,
             instants: 0,
             ticks_delivered: 0,
@@ -300,20 +348,14 @@ impl Simulator {
             tick_costs: Vec::new(),
             mid_instant: false,
             instant_edges: Vec::new(),
-            plan: None,
-            plan_deopts: PlanDeoptCounts::default(),
-            plan_instants: Rc::new(Cell::new(0)),
-            plan_armed_flag: Rc::new(Cell::new(0)),
         }
     }
 
     /// Registers a clock domain and returns its id.
     pub fn add_clock(&mut self, spec: ClockSpec) -> ClockId {
-        self.disarm_plan(PlanDeopt::Structural);
         let id = ClockId(self.clocks.len());
         self.clocks.push(ClockState::new(spec));
-        self.by_clock.push(Vec::new());
-        self.seq_by_clock.push(Vec::new());
+        self.domains.push(Domain::default());
         self.heap_synced = false;
         self.recompute_single_active();
         id
@@ -330,8 +372,10 @@ impl Simulator {
         component: C,
     ) -> ComponentId {
         assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan(PlanDeopt::Structural);
         let id = ComponentId(self.components.len());
+        let domain = &mut self.domains[clock.0];
+        domain.components += 1;
+        domain.awake.push(id.0 as u32);
         self.components.push(ComponentEntry {
             clock,
             component: Box::new(component),
@@ -341,7 +385,6 @@ impl Simulator {
             asleep_from: 0,
             level_owed: false,
         });
-        self.by_clock[clock.0].push(id.0);
         id
     }
 
@@ -355,9 +398,28 @@ impl Simulator {
     /// component that sleeps on backpressure, its output channels too
     /// (see `craft-connections`' `In::set_wake_token` /
     /// `Out::set_wake_token`).
+    ///
+    /// A token rouses one owner. Registering a token that already
+    /// belongs to another component or sequential leaves this
+    /// component ungated — it never sleeps, which by the gating
+    /// contract changes no result — rather than letting the first
+    /// owner in delivery order consume the flag and the second miss
+    /// its wake-up.
+    ///
+    /// # Panics
+    /// Panics if the component already has a wake token.
     pub fn set_wake_token(&mut self, id: ComponentId, token: ActivityToken) {
-        self.disarm_plan(PlanDeopt::Structural);
-        self.components[id.0].wake = Some(token);
+        let entry = &mut self.components[id.0];
+        assert!(entry.wake.is_none(), "component already has a wake token");
+        let domain = &mut self.domains[entry.clock.0];
+        if let Some(was_set) = token.attach_notify(&domain.wake_sink, id.0 as u32) {
+            // An already-set flag raises no notification: queue the
+            // wake check by hand (a hint, dropped if the owner is up).
+            if was_set {
+                domain.deferred.push(id.0 as u32);
+            }
+            entry.wake = Some(token);
+        }
     }
 
     /// Registers shared sequential state (typically a channel) for the
@@ -366,15 +428,39 @@ impl Simulator {
     /// # Panics
     /// Panics if `clock` is unknown.
     pub fn add_sequential(&mut self, clock: ClockId, state: Rc<RefCell<dyn Sequential>>) {
+        self.register_sequential(clock, state, None);
+    }
+
+    fn register_sequential(
+        &mut self,
+        clock: ClockId,
+        state: Rc<RefCell<dyn Sequential>>,
+        dirty: Option<ActivityToken>,
+    ) {
         assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan(PlanDeopt::Structural);
-        let idx = self.sequentials.len();
+        let domain = &mut self.domains[clock.0];
+        domain.sequentials += 1;
+        let idx = self.sequentials.len() as u32;
+        let mut gate = None;
+        if let Some(token) = dirty {
+            // The token starts set. A set flag raises no notification,
+            // so the first commit is queued by hand below.
+            token.set();
+            if token.attach_notify(&domain.dirty_sink, idx).is_some() {
+                gate = Some(token);
+            }
+        }
+        if gate.is_some() && self.gating {
+            domain.dirty_sink.push(idx);
+        } else {
+            domain.always.push(idx);
+        }
         self.sequentials.push(SequentialEntry {
+            clock,
             state,
-            dirty: None,
-            skipped: 0,
+            dirty: gate,
+            seen: self.clocks[clock.0].cycles,
         });
-        self.seq_by_clock[clock.0].push(idx);
     }
 
     /// Like [`add_sequential`](Self::add_sequential), but commits are
@@ -386,6 +472,12 @@ impl Simulator {
     ///
     /// The token starts set, guaranteeing the first commit runs.
     ///
+    /// A token gates one owner: registered with a token that already
+    /// belongs to another sequential or component, `state` commits
+    /// unconditionally every edge instead (results are identical by the
+    /// gating contract), so the first owner in commit order cannot
+    /// consume the flag and leave the second's staged work uncommitted.
+    ///
     /// # Panics
     /// Panics if `clock` is unknown.
     pub fn add_sequential_gated(
@@ -394,16 +486,7 @@ impl Simulator {
         state: Rc<RefCell<dyn Sequential>>,
         dirty: ActivityToken,
     ) {
-        assert!(clock.0 < self.clocks.len(), "unknown clock domain {clock}");
-        self.disarm_plan(PlanDeopt::Structural);
-        dirty.set();
-        let idx = self.sequentials.len();
-        self.sequentials.push(SequentialEntry {
-            state,
-            dirty: Some(dirty),
-            skipped: 0,
-        });
-        self.seq_by_clock[clock.0].push(idx);
+        self.register_sequential(clock, state, Some(dirty));
     }
 
     /// Current simulation time.
@@ -461,9 +544,8 @@ impl Simulator {
     /// full clock table. Two simulations that processed the same
     /// instant sequence produce equal digests, so a replay-based
     /// restore verifies itself against the digest recorded at capture.
-    /// Compiled-plan *arming* state is deliberately excluded — the
-    /// compiled and interpreted paths are pinned tick- and
-    /// commit-counter-identical, so arming is unobservable here.
+    /// The loop's worklists are deliberately excluded: they are derived
+    /// from the sleep and token flags, which replay reproduces.
     pub fn kernel_digest(&self) -> KernelDigest {
         KernelDigest {
             now_ps: self.now.0,
@@ -492,10 +574,6 @@ impl Simulator {
     /// or delivery order — but the `Instant` reads cost wall clock, so
     /// it is off by default.
     pub fn set_tick_profiling(&mut self, on: bool) {
-        if on {
-            // The plan fast path has no timing hooks.
-            self.disarm_plan(PlanDeopt::Profiling);
-        }
         self.tick_profiling = on;
         if on && self.tick_costs.len() < self.components.len() {
             self.tick_costs.resize(self.components.len(), (0, 0));
@@ -539,13 +617,37 @@ impl Simulator {
     /// Results are identical either way; only wall clock and
     /// [`ticks_delivered`](Self::ticks_delivered) differ.
     pub fn set_gating(&mut self, enabled: bool) {
-        self.disarm_plan(PlanDeopt::GatingToggle);
         self.gating = enabled;
         if !enabled {
             // Settle the sleepers' tick catch-ups before waking them.
             self.flush_skipped_commits();
             for entry in &mut self.components {
                 entry.asleep = false;
+            }
+        }
+        // Rebuild the always-commit lists for the mode, and with gating
+        // on queue a commit for every gated sequential that is already
+        // dirty (a set flag raises no further notification).
+        for domain in &mut self.domains {
+            domain.always.clear();
+            if !enabled {
+                domain.awake.clear();
+            }
+        }
+        for (idx, seq) in self.sequentials.iter().enumerate() {
+            let domain = &mut self.domains[seq.clock.0];
+            match &seq.dirty {
+                Some(token) if enabled => {
+                    if token.is_set() {
+                        domain.dirty_sink.push(idx as u32);
+                    }
+                }
+                _ => domain.always.push(idx as u32),
+            }
+        }
+        if !enabled {
+            for (idx, entry) in self.components.iter().enumerate() {
+                self.domains[entry.clock.0].awake.push(idx as u32);
             }
         }
     }
@@ -567,33 +669,17 @@ impl Simulator {
                 entry.settle_skipped_ticks(edges, &self.ticks_skipped_blocked);
             }
         }
-        // Settle compiled-plan elisions first (without disarming): the
-        // plan tracks skipped commits as `epoch - seq_seen` instead of
-        // per-entry counters.
-        if let Some(plan) = &mut self.plan {
-            for (rank, &si) in plan.seq_order.iter().enumerate() {
-                let pending = plan.epoch - plan.seq_seen[rank];
-                if pending > 0 {
-                    self.sequentials[si as usize]
-                        .state
-                        .borrow_mut()
-                        .commit_skipped(pending);
-                    self.commits_skipped += pending;
-                    plan.seq_seen[rank] = plan.epoch;
-                }
-            }
-        }
         for seq in &mut self.sequentials {
-            if seq.skipped > 0 {
-                seq.state.borrow_mut().commit_skipped(seq.skipped);
-                seq.skipped = 0;
+            let cycles = self.clocks[seq.clock.0].cycles;
+            if seq.seen < cycles {
+                seq.state.borrow_mut().commit_skipped(cycles - seq.seen);
+                seq.seen = cycles;
             }
         }
     }
 
     /// Pauses `clock`: no further edges until [`resume_clock`](Self::resume_clock).
     pub fn pause_clock(&mut self, clock: ClockId) {
-        self.disarm_plan(PlanDeopt::PauseResume);
         self.clocks[clock.0].paused = true;
         self.recompute_single_active();
     }
@@ -607,9 +693,6 @@ impl Simulator {
     /// which to settle — and pinned by the
     /// `resume_mid_period_restarts_full_period` test.
     pub fn resume_clock(&mut self, clock: ClockId) {
-        if self.clocks[clock.0].paused {
-            self.disarm_plan(PlanDeopt::PauseResume);
-        }
         let st = &mut self.clocks[clock.0];
         if st.paused {
             let Some(next) = self.now.checked_add(st.spec.period) else {
@@ -761,9 +844,6 @@ impl Simulator {
             !self.mid_instant,
             "eval_instant called with an instant already open"
         );
-        if self.plan.is_some() {
-            return self.plan_eval();
-        }
         let Some(t) = self.next_instant() else {
             return false;
         };
@@ -795,54 +875,113 @@ impl Simulator {
         }
         let edges = std::mem::take(&mut self.edge_scratch);
 
-        // Evaluate phase.
         for &ci in &edges {
-            let cycle = self.clocks[ci].cycles;
-            for comp_pos in 0..self.by_clock[ci].len() {
-                let comp_idx = self.by_clock[ci][comp_pos];
-                let entry = &mut self.components[comp_idx];
-                if entry.asleep {
-                    let woke = entry.wake.as_ref().is_some_and(ActivityToken::take);
-                    if woke {
-                        if entry.wake_up(cycle, &self.ticks_skipped_blocked) {
-                            self.progress.set();
-                        }
-                    } else {
-                        self.ticks_skipped += 1;
-                        continue;
-                    }
-                }
-                let mut ctx = TickCtx {
-                    now: t,
-                    cycle,
-                    clock: entry.clock,
-                    clock_requests: &mut self.clock_requests,
-                    stop: &mut self.stop_requested,
-                };
-                if self.tick_profiling {
-                    let t0 = std::time::Instant::now();
-                    entry.component.tick(&mut ctx);
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    let slot = &mut self.tick_costs[comp_idx];
-                    slot.0 += dt;
-                    slot.1 += 1;
-                } else {
-                    entry.component.tick(&mut ctx);
-                }
-                self.ticks_delivered += 1;
-                // The quiescence check runs post-tick so it sees
-                // everything the component just staged. The wake token
-                // is deliberately NOT cleared here: activity flagged
-                // earlier this instant (e.g. a pop freeing space) must
-                // survive into the next edge's wake check.
-                if self.gating && entry.wake.is_some() {
-                    entry.try_sleep(cycle);
-                }
-            }
+            self.eval_domain(ci, t);
         }
         self.instant_edges = edges;
         self.mid_instant = true;
         true
+    }
+
+    /// The evaluate walk of one fired domain: an ascending merge over
+    /// its awake components and its wake candidates, so delivery order
+    /// is registration order and a sleeper's flag is looked at exactly
+    /// where a scan of every registration would look at it.
+    fn eval_domain(&mut self, ci: usize, t: Picoseconds) {
+        let cycle = self.clocks[ci].cycles;
+        let d = &mut self.domains[ci];
+        // This edge's candidates: checks deferred from the last edge
+        // plus notifications raised since the walk last drained the
+        // sink (late-evaluate sets, commit-phase sets, other domains).
+        d.pending.clear();
+        d.pending.append(&mut d.deferred);
+        d.wake_sink.drain_into(&mut d.pending);
+        d.pending.sort_unstable();
+        d.pending.dedup();
+
+        let mut i = 0usize; // next awake component (d.awake)
+        let mut j = 0usize; // next wake candidate (d.pending)
+        let mut delivered = 0u64;
+        loop {
+            let idx = match (d.awake.get(i).copied(), d.pending.get(j).copied()) {
+                (None, None) => break,
+                (Some(a), Some(p)) if a == p => {
+                    // The candidate is awake: nobody looks at an awake
+                    // component's flag, so the hint is stale. It ticks
+                    // through `awake` on the next turn.
+                    j += 1;
+                    continue;
+                }
+                (Some(a), Some(p)) if a < p => a,
+                (_, Some(p)) => {
+                    // The candidate's turn: wake or drop.
+                    j += 1;
+                    let entry = &mut self.components[p as usize];
+                    if !(entry.asleep && entry.wake.as_ref().is_some_and(ActivityToken::take)) {
+                        continue;
+                    }
+                    if entry.wake_up(cycle, &self.ticks_skipped_blocked) {
+                        self.progress.set();
+                    }
+                    // Everything walked so far is below `p`, so the
+                    // cursor is where it belongs in `awake`.
+                    d.awake.insert(i, p);
+                    p
+                }
+                (Some(a), None) => a,
+            };
+            let entry = &mut self.components[idx as usize];
+            let mut ctx = TickCtx {
+                now: t,
+                cycle,
+                clock: entry.clock,
+                clock_requests: &mut self.clock_requests,
+                stop: &mut self.stop_requested,
+            };
+            if self.tick_profiling {
+                let t0 = std::time::Instant::now();
+                entry.component.tick(&mut ctx);
+                let dt = t0.elapsed().as_nanos() as u64;
+                let slot = &mut self.tick_costs[idx as usize];
+                slot.0 += dt;
+                slot.1 += 1;
+            } else {
+                entry.component.tick(&mut ctx);
+            }
+            delivered += 1;
+            // The sleep check runs post-tick so it sees everything the
+            // component just staged. The wake flag is deliberately NOT
+            // cleared on sleep: activity flagged earlier this instant
+            // (e.g. a pop freeing space) must survive into the next
+            // edge's wake check — and a set flag raises no further
+            // notification, so that check is queued here.
+            if self.gating && entry.wake.is_some() && entry.try_sleep(cycle) {
+                d.awake.remove(i);
+                if entry.wake.as_ref().is_some_and(ActivityToken::is_set) {
+                    d.deferred.push(idx);
+                }
+            } else {
+                i += 1;
+            }
+            // Absorb what this tick raised. A component still ahead of
+            // the walk joins this edge's candidates; one at or behind
+            // it waits for the next edge — where a scan would find it.
+            if !d.wake_sink.is_empty() {
+                d.scratch.clear();
+                d.wake_sink.drain_into(&mut d.scratch);
+                for &raised in &d.scratch {
+                    if raised > idx {
+                        if let Err(at) = d.pending[j..].binary_search(&raised) {
+                            d.pending.insert(j + at, raised);
+                        }
+                    } else {
+                        d.deferred.push(raised);
+                    }
+                }
+            }
+        }
+        self.ticks_delivered += delivered;
+        self.ticks_skipped += d.components - delivered;
     }
 
     /// The commit half of [`step`](Self::step): commits every
@@ -857,38 +996,12 @@ impl Simulator {
             self.mid_instant,
             "commit_instant without a matching eval_instant"
         );
-        if self.plan.is_some() {
-            self.plan_commit();
-            return;
-        }
         self.mid_instant = false;
         let t = self.now;
         let edges = std::mem::take(&mut self.instant_edges);
 
-        // Commit phase. Gated sequentials whose dirty token is clear
-        // are elided; their per-cycle bookkeeping is reconciled via
-        // `commit_skipped` immediately before the next real commit (so
-        // catch-up arithmetic always runs against the state the
-        // skipped cycles actually had).
         for &ci in &edges {
-            for &seq_idx in &self.seq_by_clock[ci] {
-                let seq = &mut self.sequentials[seq_idx];
-                let dirty = match &seq.dirty {
-                    Some(token) if self.gating => token.take(),
-                    _ => true,
-                };
-                if dirty {
-                    let mut state = seq.state.borrow_mut();
-                    if seq.skipped > 0 {
-                        state.commit_skipped(seq.skipped);
-                        seq.skipped = 0;
-                    }
-                    state.commit();
-                } else {
-                    seq.skipped += 1;
-                    self.commits_skipped += 1;
-                }
-            }
+            self.commit_domain(ci);
         }
 
         // Apply deferred clock requests, then schedule next edges.
@@ -913,8 +1026,57 @@ impl Simulator {
         self.edge_scratch = edges;
     }
 
-    /// Applies (and drains) deferred [`ClockRequest`]s — the shared
-    /// tail of the interpreted and compiled commit phases. Records a
+    /// The commit walk of one fired domain: an ascending merge over its
+    /// always-commit sequentials and its dirty candidates. A clean gated
+    /// sequential is not visited; what it is owed is reconciled via
+    /// `commit_skipped` immediately before its next real commit (so
+    /// catch-up arithmetic always runs against the state the skipped
+    /// cycles actually had).
+    fn commit_domain(&mut self, ci: usize) {
+        let cycle = self.clocks[ci].cycles;
+        let d = &mut self.domains[ci];
+        d.dirty.clear();
+        d.dirty_sink.drain_into(&mut d.dirty);
+        if self.gating {
+            d.dirty.sort_unstable();
+            d.dirty.dedup();
+        } else {
+            // Everything is on `always`; dirty flags are left standing.
+            d.dirty.clear();
+        }
+        let mut committed = 0u64;
+        let mut commit = |idx: u32, hint: bool| {
+            let seq = &mut self.sequentials[idx as usize];
+            // A dirty candidate is a hint: the flag decides, and is
+            // taken before committing so a re-arm `set()` inside
+            // `commit` queues the next edge's commit.
+            if hint && !seq.dirty.as_ref().is_some_and(ActivityToken::take) {
+                return;
+            }
+            let mut state = seq.state.borrow_mut();
+            if seq.seen < cycle {
+                state.commit_skipped(cycle - seq.seen);
+            }
+            state.commit();
+            seq.seen = cycle + 1;
+            committed += 1;
+        };
+        // The two lists are disjoint: `always` holds the sequentials
+        // without a token while gating is on.
+        let mut dirty = d.dirty.iter().copied().peekable();
+        for &a in &d.always {
+            while let Some(p) = dirty.next_if(|&p| p < a) {
+                commit(p, true);
+            }
+            commit(a, false);
+        }
+        for p in dirty {
+            commit(p, true);
+        }
+        self.commits_skipped += d.sequentials - committed;
+    }
+
+    /// Applies (and drains) deferred [`ClockRequest`]s. Records a
     /// fatal on stretch overflow.
     fn apply_clock_requests(&mut self) {
         if self.clock_requests.is_empty() {
@@ -951,455 +1113,18 @@ impl Simulator {
         }
     }
 
-    /// Compiles the current steady-state schedule into an instant plan
-    /// and arms it: while armed, [`eval_instant`](Self::eval_instant) /
-    /// [`commit_instant`](Self::commit_instant) (and therefore every
-    /// `run_*` method) execute a dispatch-lean fast path that walks
-    /// only awake components and only dirty sequentials, skipping the
-    /// per-edge scans entirely.
-    ///
-    /// Arming requires a *regular* schedule: quiescence gating on, no
-    /// tick profiling, no open instant, no pending fatal, and every
-    /// unpaused clock sharing one period and phase with no override
-    /// pending. Otherwise a [`PlanReject`] explains why and the
-    /// interpreted path — the golden reference — simply remains in
-    /// charge.
-    ///
-    /// The plan preserves the interpreted path's observable behaviour
-    /// exactly: committed state, `cycles`, `ticks_delivered`,
-    /// `ticks_skipped`, `commits_skipped`, progress/watchdog timing and
-    /// hang reports are all identical. Any irregular event — structural
-    /// mutation, gating/profiling toggles, clock pause/resume or
-    /// stretch/override requests, an externally moved clock edge, a
-    /// watchdog trip — automatically disarms the plan (a *de-opt*,
-    /// counted in [`plan_deopt_count`](Self::plan_deopt_count)) and the
-    /// interpreted loop resumes mid-run with no state loss: activity
-    /// token flags stay authoritative while armed (notify sinks are
-    /// pure acceleration), so nothing needs reconstructing.
-    ///
-    /// Arming when already armed is a no-op.
-    pub fn arm_plan(&mut self) -> Result<(), PlanReject> {
-        if self.plan.is_some() {
-            return Ok(());
-        }
-        if self.mid_instant {
-            return Err(PlanReject::MidInstant);
-        }
-        if !self.gating {
-            return Err(PlanReject::GatingDisabled);
-        }
-        if self.tick_profiling {
-            return Err(PlanReject::TickProfiling);
-        }
-        if self.fatal.is_some() {
-            return Err(PlanReject::FatalPending);
-        }
-        let clocks: Vec<usize> = (0..self.clocks.len())
-            .filter(|&i| !self.clocks[i].paused)
-            .collect();
-        let Some((&first, rest)) = clocks.split_first() else {
-            return Err(PlanReject::NoActiveClock);
-        };
-        let f = &self.clocks[first];
-        if f.next_period_override.is_some() {
-            return Err(PlanReject::IrregularClocks);
-        }
-        for &ci in rest {
-            let c = &self.clocks[ci];
-            if c.spec.period != f.spec.period
-                || c.next_edge != f.next_edge
-                || c.next_period_override.is_some()
-            {
-                return Err(PlanReject::IrregularClocks);
-            }
-        }
-
-        // Zero the per-entry skip counters so the plan's epoch-based
-        // accounting starts from a settled state.
-        self.flush_skipped_commits();
-
-        let mut order: Vec<u32> = Vec::new();
-        for &ci in &clocks {
-            order.extend(self.by_clock[ci].iter().map(|&i| i as u32));
-        }
-        let mut seq_order: Vec<u32> = Vec::new();
-        for &ci in &clocks {
-            seq_order.extend(self.seq_by_clock[ci].iter().map(|&i| i as u32));
-        }
-
-        let wake_sink = NotifySink::new();
-        let dirty_sink = NotifySink::new();
-        let mut active: Vec<u32> = Vec::new();
-        let mut deferred: Vec<u32> = Vec::new();
-        for (rank, &idx) in order.iter().enumerate() {
-            let entry = &self.components[idx as usize];
-            if let Some(token) = &entry.wake {
-                match token.attach_notify(&wake_sink, rank as u32) {
-                    // A sleeper whose flag is already set is due a wake
-                    // check at the next instant; no sink notification
-                    // will come for an already-set flag, so queue it.
-                    Some(was_set) => {
-                        if entry.asleep && was_set {
-                            deferred.push(rank as u32);
-                        }
-                    }
-                    None => {
-                        for &j in &order[..rank] {
-                            if let Some(t) = &self.components[j as usize].wake {
-                                t.detach_notify();
-                            }
-                        }
-                        return Err(PlanReject::SharedWakeToken);
-                    }
-                }
-            }
-            if !entry.asleep {
-                active.push(rank as u32);
-            }
-        }
-        let mut always: Vec<u32> = Vec::new();
-        for (rank, &si) in seq_order.iter().enumerate() {
-            let seq = &self.sequentials[si as usize];
-            match &seq.dirty {
-                Some(token) => match token.attach_notify(&dirty_sink, rank as u32) {
-                    // An already-dirty sequential must commit at the
-                    // next instant: seed the sink by hand.
-                    Some(true) => dirty_sink.push(rank as u32),
-                    Some(false) => {}
-                    None => {
-                        for &j in &order {
-                            if let Some(t) = &self.components[j as usize].wake {
-                                t.detach_notify();
-                            }
-                        }
-                        for &j in &seq_order[..rank] {
-                            if let Some(t) = &self.sequentials[j as usize].dirty {
-                                t.detach_notify();
-                            }
-                        }
-                        return Err(PlanReject::SharedDirtyToken);
-                    }
-                },
-                None => always.push(rank as u32),
-            }
-        }
-
-        let seq_seen = vec![0u64; seq_order.len()];
-        // The plan does not maintain the edge heap; force a rebuild
-        // whenever the interpreted scheduler next needs it.
-        self.heap_synced = false;
-        self.plan_armed_flag.set(1);
-        self.plan = Some(Box::new(PlanState {
-            clocks,
-            order,
-            active,
-            wake_sink,
-            wake_scratch: Vec::new(),
-            deferred,
-            pending: Vec::new(),
-            seq_order,
-            always,
-            dirty_sink,
-            dirty_scratch: Vec::new(),
-            epoch: 0,
-            seq_seen,
-        }));
-        Ok(())
-    }
-
-    /// Disarms the compiled plan (a *de-opt*): settles the plan's
-    /// skipped-commit accounting, detaches every notify sink, and hands
-    /// control back to the interpreted path. Safe at any point,
-    /// including between an `eval_instant` and its `commit_instant` —
-    /// token flags remain the source of truth while armed, so the
-    /// interpreted loop resumes with exactly the state it would have
-    /// had. No-op (and not counted) when no plan is armed; otherwise
-    /// counted once under `reason`.
-    pub fn disarm_plan(&mut self, reason: PlanDeopt) {
-        let Some(plan) = self.plan.take() else {
-            return;
-        };
-        for (rank, &si) in plan.seq_order.iter().enumerate() {
-            let pending = plan.epoch - plan.seq_seen[rank];
-            if pending > 0 {
-                self.sequentials[si as usize]
-                    .state
-                    .borrow_mut()
-                    .commit_skipped(pending);
-                self.commits_skipped += pending;
-            }
-            if let Some(token) = &self.sequentials[si as usize].dirty {
-                token.detach_notify();
-            }
-        }
-        for &idx in &plan.order {
-            if let Some(token) = &self.components[idx as usize].wake {
-                token.detach_notify();
-            }
-        }
-        self.plan_armed_flag.set(0);
-        self.plan_deopts.bump(reason);
-        self.heap_synced = false;
-        self.recompute_single_active();
-    }
-
-    /// Whether a compiled instant plan is currently armed.
-    pub fn plan_armed(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// How many times a compiled plan has been disarmed (de-opted).
-    pub fn plan_deopt_count(&self) -> u64 {
-        self.plan_deopts.total()
-    }
-
-    /// Instants executed by the compiled fast path (a subset of
-    /// [`instants`](Self::instants)).
+    /// Vestige of the retired compiled-plan fork, kept only because
+    /// `benchmark/` reads it (ROADMAP item 1c): every instant runs the
+    /// one loop, so this is [`instants`](Self::instants).
     pub fn plan_instants(&self) -> u64 {
-        self.plan_instants.get()
+        self.instants
     }
 
-    /// Live handle to the per-reason de-opt counters, for telemetry
-    /// probes and "why did this run leave the plan" checks.
-    pub fn plan_deopts(&self) -> PlanDeoptCounts {
-        self.plan_deopts.clone()
-    }
-
-    /// Live handle to the compiled-instant counter, for telemetry.
-    pub fn plan_instants_handle(&self) -> Rc<Cell<u64>> {
-        Rc::clone(&self.plan_instants)
-    }
-
-    /// Live handle to the armed flag (1 armed / 0 not), for telemetry.
-    pub fn plan_armed_handle(&self) -> Rc<Cell<u64>> {
-        Rc::clone(&self.plan_armed_flag)
-    }
-
-    /// Snapshot of the armed plan's frozen schedule (`None` when
-    /// interpreted). `craft-soc`'s `schedplan` renders this as the
-    /// instant-plan IR.
-    pub fn plan_desc(&self) -> Option<PlanDesc> {
-        let plan = self.plan.as_ref()?;
-        Some(PlanDesc {
-            clocks: plan
-                .clocks
-                .iter()
-                .map(|&ci| self.clocks[ci].spec.name.clone())
-                .collect(),
-            nodes: plan
-                .order
-                .iter()
-                .map(|&idx| {
-                    let e = &self.components[idx as usize];
-                    PlanNode {
-                        name: e.component.name().to_string(),
-                        clock: self.clocks[e.clock.0].spec.name.clone(),
-                        gated: e.wake.is_some(),
-                    }
-                })
-                .collect(),
-            gated_sequentials: plan.seq_order.len() - plan.always.len(),
-            always_commit_sequentials: plan.always.len(),
-        })
-    }
-
-    /// The compiled evaluate phase: wake-candidate drain, then a tick
-    /// walk over the `active` worklist only. Mirrors the interpreted
-    /// evaluate phase observably — same delivery order, same wake and
-    /// progress timing, same tick accounting.
-    fn plan_eval(&mut self) -> bool {
-        let mut plan = self.plan.take().expect("plan_eval without a plan");
-        // Uniform-clock invariant: every plan clock shares this edge.
-        let t = self.clocks[plan.clocks[0]].next_edge;
-        self.now = t;
-        self.instants += 1;
-        self.plan_instants.set(self.plan_instants.get() + 1);
-
-        // This instant's wake candidates: deferred checks from the
-        // previous instant plus sink notifications raised since the
-        // walk last drained it (late-eval sets and commit-phase sets).
-        // Candidates are *hints*, not wakes: the flag is checked — and
-        // consumed — only when the merge walk below reaches the
-        // candidate's rank, which is exactly where the interpreted
-        // scan performs its asleep/take check. Taking the flag any
-        // earlier (at notify time or at instant start) would let a
-        // later set from an earlier-rank tick this instant re-raise
-        // the flag and schedule a spurious wake for the next instant.
-        plan.pending.clear();
-        plan.pending.append(&mut plan.deferred);
-        plan.wake_sink.drain_into(&mut plan.pending);
-        plan.pending.sort_unstable();
-        plan.pending.dedup();
-
-        // Merge walk in ascending rank order over the awake set and
-        // the wake candidates; rank order *is* the interpreted
-        // delivery order.
-        let mut i = 0usize; // next awake rank (plan.active)
-        let mut j = 0usize; // next wake candidate (plan.pending)
-        let mut delivered = 0u64;
-        loop {
-            let rank = match (plan.active.get(i).copied(), plan.pending.get(j).copied()) {
-                (None, None) => break,
-                (Some(a), Some(p)) if a == p => {
-                    // The candidate's component is awake: the
-                    // interpreted scan never touches an awake
-                    // component's flag, so the hint is stale. Its tick
-                    // happens via the active branch next iteration.
-                    j += 1;
-                    continue;
-                }
-                (Some(a), Some(p)) if a < p => a,
-                (_, Some(p)) => {
-                    // The candidate's scan position (no awake rank
-                    // ahead of it): wake-or-drop.
-                    j += 1;
-                    let entry = &mut self.components[plan.order[p as usize] as usize];
-                    if !(entry.asleep && entry.wake.as_ref().is_some_and(ActivityToken::take)) {
-                        continue;
-                    }
-                    let cycle = self.clocks[entry.clock.0].cycles;
-                    if entry.wake_up(cycle, &self.ticks_skipped_blocked) {
-                        self.progress.set();
-                    }
-                    // Every rank processed so far is < p, so inserting
-                    // at the walk cursor keeps `active` sorted.
-                    plan.active.insert(i, p);
-                    p
-                }
-                (Some(a), None) => a,
-            };
-            let entry = &mut self.components[plan.order[rank as usize] as usize];
-            let cycle = self.clocks[entry.clock.0].cycles;
-            let mut ctx = TickCtx {
-                now: t,
-                cycle,
-                clock: entry.clock,
-                clock_requests: &mut self.clock_requests,
-                stop: &mut self.stop_requested,
-            };
-            entry.component.tick(&mut ctx);
-            delivered += 1;
-            if entry.wake.is_some() && entry.try_sleep(cycle) {
-                // Same contract as the interpreted loop: the wake flag
-                // is NOT cleared on sleep. An already-set flag produces
-                // no future sink notification, so queue the wake check
-                // for the next instant explicitly.
-                plan.active.remove(i);
-                if entry.wake.as_ref().is_some_and(ActivityToken::is_set) {
-                    plan.deferred.push(rank);
-                }
-            } else {
-                i += 1;
-            }
-            // Absorb notifications raised by this tick. A rank still
-            // ahead of the walk joins this instant's candidates (its
-            // scan position hasn't passed); one at or behind the walk
-            // waits for the next instant — both exactly what the
-            // interpreted scan does.
-            if !plan.wake_sink.is_empty() {
-                plan.wake_scratch.clear();
-                plan.wake_sink.drain_into(&mut plan.wake_scratch);
-                for k in 0..plan.wake_scratch.len() {
-                    let r = plan.wake_scratch[k];
-                    if r > rank {
-                        if let Err(pos) = plan.pending[j..].binary_search(&r) {
-                            plan.pending.insert(j + pos, r);
-                        }
-                    } else {
-                        plan.deferred.push(r);
-                    }
-                }
-            }
-        }
-        self.ticks_delivered += delivered;
-        self.ticks_skipped += plan.order.len() as u64 - delivered;
-
-        // Publish the fired-clock list so a mid-instant de-opt hands
-        // the interpreted commit phase a coherent open instant.
-        self.instant_edges.clear();
-        self.instant_edges.extend_from_slice(&plan.clocks);
-        self.mid_instant = true;
-        self.plan = Some(plan);
-        true
-    }
-
-    /// The compiled commit phase: commits only dirty + always-commit
-    /// sequentials (epoch-based skip accounting), then runs the shared
-    /// clock-request/advance tail. Any clock irregularity observed
-    /// here — a stretch/override request, an advance failure — de-opts.
-    fn plan_commit(&mut self) {
-        let mut plan = self.plan.take().expect("plan_commit without a plan");
-        self.mid_instant = false;
-
-        plan.dirty_scratch.clear();
-        plan.dirty_sink.drain_into(&mut plan.dirty_scratch);
-        plan.dirty_scratch.sort_unstable();
-        plan.dirty_scratch.dedup();
-        let epoch = plan.epoch;
-        let (mut di, mut ai) = (0usize, 0usize);
-        loop {
-            // Merge the dirty and always lists in ascending rank order
-            // (= interpreted commit order); the two sets are disjoint.
-            let rank = match (plan.dirty_scratch.get(di), plan.always.get(ai)) {
-                (None, None) => break,
-                (Some(&d), None) => {
-                    di += 1;
-                    d
-                }
-                (None, Some(&a)) => {
-                    ai += 1;
-                    a
-                }
-                (Some(&d), Some(&a)) => {
-                    if d < a {
-                        di += 1;
-                        d
-                    } else {
-                        ai += 1;
-                        a
-                    }
-                }
-            };
-            let seq = &mut self.sequentials[plan.seq_order[rank as usize] as usize];
-            if let Some(dirty) = &seq.dirty {
-                // Clear before committing so a re-arm `set()` inside
-                // `commit` queues next instant's notification.
-                dirty.take();
-            }
-            let pending = epoch - plan.seq_seen[rank as usize];
-            let mut state = seq.state.borrow_mut();
-            if pending > 0 {
-                state.commit_skipped(pending);
-                self.commits_skipped += pending;
-            }
-            state.commit();
-            plan.seq_seen[rank as usize] = epoch + 1;
-        }
-        plan.epoch = epoch + 1;
-
-        // Shared tail. Clock requests break the uniform-schedule
-        // invariant from the next instant on: apply them faithfully,
-        // then de-opt.
-        let deopt = !self.clock_requests.is_empty();
-        self.apply_clock_requests();
-        let mut advance_failed = false;
-        let t = self.now;
-        for &ci in &plan.clocks {
-            if !self.clocks[ci].advance() {
-                let name = self.clocks[ci].spec.name.clone();
-                self.record_fatal(SimError::TimeOverflow {
-                    clock: name,
-                    now: t,
-                });
-                self.recompute_single_active();
-                advance_failed = true;
-            }
-        }
-        self.heap_synced = false;
-        self.plan = Some(plan);
-        if deopt || advance_failed {
-            self.disarm_plan(PlanDeopt::ClockRequest);
-        }
+    /// Vestige of the retired compiled-plan fork, kept only because
+    /// `benchmark/` reads it (ROADMAP item 1c): there is no second path
+    /// to de-opt to, so this is 0.
+    pub fn plan_deopt_count(&self) -> u64 {
+        0
     }
 
     /// Number of registered clock domains.
@@ -1427,12 +1152,8 @@ impl Simulator {
     pub fn set_clock_next_edge(&mut self, clock: ClockId, at: Picoseconds) {
         let st = &self.clocks[clock.0];
         if st.paused || st.next_edge == at {
-            // Adopting the value the clock already has (the parallel
-            // scheduler's common case under uniform clocking) is a
-            // no-op and in particular does not de-opt a compiled plan.
             return;
         }
-        self.disarm_plan(PlanDeopt::ExternalEdge);
         self.clocks[clock.0].next_edge = at;
         // The heap entry for the old edge is now stale; rebuild on
         // demand (same lazy-invalidation path pause/resume uses).
@@ -1587,10 +1308,6 @@ impl Simulator {
             }
             wd.last_cycle = cycle;
             if wd.idle >= no_progress_limit {
-                // Watchdog trip is a de-opt trigger: diagnose from the
-                // interpreted state so the report is identical to an
-                // interpreted run's (and later runs stay interpreted).
-                self.disarm_plan(PlanDeopt::WatchdogTrip);
                 self.flush_skipped_commits();
                 let report = self.diagnose(wd.idle);
                 return Err(SimError::Hang {
@@ -1731,13 +1448,16 @@ mod tests {
         assert_eq!(sim.cycles(clk), 8); // edge 7 completed, then halt
     }
 
-    struct Stretcher;
+    /// Stretches its clock's next period by 50 ps at cycle `at`.
+    struct Stretcher {
+        at: u64,
+    }
     impl Component for Stretcher {
         fn name(&self) -> &str {
             "stretcher"
         }
         fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if ctx.cycle() == 1 {
+            if ctx.cycle() == self.at {
                 let clock = ctx.clock();
                 ctx.stretch_clock(clock, Picoseconds(50));
             }
@@ -1748,7 +1468,7 @@ mod tests {
     fn stretch_delays_next_edge_only() {
         let mut sim = Simulator::new();
         let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
-        sim.add_component(clk, Stretcher);
+        sim.add_component(clk, Stretcher { at: 1 });
         sim.run_cycles(clk, 4);
         // Edges at 0, 100, 250 (stretched), 350.
         assert_eq!(sim.now(), Picoseconds(350));
@@ -2233,8 +1953,8 @@ mod tests {
     /// A component that sleeps *blocked* (work in hand, nothing to
     /// move) has its per-tick counter settled through `ticks_skipped`
     /// at the wake-up and at every flush, so the counter is the
-    /// ungated run's on the gated interpreter and under the plan, and
-    /// the blocked share of the elided ticks is told apart.
+    /// ungated run's, and the blocked share of the elided ticks is
+    /// told apart.
     #[test]
     fn blocked_sleep_catches_up_exactly() {
         /// Counts a stall cycle per tick while `blocked`, a work cycle
@@ -2263,19 +1983,13 @@ mod tests {
                 self.stalls.set(self.stalls.get() + n);
             }
         }
-        #[derive(Clone, Copy, PartialEq)]
-        enum Kernel {
-            Ungated,
-            Gated,
-            Plan,
-        }
-        let run = |kernel: Kernel| {
+        let run = |gating: bool| {
             let blocked = Rc::new(Cell::new(false));
             let stalls = Rc::new(Cell::new(0u64));
             let work = Rc::new(Cell::new(0u64));
             let wake = ActivityToken::new();
             let mut sim = Simulator::new();
-            sim.set_gating(kernel != Kernel::Ungated);
+            sim.set_gating(gating);
             let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
             let id = sim.add_component(
                 clk,
@@ -2286,9 +2000,6 @@ mod tests {
                 },
             );
             sim.set_wake_token(id, wake.clone());
-            if kernel == Kernel::Plan {
-                sim.arm_plan().expect("arms");
-            }
             sim.run_cycles(clk, 3);
             blocked.set(true);
             // Ends asleep: the flush alone must settle the counter.
@@ -2298,7 +2009,6 @@ mod tests {
             blocked.set(false);
             wake.set();
             sim.run_cycles(clk, 5);
-            assert_eq!(sim.plan_armed(), kernel == Kernel::Plan);
             (
                 mid,
                 stalls.get(),
@@ -2308,13 +2018,10 @@ mod tests {
                 sim.ticks_skipped_blocked(),
             )
         };
-        let ungated = run(Kernel::Ungated);
-        assert_eq!(ungated, ((10, 0), 17, 8, 25, 0, 0));
-        let gated = run(Kernel::Gated);
+        assert_eq!(run(false), ((10, 0), 17, 8, 25, 0, 0));
         // One blocked tick is delivered (the one that falls asleep);
         // the other 16 are elided and caught up.
-        assert_eq!(gated, ((10, 9), 17, 8, 9, 16, 16));
-        assert_eq!(run(Kernel::Plan), gated);
+        assert_eq!(run(true), ((10, 9), 17, 8, 9, 16, 16));
     }
 
     /// Blocked sleep is transparent to what idle-sleep gating already
@@ -2353,7 +2060,7 @@ mod tests {
                 }
             }
         }
-        let run = |sleeps_blocked: bool, plan: bool, drains: bool| {
+        let run = |sleeps_blocked: bool, drains: bool| {
             let mode = Rc::new(Cell::new(WORK));
             let idle_ticks = Rc::new(Cell::new(0u64));
             let wake = ActivityToken::new();
@@ -2368,9 +2075,6 @@ mod tests {
                 },
             );
             sim.set_wake_token(id, wake.clone());
-            if plan {
-                sim.arm_plan().expect("arms");
-            }
             let progress = sim.progress_token();
             let mut boundary = 0u64;
             let err = sim
@@ -2403,19 +2107,17 @@ mod tests {
         // Without blocked sleep: awake until it idles at edge 15 with
         // the token still up from edge 10, so one spurious wake (and
         // idle tick) at edge 16 is the last progress the watchdog sees.
-        let (trip, idle_ticks, blocked) = run(false, false, true);
+        let (trip, idle_ticks, blocked) = run(false, true);
         assert_eq!((trip, idle_ticks, blocked), (16 + 1 + 16, 2, 0));
         // Never draining, it never sleeps and never wakes: the last
         // progress is the traffic up to edge 4.
-        let stuck = run(false, false, false);
+        let stuck = run(false, false);
         assert_eq!(stuck, (4 + 1 + 16, 0, 0));
-        for plan in [false, true] {
-            let (t, i, b) = run(true, plan, true);
-            assert_eq!((t, i), (trip, idle_ticks), "plan={plan}");
-            assert!(b > 0, "plan={plan}: the blocked phase was slept through");
-            let (t, i, _) = run(true, plan, false);
-            assert_eq!((t, i), (stuck.0, stuck.1), "plan={plan}, never draining");
-        }
+        let (t, i, b) = run(true, true);
+        assert_eq!((t, i), (trip, idle_ticks));
+        assert!(b > 0, "the blocked phase was slept through");
+        let (t, i, _) = run(true, false);
+        assert_eq!((t, i), (stuck.0, stuck.1), "never draining");
     }
 
     /// Gated sequentials skip clean commits and reconcile exactly via
@@ -2481,7 +2183,7 @@ mod tests {
     /// Never-sleeping driver that feeds both workers and a gated latch
     /// on fixed schedules, exercising every wake path: waking a
     /// component *behind* it in delivery order (deferred to the next
-    /// instant) and *ahead* of it (same instant).
+    /// edge) and *ahead* of it (same instant).
     struct Driver {
         n: u64,
         early_work: Rc<Cell<u64>>,
@@ -2540,18 +2242,21 @@ mod tests {
         }
     }
 
-    struct PlanFixture {
-        sim: Simulator,
-        clk: ClockId,
+    /// What one driver-and-two-workers cluster exposes.
+    struct Cluster {
+        early_work: Rc<Cell<u64>>,
         early_ticks: Rc<Cell<u64>>,
+        late_work: Rc<Cell<u64>>,
         late_ticks: Rc<Cell<u64>>,
         latch: Rc<RefCell<DirtyLatch>>,
         counter: Rc<RefCell<PlainCounter>>,
     }
 
-    fn plan_fixture() -> PlanFixture {
-        let mut sim = Simulator::new();
-        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
+    /// Registers a cluster: a gated worker, the driver (on
+    /// `driver_clk`), a second gated worker, a gated latch and an
+    /// ungated counter. With `driver_clk != clk` every wake and every
+    /// dirty mark crosses clock domains.
+    fn add_cluster(sim: &mut Simulator, driver_clk: ClockId, clk: ClockId) -> Cluster {
         let early_work = Rc::new(Cell::new(1u64));
         let early_ticks = Rc::new(Cell::new(0u64));
         let early_tok = ActivityToken::new();
@@ -2572,10 +2277,10 @@ mod tests {
         );
         sim.set_wake_token(early, early_tok.clone());
         sim.add_component(
-            clk,
+            driver_clk,
             Driver {
                 n: 0,
-                early_work,
+                early_work: Rc::clone(&early_work),
                 early_tok,
                 late_work: Rc::clone(&late_work),
                 late_tok: late_tok.clone(),
@@ -2587,21 +2292,57 @@ mod tests {
             clk,
             Worker {
                 name: "late".into(),
-                work: late_work,
+                work: Rc::clone(&late_work),
                 ticks: Rc::clone(&late_ticks),
             },
         );
         sim.set_wake_token(late, late_tok);
         sim.add_sequential_gated(clk, latch.clone(), latch_dirty);
         sim.add_sequential(clk, counter.clone());
-        PlanFixture {
-            sim,
-            clk,
+        Cluster {
+            early_work,
             early_ticks,
+            late_work,
             late_ticks,
             latch,
             counter,
         }
+    }
+
+    struct PlanFixture {
+        sim: Simulator,
+        clk: ClockId,
+        clusters: Vec<Cluster>,
+    }
+
+    /// One cluster on one clock of period 100.
+    fn plan_fixture() -> PlanFixture {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
+        let clusters = vec![add_cluster(&mut sim, clk, clk)];
+        PlanFixture { sim, clk, clusters }
+    }
+
+    /// [`plan_fixture`] plus a second domain of period 130 that holds
+    /// a cluster of its own and the workers and sequentials of a
+    /// cluster driven from the first domain. Returns the second clock.
+    fn two_period_fixture() -> (PlanFixture, ClockId) {
+        let mut f = plan_fixture();
+        let b = f.sim.add_clock(ClockSpec::new("b", Picoseconds(130)));
+        f.clusters.push(add_cluster(&mut f.sim, b, b));
+        f.clusters.push(add_cluster(&mut f.sim, f.clk, b));
+        (f, b)
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct ClusterOutcome {
+        work_left: (u64, u64),
+        early_ticks: u64,
+        late_ticks: u64,
+        latch_value: u64,
+        latch_commits: u64,
+        latch_cycles: u64,
+        counter_commits: u64,
     }
 
     #[derive(Debug, PartialEq)]
@@ -2612,12 +2353,44 @@ mod tests {
         ticks_delivered: u64,
         ticks_skipped: u64,
         commits_skipped: u64,
-        early_ticks: u64,
-        late_ticks: u64,
-        latch_value: u64,
-        latch_commits: u64,
-        latch_cycles: u64,
-        counter_commits: u64,
+        clusters: Vec<ClusterOutcome>,
+    }
+
+    impl FixtureOutcome {
+        /// What gating may not change: everything but the kernel's
+        /// work counters and how often an idle worker or a clean latch
+        /// was visited.
+        fn across_gating(mut self) -> FixtureOutcome {
+            self.ticks_delivered = 0;
+            self.ticks_skipped = 0;
+            self.commits_skipped = 0;
+            for c in &mut self.clusters {
+                c.early_ticks = 0;
+                c.late_ticks = 0;
+                c.latch_commits = 0;
+            }
+            self
+        }
+
+        /// What gating does change, in the order the pins below list
+        /// it: `[now_ps, instants, ticks_delivered, ticks_skipped,
+        /// commits_skipped]` and per cluster `[early_ticks, late_ticks,
+        /// latch_commits]`.
+        fn work(&self) -> ([u64; 5], Vec<[u64; 3]>) {
+            (
+                [
+                    self.now.0,
+                    self.instants,
+                    self.ticks_delivered,
+                    self.ticks_skipped,
+                    self.commits_skipped,
+                ],
+                self.clusters
+                    .iter()
+                    .map(|c| [c.early_ticks, c.late_ticks, c.latch_commits])
+                    .collect(),
+            )
+        }
     }
 
     fn fixture_outcome(f: &PlanFixture) -> FixtureOutcome {
@@ -2628,179 +2401,235 @@ mod tests {
             ticks_delivered: f.sim.ticks_delivered(),
             ticks_skipped: f.sim.ticks_skipped(),
             commits_skipped: f.sim.commits_skipped(),
-            early_ticks: f.early_ticks.get(),
-            late_ticks: f.late_ticks.get(),
-            latch_value: f.latch.borrow().value,
-            latch_commits: f.latch.borrow().commits,
-            latch_cycles: f.latch.borrow().cycles,
-            counter_commits: f.counter.borrow().commits,
+            clusters: f
+                .clusters
+                .iter()
+                .map(|c| ClusterOutcome {
+                    work_left: (c.early_work.get(), c.late_work.get()),
+                    early_ticks: c.early_ticks.get(),
+                    late_ticks: c.late_ticks.get(),
+                    latch_value: c.latch.borrow().value,
+                    latch_commits: c.latch.borrow().commits,
+                    latch_cycles: c.latch.borrow().cycles,
+                    counter_commits: c.counter.borrow().commits,
+                })
+                .collect(),
         }
     }
 
-    /// The compiled plan reproduces the interpreted path's observable
-    /// behaviour *exactly* — cycles, tick/commit accounting, committed
-    /// state — across sleep, deferred wake, same-instant wake and
-    /// gated-commit paths.
+    /// Runs `scenario` on `fixture()` gated and ungated — the same loop
+    /// with nothing asleep and every sequential committing — and
+    /// asserts the two agree on everything gating may not change and
+    /// that gating elided real work. Returns the gated outcome's
+    /// [`FixtureOutcome::work`] for the caller to pin: the values are
+    /// what the scan-every-registration kernel this loop replaced
+    /// produced for the same scenario.
+    fn gated_matches_ungated(
+        fixture: impl Fn() -> PlanFixture,
+        scenario: impl Fn(&mut PlanFixture),
+    ) -> ([u64; 5], Vec<[u64; 3]>) {
+        let run = |gating: bool| {
+            let mut f = fixture();
+            f.sim.set_gating(gating);
+            scenario(&mut f);
+            fixture_outcome(&f)
+        };
+        let (gated, ungated) = (run(true), run(false));
+        assert!(gated.ticks_skipped > 0 && gated.commits_skipped > 0);
+        assert_eq!((ungated.ticks_skipped, ungated.commits_skipped), (0, 0));
+        let work = gated.work();
+        assert_eq!(gated.across_gating(), ungated.across_gating());
+        work
+    }
+
+    /// The gated loop reproduces the ungated one across sleep, deferred
+    /// wake, same-instant wake and gated-commit paths, with exactly the
+    /// tick and commit accounting of a scan over every registration.
     #[test]
     fn plan_matches_interpreted_exactly() {
-        let mut interp = plan_fixture();
-        interp.sim.run_cycles(interp.clk, 1000);
-        assert_eq!(interp.sim.plan_instants(), 0);
-
-        let mut compiled = plan_fixture();
-        compiled.sim.arm_plan().expect("steady-state schedule arms");
-        compiled.sim.run_cycles(compiled.clk, 1000);
-        assert!(compiled.sim.plan_armed(), "no de-opt in a steady run");
-        assert_eq!(compiled.sim.plan_instants(), 1000);
-        assert_eq!(compiled.sim.plan_deopt_count(), 0);
-
-        assert_eq!(fixture_outcome(&interp), fixture_outcome(&compiled));
-        // Gating did real work, so the identity above is meaningful.
-        assert!(interp.sim.ticks_skipped() > 0);
-        assert!(interp.sim.commits_skipped() > 0);
+        let work = gated_matches_ungated(plan_fixture, |f| f.sim.run_cycles(f.clk, 1000));
+        assert_eq!(
+            work,
+            ([99_900, 1000, 1542, 1458, 666], vec![[399, 143, 334]])
+        );
     }
 
-    /// A mid-run de-opt (and later re-arm) loses nothing: the hybrid
-    /// run is indistinguishable from a fully interpreted one.
+    /// Two periods: the instants interleave, and a driver on one clock
+    /// wakes workers and dirties a latch on the other.
     #[test]
-    fn plan_deopt_mid_run_preserves_state() {
-        let mut interp = plan_fixture();
-        interp.sim.run_cycles(interp.clk, 1000);
-
-        let mut hybrid = plan_fixture();
-        hybrid.sim.arm_plan().expect("arms");
-        hybrid.sim.run_cycles(hybrid.clk, 400);
-        // `set_gating` is a de-opt trigger even when the value does not
-        // change — gating itself stays on, so semantics are untouched.
-        hybrid.sim.set_gating(true);
-        assert!(!hybrid.sim.plan_armed());
-        assert_eq!(hybrid.sim.plan_deopt_count(), 1);
-        assert_eq!(hybrid.sim.plan_deopts().get(PlanDeopt::GatingToggle), 1);
-        hybrid.sim.run_cycles(hybrid.clk, 300);
-        hybrid.sim.arm_plan().expect("re-arms mid-run");
-        hybrid.sim.run_cycles(hybrid.clk, 300);
-        assert!(hybrid.sim.plan_armed());
-
-        assert_eq!(fixture_outcome(&interp), fixture_outcome(&hybrid));
-        assert_eq!(hybrid.sim.plan_instants(), 700);
+    fn gated_matches_ungated_across_two_periods() {
+        let work = gated_matches_ungated(
+            || two_period_fixture().0,
+            |f| f.sim.run_until_time(Picoseconds(100_000)),
+        );
+        assert_eq!(
+            work,
+            (
+                [100000, 1694, 4277, 3577, 1616],
+                vec![[400, 144, 334], [307, 111, 257], [400, 143, 334]]
+            )
+        );
     }
 
-    /// Arming is opportunistic: every irregular precondition is
-    /// rejected with a reason and leaves the interpreted path active.
-    #[test]
-    fn arm_plan_rejects_irregular_schedules() {
-        use crate::plan::PlanReject;
-
-        let mut sim = Simulator::new();
-        assert_eq!(sim.arm_plan(), Err(PlanReject::NoActiveClock));
-
-        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
-        sim.set_gating(false);
-        assert_eq!(sim.arm_plan(), Err(PlanReject::GatingDisabled));
-        sim.set_gating(true);
-
-        sim.set_tick_profiling(true);
-        assert_eq!(sim.arm_plan(), Err(PlanReject::TickProfiling));
-        sim.set_tick_profiling(false);
-
-        sim.pause_clock(clk);
-        assert_eq!(sim.arm_plan(), Err(PlanReject::NoActiveClock));
-        sim.resume_clock(clk);
-
-        // A second clock with a different period is not steady-state.
-        let mut multi = Simulator::new();
-        multi.add_clock(ClockSpec::new("a", Picoseconds(100)));
-        multi.add_clock(ClockSpec::new("b", Picoseconds(130)));
-        assert_eq!(multi.arm_plan(), Err(PlanReject::IrregularClocks));
-
-        // Two components sharing one wake token cannot be planned.
-        let mut shared = Simulator::new();
-        let sclk = shared.add_clock(ClockSpec::new("c", Picoseconds(100)));
-        let tok = ActivityToken::new();
-        let (p1, _, _) = probe("p1");
-        let (p2, _, _) = probe("p2");
-        let id1 = shared.add_component(sclk, p1);
-        let id2 = shared.add_component(sclk, p2);
-        shared.set_wake_token(id1, tok.clone());
-        shared.set_wake_token(id2, tok.clone());
-        assert_eq!(shared.arm_plan(), Err(PlanReject::SharedWakeToken));
-        // The failed arm rolled its attachments back.
-        assert!(!tok.notify_attached());
-        shared.run_cycles(sclk, 3);
-        assert_eq!(shared.cycles(sclk), 3);
-
-        // Mid-instant arming is refused.
-        let mut open = Simulator::new();
-        let oclk = open.add_clock(ClockSpec::new("c", Picoseconds(100)));
-        assert!(open.eval_instant());
-        assert_eq!(open.arm_plan(), Err(PlanReject::MidInstant));
-        open.commit_instant();
-        assert_eq!(open.arm_plan(), Ok(()));
-        assert_eq!(open.arm_plan(), Ok(()), "re-arming is a no-op");
-        open.run_cycles(oclk, 2);
-        assert_eq!(open.cycles(oclk), 3);
-    }
-
-    /// A clock stretch requested under the plan is applied faithfully
-    /// and de-opts; the edge sequence matches the interpreted one.
+    /// A clock stretch requested mid-run moves one edge and nothing
+    /// else: the edge sequence and the sleepers' wake-ups are the
+    /// ungated run's.
     #[test]
     fn plan_deopts_on_clock_stretch() {
-        let mut sim = Simulator::new();
-        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
-        sim.add_component(clk, Stretcher);
-        sim.arm_plan().expect("arms");
-        sim.run_cycles(clk, 4);
-        // Edges at 0, 100, 250 (stretched), 350 — same as interpreted.
-        assert_eq!(sim.now(), Picoseconds(350));
-        assert!(!sim.plan_armed(), "stretch must de-opt");
-        assert_eq!(sim.plan_deopt_count(), 1);
-        assert_eq!(sim.plan_deopts().get(PlanDeopt::ClockRequest), 1);
-        assert_eq!(sim.plan_instants(), 2, "compiled until the stretch");
+        let work = gated_matches_ungated(
+            || two_period_fixture().0,
+            |f| {
+                f.sim.add_component(f.clk, Stretcher { at: 400 });
+                f.sim.run_cycles(f.clk, 1000);
+            },
+        );
+        assert_eq!(
+            work,
+            (
+                [99950, 1692, 5270, 3575, 1614],
+                vec![[399, 143, 334], [307, 110, 257], [399, 143, 333]]
+            )
+        );
     }
 
-    /// Structural mutation and clock pausing de-opt; a paused schedule
-    /// refuses to re-arm until resumed.
+    /// Registration mid-run — a component, a wake token, a gated and an
+    /// ungated sequential, a whole new clock domain — appends to the
+    /// schedule, and pausing and resuming a clock only moves its edges.
     #[test]
     fn plan_disarms_on_structural_changes() {
         let mut sim = Simulator::new();
         let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
         let (p, _, _) = probe("p");
         sim.add_component(clk, p);
-        sim.arm_plan().expect("arms");
-
+        sim.run_cycles(clk, 3);
         let (q, qhits, _) = probe("q");
         sim.add_component(clk, q);
-        assert!(!sim.plan_armed(), "add_component de-opts");
-
-        sim.arm_plan().expect("re-arms with the new component");
         sim.run_cycles(clk, 5);
-        assert_eq!(qhits.get(), 5, "late component is in the plan");
+        assert_eq!(qhits.get(), 5, "late component is in the schedule");
 
-        sim.pause_clock(clk);
-        assert!(!sim.plan_armed(), "pause de-opts");
-        assert!(sim.arm_plan().is_err());
-        sim.resume_clock(clk);
-        sim.arm_plan().expect("arms again after resume");
-        sim.run_cycles(clk, 5);
-        assert_eq!(qhits.get(), 10);
-
-        // An unarmed disarm is not a de-opt; each armed one is counted
-        // under its reason and the total is their sum.
-        sim.disarm_plan(PlanDeopt::Explicit);
-        sim.disarm_plan(PlanDeopt::Explicit);
-        let counts = sim.plan_deopts();
-        for reason in PlanDeopt::ALL {
-            let want = matches!(
-                reason,
-                PlanDeopt::Structural | PlanDeopt::PauseResume | PlanDeopt::Explicit
-            );
-            assert_eq!(counts.get(reason), u64::from(want), "{}", reason.name());
-        }
-        assert_eq!(sim.plan_deopt_count(), 3);
+        let work = gated_matches_ungated(plan_fixture, |f| {
+            f.sim.run_cycles(f.clk, 300);
+            let b = f.sim.add_clock(ClockSpec::new("b", Picoseconds(70)));
+            let on_b = add_cluster(&mut f.sim, b, b);
+            let across = add_cluster(&mut f.sim, b, f.clk);
+            f.clusters.extend([on_b, across]);
+            f.sim.run_cycles(f.clk, 300);
+            f.sim.pause_clock(b);
+            f.sim.run_cycles(f.clk, 100);
+            f.sim.resume_clock(b);
+            f.sim.run_cycles(f.clk, 300);
+        });
+        assert_eq!(
+            work,
+            (
+                [99900, 2199, 5505, 4031, 1935],
+                vec![[399, 143, 334], [513, 184, 429], [514, 184, 286]]
+            )
+        );
     }
 
-    /// The hang watchdog fires identically under the plan, de-opts,
-    /// and produces the same diagnosis as the interpreted path.
+    /// Toggling tick profiling, or gating itself, mid-run loses
+    /// nothing: the run is indistinguishable from an untouched one.
+    #[test]
+    fn toggles_mid_run_preserve_state() {
+        let straight = |gating: bool| {
+            let (mut f, _) = two_period_fixture();
+            f.sim.set_gating(gating);
+            f.sim.run_cycles(f.clk, 1000);
+            fixture_outcome(&f)
+        };
+        // Profiling, and re-asserting the gating mode, are observation
+        // only — every counter is the untouched run's.
+        let (mut f, _) = two_period_fixture();
+        f.sim.run_cycles(f.clk, 400);
+        f.sim.set_tick_profiling(true);
+        f.sim.set_gating(true);
+        f.sim.run_cycles(f.clk, 300);
+        f.sim.set_tick_profiling(false);
+        f.sim.run_cycles(f.clk, 300);
+        assert_eq!(fixture_outcome(&f), straight(true));
+        assert!(f.sim.tick_profile().iter().any(|r| r.ticks > 0));
+
+        // Gating off and on again: sleepers wake, owed commits settle,
+        // and the gated walk resumes from the flags alone.
+        let (mut f, _) = two_period_fixture();
+        f.sim.run_cycles(f.clk, 400);
+        f.sim.set_gating(false);
+        f.sim.run_cycles(f.clk, 300);
+        let skipped = f.sim.ticks_skipped();
+        f.sim.set_gating(true);
+        f.sim.run_cycles(f.clk, 300);
+        assert!(f.sim.ticks_skipped() > skipped, "gating resumed");
+        assert_eq!(
+            fixture_outcome(&f).across_gating(),
+            straight(false).across_gating()
+        );
+        assert_eq!(
+            fixture_outcome(&f).work(),
+            (
+                [99900, 1692, 5351, 2494, 1126],
+                vec![[580, 402, 535], [448, 309, 412], [511, 332, 465]]
+            )
+        );
+    }
+
+    /// One wake token handed to two components, one dirty token to two
+    /// sequentials: the second owner is registered ungated, so both
+    /// observe every activity instead of the first in order consuming
+    /// the flag.
+    #[test]
+    fn shared_tokens_lose_no_wake_up() {
+        let run = |gating: bool| {
+            let mut sim = Simulator::new();
+            sim.set_gating(gating);
+            let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
+            let tok = ActivityToken::new();
+            let work: Vec<Rc<Cell<u64>>> = (0..2).map(|_| Rc::new(Cell::new(0))).collect();
+            let ticks: Vec<Rc<Cell<u64>>> = (0..2).map(|_| Rc::new(Cell::new(0))).collect();
+            for i in 0..2 {
+                let id = sim.add_component(
+                    clk,
+                    Worker {
+                        name: format!("w{i}"),
+                        work: Rc::clone(&work[i]),
+                        ticks: Rc::clone(&ticks[i]),
+                    },
+                );
+                sim.set_wake_token(id, tok.clone());
+            }
+            let dirty = ActivityToken::new();
+            let latches: Vec<Rc<RefCell<DirtyLatch>>> = (0..2)
+                .map(|_| Rc::new(RefCell::new(DirtyLatch::default())))
+                .collect();
+            for latch in &latches {
+                sim.add_sequential_gated(clk, latch.clone(), dirty.clone());
+            }
+            sim.run_cycles(clk, 10);
+            // One activity meant for both owners.
+            for (w, latch) in work.iter().zip(&latches) {
+                w.set(3);
+                latch.borrow_mut().staged = 7;
+            }
+            tok.set();
+            dirty.set();
+            sim.run_cycles(clk, 10);
+            let left: Vec<u64> = work.iter().map(|w| w.get()).collect();
+            let values: Vec<u64> = latches.iter().map(|l| l.borrow().value).collect();
+            let cycles: Vec<u64> = latches.iter().map(|l| l.borrow().cycles).collect();
+            (left, values, cycles, sim.ticks_skipped(), ticks[1].get())
+        };
+        let (left, values, cycles, skipped, second_ticks) = run(true);
+        assert_eq!(left, [0, 0], "both workers saw the work");
+        assert_eq!(values, [7, 7], "both latches committed it");
+        assert_eq!(cycles, [20, 20]);
+        assert!(skipped > 0, "the first owner still sleeps");
+        assert_eq!(second_ticks, 20, "the second owner never does");
+        let ungated = run(false);
+        assert_eq!((left, values, cycles), (ungated.0, ungated.1, ungated.2));
+    }
+
+    /// The hang watchdog reads the sleep flags the walk maintains, and
+    /// a trip changes nothing about the run that continues after it.
     #[test]
     fn plan_hang_trip_matches_interpreted_diagnosis() {
         struct Idle;
@@ -2813,24 +2642,15 @@ mod tests {
                 Some("stuck forever".into())
             }
         }
-        let run = |arm: bool| {
+        let run = |gating: bool| {
             let mut sim = Simulator::new();
+            sim.set_gating(gating);
             let clk = sim.add_clock(ClockSpec::new("core", Picoseconds(100)));
             sim.add_component(clk, Idle);
             sim.add_sequential(clk, Rc::new(RefCell::new(PlainCounter::default())));
-            if arm {
-                sim.arm_plan().expect("arms");
-            }
-            let err = sim
-                .run_until_checked(clk, 10_000, 64, || false)
-                .expect_err("must hang");
-            assert!(!sim.plan_armed(), "hang trip must leave us interpreted");
-            (err, sim.plan_deopts().get(PlanDeopt::WatchdogTrip))
+            sim.run_until_checked(clk, 10_000, 64, || false)
+                .expect_err("must hang")
         };
-        let (interp_err, d0) = run(false);
-        let (compiled_err, d1) = run(true);
-        assert_eq!(d0, 0);
-        assert_eq!(d1, 1, "watchdog trip counts as a de-opt");
         let (
             SimError::Hang {
                 clock: c0,
@@ -2844,7 +2664,7 @@ mod tests {
                 now: n1,
                 report: r1,
             },
-        ) = (interp_err, compiled_err)
+        ) = (run(false), run(true))
         else {
             panic!("expected two hangs");
         };
@@ -2852,21 +2672,35 @@ mod tests {
         assert_eq!(r0.components.len(), r1.components.len());
         assert_eq!(r0.components[0].wait, r1.components[0].wait);
         assert_eq!(r0.components[0].asleep, r1.components[0].asleep);
-    }
 
-    /// `plan_desc` exposes the frozen schedule for introspection.
-    #[test]
-    fn plan_desc_reflects_schedule() {
-        let mut f = plan_fixture();
-        assert!(f.sim.plan_desc().is_none());
-        f.sim.arm_plan().expect("arms");
-        let desc = f.sim.plan_desc().expect("armed");
-        assert_eq!(desc.clocks, vec!["c".to_string()]);
-        let names: Vec<&str> = desc.nodes.iter().map(|n| n.name.as_str()).collect();
-        assert_eq!(names, vec!["early", "driver", "late"]);
-        assert!(desc.nodes[0].gated && !desc.nodes[1].gated && desc.nodes[2].gated);
-        assert_eq!(desc.gated_sequentials, 1);
-        assert_eq!(desc.always_commit_sequentials, 1);
+        // With sleepers: only an idle worker's wake-up counts as
+        // progress here, so the ungated run trips first; the report
+        // names who is asleep, and the run carries on to the same end.
+        let trips = Cell::new((0, 0));
+        let work = gated_matches_ungated(plan_fixture, |f| {
+            f.sim.run_cycles(f.clk, 2);
+            let err = f
+                .sim
+                .run_until_checked(f.clk, 10_000, 4, || false)
+                .expect_err("no channel reports progress");
+            let SimError::Hang { cycle, report, .. } = err else {
+                panic!("expected a hang, got {err}");
+            };
+            let asleep = report.components.iter().filter(|c| c.asleep).count();
+            if f.sim.gating() {
+                trips.set((cycle, trips.get().1));
+                assert!(asleep > 0, "the report shows the sleepers");
+            } else {
+                trips.set((trips.get().0, cycle));
+                assert_eq!(asleep, 0);
+            }
+            f.sim.run_cycles(f.clk, 1000 - cycle);
+        });
+        assert_eq!(
+            work,
+            ([99900, 1000, 1542, 1458, 666], vec![[399, 143, 334]])
+        );
+        assert_eq!(trips.get(), (20, 6));
     }
 
     /// Tick profiling attributes every delivered tick and never

@@ -10,9 +10,10 @@
 //!   (commit-phase state) traits,
 //! * pausible-clocking hooks ([`TickCtx::stretch_clock`]) used by the
 //!   GALS layer,
-//! * a compiled steady-state instant plan ([`Simulator::arm_plan`])
-//!   that runs uniform-clock schedules dispatch-lean and transparently
-//!   de-opts to the interpreted golden path on any irregular event,
+//! * quiescence gating with one dispatch loop whose cost is the awake
+//!   set: idle and blocked components and clean channel commits are
+//!   not visited, on any clock schedule ([`Simulator::set_gating`]
+//!   turns it off for the ungated reference),
 //! * typed failures ([`SimError`]) with a no-progress hang watchdog
 //!   ([`Simulator::run_until_checked`]) that diagnoses deadlocks via a
 //!   per-component / per-channel [`HangReport`],
@@ -54,7 +55,6 @@ mod error;
 mod kernel;
 mod par;
 pub mod parallel;
-mod plan;
 pub mod stats;
 pub mod telemetry;
 mod time;
@@ -73,7 +73,6 @@ pub use parallel::{
     publish_hang_idle, run_parallel, EpochOutcome, EpochSync, EpochVerdict, EpochWorker,
     SpinBarrier, WaitHist, WAIT_HIST_BUCKETS,
 };
-pub use plan::{PlanDeopt, PlanDeoptCounts, PlanDesc, PlanNode, PlanReject};
 pub use telemetry::{TelLaneCounters, Telemetry, TelemetrySnapshot, TickProfile};
 pub use time::Picoseconds;
 pub use trace::{SignalId, Trace};

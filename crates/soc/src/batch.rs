@@ -5,9 +5,8 @@
 //! the fault decisions a seeded injector draws. Until a lane's fault
 //! first perturbs the token stream, its trajectory is bit-identical to
 //! the fault-free golden run. [`BatchSoc`] exploits that: it advances
-//! **one** golden simulation (which may keep the compiled instant plan
-//! of [`crate::schedplan`] armed, since no real injector is attached)
-//! and replays every lane's fault *decisions* against the golden token
+//! **one** golden simulation (no real injector is attached to it) and
+//! replays every lane's fault *decisions* against the golden token
 //! stream through shadow [`craft_connections::FaultLaneBank`]s laid
 //! out as lane-indexed arrays on each matched channel:
 //!
@@ -28,18 +27,17 @@
 //! The moment a lane's drawn decision would perturb the stream (bit
 //! flip, drop, or a duplicate the FIFO had room for) the lane **de-ops
 //! to a solo replay**: a fresh [`Soc`] build with a real injector, run
-//! from t=0 under the batch's limits — the instant plan armed when
-//! [`SocConfig::compiled_schedule`] is set, since an injector changes
-//! what a channel commits and not the schedule. A solo run stays the
-//! golden reference; batching never invents a third semantics. Once
-//! the golden run ends, the diverged lanes are replayed across the
-//! host's cores ([`craft_sim::par_map`]: a hung lane waiting out its
-//! watchdog holds one worker while the others drain the rest); each
-//! worker builds, runs and drops its `Soc` locally and hands back plain
-//! data, so after the run the batch holds no simulation but the golden
-//! one. Lanes whose injectors never fire finish bit-identical to the
-//! golden run for free, with exact [`FaultStats`] accumulated by the
-//! shadows.
+//! from t=0 under the batch's limits — on the same gated kernel loop,
+//! since an injector changes what a channel commits and not the
+//! schedule. A solo run stays the golden reference; batching never
+//! invents a third semantics. Once the golden run ends, the diverged
+//! lanes are replayed across the host's cores ([`craft_sim::par_map`]:
+//! a hung lane waiting out its watchdog holds one worker while the
+//! others drain the rest); each worker builds, runs and drops its `Soc`
+//! locally and hands back plain data, so after the run the batch holds
+//! no simulation but the golden one. Lanes whose injectors never fire
+//! finish bit-identical to the golden run for free, with exact
+//! [`FaultStats`] accumulated by the shadows.
 //!
 //! Divergence is conservative (see [`craft_connections::LaneSet`]): a
 //! false positive costs one replay, a false negative would corrupt
@@ -116,8 +114,7 @@ impl LaneSpec {
 type LaneReplay = (Result<RunResult, SimError>, SocReport, FaultStats, Vec<u64>);
 
 /// Runs one diverged lane solo: a fresh [`Soc`] off the batch's shared
-/// [`Recipe`] with a real injector (instant plan armed when
-/// [`SocConfig::compiled_schedule`]), replayed from t=0 under the same
+/// [`Recipe`] with a real injector, replayed from t=0 under the same
 /// run limits the batch used. This *is* the golden reference path —
 /// the settle phase calls it for every de-opted lane, on whichever
 /// host worker claims it.

@@ -299,7 +299,7 @@ fn save_cfg(cfg: &SocConfig, w: &mut StateWriter) {
     });
     w.put_bool(cfg.gating);
     w.put_opt_u64(cfg.pe_timeout);
-    w.put_bool(cfg.compiled_schedule);
+    w.put_bool(cfg.compiled_schedule); // vestigial byte, ROADMAP item 1c
     w.put_opt_u64(cfg.checkpoint_every);
 }
 

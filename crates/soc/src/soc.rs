@@ -23,7 +23,7 @@ use craft_riscv::FlatMemory;
 use craft_sim::checkpoint::CheckpointError;
 use craft_sim::{
     run_parallel, ActivityToken, ClockId, ClockSpec, EpochOutcome, EpochVerdict, EpochWorker,
-    Picoseconds, PlanDeopt, SimError, Simulator, Telemetry, TelemetrySnapshot,
+    Picoseconds, SimError, Simulator, Telemetry, TelemetrySnapshot,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -105,17 +105,10 @@ pub struct SocConfig {
     /// `None` (the default) disables detection; set it well above the
     /// worst-case command latency to avoid false positives.
     pub pe_timeout: Option<u64>,
-    /// Compile the steady-state schedule into the kernel's instant
-    /// plan ([`craft_sim::Simulator::arm_plan`]): the per-clock
-    /// dispatch scan is lowered at build time into a flat worklist the
-    /// kernel executes dispatch-lean. Strictly opportunistic — arming
-    /// requires a uniform unpaused clock schedule with gating on (the
-    /// `Synchronous` default qualifies), and the kernel de-opts back
-    /// to the interpreted golden path on any irregular event (fault
-    /// injection, watchdog trips, clock pause/stretch, structural
-    /// change). Outcomes are bit- and cycle-identical either way
-    /// (asserted by the `compiled_schedule_tests`); only wall clock
-    /// changes.
+    /// Vestige: selects nothing. The kernel has one dispatch loop
+    /// (`craft_sim`'s kernel docs), so both values build and run the
+    /// same SoC. The field and its snapshot byte stay only because
+    /// `benchmark/` names them (ROADMAP item 1c).
     pub compiled_schedule: bool,
     /// Periodic auto-checkpoint interval for supervised runs, in hub
     /// cycles: `Some(k)` makes a supervised run on any engine
@@ -300,12 +293,6 @@ impl SocConfigBuilder {
     /// Arms hub-side PE failure detection with the given timeout.
     pub fn pe_timeout(mut self, v: Option<u64>) -> Self {
         self.cfg.pe_timeout = v;
-        self
-    }
-
-    /// Enables or disables the compiled instant-plan schedule.
-    pub fn compiled_schedule(mut self, v: bool) -> Self {
-        self.cfg.compiled_schedule = v;
         self
     }
 
@@ -1113,7 +1100,7 @@ impl Soc {
             let (dn_hub, hub_slave_ports, seqs3) = axi_link("bus2hub", 2);
             // Gated registration: AXI channels are idle between
             // transactions, so their commits elide whenever nothing was
-            // staged (and the compiled plan skips them entirely).
+            // staged.
             for (s, dirty) in seqs.into_iter().chain(seqs2).chain(seqs3) {
                 sim.add_sequential_gated(hub_clock, s, dirty);
             }
@@ -1261,25 +1248,6 @@ impl Soc {
                     plan_probe!("signal_word_ops", signal_word_ops);
                 }
             }
-            // Kernel instant-plan counters. Per-worker state: in a
-            // sharded build every shard publishes its own plan, and
-            // the merged snapshot sums them (deopt/instant totals
-            // across shards; `armed` counts how many shards hold an
-            // armed plan).
-            let (deopts, instants, armed) = (
-                sim.plan_deopts(),
-                sim.plan_instants_handle(),
-                sim.plan_armed_handle(),
-            );
-            for reason in PlanDeopt::ALL {
-                let d = deopts.clone();
-                tel.probe(format!("sim.plan.deopt.{}", reason.name()), move || {
-                    d.get(reason)
-                });
-            }
-            tel.probe("sim.plan.deopt_count", move || deopts.total());
-            tel.probe("sim.plan.instants", move || instants.get());
-            tel.probe("sim.plan.armed", move || armed.get());
             // Ticks elided from components asleep with work in hand
             // (blocked on their ports); exact at run boundaries.
             let blocked = sim.ticks_skipped_blocked_handle();
@@ -1293,17 +1261,6 @@ impl Soc {
                 core.ckpt.publish(tel);
             }
             sim.set_tick_profiling(tel.profiling());
-        }
-
-        // --- Compiled instant plan ---
-        // Lower the steady-state schedule last, once the full component
-        // and sequential rosters exist. Opportunistic by contract:
-        // every rejection (GALS clock spreads, gating off, profiling
-        // on) just leaves the interpreted path in charge. PE-failure
-        // detection is excluded conservatively — a remap storm is
-        // exactly the irregular regime the plan is not built for.
-        if cfg.compiled_schedule && cfg.pe_timeout.is_none() {
-            let _ = sim.arm_plan();
         }
 
         Soc {
@@ -1511,21 +1468,10 @@ impl Soc {
         &self.sim
     }
 
-    /// Mutable kernel access for external drivers (benchmarks, the
-    /// compiled-plan harness) that step the kernel phase by phase.
+    /// Mutable kernel access for external drivers (benchmarks) that
+    /// step the kernel phase by phase.
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
-    }
-
-    /// The armed compiled instant plan, classified into SoC-level op
-    /// kinds ([`crate::schedplan`]), or `None` when no plan is armed —
-    /// either [`SocConfig::compiled_schedule`] was off, arming was
-    /// declined (GALS spreads, gating off), or the kernel has since
-    /// de-opted to the interpreted path.
-    pub fn sched_plan(&self) -> Option<crate::schedplan::SchedPlanSummary> {
-        self.sim
-            .plan_desc()
-            .map(|d| crate::schedplan::SchedPlanSummary::from_desc(&d))
     }
 
     /// Whether the controller has executed its halt (`ecall`) — the
@@ -1804,8 +1750,7 @@ impl SimEngine for Soc {
     ) -> Result<usize, FaultPatternError> {
         // An injector changes what a channel commits, not the schedule:
         // the faulted channel re-arms its own dirty token on every
-        // commit, which notifies an armed instant plan exactly as it
-        // keeps the gated interpreter committing — no de-opt.
+        // commit, which keeps the gated kernel committing it.
         let mut matched = 0;
         for (i, (name, h)) in self.noc_channels.iter().enumerate() {
             if name.contains(pat) {
@@ -1988,46 +1933,15 @@ mod tests {
 
 #[cfg(test)]
 mod gating_tests {
+    use super::compiled_schedule_tests::assert_gated_matches_ungated;
     use super::*;
-    use crate::workloads::{run_workload_soc, vec_mul, Workload};
+    use crate::workloads::{vec_mul, Workload};
 
-    /// Runs `wl` twice — quiescence gating on and off — and asserts
-    /// every architecturally visible outcome is bit-identical: cycle
-    /// counts, controller retirement, hub counters, PE work, NoC and
-    /// memory traffic, and the verified gmem results. Returns the
-    /// gated kernel's skipped-tick count so callers can assert the
-    /// gating actually engaged.
+    /// Gated against ungated, full report included; returns the gated
+    /// kernel's skipped-tick count so callers can assert the gating
+    /// actually engaged.
     fn assert_gating_equivalent(cfg: SocConfig, wl: &Workload) -> u64 {
-        let off_cfg = SocConfig {
-            gating: false,
-            ..cfg
-        };
-        let (on, ok_on, soc_on) = run_workload_soc(cfg, wl, 8_000_000);
-        let (off, ok_off, soc_off) = run_workload_soc(off_cfg, wl, 8_000_000);
-        assert!(ok_on, "{}: gated run failed verification", wl.name);
-        assert!(ok_off, "{}: ungated run failed verification", wl.name);
-        assert_eq!(on.cycles, off.cycles, "{}: cycle counts differ", wl.name);
-        assert_eq!(on.ctrl, off.ctrl, "{}: controller status differs", wl.name);
-        assert_eq!(soc_on.report().hub, soc_off.report().hub);
-        assert_eq!(soc_on.total_work_units(), soc_off.total_work_units());
-        {
-            let a = soc_on.hub.borrow();
-            let b = soc_off.hub.borrow();
-            assert_eq!(a.gmem_ops, b.gmem_ops, "{}: gmem traffic differs", wl.name);
-            assert_eq!(a.noc_flits, b.noc_flits, "{}: NoC traffic differs", wl.name);
-            assert_eq!(
-                a.service_latency.total(),
-                b.service_latency.total(),
-                "{}: hub job count differs",
-                wl.name
-            );
-        }
-        assert_eq!(
-            soc_off.sim().ticks_skipped(),
-            0,
-            "gating off must deliver all"
-        );
-        soc_on.sim().ticks_skipped()
+        assert_gated_matches_ungated(cfg, wl).sim().ticks_skipped()
     }
 
     #[test]
@@ -2150,76 +2064,68 @@ mod rtl_compiled_tests {
 
 #[cfg(test)]
 mod compiled_schedule_tests {
+    //! The kernel's gated loop against its ungated mode on whole-SoC
+    //! runs, full report included — and the proof that the vestigial
+    //! `compiled_schedule` field selects nothing.
     use super::*;
-    use crate::schedplan::PlanOpKind;
     use crate::workloads::{dot_product, run_workload_soc, vec_mul, Workload};
 
-    fn compiled(cfg: SocConfig) -> SocConfig {
-        SocConfig {
-            compiled_schedule: true,
-            ..cfg
-        }
+    /// `report` with the one field gating may change blanked: an idle
+    /// hub polls its empty eject channel on every delivered tick, so
+    /// `noc.pop_empty` counts the idle hub ticks a gated kernel elides.
+    fn across_gating(mut report: SocReport) -> SocReport {
+        report.noc.pop_empty = 0;
+        report
     }
 
-    /// Runs `wl` interpreted and compiled and asserts every
-    /// architecturally visible outcome is bit-identical — the plan's
-    /// golden-reference contract. Returns the compiled `Soc` for
-    /// plan-state assertions.
-    fn assert_plan_matches_interpreted(cfg: SocConfig, wl: &Workload) -> Soc {
-        let (ri, ok_i, soc_i) = run_workload_soc(cfg, wl, 8_000_000);
-        let (rc, ok_c, soc_c) = run_workload_soc(compiled(cfg), wl, 8_000_000);
-        assert!(ok_i, "{}: interpreted run failed", wl.name);
-        assert!(ok_c, "{}: compiled run failed", wl.name);
-        assert_eq!(ri.cycles, rc.cycles, "{}: cycle counts differ", wl.name);
-        assert_eq!(ri.ctrl, rc.ctrl, "{}: controller status differs", wl.name);
+    /// Runs `wl` gated and ungated — the same kernel loop with nothing
+    /// asleep and every channel committing — and asserts every
+    /// architecturally visible outcome is bit-identical. Returns the
+    /// gated `Soc`.
+    pub(super) fn assert_gated_matches_ungated(cfg: SocConfig, wl: &Workload) -> Soc {
+        let ungated = SocConfig {
+            gating: false,
+            ..cfg
+        };
+        let (ru, ok_u, soc_u) = run_workload_soc(ungated, wl, 8_000_000);
+        let (rg, ok_g, soc_g) = run_workload_soc(cfg, wl, 8_000_000);
+        assert!(ok_u, "{}: ungated run failed", wl.name);
+        assert!(ok_g, "{}: gated run failed", wl.name);
+        assert_eq!(ru.cycles, rg.cycles, "{}: cycle counts differ", wl.name);
+        assert_eq!(ru.ctrl, rg.ctrl, "{}: controller status differs", wl.name);
         assert_eq!(
-            soc_i.report(),
-            soc_c.report(),
+            across_gating(soc_u.report()),
+            across_gating(soc_g.report()),
             "{}: reports differ",
             wl.name
         );
-        assert_eq!(soc_i.total_work_units(), soc_c.total_work_units());
-        // The plan mirrors the gated kernel's tick/commit elision
-        // decisions exactly, so even the *instrumentation* counters
-        // must agree with the interpreted gated run.
+        assert_eq!(soc_u.total_work_units(), soc_g.total_work_units());
+        assert_eq!(soc_u.coverage().bins(), soc_g.coverage().bins());
+        // The two modes walk the same instants; the ungated one visits
+        // every registration at each.
+        assert_eq!(soc_u.sim().instants(), soc_g.sim().instants());
+        assert_eq!(soc_u.sim().ticks_skipped(), 0);
+        assert_eq!(soc_u.sim().commits_skipped(), 0);
         assert_eq!(
-            soc_i.sim().ticks_delivered(),
-            soc_c.sim().ticks_delivered(),
-            "{}: tick delivery diverged",
+            soc_u.sim().ticks_delivered(),
+            soc_g.sim().ticks_delivered() + soc_g.sim().ticks_skipped(),
+            "{}: delivered + skipped must account for every component edge",
             wl.name
         );
-        assert_eq!(
-            soc_i.sim().ticks_skipped(),
-            soc_c.sim().ticks_skipped(),
-            "{}: tick elision diverged",
-            wl.name
-        );
-        assert_eq!(
-            soc_i.sim().commits_skipped(),
-            soc_c.sim().commits_skipped(),
-            "{}: commit elision diverged",
-            wl.name
-        );
-        soc_c
+        soc_g
     }
 
     #[test]
     fn compiled_identical_vec_mul() {
-        let soc = assert_plan_matches_interpreted(SocConfig::default(), &vec_mul());
-        assert!(soc.sim().plan_armed(), "plan must stay armed end to end");
-        assert_eq!(soc.sim().plan_deopt_count(), 0, "clean run must not de-opt");
-        assert_eq!(
-            soc.sim().plan_instants(),
-            soc.sim().instants(),
-            "every instant must take the fast path"
-        );
+        let soc = assert_gated_matches_ungated(SocConfig::default(), &vec_mul());
+        assert!(soc.sim().ticks_skipped() > 10_000, "gating engaged");
+        assert!(soc.sim().commits_skipped() > 10_000, "gating engaged");
     }
 
     #[test]
     fn compiled_identical_dot_product() {
-        let soc = assert_plan_matches_interpreted(SocConfig::default(), &dot_product());
-        assert!(soc.sim().plan_armed());
-        assert_eq!(soc.sim().plan_deopt_count(), 0);
+        let soc = assert_gated_matches_ungated(SocConfig::default(), &dot_product());
+        assert!(soc.sim().ticks_skipped() > 10_000, "gating engaged");
     }
 
     #[test]
@@ -2228,24 +2134,24 @@ mod compiled_schedule_tests {
             router: RouterKind::StoreForward,
             ..SocConfig::default()
         };
-        assert_plan_matches_interpreted(cfg, &vec_mul());
+        assert_gated_matches_ungated(cfg, &vec_mul());
     }
 
     #[test]
     fn compiled_identical_rtl_fidelities() {
-        // RTL modes auto-disable gating, which also blocks arming —
-        // the flag must still be a no-op semantically.
+        // RTL modes auto-disable gating, so both runs are the ungated
+        // mode — the flag must be a no-op.
         for fidelity in [Fidelity::Rtl, Fidelity::RtlCompiled] {
             let cfg = SocConfig {
                 fidelity,
                 ..SocConfig::default()
             };
-            let soc = assert_plan_matches_interpreted(cfg, &vec_mul());
-            assert!(
-                !soc.sim().plan_armed(),
-                "{fidelity:?}: gating is off, the plan must not arm"
+            let soc = assert_gated_matches_ungated(cfg, &vec_mul());
+            assert_eq!(
+                soc.sim().ticks_skipped(),
+                0,
+                "{fidelity:?}: gating is off, nothing may sleep"
             );
-            assert_eq!(soc.sim().plan_instants(), 0);
         }
     }
 
@@ -2278,34 +2184,39 @@ mod compiled_schedule_tests {
         assert!(ok && !soc.sim().gating());
     }
 
-    /// De-opt trigger: arming is declined outright under GALS clocking
-    /// (per-node clocks break the uniform-schedule precondition) and
-    /// with PE-failure detection armed (timeouts mean remap storms).
+    /// The configurations no steady-state schedule could describe —
+    /// per-node GALS periods, supply-noise-stretched clocks, PE-failure
+    /// detection with its remap storms — run the same gated loop as
+    /// everything else, and it elides work there too.
     #[test]
     fn irregular_configs_never_arm() {
-        let gals = SocConfig {
-            clocking: ClockingMode::Gals { spread_ppm: 2000 },
-            ..SocConfig::default()
-        };
-        let (r, ok, soc) = run_workload_soc(compiled(gals), &vec_mul(), 8_000_000);
-        assert!(r.completed && ok, "GALS + compiled flag must still verify");
-        assert!(!soc.sim().plan_armed(), "GALS must decline to arm");
-        assert_eq!(soc.sim().plan_instants(), 0);
-
-        let timeout = SocConfig {
-            pe_timeout: Some(20_000),
-            ..SocConfig::default()
-        };
-        let (r, ok, soc) = run_workload_soc(compiled(timeout), &vec_mul(), 8_000_000);
-        assert!(r.completed && ok);
-        assert!(!soc.sim().plan_armed(), "pe_timeout must decline to arm");
+        for cfg in [
+            SocConfig {
+                clocking: ClockingMode::Gals { spread_ppm: 2000 },
+                ..SocConfig::default()
+            },
+            SocConfig {
+                clocking: ClockingMode::GalsAdaptive { noise_seed: 7 },
+                ..SocConfig::default()
+            },
+            SocConfig {
+                pe_timeout: Some(20_000),
+                ..SocConfig::default()
+            },
+        ] {
+            let soc = assert_gated_matches_ungated(cfg, &vec_mul());
+            assert!(
+                soc.sim().ticks_skipped() > 10_000,
+                "{cfg:?}: gating engaged"
+            );
+        }
     }
 
-    /// Fault injection is not a de-opt trigger: the plan stays armed
-    /// through the whole faulted run and the outcome is the interpreted
-    /// run's, report and kernel counters included.
+    /// Fault injection changes what a channel commits, not how the
+    /// kernel schedules: the faulted gated run is the ungated one,
+    /// report and fault counters included.
     #[test]
-    fn fault_injection_keeps_the_plan_armed() {
+    fn fault_injection_is_gating_invariant() {
         /// The mesh link into the hub: every result flit crosses it.
         const HOT_LINK: &str = "l11p3->15";
         let wl = vec_mul();
@@ -2316,7 +2227,6 @@ mod compiled_schedule_tests {
                 &crate::workloads::table_words(&wl.entries),
                 &wl.gmem_init,
             );
-            assert_eq!(soc.sim().plan_armed(), cfg.compiled_schedule);
             assert!(
                 soc.inject_fault(HOT_LINK, FaultConfig::bit_flip(0.01), 7)
                     .expect("channel exists")
@@ -2324,103 +2234,67 @@ mod compiled_schedule_tests {
             );
             let r = soc.run(8_000_000);
             assert!(r.completed, "the degraded run still finishes");
-            assert_eq!(soc.sim().plan_armed(), cfg.compiled_schedule);
-            assert_eq!(soc.sim().plan_deopt_count(), 0);
-            let sim = soc.sim();
             (
                 r.cycles,
-                soc.report(),
+                across_gating(soc.report()),
                 soc.fault_stats(HOT_LINK).expect("channel exists"),
-                (sim.instants(), sim.ticks_delivered(), sim.ticks_skipped()),
-                sim.commits_skipped(),
+                soc.sim().instants(),
+                soc.sim().ticks_skipped(),
             )
         };
-        let armed = run(compiled(SocConfig::default()));
-        assert!(armed.2.injected() > 0, "the injector fired: {:?}", armed.2);
-        assert_eq!(armed, run(SocConfig::default()));
+        let gated = run(SocConfig::default());
+        assert!(gated.2.injected() > 0, "the injector fired: {:?}", gated.2);
+        assert!(gated.4 > 0, "gating engaged");
+        let ungated = run(SocConfig {
+            gating: false,
+            ..SocConfig::default()
+        });
+        assert_eq!(
+            (gated.0, gated.1, gated.2, gated.3),
+            (ungated.0, ungated.1, ungated.2, ungated.3)
+        );
     }
 
-    /// The armed plan's frozen schedule is introspectable as the
-    /// instant-plan IR and covers the whole floorplan.
+    /// The vestige cannot regrow a meaning: `compiled_schedule` true
+    /// and false give the same kernel digest, report, telemetry and —
+    /// the config byte aside — snapshot bytes.
     #[test]
-    fn sched_plan_ir_describes_the_floorplan() {
+    fn compiled_schedule_selects_nothing() {
         let wl = vec_mul();
-        let soc = Soc::build(
-            compiled(SocConfig::default()),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-        );
-        let plan = soc.sched_plan().expect("armed plan is introspectable");
-        assert_eq!(plan.count(PlanOpKind::Pe), 15, "15 mesh PEs");
-        assert_eq!(plan.count(PlanOpKind::Router), 16, "16 mesh routers");
-        assert!(plan.count(PlanOpKind::Hub) >= 1, "hub node present");
-        assert!(plan.count(PlanOpKind::Controller) >= 1, "RISC-V controller");
-        assert!(plan.gated_sequentials > 0, "LI channels are gated");
-        let ir = plan.to_string();
-        assert!(ir.starts_with("plan(clocks = ["), "IR header: {ir}");
-        assert!(ir.contains("%0"), "IR renders ranked ops: {ir}");
-        assert!(ir.contains(".tick @"), "IR names each op's clock: {ir}");
-        // Interpreted builds expose no plan.
-        let soc_i = Soc::build(
-            SocConfig::default(),
-            &crate::workloads::orchestrator_program(),
-            &crate::workloads::table_words(&wl.entries),
-            &wl.gmem_init,
-        );
-        assert!(soc_i.sched_plan().is_none());
-    }
-
-    /// The `sim.plan.*` telemetry probes publish the armed flag, the
-    /// fast-path instant count and the reason-coded de-opt counters:
-    /// a clean run stays armed with none, a watchdog trip on an armed
-    /// SoC falls back to the interpreter under `watchdog_trip` and
-    /// nothing else.
-    #[test]
-    fn telemetry_reports_plan_counters() {
-        let wl = vec_mul();
-        let build = |program: &[u32]| {
-            Soc::build_with_telemetry(
-                compiled(SocConfig::default()),
-                program,
+        let run = |compiled_schedule: bool| {
+            let cfg = SocConfig {
+                compiled_schedule,
+                checkpoint_every: Some(300),
+                ..SocConfig::default()
+            };
+            let mut soc = Soc::build_with_telemetry(
+                cfg,
+                &crate::workloads::orchestrator_program(),
                 &crate::workloads::table_words(&wl.entries),
                 &wl.gmem_init,
                 Some(craft_sim::Telemetry::new()),
+            );
+            let r = SimEngine::run_checked(&mut soc, 8_000_000, 100_000).expect("completes");
+            assert!(r.completed);
+            let mut snapshot = soc.last_checkpoint().expect("auto checkpoint").clone();
+            let mut recipe = (*snapshot.recipe).clone();
+            recipe.cfg.compiled_schedule = false;
+            snapshot.recipe = std::sync::Arc::new(recipe);
+            let mut telemetry = soc.telemetry_snapshot().expect("sink attached");
+            // The one wall-clock row: how long the last capture took.
+            telemetry.metrics.retain(|m| m.path != "sim.ckpt.last_ns");
+            (
+                soc.sim().kernel_digest(),
+                soc.report().to_json(),
+                telemetry.to_json(),
+                snapshot.to_bytes(),
             )
         };
-        let row = |soc: &Soc, path: &str| {
-            soc.telemetry_snapshot()
-                .expect("sink attached")
-                .metric(path)
-                .unwrap_or_else(|| panic!("missing probe {path}"))
-        };
-
-        let mut soc = build(&crate::workloads::orchestrator_program());
-        let r = soc.run(8_000_000);
-        assert!(r.completed);
-        assert_eq!(row(&soc, "sim.plan.armed"), 1, "plan armed at snapshot");
-        assert_eq!(row(&soc, "sim.plan.deopt_count"), 0);
-        assert!(
-            row(&soc, "sim.plan.instants") > 0,
-            "fast path executed instants"
-        );
-        assert_eq!(row(&soc, "sim.plan.instants"), soc.sim().instants());
-
-        // The controller spins on `jal zero, 0`: nothing ever counts
-        // as progress, so the watchdog trips.
-        let mut hung = build(&[craft_riscv::asm::jal(craft_riscv::asm::ZERO, 0)]);
-        assert!(hung.sim().plan_armed(), "plan must arm at build");
-        let err = hung
-            .run_checked(2_000_000, 20_000)
-            .expect_err("a spinning controller must be diagnosed as hung");
-        assert!(matches!(err, SimError::Hang { .. }), "expected Hang: {err}");
-        assert_eq!(row(&hung, "sim.plan.armed"), 0, "the trip de-opts");
-        assert_eq!(row(&hung, "sim.plan.deopt.watchdog_trip"), 1);
-        assert_eq!(
-            row(&hung, "sim.plan.deopt_count"),
-            1,
-            "and nothing else did"
-        );
+        let (off, on) = (run(false), run(true));
+        assert_eq!(off.0, on.0, "kernel digest");
+        assert_eq!(off.1, on.1, "SocReport::to_json");
+        assert_eq!(off.2, on.2, "telemetry JSON");
+        assert_eq!(off.3, on.3, "snapshot bytes, config byte aside");
     }
 }
 

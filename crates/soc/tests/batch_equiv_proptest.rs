@@ -82,7 +82,7 @@ proptest! {
             Fidelity::Rtl,
             Fidelity::RtlCompiled,
         ]),
-        compiled_schedule: bool,
+        gating: bool,
         lanes in prop::collection::vec(
             (
                 0usize..3, // fault class: flip / drop / dup
@@ -94,7 +94,7 @@ proptest! {
         deopt_seed in 0u64..1_000_000,
     ) {
         let wl = if workload_pick { vec_mul() } else { vec_add_scale() };
-        let cfg = SocConfig { fidelity, compiled_schedule, ..SocConfig::default() };
+        let cfg = SocConfig { fidelity, gating, ..SocConfig::default() };
         let mut specs: Vec<LaneSpec> = lanes
             .iter()
             .map(|&(class, p, seed)| {

@@ -1,29 +1,64 @@
-//! Property tests for the compiled instant-plan's golden-reference
-//! contract: with [`SocConfig::compiled_schedule`] on, the kernel's
-//! dispatch-free fast path must be **bit-, cycle- and
-//! report-identical** to the interpreted two-phase loop — same cycle
-//! counts, same memory results, same `SocReport` down to per-channel
-//! fault statistics, same coverage bins and the same gating counters —
-//! across workloads, fidelities, clocking schemes and gating settings,
-//! under the parallel sharded simulator, through a watchdog-
-//! diagnosed hang (where the trip de-opts and the interpreted
-//! diagnosis machinery takes over), and under seeded fault injection —
-//! which is *not* a de-opt: a faulted run keeps the plan armed until
-//! it completes or the watchdog trips.
+//! Property tests for the kernel loop's reference contract: the gated
+//! loop — idle and blocked components asleep, clean channel commits
+//! elided — must be **bit-, cycle- and report-identical** to its own
+//! ungated mode, in which nothing sleeps and every sequential commits:
+//! same cycle counts, same memory results, same `SocReport` down to
+//! per-channel fault statistics, same coverage bins — across
+//! workloads, fidelities, clocking schemes and router kinds, under the
+//! parallel sharded simulator, through a watchdog-diagnosed hang, under
+//! seeded fault injection armed before the run or in the middle of it,
+//! and through checkpoint / restore.
+//!
+//! Completed runs are compared exactly. Hung runs are compared the way
+//! `tests/hung_lane_identity.rs` does: at the same cycle, with
+//! `CompDiag::asleep` masked, and without comparing the trip cycle
+//! itself — an idle component's wake-up counts as watchdog progress
+//! and an ungated run has no wake-ups, so the gated watchdog may trip
+//! a few cycles later. One report field is masked throughout:
+//! `noc.pop_empty` counts the idle hub's polls of its empty eject
+//! channel, which a gated kernel elides.
+//!
+//! (The file name is historical: these suites used to compare two
+//! values of `SocConfig::compiled_schedule`, which selects nothing any
+//! more.)
 
 use craft_connections::{FaultConfig, FaultStats};
 use craft_riscv::asm::{self as rv, ZERO};
-use craft_sim::{PlanDeopt, SimError};
+use craft_sim::{HangReport, SimError};
 use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
 use craft_soc::{
-    ClockingMode, ParallelSoc, RunResult, SegmentStatus, SimEngine, Soc, SocConfig, SocReport,
+    ClockingMode, ParallelSoc, RouterKind, RunResult, SegmentStatus, SimEngine, Soc, SocConfig,
+    SocReport,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Everything observable about one run.
+fn ungated(cfg: SocConfig) -> SocConfig {
+    SocConfig {
+        gating: false,
+        ..cfg
+    }
+}
+
+/// `report` with the one field gating may change blanked.
+fn across_gating(mut report: SocReport) -> SocReport {
+    report.noc.pop_empty = 0;
+    report
+}
+
+/// `Debug` rendering with the one field gating may change blanked.
+fn masked(report: &HangReport) -> String {
+    let mut r = report.clone();
+    for c in &mut r.components {
+        c.asleep = false;
+    }
+    format!("{r:#?}")
+}
+
+/// Everything observable about one completed run that gating may not
+/// change.
 #[derive(Debug, Clone, PartialEq)]
 struct Outcome {
     cycles: u64,
@@ -31,12 +66,44 @@ struct Outcome {
     verified: bool,
     report: SocReport,
     coverage: Vec<(String, u64)>,
+}
+
+/// The kernel's work counters of one sequential run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Work {
+    instants: u64,
     ticks_delivered: u64,
     ticks_skipped: u64,
     commits_skipped: u64,
 }
 
-fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> Outcome {
+fn work(soc: &Soc) -> Work {
+    let sim = soc.sim();
+    Work {
+        instants: sim.instants(),
+        ticks_delivered: sim.ticks_delivered(),
+        ticks_skipped: sim.ticks_skipped(),
+        commits_skipped: sim.commits_skipped(),
+    }
+}
+
+/// The two modes walk the same instants; delivered + skipped accounts
+/// for every component edge, which is what the ungated mode delivers.
+fn assert_work_accounts(gated: Work, reference: Work, tag: &str) {
+    assert_eq!(gated.instants, reference.instants, "{tag}: instants");
+    assert_eq!(
+        (reference.ticks_skipped, reference.commits_skipped),
+        (0, 0),
+        "{tag}: the ungated mode elides nothing"
+    );
+    assert_eq!(
+        gated.ticks_delivered + gated.ticks_skipped,
+        reference.ticks_delivered,
+        "{tag}: component edges"
+    );
+}
+
+fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> (Outcome, Work) {
     let mut soc = Soc::build(
         cfg,
         &orchestrator_program(),
@@ -50,16 +117,14 @@ fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> Outcome {
             verified = false;
         }
     }
-    Outcome {
+    let outcome = Outcome {
         cycles: r.cycles,
         completed: r.completed,
         verified,
-        report: soc.report(),
+        report: across_gating(soc.report()),
         coverage: soc.coverage().bins(),
-        ticks_delivered: soc.sim().ticks_delivered(),
-        ticks_skipped: soc.sim().ticks_skipped(),
-        commits_skipped: soc.sim().commits_skipped(),
-    }
+    };
+    (outcome, work(&soc))
 }
 
 fn run_par(cfg: SocConfig, wl: &Workload, max: u64, threads: usize) -> Outcome {
@@ -81,62 +146,73 @@ fn run_par(cfg: SocConfig, wl: &Workload, max: u64, threads: usize) -> Outcome {
         cycles: r.cycles,
         completed: r.completed,
         verified,
-        report: soc.report(),
+        report: across_gating(soc.report()),
         coverage: soc.coverage().bins(),
-        // The parallel harness has no merged gating counters; keep the
-        // comparison on the architectural observables.
-        ticks_delivered: 0,
-        ticks_skipped: 0,
-        commits_skipped: 0,
     }
 }
 
-/// Everything observable about one faulted run. `result` folds a
-/// `RunResult` to its deterministic fields and an error to its debug
-/// rendering, which for [`SimError::Hang`] carries the whole
-/// `HangReport`.
-#[derive(Debug, PartialEq)]
+/// How a supervised faulted run ended. A completed run folds to its
+/// deterministic fields; a hang to its trip cycle and masked diagnosis.
+#[derive(Debug, Clone, PartialEq)]
+enum Ending {
+    Finished(String),
+    Hung { trip: u64, report: String },
+}
+
+/// Everything observable about one faulted run that gating may not
+/// change (the trip cycle of a hang aside, see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 struct FaultedOutcome {
-    result: Result<String, String>,
+    ending: Ending,
     report_json: String,
     stats: FaultStats,
-    /// `instants`, `ticks_delivered`, `ticks_skipped`, `commits_skipped`.
-    kernel: [u64; 4],
 }
 
 const FAULT_MAX_CYCLES: u64 = 2_000_000;
 const FAULT_NO_PROGRESS: u64 = 5_000;
 
-fn observe_faulted(soc: &Soc, res: Result<RunResult, SimError>, pattern: &str) -> FaultedOutcome {
-    let sim = soc.sim();
+fn observe_faulted(soc: &Soc, ending: Ending, pattern: &str) -> FaultedOutcome {
     FaultedOutcome {
-        result: res
-            .map(|r| format!("{:?}", (r.cycles, r.completed, r.ctrl)))
-            .map_err(|e| format!("{e:?}")),
-        report_json: soc.report().to_json(),
+        ending,
+        report_json: across_gating(soc.report()).to_json(),
         stats: soc.fault_stats(pattern).expect("pattern matches"),
-        kernel: [
-            sim.instants(),
-            sim.ticks_delivered(),
-            sim.ticks_skipped(),
-            sim.commits_skipped(),
-        ],
     }
 }
 
-/// The plan contract of a faulted run that armed at build: still armed
-/// with no de-opt if the run ended by itself, exactly one de-opt —
-/// the watchdog's — if it hung.
-fn assert_armed_until_completion_or_trip(soc: &Soc, armed_at_build: bool, hung: bool, tag: &str) {
-    let sim = soc.sim();
-    assert_eq!(sim.plan_armed(), armed_at_build && !hung, "{tag}: armed");
-    let trips = u64::from(armed_at_build && hung);
-    assert_eq!(sim.plan_deopt_count(), trips, "{tag}: de-opts");
-    assert_eq!(
-        sim.plan_deopts().get(PlanDeopt::WatchdogTrip),
-        trips,
-        "{tag}"
+fn ending_of(res: Result<RunResult, SimError>) -> Ending {
+    match res {
+        Ok(r) => Ending::Finished(format!("{:?}", (r.cycles, r.completed, r.ctrl))),
+        Err(SimError::Hang { cycle, report, .. }) => Ending::Hung {
+            trip: cycle,
+            report: masked(&report),
+        },
+        Err(e) => Ending::Finished(format!("{e:?}")),
+    }
+}
+
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+fn build_faulted(
+    cfg: SocConfig,
+    wl: &Workload,
+    pattern: &str,
+    fault: FaultConfig,
+    seed: u64,
+) -> Soc {
+    let mut soc = Soc::build(
+        cfg,
+        &orchestrator_program(),
+        &table_words(&wl.entries),
+        &wl.gmem_init,
     );
+    soc.inject_fault(pattern, fault, seed)
+        .expect("pattern matches");
+    soc
 }
 
 /// Builds `wl` under `cfg`, arms `fault` on `pattern` before the first
@@ -148,29 +224,77 @@ fn run_faulted(
     pattern: &str,
     fault: FaultConfig,
     seed: u64,
-) -> Result<FaultedOutcome, String> {
+) -> Result<(FaultedOutcome, Work), String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut soc = Soc::build(
-            cfg,
-            &orchestrator_program(),
-            &table_words(&wl.entries),
-            &wl.gmem_init,
-        );
-        let armed = soc.sim().plan_armed();
-        soc.inject_fault(pattern, fault, seed)
-            .expect("pattern matches");
-        assert_eq!(soc.sim().plan_armed(), armed, "injection must not de-opt");
+        let mut soc = build_faulted(cfg, wl, pattern, fault, seed);
         let res = soc.run_checked(FAULT_MAX_CYCLES, FAULT_NO_PROGRESS);
-        let tag = format!("{pattern} {fault} seed {seed}");
-        assert_armed_until_completion_or_trip(&soc, armed, res.is_err(), &tag);
-        observe_faulted(&soc, res, pattern)
+        (observe_faulted(&soc, ending_of(res), pattern), work(&soc))
     }))
-    .map_err(|p| {
-        p.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    })
+    .map_err(panic_message)
+}
+
+/// The same faulted run, unsupervised, stopped at `cycle` and diagnosed
+/// there as the watchdog would have.
+fn run_faulted_to_cycle(
+    cfg: SocConfig,
+    wl: &Workload,
+    pattern: &str,
+    fault: FaultConfig,
+    seed: u64,
+    cycle: u64,
+) -> FaultedOutcome {
+    let mut soc = build_faulted(cfg, wl, pattern, fault, seed);
+    let r = soc.run(cycle);
+    assert!(!r.completed && r.cycles == cycle);
+    let ending = Ending::Hung {
+        trip: cycle,
+        report: masked(&soc.sim().diagnose_hang(FAULT_NO_PROGRESS)),
+    };
+    observe_faulted(&soc, ending, pattern)
+}
+
+/// Runs one fault vector under `cfg` as given and ungated and asserts
+/// the module-doc contract. Returns how the run ended: 0 completed,
+/// 1 hung, 2 fail-stopped.
+fn assert_faulted_matches_ungated(
+    cfg: SocConfig,
+    wl: &Workload,
+    pattern: &str,
+    fault: FaultConfig,
+    seed: u64,
+) -> usize {
+    let tag = format!("{} {pattern} {fault} seed {seed} ({cfg:?})", wl.name);
+    let reference = run_faulted(ungated(cfg), wl, pattern, fault, seed);
+    let gated = run_faulted(cfg, wl, pattern, fault, seed);
+    match (reference, gated) {
+        (Err(r), Err(g)) => {
+            assert_eq!(g, r, "{tag}: fail-stop message");
+            2
+        }
+        (Ok((r, rw)), Ok((g, gw))) => match (&r.ending, &g.ending) {
+            (Ending::Finished(_), Ending::Finished(_)) => {
+                assert_eq!(g, r, "{tag}");
+                assert_work_accounts(gw, rw, &tag);
+                0
+            }
+            (
+                Ending::Hung { trip, .. },
+                Ending::Hung {
+                    trip: gated_trip, ..
+                },
+            ) => {
+                assert!(
+                    gated_trip >= trip,
+                    "{tag}: wake-ups only ever add watchdog progress"
+                );
+                let at = run_faulted_to_cycle(cfg, wl, pattern, fault, seed, *trip);
+                assert_eq!(at, r, "{tag}: gated against ungated at cycle {trip}");
+                1
+            }
+            _ => panic!("{tag}: endings differ in kind\n{r:?}\n{g:?}"),
+        },
+        (r, g) => panic!("{tag}: only one mode fail-stopped\n{r:?}\n{g:?}"),
+    }
 }
 
 /// The five fault classes at campaign-like intensity.
@@ -188,29 +312,23 @@ fn fault_classes() -> [FaultConfig; 5] {
 /// every mesh link.
 const FAULT_PATTERNS: [&str; 4] = ["l11p3->15", ".eject", ".inject", "->"];
 
-/// The armed regime, exhaustively: every fault class on every channel
+/// The default regime, exhaustively: every fault class on every channel
 /// pattern on both workloads, at sim-accurate fidelity under
-/// synchronous clocking — where `compiled_schedule` actually arms.
+/// synchronous clocking.
 #[test]
 fn faulted_runs_stay_armed_and_identical_to_interpreted() {
-    let base = SocConfig::default();
-    let compiled = SocConfig {
-        compiled_schedule: true,
-        ..base
-    };
     let mut endings = [0usize; 3]; // completed, hung, fail-stopped
     for wl in [vec_mul(), dot_product()] {
         for pattern in FAULT_PATTERNS {
             for (i, fault) in fault_classes().into_iter().enumerate() {
                 let seed = 800 + i as u64;
-                let interp = run_faulted(base, &wl, pattern, fault, seed);
-                let fast = run_faulted(compiled, &wl, pattern, fault, seed);
-                assert_eq!(interp, fast, "{} {pattern} {fault}", wl.name);
-                endings[match &fast {
-                    Ok(o) if o.result.is_ok() => 0,
-                    Ok(_) => 1,
-                    Err(_) => 2,
-                }] += 1;
+                endings[assert_faulted_matches_ungated(
+                    SocConfig::default(),
+                    &wl,
+                    pattern,
+                    fault,
+                    seed,
+                )] += 1;
             }
         }
     }
@@ -220,17 +338,17 @@ fn faulted_runs_stay_armed_and_identical_to_interpreted() {
     );
 }
 
-/// A fault injected mid-run on an armed SoC, then re-armed from the
-/// snapshot's fault log by `restore`: the plan stays armed through the
-/// injection, the replay and the resumed run, and the outcome is the
-/// interpreted segmented run's.
+/// A fault injected mid-run, then re-armed from the snapshot's fault
+/// log by `restore`: the gated segmented run is the ungated one, and
+/// the restored run is the direct gated run down to the kernel's work
+/// counters.
 #[test]
 fn mid_run_injection_survives_checkpoint_restore_armed() {
     const PATTERN: &str = "n5.eject";
     let wl = dot_product();
-    let run = |compiled_schedule: bool| {
+    let run = |gating: bool| {
         let cfg = SocConfig {
-            compiled_schedule,
+            gating,
             checkpoint_every: Some(300),
             ..SocConfig::default()
         };
@@ -247,36 +365,37 @@ fn mid_run_injection_survives_checkpoint_restore_armed() {
         assert!(matches!(soc.step_segment(), Ok(SegmentStatus::Boundary)));
         let snap = soc.last_checkpoint().expect("auto checkpoint").clone();
         let res = soc.run_to_end();
-        assert_armed_until_completion_or_trip(&soc, compiled_schedule, res.is_err(), "direct");
-        (observe_faulted(&soc, res, PATTERN), snap)
+        (
+            observe_faulted(&soc, ending_of(res), PATTERN),
+            work(&soc),
+            snap,
+        )
     };
-    let (interp, _) = run(false);
-    let (fast, snap) = run(true);
-    assert!(interp.stats.flips > 0, "the mid-run injector fired");
-    assert_eq!(interp, fast, "armed mid-run injection diverged");
+    let (reference, reference_work, _) = run(false);
+    let (gated, gated_work, snap) = run(true);
+    assert!(reference.stats.flips > 0, "the mid-run injector fired");
+    assert!(matches!(gated.ending, Ending::Finished(_)));
+    assert_eq!(gated, reference, "gated mid-run injection diverged");
+    assert_work_accounts(gated_work, reference_work, "mid-run injection");
+    assert!(gated_work.ticks_skipped > 0, "gating engaged");
 
     assert_eq!(snap.faults.len(), 1, "the injection is in the fault log");
     let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("parses");
     let mut back = Soc::restore(&snap).expect("restores");
-    assert!(
-        back.sim().plan_armed(),
-        "replayed injection must not de-opt"
-    );
     let res = back.run_to_end();
-    assert_armed_until_completion_or_trip(&back, true, res.is_err(), "restored");
-    assert_eq!(observe_faulted(&back, res, PATTERN), fast);
+    assert_eq!(observe_faulted(&back, ending_of(res), PATTERN), gated);
+    assert_eq!(work(&back), gated_work, "restored kernel counters");
 }
 
 proptest! {
     // Each case is two full-SoC runs in debug mode — keep the case
-    // count low; the fidelity/clocking/gating axes each get drawn
+    // count low; the fidelity/clocking/router axes each get drawn
     // within a few cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Fault vectors across the axes where the plan may or may not
-    /// arm (RTL fidelities auto-disable gating, GALS spreads the
-    /// clocks): whatever `compiled_schedule` does at build, a faulted
-    /// run observes nothing of it.
+    /// Fault vectors across every axis (RTL fidelities auto-disable
+    /// gating, GALS spreads the clocks): a faulted run observes
+    /// nothing of whether the kernel gates.
     #[test]
     fn faulted_compiled_schedule_is_identical_on_every_axis(
         fidelity in prop::sample::select(vec![
@@ -300,16 +419,12 @@ proptest! {
         ],
         seed in 0u64..1_000_000,
     ) {
-        let base = SocConfig { fidelity, clocking, ..SocConfig::default() };
-        let compiled = SocConfig { compiled_schedule: true, ..base };
+        let cfg = SocConfig { fidelity, clocking, ..SocConfig::default() };
         let wl = if pick_dot { dot_product() } else { vec_mul() };
-        let interp = run_faulted(base, &wl, pattern, fault, seed);
-        let fast = run_faulted(compiled, &wl, pattern, fault, seed);
-        prop_assert_eq!(interp, fast, "faulted compiled schedule diverged ({:?})", base);
+        assert_faulted_matches_ungated(cfg, &wl, pattern, fault, seed);
     }
 
-    /// The compiled plan (or its refusal to arm) changes nothing
-    /// observable, whatever the configuration.
+    /// Gating changes nothing observable, whatever the configuration.
     #[test]
     fn compiled_schedule_is_bit_and_cycle_identical(
         fidelity in prop::sample::select(vec![
@@ -322,25 +437,25 @@ proptest! {
             (100u32..5_000).prop_map(|spread_ppm| ClockingMode::Gals { spread_ppm }),
             (0u64..1_000_000).prop_map(|noise_seed| ClockingMode::GalsAdaptive { noise_seed }),
         ],
-        gating: bool,
+        router in prop::sample::select(vec![RouterKind::Wormhole, RouterKind::StoreForward]),
         pick_dot: bool,
     ) {
-        let base = SocConfig { fidelity, clocking, gating, ..SocConfig::default() };
-        let compiled = SocConfig { compiled_schedule: true, ..base };
+        let cfg = SocConfig { fidelity, clocking, router, ..SocConfig::default() };
         let wl = if pick_dot { dot_product() } else { vec_mul() };
-        let interp = run_seq(base, &wl, 4_000_000);
-        let fast = run_seq(compiled, &wl, 4_000_000);
-        prop_assert!(interp.verified, "interpreted baseline must verify ({base:?})");
-        prop_assert_eq!(interp, fast, "compiled schedule diverged ({:?})", base);
+        let (reference, reference_work) = run_seq(ungated(cfg), &wl, 4_000_000);
+        let (gated, gated_work) = run_seq(cfg, &wl, 4_000_000);
+        prop_assert!(reference.verified, "ungated reference must verify ({cfg:?})");
+        prop_assert_eq!(&gated, &reference, "gated run diverged ({:?})", cfg);
+        assert_work_accounts(gated_work, reference_work, &format!("{cfg:?}"));
     }
 }
 
-/// The plan arms exactly in the steady-state regime: uniform clocks
-/// with gating on (RTL fidelities auto-disable gating and so never
-/// arm).
+/// The loop elides work exactly where gating is on — under GALS too,
+/// whose per-node periods no steady-state schedule could describe —
+/// and nowhere else (RTL fidelities auto-disable gating).
 #[test]
 fn plan_arms_exactly_in_the_steady_state_regime() {
-    for (fidelity, clocking, gating, expect_armed) in [
+    for (fidelity, clocking, gating, expect_gated) in [
         (Fidelity::SimAccurate, ClockingMode::Synchronous, true, true),
         (
             Fidelity::SimAccurate,
@@ -349,13 +464,12 @@ fn plan_arms_exactly_in_the_steady_state_regime() {
             false,
         ),
         // 2000 ppm is enough spread that per-node periods differ after
-        // integer rounding; a smaller spread can round back to uniform
-        // clocks, and the plan then (correctly) arms.
+        // integer rounding.
         (
             Fidelity::SimAccurate,
             ClockingMode::Gals { spread_ppm: 2_000 },
             true,
-            false,
+            true,
         ),
         (Fidelity::Rtl, ClockingMode::Synchronous, true, false),
     ] {
@@ -363,103 +477,71 @@ fn plan_arms_exactly_in_the_steady_state_regime() {
             fidelity,
             clocking,
             gating,
-            compiled_schedule: true,
             ..SocConfig::default()
         };
-        let wl = vec_mul();
-        let soc = Soc::build(
-            cfg,
-            &orchestrator_program(),
-            &table_words(&wl.entries),
-            &wl.gmem_init,
-        );
+        let (outcome, work) = run_seq(cfg, &vec_mul(), 4_000_000);
+        assert!(outcome.verified, "{cfg:?}");
+        assert_eq!(work.ticks_skipped > 0, expect_gated, "ticks for {cfg:?}");
         assert_eq!(
-            soc.sim().plan_armed(),
-            expect_armed,
-            "arming mismatch for {cfg:?}"
+            work.commits_skipped > 0,
+            expect_gated,
+            "commits for {cfg:?}"
         );
     }
 }
 
-/// Satellite: a compiled-schedule run that wedges produces the *same*
-/// typed hang diagnosis as the interpreted run — the watchdog trip
-/// de-opts (one `deopt_count` increment) and the interpreted
-/// diagnosis machinery reads identical state. The controller spins on
-/// `jal zero, 0`, so no NoC traffic ever counts as progress and the
-/// plan stays armed right up to the trip.
+/// A run that wedges produces the *same* typed hang diagnosis gated and
+/// ungated — the watchdog reads the sleep flags the loop maintains, so
+/// only `CompDiag::asleep` tells the two reports apart. The controller
+/// spins on `jal zero, 0`, so no NoC traffic ever counts as progress,
+/// nothing ever wakes, and both modes trip on the same cycle.
 #[test]
 fn hang_diagnosis_is_identical_under_the_compiled_plan() {
     let spin = vec![rv::jal(ZERO, 0)];
     let wl = vec_mul();
-    let run = |compiled: bool| {
+    let run = |gating: bool| {
         let cfg = SocConfig {
-            compiled_schedule: compiled,
+            gating,
             ..SocConfig::default()
         };
         let mut soc = Soc::build(cfg, &spin, &table_words(&wl.entries), &wl.gmem_init);
-        assert_eq!(soc.sim().plan_armed(), compiled);
         let err = soc
             .run_checked(2_000_000, 20_000)
             .expect_err("a spinning controller must be diagnosed as hung");
-        (err, soc)
+        let SimError::Hang { cycle, report, .. } = err else {
+            panic!("expected Hang, got {err}");
+        };
+        (cycle, report, across_gating(soc.report()))
     };
-    let (interp_err, _) = run(false);
-    let (compiled_err, compiled_soc) = run(true);
-    let SimError::Hang {
-        cycle: ci,
-        report: ri,
-        ..
-    } = &interp_err
-    else {
-        panic!("expected Hang, got {interp_err}");
-    };
-    let SimError::Hang {
-        cycle: cc,
-        report: rc,
-        ..
-    } = &compiled_err
-    else {
-        panic!("expected Hang, got {compiled_err}");
-    };
-    assert_eq!(ci, cc, "hang detected at different cycles");
-    // `HangReport` has no `PartialEq`; its Debug form carries every
-    // field (idle cycles, per-component and per-channel diagnoses).
+    let (reference_cycle, reference, reference_report) = run(false);
+    let (gated_cycle, gated, gated_report) = run(true);
     assert_eq!(
-        format!("{ri:?}"),
-        format!("{rc:?}"),
-        "hang diagnoses differ"
+        reference_cycle, gated_cycle,
+        "hang detected at different cycles"
     );
+    assert_eq!(masked(&reference), masked(&gated), "hang diagnoses differ");
+    assert_eq!(reference_report, gated_report);
+    assert!(reference.components.iter().all(|c| !c.asleep));
     assert!(
-        !compiled_soc.sim().plan_armed(),
-        "watchdog trip must de-opt before diagnosing"
+        gated.components.iter().filter(|c| c.asleep).count() > 30,
+        "the gated diagnosis names the sleepers: {gated:#?}"
     );
-    assert_eq!(compiled_soc.sim().plan_deopt_count(), 1);
 }
 
-/// The compiled plan composes with the GALS-sharded parallel
-/// simulator: each shard arms its own plan under synchronous clocking
-/// and the merged outcome still matches the sequential interpreted
-/// run.
+/// Gating composes with the GALS-sharded parallel simulator: each
+/// shard runs the gated loop over its own domains and the merged
+/// outcome still matches the sequential ungated run.
 #[test]
 fn compiled_schedule_composes_with_parallel_soc() {
     let wl = dot_product();
-    let base = SocConfig::default();
-    let compiled = SocConfig {
-        compiled_schedule: true,
-        ..base
-    };
-    let interp = run_seq(base, &wl, 4_000_000);
-    assert!(interp.verified, "sequential baseline must verify");
+    let cfg = SocConfig::default();
+    let (reference, _) = run_seq(ungated(cfg), &wl, 4_000_000);
+    assert!(reference.verified, "sequential reference must verify");
     for threads in [2usize, 8] {
-        let mut par = run_par(compiled, &wl, 4_000_000, threads);
-        // Zeroed in run_par for the parallel side; copy over so the
-        // struct equality below compares the architectural fields.
-        par.ticks_delivered = interp.ticks_delivered;
-        par.ticks_skipped = interp.ticks_skipped;
-        par.commits_skipped = interp.commits_skipped;
+        let par = run_par(cfg, &wl, 4_000_000, threads);
         assert_eq!(
-            interp, par,
-            "parallel compiled run diverged ({threads} threads)"
+            reference, par,
+            "parallel gated run diverged ({threads} threads)"
         );
     }
 }

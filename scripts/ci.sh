@@ -6,6 +6,7 @@
 # (Tier-1): the workspace's `default-members` are all of it, and the
 # dev profile is optimised so the identity suites take ~1.5 min warm.
 # Nothing here is timed; performance is judged by `benchmark/` alone.
+# The line count at the end is printed, not gated on.
 # Run from the repo root: ./scripts/ci.sh
 set -eu
 
@@ -57,5 +58,8 @@ done
 target/release/examples/serve_client --port "$serve_port" --preempt-demo --shutdown
 wait "$serve_pid"
 rm -f "$serve_log"
+
+echo "==> non-test Rust lines per crate (scripts/loc.sh; reported, not gated)"
+./scripts/loc.sh
 
 echo "CI OK"

@@ -48,13 +48,16 @@ fn fig6_cycle_counts_are_locked() {
     }
 }
 
+/// One row per Fig. 6 test: its name and six counters.
+type Fig6Counters = [(&'static str, [u64; 6]); 6];
+
 /// `[cycles, instants, ticks_delivered, ticks_skipped,
 /// ticks_skipped_blocked, commits_skipped]` of the six Fig. 6 tests in
 /// [`six_soc_tests`] order, sim-accurate with gating on, per clocking
 /// mode — recorded from the gated kernel before its two dispatchers
 /// became one loop. Only the synchronous schedule ever ran both, so
 /// these are what states the per-domain walk's counters under GALS.
-const GOLDEN_KERNEL_COUNTERS: [(ClockingMode, [(&str, [u64; 6]); 6]); 3] = [
+const GOLDEN_KERNEL_COUNTERS: [(ClockingMode, Fig6Counters); 3] = [
     (
         ClockingMode::Synchronous,
         [
