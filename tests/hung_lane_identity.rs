@@ -15,6 +15,12 @@
 //!   status, global memory and hang diagnosis must agree but for which
 //!   components were asleep (`CompDiag::asleep`, masked) and one report
 //!   field documented at [`Ending::across_gating`].
+//! * The *supervised* gated run — the one a watchdog drives, and the
+//!   only one allowed to prove a hang periodic and advance over it —
+//!   is compared with the *unsupervised* gated run stepped to the same
+//!   cycle, unmasked: everything above plus `CompDiag::asleep`,
+//!   `noc.pop_empty`, the five kernel counters and the
+//!   [`craftflow::sim::KernelDigest`].
 //! * The trip cycle itself is pinned per spelling and not compared
 //!   across the switch. The kernel has always counted an idle
 //!   component's wake-up as watchdog progress; an ungated run has no
@@ -194,14 +200,29 @@ fn masked(report: &HangReport) -> String {
 }
 
 fn ending(soc: &Soc, trip_cycle: u64, report: &HangReport) -> Ending {
+    ending_with(soc, trip_cycle, masked(report))
+}
+
+fn ending_with(soc: &Soc, trip_cycle: u64, hang: String) -> Ending {
     Ending {
         trip_cycle,
         report: soc.report(),
         faults: soc.fault_stats(HOT_LINK).expect("the hot link exists"),
         ctrl: soc.ctrl_status(),
         gmem: soc.gmem_read(0, soc.config().gmem_words),
-        hang: masked(report),
+        hang,
     }
+}
+
+fn counters(soc: &Soc) -> Counters {
+    let sim = soc.sim();
+    (
+        sim.instants(),
+        sim.ticks_delivered(),
+        sim.ticks_skipped(),
+        sim.ticks_skipped_blocked(),
+        sim.commits_skipped(),
+    )
 }
 
 fn run_to_hang(cfg: SocConfig, seed: u64, mode: Mode) -> (Ending, Soc) {
@@ -234,16 +255,6 @@ fn spelling(gating: bool) -> SocConfig {
 fn hung_lanes_end_identically_under_every_kernel_spelling() {
     for (seed, mode, gated_trip, ungated_trip, gated_counters) in CASES {
         let lane = format!("seed {seed} {mode:?}");
-        let counters = |soc: &Soc| -> Counters {
-            let sim = soc.sim();
-            (
-                sim.instants(),
-                sim.ticks_delivered(),
-                sim.ticks_skipped(),
-                sim.ticks_skipped_blocked(),
-                sim.commits_skipped(),
-            )
-        };
         let (gated, soc_gated) = run_to_hang(spelling(true), seed, mode);
         assert_eq!(
             counters(&soc_gated),
@@ -268,6 +279,46 @@ fn hung_lanes_end_identically_under_every_kernel_spelling() {
                 &ungated.across_gating(),
                 &format!("{lane}: gated against ungated at cycle {ungated_trip}"),
             );
+    }
+}
+
+/// The watchdog's run against the plain stepped one at the trip cycle,
+/// nothing masked: whatever the supervised loop does to get through the
+/// idle tail, it ends where stepping every cycle ends.
+#[test]
+fn a_supervised_hang_ends_where_the_stepped_run_does() {
+    for (seed, mode, trip, _, gated_counters) in CASES {
+        let lane = format!("seed {seed} {mode:?}");
+        let cfg = spelling(true);
+        let mut supervised = build(cfg, seed, mode);
+        let err = supervised
+            .run_checked(MAX_CYCLES, NO_PROGRESS)
+            .expect_err("these lanes hang");
+        let SimError::Hang { cycle, report, .. } = err else {
+            panic!("{lane}: expected a hang, got {err}");
+        };
+        assert_eq!(cycle, trip, "{lane}: trip cycle");
+
+        let mut stepped = build(cfg, seed, mode);
+        let r = stepped.run(trip);
+        assert!(!r.completed && r.cycles == trip);
+        let diagnosis = stepped.sim().diagnose_hang(NO_PROGRESS);
+
+        ending_with(&supervised, cycle, format!("{report:#?}")).assert_same(
+            &ending_with(&stepped, trip, format!("{diagnosis:#?}")),
+            &format!("{lane}: supervised against stepped at cycle {trip}"),
+        );
+        assert_eq!(
+            counters(&supervised),
+            counters(&stepped),
+            "{lane}: kernel counters"
+        );
+        assert_eq!(counters(&supervised), gated_counters, "{lane}: pinned");
+        assert_eq!(
+            supervised.sim().kernel_digest(),
+            stepped.sim().kernel_digest(),
+            "{lane}: KernelDigest"
+        );
     }
 }
 
