@@ -312,10 +312,11 @@ fn soc_row_json(mode: Mode, seed: u64) -> String {
             .fault_stats(HOT_LINK)
             .expect("hot link exists")
             .injected();
+        let proved = soc.sim().last_loop();
         match res {
-            Err(SimError::Hang { cycle, .. }) => (Outcome::DetectedHang, injected, cycle),
+            Err(SimError::Hang { cycle, .. }) => (Outcome::DetectedHang, injected, cycle, proved),
             Err(e) => panic!("unexpected simulation error: {e}"),
-            Ok(r) if !r.completed => (Outcome::Stall, injected, r.cycles),
+            Ok(r) if !r.completed => (Outcome::Stall, injected, r.cycles, proved),
             Ok(r) => {
                 let ok = wl
                     .expected
@@ -326,19 +327,29 @@ fn soc_row_json(mode: Mode, seed: u64) -> String {
                     (true, _) => Outcome::Masked,
                     (false, _) => Outcome::DetectedMismatch,
                 };
-                (outcome, injected, r.cycles)
+                (outcome, injected, r.cycles, proved)
             }
         }
     });
     // A panic unwound through the run before fault counters could be
     // read; at least one corrupt packet was decoded.
-    let (outcome, injected, cycles) = run.unwrap_or((Outcome::DetectedFailstop, 1, 0));
+    let (outcome, injected, cycles, proved) =
+        run.unwrap_or((Outcome::DetectedFailstop, 1, 0, None));
     format!(
         "{{\"mode\": \"{}\", \"seed\": {seed}, \"outcome\": \"{}\", \"injected\": {injected}, \
-         \"cycles\": {cycles}}}",
+         \"cycles\": {cycles}, {}}}",
         mode.name(),
-        outcome.name()
+        outcome.name(),
+        loop_fields(proved)
     )
+}
+
+/// How the kernel got through a run's idle tail, as row fields: the
+/// period of the loop it proved and the cycle it proved it at (zeros
+/// when the run was stepped throughout).
+fn loop_fields(proved: Option<craft_sim::ProvedLoop>) -> String {
+    let (period, at) = proved.map_or((0, 0), |l| (l.period, l.proved_at));
+    format!("\"loop_period\": {period}, \"loop_proved_at\": {at}")
 }
 
 // ---------------------------------------------------------------------
@@ -445,11 +456,13 @@ fn watchdog_row_json() -> String {
         .expect("hub diagnosed");
     format!(
         "{{\"hang_cycle\": {cycle}, \"idle_cycles\": {}, \"busy_components\": {}, \
-         \"channel_note\": \"{}\", \"hub_wait\": \"{}\"}}",
+         \"channel_note\": \"{}\", \"hub_wait\": \"{}\", {}, \"cycles_skipped\": {}}}",
         report.idle_cycles,
         report.busy_components().count(),
         json_escape(&ch.note),
-        json_escape(hub.wait.as_deref().expect("hub explains its wait"))
+        json_escape(hub.wait.as_deref().expect("hub explains its wait")),
+        loop_fields(soc.sim().last_loop()),
+        soc.sim().cycles_skipped()
     )
 }
 
@@ -660,6 +673,18 @@ fn summarize(link_rows: &[String], soc_rows: &[String]) {
             pct(detected, faulted)
         );
     }
+    for r in soc_rows {
+        if field(r, "outcome") == Outcome::DetectedHang.name() {
+            println!(
+                "hang: {} seed {} tripped at cycle {}; loop of period {} proved at cycle {}",
+                field(r, "mode"),
+                field(r, "seed"),
+                field(r, "cycles"),
+                field(r, "loop_period"),
+                field(r, "loop_proved_at")
+            );
+        }
+    }
 }
 
 /// The campaign: a sequential per-seed sweep through the [`Journal`],
@@ -739,6 +764,16 @@ fn campaign(args: &Args) -> Result<(), CampaignError> {
         field(&wd_row, "hang_cycle"),
         field(&wd_row, "idle_cycles"),
         field(&wd_row, "busy_components")
+    );
+    println!(
+        "loop of period {} proved at cycle {}; {} cycles advanced over, not stepped",
+        field(&wd_row, "loop_period"),
+        field(&wd_row, "loop_proved_at"),
+        field(&wd_row, "cycles_skipped")
+    );
+    assert!(
+        num(&wd_row, "cycles_skipped") > 0,
+        "the watchdog's idle tail is a proved loop"
     );
     println!("channel n5.eject: {note}");
     println!("hub wait: {wait}");

@@ -22,7 +22,7 @@ use crate::lanebank::FaultLaneBank;
 use crate::mailbox::{RemoteRxEnd, RemoteTxEnd, WireMsg};
 use crate::packet::Payload;
 use crate::stall::StallInjector;
-use craft_sim::{ActivityToken, SeqDiag, Sequential, Telemetry};
+use craft_sim::{ActivityToken, SeqDiag, Sequential, StateVisitor, Telemetry};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
@@ -106,6 +106,10 @@ impl ChannelStats {
 
 /// Payload-corruption hook: inverts a bit chosen by the raw draw.
 type CorruptFn<T> = Box<dyn FnMut(&mut T, u32)>;
+
+/// Presents one token to a [`StateVisitor`] as state words (see
+/// [`ChannelHandle::present_tokens`]).
+pub type TokenWords<T> = fn(&T, &mut StateVisitor<'_>);
 
 /// Fault machinery attached to a channel: the decision source plus the
 /// type-erased payload hooks (corruption and cloning need `T: Payload`,
@@ -234,6 +238,9 @@ pub(crate) struct ChannelCore<T> {
     /// instead of borrowing the core. Every queue/staged mutation
     /// resynchronizes it.
     pending: Rc<Cell<bool>>,
+    /// How to present a held token as state words; without it a
+    /// channel that holds one is opaque.
+    token_words: Option<TokenWords<T>>,
 }
 
 impl<T> ChannelCore<T> {
@@ -259,6 +266,7 @@ impl<T> ChannelCore<T> {
             commit_dirty: ActivityToken::new(),
             progress: None,
             pending: Rc::new(Cell::new(false)),
+            token_words: None,
         }
     }
 
@@ -697,6 +705,61 @@ impl<T> Sequential for ChannelCore<T> {
         self.stats.occupancy_sum += self.committed_occupancy * skipped;
     }
 
+    /// Queue, staged push, the per-cycle handshake flags and the stuck
+    /// wires are state; what the commits count is counters. The two
+    /// counts only a port call moves — refused pushes, empty pops —
+    /// belong to whoever holds the port ([`crate::Out::visit_counters`],
+    /// [`crate::In::visit_counters`]): they move on cycles in which the
+    /// channel does not commit.
+    ///
+    /// Opaque: a split half (its peer is in another kernel), a stall
+    /// injector (it rolls its RNG every cycle), a lane bank, a stuck
+    /// onset still ahead (see [`FaultInjector::on_cycle`]) and a held
+    /// token nobody said how to present
+    /// ([`ChannelHandle::present_tokens`]).
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        let unreadable = self.token_words.is_none() && self.has_pending();
+        let onset_ahead = self
+            .fault
+            .as_ref()
+            .is_some_and(|f| f.injector.onset_ahead());
+        if self.remote.is_some()
+            || self.stall.is_some()
+            || self.lane_bank.is_some()
+            || unreadable
+            || onset_ahead
+        {
+            return v.opaque();
+        }
+        v.state(self.queue.len() as u64);
+        v.state(u64::from(self.staged_push.is_some()));
+        if let Some(words) = self.token_words {
+            for token in self.queue.iter().chain(&self.staged_push) {
+                words(token, v);
+            }
+        }
+        // No stall injector: `stalled_now` is false and stays so.
+        v.state(
+            u64::from(self.pushed_this_cycle)
+                | u64::from(self.popped_this_cycle) << 1
+                | u64::from(self.popped_committed) << 2,
+        );
+        v.state(self.committed_occupancy);
+        if let Some(f) = &mut self.fault {
+            v.state(
+                u64::from(f.pending_drop)
+                    | u64::from(f.pending_dup) << 1
+                    | u64::from(f.valid_stuck) << 2
+                    | u64::from(f.ready_stuck) << 3,
+            );
+            f.injector.visit_state(v);
+        }
+        let st = &mut self.stats;
+        for c in [&mut st.transfers, &mut st.cycles, &mut st.occupancy_sum] {
+            v.counter(c);
+        }
+    }
+
     fn diagnose(&self) -> Option<SeqDiag> {
         // Of a split pair, only the transmit half reports — it holds
         // the occupancy mirror and the fault injector — so a merged
@@ -758,6 +821,16 @@ impl<T: 'static> ChannelHandle<T> {
     /// [`Sequential::commit_skipped`].
     pub fn commit_token(&self) -> ActivityToken {
         self.core.borrow().commit_dirty.clone()
+    }
+
+    /// Teaches the channel to present the tokens it holds as state
+    /// words (`words` calls [`StateVisitor::state`] for every field of
+    /// one token), so a kernel proving a run periodic can compare
+    /// queue contents (see [`Sequential::visit_state`]). Arming a
+    /// fault injector does this by itself, from the token's
+    /// [`Payload`] encoding.
+    pub fn present_tokens(&self, words: TokenWords<T>) {
+        self.core.borrow_mut().token_words = Some(words);
     }
 
     /// Enables random stall injection (§2.3: withholding `valid` to
@@ -994,6 +1067,11 @@ impl<T: Payload> ChannelHandle<T> {
     pub fn inject_faults(&self, cfg: FaultConfig, seed: u64) {
         let mut core = self.core.borrow_mut();
         core.fault = Some(FaultState::<T>::new::<T>(cfg, seed));
+        core.token_words.get_or_insert(|token, v| {
+            for word in token.to_words() {
+                v.state(word);
+            }
+        });
         core.commit_dirty.set();
     }
 }
@@ -1431,5 +1509,145 @@ mod tests {
         assert!(d.note.contains("Buffer(2)"), "note: {}", d.note);
         assert!(d.note.contains("stuck-valid"), "note: {}", d.note);
         assert!(d.note.contains("valid stuck"), "note: {}", d.note);
+    }
+
+    // --- Channels under the kernel's loop probe ---
+
+    /// A producer that pushes 0, 1, 2, … and retries a refused push
+    /// forever, and a consumer that polls a second, always-empty
+    /// channel and never takes anything from the first: a two-component
+    /// hang. Both present their state; the port counters are theirs.
+    struct Wedge {
+        sim: craft_sim::Simulator,
+        clk: craft_sim::ClockId,
+        full: ChannelHandle<u32>,
+        empty: ChannelHandle<u32>,
+    }
+
+    fn wedge(fault: Option<FaultConfig>) -> Wedge {
+        use craft_sim::{ClockSpec, Component, Picoseconds, Simulator, TickCtx};
+        struct Producer {
+            out: crate::Out<u32>,
+            next: u32,
+        }
+        impl Component for Producer {
+            fn name(&self) -> &str {
+                "producer"
+            }
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+                if self.out.push_nb(self.next).is_ok() {
+                    self.next += 1;
+                }
+            }
+            fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+                v.state(u64::from(self.next));
+                self.out.visit_counters(v);
+            }
+        }
+        struct Poller {
+            input: crate::In<u32>,
+        }
+        impl Component for Poller {
+            fn name(&self) -> &str {
+                "poller"
+            }
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+                assert_eq!(self.input.pop_nb(), None);
+            }
+            fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+                self.input.visit_counters(v);
+            }
+        }
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
+        let (out, _, full) = channel::<u32>("full", ChannelKind::Buffer(2));
+        let (_, input, empty) = channel::<u32>("empty", ChannelKind::Buffer(2));
+        full.present_tokens(|t, v| v.state(u64::from(*t)));
+        if let Some(cfg) = fault {
+            full.inject_faults(cfg, 5);
+        }
+        sim.add_component(clk, Producer { out, next: 0 });
+        sim.add_component(clk, Poller { input });
+        for h in [&full, &empty] {
+            sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
+        }
+        Wedge {
+            sim,
+            clk,
+            full,
+            empty,
+        }
+    }
+
+    impl Wedge {
+        fn standing(
+            &self,
+        ) -> (
+            craft_sim::KernelDigest,
+            [ChannelStats; 2],
+            Option<FaultStats>,
+        ) {
+            (
+                self.sim.kernel_digest(),
+                [self.full.stats(), self.empty.stats()],
+                self.full.fault_stats(),
+            )
+        }
+    }
+
+    /// A wedged pair repeats every cycle. The channel that is never
+    /// pushed, popped or committed is outside the loop, yet its
+    /// empty-pop count moves on every cycle of it: the consumer
+    /// presents that count, and the clean cycles the channel is owed
+    /// grow with the clock. With an injector armed the full channel
+    /// commits every cycle and is inside the loop, tokens, injector and
+    /// all. Advanced or stepped, every statistic ends the same.
+    #[test]
+    fn a_wedged_pair_is_advanced_with_every_statistic_exact() {
+        let limit = 20_000;
+        for fault in [
+            None,
+            Some(FaultConfig::duplicate(1.0)),
+            Some(FaultConfig::stuck_ready(1)),
+        ] {
+            let mut w = wedge(fault);
+            let err = w
+                .sim
+                .run_until_checked(w.clk, u64::MAX, limit, || false)
+                .expect_err("nothing here is progress");
+            assert!(matches!(err, craft_sim::SimError::Hang { cycle, .. } if cycle == limit));
+            let proved = w.sim.last_loop().expect("a loop of one cycle");
+            assert_eq!((proved.period, proved.proved_at), (1, 1_026), "{fault:?}");
+
+            let mut stepped = wedge(fault);
+            assert!(!stepped.sim.run_until(stepped.clk, limit, || false));
+            assert_eq!(w.standing(), stepped.standing(), "{fault:?}");
+            let [full, empty] = w.standing().1;
+            assert_eq!(empty.pop_empty, limit, "{fault:?}");
+            assert_eq!(empty.cycles, limit, "{fault:?}");
+            assert!(full.push_backpressure > limit - 10, "{fault:?}");
+        }
+    }
+
+    /// While a stuck onset is still ahead the injector's cycle count is
+    /// state with a deadline: the channel is opaque and attempts fail.
+    /// Once the onset has passed the count only counts, and the next
+    /// attempt proves the loop.
+    #[test]
+    fn a_stuck_onset_still_ahead_keeps_the_channel_opaque() {
+        let limit = 20_000;
+        let fault = Some(FaultConfig::stuck_valid(3_000));
+        let mut w = wedge(fault);
+        w.sim
+            .run_until_checked(w.clk, u64::MAX, limit, || false)
+            .expect_err("nothing here is progress");
+        // Attempts at idle 1 024 and 2 048 meet the opaque channel; the
+        // one at 4 096 is past the onset.
+        let proved = w.sim.last_loop().expect("proved after the onset");
+        assert_eq!((proved.period, proved.proved_at), (1, 4_098));
+        let mut stepped = wedge(fault);
+        assert!(!stepped.sim.run_until(stepped.clk, limit, || false));
+        assert_eq!(w.standing(), stepped.standing());
+        assert_eq!(w.standing().2.unwrap().stuck_valid_cycles, limit - 2_999);
     }
 }

@@ -15,6 +15,7 @@
 //! functions of the channel-local cycle count and draw no randoms.
 
 use craft_sim::checkpoint::{CheckpointError, Checkpointable, StateReader, StateWriter};
+use craft_sim::StateVisitor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -286,9 +287,16 @@ impl FaultInjector {
         }
     }
 
-    /// Advances the channel-cycle counter and returns the stuck-wire
-    /// state `(valid_stuck, ready_stuck)` for the *next* cycle. Called
-    /// once per channel commit, mirroring [`crate::StallInjector`].
+    /// Advances the channel-local cycle count — commits of this
+    /// channel since the injector was armed, not a kernel clock — and
+    /// returns the stuck-wire state `(valid_stuck, ready_stuck)` for
+    /// the *next* cycle. Called once per channel commit, mirroring
+    /// [`crate::StallInjector`].
+    ///
+    /// Only a config with a `stuck_valid_from` / `stuck_ready_from`
+    /// onset reads the count, and only until the last configured onset
+    /// has passed: from then on (and always, for a config of
+    /// probabilities alone) it is a statistic no decision depends on.
     pub fn on_cycle(&mut self) -> (bool, bool) {
         self.cycle += 1;
         let valid_stuck = self
@@ -306,6 +314,38 @@ impl FaultInjector {
             self.stats.stuck_ready_cycles += 1;
         }
         (valid_stuck, ready_stuck)
+    }
+}
+
+impl FaultInjector {
+    /// A configured stuck onset the cycle count has yet to reach: the
+    /// count is then state with a deadline, and no loop it runs in
+    /// repeats.
+    pub(crate) fn onset_ahead(&self) -> bool {
+        [self.cfg.stuck_valid_from, self.cfg.stuck_ready_from]
+            .into_iter()
+            .flatten()
+            .any(|from| self.cycle < from)
+    }
+
+    /// Presents the injector (see [`craft_sim::Sequential::visit_state`];
+    /// the caller has ruled out [`onset_ahead`](Self::onset_ahead)).
+    /// The token count is *state*: the RNG draws per token, so equal
+    /// counts are equal RNG positions. Everything else only counts.
+    pub(crate) fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        v.state(self.stats.tokens);
+        let st = &mut self.stats;
+        for c in [
+            &mut self.cycle,
+            &mut st.flips,
+            &mut st.drops,
+            &mut st.dups,
+            &mut st.dups_suppressed,
+            &mut st.stuck_valid_cycles,
+            &mut st.stuck_ready_cycles,
+        ] {
+            v.counter(c);
+        }
     }
 }
 

@@ -53,7 +53,7 @@ mod retime;
 mod scoreboard;
 mod stall;
 
-pub use channel::{channel, ChannelHandle, ChannelKind, ChannelStats};
+pub use channel::{channel, ChannelHandle, ChannelKind, ChannelStats, TokenWords};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, TokenFaults};
 pub use lanebank::{FaultLaneBank, LaneSet, LaneStatus};
 pub use mailbox::{spsc, MailboxHub, RemoteRxEnd, RemoteTxEnd, SpscReceiver, SpscSender, WireMsg};

@@ -8,7 +8,7 @@
 //! `pop_nb`/`push_nb` each cycle until they succeed.
 
 use crate::channel::ChannelCore;
-use craft_sim::ActivityToken;
+use craft_sim::{ActivityToken, StateVisitor};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -65,6 +65,14 @@ impl<T> Out<T> {
     /// [`craft_sim::Component::ticks_skipped`]).
     pub fn push_backpressure_skipped(&self, n: u64) {
         self.core.borrow_mut().stats.push_backpressure += n;
+    }
+
+    /// Presents the refused-push count as a counter of the producer
+    /// (see [`craft_sim::Component::visit_state`]): only the port's
+    /// holder moves it, on cycles in which the channel may not commit,
+    /// so the channel leaves it out of its own state.
+    pub fn visit_counters(&self, v: &mut StateVisitor<'_>) {
+        v.counter(&mut self.core.borrow_mut().stats.push_backpressure);
     }
 
     /// Name of the connected channel.
@@ -170,6 +178,12 @@ impl<T> In<T> {
     /// [`craft_sim::Component::ticks_skipped`]).
     pub fn pop_empty_skipped(&self, n: u64) {
         self.core.borrow_mut().stats.pop_empty += n;
+    }
+
+    /// Presents the empty-pop count as a counter of the consumer; see
+    /// [`Out::visit_counters`].
+    pub fn visit_counters(&self, v: &mut StateVisitor<'_>) {
+        v.counter(&mut self.core.borrow_mut().stats.pop_empty);
     }
 
     /// Registers the consuming component's wake token: every

@@ -24,9 +24,18 @@
 //! cycle as before. The failed pops and pushes of elided ticks are
 //! not booked on the AXI channels' statistics: [`axi_link`] hands out
 //! no handle through which they could be read.
+//!
+//! # State
+//!
+//! All three present their state to the kernel
+//! ([`craft_sim::Component::visit_state`]), and [`axi_link`] teaches
+//! its channels to present the beats they hold: a controller polling a
+//! status register over this plane forever is a loop a supervised run
+//! can prove and advance over. A memory is presented by its write
+//! generation — the number of writes made to it — not by its contents.
 
 use craft_connections::{In, Out};
-use craft_sim::{ActivityToken, Component, Sleep, TickCtx};
+use craft_sim::{ActivityToken, Component, Sleep, StateVisitor, TickCtx};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -40,6 +49,16 @@ pub struct AxiAddrCmd {
     pub addr: u64,
     /// Burst beats minus one (AXI encoding: 0 = 1 beat).
     pub len: u8,
+}
+
+impl AxiAddrCmd {
+    /// Presents the command as three state words, for a channel or an
+    /// engine that holds one ([`craft_sim::Component::visit_state`]).
+    pub fn visit(&self, v: &mut StateVisitor<'_>) {
+        v.state(u64::from(self.id));
+        v.state(self.addr);
+        v.state(u64::from(self.len));
+    }
 }
 
 /// Write-data beat (W).
@@ -109,6 +128,16 @@ impl AxiSlavePorts {
             && self.ar.is_settled()
             && self.r.is_settled()
     }
+
+    /// Presents what the owner's port calls count on the five
+    /// channels ([`In::visit_counters`] / [`Out::visit_counters`]).
+    pub fn visit_counters(&self, v: &mut StateVisitor<'_>) {
+        self.aw.visit_counters(v);
+        self.w.visit_counters(v);
+        self.b.visit_counters(v);
+        self.ar.visit_counters(v);
+        self.r.visit_counters(v);
+    }
 }
 
 /// The five master-side channel endpoints.
@@ -145,6 +174,15 @@ impl AxiMasterPorts {
             && self.ar.is_settled()
             && self.r.is_settled()
     }
+
+    /// See [`AxiSlavePorts::visit_counters`].
+    pub fn visit_counters(&self, v: &mut StateVisitor<'_>) {
+        self.aw.visit_counters(v);
+        self.w.visit_counters(v);
+        self.b.visit_counters(v);
+        self.ar.visit_counters(v);
+        self.r.visit_counters(v);
+    }
 }
 
 /// One AXI channel's commit handle paired with its commit-dirty token.
@@ -171,6 +209,22 @@ pub fn axi_link(
     let (b_tx, b_rx, h3) = channel::<AxiWriteResp>(format!("{name}.b"), kind);
     let (ar_tx, ar_rx, h4) = channel::<AxiAddrCmd>(format!("{name}.ar"), kind);
     let (r_tx, r_rx, h5) = channel::<AxiReadBeat>(format!("{name}.r"), kind);
+    for h in [&h1, &h4] {
+        h.present_tokens(|c, v| c.visit(v));
+    }
+    h2.present_tokens(|b, v| {
+        v.state(b.data);
+        v.state(u64::from(b.last));
+    });
+    h3.present_tokens(|b, v| {
+        v.state(u64::from(b.id));
+        v.state(u64::from(b.okay));
+    });
+    h5.present_tokens(|b, v| {
+        v.state(u64::from(b.id));
+        v.state(b.data);
+        v.state(u64::from(b.last) | u64::from(b.okay) << 1);
+    });
     (
         AxiMasterPorts {
             aw: aw_tx,
@@ -217,6 +271,9 @@ pub struct AxiMemorySlave {
     name: String,
     ports: AxiSlavePorts,
     mem: crate::MemArray<u64>,
+    /// Writes made to `mem` so far: its generation, which stands for
+    /// its contents wherever state is compared.
+    mem_writes: u64,
     wstate: WriteState,
     rstate: ReadState,
     /// The last tick moved no beat.
@@ -230,6 +287,7 @@ impl AxiMemorySlave {
             name: name.into(),
             ports,
             mem: crate::MemArray::new(depth),
+            mem_writes: 0,
             wstate: WriteState::Idle,
             rstate: ReadState::Idle,
             idle_tick: false,
@@ -244,6 +302,7 @@ impl AxiMemorySlave {
     /// Backdoor load for testbenches.
     pub fn debug_load(&mut self, base: usize, values: &[u64]) {
         self.mem.load(base, values);
+        self.mem_writes += 1;
     }
 
     fn in_range(&self, cmd: AxiAddrCmd) -> bool {
@@ -280,6 +339,7 @@ impl Component for AxiMemorySlave {
                     let okay = (addr as usize) < self.mem.depth();
                     if okay {
                         self.mem.write(addr as usize, wbeat.data);
+                        self.mem_writes += 1;
                     }
                     let expected_last = *beat == u64::from(cmd.len);
                     if wbeat.last || expected_last {
@@ -333,6 +393,34 @@ impl Component for AxiMemorySlave {
             }
         }
         self.idle_tick = !moved;
+    }
+
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        v.state(self.mem_writes);
+        match &self.wstate {
+            WriteState::Idle => v.state(0),
+            WriteState::Data { cmd, beat } => {
+                v.state(1);
+                cmd.visit(v);
+                v.state(*beat);
+            }
+            WriteState::Resp { id, okay } => {
+                v.state(2);
+                v.state(u64::from(*id));
+                v.state(u64::from(*okay));
+            }
+        }
+        match &self.rstate {
+            ReadState::Idle => v.state(0),
+            ReadState::Data { cmd, beat, okay } => {
+                v.state(1);
+                cmd.visit(v);
+                v.state(*beat);
+                v.state(u64::from(*okay));
+            }
+        }
+        v.state(u64::from(self.idle_tick));
+        self.ports.visit_counters(v);
     }
 }
 
@@ -433,6 +521,51 @@ impl AxiMasterHandle {
     /// here; this is just the not-yet-started count.
     pub fn pending(&self) -> usize {
         self.queue.borrow().len()
+    }
+
+    /// The queued operations and the undelivered results, as state of
+    /// the master that owns the handle (the two wake tokens are the
+    /// kernel's to look at).
+    fn visit_state(&self, v: &mut StateVisitor<'_>) {
+        let queue = self.queue.borrow();
+        v.state(queue.len() as u64);
+        for op in queue.iter() {
+            match op {
+                AxiOp::Write { addr, data } => {
+                    v.state(0);
+                    v.state(*addr);
+                    visit_words(data, v);
+                }
+                AxiOp::Read { addr, beats } => {
+                    v.state(1);
+                    v.state(*addr);
+                    v.state(u64::from(*beats));
+                }
+            }
+        }
+        let results = self.results.borrow();
+        v.state(results.len() as u64);
+        for res in results.iter() {
+            match res {
+                AxiResult::WriteDone { okay } => {
+                    v.state(0);
+                    v.state(u64::from(*okay));
+                }
+                AxiResult::ReadDone { okay, data } => {
+                    v.state(1);
+                    v.state(u64::from(*okay));
+                    visit_words(data, v);
+                }
+            }
+        }
+    }
+}
+
+/// A length-prefixed run of data words, as state.
+fn visit_words(words: &[u64], v: &mut StateVisitor<'_>) {
+    v.state(words.len() as u64);
+    for &w in words {
+        v.state(w);
     }
 }
 
@@ -576,6 +709,29 @@ impl Component for AxiMaster {
                 }
             }
         }
+    }
+
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        // The transaction id first: of everything in a polling loop it
+        // is what takes longest to come round.
+        v.state(u64::from(self.next_id));
+        match &self.state {
+            MasterState::Idle => v.state(0),
+            MasterState::Write { data, beat } => {
+                v.state(1);
+                visit_words(data, v);
+                v.state(*beat as u64);
+            }
+            MasterState::AwaitB => v.state(2),
+            MasterState::Read { collected, okay } => {
+                v.state(3);
+                visit_words(collected, v);
+                v.state(u64::from(*okay));
+            }
+        }
+        v.state(u64::from(self.idle_tick));
+        self.handle.visit_state(v);
+        self.ports.visit_counters(v);
     }
 }
 
@@ -782,6 +938,23 @@ impl Component for AxiBus {
             }
         }
         self.idle_tick = !moved;
+    }
+
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        let slot = |x: Option<u64>| x.unwrap_or(u64::MAX);
+        v.state(slot(self.write_target.map(|t| t as u64)));
+        v.state(slot(self.write_err_pending.map(u64::from)));
+        v.state(u64::from(self.write_beats_to_drop));
+        v.state(slot(self.read_target.map(|t| t as u64)));
+        v.state(slot(
+            self.read_err_pending
+                .map(|(id, len)| u64::from(id) << 8 | u64::from(len)),
+        ));
+        v.state(u64::from(self.idle_tick));
+        self.upstream.visit_counters(v);
+        for (_, ports) in &self.downstream {
+            ports.visit_counters(v);
+        }
     }
 }
 

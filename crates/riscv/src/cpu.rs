@@ -27,6 +27,8 @@ pub trait Bus {
 #[derive(Debug, Clone)]
 pub struct FlatMemory {
     bytes: Vec<u8>,
+    /// Stores made so far.
+    writes: u64,
 }
 
 impl FlatMemory {
@@ -34,7 +36,16 @@ impl FlatMemory {
     pub fn new(size: usize) -> Self {
         FlatMemory {
             bytes: vec![0; size],
+            writes: 0,
         }
+    }
+
+    /// The write generation: how many stores this memory has taken.
+    /// Two reads of the same generation saw the same contents, so it
+    /// stands in for them wherever state is compared without copying a
+    /// megabyte.
+    pub fn write_generation(&self) -> u64 {
+        self.writes
     }
 
     /// Loads little-endian words at `base`.
@@ -67,6 +78,7 @@ impl Bus for FlatMemory {
 
     fn store(&mut self, addr: u32, value: u32, size: AccessSize) {
         let a = addr as usize;
+        self.writes += 1;
         match size {
             AccessSize::Byte => self.bytes[a] = value as u8,
             AccessSize::Half => {

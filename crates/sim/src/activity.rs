@@ -128,6 +128,12 @@ impl NotifySink {
         !self.0.nonempty.get()
     }
 
+    /// Copies the pending notifications into `out` (appending) and
+    /// leaves them pending.
+    pub(crate) fn peek_into(&self, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.0.queue.borrow());
+    }
+
     /// Moves all pending notifications into `out` (appending), leaving
     /// the sink empty.
     pub fn drain_into(&self, out: &mut Vec<u32>) {

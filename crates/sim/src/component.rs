@@ -10,6 +10,128 @@ use crate::clock::ClockId;
 use crate::error::SeqDiag;
 use crate::time::Picoseconds;
 
+/// The kernel's view of a member's state, handed to
+/// [`Component::visit_state`] / [`Sequential::visit_state`].
+///
+/// A member presents every field its future behaviour can depend on as
+/// *state* ([`state`](Self::state), one word at a time, in a fixed
+/// order) and every accumulate-only statistic — a value that is added
+/// to and reported, never branched on — as a *counter*
+/// ([`counter`](Self::counter)). One enumeration serves both things the
+/// kernel does with it: recording (state words are compared across
+/// cycles to prove a run periodic, counter values give the increments
+/// of one period) and advancing (each counter receives `k` periods'
+/// increments at once). A member that cannot do this answers
+/// [`opaque`](Self::opaque), which is also the default.
+///
+/// The words a member presents are not a wire format: they are only
+/// ever compared with what the same member presented earlier in the
+/// same process.
+#[derive(Debug)]
+pub struct StateVisitor<'a> {
+    mode: Visit<'a>,
+}
+
+#[derive(Debug)]
+enum Visit<'a> {
+    /// Append state words and counter values; note an opaque answer.
+    Record {
+        state: &'a mut Vec<u64>,
+        counters: &'a mut Vec<u64>,
+        opaque: bool,
+    },
+    /// Compare state words against a recording, in order.
+    Compare {
+        want: &'a [u64],
+        at: usize,
+        same: bool,
+    },
+    /// Add `k * deltas[i]` to the `i`-th counter presented.
+    Advance {
+        deltas: &'a [u64],
+        at: usize,
+        k: u64,
+    },
+}
+
+impl<'a> StateVisitor<'a> {
+    pub(crate) fn record(state: &'a mut Vec<u64>, counters: &'a mut Vec<u64>) -> Self {
+        StateVisitor {
+            mode: Visit::Record {
+                state,
+                counters,
+                opaque: false,
+            },
+        }
+    }
+
+    pub(crate) fn compare(want: &'a [u64]) -> Self {
+        StateVisitor {
+            mode: Visit::Compare {
+                want,
+                at: 0,
+                same: true,
+            },
+        }
+    }
+
+    pub(crate) fn advance(deltas: &'a [u64], k: u64) -> Self {
+        StateVisitor {
+            mode: Visit::Advance { deltas, at: 0, k },
+        }
+    }
+
+    /// After recording: whether the member answered opaque.
+    pub(crate) fn was_opaque(&self) -> bool {
+        matches!(self.mode, Visit::Record { opaque: true, .. })
+    }
+
+    /// After comparing: whether the member presented exactly the
+    /// recorded words.
+    pub(crate) fn matched(&self) -> bool {
+        matches!(self.mode, Visit::Compare { want, at, same: true } if at == want.len())
+    }
+
+    /// One word of behaviour-relevant state.
+    #[inline]
+    pub fn state(&mut self, word: u64) {
+        match &mut self.mode {
+            Visit::Record { state, .. } => state.push(word),
+            Visit::Compare { want, at, same } => {
+                *same = *same && want.get(*at) == Some(&word);
+                *at += 1;
+            }
+            Visit::Advance { .. } => {}
+        }
+    }
+
+    /// An accumulate-only statistic. The value must never influence
+    /// behaviour, and over a stretch in which the member's *state*
+    /// repeats it must grow by the same amount every repetition — the
+    /// kernel checks the second half over two periods before it relies
+    /// on it.
+    #[inline]
+    pub fn counter(&mut self, value: &mut u64) {
+        match &mut self.mode {
+            Visit::Record { counters, .. } => counters.push(*value),
+            Visit::Compare { .. } => {}
+            Visit::Advance { deltas, at, k } => {
+                *value += *k * deltas[*at];
+                *at += 1;
+            }
+        }
+    }
+
+    /// This member cannot present its state (now, or ever).
+    pub fn opaque(&mut self) {
+        match &mut self.mode {
+            Visit::Record { opaque, .. } => *opaque = true,
+            Visit::Compare { same, .. } => *same = false,
+            Visit::Advance { .. } => {}
+        }
+    }
+}
+
 /// A component's answer to "may the kernel stop ticking you?"
 /// ([`Component::can_sleep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +250,34 @@ pub trait Component {
     fn wait_reason(&self) -> Option<String> {
         None
     }
+
+    /// Presents this component's state to the kernel (see
+    /// [`StateVisitor`]): what a supervised run
+    /// ([`crate::Simulator::run_until_checked`]) needs to prove that a
+    /// hang repeats with a fixed period and to advance over the
+    /// repetitions arithmetically instead of ticking through them.
+    ///
+    /// An implementation promises that
+    ///
+    /// * together with what the channels and other registered members
+    ///   it talks to present for themselves, the words it presents
+    ///   decide everything its future ticks do — in particular `tick`
+    ///   reads neither [`TickCtx::cycle`] nor [`TickCtx::now`];
+    /// * every other field its ticks change is presented as a counter,
+    ///   wherever it lives: in the component, behind a shared handle
+    ///   (a status block in an `Rc`), or on a port (a refused push and
+    ///   an empty pop are counted on the channel, on cycles in which
+    ///   the channel does not commit — the port's holder presents
+    ///   them);
+    /// * state it shares with another member is presented by the one
+    ///   that writes it.
+    ///
+    /// The default answers [`StateVisitor::opaque`]: the kernel then
+    /// never advances over a cycle in which this component ticks, and
+    /// that is always correct.
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        v.opaque();
+    }
 }
 
 /// Shared state (typically a channel) that participates in the commit
@@ -158,6 +308,17 @@ pub trait Sequential {
     /// sequential from [`crate::HangReport`] entirely.
     fn diagnose(&self) -> Option<SeqDiag> {
         None
+    }
+
+    /// Presents this sequential's state to the kernel, under the
+    /// contract of [`Component::visit_state`]: everything a commit —
+    /// or a port call between two commits — can read goes out as
+    /// state, every statistic a commit or
+    /// [`commit_skipped`](Self::commit_skipped) adds to as a counter.
+    /// The default answers [`StateVisitor::opaque`]: a supervised run
+    /// never advances over a cycle in which this sequential commits.
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        v.opaque();
     }
 }
 

@@ -96,11 +96,56 @@
 //! sleeps and every sequential is on its domain's always list: that
 //! ungated mode of the *same* loop is the reference the gated mode is
 //! tested against.
+//!
+//! # The loop probe: a hang is a loop
+//!
+//! A supervised run ([`Simulator::run_until_checked`]) that has made no
+//! progress for a while is usually going round a loop — a controller
+//! polling a status register that will never change — and a closed
+//! deterministic simulator whose state has repeated is determined for
+//! good. The supervised loop proves that and then does not step what
+//! is already known. Once the watchdog's idle count passes
+//! `PROBE_IDLE` (1 024 cycles) it *opens a probe* on an instant
+//! boundary: every catch-up is settled, and every member presents its
+//! state and its counters ([`Component::visit_state`] /
+//! [`Sequential::visit_state`]). From then on the two walks note which
+//! components they tick and which sequentials they commit — the set
+//! *U* — and each boundary asks whether the clock's worklists, the
+//! kernel's flags of *U* (asleep, blocked, owed level, wake and dirty
+//! tokens) and the state *U* presents are what was recorded. The first
+//! boundary where they are gives a period *P*; when a second period
+//! ends in the same state, touched the same members and moved every
+//! counter — *U*'s and the scheduler's own — by the same amount as the
+//! first, the loop is proved. The run is then advanced by `k` whole
+//! periods at once: the clock (`cycles`, `next_edge`, `now`), the
+//! watchdog's idle count, `instants`, `ticks_delivered`,
+//! `ticks_skipped`, `commits_skipped`, `ticks_skipped_blocked`, every
+//! counter of *U* through the same visitor, and the absolute stamps the
+//! kernel keeps of *U* (`seen`, `asleep_from`). `k` is the largest
+//! count that leaves a whole period before both the watchdog's limit
+//! and the call's cycle limit, so the trip, the [`HangReport`] and
+//! every boundary the caller sees come from ordinary instants, and the
+//! run ends bit for bit where the stepped run ends.
+//!
+//! What is *not* in *U* was not ticked, not committed and not written
+//! to, so it has not changed; what it is owed (skipped commits, blocked
+//! ticks) keeps growing with the clock through an advance exactly as
+//! through stepped cycles, because its stamps stay put. A member that
+//! cannot present its state is *opaque* — the default — and an opaque
+//! member in *U* means no proof. So does an applied clock request, a
+//! second running clock, tick profiling, and any progress (which ends
+//! the hang). A failed attempt doubles the idle threshold for the next,
+//! each attempt looks `PROBE_WINDOW` thresholds far for its first
+//! recurrence, and a proof is used once and dropped when the call
+//! returns. The stepped path is the same code with the probe never
+//! proving: the unsupervised `run_*` methods, `step` loops, the ungated
+//! mode and the parallel epoch scheduler never advance, and are the
+//! reference the advance is tested against.
 
 use crate::activity::{ActivityToken, NotifySink};
 use crate::checkpoint::{KernelDigest, WatchdogState};
 use crate::clock::{ClockId, ClockSpec, ClockState};
-use crate::component::{ClockRequest, Component, Sequential, Sleep, TickCtx};
+use crate::component::{ClockRequest, Component, Sequential, Sleep, StateVisitor, TickCtx};
 use crate::error::{CompDiag, HangReport, SimError};
 use crate::telemetry::TickProfile;
 use crate::time::Picoseconds;
@@ -174,6 +219,15 @@ impl ComponentEntry {
         !self.blocked
     }
 
+    /// The kernel's own behaviour-relevant state of this entry, as one
+    /// word for the loop probe (`asleep_from` is a stamp, not state).
+    fn probe_flags(&self) -> u64 {
+        u64::from(self.asleep)
+            | u64::from(self.asleep && self.blocked) << 1
+            | u64::from(self.level_owed) << 2
+            | u64::from(self.wake.as_ref().is_some_and(ActivityToken::is_set)) << 3
+    }
+
     /// Reports the ticks a blocked sleeper was not delivered up to
     /// (excluding) edge index `edge` of its clock, and moves its mark
     /// there.
@@ -197,6 +251,157 @@ struct SequentialEntry {
     /// `cycles - seen` clean commits are owed as
     /// [`Sequential::commit_skipped`].
     seen: u64,
+}
+
+impl SequentialEntry {
+    /// The kernel's own behaviour-relevant state of this entry for the
+    /// loop probe: whether a commit is pending (`seen` is a stamp).
+    fn probe_flags(&self) -> u64 {
+        u64::from(self.dirty.as_ref().is_some_and(ActivityToken::is_set))
+    }
+
+    /// Delivers the clean commits owed up to (excluding) edge index
+    /// `cycles` of its clock.
+    fn settle_skipped_commits(&mut self, cycles: u64) {
+        if self.seen < cycles {
+            self.state.borrow_mut().commit_skipped(cycles - self.seen);
+            self.seen = cycles;
+        }
+    }
+}
+
+/// Idle cycles after which a supervised run first tries to prove its
+/// hang periodic. Doubles with every failed attempt of the call.
+const PROBE_IDLE: u64 = 1024;
+/// An attempt opened at threshold `t` looks for periods up to
+/// `PROBE_WINDOW * t` cycles before it gives up.
+const PROBE_WINDOW: u64 = 4;
+
+/// Scheduler counters a proved loop advances, in this order.
+type KernelCounters = [u64; 5];
+
+/// What the loop probe recorded of one member when it opened.
+struct MemberShot {
+    /// Range in [`LoopProbe::state`]: the entry's kernel flags, then
+    /// the words the member presented.
+    state: (usize, usize),
+    /// Range in [`LoopProbe::counters`].
+    counters: (usize, usize),
+    opaque: bool,
+    /// Ticked (committed) since the probe opened.
+    touched: bool,
+}
+
+/// The first recurrence of a probe: state at `start + period` equalled
+/// state at `start`.
+struct Lap {
+    period: u64,
+    /// Lengths of the touched lists at the recurrence.
+    touched: (usize, usize),
+    kernel: KernelCounters,
+    /// Counters of the touched members, in touched order.
+    counters: Vec<u64>,
+}
+
+/// The components (or the sequentials) as a probe sees them: what
+/// each presented when it opened, and which of them the run has
+/// touched since — the set *U*, in first-touch order.
+#[derive(Default)]
+struct Members {
+    shots: Vec<MemberShot>,
+    touched: Vec<u32>,
+}
+
+impl Members {
+    /// Notes that member `idx` was ticked (committed); returns whether
+    /// that spoils the probe because the member is opaque. Every member
+    /// has a shot: a probe lives inside one run call, and registration
+    /// needs the simulator the call has borrowed.
+    #[inline]
+    fn touch(&mut self, idx: u32) -> bool {
+        let shot = &mut self.shots[idx as usize];
+        if shot.touched {
+            return false;
+        }
+        shot.touched = true;
+        self.touched.push(idx);
+        shot.opaque
+    }
+
+    /// The touched members with their shots, in touched order.
+    fn touched(&self) -> impl Iterator<Item = (usize, &MemberShot)> {
+        self.touched
+            .iter()
+            .map(|&i| (i as usize, &self.shots[i as usize]))
+    }
+}
+
+/// One attempt to prove a supervised run periodic (see "The loop
+/// probe" in the module docs). It lives from the boundary it opened on
+/// to a verdict, and never past the `run_until_checked_with` call.
+struct LoopProbe {
+    /// The one unpaused clock.
+    ci: usize,
+    /// Its cycle count when the probe opened.
+    start: u64,
+    /// Cycle count at which a probe still looking for its first
+    /// recurrence has failed.
+    deadline: u64,
+    /// Something happened that no recurrence can vouch for: an opaque
+    /// member was touched, or a clock request was applied.
+    spoiled: bool,
+    comps: Members,
+    seqs: Members,
+    /// What the members presented at `start`, by [`MemberShot`] range.
+    state: Vec<u64>,
+    counters: Vec<u64>,
+    kernel: KernelCounters,
+    /// The clock's worklists at `start`: awake components, and the
+    /// wake and dirty candidates (`Simulator::candidates`).
+    awake: Vec<u32>,
+    candidates: [Vec<u32>; 2],
+    lap: Option<Lap>,
+    scratch: [Vec<u32>; 2],
+}
+
+impl LoopProbe {
+    // Out of line: the walks' hot loops pay one test of `probe`.
+    #[cold]
+    #[inline(never)]
+    fn touch_component(&mut self, idx: u32) {
+        self.spoiled |= self.comps.touch(idx);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn touch_sequential(&mut self, idx: u32) {
+        self.spoiled |= self.seqs.touch(idx);
+    }
+
+    /// How many members of each kind have been touched.
+    fn touched(&self) -> (usize, usize) {
+        (self.comps.touched.len(), self.seqs.touched.len())
+    }
+}
+
+/// Where a probe stands after one more boundary.
+enum ProbeVerdict {
+    Pending,
+    Failed,
+    /// Two periods confirmed; the per-period increments of the kernel
+    /// counters and of the touched members' counters.
+    Proved(u64, KernelCounters, Vec<u64>),
+}
+
+/// A loop a supervised run proved and advanced over
+/// ([`Simulator::last_loop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProvedLoop {
+    /// Reference-clock cycles after which the run's state repeats.
+    pub period: u64,
+    /// Reference-clock cycle at which the second period confirmed the
+    /// first and the run advanced.
+    pub proved_at: u64,
 }
 
 /// One clock domain's schedule: the worklists an instant actually
@@ -313,6 +518,15 @@ pub struct Simulator {
     /// Clocks that fired at the instant currently being processed,
     /// carried from the evaluate phase to the commit phase.
     instant_edges: Vec<usize>,
+    /// The periodicity proof a supervised run has in flight. While
+    /// `Some`, the walks note which members they touch.
+    probe: Option<Box<LoopProbe>>,
+    /// Loops proved and advanced over, and the reference-clock cycles
+    /// (= instants) that were not stepped because of it (shared so
+    /// telemetry can probe them).
+    loop_skips: Rc<Cell<u64>>,
+    cycles_skipped: Rc<Cell<u64>>,
+    last_loop: Option<ProvedLoop>,
 }
 
 impl Default for Simulator {
@@ -348,6 +562,10 @@ impl Simulator {
             tick_costs: Vec::new(),
             mid_instant: false,
             instant_edges: Vec::new(),
+            probe: None,
+            loop_skips: Rc::new(Cell::new(0)),
+            cycles_skipped: Rc::new(Cell::new(0)),
+            last_loop: None,
         }
     }
 
@@ -535,9 +753,40 @@ impl Simulator {
         self.commits_skipped
     }
 
-    /// Total evaluate/commit instants processed.
+    /// Total evaluate/commit instants processed — including those a
+    /// supervised run advanced over arithmetically
+    /// ([`cycles_skipped`](Self::cycles_skipped)), so the count is that
+    /// of the stepped run.
     pub fn instants(&self) -> u64 {
         self.instants
+    }
+
+    /// How often a supervised run proved its hang periodic and
+    /// advanced over whole periods instead of stepping them (see
+    /// [`run_until_checked`](Self::run_until_checked)). Like
+    /// [`cycles_skipped`](Self::cycles_skipped) it describes how the
+    /// run was executed, not what it simulated, and is no part of
+    /// [`kernel_digest`](Self::kernel_digest).
+    pub fn loop_skips(&self) -> u64 {
+        self.loop_skips.get()
+    }
+
+    /// Reference-clock cycles — and as many instants — advanced over
+    /// arithmetically: `instants() - cycles_skipped()` instants were
+    /// actually stepped.
+    pub fn cycles_skipped(&self) -> u64 {
+        self.cycles_skipped.get()
+    }
+
+    /// Live handles to [`loop_skips`](Self::loop_skips) and
+    /// [`cycles_skipped`](Self::cycles_skipped), for telemetry.
+    pub fn loop_skip_handles(&self) -> (Rc<Cell<u64>>, Rc<Cell<u64>>) {
+        (Rc::clone(&self.loop_skips), Rc::clone(&self.cycles_skipped))
+    }
+
+    /// The loop most recently proved and advanced over, if any.
+    pub fn last_loop(&self) -> Option<ProvedLoop> {
+        self.last_loop
     }
 
     /// Exact kernel-progress digest: time, scheduler counters, and the
@@ -670,11 +919,7 @@ impl Simulator {
             }
         }
         for seq in &mut self.sequentials {
-            let cycles = self.clocks[seq.clock.0].cycles;
-            if seq.seen < cycles {
-                seq.state.borrow_mut().commit_skipped(cycles - seq.seen);
-                seq.seen = cycles;
-            }
+            seq.settle_skipped_commits(self.clocks[seq.clock.0].cycles);
         }
     }
 
@@ -930,6 +1175,9 @@ impl Simulator {
                 }
                 (Some(a), None) => a,
             };
+            if let Some(probe) = &mut self.probe {
+                probe.touch_component(idx);
+            }
             let entry = &mut self.components[idx as usize];
             let mut ctx = TickCtx {
                 now: t,
@@ -1053,6 +1301,9 @@ impl Simulator {
             if hint && !seq.dirty.as_ref().is_some_and(ActivityToken::take) {
                 return;
             }
+            if let Some(probe) = &mut self.probe {
+                probe.touch_sequential(idx);
+            }
             let mut state = seq.state.borrow_mut();
             if seq.seen < cycle {
                 state.commit_skipped(cycle - seq.seen);
@@ -1081,6 +1332,10 @@ impl Simulator {
     fn apply_clock_requests(&mut self) {
         if self.clock_requests.is_empty() {
             return;
+        }
+        // A schedule that moves is not one a loop probe can extrapolate.
+        if let Some(probe) = &mut self.probe {
+            probe.spoiled = true;
         }
         let t = self.now;
         let mut request_fault: Option<SimError> = None;
@@ -1242,8 +1497,19 @@ impl Simulator {
     ///   `Err(SimError::ClockStretchOverflow)` — an internal arithmetic
     ///   fault that previously `expect()`-panicked.
     ///
-    /// Like `run_until`, the predicate is evaluated exactly once per
-    /// instant boundary.
+    /// The predicate is evaluated once on every instant boundary the
+    /// run *visits* (including the one it starts and the one it ends
+    /// on). A run that has been idle for long may prove that it is
+    /// going round a loop and advance over whole periods of it
+    /// arithmetically (see "The loop probe" in the module docs); the
+    /// boundaries inside such a stretch are not visited. The predicate
+    /// must therefore be a function of simulated *state* — it was
+    /// false all the way round the loop twice, and is taken to stay
+    /// false — and must not count its own calls or read a statistic
+    /// that merely accumulates. Clocks, cycle counts, counters, the
+    /// trip cycle and the diagnosis are exactly those of stepping every
+    /// cycle; [`loop_skips`](Self::loop_skips) and
+    /// [`cycles_skipped`](Self::cycles_skipped) say when it happened.
     ///
     /// # Panics
     /// Panics if `no_progress_limit` is zero (every run would
@@ -1269,7 +1535,33 @@ impl Simulator {
     /// uninterrupted call would: carry the same `wd` across segments.
     /// The classic entry point seeds `wd` with `idle: 0, last_cycle:
     /// <current cycle>`.
+    ///
+    /// The predicate contract is that of `run_until_checked`: a
+    /// function of simulated state, not visited on boundaries the call
+    /// advances over. A loop proof never outlives the call that made
+    /// it, so whatever the caller does to the simulator between two
+    /// segments cannot invalidate one.
     pub fn run_until_checked_with(
+        &mut self,
+        clock: ClockId,
+        max_cycles: u64,
+        no_progress_limit: u64,
+        wd: &mut WatchdogState,
+        done: impl FnMut() -> bool,
+    ) -> Result<bool, SimError> {
+        assert!(
+            no_progress_limit > 0,
+            "no_progress_limit must be at least one cycle"
+        );
+        let res = self.supervise(clock, max_cycles, no_progress_limit, wd, done);
+        self.probe = None;
+        res
+    }
+
+    /// The supervised loop: step, count idle cycles, trip — and, once
+    /// the run has been idle for long enough, try to prove that it is
+    /// going round a loop and advance to the deadline arithmetically.
+    fn supervise(
         &mut self,
         clock: ClockId,
         max_cycles: u64,
@@ -1277,11 +1569,10 @@ impl Simulator {
         wd: &mut WatchdogState,
         mut done: impl FnMut() -> bool,
     ) -> Result<bool, SimError> {
-        assert!(
-            no_progress_limit > 0,
-            "no_progress_limit must be at least one cycle"
-        );
-        let limit = self.clocks[clock.0].cycles + max_cycles;
+        let limit = self.clocks[clock.0].cycles.saturating_add(max_cycles);
+        // Idle count from which a loop probe may open: one compare an
+        // instant for a run that never gets there.
+        let mut probe_after = PROBE_IDLE;
         loop {
             if self.fatal.is_some() {
                 self.flush_skipped_commits();
@@ -1303,6 +1594,10 @@ impl Simulator {
             let cycle = self.clocks[clock.0].cycles;
             if self.progress.take() {
                 wd.idle = 0;
+                probe_after = PROBE_IDLE;
+                if self.probe.is_some() {
+                    self.drop_probe();
+                }
             } else {
                 wd.idle += cycle - wd.last_cycle;
             }
@@ -1317,7 +1612,329 @@ impl Simulator {
                     report,
                 });
             }
+            if wd.idle >= probe_after {
+                // Cycles an advance may cover at most: up to the
+                // watchdog's deadline or the call's cycle limit,
+                // whichever is nearer.
+                let room = (no_progress_limit - wd.idle).min(limit - cycle);
+                probe_after = self.probe_boundary(clock.0, probe_after, room, wd);
+            }
         }
+    }
+
+    // Out of line, like everything the supervised loop does only while
+    // a probe is open: a run that is making progress pays a test.
+    #[cold]
+    #[inline(never)]
+    fn drop_probe(&mut self) {
+        self.probe = None;
+    }
+
+    /// One boundary of a supervised run that has been idle for
+    /// `threshold` cycles or more: opens a loop probe, or takes the one
+    /// in flight a step further. Returns the idle count from which the
+    /// next boundary should come back here.
+    #[inline(never)]
+    fn probe_boundary(
+        &mut self,
+        ci: usize,
+        threshold: u64,
+        room: u64,
+        wd: &mut WatchdogState,
+    ) -> u64 {
+        let Some(mut probe) = self.probe.take() else {
+            // Only a run with one unpaused clock has "the next cycle"
+            // to extrapolate, and a profiled tick must really happen.
+            if self.single_active != Some(ci) || self.tick_profiling {
+                return u64::MAX;
+            }
+            self.open_probe(ci, threshold.saturating_mul(PROBE_WINDOW));
+            return threshold;
+        };
+        match self.judge_probe(&mut probe) {
+            ProbeVerdict::Pending => {
+                self.probe = Some(probe);
+                threshold
+            }
+            // Back off: the next attempt opens at twice the idle count
+            // and looks twice as far, so a run that never loops makes
+            // O(log idle) attempts.
+            ProbeVerdict::Failed => threshold.saturating_mul(2),
+            ProbeVerdict::Proved(period, kernel, counters) => {
+                self.skip_periods(&probe, period, room, &kernel, &counters, wd);
+                // The rest of the call is stepped.
+                u64::MAX
+            }
+        }
+    }
+
+    fn kernel_counters(&self) -> KernelCounters {
+        [
+            self.instants,
+            self.ticks_delivered,
+            self.ticks_skipped,
+            self.commits_skipped,
+            self.ticks_skipped_blocked.get(),
+        ]
+    }
+
+    /// The wake and the dirty candidates of domain `ci` as two
+    /// canonical (sorted, deduplicated) lists, without consuming them.
+    fn candidates(&self, ci: usize, [waking, dirty]: &mut [Vec<u32>; 2]) {
+        let d = &self.domains[ci];
+        waking.clear();
+        waking.extend_from_slice(&d.deferred);
+        d.wake_sink.peek_into(waking);
+        dirty.clear();
+        d.dirty_sink.peek_into(dirty);
+        for list in [waking, dirty] {
+            list.sort_unstable();
+            list.dedup();
+        }
+    }
+
+    /// Opens a loop probe on this instant boundary: settles every
+    /// catch-up, then records the state and the counters of every
+    /// member — which of them the loop involves is only known once it
+    /// has gone round.
+    fn open_probe(&mut self, ci: usize, window: u64) {
+        self.flush_skipped_commits();
+        let mut state = Vec::new();
+        let mut counters = Vec::new();
+        let mut shoot = |flags: u64, visit: &mut dyn FnMut(&mut StateVisitor<'_>)| {
+            let (s0, c0) = (state.len(), counters.len());
+            state.push(flags);
+            let mut v = StateVisitor::record(&mut state, &mut counters);
+            visit(&mut v);
+            let opaque = v.was_opaque();
+            MemberShot {
+                state: (s0, state.len()),
+                counters: (c0, counters.len()),
+                opaque,
+                touched: false,
+            }
+        };
+        let comps = self
+            .components
+            .iter_mut()
+            .map(|e| shoot(e.probe_flags(), &mut |v| e.component.visit_state(v)))
+            .collect();
+        let seqs = self
+            .sequentials
+            .iter()
+            .map(|s| {
+                shoot(s.probe_flags(), &mut |v| {
+                    s.state.borrow_mut().visit_state(v)
+                })
+            })
+            .collect();
+        let mut candidates = [Vec::new(), Vec::new()];
+        self.candidates(ci, &mut candidates);
+        let start = self.clocks[ci].cycles;
+        self.probe = Some(Box::new(LoopProbe {
+            ci,
+            start,
+            deadline: start.saturating_add(window),
+            spoiled: false,
+            comps: Members {
+                shots: comps,
+                touched: Vec::new(),
+            },
+            seqs: Members {
+                shots: seqs,
+                touched: Vec::new(),
+            },
+            state,
+            counters,
+            kernel: self.kernel_counters(),
+            awake: self.domains[ci].awake.clone(),
+            candidates,
+            lap: None,
+            scratch: Default::default(),
+        }));
+    }
+
+    /// Whether the kernel's worklists and every member touched since
+    /// `probe` opened are, on this boundary, in the state it recorded.
+    /// Cheapest and most volatile first: most boundaries fail on the
+    /// awake list.
+    fn recurs(&mut self, probe: &mut LoopProbe) -> bool {
+        if self.domains[probe.ci].awake != probe.awake {
+            return false;
+        }
+        self.candidates(probe.ci, &mut probe.scratch);
+        if probe.scratch != probe.candidates {
+            return false;
+        }
+        let same = |shot: &MemberShot, flags: u64, visit: &mut dyn FnMut(&mut StateVisitor<'_>)| {
+            let want = &probe.state[shot.state.0..shot.state.1];
+            if want[0] != flags {
+                return false;
+            }
+            let mut v = StateVisitor::compare(&want[1..]);
+            visit(&mut v);
+            v.matched()
+        };
+        probe.comps.touched().all(|(i, shot)| {
+            let e = &mut self.components[i];
+            same(shot, e.probe_flags(), &mut |v| e.component.visit_state(v))
+        }) && probe.seqs.touched().all(|(i, shot)| {
+            let s = &self.sequentials[i];
+            same(shot, s.probe_flags(), &mut |v| {
+                s.state.borrow_mut().visit_state(v)
+            })
+        })
+    }
+
+    /// Settles the catch-ups of the touched members on this boundary
+    /// and reads their counters, in touched order. Members outside the
+    /// set keep their stamps: what they are owed keeps growing with the
+    /// clock, through an advance as through stepped cycles.
+    fn touched_counters(&mut self, probe: &LoopProbe) -> Vec<u64> {
+        let cycles = self.clocks[probe.ci].cycles;
+        let (mut state, mut counters) = (Vec::new(), Vec::new());
+        for (i, _) in probe.comps.touched() {
+            let e = &mut self.components[i];
+            if e.asleep && e.blocked {
+                e.settle_skipped_ticks(cycles, &self.ticks_skipped_blocked);
+            }
+            e.component
+                .visit_state(&mut StateVisitor::record(&mut state, &mut counters));
+        }
+        for (i, _) in probe.seqs.touched() {
+            let s = &mut self.sequentials[i];
+            s.settle_skipped_commits(cycles);
+            s.state
+                .borrow_mut()
+                .visit_state(&mut StateVisitor::record(&mut state, &mut counters));
+        }
+        counters
+    }
+
+    /// Takes the probe in flight one boundary further.
+    fn judge_probe(&mut self, probe: &mut LoopProbe) -> ProbeVerdict {
+        if probe.spoiled {
+            return ProbeVerdict::Failed;
+        }
+        let cycle = self.clocks[probe.ci].cycles;
+        let Some(lap) = &probe.lap else {
+            if self.recurs(probe) {
+                probe.lap = Some(Lap {
+                    period: cycle - probe.start,
+                    touched: probe.touched(),
+                    counters: self.touched_counters(probe),
+                    kernel: self.kernel_counters(),
+                });
+                return ProbeVerdict::Pending;
+            }
+            return if cycle >= probe.deadline {
+                ProbeVerdict::Failed
+            } else {
+                ProbeVerdict::Pending
+            };
+        };
+        let period = lap.period;
+        if cycle < probe.start + 2 * period {
+            return ProbeVerdict::Pending;
+        }
+        // The second period must repeat the first in every respect the
+        // probe can see: the same members touched, the same state at
+        // its end, and every counter grown by the same amount — which
+        // is what catches a statistic that is secretly state.
+        if probe.touched() != lap.touched || !self.recurs(probe) {
+            return ProbeVerdict::Failed;
+        }
+        let lap = probe.lap.take().expect("checked above");
+        // What the touched members' counters read when the probe
+        // opened, in touched order like the two later readings.
+        let first: Vec<u64> = (probe.comps.touched())
+            .chain(probe.seqs.touched())
+            .flat_map(|(_, shot)| &probe.counters[shot.counters.0..shot.counters.1])
+            .copied()
+            .collect();
+        let third = self.touched_counters(probe);
+        let deltas = |a: &[u64], b: &[u64], c: &[u64]| -> Option<Vec<u64>> {
+            if a.len() != b.len() || b.len() != c.len() {
+                return None;
+            }
+            a.iter()
+                .zip(b)
+                .zip(c)
+                .map(|((a, b), c)| {
+                    let d = b.checked_sub(*a)?;
+                    (c.checked_sub(*b)? == d).then_some(d)
+                })
+                .collect()
+        };
+        let kernel = deltas(&probe.kernel, &lap.kernel, &self.kernel_counters());
+        match (kernel, deltas(&first, &lap.counters, &third)) {
+            (Some(k), Some(c)) => {
+                ProbeVerdict::Proved(period, k.try_into().expect("five in, five out"), c)
+            }
+            _ => ProbeVerdict::Failed,
+        }
+    }
+
+    /// Advances the run by as many whole periods of the proved loop as
+    /// fit into `room` cycles with one period to spare — the clock, the
+    /// watchdog, the scheduler counters, every counter of the touched
+    /// members and the kernel's absolute stamps of them — exactly as if
+    /// each cycle had been stepped.
+    fn skip_periods(
+        &mut self,
+        probe: &LoopProbe,
+        period: u64,
+        room: u64,
+        kernel: &KernelCounters,
+        counters: &[u64],
+        wd: &mut WatchdogState,
+    ) {
+        let clk = &mut self.clocks[probe.ci];
+        // Time is checked: an advance that would run off the end of
+        // the picosecond counter is cut short, and the stepped cycles
+        // that follow report the overflow as they always did.
+        let edges_left = (u64::MAX - clk.next_edge.0) / clk.spec.period.0;
+        let k = (room.min(edges_left) / period).saturating_sub(1);
+        if k == 0 {
+            return;
+        }
+        let n = k * period;
+        self.last_loop = Some(ProvedLoop {
+            period,
+            proved_at: clk.cycles,
+        });
+        // `n` more edges: the last of them at the old next edge plus
+        // `n - 1` periods, the next one a period after that.
+        self.now = Picoseconds(clk.next_edge.0 + (n - 1) * clk.spec.period.0);
+        clk.next_edge = Picoseconds(clk.next_edge.0 + n * clk.spec.period.0);
+        clk.cycles += n;
+        wd.idle += n;
+        wd.last_cycle += n;
+        let [instants, delivered, skipped, commits, blocked] = kernel.map(|d| k * d);
+        self.instants += instants;
+        self.ticks_delivered += delivered;
+        self.ticks_skipped += skipped;
+        self.commits_skipped += commits;
+        self.ticks_skipped_blocked
+            .set(self.ticks_skipped_blocked.get() + blocked);
+        let mut rest = counters;
+        let mut advance = |shot: &MemberShot, visit: &mut dyn FnMut(&mut StateVisitor<'_>)| {
+            let (mine, others) = rest.split_at(shot.counters.1 - shot.counters.0);
+            rest = others;
+            visit(&mut StateVisitor::advance(mine, k));
+        };
+        for (i, shot) in probe.comps.touched() {
+            let e = &mut self.components[i];
+            e.asleep_from += n;
+            advance(shot, &mut |v| e.component.visit_state(v));
+        }
+        for (i, shot) in probe.seqs.touched() {
+            let s = &mut self.sequentials[i];
+            s.seen += n;
+            advance(shot, &mut |v| s.state.borrow_mut().visit_state(v));
+        }
+        self.loop_skips.set(self.loop_skips.get() + 1);
+        self.cycles_skipped.set(self.cycles_skipped.get() + n);
     }
 
     /// Snapshots every registered component and sequential for a
@@ -2737,5 +3354,462 @@ mod tests {
         sim.run_cycles(clk, 4);
         assert_eq!(hits.get(), 12);
         assert!(sim.tick_profile().iter().all(|r| r.ticks == 8));
+    }
+
+    // --- The loop probe, on a ring whose period the kernel must find ---
+
+    /// One register of the ring: a tag staged by the stage upstream,
+    /// visible after commit, cleared by the stage that takes it.
+    #[derive(Default)]
+    struct RingLatch {
+        value: Option<u8>,
+        staged: Option<u8>,
+        take: bool,
+        commits: u64,
+        clean_cycles: u64,
+    }
+
+    impl Sequential for RingLatch {
+        fn commit(&mut self) {
+            if std::mem::take(&mut self.take) {
+                self.value = None;
+            }
+            if let Some(tag) = self.staged.take() {
+                self.value = Some(tag);
+            }
+            self.commits += 1;
+        }
+        fn commit_skipped(&mut self, skipped: u64) {
+            self.clean_cycles += skipped;
+        }
+        fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+            for slot in [self.value, self.staged] {
+                v.state(slot.map_or(u64::MAX, u64::from));
+            }
+            v.state(u64::from(self.take));
+            v.counter(&mut self.commits);
+            v.counter(&mut self.clean_cycles);
+        }
+    }
+
+    /// `(passes, waits, idles)` of one ring stage.
+    type StageCounts = Rc<Cell<[u64; 3]>>;
+
+    /// How a ring stage departs from the plain one.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Quirk {
+        None,
+        /// Keeps the default `visit_state`.
+        Opaque,
+        /// Re-requests its clock's nominal period on every pass.
+        ClockRequest,
+        /// Sets the watchdog's progress token on every pass.
+        Progress,
+        /// Counts its passes up to a cap and presents the count as a
+        /// counter although it stops growing.
+        Saturating(u64),
+    }
+
+    /// One stage of the ring: takes the tag from its input latch, holds
+    /// it for `hold` cycles, passes it on. It sleeps blocked while it
+    /// has nothing in hand; the stage upstream wakes it.
+    struct RingStage {
+        name: &'static str,
+        input: Rc<RefCell<RingLatch>>,
+        input_dirty: ActivityToken,
+        output: Rc<RefCell<RingLatch>>,
+        output_dirty: ActivityToken,
+        wake_next: ActivityToken,
+        hold: u64,
+        /// Increments the tag (a wrapping `u8`) as it passes.
+        bump: bool,
+        holding: Option<(u8, u64)>,
+        counts: StageCounts,
+        quirk: Quirk,
+        progress: ActivityToken,
+        saturated: Rc<Cell<u64>>,
+    }
+
+    impl RingStage {
+        fn count(&self, which: usize, n: u64) {
+            let mut c = self.counts.get();
+            c[which] += n;
+            self.counts.set(c);
+        }
+    }
+
+    impl Component for RingStage {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            if self.holding.is_none() {
+                let mut input = self.input.borrow_mut();
+                if let (Some(tag), false) = (input.value, input.take) {
+                    input.take = true;
+                    self.input_dirty.set();
+                    self.holding = Some((tag, self.hold));
+                }
+            }
+            match &mut self.holding {
+                Some((tag, 0)) => {
+                    let tag = if self.bump { tag.wrapping_add(1) } else { *tag };
+                    self.output.borrow_mut().staged = Some(tag);
+                    self.output_dirty.set();
+                    self.wake_next.set();
+                    self.holding = None;
+                    self.count(0, 1);
+                    match self.quirk {
+                        Quirk::ClockRequest => {
+                            let clock = ctx.clock();
+                            ctx.set_nominal_period(clock, Picoseconds(100));
+                        }
+                        Quirk::Progress => self.progress.set(),
+                        Quirk::Saturating(cap) => {
+                            self.saturated.set((self.saturated.get() + 1).min(cap));
+                        }
+                        Quirk::None | Quirk::Opaque => {}
+                    }
+                }
+                Some((_, left)) => {
+                    *left -= 1;
+                    self.count(1, 1);
+                }
+                None => self.count(2, 1),
+            }
+        }
+        fn can_sleep(&self) -> Sleep {
+            let input = self.input.borrow();
+            Sleep::blocked_if(
+                self.holding.is_none()
+                    && input.staged.is_none()
+                    && (input.value.is_none() || input.take),
+            )
+        }
+        fn ticks_skipped(&mut self, n: u64) {
+            self.count(2, n);
+        }
+        fn wait_reason(&self) -> Option<String> {
+            Some(format!("holding {:?}", self.holding))
+        }
+        fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+            if self.quirk == Quirk::Opaque {
+                return v.opaque();
+            }
+            match self.holding {
+                Some((tag, left)) => {
+                    v.state(u64::from(tag));
+                    v.state(left);
+                }
+                None => v.state(u64::MAX),
+            }
+            let mut counts = self.counts.get();
+            for c in &mut counts {
+                v.counter(c);
+            }
+            self.counts.set(counts);
+            let mut saturated = self.saturated.get();
+            v.counter(&mut saturated);
+            self.saturated.set(saturated);
+        }
+    }
+
+    /// Never touched by the ring: the probe visits it exactly once per
+    /// attempt, when it opens.
+    struct Bystander {
+        shots: Rc<Cell<u64>>,
+    }
+
+    impl Sequential for Bystander {
+        fn commit(&mut self) {}
+        fn visit_state(&mut self, _v: &mut StateVisitor<'_>) {
+            self.shots.set(self.shots.get() + 1);
+        }
+    }
+
+    struct Ring {
+        sim: Simulator,
+        clk: ClockId,
+        counts: Vec<StageCounts>,
+        latches: Vec<Rc<RefCell<RingLatch>>>,
+        saturated: Rc<Cell<u64>>,
+        /// Probe attempts opened so far.
+        attempts: Rc<Cell<u64>>,
+    }
+
+    /// Three stages holding the tag for 2, 0 and 0 cycles: it goes
+    /// round in 5, and comes back *equal* after 256 laps = 1 280
+    /// cycles. `quirk` applies to the middle stage.
+    fn ring(quirk: Quirk) -> Ring {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock(ClockSpec::new("ring", Picoseconds(100)));
+        let latches: Vec<_> = (0..3)
+            .map(|_| Rc::new(RefCell::new(RingLatch::default())))
+            .collect();
+        let dirty: Vec<_> = (0..3).map(|_| ActivityToken::new()).collect();
+        let wakes: Vec<_> = (0..3).map(|_| ActivityToken::new()).collect();
+        let counts: Vec<StageCounts> = (0..3).map(|_| StageCounts::default()).collect();
+        let saturated = Rc::new(Cell::new(0));
+        latches[0].borrow_mut().value = Some(0);
+        for i in 0..3 {
+            let next = (i + 1) % 3;
+            let id = sim.add_component(
+                clk,
+                RingStage {
+                    name: ["a", "b", "c"][i],
+                    input: Rc::clone(&latches[i]),
+                    input_dirty: dirty[i].clone(),
+                    output: Rc::clone(&latches[next]),
+                    output_dirty: dirty[next].clone(),
+                    wake_next: wakes[next].clone(),
+                    hold: [2, 0, 0][i],
+                    bump: i == 0,
+                    holding: None,
+                    counts: Rc::clone(&counts[i]),
+                    quirk: if i == 1 { quirk } else { Quirk::None },
+                    progress: sim.progress_token(),
+                    saturated: Rc::clone(&saturated),
+                },
+            );
+            sim.set_wake_token(id, wakes[i].clone());
+        }
+        for (latch, dirty) in latches.iter().zip(&dirty) {
+            sim.add_sequential_gated(clk, latch.clone(), dirty.clone());
+        }
+        let attempts = Rc::new(Cell::new(0));
+        sim.add_sequential_gated(
+            clk,
+            Rc::new(RefCell::new(Bystander {
+                shots: Rc::clone(&attempts),
+            })),
+            ActivityToken::new(),
+        );
+        Ring {
+            sim,
+            clk,
+            counts,
+            latches,
+            saturated,
+            attempts,
+        }
+    }
+
+    /// Everything a run of the ring leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct RingEnd {
+        cycles: u64,
+        now: Picoseconds,
+        digest: KernelDigest,
+        blocked: u64,
+        stages: Vec<[u64; 3]>,
+        latches: Vec<(Option<u8>, u64, u64)>,
+        saturated: u64,
+        hang: String,
+    }
+
+    impl Ring {
+        fn end(&self, hang: &HangReport) -> RingEnd {
+            RingEnd {
+                cycles: self.sim.cycles(self.clk),
+                now: self.sim.now(),
+                digest: self.sim.kernel_digest(),
+                blocked: self.sim.ticks_skipped_blocked(),
+                stages: self.counts.iter().map(|c| c.get()).collect(),
+                latches: self
+                    .latches
+                    .iter()
+                    .map(|l| {
+                        let l = l.borrow();
+                        (l.value, l.commits, l.clean_cycles)
+                    })
+                    .collect(),
+                saturated: self.saturated.get(),
+                hang: format!("{hang:#?}"),
+            }
+        }
+
+        /// Supervised to the trip, in calls of at most `segment`
+        /// cycles carrying one watchdog state.
+        fn run_to_trip(&mut self, limit: u64, segments: &[u64]) -> RingEnd {
+            let mut wd = WatchdogState::default();
+            let mut segments = segments.iter().copied().chain(std::iter::repeat(u64::MAX));
+            loop {
+                let budget = segments.next().expect("repeats forever");
+                match self
+                    .sim
+                    .run_until_checked_with(self.clk, budget, limit, &mut wd, || false)
+                {
+                    Ok(false) => {}
+                    Err(SimError::Hang { cycle, report, .. }) => {
+                        assert_eq!(cycle, self.sim.cycles(self.clk));
+                        return self.end(&report);
+                    }
+                    other => panic!("the ring neither ends nor faults: {other:?}"),
+                }
+            }
+        }
+
+        /// Stepped, unsupervised, to `cycles`, and diagnosed there.
+        fn step_to(&mut self, cycles: u64, idle: u64) -> RingEnd {
+            assert!(!self.sim.run_until(self.clk, cycles, || false));
+            let report = self.sim.diagnose_hang(idle);
+            self.end(&report)
+        }
+    }
+
+    const RING_LIMIT: u64 = 20_000;
+
+    /// The ring's state first repeats after 1 280 cycles, not 5: the
+    /// probe finds that, confirms it over a second period, advances,
+    /// and the run trips where — and as — the stepped run does.
+    #[test]
+    fn a_proved_loop_is_skipped_and_trips_on_the_stepped_cycle() {
+        let mut skipped = ring(Quirk::None);
+        let got = skipped.run_to_trip(RING_LIMIT, &[]);
+        assert_eq!(got.cycles, RING_LIMIT, "nothing in the ring is progress");
+        assert_eq!(got, ring(Quirk::None).step_to(RING_LIMIT, RING_LIMIT));
+
+        let sim = &skipped.sim;
+        // Opened at idle 1 024, recurred at 2 304, confirmed at 3 584;
+        // 12 whole periods fit before the deadline, one is stepped.
+        assert_eq!(
+            sim.last_loop(),
+            Some(ProvedLoop {
+                period: 1_280,
+                proved_at: 3_584,
+            })
+        );
+        assert_eq!(sim.loop_skips(), 1);
+        assert_eq!(sim.cycles_skipped(), 11 * 1_280);
+        assert_eq!(skipped.attempts.get(), 1);
+        assert_eq!(sim.instants(), RING_LIMIT, "skipped instants are counted");
+    }
+
+    /// Whatever keeps the probe from a proof, the run is the stepped
+    /// one: an opaque member in the loop, a clock request in the loop,
+    /// progress once a lap, a second running clock, tick profiling.
+    #[test]
+    fn a_loop_that_cannot_be_proved_is_stepped() {
+        type Setup = fn(&mut Ring);
+        let cases: [(&str, Quirk, Setup); 5] = [
+            ("opaque member", Quirk::Opaque, |_| {}),
+            ("clock request", Quirk::ClockRequest, |_| {}),
+            ("progress", Quirk::Progress, |_| {}),
+            ("second clock", Quirk::None, |r| {
+                r.sim.add_clock(ClockSpec::new("other", Picoseconds(700)));
+            }),
+            ("profiling", Quirk::None, |r| r.sim.set_tick_profiling(true)),
+        ];
+        for (what, quirk, setup) in cases {
+            let mut supervised = ring(quirk);
+            setup(&mut supervised);
+            let mut stepped = ring(quirk);
+            setup(&mut stepped);
+            if quirk == Quirk::Progress {
+                // Never idle for more than a lap: no hang, no probe.
+                let mut wd = WatchdogState::default();
+                let res = supervised.sim.run_until_checked_with(
+                    supervised.clk,
+                    RING_LIMIT,
+                    1_500,
+                    &mut wd,
+                    || false,
+                );
+                assert!(matches!(res, Ok(false)), "{what}: {res:?}");
+                assert_eq!(supervised.attempts.get(), 0, "{what}");
+                assert_eq!(
+                    supervised.sim.instants(),
+                    stepped.step_to(RING_LIMIT, 0).digest.instants
+                );
+                continue;
+            }
+            let got = supervised.run_to_trip(RING_LIMIT, &[]);
+            assert_eq!(got, stepped.step_to(RING_LIMIT, RING_LIMIT), "{what}");
+            assert_eq!(supervised.sim.loop_skips(), 0, "{what}");
+            assert_eq!(supervised.sim.cycles_skipped(), 0, "{what}");
+        }
+    }
+
+    /// The call's cycle limit may fall anywhere: inside the first
+    /// period of a probe, between its recurrence and its confirmation,
+    /// one cycle before and exactly where an advance fits. A probe dies with its call; the next
+    /// call starts over, and the trip is the stepped one every time.
+    #[test]
+    fn a_cycle_limit_may_fall_anywhere_in_a_probe() {
+        let want = ring(Quirk::None).step_to(RING_LIMIT, RING_LIMIT);
+        // The first call proves the loop at cycle 3 584 and advances
+        // only over periods that leave one more before its limit.
+        let proved = 3_584;
+        let cases: [(&str, &[u64], u64); 5] = [
+            ("mid-period", &[1_700], 1),
+            ("mid-probe", &[3_000], 1),
+            ("a cycle short of a skip", &[proved + 2 * 1_280 - 1], 1),
+            ("a period after a skip", &[proved + 2 * 1_280], 2),
+            ("every 300 cycles", &[300; 80], 0),
+        ];
+        for (what, segments, skips) in cases {
+            let mut r = ring(Quirk::None);
+            assert_eq!(r.run_to_trip(RING_LIMIT, segments), want, "{what}");
+            assert_eq!(r.sim.loop_skips(), skips, "{what}");
+        }
+        // The fourth case, by hand: where its first call stops.
+        let mut r = ring(Quirk::None);
+        let mut wd = WatchdogState::default();
+        let budget = proved + 2 * 1_280;
+        let res = r
+            .sim
+            .run_until_checked_with(r.clk, budget, RING_LIMIT, &mut wd, || false);
+        assert!(matches!(res, Ok(false)));
+        assert_eq!(r.sim.cycles(r.clk), budget);
+        assert_eq!(r.sim.cycles_skipped(), 1_280);
+        assert_eq!(wd.idle, budget);
+    }
+
+    /// A statistic that stops growing is state. Presented as a counter
+    /// it slips through the state comparison, and the second period's
+    /// increments give it away: the cap is reached between the first
+    /// probe's recurrence (2 304) and its confirmation (3 584).
+    #[test]
+    fn a_counter_that_is_secretly_state_fails_the_second_period() {
+        let quirk = Quirk::Saturating(500);
+        let mut r = ring(quirk);
+        let got = r.run_to_trip(RING_LIMIT, &[]);
+        assert_eq!(got, ring(quirk).step_to(RING_LIMIT, RING_LIMIT));
+        assert_eq!(got.saturated, 500);
+        // The second attempt, opened after the cap, proves a loop in
+        // which the count no longer moves.
+        assert_eq!(r.attempts.get(), 2);
+        let proved = r.sim.last_loop().expect("the second attempt proves it");
+        assert_eq!(proved.period, 1_280);
+        assert!(proved.proved_at > 3_584 + 2 * 1_280 - 1, "{proved:?}");
+    }
+
+    /// A run whose state never repeats pays for O(log idle) attempts.
+    #[test]
+    fn a_run_that_never_loops_makes_logarithmically_many_attempts() {
+        struct Odometer {
+            n: u64,
+        }
+        impl Component for Odometer {
+            fn name(&self) -> &str {
+                "odometer"
+            }
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
+                self.n += 1;
+            }
+            fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+                v.state(self.n);
+            }
+        }
+        let mut r = ring(Quirk::None);
+        r.sim.add_component(r.clk, Odometer { n: 0 });
+        let limit = 200_000;
+        let got = r.run_to_trip(limit, &[]);
+        assert_eq!(got.cycles, limit);
+        assert_eq!(r.sim.loop_skips(), 0);
+        // Opened at idle 1 024, 5 121, 13 314, 29 699, 62 468 and
+        // 128 005: each attempt looks four thresholds far, each failure
+        // doubles the threshold.
+        assert_eq!(r.attempts.get(), 6);
     }
 }

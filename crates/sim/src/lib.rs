@@ -65,9 +65,9 @@ pub use checkpoint::{
     CheckpointError, Checkpointable, KernelDigest, StateReader, StateWriter, WatchdogState,
 };
 pub use clock::{ClockId, ClockSpec};
-pub use component::{Component, Sequential, Sleep, TickCtx};
+pub use component::{Component, Sequential, Sleep, StateVisitor, TickCtx};
 pub use error::{CompDiag, HangReport, SeqDiag, SimError};
-pub use kernel::{ComponentId, Simulator};
+pub use kernel::{ComponentId, ProvedLoop, Simulator};
 pub use par::{par_map, par_map_with_workers};
 pub use parallel::{
     publish_hang_idle, run_parallel, EpochOutcome, EpochSync, EpochVerdict, EpochWorker,

@@ -51,12 +51,17 @@
 //! longest replay (a hung lane) being the floor. When every lane
 //! fires the batch is a `par_map` over solo runs plus one golden pass.
 //!
-//! A hung lane's replay is still the longest — it runs until the
-//! watchdog has counted its whole idle limit — but the wait is cheap:
-//! the routers and PE parked on the wedged wormhole sleep *blocked*
-//! ([`craft_sim::Sleep::Blocked`]) and only the controller's AXI
-//! poll loop keeps ticking, so a replay's idle tail costs the kernel's
-//! per-instant overhead and little else.
+//! A hung lane's replay is no longer the long one. The routers and PE
+//! parked on the wedged wormhole sleep *blocked*
+//! ([`craft_sim::Sleep::Blocked`]), only the controller's AXI poll loop
+//! keeps ticking, and that loop repeats: the supervised kernel loop
+//! proves its period (2 048 cycles) over the first few thousand idle
+//! cycles and advances to the watchdog's deadline arithmetically
+//! ([`craft_sim::Simulator::run_until_checked`]), so a replay steps
+//! about a twelfth of its idle limit and ends — trip cycle, diagnosis,
+//! every counter — as if it had stepped all of it. What
+//! `soc.batch.replayed_cycles_per_useful_cycle` counts is simulated
+//! cycles, so a hung tail still weighs its whole idle limit there.
 //!
 //! As a [`SimEngine`] the batch *is* its golden [`Soc`]: it shares the
 //! golden run's [`RunCore`] (one [`Recipe`] behind an `Arc`, which each

@@ -17,7 +17,7 @@
 
 use craft_matchlib::axi::{AxiMasterHandle, AxiOp, AxiResult};
 use craft_riscv::{AccessSize, Bus, Cpu, FlatMemory, StepOutcome};
-use craft_sim::{Component, Sleep, TickCtx};
+use craft_sim::{Component, Sleep, StateVisitor, TickCtx};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -159,6 +159,33 @@ impl Component for Controller {
 
     fn ticks_skipped(&mut self, n: u64) {
         self.status.borrow_mut().axi_stall_cycles += n;
+    }
+
+    /// The hart (registers and PC; `instret` only counts), the RAM by
+    /// its write generation, the AXI wait state and `halted` are
+    /// state; the rest of [`CtrlStatus`] counts. The AXI handle's
+    /// queues are the master's to present.
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        v.state(u64::from(self.cpu.pc));
+        for r in 1..32 {
+            v.state(u64::from(self.cpu.reg(r)));
+        }
+        v.counter(&mut self.cpu.instret);
+        v.state(self.ram.write_generation());
+        match self.axi_state {
+            AxiState::Idle => v.state(0),
+            AxiState::AwaitRead { word_addr } => {
+                v.state(1);
+                v.state(word_addr);
+            }
+            AxiState::AwaitWriteAck => v.state(2),
+        }
+        v.state(u64::from(self.stalled));
+        let mut status = self.status.borrow_mut();
+        v.state(u64::from(status.halted));
+        v.counter(&mut status.instret);
+        v.counter(&mut status.axi_stall_cycles);
+        v.counter(&mut status.axi_ops);
     }
 
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {

@@ -1116,6 +1116,53 @@ mod tests {
         }
     }
 
+    /// A snapshot taken *after* the supervised loop proved the hang
+    /// periodic and advanced over most of a 30 000-cycle segment
+    /// restores by stepping every one of those cycles: `revive` checks
+    /// the replay's [`KernelDigest`] and [`ArchDigest`] against the
+    /// capture's, so it is the oracle for what the advance left behind.
+    /// The revived run then ends in the uninterrupted run's diagnosis.
+    #[test]
+    fn a_snapshot_taken_after_a_loop_skip_restores_by_stepped_replay() {
+        let wl = vec_mul();
+        let cfg = SocConfig {
+            checkpoint_every: Some(30_000),
+            ..SocConfig::default()
+        };
+        let build = || {
+            let mut soc = Soc::build(
+                cfg,
+                &orchestrator_program(),
+                &table_words(&wl.entries),
+                &wl.gmem_init,
+            );
+            soc.inject_fault(HOT_LINK, FaultConfig::bit_flip(3e-3), 800)
+                .expect("the hot link exists");
+            soc
+        };
+        let mut base = build();
+        let base_res = base.run_checked(4_000_000, 100_000);
+        assert!(matches!(
+            base_res,
+            Err(SimError::Hang { cycle: 100_742, .. })
+        ));
+        let base_out = observe(&base, &base_res);
+
+        let mut eng = build();
+        eng.begin(4_000_000, 100_000);
+        assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
+        let sim = eng.sim();
+        assert_eq!(sim.instants(), 30_000);
+        assert_eq!(sim.loop_skips(), 1, "the segment was not stepped through");
+        assert!(sim.cycles_skipped() >= 20_000, "{}", sim.cycles_skipped());
+
+        let mut revived = Soc::restore(&eng.checkpoint()).expect("the stepped replay verifies");
+        assert_eq!(revived.sim().cycles_skipped(), 0, "replay steps");
+        assert_eq!(revived.sim().kernel_digest(), eng.sim().kernel_digest());
+        let res = revived.run_to_end();
+        assert_eq!(observe(&revived, &res), base_out);
+    }
+
     /// A `soc` snapshot restores under `parallel:2` and back: the
     /// architectural digest is portable, the kernel digest is skipped.
     #[test]

@@ -17,7 +17,7 @@ use craft_connections::{In, Out};
 use craft_matchlib::axi::{AxiAddrCmd, AxiReadBeat, AxiSlavePorts, AxiWriteResp};
 use craft_matchlib::router::NocFlit;
 use craft_matchlib::Scratchpad;
-use craft_sim::{ActivityToken, Component, Sleep, Telemetry, TickCtx};
+use craft_sim::{ActivityToken, Component, Sleep, StateVisitor, Telemetry, TickCtx};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -551,6 +551,10 @@ pub struct HubAxiSlave {
     rstate: AxiReadEngine,
     /// The last tick moved no beat.
     idle_tick: bool,
+    /// Words this adapter has written into global memory: the
+    /// generation that stands for its share of the contents wherever
+    /// state is compared.
+    gmem_writes: u64,
 }
 
 impl HubAxiSlave {
@@ -563,16 +567,18 @@ impl HubAxiSlave {
             wstate: AxiWriteEngine::Idle,
             rstate: AxiReadEngine::Idle,
             idle_tick: false,
+            gmem_writes: 0,
         }
     }
 
-    fn write_word(&self, addr: u64, value: u32) -> bool {
+    fn write_word(&mut self, addr: u64, value: u32) -> bool {
         let mut st = self.state.borrow_mut();
         if addr >= CTRL_PAGE {
             st.ctrl_write(addr - CTRL_PAGE, value);
             true
         } else if (addr as usize) < st.gmem.capacity() {
             st.gmem.write(addr as usize, u64::from(value));
+            self.gmem_writes += 1;
             true
         } else {
             false
@@ -679,5 +685,46 @@ impl Component for HubAxiSlave {
             }
         };
         self.idle_tick = !moved;
+    }
+
+    /// The two engines, and of the shared [`HubState`] what this
+    /// adapter's tick can write: the staged command registers, the
+    /// doorbell it commits them to (by length — an entry it adds wakes
+    /// the hub, which presents nothing), `issued`, and global memory by
+    /// the count of words written through here. What it only reads
+    /// (`done_count`) is the hub's.
+    fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
+        match &self.wstate {
+            AxiWriteEngine::Idle => v.state(0),
+            AxiWriteEngine::Data { cmd, beat } => {
+                v.state(1);
+                cmd.visit(v);
+                v.state(*beat);
+            }
+            AxiWriteEngine::Resp { id, okay } => {
+                v.state(2);
+                v.state(u64::from(*id));
+                v.state(u64::from(*okay));
+            }
+        }
+        match &self.rstate {
+            AxiReadEngine::Idle => v.state(0),
+            AxiReadEngine::Data { cmd, beat } => {
+                v.state(1);
+                cmd.visit(v);
+                v.state(*beat);
+            }
+        }
+        v.state(u64::from(self.idle_tick));
+        v.state(self.gmem_writes);
+        {
+            let st = self.state.borrow();
+            v.state(u64::from(st.stage_target));
+            v.state(u64::from(st.stage_lo));
+            v.state(u64::from(st.stage_hi));
+            v.state(st.doorbell.len() as u64);
+            v.state(st.issued);
+        }
+        self.ports.visit_counters(v);
     }
 }

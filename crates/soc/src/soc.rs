@@ -1252,6 +1252,11 @@ impl Soc {
             // (blocked on their ports); exact at run boundaries.
             let blocked = sim.ticks_skipped_blocked_handle();
             tel.probe("sim.kernel.ticks_skipped_blocked", move || blocked.get());
+            // Hangs a supervised run proved periodic, and the cycles it
+            // advanced over instead of stepping them.
+            let (loops, cycles) = sim.loop_skip_handles();
+            tel.probe("sim.kernel.loop_skips", move || loops.get());
+            tel.probe("sim.kernel.cycles_skipped", move || cycles.get());
             // Checkpoint counters: captures taken, last framed size,
             // last capture latency. Observation-only by construction —
             // probes are lazily polled and capture never mutates sim

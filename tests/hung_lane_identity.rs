@@ -33,8 +33,11 @@
 //! second test counts the ticks the gated kernel delivers over the
 //! watchdog's idle tail and bounds them by the AXI plane's share (the
 //! controller polls `DONE_COUNT` forever; the wedged NoC must cost
-//! nothing). Counts are deterministic, so the guard cannot flake the
-//! way a timing gate would.
+//! nothing). The third bounds what is left of the tail itself: the
+//! poll loop repeats every 2 048 cycles, the supervised run proves
+//! that and advances to the deadline, and the instants it actually
+//! steps are counted. Counts are deterministic, so neither guard can
+//! flake the way a timing gate would.
 
 use craftflow::connections::{FaultConfig, FaultStats};
 use craftflow::sim::{HangReport, SimError};
@@ -50,6 +53,11 @@ const MAX_CYCLES: u64 = 4_000_000;
 const NO_PROGRESS: u64 = 100_000;
 /// Controller, AXI master, bus, staging slave, hub AXI slave.
 const AXI_PLANE_COMPONENTS: u64 = 5;
+/// Instants a hung lane may really step: the ≈ 750 cycles to the
+/// wedge, 1 024 idle ones before the probe opens, two periods of 2 048
+/// to prove the loop, and less than two more to the trip — 9 916 at
+/// most, with headroom.
+const STEPPED_INSTANTS: u64 = 12_000;
 
 #[derive(Debug, Clone, Copy)]
 enum Mode {
@@ -338,6 +346,29 @@ fn a_wedged_noc_costs_no_ticks_over_the_watchdog_tail() {
             tail <= AXI_PLANE_COMPONENTS * NO_PROGRESS,
             "seed {seed} {mode:?}: {tail} ticks over the idle tail, more than the AXI \
              plane's {AXI_PLANE_COMPONENTS} a cycle"
+        );
+    }
+}
+
+/// The watchdog's 100 000 idle cycles are not stepped: every lane is
+/// proved periodic once and advanced. A change that stops the AXI
+/// plane's state from recurring — a new field presented as state that
+/// never repeats, a component that turns opaque — fails a count here,
+/// not a timing somewhere else.
+#[test]
+fn a_hung_lane_steps_a_fraction_of_its_watchdog_tail() {
+    for (seed, mode, trip, _, _) in CASES {
+        let (ending, soc) = run_to_hang(spelling(true), seed, mode);
+        assert_eq!(ending.trip_cycle, trip);
+        let sim = soc.sim();
+        assert!(
+            sim.loop_skips() >= 1,
+            "seed {seed} {mode:?}: the hang was not proved periodic"
+        );
+        let stepped = sim.instants() - sim.cycles_skipped();
+        assert!(
+            stepped <= STEPPED_INSTANTS,
+            "seed {seed} {mode:?}: {stepped} instants stepped of {trip}"
         );
     }
 }
