@@ -19,7 +19,6 @@
 
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::lanebank::FaultLaneBank;
-use crate::mailbox::{RemoteRxEnd, RemoteTxEnd, WireMsg};
 use crate::packet::Payload;
 use crate::stall::StallInjector;
 use craft_sim::{ActivityToken, SeqDiag, Sequential, StateVisitor, Telemetry};
@@ -153,47 +152,9 @@ impl<T> FaultState<T> {
     }
 }
 
-/// The half a channel plays when its producer and consumer live in
-/// different worker threads of a sharded parallel run.
-///
-/// The two halves are *structurally identical* channels in their
-/// respective workers (same name, kind, registration slot), linked by a
-/// mailbox pair. The transmit half keeps the producer-facing contract —
-/// backpressure from a mirrored occupancy count, the whole fault
-/// injector, occupancy statistics — while the receive half keeps the
-/// consumer-facing contract: the visible queue, pop bookkeeping and any
-/// stall injector. Statistic fields split disjointly between the
-/// halves, so summing both sides reproduces the sequential totals
-/// exactly.
-pub(crate) enum RemoteRole<T> {
-    /// Producer-side half: committed tokens go out on the wire; pop
-    /// acknowledgements come back and free occupancy.
-    Tx {
-        end: RemoteTxEnd<T>,
-        /// Mirror of the consumer-side committed occupancy, maintained
-        /// from sends minus acknowledgements. Exact because acks issued
-        /// during an instant's evaluate phase are absorbed in the same
-        /// instant's commit — the point where sequential occupancy
-        /// changes too.
-        occ: usize,
-        /// Last stuck-valid state shipped downstream (delta encoding).
-        sent_valid_stuck: bool,
-    },
-    /// Consumer-side half: tokens arrive from the wire into the local
-    /// queue during the pre-step drain; pops acknowledge upstream.
-    Rx {
-        end: RemoteRxEnd<T>,
-        /// Stuck-valid state mirrored from the transmit half.
-        valid_stuck: bool,
-    },
-}
-
 pub(crate) struct ChannelCore<T> {
     pub(crate) name: String,
     kind: ChannelKind,
-    /// `Some` when this core is one half of a split cross-worker
-    /// channel (see [`RemoteRole`]); `None` for ordinary local channels.
-    remote: Option<RemoteRole<T>>,
     queue: VecDeque<T>,
     /// At most one push staged per cycle.
     staged_push: Option<T>,
@@ -249,7 +210,6 @@ impl<T> ChannelCore<T> {
         ChannelCore {
             name,
             kind,
-            remote: None,
             queue: VecDeque::with_capacity(kind.capacity()),
             staged_push: None,
             pushed_this_cycle: false,
@@ -295,26 +255,14 @@ impl<T> ChannelCore<T> {
 
     /// Occupancy as committed at the last commit phase (pops this cycle
     /// do not free registered slots until commit).
-    ///
-    /// A transmit half answers from its occupancy mirror; a receive
-    /// half answers zero so the pair never double-counts (occupancy is
-    /// a producer-facing statistic and the transmit half owns it).
     fn committed_len(&self) -> usize {
-        match &self.remote {
-            Some(RemoteRole::Tx { occ, .. }) => *occ,
-            Some(RemoteRole::Rx { .. }) => 0,
-            None => self.queue.len() + usize::from(self.popped_committed),
-        }
+        self.queue.len() + usize::from(self.popped_committed)
     }
 
     /// The consumer-facing `valid` is forced deasserted (permanent
-    /// stuck-valid fault). On a receive half the state is mirrored from
-    /// the transmit half, which owns the fault injector.
+    /// stuck-valid fault).
     fn valid_stuck(&self) -> bool {
-        match &self.remote {
-            Some(RemoteRole::Rx { valid_stuck, .. }) => *valid_stuck,
-            _ => self.fault.as_ref().is_some_and(|f| f.valid_stuck),
-        }
+        self.fault.as_ref().is_some_and(|f| f.valid_stuck)
     }
 
     pub(crate) fn can_push(&self) -> bool {
@@ -404,12 +352,6 @@ impl<T> ChannelCore<T> {
             self.popped_this_cycle = true;
             self.popped_committed = true;
             self.stats.transfers += 1;
-            if let Some(RemoteRole::Rx { end, .. }) = &self.remote {
-                // Acknowledge upstream: the transmit half frees the
-                // slot at this instant's commit, exactly when a local
-                // channel's committed occupancy would drop.
-                end.acks.send(());
-            }
             if let Some(w) = &self.producer_wake {
                 w.set();
             }
@@ -530,171 +472,11 @@ impl<T> ChannelCore<T> {
         // A pending-drop fault may have consumed the staged token.
         self.sync_pending();
     }
-
-    /// Commit phase of a transmit half: absorb acknowledgements for
-    /// pops the consumer performed this instant, then ship the staged
-    /// token (applying drop/duplicate fault decisions with the same
-    /// admission arithmetic as a local commit), account occupancy, and
-    /// roll the fault injector's per-cycle state — shipping stuck-valid
-    /// transitions downstream as deltas.
-    fn commit_remote_tx(&mut self) {
-        self.popped_this_cycle = false;
-        self.popped_committed = false;
-        self.pushed_this_cycle = false;
-        let capacity = self.kind.capacity();
-        let ChannelCore {
-            name,
-            remote,
-            staged_push,
-            fault,
-            stats,
-            committed_occupancy,
-            producer_wake,
-            commit_dirty,
-            ..
-        } = self;
-        let Some(RemoteRole::Tx {
-            end,
-            occ,
-            sent_valid_stuck,
-        }) = remote
-        else {
-            unreachable!("commit_remote_tx on a non-tx core");
-        };
-        // Acks were sent during this instant's evaluate phase; each
-        // frees one committed slot now, when a local channel's pop
-        // would be reconciled too.
-        while end.acks.recv().is_some() {
-            debug_assert!(*occ > 0, "channel `{name}` over-acknowledged");
-            *occ = occ.saturating_sub(1);
-            if let Some(w) = &*producer_wake {
-                w.set();
-            }
-        }
-        if let Some(v) = staged_push.take() {
-            let dropped = match fault {
-                Some(f) if f.pending_drop => {
-                    f.pending_drop = false;
-                    f.pending_dup = false; // a lost token is not also duplicated
-                    f.injector.stats.drops += 1;
-                    true
-                }
-                _ => false,
-            };
-            if !dropped {
-                debug_assert!(*occ < capacity, "channel `{name}` overflow at commit");
-                let mut dup = None;
-                if let Some(f) = fault {
-                    if f.pending_dup {
-                        f.pending_dup = false;
-                        // Same admission rule as the local path: the
-                        // echo needs a free slot *after* the original
-                        // lands.
-                        if *occ + 1 < capacity {
-                            dup = Some((f.clone_fn)(&v));
-                            f.injector.stats.dups += 1;
-                        } else {
-                            f.injector.stats.dups_suppressed += 1;
-                        }
-                    }
-                }
-                end.data.send(WireMsg::Token(v));
-                *occ += 1;
-                if let Some(d) = dup {
-                    end.data.send(WireMsg::Token(d));
-                    *occ += 1;
-                }
-            }
-        }
-        stats.cycles += 1;
-        stats.occupancy_sum += *occ as u64;
-        *committed_occupancy = *occ as u64;
-        // Stall injectors belong on the receive half (they withhold the
-        // consumer-facing `valid`); the transmit half ignores `stall`
-        // entirely so the pair's RNG schedule matches a single local
-        // injector's.
-        if let Some(f) = fault {
-            let (valid_stuck, ready_stuck) = f.injector.on_cycle();
-            f.valid_stuck = valid_stuck;
-            f.ready_stuck = ready_stuck;
-        }
-        let vs = fault.as_ref().is_some_and(|f| f.valid_stuck);
-        if vs != *sent_valid_stuck {
-            *sent_valid_stuck = vs;
-            end.data.send(WireMsg::ValidStuck(vs));
-        }
-        if fault.is_some() {
-            commit_dirty.set();
-        }
-        self.sync_pending();
-    }
-
-    /// Commit phase of a receive half: reset the per-cycle pop flags
-    /// and roll any stall injector. Cycle and occupancy statistics are
-    /// owned by the transmit half; accounting them here too would
-    /// double-count when the pair's stats are merged.
-    fn commit_remote_rx(&mut self) {
-        self.popped_this_cycle = false;
-        self.popped_committed = false;
-        self.pushed_this_cycle = false;
-        self.stalled_now = match &mut self.stall {
-            Some(s) => s.roll(),
-            None => false,
-        };
-        if self.stalled_now {
-            self.stats.stall_cycles += 1;
-        }
-        if self.stall.is_some() {
-            self.commit_dirty.set();
-        }
-    }
-
-    /// Pre-step intake of a receive half: moves every wire message that
-    /// arrived since the last instant into the local queue. Runs before
-    /// the evaluate phase, so a token the transmit half committed at
-    /// instant `t` becomes poppable at `t + 1` — exactly the registered
-    /// (`Buffer`) latency of the unsplit channel. Returns the number of
-    /// data tokens absorbed. No-op (zero) on non-receive cores.
-    pub(crate) fn drain_remote(&mut self) -> u64 {
-        let ChannelCore {
-            remote,
-            queue,
-            consumer_wake,
-            ..
-        } = self;
-        let Some(RemoteRole::Rx { end, valid_stuck }) = remote else {
-            return 0;
-        };
-        let mut tokens = 0u64;
-        while let Some(msg) = end.data.recv() {
-            match msg {
-                WireMsg::Token(v) => {
-                    queue.push_back(v);
-                    // Wake a sleeping consumer; forward progress was
-                    // already counted at push time in the producer's
-                    // worker, so the progress token stays untouched.
-                    if let Some(w) = &*consumer_wake {
-                        w.set();
-                    }
-                    tokens += 1;
-                }
-                WireMsg::ValidStuck(b) => *valid_stuck = b,
-            }
-        }
-        if tokens > 0 {
-            self.pending.set(true);
-        }
-        tokens
-    }
 }
 
 impl<T> Sequential for ChannelCore<T> {
     fn commit(&mut self) {
-        match self.remote {
-            Some(RemoteRole::Tx { .. }) => self.commit_remote_tx(),
-            Some(RemoteRole::Rx { .. }) => self.commit_remote_rx(),
-            None => self.do_commit(),
-        }
+        self.do_commit();
     }
 
     fn commit_skipped(&mut self, skipped: u64) {
@@ -712,10 +494,9 @@ impl<T> Sequential for ChannelCore<T> {
     /// [`crate::In::visit_counters`]): they move on cycles in which the
     /// channel does not commit.
     ///
-    /// Opaque: a split half (its peer is in another kernel), a stall
-    /// injector (it rolls its RNG every cycle), a lane bank, a stuck
-    /// onset still ahead (see [`FaultInjector::on_cycle`]) and a held
-    /// token nobody said how to present
+    /// Opaque: a stall injector (it rolls its RNG every cycle), a lane
+    /// bank, a stuck onset still ahead (see [`FaultInjector::on_cycle`])
+    /// and a held token nobody said how to present
     /// ([`ChannelHandle::present_tokens`]).
     fn visit_state(&mut self, v: &mut StateVisitor<'_>) {
         let unreadable = self.token_words.is_none() && self.has_pending();
@@ -723,12 +504,7 @@ impl<T> Sequential for ChannelCore<T> {
             .fault
             .as_ref()
             .is_some_and(|f| f.injector.onset_ahead());
-        if self.remote.is_some()
-            || self.stall.is_some()
-            || self.lane_bank.is_some()
-            || unreadable
-            || onset_ahead
-        {
+        if self.stall.is_some() || self.lane_bank.is_some() || unreadable || onset_ahead {
             return v.opaque();
         }
         v.state(self.queue.len() as u64);
@@ -761,12 +537,6 @@ impl<T> Sequential for ChannelCore<T> {
     }
 
     fn diagnose(&self) -> Option<SeqDiag> {
-        // Of a split pair, only the transmit half reports — it holds
-        // the occupancy mirror and the fault injector — so a merged
-        // hang report lists each channel once, like a sequential run.
-        if let Some(RemoteRole::Rx { .. }) = &self.remote {
-            return None;
-        }
         let mut note = self.kind.to_string();
         if self.stalled_now {
             note.push_str(", stalled");
@@ -782,14 +552,6 @@ impl<T> Sequential for ChannelCore<T> {
             if f.ready_stuck {
                 note.push_str(", ready stuck");
             }
-        }
-        if let Some(RemoteRole::Tx { occ, .. }) = &self.remote {
-            return Some(SeqDiag {
-                name: self.name.clone(),
-                occupancy: *occ,
-                pending: self.staged_push.is_some() || *occ > 0,
-                note,
-            });
         }
         Some(SeqDiag {
             name: self.name.clone(),
@@ -883,19 +645,12 @@ impl<T: 'static> ChannelHandle<T> {
     /// at pushes and token-landing commits, which are never elided).
     ///
     /// # Panics
-    /// Panics if this channel has a fault injector armed or is one
-    /// half of a split cross-worker pair (split commit paths do not
-    /// run the bank hooks).
+    /// Panics if this channel has a fault injector armed.
     pub fn attach_lane_bank(&self, bank: FaultLaneBank) {
         let mut core = self.core.borrow_mut();
         assert!(
             core.fault.is_none(),
             "lane bank requires a fault-free golden channel `{}`",
-            core.name
-        );
-        assert!(
-            core.remote.is_none(),
-            "lane bank is not supported on split channel `{}`",
             core.name
         );
         core.lane_bank = Some(bank);
@@ -928,71 +683,6 @@ impl<T: 'static> ChannelHandle<T> {
     /// real hangs.
     pub fn set_progress_token(&self, token: ActivityToken) {
         self.core.borrow_mut().progress = Some(token);
-    }
-
-    /// Turns this channel into the *transmit half* of a cross-worker
-    /// split pair (see `RemoteRole` internals and
-    /// [`crate::MailboxHub`]). The local consumer port becomes inert;
-    /// committed tokens travel to the paired receive half instead.
-    ///
-    /// Only fully registered channels may be split: the one-cycle
-    /// mailbox latency is exactly a `Buffer`'s registered latency,
-    /// while flow-through or enq-when-full kinds have same-cycle
-    /// producer/consumer coupling that cannot cross a thread boundary
-    /// conservatively.
-    ///
-    /// # Panics
-    /// Panics if the channel is not a `Buffer` or was already split.
-    pub fn split_remote_tx(&self, end: RemoteTxEnd<T>) {
-        let mut core = self.core.borrow_mut();
-        assert!(
-            matches!(core.kind, ChannelKind::Buffer(_)),
-            "channel `{}`: only Buffer channels can be split",
-            core.name
-        );
-        assert!(
-            core.remote.is_none(),
-            "channel `{}` already split",
-            core.name
-        );
-        core.remote = Some(RemoteRole::Tx {
-            end,
-            occ: 0,
-            sent_valid_stuck: false,
-        });
-    }
-
-    /// Turns this channel into the *receive half* of a cross-worker
-    /// split pair. The local producer port becomes inert; tokens arrive
-    /// from the paired transmit half via
-    /// [`drain_remote`](Self::drain_remote).
-    ///
-    /// # Panics
-    /// Panics if the channel is not a `Buffer` or was already split.
-    pub fn split_remote_rx(&self, end: RemoteRxEnd<T>) {
-        let mut core = self.core.borrow_mut();
-        assert!(
-            matches!(core.kind, ChannelKind::Buffer(_)),
-            "channel `{}`: only Buffer channels can be split",
-            core.name
-        );
-        assert!(
-            core.remote.is_none(),
-            "channel `{}` already split",
-            core.name
-        );
-        core.remote = Some(RemoteRole::Rx {
-            end,
-            valid_stuck: false,
-        });
-    }
-
-    /// Absorbs wire messages into a receive half's queue; call once per
-    /// instant *before* the evaluate phase (the epoch loop's `drain`
-    /// hook). Returns the number of data tokens absorbed; zero on
-    /// unsplit channels and transmit halves.
-    pub fn drain_remote(&self) -> u64 {
-        self.core.borrow_mut().drain_remote()
     }
 
     /// Snapshot of the channel statistics.
@@ -1366,134 +1056,6 @@ mod tests {
             h.core.borrow_mut().do_commit();
         }
         assert_eq!(got, clean);
-    }
-
-    /// One emulated protocol run of a split tx/rx pair: drain, eval
-    /// (push tx / pop rx), commit both halves — the exact order the
-    /// epoch loop enforces across threads, collapsed onto one thread so
-    /// the parity claim is testable deterministically.
-    fn run_split_pair(
-        cap: usize,
-        n: u32,
-        fault: Option<(FaultConfig, u64)>,
-        stall_rx: bool,
-    ) -> (Vec<u32>, ChannelStats, Option<FaultStats>) {
-        let hub = crate::MailboxHub::<u32>::new();
-        let (mut tx_out, _tx_in, tx_h) = channel::<u32>("s", ChannelKind::Buffer(cap));
-        let (_rx_out, mut rx_in, rx_h) = channel::<u32>("s", ChannelKind::Buffer(cap));
-        tx_h.split_remote_tx(hub.take_tx("s"));
-        rx_h.split_remote_rx(hub.take_rx("s"));
-        if let Some((cfg, seed)) = fault {
-            tx_h.inject_faults(cfg, seed);
-        }
-        if stall_rx {
-            rx_h.inject_stalls(StallInjector::burst(1, 3));
-        }
-        let mut got = Vec::new();
-        let mut next = 0u32;
-        for _ in 0..(n as usize * 6 + 32) {
-            rx_h.drain_remote();
-            if next < n && tx_out.push_nb(next).is_ok() {
-                next += 1;
-            }
-            if let Some(v) = rx_in.pop_nb() {
-                got.push(v);
-            }
-            tx_h.core.borrow_mut().commit();
-            rx_h.core.borrow_mut().commit();
-        }
-        let t = tx_h.stats();
-        let r = rx_h.stats();
-        // The halves own disjoint statistic fields; merging is a field
-        // selection, not a sum.
-        let merged = ChannelStats {
-            transfers: r.transfers,
-            push_backpressure: t.push_backpressure,
-            pop_empty: r.pop_empty,
-            stall_cycles: r.stall_cycles,
-            cycles: t.cycles,
-            occupancy_sum: t.occupancy_sum,
-        };
-        (got, merged, tx_h.fault_stats())
-    }
-
-    /// The same schedule through an ordinary local channel.
-    fn run_local_ref(
-        cap: usize,
-        n: u32,
-        fault: Option<(FaultConfig, u64)>,
-        stall: bool,
-    ) -> (Vec<u32>, ChannelStats, Option<FaultStats>) {
-        let (mut tx, mut rx, h) = channel::<u32>("s", ChannelKind::Buffer(cap));
-        if let Some((cfg, seed)) = fault {
-            h.inject_faults(cfg, seed);
-        }
-        if stall {
-            h.inject_stalls(StallInjector::burst(1, 3));
-        }
-        let mut got = Vec::new();
-        let mut next = 0u32;
-        for _ in 0..(n as usize * 6 + 32) {
-            if next < n && tx.push_nb(next).is_ok() {
-                next += 1;
-            }
-            if let Some(v) = rx.pop_nb() {
-                got.push(v);
-            }
-            h.core.borrow_mut().commit();
-        }
-        (got, h.stats(), h.fault_stats())
-    }
-
-    #[test]
-    fn split_pair_matches_local_channel() {
-        let cases: &[(Option<(FaultConfig, u64)>, bool)] = &[
-            (None, false),
-            (None, true),
-            (Some((FaultConfig::bit_flip(0.3), 5)), false),
-            (Some((FaultConfig::drop(0.4), 9)), true),
-            (Some((FaultConfig::duplicate(0.7), 3)), false),
-            (Some((FaultConfig::duplicate(1.0), 3)), true),
-            (Some((FaultConfig::stuck_valid(5), 1)), false),
-            (Some((FaultConfig::stuck_ready(5), 1)), true),
-        ];
-        for &(fault, stall) in cases {
-            for cap in [1usize, 4] {
-                let (lg, ls, lf) = run_local_ref(cap, 24, fault, stall);
-                let (sg, ss, sf) = run_split_pair(cap, 24, fault, stall);
-                let tag = format!("cap={cap} fault={fault:?} stall={stall}");
-                assert_eq!(sg, lg, "delivered tokens diverged: {tag}");
-                assert_eq!(ss, ls, "merged stats diverged: {tag}");
-                assert_eq!(sf, lf, "fault stats diverged: {tag}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_rx_diagnose_is_suppressed_tx_reports_occupancy() {
-        let hub = crate::MailboxHub::<u32>::new();
-        let (mut tx_out, _ti, tx_h) = channel::<u32>("sp", ChannelKind::Buffer(4));
-        let (_ro, _ri, rx_h) = channel::<u32>("sp", ChannelKind::Buffer(4));
-        tx_h.split_remote_tx(hub.take_tx("sp"));
-        rx_h.split_remote_rx(hub.take_rx("sp"));
-        assert!(tx_out.push_nb(1).is_ok());
-        tx_h.core.borrow_mut().commit();
-        rx_h.core.borrow_mut().commit();
-        assert!(rx_h.core.borrow().diagnose().is_none());
-        let d = tx_h.core.borrow().diagnose().expect("tx half reports");
-        assert_eq!(d.occupancy, 1);
-        assert!(d.pending);
-        // Occupancy telemetry is tx-owned; the rx half answers zero.
-        assert_eq!(tx_h.occupancy(), 1);
-        assert_eq!(rx_h.occupancy(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "only Buffer channels can be split")]
-    fn split_rejects_flow_through_kinds() {
-        let hub = crate::MailboxHub::<u32>::new();
-        let (_o, _i, h) = channel::<u32>("c", ChannelKind::Combinational);
-        h.split_remote_tx(hub.take_tx("c"));
     }
 
     #[test]

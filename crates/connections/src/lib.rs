@@ -44,7 +44,6 @@
 mod channel;
 mod fault;
 mod lanebank;
-mod mailbox;
 mod meter;
 mod packet;
 mod port;
@@ -56,7 +55,6 @@ mod stall;
 pub use channel::{channel, ChannelHandle, ChannelKind, ChannelStats, TokenWords};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, TokenFaults};
 pub use lanebank::{FaultLaneBank, LaneSet, LaneStatus};
-pub use mailbox::{spsc, MailboxHub, RemoteRxEnd, RemoteTxEnd, SpscReceiver, SpscSender, WireMsg};
 pub use meter::{TimingModel, Transactor};
 pub use packet::{DePacketizer, Flit, Packetizer, Payload};
 pub use port::{In, Out};

@@ -97,8 +97,7 @@ pub struct JobSpec {
     /// Engine choice.
     pub engine: EngineKind,
     /// Fault vectors: injected into the one simulation for the
-    /// sequential/parallel engines, one lockstep lane each for the
-    /// batch engine.
+    /// sequential engine, one lockstep lane each for the batch engine.
     pub faults: Vec<LaneSpec>,
     /// Total hub-cycle budget.
     pub max_cycles: u64,
@@ -138,23 +137,11 @@ impl JobSpec {
         self.cfg
             .validate()
             .map_err(|e| JobError::Rejected(EngineError::Config(e)))?;
-        match self.engine {
-            EngineKind::Parallel { threads } if !matches!(threads, 1 | 2 | 4 | 8) => {
-                return Err(JobError::Rejected(EngineError::BadThreads(threads)));
-            }
-            EngineKind::ParallelAuto { threads }
-                if !(1..=craft_soc::MAX_SHARDS).contains(&threads) =>
-            {
-                return Err(JobError::Rejected(EngineError::BadThreads(threads)));
-            }
-            EngineKind::ParallelSpec { spec } => {
-                // Structural validity is guaranteed by construction;
-                // the LI-boundary property depends on the submitted
-                // config.
-                spec.validate_for(&self.cfg)
-                    .map_err(|e| JobError::Rejected(EngineError::BadPartition(e)))?;
-            }
-            _ => {}
+        // The library-only alias has no wire spelling; a spec built in
+        // code is refused the same way the wire refuses one.
+        if let EngineKind::Parallel { .. } = self.engine {
+            let spelled = self.engine.to_string();
+            return Err(JobError::Rejected(EngineError::UnknownEngine(spelled)));
         }
         if self.engine == EngineKind::Batch && self.faults.is_empty() {
             return Err(JobError::Rejected(EngineError::EmptyBatch));
@@ -418,11 +405,13 @@ mod tests {
 
     #[test]
     fn submission_validation_rejects_bad_shapes() {
-        let mut spec = JobSpec::new(WorkloadId::VecMul, EngineKind::Parallel { threads: 3 });
-        assert!(matches!(
+        let mut spec = JobSpec::new(WorkloadId::VecMul, EngineKind::Parallel { threads: 2 });
+        assert_eq!(
             spec.validate(),
-            Err(JobError::Rejected(EngineError::BadThreads(3)))
-        ));
+            Err(JobError::Rejected(EngineError::UnknownEngine(
+                "parallel:2".into()
+            )))
+        );
         spec.engine = EngineKind::Batch;
         assert!(matches!(
             spec.validate(),

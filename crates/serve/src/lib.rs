@@ -6,9 +6,9 @@
 //! preempted at [`craft_soc::SocConfig::checkpoint_every`] boundaries
 //! and resumed under load, every result streamed back as validated
 //! JSON. This crate is that server, built entirely on the
-//! [`craft_soc::SimEngine`] seam so one scheduler serves all three
-//! engines (sequential / GALS-sharded / batched-lockstep) without a
-//! single per-engine match arm.
+//! [`craft_soc::SimEngine`] seam so one scheduler serves both engines
+//! (sequential / batched-lockstep) without a single per-engine match
+//! arm.
 //!
 //! Layers:
 //!

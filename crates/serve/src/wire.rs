@@ -14,7 +14,7 @@
 //! | key | value | default |
 //! |-----|-------|---------|
 //! | `workload` | `vec_mul`, `dot_product`, ... | required |
-//! | `engine` | `soc`, `parallel[:threads]`, `parallel:<threads>:auto`, `parallel:spec:<16 hex>`, `batch` | `soc` |
+//! | `engine` | `soc`, `batch` | `soc` |
 //! | `max_cycles` | u64 | 8,000,000 |
 //! | `no_progress_limit` | u64 | 50,000 |
 //! | `checkpoint_every` | u64 (also the preemption grain) | unset |
@@ -181,14 +181,14 @@ mod tests {
     #[test]
     fn submit_lines_parse_to_typed_specs() {
         let spec = parse_submit(
-            "workload=dot_product engine=parallel:4 max_cycles=1000000 \
+            "workload=dot_product engine=batch max_cycles=1000000 \
              no_progress_limit=9000 checkpoint_every=300 deadline=40 telemetry=1 \
              fidelity=sim_accurate clocking=gals:500 \
              fault=l11p3->15:bit_flip:0.01:7 fault=hub:drop:0.5:9",
         )
         .expect("parses");
         assert_eq!(spec.workload, WorkloadId::DotProduct);
-        assert_eq!(spec.engine, EngineKind::Parallel { threads: 4 });
+        assert_eq!(spec.engine, EngineKind::Batch);
         assert_eq!(spec.max_cycles, 1_000_000);
         assert_eq!(spec.no_progress_limit, 9_000);
         assert_eq!(spec.cfg.checkpoint_every, Some(300));
@@ -201,32 +201,19 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_and_explicit_cut_engines_parse_on_the_wire() {
-        let auto = parse_submit("workload=vec_mul engine=parallel:3:auto").expect("parses");
-        assert_eq!(auto.engine, EngineKind::ParallelAuto { threads: 3 });
-        auto.validate().expect("valid submission");
-
-        let spec =
-            parse_submit("workload=vec_mul engine=parallel:spec:0000111122223333").expect("parses");
-        assert_eq!(
-            spec.engine,
-            EngineKind::ParallelSpec {
-                spec: craft_soc::PartitionSpec::parse("0000111122223333").unwrap()
-            }
-        );
-        spec.validate().expect("valid submission");
-
-        for bad_line in [
-            "workload=vec_mul engine=parallel:0:auto",   // range
-            "workload=vec_mul engine=parallel:17:auto",  // range
-            "workload=vec_mul engine=parallel:4:bogus",  // suffix
-            "workload=vec_mul engine=parallel:spec:000", // short spec
-            "workload=vec_mul engine=parallel:spec:000011112222333z", // digit
-            "workload=vec_mul engine=parallel:spec:0000000000000002", // gap
+    fn sharded_engine_spellings_are_typed_rejections() {
+        for engine in [
+            "parallel",
+            "parallel:2",
+            "parallel:4",
+            "parallel:3:auto",
+            "parallel:spec:0000111122223333",
         ] {
-            assert!(
-                matches!(parse_submit(bad_line), Err(ServeError::BadRequest(_))),
-                "{bad_line:?} should be rejected"
+            let line = format!("workload=vec_mul engine={engine}");
+            assert_eq!(
+                parse_submit(&line),
+                Err(ServeError::BadRequest(format!("unknown engine {engine:?}"))),
+                "{line:?} should be rejected"
             );
         }
     }

@@ -6,7 +6,7 @@
 
 use craft_connections::FaultConfig;
 use craft_serve::{DeterministicScheduler, JobError, JobSpec, ServeError, WorkloadId};
-use craft_soc::{EngineKind, LaneSpec};
+use craft_soc::{EngineError, EngineKind, LaneSpec};
 use craftflow_core::validate_json;
 
 const CKPT: u64 = 300;
@@ -42,10 +42,10 @@ fn solo(s: &JobSpec) -> (String, u64, bool) {
 fn mixed_engine_jobs_on_two_workers_match_solo_runs() {
     let specs = [
         spec(WorkloadId::VecMul, EngineKind::Soc),
-        spec(WorkloadId::DotProduct, EngineKind::Parallel { threads: 2 }),
+        spec(WorkloadId::DotProduct, EngineKind::Soc),
         spec(WorkloadId::Reduction, EngineKind::Batch),
         spec(WorkloadId::VecAddScale, EngineKind::Soc),
-        spec(WorkloadId::Conv1d, EngineKind::Parallel { threads: 2 }),
+        spec(WorkloadId::Conv1d, EngineKind::Soc),
         spec(WorkloadId::Matvec, EngineKind::Soc),
     ];
     let references: Vec<(String, u64, bool)> = specs.iter().map(solo).collect();
@@ -175,8 +175,11 @@ fn cancel_queued_and_running_jobs() {
 #[test]
 fn rejected_submissions_never_enter_the_queue() {
     let mut sched = DeterministicScheduler::new(1);
-    let bad = JobSpec::new(WorkloadId::VecMul, EngineKind::Parallel { threads: 5 });
-    assert!(matches!(sched.submit(bad), Err(JobError::Rejected(_))));
+    let bad = JobSpec::new(WorkloadId::VecMul, EngineKind::Parallel { threads: 2 });
+    assert!(matches!(
+        sched.submit(bad),
+        Err(JobError::Rejected(EngineError::UnknownEngine(_)))
+    ));
     let mut zero = spec(WorkloadId::VecMul, EngineKind::Soc);
     zero.max_cycles = 0;
     assert!(matches!(sched.submit(zero), Err(JobError::BadLimits)));

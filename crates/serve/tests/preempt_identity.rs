@@ -5,20 +5,33 @@
 //! run of the same submission — across engine × workload × fidelity
 //! × checkpoint grain, with and without fault vectors.
 //!
-//! This suite takes about a minute whatever the optimisation level,
-//! because it is not compute-bound (run alone on 2 cores: 60 s real,
-//! 20 s user, 39 s sys): the `parallel:*` cases rebuild their worker
-//! sets at every preemption and their spin barriers contend for two
-//! cores. Worker-local parking (ROADMAP item 3a) is what shortens it,
-//! not fewer cases.
+//! A case costs milliseconds, so the property deals the 12 engine ×
+//! workload × fidelity cells round-robin over 36 cases, three deals a
+//! cell, with the other axes drawn. A deal whose fault fail-stops the
+//! run is skipped; the shim's fixed seed still serves every cell.
 
 use craft_connections::FaultConfig;
 use craft_serve::{DeterministicScheduler, JobSpec, WorkloadId};
-use craft_soc::{EngineKind, Fidelity, LaneSpec, PartitionSpec, SocConfig};
+use craft_soc::{EngineKind, Fidelity, LaneSpec, SocConfig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const MAX_CYCLES: u64 = 2_000_000;
 const NO_PROGRESS: u64 = 50_000;
+
+/// The next engine × workload × fidelity cell, dealt round-robin.
+fn next_cell() -> (EngineKind, WorkloadId, Fidelity) {
+    static DEALT: AtomicUsize = AtomicUsize::new(0);
+    const ENGINES: [EngineKind; 2] = [EngineKind::Soc, EngineKind::Batch];
+    const WORKLOADS: [WorkloadId; 3] = [
+        WorkloadId::VecMul,
+        WorkloadId::DotProduct,
+        WorkloadId::Reduction,
+    ];
+    const FIDELITIES: [Fidelity; 2] = [Fidelity::SimAccurate, Fidelity::RtlCompiled];
+    let i = DEALT.fetch_add(1, Ordering::Relaxed);
+    (ENGINES[i % 2], WORKLOADS[i / 2 % 3], FIDELITIES[i / 6 % 2])
+}
 
 /// Uninterrupted reference run of `spec` straight through the
 /// `SimEngine` facade — no scheduler, no preemption. Returns `None`
@@ -37,39 +50,16 @@ fn reference(spec: &JobSpec) -> Option<(u64, bool, String)> {
 
 proptest! {
     // Each case is one uninterrupted run plus a two-job contended
-    // schedule in debug mode — keep the case count low; the axes
-    // each get drawn within a few cases.
-    #![proptest_config(ProptestConfig::with_cases(5))]
+    // schedule; 36 cases deal each of the 12 cells three times.
+    #![proptest_config(ProptestConfig::with_cases(36))]
 
     #[test]
     fn preempt_resume_is_bit_identical_to_uninterrupted(
-        engine in prop::sample::select(vec![
-            EngineKind::Soc,
-            EngineKind::Parallel { threads: 2 },
-            // Adaptive sharding: every preemption resumes on the
-            // balanced seed cut and re-observes — the
-            // resume-under-new-partition path.
-            EngineKind::ParallelAuto { threads: 2 },
-            // An asymmetric non-strip cut held across preemptions.
-            EngineKind::ParallelSpec {
-                spec: PartitionSpec::parse("0000000100110111")
-                    .expect("valid asymmetric cut"),
-            },
-            EngineKind::Batch,
-        ]),
-        workload in prop::sample::select(vec![
-            WorkloadId::VecMul,
-            WorkloadId::DotProduct,
-            WorkloadId::Reduction,
-        ]),
-        fidelity in prop::sample::select(vec![
-            Fidelity::SimAccurate,
-            Fidelity::RtlCompiled,
-        ]),
         ckpt_every in 150u64..600,
         with_fault: bool,
         seed in 0u64..1_000_000,
     ) {
+        let (engine, workload, fidelity) = next_cell();
         let mut spec = JobSpec::new(workload, engine);
         spec.cfg = SocConfig {
             fidelity,

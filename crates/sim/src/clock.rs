@@ -17,17 +17,6 @@ impl ClockId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Identifier for the domain registered at `index`.
-    ///
-    /// Workers of a parallel run build structurally identical
-    /// simulators, so registration indices line up across them and the
-    /// shared epoch tables can be addressed positionally (see
-    /// [`crate::parallel`]). Using an index that was never registered
-    /// makes later simulator calls panic.
-    pub fn from_index(index: usize) -> Self {
-        ClockId(index)
-    }
 }
 
 impl fmt::Display for ClockId {

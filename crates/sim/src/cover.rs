@@ -58,23 +58,14 @@ impl Coverage {
         self.bins.borrow().get(bin).copied().unwrap_or(0)
     }
 
-    /// Every bin with its hit count, sorted by name — the raw map for
-    /// callers that merge coverage across independent collectors (the
-    /// sharded parallel SoC sums one of these per worker).
+    /// Every bin with its hit count, sorted by name — the raw map, for
+    /// comparing two collectors bin for bin.
     pub fn bins(&self) -> Vec<(String, u64)> {
         self.bins
             .borrow()
             .iter()
             .map(|(k, &c)| (k.clone(), c))
             .collect()
-    }
-
-    /// Merges another collector's bins into this one, summing counts.
-    pub fn absorb(&self, bins: &[(String, u64)]) {
-        let mut map = self.bins.borrow_mut();
-        for (k, c) in bins {
-            *map.entry(k.clone()).or_insert(0) += c;
-        }
     }
 
     /// Declared bins that were never hit, sorted.

@@ -88,14 +88,13 @@
 //! domains.
 //!
 //! Nothing about the schedule is assumed regular. GALS periods, pause /
-//! resume, stretch / override requests and
-//! [`Simulator::set_clock_next_edge`] only move an edge the next-edge
-//! structure already finds; registration appends to a domain's lists;
-//! tick profiling is a branch round the tick; a watchdog trip diagnoses
-//! from the sleep flags the walk maintains. With gating off nothing
-//! sleeps and every sequential is on its domain's always list: that
-//! ungated mode of the *same* loop is the reference the gated mode is
-//! tested against.
+//! resume and stretch / override requests only move an edge the
+//! next-edge structure already finds; registration appends to a
+//! domain's lists; tick profiling is a branch round the tick; a
+//! watchdog trip diagnoses from the sleep flags the walk maintains.
+//! With gating off nothing sleeps and every sequential is on its
+//! domain's always list: that ungated mode of the *same* loop is the
+//! reference the gated mode is tested against.
 //!
 //! # The loop probe: a hang is a loop
 //!
@@ -138,9 +137,9 @@
 //! each attempt looks `PROBE_WINDOW` thresholds far for its first
 //! recurrence, and a proof is used once and dropped when the call
 //! returns. The stepped path is the same code with the probe never
-//! proving: the unsupervised `run_*` methods, `step` loops, the ungated
-//! mode and the parallel epoch scheduler never advance, and are the
-//! reference the advance is tested against.
+//! proving: the unsupervised `run_*` methods, `step` loops and the
+//! ungated mode never advance, and are the reference the advance is
+//! tested against.
 
 use crate::activity::{ActivityToken, NotifySink};
 use crate::checkpoint::{KernelDigest, WatchdogState};
@@ -511,13 +510,6 @@ pub struct Simulator {
     /// Per-component `(nanos, ticks)` accumulated while profiling was
     /// on, indexed like `components`.
     tick_costs: Vec<(u64, u64)>,
-    /// `true` between [`Simulator::eval_instant`] and the matching
-    /// [`Simulator::commit_instant`] — the fired-clock list in
-    /// `instant_edges` is live.
-    mid_instant: bool,
-    /// Clocks that fired at the instant currently being processed,
-    /// carried from the evaluate phase to the commit phase.
-    instant_edges: Vec<usize>,
     /// The periodicity proof a supervised run has in flight. While
     /// `Some`, the walks note which members they touch.
     probe: Option<Box<LoopProbe>>,
@@ -560,8 +552,6 @@ impl Simulator {
             progress: ActivityToken::new(),
             tick_profiling: false,
             tick_costs: Vec::new(),
-            mid_instant: false,
-            instant_edges: Vec::new(),
             probe: None,
             loop_skips: Rc::new(Cell::new(0)),
             cycles_skipped: Rc::new(Cell::new(0)),
@@ -909,12 +899,7 @@ impl Simulator {
     pub fn flush_skipped_commits(&mut self) {
         for entry in &mut self.components {
             if entry.asleep && entry.blocked {
-                // Edges of the sleeper's clock evaluated so far: an
-                // open instant has ticked (or skipped) its own edge but
-                // not yet counted it.
-                let ci = entry.clock.0;
-                let open = self.mid_instant && self.instant_edges.contains(&ci);
-                let edges = self.clocks[ci].cycles + u64::from(open);
+                let edges = self.clocks[entry.clock.0].cycles;
                 entry.settle_skipped_ticks(edges, &self.ticks_skipped_blocked);
             }
         }
@@ -1056,42 +1041,21 @@ impl Simulator {
     /// [`flush_skipped_commits`](Self::flush_skipped_commits) before
     /// reading per-cycle statistics from a raw `step` loop.
     pub fn step(&mut self) -> bool {
-        if !self.eval_instant() {
-            return false;
+        match self.eval_instant() {
+            Some(edges) => {
+                self.commit_instant(edges);
+                true
+            }
+            None => false,
         }
-        self.commit_instant();
-        true
-    }
-
-    /// Time of the earliest pending edge, without advancing. `&mut`
-    /// because the lazily invalidated edge heap may need a rebuild.
-    pub fn peek_next_instant(&mut self) -> Option<Picoseconds> {
-        self.next_instant()
     }
 
     /// The evaluate half of [`step`](Self::step): advances time to the
     /// earliest pending instant and ticks every component with an edge
-    /// there, but performs **no commits and no clock rescheduling** —
-    /// those happen in the matching [`commit_instant`](Self::commit_instant).
-    ///
-    /// This split is the hook the parallel epoch scheduler uses: all
-    /// shards evaluate an instant concurrently (reads observe state
-    /// committed at earlier instants only), synchronize on a barrier,
-    /// then all commit. A plain `step()` is `eval_instant()` +
-    /// `commit_instant()`.
-    ///
-    /// Returns `false` (and opens no instant) when no edges remain.
-    ///
-    /// # Panics
-    /// Panics if an instant is already open (missing `commit_instant`).
-    pub fn eval_instant(&mut self) -> bool {
-        assert!(
-            !self.mid_instant,
-            "eval_instant called with an instant already open"
-        );
-        let Some(t) = self.next_instant() else {
-            return false;
-        };
+    /// there. Returns the clocks that fired, for the commit half, or
+    /// `None` when no edges remain.
+    fn eval_instant(&mut self) -> Option<Vec<usize>> {
+        let t = self.next_instant()?;
         self.now = t;
         self.instants += 1;
         if self.tick_profiling && self.tick_costs.len() < self.components.len() {
@@ -1123,9 +1087,7 @@ impl Simulator {
         for &ci in &edges {
             self.eval_domain(ci, t);
         }
-        self.instant_edges = edges;
-        self.mid_instant = true;
-        true
+        Some(edges)
     }
 
     /// The evaluate walk of one fired domain: an ascending merge over
@@ -1233,20 +1195,11 @@ impl Simulator {
     }
 
     /// The commit half of [`step`](Self::step): commits every
-    /// sequential on the clocks that fired at the instant opened by
-    /// [`eval_instant`](Self::eval_instant), applies deferred clock
-    /// requests, and schedules the fired clocks' next edges.
-    ///
-    /// # Panics
-    /// Panics if no instant is open.
-    pub fn commit_instant(&mut self) {
-        assert!(
-            self.mid_instant,
-            "commit_instant without a matching eval_instant"
-        );
-        self.mid_instant = false;
+    /// sequential on the clocks that fired at the instant `eval_instant`
+    /// opened, applies deferred clock requests, and schedules the fired
+    /// clocks' next edges.
+    fn commit_instant(&mut self, edges: Vec<usize>) {
         let t = self.now;
-        let edges = std::mem::take(&mut self.instant_edges);
 
         for &ci in &edges {
             self.commit_domain(ci);
@@ -1392,40 +1345,9 @@ impl Simulator {
         self.clocks[clock.0].spec.name.clone()
     }
 
-    /// Scheduled time of `clock`'s next rising edge, or `None` while it
-    /// is paused. This is the value a parallel shard publishes for the
-    /// clocks it owns after every commit.
-    pub fn clock_next_edge(&self, clock: ClockId) -> Option<Picoseconds> {
-        let st = &self.clocks[clock.0];
-        (!st.paused).then_some(st.next_edge)
-    }
-
-    /// Overwrites `clock`'s scheduled next edge. Parallel shards use
-    /// this to adopt the authoritative schedule of clocks they merely
-    /// *follow* (the owning shard applies stretches/overrides and
-    /// publishes the result). No effect on a paused clock.
-    pub fn set_clock_next_edge(&mut self, clock: ClockId, at: Picoseconds) {
-        let st = &self.clocks[clock.0];
-        if st.paused || st.next_edge == at {
-            return;
-        }
-        self.clocks[clock.0].next_edge = at;
-        // The heap entry for the old edge is now stale; rebuild on
-        // demand (same lazy-invalidation path pause/resume uses).
-        self.heap_synced = false;
-    }
-
-    /// Takes (and clears) the kernel's progress flag — what
-    /// [`run_until_checked`](Self::run_until_checked) does internally
-    /// once per instant. External watchdog drivers (the parallel epoch
-    /// scheduler) poll it the same way.
-    pub fn take_progress(&mut self) -> bool {
-        self.progress.take()
-    }
-
     /// Snapshots every registered component and sequential into a
-    /// [`HangReport`], for callers running their own watchdog (the
-    /// parallel epoch scheduler aggregates one of these per shard).
+    /// [`HangReport`] without running: the diagnosis a watchdog trip
+    /// after `idle_cycles` would carry at this boundary.
     pub fn diagnose_hang(&self, idle_cycles: u64) -> HangReport {
         self.diagnose(idle_cycles)
     }

@@ -54,7 +54,6 @@ pub mod cover;
 mod error;
 mod kernel;
 mod par;
-pub mod parallel;
 pub mod stats;
 pub mod telemetry;
 mod time;
@@ -69,10 +68,6 @@ pub use component::{Component, Sequential, Sleep, StateVisitor, TickCtx};
 pub use error::{CompDiag, HangReport, SeqDiag, SimError};
 pub use kernel::{ComponentId, ProvedLoop, Simulator};
 pub use par::{par_map, par_map_with_workers};
-pub use parallel::{
-    publish_hang_idle, run_parallel, EpochOutcome, EpochSync, EpochVerdict, EpochWorker,
-    SpinBarrier, WaitHist, WAIT_HIST_BUCKETS,
-};
 pub use telemetry::{TelLaneCounters, Telemetry, TelemetrySnapshot, TickProfile};
 pub use time::Picoseconds;
 pub use trace::{SignalId, Trace};

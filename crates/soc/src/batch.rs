@@ -73,8 +73,8 @@ use crate::checkpoint::{BatchSnapshot, Recipe, SessionState, SimSnapshot};
 use crate::controller::CtrlStatus;
 use crate::engine::{revive, Advance, EngineKind, Position, RunCore, SimEngine};
 use crate::soc::{
-    lane_fault_seed, merge_fault_stats, ChannelRole, FaultPatternError, FaultReport, RunResult,
-    Soc, SocConfig, SocReport,
+    lane_fault_seed, merge_fault_stats, FaultPatternError, FaultReport, RunResult, Soc, SocConfig,
+    SocReport,
 };
 use craft_connections::{FaultConfig, FaultLaneBank, FaultStats, LaneSet, LaneStatus};
 use craft_sim::checkpoint::{fnv64, CheckpointError};
@@ -129,7 +129,7 @@ fn replay_lane(
     max_cycles: u64,
     no_progress_limit: u64,
 ) -> LaneReplay {
-    let mut soc = Soc::from_recipe(Arc::clone(recipe), None, None);
+    let mut soc = Soc::from_recipe(Arc::clone(recipe), None);
     soc.inject_fault(&spec.pattern, spec.cfg, spec.seed)
         .expect("pattern matched the golden registry at batch build");
     let res = soc.run_checked(max_cycles, no_progress_limit);
@@ -254,7 +254,7 @@ impl BatchSoc {
         let tel_injected = telemetry
             .as_ref()
             .map(|t| t.lane_counters("batch.injected", specs.len()));
-        let golden = Soc::from_recipe(recipe, telemetry, None);
+        let golden = Soc::from_recipe(recipe, telemetry);
         let set = LaneSet::new(specs.len());
         let mut banks: BTreeMap<usize, FaultLaneBank> = BTreeMap::new();
         let mut matched = Vec::with_capacity(specs.len());
@@ -265,12 +265,9 @@ impl BatchSoc {
                     continue;
                 }
                 m += 1;
-                // Mirror inject_fault's arming rule; a sequential
-                // golden build is all-Local, so every matched channel
-                // gets this lane's shadow.
-                if FaultLaneBank::supports(&spec.cfg)
-                    && matches!(golden.noc_role(i), ChannelRole::Local | ChannelRole::TxHalf)
-                {
+                // Mirror inject_fault's arming rule: every matched
+                // channel gets this lane's shadow.
+                if FaultLaneBank::supports(&spec.cfg) {
                     banks
                         .entry(i)
                         .or_insert_with(|| FaultLaneBank::new(Rc::clone(&set)))

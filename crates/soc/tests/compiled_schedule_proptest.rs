@@ -4,10 +4,9 @@
 //! ungated mode, in which nothing sleeps and every sequential commits:
 //! same cycle counts, same memory results, same `SocReport` down to
 //! per-channel fault statistics, same coverage bins — across
-//! workloads, fidelities, clocking schemes and router kinds, under the
-//! parallel sharded simulator, through a watchdog-diagnosed hang, under
-//! seeded fault injection armed before the run or in the middle of it,
-//! and through checkpoint / restore.
+//! workloads, fidelities, clocking schemes and router kinds, through a
+//! watchdog-diagnosed hang, under seeded fault injection armed before
+//! the run or in the middle of it, and through checkpoint / restore.
 //!
 //! Completed runs are compared exactly. Hung runs are compared the way
 //! `tests/hung_lane_identity.rs` does: at the same cycle, with
@@ -29,8 +28,7 @@ use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
 use craft_soc::{
-    ClockingMode, ParallelSoc, RouterKind, RunResult, SegmentStatus, SimEngine, Soc, SocConfig,
-    SocReport,
+    ClockingMode, RouterKind, RunResult, SegmentStatus, SimEngine, Soc, SocConfig, SocReport,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -125,30 +123,6 @@ fn run_seq(cfg: SocConfig, wl: &Workload, max: u64) -> (Outcome, Work) {
         coverage: soc.coverage().bins(),
     };
     (outcome, work(&soc))
-}
-
-fn run_par(cfg: SocConfig, wl: &Workload, max: u64, threads: usize) -> Outcome {
-    let mut soc = ParallelSoc::build(
-        cfg,
-        &orchestrator_program(),
-        &table_words(&wl.entries),
-        &wl.gmem_init,
-        threads,
-    );
-    let r = soc.run(max);
-    let mut verified = r.completed;
-    for (base, expect) in &wl.expected {
-        if &soc.gmem_read(*base, expect.len()) != expect {
-            verified = false;
-        }
-    }
-    Outcome {
-        cycles: r.cycles,
-        completed: r.completed,
-        verified,
-        report: across_gating(soc.report()),
-        coverage: soc.coverage().bins(),
-    }
 }
 
 /// How a supervised faulted run ended. A completed run folds to its
@@ -526,22 +500,4 @@ fn hang_diagnosis_is_identical_under_the_compiled_plan() {
         gated.components.iter().filter(|c| c.asleep).count() > 30,
         "the gated diagnosis names the sleepers: {gated:#?}"
     );
-}
-
-/// Gating composes with the GALS-sharded parallel simulator: each
-/// shard runs the gated loop over its own domains and the merged
-/// outcome still matches the sequential ungated run.
-#[test]
-fn compiled_schedule_composes_with_parallel_soc() {
-    let wl = dot_product();
-    let cfg = SocConfig::default();
-    let (reference, _) = run_seq(ungated(cfg), &wl, 4_000_000);
-    assert!(reference.verified, "sequential reference must verify");
-    for threads in [2usize, 8] {
-        let par = run_par(cfg, &wl, 4_000_000, threads);
-        assert_eq!(
-            reference, par,
-            "parallel gated run diverged ({threads} threads)"
-        );
-    }
 }

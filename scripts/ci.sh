@@ -4,7 +4,7 @@
 # every workload, and a served-job smoke through the socket.
 # The test step is what a bare `cargo test -q` at the root runs too
 # (Tier-1): the workspace's `default-members` are all of it, and the
-# dev profile is optimised so the identity suites take ~1.5 min warm.
+# dev profile is optimised so the identity suites take ~25 s warm.
 # Nothing here is timed; performance is judged by `benchmark/` alone.
 # The line count at the end is printed, not gated on.
 # Run from the repo root: ./scripts/ci.sh
