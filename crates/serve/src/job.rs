@@ -11,7 +11,7 @@
 use craft_sim::checkpoint::CheckpointError;
 use craft_sim::SimError;
 use craft_soc::workloads::{self, orchestrator_program, table_words, Workload};
-use craft_soc::{build_engine, EngineError, EngineKind, LaneSpec, SimEngine, SocConfig};
+use craft_soc::{build_engine, EngineError, EngineKind, LaneSpec, Soc, SocConfig};
 use craftflow_core::json_escape;
 use std::fmt;
 
@@ -154,7 +154,7 @@ impl JobSpec {
 
     /// Builds a fresh engine for this spec (workload materialization
     /// + fault injection), without opening a session.
-    pub fn build_engine(&self) -> Result<Box<dyn SimEngine>, EngineError> {
+    pub fn build_engine(&self) -> Result<Soc, EngineError> {
         let wl = self.workload.workload();
         build_engine(
             self.engine,

@@ -5,10 +5,10 @@
 //! many queued experiments sharing a bounded worker pool, long runs
 //! preempted at [`craft_soc::SocConfig::checkpoint_every`] boundaries
 //! and resumed under load, every result streamed back as validated
-//! JSON. This crate is that server, built entirely on the
-//! [`craft_soc::SimEngine`] seam so one scheduler serves both engines
-//! (sequential / batched-lockstep) without a single per-engine match
-//! arm.
+//! JSON. This crate is that server, built entirely on the one engine
+//! type, [`craft_soc::Soc`], so one scheduler serves both engines
+//! (sequential / batched-lockstep: a `Soc` with or without a lane
+//! table) without a single per-engine match arm.
 //!
 //! Layers:
 //!

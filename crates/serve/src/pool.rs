@@ -214,7 +214,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                     finish(rec, Err(JobError::Canceled));
                     StepResult::Stop
                 }
-                Some(step) => absorb_step(rec, engine.as_mut(), step, contend),
+                Some(step) => absorb_step(rec, &engine, step, contend),
             };
             if result == StepResult::Stop {
                 if rec.phase == JobPhase::Preempted {

@@ -2,7 +2,7 @@
 //! never engines) and the segment-granular service loop shared by the
 //! deterministic in-process scheduler and the threaded worker pool.
 //!
-//! Engines are `Rc`-based and deliberately not [`Send`], so a job
+//! A [`Soc`] is `Rc`-based and deliberately not [`Send`], so a job
 //! never migrates as a live engine: a preemption serializes the PR 8
 //! snapshot into the job record, the engine is dropped, and whichever
 //! worker picks the job up next revives it with
@@ -17,7 +17,7 @@
 
 use crate::job::{JobError, JobEvent, JobSpec, ServeError};
 use craft_sim::TelemetrySnapshot;
-use craft_soc::{restore_engine, SegmentStatus, SimEngine, SocReport};
+use craft_soc::{restore_engine, SegmentStatus, Soc, SocReport};
 use std::collections::VecDeque;
 
 /// Final result of a successfully served job.
@@ -185,10 +185,7 @@ pub(crate) fn pickup(rec: &mut JobRecord, worker: usize) -> (JobSpec, Option<Vec
 /// The one build-or-restore both schedulers share: revives the
 /// preemption snapshot when there is one, else builds a fresh engine
 /// and opens its session.
-pub(crate) fn construct(
-    spec: &JobSpec,
-    snapshot: Option<Vec<u8>>,
-) -> Result<Box<dyn SimEngine>, JobError> {
+pub(crate) fn construct(spec: &JobSpec, snapshot: Option<Vec<u8>>) -> Result<Soc, JobError> {
     match snapshot {
         Some(bytes) => {
             restore_engine(spec.engine, &bytes, spec.telemetry).map_err(JobError::SnapshotCorrupt)
@@ -204,7 +201,7 @@ pub(crate) fn construct(
 /// [`pickup`] + [`construct`] in one step, for the single-threaded
 /// scheduler. On failure the record is sealed with the typed error
 /// and `None` tells the caller to move on.
-pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Option<Box<dyn SimEngine>> {
+pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Option<Soc> {
     let (spec, snapshot) = pickup(rec, worker);
     match construct(&spec, snapshot) {
         Ok(engine) => Some(engine),
@@ -230,11 +227,7 @@ pub(crate) enum StepResult {
 /// boundary under contention the job is snapshot-preempted. Deadline
 /// and cancellation are checked at boundaries only, so the decision
 /// points are identical whichever scheduler drives the job.
-pub(crate) fn step_job(
-    rec: &mut JobRecord,
-    engine: &mut dyn SimEngine,
-    contend: bool,
-) -> StepResult {
+pub(crate) fn step_job(rec: &mut JobRecord, engine: &mut Soc, contend: bool) -> StepResult {
     if rec.canceled {
         finish(rec, Err(JobError::Canceled));
         return StepResult::Stop;
@@ -248,7 +241,7 @@ pub(crate) fn step_job(
 /// outside the job-table lock and only take it for this bookkeeping.
 pub(crate) fn absorb_step(
     rec: &mut JobRecord,
-    engine: &mut dyn SimEngine,
+    engine: &Soc,
     step: Result<SegmentStatus, craft_sim::SimError>,
     contend: bool,
 ) -> StepResult {
@@ -420,8 +413,7 @@ impl DeterministicScheduler {
     /// one segment. At a boundary with other jobs waiting the
     /// resident job is preempted back to the queue tail.
     pub fn run_until_idle(&mut self) {
-        let mut resident: Vec<Option<(usize, Box<dyn SimEngine>)>> =
-            (0..self.workers).map(|_| None).collect();
+        let mut resident: Vec<Option<(usize, Soc)>> = (0..self.workers).map(|_| None).collect();
         loop {
             let mut progress = false;
             for (w, slot) in resident.iter_mut().enumerate() {
@@ -439,7 +431,7 @@ impl DeterministicScheduler {
                     let idx = *idx;
                     let contend = !self.core.queue.is_empty();
                     let rec = &mut self.core.jobs[idx];
-                    if step_job(rec, engine.as_mut(), contend) == StepResult::Stop {
+                    if step_job(rec, engine, contend) == StepResult::Stop {
                         if rec.phase == JobPhase::Preempted {
                             self.core.queue.push_back(idx);
                         }

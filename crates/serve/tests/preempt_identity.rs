@@ -33,8 +33,8 @@ fn next_cell() -> (EngineKind, WorkloadId, Fidelity) {
     (ENGINES[i % 2], WORKLOADS[i / 2 % 3], FIDELITIES[i / 6 % 2])
 }
 
-/// Uninterrupted reference run of `spec` straight through the
-/// `SimEngine` facade — no scheduler, no preemption. Returns `None`
+/// Uninterrupted reference run of `spec` straight through the engine
+/// [`JobSpec::build_engine`] hands out — no scheduler, no preemption. Returns `None`
 /// when the drawn fault fail-stops the run (a panic is that
 /// contract, not a serving observable).
 fn reference(spec: &JobSpec) -> Option<(u64, bool, String)> {

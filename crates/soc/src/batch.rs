@@ -63,24 +63,25 @@
 //! `soc.batch.replayed_cycles_per_useful_cycle` counts is simulated
 //! cycles, so a hung tail still weighs its whole idle limit there.
 //!
-//! As a [`SimEngine`] the batch *is* its golden [`Soc`]: it shares the
-//! golden run's [`RunCore`] (one [`Recipe`] behind an `Arc`, which each
-//! lane replay builds from as well) and forwards every primitive to
-//! it. Its own are the lane table framed around each capture, the lane
-//! verification after a replay, and the settle at the session's end.
+//! The batch is not a second engine type. It is a lane table
+//! (`Lanes`: the specs, the shadow banks' shared [`LaneSet`], the
+//! de-opted lanes' memory images and the settled [`BatchReport`]) that
+//! the golden [`Soc`] carries beside its own run state. Every lane
+//! replay builds from that `Soc`'s one [`Recipe`]. The supervised-run
+//! driver ([`crate::engine`]) reads the table in exactly three places:
+//! it settles the lanes when the session ends, frames each capture as
+//! a [`BatchSnapshot`], and hands out the settled report
+//! ([`Soc::batch_report`]). [`BatchSoc`] is a facade over such a `Soc`
+//! for callers that want build, one run and per-lane memory.
 
 use crate::checkpoint::{BatchSnapshot, Recipe, SessionState, SimSnapshot};
-use crate::controller::CtrlStatus;
-use crate::engine::{revive, Advance, EngineKind, Position, RunCore, SimEngine};
 use crate::soc::{
     lane_fault_seed, merge_fault_stats, FaultPatternError, FaultReport, RunResult, Soc, SocConfig,
     SocReport,
 };
 use craft_connections::{FaultConfig, FaultLaneBank, FaultStats, LaneSet, LaneStatus};
 use craft_sim::checkpoint::{fnv64, CheckpointError};
-use craft_sim::{
-    par_map, par_map_with_workers, SimError, TelLaneCounters, Telemetry, TelemetrySnapshot,
-};
+use craft_sim::{par_map, par_map_with_workers, SimError, TelLaneCounters, Telemetry};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,220 +180,62 @@ pub struct BatchReport {
     pub converged_lanes: usize,
 }
 
-/// N sibling fault simulations advanced through one pass of the shared
-/// golden run per instant — see the [module docs](crate::batch).
-///
-/// Build with [`BatchSoc::build`], run once with [`BatchSoc::run`],
-/// then read per-lane outcomes from the returned [`BatchReport`] and
-/// verify memory with [`BatchSoc::gmem_read_lane`]. As a [`SimEngine`]
-/// it *is* its golden [`Soc`] — same run state, same primitives — plus
-/// a lane table around every capture and a settle at the session's
-/// end.
-pub struct BatchSoc {
+/// The lane table a batch [`Soc`] carries — see the
+/// [module docs](crate::batch).
+pub(crate) struct Lanes {
     specs: Vec<LaneSpec>,
     /// Per-lane matched-channel count (the solo `armed_channels`).
     matched: Vec<usize>,
     /// Registry indices carrying a shadow bank.
     banked: Vec<usize>,
     set: Rc<RefCell<LaneSet>>,
-    golden: Soc,
     /// De-opted lanes' final global-memory images, kept for memory
     /// verification (`None`: converged, panicked, or not yet run).
-    lane_gmem: Vec<Option<Vec<u64>>>,
+    gmem: Vec<Option<Vec<u64>>>,
     /// Threads the settle phase may replay de-opted lanes on; `None`
     /// takes the host's parallelism (tests pin a count).
     workers: Option<usize>,
     tel_tokens: Option<TelLaneCounters>,
     tel_injected: Option<TelLaneCounters>,
-    /// The settled report of a finished run ([`BatchSoc::last_report`]).
-    last_report: Option<BatchReport>,
+    /// The settled report, once the golden session has ended.
+    pub(crate) report: Option<BatchReport>,
 }
 
-impl BatchSoc {
-    /// Builds the golden SoC and arms one shadow injector per
-    /// `(lane, matched channel)` pair, seeded exactly as
-    /// [`Soc::inject_fault`] would seed a real injector there. Lanes
-    /// with stuck-wire configs are pre-diverged (no convergent
-    /// prefix). Errors if any lane's pattern matches no channel.
-    pub fn build(
-        cfg: SocConfig,
-        program: &[u32],
-        staging_init: &[u32],
-        gmem_init: &[(usize, Vec<u64>)],
-        specs: Vec<LaneSpec>,
-    ) -> Result<BatchSoc, FaultPatternError> {
-        Self::build_with_telemetry(cfg, program, staging_init, gmem_init, specs, None)
-    }
-
-    /// Like [`BatchSoc::build`], but publishes batch observability
-    /// into `tel`: the golden SoC's full probe set plus lane-indexed
-    /// counter rows `batch.tokens.lane<i>` / `batch.injected.lane<i>`
-    /// (with `.merged` sums) filled in at the end of the run.
-    pub fn build_with_telemetry(
-        cfg: SocConfig,
-        program: &[u32],
-        staging_init: &[u32],
-        gmem_init: &[(usize, Vec<u64>)],
-        specs: Vec<LaneSpec>,
-        telemetry: Option<Telemetry>,
-    ) -> Result<BatchSoc, FaultPatternError> {
-        let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
-        Self::from_recipe(recipe, specs, telemetry)
-    }
-
-    /// [`BatchSoc::build_with_telemetry`] from a shared [`Recipe`]: the
-    /// golden SoC and every de-opted lane's replay point at the one
-    /// copy of the images.
-    pub(crate) fn from_recipe(
-        recipe: Arc<Recipe>,
-        specs: Vec<LaneSpec>,
-        telemetry: Option<Telemetry>,
-    ) -> Result<BatchSoc, FaultPatternError> {
-        let tel_tokens = telemetry
-            .as_ref()
-            .map(|t| t.lane_counters("batch.tokens", specs.len()));
-        let tel_injected = telemetry
-            .as_ref()
-            .map(|t| t.lane_counters("batch.injected", specs.len()));
-        let golden = Soc::from_recipe(recipe, telemetry);
-        let set = LaneSet::new(specs.len());
-        let mut banks: BTreeMap<usize, FaultLaneBank> = BTreeMap::new();
-        let mut matched = Vec::with_capacity(specs.len());
-        for (lane, spec) in specs.iter().enumerate() {
-            let mut m = 0;
-            for (i, (name, _)) in golden.noc_registry().iter().enumerate() {
-                if !name.contains(&spec.pattern) {
-                    continue;
-                }
-                m += 1;
-                // Mirror inject_fault's arming rule: every matched
-                // channel gets this lane's shadow.
-                if FaultLaneBank::supports(&spec.cfg) {
-                    banks
-                        .entry(i)
-                        .or_insert_with(|| FaultLaneBank::new(Rc::clone(&set)))
-                        .arm_lane(lane, spec.cfg, lane_fault_seed(spec.seed, i));
-                }
-            }
-            if m == 0 {
-                return Err(FaultPatternError::NoMatch {
-                    pattern: spec.pattern.clone(),
-                });
-            }
-            if !FaultLaneBank::supports(&spec.cfg) {
-                set.borrow_mut().mark_diverged(lane, 0);
-            }
-            matched.push(m);
-        }
-        let banked: Vec<usize> = banks.keys().copied().collect();
-        for (i, bank) in banks {
-            golden.noc_registry()[i].1.attach_lane_bank(bank);
-        }
-        let lane_gmem = vec![None; specs.len()];
-        Ok(BatchSoc {
-            specs,
-            matched,
-            banked,
-            set,
-            golden,
-            lane_gmem,
-            workers: None,
-            tel_tokens,
-            tel_injected,
-            last_report: None,
-        })
-    }
-
-    /// Number of lanes in the batch.
-    pub fn lanes(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Lanes still in lockstep with the golden run.
-    pub fn live_count(&self) -> usize {
-        self.set.borrow().live_count()
-    }
-
-    /// This lane's current convergence status.
-    pub fn lane_status(&self, lane: usize) -> LaneStatus {
+impl Lanes {
+    fn status(&self, lane: usize) -> LaneStatus {
         self.set.borrow().status(lane)
     }
 
     /// Shadow-exact fault counters for a converged lane, merged over
     /// every banked channel this lane is armed on.
-    fn shadow_stats(&self, lane: usize) -> FaultStats {
+    fn shadow_stats(&self, golden: &Soc, lane: usize) -> FaultStats {
         let mut total = FaultStats::default();
-        let reg = self.golden.noc_registry();
         for &i in &self.banked {
-            if let Some(s) = reg[i].1.lane_bank_stats(lane) {
+            if let Some(s) = golden.noc_channels[i].1.lane_bank_stats(lane) {
                 merge_fault_stats(&mut total, &s);
             }
         }
         total
     }
 
-    /// Advances the golden run to completion under the watchdog, then
-    /// settles every lane: converged lanes inherit the golden result
-    /// with their shadow fault stats patched in; diverged lanes are
-    /// replayed solo (real injector, from t=0) under the same limits on
-    /// up to `available_parallelism` host threads, with panics
-    /// contained per lane.
-    ///
-    /// With [`SocConfig::checkpoint_every`] set, the golden run is
-    /// segmented at that interval with a [`BatchSnapshot`] captured at
-    /// each boundary (see [`BatchSoc::last_checkpoint`]) — the
-    /// segmentation is observation-only, exactly as for
-    /// [`Soc::run_checked`]. Schedulers that preempt between segments
-    /// step the batch through [`SimEngine::begin`] /
-    /// [`SimEngine::step_segment`] instead; when the golden session
-    /// ends — done or a watchdog error — the lanes settle immediately
-    /// into [`BatchSoc::last_report`].
-    ///
-    /// # Panics
-    /// Panics if a golden session is already open.
-    pub fn run(&mut self, max_cycles: u64, no_progress_limit: u64) -> BatchReport {
-        self.begin(max_cycles, no_progress_limit);
-        self.resume()
-    }
-
-    /// Drives the open golden session to completion (capturing
-    /// automatic [`BatchSnapshot`]s between segments), which settles
-    /// the lanes — the entry point for a batch restored mid-run by
-    /// [`BatchSoc::restore`].
-    ///
-    /// # Panics
-    /// Panics if no golden session is open.
-    pub fn resume(&mut self) -> BatchReport {
-        let golden = self.run_to_end();
-        let mut rep = self
-            .last_report
-            .clone()
-            .expect("the session's end settles the batch");
-        // The same result, its `wall` covering this whole call.
-        rep.golden = golden;
-        rep
-    }
-
-    /// The settled [`BatchReport`] of a finished batch run, if the
-    /// golden session has ended (also populated when the golden run
-    /// erred — the lanes still settle).
-    pub fn last_report(&self) -> Option<&BatchReport> {
-        self.last_report.as_ref()
-    }
-
-    /// Finishes every lane once the golden run has ended.
-    fn settle(
+    /// Settles every lane once `golden`'s session has ended — done or
+    /// a watchdog error: converged lanes inherit the golden result with
+    /// their shadow fault stats patched in; diverged lanes are replayed
+    /// solo (real injector, from t=0) under the session's limits on up
+    /// to `available_parallelism` host threads, with panics contained
+    /// per lane.
+    pub(crate) fn settle(
         &mut self,
-        golden_res: Result<RunResult, SimError>,
-        max_cycles: u64,
-        no_progress_limit: u64,
-    ) -> BatchReport {
-        let golden_report = self.golden.report();
-        let recipe = Arc::clone(&self.golden.core().recipe);
-        let statuses: Vec<LaneStatus> = {
-            let set = self.set.borrow();
-            (0..self.specs.len()).map(|l| set.status(l)).collect()
-        };
+        golden: &Soc,
+        session: &SessionState,
+        res: Result<&RunResult, &SimError>,
+    ) {
+        let golden_res = res.copied().map_err(SimError::clone);
+        let max_cycles = session.remaining + session.consumed;
+        let no_progress_limit = session.no_progress_limit;
+        let golden_report = golden.report();
+        let recipe = &golden.recipe;
+        let statuses: Vec<LaneStatus> = (0..self.specs.len()).map(|l| self.status(l)).collect();
         let diverged: Vec<usize> = (0..statuses.len())
             .filter(|&l| matches!(statuses[l], LaneStatus::Diverged { .. }))
             .collect();
@@ -401,7 +244,7 @@ impl BatchSoc {
         let specs = &self.specs;
         let replay = |_: usize, &lane: &usize| {
             catch_unwind(AssertUnwindSafe(|| {
-                replay_lane(&recipe, &specs[lane], max_cycles, no_progress_limit)
+                replay_lane(recipe, &specs[lane], max_cycles, no_progress_limit)
             }))
             .ok()
         };
@@ -414,7 +257,7 @@ impl BatchSoc {
         for (lane, status) in statuses.into_iter().enumerate() {
             match status {
                 LaneStatus::Converged => {
-                    let stats = self.shadow_stats(lane);
+                    let stats = self.shadow_stats(golden, lane);
                     let mut report = golden_report.clone();
                     // A solo run of this lane arms a real injector on
                     // every matched channel and otherwise matches the
@@ -449,7 +292,7 @@ impl BatchSoc {
                         run.result = Some(res);
                         run.report = Some(report);
                         run.fault_stats = Some(stats);
-                        self.lane_gmem[lane] = Some(gmem);
+                        self.gmem[lane] = Some(gmem);
                     }
                     lanes.push(run);
                 }
@@ -466,79 +309,32 @@ impl BatchSoc {
                 tc.set(r.lane, r.fault_stats.as_ref().map_or(0, |s| s.injected()));
             }
         }
-        BatchReport {
+        self.report = Some(BatchReport {
             golden: golden_res,
             lanes,
             deopt_lanes,
             converged_lanes: self.specs.len() - deopt_lanes,
-        }
+        });
     }
 
-    /// Reads `len` words of a lane's global memory after the run: the
-    /// golden memory for converged lanes, the solo replay's for
-    /// de-opted ones. `None` when the lane has no simulation to read
-    /// (its replay panicked, or the batch has not settled).
-    pub fn gmem_read_lane(&self, lane: usize, base: usize, len: usize) -> Option<Vec<u64>> {
-        if let Some(gmem) = &self.lane_gmem[lane] {
-            return Some(gmem[base..base + len].to_vec());
-        }
-        let converged = matches!(self.lane_status(lane), LaneStatus::Converged);
-        (self.last_report.is_some() && converged).then(|| self.golden.gmem_read(base, len))
-    }
-
-    /// Wraps a golden capture with the lane table as of now: every
+    /// Frames a golden capture inside the lane table as of now: every
     /// lane's spec, divergence status and shadow fault counters.
-    fn with_lanes(&self, golden: SimSnapshot) -> BatchSnapshot {
-        let set = self.set.borrow();
+    pub(crate) fn frame(&self, golden: &Soc, snapshot: &SimSnapshot) -> Vec<u8> {
         let lanes = 0..self.specs.len();
         BatchSnapshot {
-            golden,
+            golden: snapshot.clone(),
             specs: self.specs.clone(),
-            lane_status: lanes.clone().map(|l| set.status(l)).collect(),
-            lane_stats: lanes.map(|l| self.shadow_stats(l)).collect(),
+            lane_status: lanes.clone().map(|l| self.status(l)).collect(),
+            lane_stats: lanes.map(|l| self.shadow_stats(golden, l)).collect(),
         }
+        .to_bytes()
     }
 
-    /// Captures a [`BatchSnapshot`] at the current golden-run
-    /// boundary: the golden [`crate::SimSnapshot`] (with its open
-    /// session) inside the lane table. Meaningful before the lanes
-    /// settle — a mid-golden-run capture restores to the exact same
-    /// campaign state.
-    pub fn checkpoint(&self) -> BatchSnapshot {
-        self.with_lanes(SimEngine::checkpoint(self))
-    }
-
-    /// The most recent automatic checkpoint taken by a segmented
-    /// golden run ([`SocConfig::checkpoint_every`]), if any — decoded
-    /// from the frame that boundary encoded, so its lane table is the
-    /// boundary's, not the settled one.
-    pub fn last_checkpoint(&self) -> Option<BatchSnapshot> {
-        self.last_checkpoint_bytes()
-            .map(|frame| BatchSnapshot::from_bytes(frame).expect("own frame decodes"))
-    }
-
-    /// Rebuilds a batch from `snap`: re-arms every lane's shadow bank
-    /// with the same derived seeds, replays the golden run to the
-    /// capture boundary (the shadow decisions re-derive along the
-    /// regenerated token stream), and verifies each lane's divergence
-    /// status and shadow counters against the recorded ones — any
-    /// mismatch is a typed [`CheckpointError::ReplayDivergence`]. A
-    /// snapshot captured mid-golden-run reinstates the session, ready
-    /// for [`BatchSoc::resume`].
-    pub fn restore(snap: &BatchSnapshot) -> Result<BatchSoc, CheckpointError> {
-        Self::restore_with_telemetry(snap, None)
-    }
-
-    /// [`BatchSoc::restore`] with a telemetry sink attached to the
-    /// rebuilt batch.
-    pub fn restore_with_telemetry(
-        snap: &BatchSnapshot,
-        telemetry: Option<Telemetry>,
-    ) -> Result<BatchSoc, CheckpointError> {
-        let batch = revive(&snap.golden, |recipe| {
-            BatchSoc::from_recipe(recipe, snap.specs.clone(), telemetry)
-                .map_err(|e| CheckpointError::Malformed(format!("lane spec failed to re-arm: {e}")))
-        })?;
+    /// Checks each lane's divergence status and shadow counters after
+    /// `golden` replayed to `snap`'s boundary against the recorded
+    /// ones; any mismatch is a typed
+    /// [`CheckpointError::ReplayDivergence`].
+    pub(crate) fn verify(&self, golden: &Soc, snap: &BatchSnapshot) -> Result<(), CheckpointError> {
         // The divergence token ordinal doubles as the status word:
         // `u64::MAX` is unreachable as a token count and encodes
         // `Converged`.
@@ -552,7 +348,7 @@ impl BatchSoc {
             .zip(snap.lane_stats.iter())
             .enumerate()
         {
-            let got_status = batch.lane_status(lane);
+            let got_status = self.status(lane);
             if got_status != *want_status {
                 return Err(CheckpointError::ReplayDivergence {
                     field: format!("lane{lane}.status"),
@@ -560,7 +356,7 @@ impl BatchSoc {
                     found: status_word(&got_status),
                 });
             }
-            let got_stats = batch.shadow_stats(lane);
+            let got_stats = self.shadow_stats(golden, lane);
             if got_stats != *want_stats {
                 return Err(CheckpointError::ReplayDivergence {
                     field: format!("lane{lane}.stats"),
@@ -569,104 +365,163 @@ impl BatchSoc {
                 });
             }
         }
-        Ok(batch)
+        Ok(())
     }
 }
 
-/// The batch engine is its golden [`Soc`] — run state and primitives
-/// alike — with two differences: a capture is framed inside the lane
-/// table, and the end of the session settles the lanes.
-impl SimEngine for BatchSoc {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Batch
+impl Soc {
+    /// Builds a batch: the golden SoC from `recipe` (no real injector
+    /// is attached to it), carrying a lane table with one shadow
+    /// injector per `(lane, matched channel)` pair, seeded exactly as
+    /// [`Soc::inject_fault`] would seed a real injector there. Lanes
+    /// with stuck-wire configs are pre-diverged (no convergent prefix).
+    /// A sink gets lane-indexed counter rows `batch.tokens.lane<i>` /
+    /// `batch.injected.lane<i>` ahead of the golden SoC's probes,
+    /// filled in when the lanes settle. Errors if any lane's pattern
+    /// matches no channel.
+    ///
+    /// # Panics
+    /// Panics if the recipe's config fails [`SocConfig::validate`].
+    pub(crate) fn with_lanes(
+        recipe: Arc<Recipe>,
+        specs: Vec<LaneSpec>,
+        telemetry: Option<Telemetry>,
+    ) -> Result<Soc, FaultPatternError> {
+        let counters = |path: &str| {
+            telemetry
+                .as_ref()
+                .map(|t| t.lane_counters(path, specs.len()))
+        };
+        let (tel_tokens, tel_injected) = (counters("batch.tokens"), counters("batch.injected"));
+        let mut golden = Soc::from_recipe(recipe, telemetry);
+        let set = LaneSet::new(specs.len());
+        let mut banks: BTreeMap<usize, FaultLaneBank> = BTreeMap::new();
+        let mut matched = Vec::with_capacity(specs.len());
+        for (lane, spec) in specs.iter().enumerate() {
+            let mut m = 0;
+            for (i, (name, _)) in golden.noc_channels.iter().enumerate() {
+                if !name.contains(&spec.pattern) {
+                    continue;
+                }
+                m += 1;
+                // Mirror inject_fault's arming rule: every matched
+                // channel gets this lane's shadow.
+                if FaultLaneBank::supports(&spec.cfg) {
+                    banks
+                        .entry(i)
+                        .or_insert_with(|| FaultLaneBank::new(Rc::clone(&set)))
+                        .arm_lane(lane, spec.cfg, lane_fault_seed(spec.seed, i));
+                }
+            }
+            if m == 0 {
+                return Err(FaultPatternError::NoMatch {
+                    pattern: spec.pattern.clone(),
+                });
+            }
+            if !FaultLaneBank::supports(&spec.cfg) {
+                set.borrow_mut().mark_diverged(lane, 0);
+            }
+            matched.push(m);
+        }
+        let banked: Vec<usize> = banks.keys().copied().collect();
+        for (i, bank) in banks {
+            golden.noc_channels[i].1.attach_lane_bank(bank);
+        }
+        golden.lanes = Some(Box::new(Lanes {
+            gmem: vec![None; specs.len()],
+            specs,
+            matched,
+            banked,
+            set,
+            workers: None,
+            tel_tokens,
+            tel_injected,
+            report: None,
+        }));
+        Ok(golden)
     }
 
-    fn core(&self) -> &RunCore {
-        self.golden.core()
-    }
-
-    fn core_mut(&mut self) -> &mut RunCore {
-        self.golden.core_mut()
-    }
-
-    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
-        self.golden.advance(budget, session)
-    }
-
-    fn position(&self) -> Position {
-        self.golden.position()
-    }
-
-    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError> {
-        self.golden.seek(instants, hub_cycles)
-    }
-
-    fn arm_fault(
-        &mut self,
-        pat: &str,
-        cfg: FaultConfig,
-        seed: u64,
-    ) -> Result<usize, FaultPatternError> {
-        self.golden.arm_fault(pat, cfg, seed)
-    }
-
-    fn set_progress(&mut self, set: bool) {
-        self.golden.set_progress(set);
-    }
-
-    fn report(&self) -> SocReport {
-        self.golden.report()
-    }
-
-    fn ctrl_status(&self) -> CtrlStatus {
-        self.golden.ctrl_status()
-    }
-
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        self.golden.gmem_read(base, len)
-    }
-
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.golden.telemetry_snapshot()
-    }
-
-    /// The golden run carries shadow banks, not real injectors;
-    /// per-lane statistics come from the settled batch report.
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
-        self.golden.fault_stats(pat)
-    }
-
-    /// The lanes settle the moment the golden session ends — on an
-    /// error too — replaying de-opted lanes under the session's limits.
-    fn at_end(&mut self, session: &SessionState, res: Result<&RunResult, &SimError>) {
-        let res = res.copied().map_err(SimError::clone);
-        let max_cycles = session.remaining + session.consumed;
-        self.last_report = Some(self.settle(res, max_cycles, session.no_progress_limit));
-    }
-
-    fn frame(&self, snapshot: &SimSnapshot) -> Vec<u8> {
-        self.with_lanes(snapshot.clone()).to_bytes()
-    }
-
-    fn batch_report(&self) -> Option<&BatchReport> {
-        self.last_report.as_ref()
+    /// Reads `len` words of a batch lane's global memory after the run:
+    /// the golden memory for converged lanes, the solo replay's for
+    /// de-opted ones. `None` when this SoC carries no lanes, when
+    /// `lane` or `base..base + len` is out of range, or when the lane
+    /// has no simulation to read (its replay panicked, or the batch has
+    /// not settled).
+    pub fn gmem_read_lane(&self, lane: usize, base: usize, len: usize) -> Option<Vec<u64>> {
+        let lanes = self.lanes.as_ref()?;
+        let end = base.checked_add(len)?;
+        if let Some(gmem) = lanes.gmem.get(lane)? {
+            return gmem.get(base..end).map(<[u64]>::to_vec);
+        }
+        let readable = lanes.report.is_some()
+            && lanes.status(lane) == LaneStatus::Converged
+            && end <= self.config().gmem_words;
+        readable.then(|| self.gmem_read(base, len))
     }
 }
 
-impl std::fmt::Debug for BatchSoc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchSoc")
-            .field("lanes", &self.specs.len())
-            .field("live", &self.live_count())
-            .field("banked_channels", &self.banked.len())
-            .field("settled", &self.last_report.is_some())
-            .finish()
+/// N sibling fault simulations advanced through one pass of the shared
+/// golden run per instant — see the [module docs](crate::batch).
+///
+/// Build with [`BatchSoc::build`], run once with [`BatchSoc::run`],
+/// then read per-lane outcomes from the returned [`BatchReport`] and
+/// verify memory with [`BatchSoc::gmem_read_lane`]. It is a facade over
+/// a batch [`Soc`]; [`crate::build_engine`] with
+/// [`crate::EngineKind::Batch`] hands out that `Soc` itself, for
+/// segmented runs, snapshots and telemetry.
+pub struct BatchSoc(Soc);
+
+impl BatchSoc {
+    /// Builds the golden SoC and arms one shadow injector per
+    /// `(lane, matched channel)` pair, seeded exactly as
+    /// [`Soc::inject_fault`] would seed a real injector there. Lanes
+    /// with stuck-wire configs are pre-diverged (no convergent
+    /// prefix). Errors if any lane's pattern matches no channel.
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`SocConfig::validate`].
+    pub fn build(
+        cfg: SocConfig,
+        program: &[u32],
+        staging_init: &[u32],
+        gmem_init: &[(usize, Vec<u64>)],
+        specs: Vec<LaneSpec>,
+    ) -> Result<BatchSoc, FaultPatternError> {
+        let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
+        Soc::with_lanes(recipe, specs, None).map(BatchSoc)
+    }
+
+    /// Advances the golden run to completion under the watchdog
+    /// ([`Soc::run_checked`]), which settles every lane: converged
+    /// lanes inherit the golden result with their shadow fault stats
+    /// patched in; diverged lanes are replayed solo (real injector,
+    /// from t=0) under the same limits on up to
+    /// `available_parallelism` host threads, with panics contained per
+    /// lane. With [`SocConfig::checkpoint_every`] set the golden run is
+    /// segmented at that interval, observation-only as for any
+    /// supervised run.
+    pub fn run(&mut self, max_cycles: u64, no_progress_limit: u64) -> BatchReport {
+        let golden = self.0.run_checked(max_cycles, no_progress_limit);
+        let mut rep = self
+            .0
+            .batch_report()
+            .cloned()
+            .expect("the session's end settles the batch");
+        // The same result, its `wall` covering this whole call.
+        rep.golden = golden;
+        rep
+    }
+
+    /// [`Soc::gmem_read_lane`] of the batch.
+    pub fn gmem_read_lane(&self, lane: usize, base: usize, len: usize) -> Option<Vec<u64>> {
+        self.0.gmem_read_lane(lane, base, len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{restore_engine, EngineKind};
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
 
     const HOT_LINK: &str = "l11p3->15";
@@ -692,6 +547,10 @@ mod tests {
         let table = table_words(&wl.entries);
         BatchSoc::build(SocConfig::default(), &program, &table, &wl.gmem_init, specs)
             .expect("patterns match")
+    }
+
+    fn lanes(batch: &BatchSoc) -> &Lanes {
+        batch.0.lanes.as_deref().expect("a batch carries lanes")
     }
 
     #[test]
@@ -742,9 +601,9 @@ mod tests {
     fn stuck_wire_lane_is_prediverged_at_build() {
         let spec = LaneSpec::new(HOT_LINK, FaultConfig::stuck_valid(100), 3);
         let batch = build_batch(vec![spec]);
-        assert_eq!(batch.live_count(), 0);
+        assert_eq!(lanes(&batch).set.borrow().live_count(), 0);
         assert!(matches!(
-            batch.lane_status(0),
+            lanes(&batch).status(0),
             LaneStatus::Diverged { token: 0 }
         ));
     }
@@ -761,7 +620,8 @@ mod tests {
             &wl.gmem_init,
             vec![LaneSpec::new("no-such-channel", FaultConfig::drop(0.5), 1)],
         )
-        .unwrap_err();
+        .err()
+        .expect("the pattern matches nothing");
         assert!(matches!(err, FaultPatternError::NoMatch { .. }));
     }
 
@@ -787,16 +647,17 @@ mod tests {
         let mut seg =
             BatchSoc::build(cfg, &program, &table, &wl.gmem_init, specs).expect("patterns match");
         let seg_rep = seg.run(MAX_CYCLES, NO_PROGRESS);
-        let snap = seg
-            .last_checkpoint()
-            .expect("auto checkpoint taken")
-            .clone();
+        let bytes = seg
+            .0
+            .last_checkpoint_bytes()
+            .expect("auto checkpoint taken");
+        let snap = BatchSnapshot::from_bytes(bytes).expect("parses");
         assert!(snap.golden.session.is_some(), "mid-run capture");
 
-        // Bytes round-trip, then restore and resume to completion.
-        let snap = BatchSnapshot::from_bytes(&snap.to_bytes()).expect("parses");
-        let mut back = BatchSoc::restore(&snap).expect("restores");
-        let back_rep = back.resume();
+        // Restore from the bytes and run to completion.
+        let mut back = restore_engine(EngineKind::Batch, bytes, false).expect("restores");
+        back.run_to_end().expect("the golden run finishes");
+        let back_rep = back.batch_report().expect("the batch settled").clone();
 
         for (a, b, tag) in [
             (&base_rep, &seg_rep, "segmented"),
@@ -838,13 +699,14 @@ mod tests {
         let mut seg =
             BatchSoc::build(cfg, &program, &table, &wl.gmem_init, specs).expect("patterns match");
         let _ = seg.run(MAX_CYCLES, NO_PROGRESS);
-        let mut snap = seg
-            .last_checkpoint()
-            .expect("auto checkpoint taken")
-            .clone();
+        let bytes = seg
+            .0
+            .last_checkpoint_bytes()
+            .expect("auto checkpoint taken");
+        let mut snap = BatchSnapshot::from_bytes(bytes).expect("parses");
         snap.lane_stats[0].tokens += 1;
-        match BatchSoc::restore(&snap) {
-            Err(CheckpointError::ReplayDivergence { field, .. }) => {
+        match restore_engine(EngineKind::Batch, &snap.to_bytes(), false).err() {
+            Some(CheckpointError::ReplayDivergence { field, .. }) => {
                 assert_eq!(field, "lane0.stats");
             }
             other => panic!("expected ReplayDivergence, got {other:?}"),
@@ -870,7 +732,12 @@ mod tests {
         let (out_base, out_len) = (wl.expected[0].0, wl.expected[0].1.len());
         let run = |workers: usize| {
             let mut batch = build_batch(specs.clone());
-            batch.workers = Some(workers);
+            batch
+                .0
+                .lanes
+                .as_mut()
+                .expect("a batch carries lanes")
+                .workers = Some(workers);
             let rep = batch.run(MAX_CYCLES, 5_000);
             let lanes: Vec<String> = rep
                 .lanes
@@ -928,5 +795,51 @@ mod tests {
                 Some(expect)
             );
         }
+    }
+
+    /// An out-of-range lane or memory range is `None`, never a panic —
+    /// on a de-opted lane's own image, on a converged lane's golden
+    /// memory, and on a SoC without lanes.
+    #[test]
+    fn out_of_range_lane_reads_are_none() {
+        let hot = LaneSpec::new(HOT_LINK, FaultConfig::drop(1.0), 5);
+        let cold = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.0), 6);
+        let mut batch = build_batch(vec![hot, cold]);
+        let rep = batch.run(MAX_CYCLES, NO_PROGRESS);
+        assert!(rep.lanes[0].deopted && !rep.lanes[0].panicked);
+        assert!(!rep.lanes[1].deopted);
+        let words = SocConfig::default().gmem_words;
+        for lane in [0, 1] {
+            let image = batch.gmem_read_lane(lane, 0, words);
+            assert_eq!(
+                image.map(|w| w.len()),
+                Some(words),
+                "lane {lane}: whole image"
+            );
+            assert_eq!(
+                batch.gmem_read_lane(lane, words, 1),
+                None,
+                "lane {lane}: past the end"
+            );
+            assert_eq!(
+                batch.gmem_read_lane(lane, words - 1, 2),
+                None,
+                "lane {lane}: straddles the end"
+            );
+            assert_eq!(
+                batch.gmem_read_lane(lane, 1, usize::MAX),
+                None,
+                "lane {lane}: base + len overflows"
+            );
+        }
+        assert_eq!(batch.gmem_read_lane(2, 0, 1), None, "no such lane");
+        let wl = vec_mul();
+        let solo = Soc::build(
+            SocConfig::default(),
+            &orchestrator_program(),
+            &table_words(&wl.entries),
+            &wl.gmem_init,
+        );
+        assert_eq!(solo.gmem_read_lane(0, 0, 1), None, "no lane table");
     }
 }

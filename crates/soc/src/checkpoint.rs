@@ -2,16 +2,18 @@
 //!
 //! A [`SimSnapshot`] is a **replay recipe**, not a serialized object
 //! graph: the shared build inputs ([`Recipe`]: config, program, staging
-//! and gmem images — one `Arc` that the engine, every de-opted lane
-//! replay and every snapshot point at), the ordered log of irregular
-//! events ([`FaultEvent`]s), a progress target (the kernel instant
-//! count), the open supervised-run session if any ([`SessionState`] —
-//! the one live session type, held by the engines as is), and
-//! verification digests.
-//! [`crate::SimEngine::replay`] re-executes a freshly built engine
-//! deterministically to the target and proves the reconstruction
-//! against the digests — any mismatch is a typed
-//! [`CheckpointError::ReplayDivergence`], never silent drift.
+//! and gmem images — one `Arc` that the SoC, every de-opted lane replay
+//! and every snapshot point at), the ordered log of irregular events
+//! ([`FaultEvent`]s), a progress target (the kernel instant count), the
+//! open supervised-run session if any ([`SessionState`] — the one live
+//! session type, held by the [`crate::Soc`] as is), and verification
+//! digests. A restore ([`crate::Soc::restore`],
+//! [`crate::restore_engine`]) re-executes a freshly built SoC
+//! deterministically to the target instant and proves the
+//! reconstruction against both digests — any mismatch is a typed
+//! [`CheckpointError::ReplayDivergence`], never silent drift. There is
+//! one replay scheme: a frame without an instant target or a kernel
+//! digest is [`CheckpointError::Malformed`].
 //!
 //! Why replay instead of state dump: the simulation state spans
 //! closures, `Rc` graphs, trait objects and seeded RNG streams. The
@@ -43,10 +45,9 @@ pub const KIND_SOC: u8 = 1;
 pub const KIND_BATCH: u8 = 2;
 
 /// One irregular event in a run's deterministic replay log: a fault
-/// injection armed between run segments. Recorded with both progress
-/// coordinates so either replay scheme (instant-exact, or by hub cycle
-/// for a frame without an instant target) can re-apply it at the same
-/// point.
+/// injection armed between run segments. A replay re-applies it at
+/// its kernel instant; the hub cycle is recorded beside it for the
+/// reader.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Channel-name pattern passed to [`crate::Soc::inject_fault`].
@@ -82,8 +83,8 @@ impl Checkpointable for FaultEvent {
 }
 
 /// An open supervised-run session (`run_checked` split into segments)
-/// — the one live session type: every engine holds it as is while the
-/// run is open, and a capture copies it verbatim so a restored engine
+/// — the one live session type: a [`crate::Soc`] holds it as is while
+/// the run is open, and a capture copies it verbatim so a restored engine
 /// resumes the *same* run: the remaining cycle budget, the watchdog
 /// limit and its accumulated idle state, and the cycles already
 /// consumed (so the final [`crate::RunResult::cycles`] equals the
@@ -107,9 +108,8 @@ impl Checkpointable for SessionState {
         w.put_u64(self.no_progress_limit);
         w.put_u64(self.consumed);
         self.wd.save(w);
-        // Reserved byte, written 0. Frames from the retired sharded
-        // engine carried a seam progress bit here (1 or 2); a kernel's
-        // watchdog state is wholly in `wd`, so it is read and dropped.
+        // Reserved byte, always 0: a kernel's watchdog state is wholly
+        // in `wd`.
         w.put_u8(0);
     }
 
@@ -121,14 +121,14 @@ impl Checkpointable for SessionState {
             wd: WatchdogState::load(r)?,
         };
         match r.get_u8()? {
-            0..=2 => {}
+            0 => {}
             t => {
                 return Err(CheckpointError::Malformed(format!(
-                    "carried-progress tag {t}"
+                    "session reserved byte {t}"
                 )))
             }
         }
-        // The limit `SimEngine::begin` refuses: stepping such a session
+        // The limit `Soc::begin` refuses: stepping such a session
         // would trip the kernel's assertion on whichever thread runs it.
         if s.no_progress_limit == 0 {
             return Err(CheckpointError::Malformed(
@@ -139,11 +139,11 @@ impl Checkpointable for SessionState {
     }
 }
 
-/// Architectural digest — the portable half of snapshot verification.
-/// Hashes the observable run state ([`crate::SocReport`] JSON, the
-/// controller status, the full gmem image) at the capture boundary.
-/// Portable across engines: it is what a replay by hub cycles (a frame
-/// without a [`KernelDigest`]) is verified against.
+/// Architectural digest — the half of snapshot verification that does
+/// not depend on the kernel's schedule. Hashes the observable run state
+/// ([`crate::SocReport`] JSON, the controller status, the full gmem
+/// image) at the capture boundary; a restore checks it after the
+/// [`KernelDigest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchDigest {
     /// Hub cycles at capture.
@@ -201,7 +201,7 @@ impl Checkpointable for ArchDigest {
 
 /// The deterministic build inputs of one simulation — the half of the
 /// replay recipe that never changes after build. Held behind one `Arc`
-/// that the engine, every de-opted lane replay and every
+/// that the SoC, every de-opted lane replay and every
 /// [`SimSnapshot`] of the run point at, so a 24-lane campaign holds one
 /// copy of the images, not one per user.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,20 +235,17 @@ impl Recipe {
 
 /// A versioned, self-verifying snapshot of one SoC simulation — see
 /// the [module docs](self) for the replay-recipe model. Produced by
-/// [`crate::SimEngine::checkpoint`]: instant-exact with a
-/// [`KernelDigest`] (a capture can sit mid-cycle under GALS); consumed
-/// by [`crate::SimEngine::replay`].
+/// [`crate::Soc::checkpoint`]: instant-exact with a [`KernelDigest`] (a
+/// capture can sit mid-cycle under GALS); consumed by
+/// [`crate::Soc::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// The shared build inputs.
     pub recipe: Arc<Recipe>,
     /// Ordered fault-injection replay log.
     pub faults: Vec<FaultEvent>,
-    /// Replay target as an exact kernel instant count. Every capture
-    /// this crate takes has one; a frame without one (written by the
-    /// retired sharded engine at a segment boundary) replays to
-    /// [`SimSnapshot::hub_cycles`] instead.
-    pub instants: Option<u64>,
+    /// Replay target as an exact kernel instant count.
+    pub instants: u64,
     /// Hub cycles at capture.
     pub hub_cycles: u64,
     /// Whether the kernel progress token was set at capture (restored
@@ -256,9 +253,9 @@ pub struct SimSnapshot {
     pub progress_set: bool,
     /// Open supervised-run session, if the capture was mid-run.
     pub session: Option<SessionState>,
-    /// Kernel-exact digest (absent exactly when `instants` is).
-    pub kernel: Option<KernelDigest>,
-    /// Portable architectural digest (always present).
+    /// Kernel-exact digest.
+    pub kernel: KernelDigest,
+    /// Architectural digest.
     pub arch: ArchDigest,
 }
 
@@ -371,6 +368,11 @@ fn load_opt<T: Checkpointable>(r: &mut StateReader<'_>) -> Result<Option<T>, Che
     r.get_bool()?.then(|| T::load(r)).transpose()
 }
 
+/// A value the frame must carry behind its presence flag.
+fn required<T>(v: Option<T>, what: &str) -> Result<T, CheckpointError> {
+    v.ok_or_else(|| CheckpointError::Malformed(format!("snapshot without {what}")))
+}
+
 impl Checkpointable for Recipe {
     fn save(&self, w: &mut StateWriter) {
         save_cfg(&self.cfg, w);
@@ -406,11 +408,14 @@ impl Checkpointable for SimSnapshot {
     fn save(&self, w: &mut StateWriter) {
         self.recipe.save(w);
         save_all(&self.faults, w);
-        w.put_opt_u64(self.instants);
+        // The instant target and the kernel digest keep the presence
+        // flags of the format, always set.
+        w.put_opt_u64(Some(self.instants));
         w.put_u64(self.hub_cycles);
         w.put_bool(self.progress_set);
         save_opt(&self.session, w);
-        save_opt(&self.kernel, w);
+        w.put_bool(true);
+        self.kernel.save(w);
         self.arch.save(w);
     }
 
@@ -418,11 +423,11 @@ impl Checkpointable for SimSnapshot {
         Ok(SimSnapshot {
             recipe: Arc::new(Recipe::load(r)?),
             faults: load_all(r)?,
-            instants: r.get_opt_u64()?,
+            instants: required(r.get_opt_u64()?, "an instant target")?,
             hub_cycles: r.get_u64()?,
             progress_set: r.get_bool()?,
             session: load_opt(r)?,
-            kernel: load_opt(r)?,
+            kernel: required(load_opt(r)?, "a kernel digest")?,
             arch: ArchDigest::load(r)?,
         })
     }
@@ -541,7 +546,7 @@ impl BatchSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SegmentStatus, SimEngine};
+    use crate::engine::SegmentStatus;
     use crate::soc::Soc;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
 
@@ -655,10 +660,8 @@ mod tests {
         let (mut snap, _soc) = mid_run_snapshot();
         // Claim one more instant than the capture really had: replay
         // reaches the extra instant but the digests disagree.
-        if let Some(k) = &mut snap.kernel {
-            k.instants += 1;
-            snap.instants = Some(k.instants);
-        }
+        snap.kernel.instants += 1;
+        snap.instants = snap.kernel.instants;
         match Soc::restore(&snap) {
             Err(CheckpointError::ReplayDivergence { .. }) => {}
             Err(other) => panic!("expected ReplayDivergence, got {other:?}"),

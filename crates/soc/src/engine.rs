@@ -1,54 +1,49 @@
-//! # One supervised-run core — the engine surface and its driver
+//! # One engine type — engine selection and the supervised-run driver
 //!
-//! [`Soc`] (one kernel) and [`BatchSoc`] (lockstep fault lanes over a
-//! golden `Soc`) are one abstraction with the execution model swapped
-//! behind it — the paper's Connections idea turned on ourselves.
-//! [`SimEngine`] is that abstraction, in two halves:
+//! [`Soc`] is the one engine. The batch engine is not a second type: it
+//! is a `Soc` that carries a lane table ([`crate::batch`]) beside its
+//! own golden run — one abstraction with the execution model swapped
+//! behind it, the paper's Connections idea turned on ourselves.
+//! [`EngineKind`] names the two, and [`build_engine`] /
+//! [`restore_engine`] hand out either as a `Soc`.
 //!
-//! * the **primitives** an engine supplies, which are all that differs
-//!   between the two: [`advance`](SimEngine::advance) the open
-//!   session by at most a budget, say [where the run
-//!   stands](SimEngine::position), [`seek`](SimEngine::seek) a fresh
-//!   build forward unsupervised, [arm a fault](SimEngine::arm_fault),
-//!   the architectural view ([`report`](SimEngine::report),
-//!   [`ctrl_status`](SimEngine::ctrl_status),
-//!   [`gmem_read`](SimEngine::gmem_read)), and two hooks
-//!   ([`at_end`](SimEngine::at_end), [`frame`](SimEngine::frame));
-//! * the **driver**, written once as the provided methods over the
-//!   shared [`RunCore`] (recipe, fault log, live session, last
-//!   capture, `sim.ckpt.*` odometers): [`begin`](SimEngine::begin),
-//!   [`step_segment`](SimEngine::step_segment),
-//!   [`run_to_end`](SimEngine::run_to_end),
-//!   [`inject_fault`](SimEngine::inject_fault),
-//!   [`checkpoint`](SimEngine::checkpoint) /
-//!   [`snapshot_bytes`](SimEngine::snapshot_bytes) and
-//!   [`replay`](SimEngine::replay).
+//! This module holds the supervised-run driver on `Soc`:
+//! [`begin`](Soc::begin), [`step_segment`](Soc::step_segment),
+//! [`run_to_end`](Soc::run_to_end), [`run_checked`](Soc::run_checked),
+//! [`inject_fault`](Soc::inject_fault),
+//! [`checkpoint`](Soc::checkpoint) /
+//! [`snapshot_bytes`](Soc::snapshot_bytes) and restore. It is written
+//! over four private primitives — advance the open session by a
+//! budget, seek a fresh build to a kernel instant, arm a fault, restore
+//! the watchdog's progress flag — and reads the lane table in exactly
+//! three places: it settles the lanes when a session ends, frames each
+//! capture as a [`BatchSnapshot`], and hands out the settled
+//! [`BatchReport`] ([`Soc::batch_report`]).
 //!
 //! A scheduler preempts a run at a [`SocConfig::checkpoint_every`]
 //! boundary and resumes it — possibly in a different simulation
 //! instance — from the snapshot bytes. A boundary is captured and
-//! encoded once; [`SimEngine::snapshot_bytes`] there hands out that
-//! capture rather than taking a second one.
+//! encoded once; [`Soc::snapshot_bytes`] there hands out that capture
+//! rather than taking a second one.
 //!
-//! Engines are deliberately **not** [`Send`] (they are `Rc`-based
-//! simulations), so a job can only migrate between worker threads as
+//! A `Soc` is deliberately **not** [`Send`] (it is an `Rc`-based
+//! simulation), so a job can only migrate between worker threads as
 //! serialized snapshot bytes; [`restore_engine`] rebuilds and
-//! deterministically replays on the receiving side, preserving the
-//! golden contract: restore-then-run ≡ uninterrupted run,
-//! bit-identical.
+//! deterministically replays to the captured kernel instant on the
+//! receiving side, preserving the golden contract: restore-then-run ≡
+//! uninterrupted run, bit-identical.
 //!
 //! One run is one kernel on one thread. Host cores go to independent
 //! runs instead — server workers, a batch's de-opted lane replays, a
 //! design-space sweep — which is where they measurably pay (DESIGN,
 //! "Why one run is one kernel").
 
-use crate::batch::{BatchReport, BatchSoc, LaneSpec};
+use crate::batch::{BatchReport, LaneSpec};
 use crate::checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
-use crate::controller::CtrlStatus;
-use crate::soc::{ConfigError, FaultPatternError, RunResult, Soc, SocConfig, SocReport};
-use craft_connections::{FaultConfig, FaultStats};
-use craft_sim::checkpoint::{fnv64, CheckpointError, KernelDigest, StateWriter, WatchdogState};
-use craft_sim::{SimError, Telemetry, TelemetrySnapshot};
+use crate::soc::{lane_fault_seed, ConfigError, FaultPatternError, RunResult, Soc, SocConfig};
+use craft_connections::FaultConfig;
+use craft_sim::checkpoint::{fnv64, CheckpointError, StateWriter, WatchdogState};
+use craft_sim::{SimError, Telemetry};
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
@@ -64,16 +59,16 @@ pub enum EngineKind {
     Soc,
     /// Library-only alias of [`EngineKind::Soc`]: [`build_engine`] and
     /// [`restore_engine`] serve it with the sequential [`Soc`] (whose
-    /// [`SimEngine::kind`] is `Soc`), [`EngineKind::parse`] never
-    /// yields it and the job server rejects it. It exists only because
-    /// the frozen `benchmark/` names it; ROADMAP item 1c deletes it
-    /// together with `SocConfig::compiled_schedule`,
-    /// `Simulator::plan_instants()` and `Simulator::plan_deopt_count()`.
+    /// [`Soc::kind`] is `Soc`), [`EngineKind::parse`] never yields it
+    /// and the job server rejects it. It exists only because the frozen
+    /// `benchmark/` names it; ROADMAP item 1c deletes it together with
+    /// `SocConfig::compiled_schedule`, `Simulator::plan_instants()` and
+    /// `Simulator::plan_deopt_count()`.
     Parallel {
         /// Ignored.
         threads: usize,
     },
-    /// Batched lockstep [`BatchSoc`] — one lane per fault vector.
+    /// Batched lockstep — a [`Soc`] carrying one lane per fault vector.
     Batch,
 }
 
@@ -108,7 +103,7 @@ impl fmt::Display for EngineKind {
     }
 }
 
-/// Outcome of one supervised segment ([`SimEngine::step_segment`]).
+/// Outcome of one supervised segment ([`Soc::step_segment`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentStatus {
     /// A [`SocConfig::checkpoint_every`] boundary was reached with
@@ -159,33 +154,6 @@ impl From<FaultPatternError> for EngineError {
     }
 }
 
-/// Where a run stands — what a capture records of the engine's
-/// progress and what a replay steers by.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Position {
-    /// Global kernel instants processed so far.
-    pub instants: u64,
-    /// Hub (reference) clock cycles elapsed so far.
-    pub hub_cycles: u64,
-    /// Whether the kernel's watchdog progress token is set.
-    pub progress_set: bool,
-    /// The kernel-exact digest. A capture records `instants` as its
-    /// replay target, so it is instant-exact (it can sit mid-cycle
-    /// under GALS).
-    pub kernel: KernelDigest,
-}
-
-/// What one [`SimEngine::advance`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Advance {
-    /// Hub cycles the call consumed.
-    pub cycles: u64,
-    /// `Some(completed)` when the run itself ended — the controller
-    /// halted (`true`) or the kernel stopped with nothing left to do
-    /// (`false`); `None` when only this call's budget ran out.
-    pub ended: Option<bool>,
-}
-
 /// The `sim.ckpt.{count,bytes,last_ns}` odometers: captures taken,
 /// the last framed size, the last capture latency. Observation-only —
 /// a capture never mutates simulation state.
@@ -218,175 +186,26 @@ pub(crate) struct Capture {
     pub(crate) bytes: Vec<u8>,
 }
 
-/// The engine-independent state of a run, held once per engine and
-/// worked by the [`SimEngine`] driver: the shared build [`Recipe`], the
-/// ordered fault log beside it, the live supervised session, the last
-/// boundary's capture and the `sim.ckpt.*` odometers.
-#[derive(Debug)]
-pub struct RunCore {
-    pub(crate) recipe: Arc<Recipe>,
-    pub(crate) faults: Vec<FaultEvent>,
-    pub(crate) session: Option<SessionState>,
-    pub(crate) last: Option<Capture>,
-    pub(crate) ckpt: CkptOdometers,
+/// The recipe of `snap`, once its config has validated — what a
+/// restore may build from without tripping the build's assertion.
+fn valid_recipe(snap: &SimSnapshot) -> Result<Arc<Recipe>, CheckpointError> {
+    snap.recipe
+        .cfg
+        .validate()
+        .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
+    Ok(Arc::clone(&snap.recipe))
 }
 
-impl RunCore {
-    /// A fresh core for an engine built from `recipe`: no faults, no
-    /// session, nothing captured.
-    pub(crate) fn new(recipe: Arc<Recipe>) -> RunCore {
-        RunCore {
-            recipe,
-            faults: Vec::new(),
-            session: None,
-            last: None,
-            ckpt: CkptOdometers::default(),
+/// The supervised-run driver.
+impl Soc {
+    /// [`EngineKind::Batch`] when this SoC carries a lane table, else
+    /// [`EngineKind::Soc`].
+    pub fn kind(&self) -> EngineKind {
+        if self.lanes.is_some() {
+            EngineKind::Batch
+        } else {
+            EngineKind::Soc
         }
-    }
-}
-
-/// Takes a capture of `eng` now: one snapshot, one encode, one tick of
-/// the odometers.
-fn capture<E: SimEngine + ?Sized>(eng: &E) -> Capture {
-    let t0 = Instant::now();
-    let core = eng.core();
-    let pos = eng.position();
-    let snapshot = SimSnapshot {
-        recipe: Arc::clone(&core.recipe),
-        faults: core.faults.clone(),
-        instants: Some(pos.instants),
-        hub_cycles: pos.hub_cycles,
-        progress_set: pos.progress_set,
-        session: core.session,
-        arch: arch_digest(eng, pos.hub_cycles),
-        kernel: Some(pos.kernel),
-    };
-    let bytes = eng.frame(&snapshot);
-    core.ckpt.record(bytes.len(), t0);
-    Capture { snapshot, bytes }
-}
-
-/// The capture of where `eng` stands: the last boundary's when nothing
-/// has moved since (same position, fault log and session), else a
-/// fresh one.
-pub(crate) fn current_capture<E: SimEngine + ?Sized>(eng: &E) -> Capture {
-    let core = eng.core();
-    if let Some(last) = &core.last {
-        let (snap, pos) = (&last.snapshot, eng.position());
-        if snap.hub_cycles == pos.hub_cycles
-            && snap.instants.is_none_or(|i| i == pos.instants)
-            && snap.faults.len() == core.faults.len()
-            && snap.session == core.session
-        {
-            return last.clone();
-        }
-    }
-    capture(eng)
-}
-
-/// Hashes the observable run state — the portable half of snapshot
-/// verification, identical whichever engine computes it.
-fn arch_digest<E: SimEngine + ?Sized>(eng: &E, hub_cycles: u64) -> ArchDigest {
-    let mut w = StateWriter::new();
-    w.put_u64s(&eng.gmem_read(0, eng.config().gmem_words));
-    ArchDigest {
-        hub_cycles,
-        report_fnv: fnv64(eng.report().to_json().as_bytes()),
-        ctrl_fnv: fnv64(format!("{:?}", eng.ctrl_status()).as_bytes()),
-        gmem_fnv: fnv64(&w.into_bytes()),
-    }
-}
-
-/// The one engine surface, object-safe: an engine supplies the
-/// primitives (the required methods) and gets the supervised run —
-/// session, segments, captures, replay — from the provided ones. One
-/// `dyn SimEngine` behaves identically whichever engine backs it.
-///
-/// Obtain one with [`build_engine`] (fresh) or [`restore_engine`]
-/// (from snapshot bytes); both inject the submission's fault vectors
-/// before any cycle runs, so a snapshot taken at any boundary carries
-/// the full replay recipe.
-pub trait SimEngine {
-    /// The engine's [`EngineKind`].
-    fn kind(&self) -> EngineKind;
-
-    /// The shared run state the driver works on.
-    fn core(&self) -> &RunCore;
-
-    /// Mutable access to the shared run state.
-    fn core_mut(&mut self) -> &mut RunCore;
-
-    /// Primitive: advances the run by at most `budget` hub cycles
-    /// under the watchdog, carrying the watchdog state of `session`
-    /// (`no_progress_limit`, `wd`) across the call
-    /// so a segmented run trips on exactly the cycle an unsegmented
-    /// one would. The driver keeps the cycle accounting; a hang
-    /// diagnosis or kernel fault is the error.
-    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError>;
-
-    /// Primitive: where the run stands now.
-    fn position(&self) -> Position;
-
-    /// Primitive: steps a freshly built engine forward, unsupervised,
-    /// to exactly `instants` kernel instants when a target is given,
-    /// else to `hub_cycles` hub cycles — the two replay schemes. A
-    /// target behind the current position, or one the run cannot
-    /// reach, is a typed error.
-    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError>;
-
-    /// Primitive: arms a seeded injector on every NoC channel whose
-    /// name contains `pat`, returning how many matched. Callers want
-    /// [`SimEngine::inject_fault`], which also logs the event.
-    fn arm_fault(
-        &mut self,
-        pat: &str,
-        cfg: FaultConfig,
-        seed: u64,
-    ) -> Result<usize, FaultPatternError>;
-
-    /// Primitive: sets the watchdog progress flag to what a capture
-    /// recorded.
-    fn set_progress(&mut self, set: bool);
-
-    /// Architectural view: the blended observable report (for the
-    /// batch engine: the golden run's report; per-lane reports live in
-    /// [`SimEngine::batch_report`]).
-    fn report(&self) -> SocReport;
-
-    /// Architectural view: the controller's status as of now.
-    fn ctrl_status(&self) -> CtrlStatus;
-
-    /// Architectural view: `len` words of global memory at `base`
-    /// (golden image for the batch engine).
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64>;
-
-    /// Telemetry snapshot, if the engine was built with a sink.
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot>;
-
-    /// Blended fault statistics over channels matching `pat` (the
-    /// injected vector's pattern for the sequential engine).
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError>;
-
-    /// Hook: the session just ended — `session` is its final state —
-    /// with a result or an error. The batch engine settles its lanes
-    /// here, under the session's limits.
-    fn at_end(&mut self, _session: &SessionState, _res: Result<&RunResult, &SimError>) {}
-
-    /// Hook: frames a capture into wire bytes — the [`SimSnapshot`]
-    /// frame, which the batch engine wraps with its lane table.
-    fn frame(&self, snapshot: &SimSnapshot) -> Vec<u8> {
-        snapshot.to_bytes()
-    }
-
-    /// The per-lane batch report once the batch engine has settled;
-    /// `None` for non-batch engines or before completion.
-    fn batch_report(&self) -> Option<&BatchReport> {
-        None
-    }
-
-    /// The configuration this engine was built from.
-    fn config(&self) -> &SocConfig {
-        &self.core().recipe.cfg
     }
 
     /// Opens a supervised-run session: `max_cycles` total budget,
@@ -395,7 +214,7 @@ pub trait SimEngine {
     /// # Panics
     /// Panics if `no_progress_limit` is zero or a session is already
     /// open.
-    fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
+    pub fn begin(&mut self, max_cycles: u64, no_progress_limit: u64) {
         assert!(
             no_progress_limit > 0,
             "no_progress_limit must be at least one cycle"
@@ -404,8 +223,8 @@ pub trait SimEngine {
             !self.session_open(),
             "a supervised run session is already open"
         );
-        let last_cycle = self.position().hub_cycles;
-        self.core_mut().session = Some(SessionState {
+        let (_, last_cycle) = self.position();
+        self.session = Some(SessionState {
             remaining: max_cycles,
             no_progress_limit,
             consumed: 0,
@@ -418,54 +237,64 @@ pub trait SimEngine {
 
     /// Whether a supervised session is open (a snapshot taken now
     /// resumes mid-budget).
-    fn session_open(&self) -> bool {
-        self.core().session.is_some()
+    pub fn session_open(&self) -> bool {
+        self.session.is_some()
     }
 
     /// Runs one segment of the open session — at most
     /// [`SocConfig::checkpoint_every`] cycles (the whole budget when
     /// unset). At a [`SegmentStatus::Boundary`] budget remains and the
-    /// automatic checkpoint has been captured: the engine may be
-    /// dropped and later revived with [`restore_engine`] from
-    /// [`SimEngine::snapshot_bytes`]. [`SegmentStatus::Done`] carries
-    /// the whole-run blended result (its `wall` covers only the final
+    /// automatic checkpoint has been captured: the SoC may be dropped
+    /// and later revived with [`restore_engine`] from
+    /// [`Soc::snapshot_bytes`]. [`SegmentStatus::Done`] carries the
+    /// whole-run blended result (its `wall` covers only the final
     /// segment). Errors (watchdog hang diagnoses) close the session.
-    /// Segmentation and capture are observation-only: outcome, cycle
-    /// count and watchdog trip point are those of an unsegmented run.
+    /// Either way a batch settles its lanes the moment the session
+    /// ends. Segmentation and capture are observation-only: outcome,
+    /// cycle count and watchdog trip point are those of an unsegmented
+    /// run.
     ///
     /// # Panics
     /// Panics if no session is open.
-    fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
+    pub fn step_segment(&mut self) -> Result<SegmentStatus, SimError> {
         let t0 = Instant::now();
-        let open = self.core_mut().session.take();
-        let mut s = open.expect("no supervised run session open");
+        let mut s = self.session.take().expect("no supervised run session open");
         let every = self.config().checkpoint_every;
         let budget = every.unwrap_or(u64::MAX).min(s.remaining);
-        let adv = match self.advance(budget, &mut s) {
+        let (cycles, ended) = match self.advance(budget, &mut s) {
             Ok(adv) => adv,
             Err(e) => {
-                self.at_end(&s, Err(&e));
+                self.settle(&s, Err(&e));
                 return Err(e);
             }
         };
-        s.consumed += adv.cycles;
-        s.remaining -= adv.cycles.min(s.remaining);
+        s.consumed += cycles;
+        s.remaining -= cycles.min(s.remaining);
         // Only this segment's budget ran out and the session has more:
         // a boundary, which can only exist when an interval is set.
-        if adv.ended.is_none() && s.remaining > 0 {
-            self.core_mut().session = Some(s);
-            let boundary = capture(self);
-            self.core_mut().last = Some(boundary);
+        if ended.is_none() && s.remaining > 0 {
+            self.session = Some(s);
+            self.last = Some(self.capture());
             return Ok(SegmentStatus::Boundary);
         }
         let res = RunResult {
             cycles: s.consumed,
             wall: t0.elapsed(),
             ctrl: self.ctrl_status(),
-            completed: adv.ended == Some(true),
+            completed: ended == Some(true),
         };
-        self.at_end(&s, Ok(&res));
+        self.settle(&s, Ok(&res));
         Ok(SegmentStatus::Done(res))
+    }
+
+    /// The session just ended — `session` is its final state — with a
+    /// result or an error: a batch settles its lanes here, under the
+    /// session's limits.
+    fn settle(&mut self, session: &SessionState, res: Result<&RunResult, &SimError>) {
+        if let Some(mut lanes) = self.lanes.take() {
+            lanes.settle(self, session, res);
+            self.lanes = Some(lanes);
+        }
     }
 
     /// Drives the open session to completion (the non-preempting
@@ -473,7 +302,7 @@ pub trait SimEngine {
     /// and, for a restored session, the cycles consumed before the
     /// snapshot — so it equals the uninterrupted run's; its `wall`
     /// covers this call.
-    fn run_to_end(&mut self) -> Result<RunResult, SimError> {
+    pub fn run_to_end(&mut self) -> Result<RunResult, SimError> {
         let t0 = Instant::now();
         loop {
             if let SegmentStatus::Done(mut r) = self.step_segment()? {
@@ -483,12 +312,22 @@ pub trait SimEngine {
         }
     }
 
-    /// [`SimEngine::begin`] + [`SimEngine::run_to_end`] — the
-    /// uninterrupted supervised run: every NoC flit channel is a
-    /// progress source, and `no_progress_limit` consecutive hub cycles
-    /// without one NoC push/pop turn a would-be infinite run into a
-    /// typed [`SimError::Hang`] carrying the diagnosis.
-    fn run_checked(
+    /// Like [`Soc::run`], but supervised by the simulation watchdog —
+    /// [`Soc::begin`] + [`Soc::run_to_end`]: every NoC flit channel is
+    /// tapped as a progress source, and `no_progress_limit` consecutive
+    /// hub cycles without a single NoC push/pop (or component wake)
+    /// turn a would-be infinite run into a typed [`SimError::Hang`]
+    /// carrying the per-component / per-channel diagnosis.
+    ///
+    /// Only *data-plane* traffic counts as progress — deliberately not
+    /// the AXI channels, because the controller polls `DONE_COUNT`
+    /// over AXI forever and that busy-wait must not mask a wedged NoC.
+    /// With [`SocConfig::checkpoint_every`] set, the run is segmented
+    /// at that interval with a [`SimSnapshot`] captured at each
+    /// boundary (see [`Soc::last_checkpoint`]); segmentation and
+    /// capture are observation-only — outcome, cycle count and the
+    /// watchdog trip point are identical to an unsegmented run.
+    pub fn run_checked(
         &mut self,
         max_cycles: u64,
         no_progress_limit: u64,
@@ -498,110 +337,304 @@ pub trait SimEngine {
     }
 
     /// Injects a seeded fault into every NoC flit channel whose name
-    /// contains `pat` ([`SimEngine::arm_fault`]) and, on success, logs
-    /// the event with both progress coordinates, so a restore re-arms
-    /// it at the same point and the injectors' decision streams replay
-    /// bit for bit. Returns how many channels matched.
-    fn inject_fault(
+    /// contains `pat` (mesh links `l{a}p{pa}->{b}`, GALS crossings
+    /// `g{a}p{pa}.tx`/`.rx`, endpoint ports `n{n}.eject`/`n{n}.inject`)
+    /// without touching any component. Each matched channel gets an
+    /// independent injector derived from `seed`. Returns how many
+    /// channels matched, or [`FaultPatternError::NoMatch`] when the
+    /// pattern names nothing — a typo'd pattern used to come back as a
+    /// silently ignorable `0`. A successful injection joins the replay
+    /// log at the current kernel instant, so a restore re-arms it at
+    /// the same point and the injectors' decision streams replay bit
+    /// for bit.
+    pub fn inject_fault(
         &mut self,
         pat: &str,
         cfg: FaultConfig,
         seed: u64,
     ) -> Result<usize, FaultPatternError> {
         let matched = self.arm_fault(pat, cfg, seed)?;
-        let pos = self.position();
-        self.core_mut().faults.push(FaultEvent {
+        let (at_instants, at_cycles) = self.position();
+        self.faults.push(FaultEvent {
             pattern: pat.to_string(),
             cfg,
             seed,
-            at_instants: pos.instants,
-            at_cycles: pos.hub_cycles,
+            at_instants,
+            at_cycles,
         });
         Ok(matched)
     }
 
     /// A versioned [`SimSnapshot`] of where the run stands: the replay
-    /// recipe (shared build inputs, fault log), the progress target,
-    /// the open session if any, and the verification digests. At a
-    /// boundary this is that boundary's capture; anywhere else a fresh
-    /// one is taken (and counted by the `sim.ckpt.*` odometers).
-    /// Observation-only: a capture never perturbs the simulation.
-    fn checkpoint(&self) -> SimSnapshot {
-        current_capture(self).snapshot
+    /// recipe (shared build inputs, fault log), the kernel instant to
+    /// replay to, the open session if any, and the verification
+    /// digests. At a boundary this is that boundary's capture; anywhere
+    /// else a fresh one is taken (and counted by the `sim.ckpt.*`
+    /// odometers). Observation-only: a capture never perturbs the
+    /// simulation. For a batch this is the golden half; the lane table
+    /// is in [`Soc::snapshot_bytes`].
+    pub fn checkpoint(&self) -> SimSnapshot {
+        self.current_capture().snapshot
     }
 
-    /// [`SimEngine::checkpoint`] in the framed wire format
-    /// ([`SimSnapshot`] for the sequential engine,
-    /// [`BatchSnapshot`] for the batch engine). A preemption — a
-    /// boundary, then this — captures and encodes once. Feed it back
-    /// through [`restore_engine`].
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        current_capture(self).bytes
+    /// [`Soc::checkpoint`] in the framed wire format — a
+    /// [`SimSnapshot`], or for a batch a [`BatchSnapshot`] that wraps
+    /// it in the lane table. A preemption — a boundary, then this —
+    /// captures and encodes once. Feed it back through
+    /// [`restore_engine`].
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        self.current_capture().bytes
     }
 
     /// The most recent automatic checkpoint taken at a segment
     /// boundary ([`SocConfig::checkpoint_every`]), if any. It survives
     /// the session's end, so after a [`SimError::Hang`] it is the last
-    /// capture before the diagnosis. (For the batch engine: the golden
-    /// half; [`BatchSoc::last_checkpoint`] has the lane table too.)
-    fn last_checkpoint(&self) -> Option<&SimSnapshot> {
-        self.core().last.as_ref().map(|c| &c.snapshot)
+    /// capture before the diagnosis.
+    pub fn last_checkpoint(&self) -> Option<&SimSnapshot> {
+        self.last.as_ref().map(|c| &c.snapshot)
     }
 
-    /// [`SimEngine::last_checkpoint`] as the wire bytes that boundary
-    /// encoded — what [`SimEngine::snapshot_bytes`] returned there.
-    fn last_checkpoint_bytes(&self) -> Option<&[u8]> {
-        self.core().last.as_ref().map(|c| c.bytes.as_slice())
+    /// [`Soc::last_checkpoint`] as the wire bytes that boundary
+    /// encoded — what [`Soc::snapshot_bytes`] returned there (the lane
+    /// table as of that boundary included, for a batch).
+    pub fn last_checkpoint_bytes(&self) -> Option<&[u8]> {
+        self.last.as_ref().map(|c| c.bytes.as_slice())
     }
 
-    /// Replays this freshly built engine to `snap`'s capture point:
-    /// re-arms each logged fault at its recorded position in order,
-    /// seeks to the target (instant-exact, or by hub cycle for a frame
-    /// without an instant target), verifies the kernel digest when the
-    /// frame has one and the architectural digest always, and
-    /// reinstates the open session — restore-then-run ≡ uninterrupted
-    /// run. Any mismatch is a typed
+    /// The per-lane report once a batch's session has ended (also when
+    /// the golden run erred — the lanes still settle); `None` for a SoC
+    /// without lanes or before the session ends.
+    pub fn batch_report(&self) -> Option<&BatchReport> {
+        self.lanes.as_ref()?.report.as_ref()
+    }
+
+    /// Rebuilds a SoC from `snap` and deterministically replays it to
+    /// the capture boundary, verifying the kernel and architectural
+    /// digests — the restore-then-run ≡ uninterrupted-run contract the
+    /// checkpoint proptests pin. An open session in the snapshot is
+    /// reinstated, ready for [`Soc::run_to_end`].
+    pub fn restore(snap: &SimSnapshot) -> Result<Soc, CheckpointError> {
+        Self::restore_with_telemetry(snap, None)
+    }
+
+    /// [`Soc::restore`] with a telemetry sink attached to the rebuilt
+    /// SoC (restore itself is sink-agnostic; telemetry stays
+    /// observation-only either way).
+    pub fn restore_with_telemetry(
+        snap: &SimSnapshot,
+        telemetry: Option<Telemetry>,
+    ) -> Result<Soc, CheckpointError> {
+        let mut soc = Soc::from_recipe(valid_recipe(snap)?, telemetry);
+        soc.replay(snap)?;
+        Ok(soc)
+    }
+
+    /// Rebuilds a batch from `snap`: re-arms every lane's shadow bank
+    /// with the same derived seeds, replays the golden run to the
+    /// capture boundary (the shadow decisions re-derive along the
+    /// regenerated token stream), and verifies each lane's divergence
+    /// status and shadow counters against the recorded ones.
+    fn restore_batch(
+        snap: &BatchSnapshot,
+        telemetry: Option<Telemetry>,
+    ) -> Result<Soc, CheckpointError> {
+        let recipe = valid_recipe(&snap.golden)?;
+        let mut soc = Soc::with_lanes(recipe, snap.specs.clone(), telemetry)
+            .map_err(|e| CheckpointError::Malformed(format!("lane spec failed to re-arm: {e}")))?;
+        soc.replay(&snap.golden)?;
+        if let Some(lanes) = &soc.lanes {
+            lanes.verify(&soc, snap)?;
+        }
+        Ok(soc)
+    }
+
+    /// Replays this freshly built SoC to `snap`'s capture point:
+    /// re-arms each logged fault at its recorded kernel instant in
+    /// order, seeks to the captured instant, verifies the kernel and
+    /// architectural digests, and reinstates the open session —
+    /// restore-then-run ≡ uninterrupted run. Any mismatch is a typed
     /// [`CheckpointError::ReplayDivergence`].
     fn replay(&mut self, snap: &SimSnapshot) -> Result<(), CheckpointError> {
         for ev in &snap.faults {
-            self.seek(snap.instants.map(|_| ev.at_instants), ev.at_cycles)?;
+            self.seek(ev.at_instants)?;
             self.inject_fault(&ev.pattern, ev.cfg, ev.seed)
                 .map_err(|e| {
                     CheckpointError::Malformed(format!("logged fault failed to re-arm: {e}"))
                 })?;
         }
-        self.seek(snap.instants, snap.hub_cycles)?;
+        self.seek(snap.instants)?;
         self.set_progress(snap.progress_set);
-        let pos = self.position();
-        if let Some(want) = &snap.kernel {
-            want.verify(&pos.kernel)?;
-        }
-        snap.arch.verify(&arch_digest(self, pos.hub_cycles))?;
-        self.core_mut().session = snap.session;
+        snap.kernel.verify(&self.sim.kernel_digest())?;
+        snap.arch.verify(&self.arch_digest())?;
+        self.session = snap.session;
         Ok(())
     }
-}
 
-/// Builds an engine from `snap`'s recipe with `build` and replays it to
-/// the capture point — the body of every facade's `restore`.
-pub(crate) fn revive<E: SimEngine>(
-    snap: &SimSnapshot,
-    build: impl FnOnce(Arc<Recipe>) -> Result<E, CheckpointError>,
-) -> Result<E, CheckpointError> {
-    snap.recipe
-        .cfg
-        .validate()
-        .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
-    let mut eng = build(Arc::clone(&snap.recipe))?;
-    eng.replay(snap)?;
-    Ok(eng)
+    /// Takes a capture now: one snapshot, one encode (inside the lane
+    /// table for a batch), one tick of the odometers.
+    fn capture(&self) -> Capture {
+        let t0 = Instant::now();
+        let (instants, hub_cycles) = self.position();
+        let snapshot = SimSnapshot {
+            recipe: Arc::clone(&self.recipe),
+            faults: self.faults.clone(),
+            instants,
+            hub_cycles,
+            progress_set: self.sim.progress_token().is_set(),
+            session: self.session,
+            arch: self.arch_digest(),
+            kernel: self.sim.kernel_digest(),
+        };
+        let bytes = match &self.lanes {
+            Some(lanes) => lanes.frame(self, &snapshot),
+            None => snapshot.to_bytes(),
+        };
+        self.ckpt.record(bytes.len(), t0);
+        Capture { snapshot, bytes }
+    }
+
+    /// The capture of where the run stands: the last boundary's when
+    /// nothing has moved since (same position, fault log and session),
+    /// else a fresh one.
+    fn current_capture(&self) -> Capture {
+        if let Some(last) = &self.last {
+            let snap = &last.snapshot;
+            if (snap.instants, snap.hub_cycles) == self.position()
+                && snap.faults.len() == self.faults.len()
+                && snap.session == self.session
+            {
+                return last.clone();
+            }
+        }
+        self.capture()
+    }
+
+    /// Hashes the observable run state — the half of snapshot
+    /// verification that does not depend on the kernel's schedule.
+    fn arch_digest(&self) -> ArchDigest {
+        let mut w = StateWriter::new();
+        w.put_u64s(&self.gmem_read(0, self.config().gmem_words));
+        ArchDigest {
+            hub_cycles: self.position().1,
+            report_fnv: fnv64(self.report().to_json().as_bytes()),
+            ctrl_fnv: fnv64(format!("{:?}", self.ctrl_status()).as_bytes()),
+            gmem_fnv: fnv64(&w.into_bytes()),
+        }
+    }
+
+    /// Where the run stands: `(kernel instants, hub cycles)`.
+    fn position(&self) -> (u64, u64) {
+        (self.sim.instants(), self.sim.cycles(self.hub_clock))
+    }
+
+    /// Advances the run by at most `budget` hub cycles under the
+    /// watchdog — one [`craft_sim::Simulator::run_until_checked_with`]
+    /// call with every NoC channel tapped as a progress source —
+    /// carrying `session`'s watchdog state across the call so a
+    /// segmented run trips on exactly the cycle an unsegmented one
+    /// would. The halt predicate is pure, so the extra evaluation at
+    /// each seam is invisible. Returns the cycles consumed and
+    /// `Some(completed)` when the run itself ended — the controller
+    /// halted (`true`) or the kernel stopped with nothing left to do
+    /// (`false`) — or `None` when only the budget ran out.
+    fn advance(
+        &mut self,
+        budget: u64,
+        session: &mut SessionState,
+    ) -> Result<(u64, Option<bool>), SimError> {
+        let token = self.sim.progress_token();
+        for (_, h) in &self.noc_channels {
+            h.set_progress_token(token.clone());
+        }
+        let start = self.sim.cycles(self.hub_clock);
+        let ctrl = Rc::clone(&self.ctrl);
+        let halted = self.sim.run_until_checked_with(
+            self.hub_clock,
+            budget,
+            session.no_progress_limit,
+            &mut session.wd,
+            move || ctrl.borrow().halted,
+        )?;
+        let cycles = self.sim.cycles(self.hub_clock) - start;
+        // Not halted with the whole budget spent: only the budget
+        // stopped the run. Anything short of it (stop request, no
+        // edges left) ended it.
+        Ok((cycles, (halted || cycles < budget).then_some(halted)))
+    }
+
+    /// Steps a freshly built SoC forward, unsupervised, to exactly
+    /// `target` kernel instants. A target behind the current position,
+    /// or one the run cannot reach, is a typed error.
+    fn seek(&mut self, target: u64) -> Result<(), CheckpointError> {
+        let at = self.sim.instants();
+        if at > target {
+            return Err(CheckpointError::Malformed(format!(
+                "replay target kernel.instants {target} is behind the current {at}"
+            )));
+        }
+        while self.sim.instants() < target {
+            if !self.sim.step() {
+                return Err(CheckpointError::ReplayDivergence {
+                    field: "kernel.instants".to_string(),
+                    expected: target,
+                    found: self.sim.instants(),
+                });
+            }
+        }
+        // Captures happen at run boundaries, where the kernel has
+        // settled its gating statistics; a raw step loop must settle
+        // them explicitly (exact-statistics contract: flush timing is
+        // behavior-neutral, totals at a given instant are unique).
+        self.sim.flush_skipped_commits();
+        Ok(())
+    }
+
+    /// Arms a seeded injector on every NoC channel whose name contains
+    /// `pat`, returning how many matched. Callers want
+    /// [`Soc::inject_fault`], which also logs the event.
+    fn arm_fault(
+        &mut self,
+        pat: &str,
+        cfg: FaultConfig,
+        seed: u64,
+    ) -> Result<usize, FaultPatternError> {
+        // An injector changes what a channel commits, not the schedule:
+        // the faulted channel re-arms its own dirty token on every
+        // commit, which keeps the gated kernel committing it.
+        let mut matched = 0;
+        for (i, (name, h)) in self.noc_channels.iter().enumerate() {
+            if name.contains(pat) {
+                matched += 1;
+                h.inject_faults(cfg, lane_fault_seed(seed, i));
+            }
+        }
+        if matched == 0 {
+            return Err(FaultPatternError::NoMatch {
+                pattern: pat.to_string(),
+            });
+        }
+        Ok(matched)
+    }
+
+    /// Sets the watchdog progress flag to what a capture recorded. The
+    /// token only feeds the watchdog, never behavior, so its flag is
+    /// restored verbatim rather than by mimicking takes.
+    fn set_progress(&mut self, set: bool) {
+        let token = self.sim.progress_token();
+        if set {
+            token.set();
+        } else {
+            let _ = token.take();
+        }
+    }
 }
 
 /// Builds a fresh engine of `kind` with every fault vector in
 /// `faults` injected before the first cycle. For the sequential engine
 /// each [`LaneSpec`] arms a real injector on the one simulation; for
 /// the batch engine the specs *are* the lockstep lanes. `telemetry`
-/// attaches a sink.
+/// attaches a sink. Injecting before any cycle runs means a snapshot
+/// taken at any boundary carries the full replay recipe.
 pub fn build_engine(
     kind: EngineKind,
     cfg: SocConfig,
@@ -610,7 +643,7 @@ pub fn build_engine(
     gmem_init: &[(usize, Vec<u64>)],
     faults: &[LaneSpec],
     telemetry: bool,
-) -> Result<Box<dyn SimEngine>, EngineError> {
+) -> Result<Soc, EngineError> {
     cfg.validate()?;
     let recipe = Recipe::new(cfg, program, staging_init, gmem_init);
     let tel = telemetry.then(Telemetry::new);
@@ -618,22 +651,19 @@ pub fn build_engine(
         if faults.is_empty() {
             return Err(EngineError::EmptyBatch);
         }
-        return Ok(Box::new(BatchSoc::from_recipe(
-            recipe,
-            faults.to_vec(),
-            tel,
-        )?));
+        return Ok(Soc::with_lanes(recipe, faults.to_vec(), tel)?);
     }
-    let mut eng = Soc::from_recipe(recipe, tel);
+    let mut soc = Soc::from_recipe(recipe, tel);
     for f in faults {
-        eng.inject_fault(&f.pattern, f.cfg, f.seed)?;
+        soc.inject_fault(&f.pattern, f.cfg, f.seed)?;
     }
-    Ok(Box::new(eng))
+    Ok(soc)
 }
 
-/// Revives an engine of `kind` from [`SimEngine::snapshot_bytes`]:
-/// decodes the framed snapshot, rebuilds, deterministically replays
-/// to the capture boundary and verifies the digests. An open session
+/// Revives an engine of `kind` from [`Soc::snapshot_bytes`]: decodes
+/// the framed snapshot, rebuilds, deterministically replays to the
+/// capture boundary and verifies the digests — for a batch, every
+/// lane's divergence status and shadow counters too. An open session
 /// resumes exactly where the capture left it. Feeding bytes of the
 /// wrong snapshot kind (a batch frame to a non-batch engine, or vice
 /// versa) is a typed [`CheckpointError::WrongKind`].
@@ -641,15 +671,13 @@ pub fn restore_engine(
     kind: EngineKind,
     bytes: &[u8],
     telemetry: bool,
-) -> Result<Box<dyn SimEngine>, CheckpointError> {
+) -> Result<Soc, CheckpointError> {
     let tel = telemetry.then(Telemetry::new);
-    Ok(if kind == EngineKind::Batch {
-        let snap = BatchSnapshot::from_bytes(bytes)?;
-        Box::new(BatchSoc::restore_with_telemetry(&snap, tel)?)
+    if kind == EngineKind::Batch {
+        Soc::restore_batch(&BatchSnapshot::from_bytes(bytes)?, tel)
     } else {
-        let snap = SimSnapshot::from_bytes(bytes)?;
-        Box::new(Soc::restore_with_telemetry(&snap, tel)?)
-    })
+        Soc::restore_with_telemetry(&SimSnapshot::from_bytes(bytes)?, tel)
+    }
 }
 
 #[cfg(test)]
@@ -708,7 +736,7 @@ mod tests {
     /// The three [`EngineKind`]s — the library-only `Parallel` alias
     /// is served by the sequential `Soc` — run one workload alike.
     #[test]
-    fn all_three_engines_agree_through_the_trait() {
+    fn all_three_engine_kinds_agree() {
         let (program, staging, gmem) = build_inputs();
         let wl = vec_mul();
         let mut reports = Vec::new();
@@ -767,7 +795,7 @@ mod tests {
 
     const HOT_LINK: &str = "l11p3->15";
 
-    fn build(kind: EngineKind, every: u64, wl: &Workload, fault: &LaneSpec) -> Box<dyn SimEngine> {
+    fn build(kind: EngineKind, every: u64, wl: &Workload, fault: &LaneSpec) -> Soc {
         build_with(kind, every, wl, fault, false)
     }
 
@@ -777,7 +805,7 @@ mod tests {
         wl: &Workload,
         fault: &LaneSpec,
         telemetry: bool,
-    ) -> Box<dyn SimEngine> {
+    ) -> Soc {
         let cfg = SocConfig {
             checkpoint_every: Some(every),
             ..SocConfig::default()
@@ -813,7 +841,7 @@ mod tests {
         }
     }
 
-    fn observe(eng: &dyn SimEngine, res: &Result<RunResult, SimError>) -> Observed {
+    fn observe(eng: &Soc, res: &Result<RunResult, SimError>) -> Observed {
         Observed {
             result: fold(res),
             report: eng.report().to_json(),
@@ -840,7 +868,7 @@ mod tests {
 
     /// The chain a contended server runs: snapshot, drop, restore at
     /// *every* boundary. Returns the outcome and the boundaries crossed.
-    fn run_chain(mut eng: Box<dyn SimEngine>, kind: EngineKind) -> (Observed, usize) {
+    fn run_chain(mut eng: Soc, kind: EngineKind) -> (Observed, usize) {
         let mut boundaries = 0;
         let res = loop {
             match eng.step_segment() {
@@ -855,7 +883,7 @@ mod tests {
                 Err(e) => break Err(e),
             }
         };
-        (observe(&*eng, &res), boundaries)
+        (observe(&eng, &res), boundaries)
     }
 
     /// The engine contract, for every spelling: a run preempted and
@@ -874,7 +902,7 @@ mod tests {
             eng.begin(8_000_000, 50_000);
             let (chained, boundaries) = run_chain(eng, kind);
             assert!(boundaries >= 3, "{kind}: {boundaries} boundaries");
-            assert_eq!(chained, observe(&*base, &base_res), "{kind}");
+            assert_eq!(chained, observe(&base, &base_res), "{kind}");
         }
     }
 
@@ -888,7 +916,7 @@ mod tests {
         for kind in spellings() {
             let mut base = build(kind, 1_000, &wl, &fault);
             let base_res = base.run_checked(8_000_000, 5_000);
-            let base_out = observe(&*base, &base_res);
+            let base_out = observe(&base, &base_res);
             // The batch engine's golden run is fault-free; its one lane
             // de-opts into the hang.
             let hung = match &base_out.lanes {
@@ -909,7 +937,7 @@ mod tests {
                     Err(e) => break Err(e),
                 }
             };
-            assert_eq!(observe(&*seg, &seg_res), base_out, "{kind}: segmented");
+            assert_eq!(observe(&seg, &seg_res), base_out, "{kind}: segmented");
             assert_eq!(seg.last_checkpoint_bytes(), last.as_deref(), "{kind}");
             assert_eq!(last.is_some(), kind != EngineKind::Batch, "{kind}");
 
@@ -921,10 +949,11 @@ mod tests {
 
     /// A snapshot taken *after* the supervised loop proved the hang
     /// periodic and advanced over most of a 30 000-cycle segment
-    /// restores by stepping every one of those cycles: `revive` checks
-    /// the replay's [`KernelDigest`] and [`ArchDigest`] against the
-    /// capture's, so it is the oracle for what the advance left behind.
-    /// The revived run then ends in the uninterrupted run's diagnosis.
+    /// restores by stepping every one of those cycles: the restore
+    /// checks the replay's [`craft_sim::KernelDigest`] and
+    /// [`ArchDigest`] against the capture's, so it is the oracle for
+    /// what the advance left behind. The revived run then ends in the
+    /// uninterrupted run's diagnosis.
     #[test]
     fn a_snapshot_taken_after_a_loop_skip_restores_by_stepped_replay() {
         let wl = vec_mul();
@@ -976,12 +1005,12 @@ mod tests {
         let alias = EngineKind::Parallel { threads: 2 };
         let mut base = build(EngineKind::Soc, 300, &wl, &fault);
         let base_res = base.run_checked(8_000_000, 50_000);
-        let base_out = observe(&*base, &base_res);
+        let base_out = observe(&base, &base_res);
         assert!(base_out.result.as_ref().is_ok_and(|r| r.1));
 
         let mut eng = build(alias, 300, &wl, &fault);
         let res = eng.run_checked(8_000_000, 50_000);
-        assert_eq!(observe(&*eng, &res), base_out);
+        assert_eq!(observe(&eng, &res), base_out);
 
         let mut eng = build(EngineKind::Soc, 300, &wl, &fault);
         eng.begin(8_000_000, 50_000);
@@ -989,7 +1018,7 @@ mod tests {
         let mut revived = restore_engine(alias, &eng.snapshot_bytes(), false).unwrap();
         assert_eq!(revived.kind(), EngineKind::Soc);
         let res = revived.run_to_end();
-        assert_eq!(observe(&*revived, &res), base_out);
+        assert_eq!(observe(&revived, &res), base_out);
 
         assert_eq!(
             EngineKind::parse("parallel:2"),
@@ -997,44 +1026,77 @@ mod tests {
         );
     }
 
-    /// A frame without an instant target or kernel digest, carrying a
-    /// seam progress bit in its session — what the retired sharded
-    /// engine wrote at a boundary — still decodes and restores by hub
-    /// cycles, against the architectural digest alone.
+    /// One replay scheme: a frame without an instant target, without a
+    /// kernel digest, or with a nonzero reserved byte in its session —
+    /// what the retired sharded engine wrote at a boundary — is
+    /// malformed, both on decode and on restore. The frames are laid
+    /// out field by field, and the unaltered layout is first shown to
+    /// be exactly what a capture encodes.
     #[test]
-    fn a_frame_without_an_instant_target_restores_by_hub_cycles() {
-        use craft_sim::checkpoint::frame_snapshot;
+    fn a_frame_without_an_instant_target_is_malformed() {
+        use craft_sim::checkpoint::{frame_snapshot, KernelDigest};
         use craft_sim::Checkpointable;
         let wl = vec_mul();
         let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
-        let mut base = build(EngineKind::Soc, 300, &wl, &fault);
-        let base_res = base.run_checked(8_000_000, 50_000);
-        let base_out = observe(&*base, &base_res);
-
         let mut eng = build(EngineKind::Soc, 300, &wl, &fault);
         eng.begin(8_000_000, 50_000);
         assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
-        let mut snap = eng.checkpoint();
-        (snap.instants, snap.kernel) = (None, None);
+        let snap = eng.checkpoint();
         let session = snap.session.expect("open");
-        let encode = |v: &dyn Fn(&mut StateWriter)| {
+        let frame = |instants: Option<u64>, kernel: Option<&KernelDigest>, reserved: u8| {
             let mut w = StateWriter::new();
-            v(&mut w);
-            w.into_bytes()
+            snap.recipe.save(&mut w);
+            w.put_u64(snap.faults.len() as u64);
+            for ev in &snap.faults {
+                ev.save(&mut w);
+            }
+            w.put_opt_u64(instants);
+            w.put_u64(snap.hub_cycles);
+            w.put_bool(snap.progress_set);
+            w.put_bool(true);
+            w.put_u64(session.remaining);
+            w.put_u64(session.no_progress_limit);
+            w.put_u64(session.consumed);
+            session.wd.save(&mut w);
+            w.put_u8(reserved);
+            w.put_bool(kernel.is_some());
+            if let Some(k) = kernel {
+                k.save(&mut w);
+            }
+            snap.arch.save(&mut w);
+            frame_snapshot(crate::checkpoint::KIND_SOC, &w.into_bytes())
         };
-        let mut payload = encode(&|w| snap.save(w));
-        let plain = encode(&|w| session.save(w));
-        let at = payload
-            .windows(plain.len())
-            .position(|w| w == plain.as_slice())
-            .expect("session bytes in the payload");
-        for carried in [1u8, 2] {
-            payload[at + plain.len() - 1] = carried;
-            let bytes = frame_snapshot(crate::checkpoint::KIND_SOC, &payload);
-            assert_eq!(SimSnapshot::from_bytes(&bytes).expect("decodes"), snap);
-            let mut revived = restore_engine(EngineKind::Soc, &bytes, false).unwrap();
-            let res = revived.run_to_end();
-            assert_eq!(observe(&*revived, &res), base_out, "carried {carried}");
+        let whole = frame(Some(snap.instants), Some(&snap.kernel), 0);
+        assert_eq!(whole, eng.snapshot_bytes(), "the layout is the codec's");
+        assert!(restore_engine(EngineKind::Soc, &whole, false).is_ok());
+
+        for (what, bytes) in [
+            ("no instant target", frame(None, Some(&snap.kernel), 0)),
+            ("no kernel digest", frame(Some(snap.instants), None, 0)),
+            ("neither", frame(None, None, 0)),
+            (
+                "reserved byte 1",
+                frame(Some(snap.instants), Some(&snap.kernel), 1),
+            ),
+            (
+                "reserved byte 2",
+                frame(Some(snap.instants), Some(&snap.kernel), 2),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    SimSnapshot::from_bytes(&bytes),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{what}: decode"
+            );
+            assert!(
+                matches!(
+                    restore_engine(EngineKind::Soc, &bytes, false).err(),
+                    Some(CheckpointError::Malformed(_))
+                ),
+                "{what}: restore"
+            );
         }
     }
 

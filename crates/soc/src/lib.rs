@@ -48,10 +48,7 @@ pub mod workloads;
 
 pub use batch::{BatchReport, BatchSoc, LaneRun, LaneSpec};
 pub use checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
-pub use engine::{
-    build_engine, restore_engine, Advance, EngineError, EngineKind, Position, RunCore,
-    SegmentStatus, SimEngine,
-};
+pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus};
 pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};
 pub use rtlplan::{DpEval, DpOp, EvalPlan, PlanCache, PlanStats, SignalPlan};

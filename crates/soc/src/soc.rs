@@ -4,24 +4,23 @@
 //! fine-grained GALS clocking with pausible bisynchronous FIFOs on
 //! every router-to-router link.
 
-use crate::checkpoint::{Recipe, SessionState, SimSnapshot};
+use crate::batch::Lanes;
+use crate::checkpoint::{FaultEvent, Recipe, SessionState};
 use crate::controller::{Controller, CtrlHandle, CtrlStatus};
-use crate::engine::{revive, Advance, EngineKind, Position, RunCore, SimEngine};
+use crate::engine::{Capture, CkptOdometers};
 use crate::hub::{Hub, HubAxiSlave, HubHandle, HubState, CTRL_PAGE};
 use crate::msg::{HUB_NODE, MESH_WIDTH, N_NODES};
 use crate::pe::{Fidelity, PeConfig, ProcessingElement};
 use crate::rtlplan::{PlanCache, PlanCacheHandle, PlanStats, SignalPlan};
-use craft_connections::{channel, ChannelHandle, ChannelKind, FaultConfig, FaultStats, In, Out};
+use craft_connections::{channel, ChannelHandle, ChannelKind, FaultStats, In, Out};
 use craft_gals::pausible_fifo;
 use craft_matchlib::axi::{
     axi_link, AddrRange, AxiBus, AxiMaster, AxiMasterHandle, AxiMemorySlave,
 };
 use craft_matchlib::router::{port, xy_route, NocFlit, SfRouter, WhvcConfig, WhvcRouter};
 use craft_riscv::FlatMemory;
-use craft_sim::checkpoint::CheckpointError;
 use craft_sim::{
-    ActivityToken, ClockId, ClockSpec, Picoseconds, SimError, Simulator, Telemetry,
-    TelemetrySnapshot,
+    ActivityToken, ClockId, ClockSpec, Picoseconds, Simulator, Telemetry, TelemetrySnapshot,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -110,9 +109,9 @@ pub struct SocConfig {
     pub compiled_schedule: bool,
     /// Periodic auto-checkpoint interval for supervised runs, in hub
     /// cycles: `Some(k)` makes a supervised run on any engine
-    /// ([`SimEngine::run_checked`]) capture a [`crate::SimSnapshot`]
+    /// ([`Soc::run_checked`]) capture a [`crate::SimSnapshot`]
     /// every `k` cycles — the boundaries a scheduler may preempt at —
-    /// retrievable via [`SimEngine::last_checkpoint`]. Captures are
+    /// retrievable via [`Soc::last_checkpoint`]. Captures are
     /// observation-only — results, cycle counts, reports and the
     /// watchdog's trip point are bit-identical with or without them
     /// (the segmented-run equivalence the checkpoint proptests pin).
@@ -551,20 +550,36 @@ impl craft_sim::Component for RouterActivity {
 }
 
 /// A built prototype SoC ready to run.
+///
+/// It is also the one engine: the supervised-run driver
+/// ([`crate::engine`]) works on its run state below, and a batch is a
+/// `Soc` carrying a lane table ([`crate::batch`]).
 pub struct Soc {
-    sim: Simulator,
-    hub_clock: ClockId,
+    pub(crate) sim: Simulator,
+    pub(crate) hub_clock: ClockId,
     hub: HubHandle,
-    ctrl: CtrlHandle,
+    pub(crate) ctrl: CtrlHandle,
     pe_stats: Vec<(u16, Rc<RefCell<crate::pe::PeStats>>)>,
     coverage: craft_sim::cover::Coverage,
     plan_cache: Option<PlanCacheHandle>,
     router_charged: Vec<Rc<Cell<u64>>>,
-    noc_channels: Vec<(String, ChannelHandle<NocFlit>)>,
+    /// The NoC channel registry (name, handle), in registration order —
+    /// the index is the per-channel fault-seed salt, and a batch walks
+    /// it to attach shadow fault-lane banks.
+    pub(crate) noc_channels: Vec<(String, ChannelHandle<NocFlit>)>,
     telemetry: Option<Telemetry>,
-    /// Recipe, fault log, session, last capture, odometers — the state
-    /// the [`SimEngine`] driver works on.
-    core: RunCore,
+    /// The shared build inputs, which every restore and lane replay of
+    /// this run builds from too.
+    pub(crate) recipe: Arc<Recipe>,
+    /// Every fault injected so far, in order — the replay log.
+    pub(crate) faults: Vec<FaultEvent>,
+    /// The open supervised session, if any.
+    pub(crate) session: Option<SessionState>,
+    /// The last segment boundary's capture.
+    pub(crate) last: Option<Capture>,
+    pub(crate) ckpt: CkptOdometers,
+    /// A batch's lane table; `None` for the sequential engine.
+    pub(crate) lanes: Option<Box<Lanes>>,
 }
 
 impl Soc {
@@ -1020,7 +1035,7 @@ impl Soc {
         // All registry wiring happens here, once, after assembly:
         // probes close over the same shared handles the accessors read,
         // so a snapshot any cycle agrees with `Soc::report`.
-        let core = RunCore::new(recipe);
+        let ckpt = CkptOdometers::default();
         if let Some(tel) = &telemetry {
             macro_rules! hub_probe {
                 ($name:literal, $st:ident, $read:expr) => {{
@@ -1085,7 +1100,7 @@ impl Soc {
             // last capture latency. Observation-only by construction —
             // probes are lazily polled and capture never mutates sim
             // state (pinned by the checkpoint telemetry tests).
-            core.ckpt.publish(tel);
+            ckpt.publish(tel);
             sim.set_tick_profiling(tel.profiling());
         }
 
@@ -1100,26 +1115,13 @@ impl Soc {
             router_charged,
             noc_channels,
             telemetry,
-            core,
+            recipe,
+            faults: Vec::new(),
+            session: None,
+            last: None,
+            ckpt,
+            lanes: None,
         }
-    }
-
-    /// Injects a seeded fault into every NoC flit channel whose name
-    /// contains `pat` (mesh links `l{a}p{pa}->{b}`, GALS crossings
-    /// `g{a}p{pa}.tx`/`.rx`, endpoint ports `n{n}.eject`/`n{n}.inject`)
-    /// without touching any component. Each matched channel gets an
-    /// independent injector derived from `seed`. Returns how many
-    /// channels matched, or [`FaultPatternError::NoMatch`] when the
-    /// pattern names nothing — a typo'd pattern used to come back as a
-    /// silently ignorable `0`. Successful injections join the replay
-    /// log ([`SimEngine::inject_fault`]).
-    pub fn inject_fault(
-        &mut self,
-        pat: &str,
-        cfg: FaultConfig,
-        seed: u64,
-    ) -> Result<usize, FaultPatternError> {
-        SimEngine::inject_fault(self, pat, cfg, seed)
     }
 
     /// Aggregated fault-injection counters over every NoC channel
@@ -1280,7 +1282,7 @@ impl Soc {
 
     /// The configuration this SoC was built from.
     pub fn config(&self) -> &SocConfig {
-        &self.core.recipe.cfg
+        &self.recipe.cfg
     }
 
     /// Read-only view of the underlying kernel, exposing scheduling
@@ -1314,23 +1316,15 @@ impl Soc {
         self.hub_clock
     }
 
-    /// The NoC channel registry (name, handle), in registration order —
-    /// the index is the per-channel fault-seed salt. The batched
-    /// lockstep backend ([`crate::batch`]) walks this to attach shadow
-    /// fault-lane banks on the golden build.
-    pub(crate) fn noc_registry(&self) -> &[(String, ChannelHandle<NocFlit>)] {
-        &self.noc_channels
-    }
-
     /// Runs until the controller halts or `max_cycles` hub cycles.
     ///
     /// # Panics
     /// Panics if a supervised session is open — finish it with
-    /// [`SimEngine::run_to_end`] first, or its cycle accounting would
+    /// [`Soc::run_to_end`] first, or its cycle accounting would
     /// silently drift.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         assert!(
-            self.core.session.is_none(),
+            self.session.is_none(),
             "finish the open supervised session before Soc::run"
         );
         let t0 = Instant::now();
@@ -1345,76 +1339,6 @@ impl Soc {
             ctrl: *self.ctrl.borrow(),
             completed,
         }
-    }
-
-    /// Like [`Soc::run`], but supervised by the simulation watchdog:
-    /// every NoC flit channel is tapped as a progress source, and
-    /// `no_progress_limit` consecutive hub cycles without a single NoC
-    /// push/pop (or component wake) turn a would-be infinite run into
-    /// a typed [`SimError::Hang`] carrying the per-component /
-    /// per-channel diagnosis.
-    ///
-    /// Only *data-plane* traffic counts as progress — deliberately not
-    /// the AXI channels, because the controller polls `DONE_COUNT`
-    /// over AXI forever and that busy-wait must not mask a wedged NoC.
-    /// With [`SocConfig::checkpoint_every`] set, the run is segmented
-    /// at that interval with a [`SimSnapshot`] captured at each
-    /// boundary (see [`SimEngine::last_checkpoint`]); segmentation and
-    /// capture are observation-only — outcome, cycle count and the
-    /// watchdog trip point are identical to an unsegmented run. This
-    /// is [`SimEngine::run_checked`]; the segmented entry points
-    /// (`begin`, `step_segment`, `run_to_end`) live on the trait.
-    pub fn run_checked(
-        &mut self,
-        max_cycles: u64,
-        no_progress_limit: u64,
-    ) -> Result<RunResult, SimError> {
-        SimEngine::run_checked(self, max_cycles, no_progress_limit)
-    }
-
-    /// Rebuilds a SoC from `snap` and deterministically replays it to
-    /// the capture boundary, verifying the kernel and architectural
-    /// digests — the restore-then-run ≡ uninterrupted-run contract the
-    /// checkpoint proptests pin. An open session in the snapshot is
-    /// reinstated, ready for [`SimEngine::run_to_end`].
-    pub fn restore(snap: &SimSnapshot) -> Result<Soc, CheckpointError> {
-        Self::restore_with_telemetry(snap, None)
-    }
-
-    /// [`Soc::restore`] with a telemetry sink attached to the rebuilt
-    /// SoC (restore itself is sink-agnostic; telemetry stays
-    /// observation-only either way).
-    pub fn restore_with_telemetry(
-        snap: &SimSnapshot,
-        telemetry: Option<Telemetry>,
-    ) -> Result<Soc, CheckpointError> {
-        revive(snap, |recipe| Ok(Soc::from_recipe(recipe, telemetry)))
-    }
-
-    /// Steps the kernel until `at()` reaches `target`; `field` names
-    /// the coordinate in the typed error when the run cannot get there.
-    fn step_until(
-        &mut self,
-        field: &str,
-        target: u64,
-        at: impl Fn(&Simulator) -> u64,
-    ) -> Result<(), CheckpointError> {
-        if at(&self.sim) > target {
-            return Err(CheckpointError::Malformed(format!(
-                "replay target {field} {target} is behind the current {}",
-                at(&self.sim)
-            )));
-        }
-        while at(&self.sim) < target {
-            if !self.sim.step() {
-                return Err(CheckpointError::ReplayDivergence {
-                    field: field.to_string(),
-                    expected: target,
-                    found: at(&self.sim),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Backdoor read of global memory (harness verification).
@@ -1441,128 +1365,6 @@ impl Soc {
         let gmem = gmem_macro.access_energy_fj() * st.gmem_ops as f64;
         let noc = craft_tech::noc_hop_energy_fj(lib, 450.0) * st.noc_flits as f64 * 3.0;
         (mac + gmem + noc) / 1e6
-    }
-}
-
-/// The sequential engine: captures are instant-exact and carry a
-/// [`craft_sim::KernelDigest`].
-impl SimEngine for Soc {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Soc
-    }
-
-    fn core(&self) -> &RunCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut RunCore {
-        &mut self.core
-    }
-
-    /// One [`Simulator::run_until_checked_with`] call, every NoC
-    /// channel tapped as a progress source. The halt predicate is
-    /// pure, so the extra evaluation at each seam is invisible — a
-    /// segmented run is step-for-step an uninterrupted one.
-    fn advance(&mut self, budget: u64, session: &mut SessionState) -> Result<Advance, SimError> {
-        let token = self.sim.progress_token();
-        for (_, h) in &self.noc_channels {
-            h.set_progress_token(token.clone());
-        }
-        let start = self.sim.cycles(self.hub_clock);
-        let ctrl = Rc::clone(&self.ctrl);
-        let halted = self.sim.run_until_checked_with(
-            self.hub_clock,
-            budget,
-            session.no_progress_limit,
-            &mut session.wd,
-            move || ctrl.borrow().halted,
-        )?;
-        let cycles = self.sim.cycles(self.hub_clock) - start;
-        // Not halted with the whole budget spent: only the budget
-        // stopped the run. Anything short of it (stop request, no
-        // edges left) ended it.
-        Ok(Advance {
-            cycles,
-            ended: (halted || cycles < budget).then_some(halted),
-        })
-    }
-
-    fn position(&self) -> Position {
-        Position {
-            instants: self.sim.instants(),
-            hub_cycles: self.sim.cycles(self.hub_clock),
-            progress_set: self.sim.progress_token().is_set(),
-            kernel: self.sim.kernel_digest(),
-        }
-    }
-
-    fn seek(&mut self, instants: Option<u64>, hub_cycles: u64) -> Result<(), CheckpointError> {
-        let hub = self.hub_clock;
-        match instants {
-            Some(target) => self.step_until("kernel.instants", target, Simulator::instants)?,
-            None => self.step_until("arch.hub_cycles", hub_cycles, |sim| sim.cycles(hub))?,
-        }
-        // Captures happen at run boundaries, where the kernel has
-        // settled its gating statistics; a raw step loop must settle
-        // them explicitly (exact-statistics contract: flush timing is
-        // behavior-neutral, totals at a given instant are unique).
-        self.sim.flush_skipped_commits();
-        Ok(())
-    }
-
-    fn arm_fault(
-        &mut self,
-        pat: &str,
-        cfg: FaultConfig,
-        seed: u64,
-    ) -> Result<usize, FaultPatternError> {
-        // An injector changes what a channel commits, not the schedule:
-        // the faulted channel re-arms its own dirty token on every
-        // commit, which keeps the gated kernel committing it.
-        let mut matched = 0;
-        for (i, (name, h)) in self.noc_channels.iter().enumerate() {
-            if name.contains(pat) {
-                matched += 1;
-                h.inject_faults(cfg, lane_fault_seed(seed, i));
-            }
-        }
-        if matched == 0 {
-            return Err(FaultPatternError::NoMatch {
-                pattern: pat.to_string(),
-            });
-        }
-        Ok(matched)
-    }
-
-    /// The progress token only feeds the watchdog, never behavior —
-    /// its flag is restored verbatim rather than by mimicking takes.
-    fn set_progress(&mut self, set: bool) {
-        let token = self.sim.progress_token();
-        if set {
-            token.set();
-        } else {
-            let _ = token.take();
-        }
-    }
-
-    fn report(&self) -> SocReport {
-        Soc::report(self)
-    }
-
-    fn ctrl_status(&self) -> CtrlStatus {
-        Soc::ctrl_status(self)
-    }
-
-    fn gmem_read(&self, base: usize, len: usize) -> Vec<u64> {
-        Soc::gmem_read(self, base, len)
-    }
-
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        Soc::telemetry_snapshot(self)
-    }
-
-    fn fault_stats(&self, pat: &str) -> Result<FaultStats, FaultPatternError> {
-        Soc::fault_stats(self, pat)
     }
 }
 
@@ -1829,6 +1631,7 @@ mod compiled_schedule_tests {
     //! `compiled_schedule` field selects nothing.
     use super::*;
     use crate::workloads::{dot_product, run_workload_soc, vec_mul, Workload};
+    use craft_connections::FaultConfig;
 
     /// `report` with the one field gating may change blanked: an idle
     /// hub polls its empty eject channel on every delivered tick, so
@@ -2034,7 +1837,7 @@ mod compiled_schedule_tests {
                 &wl.gmem_init,
                 Some(craft_sim::Telemetry::new()),
             );
-            let r = SimEngine::run_checked(&mut soc, 8_000_000, 100_000).expect("completes");
+            let r = soc.run_checked(8_000_000, 100_000).expect("completes");
             assert!(r.completed);
             let mut snapshot = soc.last_checkpoint().expect("auto checkpoint").clone();
             let mut recipe = (*snapshot.recipe).clone();
@@ -2201,6 +2004,8 @@ mod adaptive_gals_tests {
 mod robustness_tests {
     use super::*;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
+    use craft_connections::FaultConfig;
+    use craft_sim::SimError;
 
     /// Graceful degradation end to end: a PE whose command-delivery
     /// channel is permanently stuck never acknowledges, the hub's
@@ -2335,6 +2140,7 @@ mod robustness_tests {
 mod api_tests {
     use super::*;
     use crate::workloads::{orchestrator_program, run_workload_soc, vec_mul};
+    use craft_connections::FaultConfig;
 
     #[test]
     fn builder_validates_configs() {
@@ -2463,6 +2269,7 @@ mod api_tests {
 mod telemetry_tests {
     use super::*;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
+    use craft_connections::FaultConfig;
 
     fn run_with(tel: Option<Telemetry>) -> (RunResult, Soc) {
         let wl = vec_mul();

@@ -3,8 +3,8 @@
 //! cycle-identical, report-identical and fault-statistics-identical —
 //! across workload × fidelity × clocking × gating × fault-vector,
 //! with the capture instant randomized via
-//! [`SocConfig::checkpoint_every`], for both engines ([`Soc`],
-//! [`BatchSoc`]). A checkpoint taken
+//! [`SocConfig::checkpoint_every`], for both engines ([`Soc`] and a
+//! batch [`Soc`] carrying fault lanes). A checkpoint taken
 //! *between a hang's onset and the watchdog's diagnosis* must resume
 //! into the identical [`SimError::Hang`] diagnosis. Truncated,
 //! corrupted, version-bumped and wrong-kind snapshot bytes are
@@ -21,7 +21,8 @@ use craft_soc::workloads::{
     dot_product, orchestrator_program, table_words, vec_mul, TableEntry, Workload,
 };
 use craft_soc::{
-    restore_engine, ClockingMode, EngineKind, PeCommand, PeOp, SimEngine, Soc, SocConfig, SocReport,
+    build_engine, restore_engine, ClockingMode, EngineKind, PeCommand, PeOp, Soc, SocConfig,
+    SocReport,
 };
 use proptest::prelude::*;
 
@@ -227,21 +228,24 @@ proptest! {
 
         let seg_cfg = SocConfig { checkpoint_every: Some(ckpt_every), ..cfg };
         let mut seg =
-            BatchSoc::build(seg_cfg, &program, &table, &wl.gmem_init, specs.clone())
+            build_engine(EngineKind::Batch, seg_cfg, &program, &table, &wl.gmem_init, &specs, false)
                 .expect("pattern matches");
-        let seg_rep = seg.run(MAX_CYCLES, NO_PROGRESS);
+        let _ = seg.run_checked(MAX_CYCLES, NO_PROGRESS);
+        let seg_rep = seg.batch_report().expect("the batch settled");
         prop_assert_eq!(
-            fold(&base_rep), fold(&seg_rep),
+            fold(&base_rep), fold(seg_rep),
             "segmentation perturbed the batch ({cfg:?})"
         );
 
-        let snap = seg.last_checkpoint().expect("mid-run capture exists");
-        let bytes = snap.to_bytes();
-        let decoded = BatchSnapshot::from_bytes(&bytes).expect("codec round-trip");
-        let mut rest = BatchSoc::restore(&decoded).expect("restore");
-        let rest_rep = rest.resume();
+        let bytes = seg.last_checkpoint_bytes().expect("mid-run capture exists");
+        let decoded = BatchSnapshot::from_bytes(bytes).expect("codec round-trip");
+        prop_assert_eq!(&decoded.to_bytes()[..], bytes, "codec round-trip");
+        let mut rest = restore_engine(EngineKind::Batch, bytes, false).expect("restore");
+        prop_assert!(rest.session_open(), "restore must reopen the session");
+        let _ = rest.run_to_end();
+        let rest_rep = rest.batch_report().expect("the batch settled");
         prop_assert_eq!(
-            fold(&base_rep), fold(&rest_rep),
+            fold(&base_rep), fold(rest_rep),
             "batch restore-then-run diverged ({cfg:?})"
         );
         for lane in &rest_rep.lanes {
@@ -406,10 +410,18 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
     }
 
     // A batch snapshot fed to the SoC reader → WrongKind.
-    let specs = vec![LaneSpec::new("l11p3->15", FaultConfig::bit_flip(0.01), 7)];
-    let batch = BatchSoc::build(SocConfig::default(), &program, &table, &wl.gmem_init, specs)
-        .expect("pattern matches");
-    let batch_bytes = batch.checkpoint().to_bytes();
+    let specs = [LaneSpec::new("l11p3->15", FaultConfig::bit_flip(0.01), 7)];
+    let batch = build_engine(
+        EngineKind::Batch,
+        SocConfig::default(),
+        &program,
+        &table,
+        &wl.gmem_init,
+        &specs,
+        false,
+    )
+    .expect("pattern matches");
+    let batch_bytes = batch.snapshot_bytes();
     match SimSnapshot::from_bytes(&batch_bytes) {
         Err(CheckpointError::WrongKind { found, expected }) => {
             assert_ne!(found, expected);

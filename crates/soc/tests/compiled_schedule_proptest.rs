@@ -27,9 +27,7 @@ use craft_sim::{HangReport, SimError};
 use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
-use craft_soc::{
-    ClockingMode, RouterKind, RunResult, SegmentStatus, SimEngine, Soc, SocConfig, SocReport,
-};
+use craft_soc::{ClockingMode, RouterKind, RunResult, SegmentStatus, Soc, SocConfig, SocReport};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo CI gate: formatting, lints, the full test suite, Criterion
-# compilation, the fault campaign, the benchmark's correctness gate on
-# every workload, and a served-job smoke through the socket.
+# compilation, the fault campaign, the benchmark's own tests and its
+# correctness gate on every workload, and a served-job smoke through
+# the socket.
 # The test step is what a bare `cargo test -q` at the root runs too
 # (Tier-1): the workspace's `default-members` are all of it, and the
 # dev profile is optimised so the identity suites take ~25 s warm.
@@ -30,17 +31,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> fault-campaign smoke (release, reduced seeds: link recovery, PE remap and hang diagnosis asserted)"
 cargo run --release -p craft-bench --bin fault_campaign -- --smoke
 
-echo "==> benchmark correctness gate (2 s per workload: every op vs its golden reference, sim_digest vs the recorded one)"
 # Read-only: benchmark/ has its own lock file, which cargo refreshes in
 # place when a workspace crate's dependency list has moved since the
-# benchmark was last touched; put back what was there.
+# benchmark was last touched; put back what was there on exit, pass or
+# fail.
 bench_lock="$(mktemp)"
 cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+
+echo "==> benchmark tests (the benchmark compiles against the library API)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark correctness gate (2 s per workload: every op vs its golden reference, sim_digest vs the recorded one)"
 for workload in fig6_sim fig6_rtl campaign_sparse campaign_dense serve_tcp serve_contended; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
-cp "$bench_lock" benchmark/Cargo.lock
-rm -f "$bench_lock"
 
 echo "==> serve smoke (release: start sim_server, submit concurrent jobs, preempt + resume, validate streamed JSON)"
 cargo build --release -p craft-serve --bin sim_server --example serve_client
