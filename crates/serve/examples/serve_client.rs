@@ -8,7 +8,10 @@
 //! `--preempt-demo` is the CI smoke: two checkpointed jobs contend
 //! for a smaller pool until at least one checkpoint-boundary
 //! preemption is observed; both must resume and finish clean — and
-//! **every** line the server streams must pass `validate_json`.
+//! **every** line the server streams must pass `validate_json`. Run
+//! against a 1-worker server, the final `stats` line must then show
+//! preemptions and no replay (`restores` 0): every resume took the
+//! engine parked on the one worker.
 //! `--shutdown` sends the shutdown request at the end.
 
 use craftflow_core::validate_json;
@@ -163,7 +166,8 @@ fn run() -> Result<(), String> {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<u16>().ok())
         .ok_or("usage: serve_client --port N [--preempt-demo] [--shutdown]")?;
-    if args.iter().any(|a| a == "--preempt-demo") {
+    let demo = args.iter().any(|a| a == "--preempt-demo");
+    if demo {
         preempt_demo(port)?;
     } else {
         let s = roundtrip(
@@ -176,8 +180,16 @@ fn run() -> Result<(), String> {
         }
         expect_events(&s, &["queued", "running", "report", "done"])?;
     }
-    let stats = roundtrip(port, "stats", false)?;
-    println!("server stats: {}", stats.lines.join(""));
+    let stats = roundtrip(port, "stats", false)?.lines.join("");
+    println!("server stats: {stats}");
+    if demo {
+        let preemptions = stat_field(&stats, "preemptions").unwrap_or(0);
+        if preemptions == 0 || stat_field(&stats, "restores") != Some(0) {
+            return Err(format!(
+                "want preemptions > 0 and restores == 0 from a 1-worker server: {stats}"
+            ));
+        }
+    }
     if args.iter().any(|a| a == "--shutdown") {
         roundtrip(port, "shutdown", false)?;
         println!("shutdown requested");

@@ -197,6 +197,10 @@ pub enum JobError {
     /// A preemption snapshot failed to restore — corruption or
     /// replay divergence.
     SnapshotCorrupt(CheckpointError),
+    /// The engine panicked while being built, restored or stepped
+    /// (e.g. a fault that fail-stops the run); carries the panic
+    /// message. The worker survives and serves the next job.
+    Panicked(String),
 }
 
 impl JobError {
@@ -213,7 +217,7 @@ impl JobError {
     }
 
     /// Short stable verdict tag for the wire (`rejected`, `canceled`,
-    /// `deadline`, `hung`, `sim`, `snapshot_corrupt`).
+    /// `deadline`, `hung`, `sim`, `snapshot_corrupt`, `panicked`).
     pub fn verdict(&self) -> &'static str {
         match self {
             JobError::Rejected(_) | JobError::BadLimits => "rejected",
@@ -222,6 +226,7 @@ impl JobError {
             JobError::Hung { .. } => "hung",
             JobError::Sim(_) => "sim",
             JobError::SnapshotCorrupt(_) => "snapshot_corrupt",
+            JobError::Panicked(_) => "panicked",
         }
     }
 }
@@ -238,6 +243,7 @@ impl fmt::Display for JobError {
             JobError::Hung { cycle, .. } => write!(f, "hang diagnosed at cycle {cycle}"),
             JobError::Sim(e) => write!(f, "simulation error: {e}"),
             JobError::SnapshotCorrupt(e) => write!(f, "snapshot failed to restore: {e:?}"),
+            JobError::Panicked(msg) => write!(f, "engine panicked: {msg}"),
         }
     }
 }
@@ -281,15 +287,17 @@ pub enum JobEvent {
         /// Worker slot index.
         worker: usize,
     },
-    /// Preempted at a checkpoint boundary; the run state now lives
-    /// only in the serialized snapshot.
+    /// Preempted at a checkpoint boundary; the run state is
+    /// serialized into the snapshot, and the preempting worker keeps
+    /// the engine parked.
     Preempted {
         /// Hub cycles consumed so far.
         at_segment: u64,
         /// Size of the serialized snapshot.
         snapshot_bytes: usize,
     },
-    /// Revived from its snapshot by a worker.
+    /// Picked up again after a preemption: the worker's own parked
+    /// engine if it holds one, else a replay of the snapshot.
     Resumed {
         /// Worker slot index.
         worker: usize,
@@ -395,6 +403,9 @@ mod tests {
                     cycle: 99,
                     detail: "stuck \"here\"\nand there".to_string(),
                 },
+            },
+            JobEvent::Failed {
+                error: JobError::Panicked("lane \"3\"\tfail-stop".to_string()),
             },
         ];
         for (seq, ev) in events.iter().enumerate() {

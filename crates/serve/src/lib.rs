@@ -21,7 +21,8 @@
 //!   round-robin, zero wall-clock — the mode every test asserts on.
 //! * [`pool`] — [`ServePool`], the bounded thread pool with the same
 //!   preemption policy (snapshot at a boundary whenever other jobs
-//!   wait; the job migrates as bytes because engines are not `Send`).
+//!   wait; the engine stays parked on its worker, and the job moves
+//!   to another worker as bytes because engines are not `Send`).
 //! * [`wire`] + [`server`] — the line protocol and the TCP front end
 //!   behind the `sim_server` binary.
 //!

@@ -2,12 +2,14 @@
 //! never engines) and the segment-granular service loop shared by the
 //! deterministic in-process scheduler and the threaded worker pool.
 //!
-//! A [`Soc`] is `Rc`-based and deliberately not [`Send`], so a job
-//! never migrates as a live engine: a preemption serializes the PR 8
-//! snapshot into the job record, the engine is dropped, and whichever
-//! worker picks the job up next revives it with
-//! [`craft_soc::restore_engine`] — deterministic replay guarantees
-//! the resumed run is bit-identical to an uninterrupted one.
+//! A [`Soc`] is `Rc`-based and deliberately not [`Send`], so an engine
+//! never leaves the worker that runs it. A preemption serializes the
+//! checkpoint snapshot into the job record — the one source of truth —
+//! and parks the live engine in that worker's lot (at most
+//! `PARK_CAP` engines, oldest evicted first). If the same worker picks
+//! the job up next, it resumes the parked engine; any other worker
+//! revives the bytes with [`craft_soc::restore_engine`]. Deterministic
+//! replay makes both resumes bit-identical to an uninterrupted run.
 //!
 //! [`DeterministicScheduler`] drives the same core single-threaded
 //! with `W` virtual workers in strict round-robin (one segment per
@@ -18,7 +20,7 @@
 use crate::job::{JobError, JobEvent, JobSpec, ServeError};
 use craft_sim::TelemetrySnapshot;
 use craft_soc::{restore_engine, SegmentStatus, Soc, SocReport};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Final result of a successfully served job.
 #[derive(Debug, Clone)]
@@ -64,6 +66,11 @@ pub struct ServeStats {
     pub preemptions: u64,
     /// Segments executed across all jobs.
     pub segments: u64,
+    /// Resumes that replayed the snapshot bytes from cycle 0 (another
+    /// worker took the job, or its parked engine was evicted).
+    pub restores: u64,
+    /// Resumes of the live engine parked on the preempting worker.
+    pub parked_resumes: u64,
 }
 
 impl ServeStats {
@@ -71,8 +78,15 @@ impl ServeStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"submitted\": {}, \"done\": {}, \"failed\": {}, \
-             \"preemptions\": {}, \"segments\": {}}}",
-            self.submitted, self.done, self.failed, self.preemptions, self.segments
+             \"preemptions\": {}, \"segments\": {}, \
+             \"restores\": {}, \"parked_resumes\": {}}}",
+            self.submitted,
+            self.done,
+            self.failed,
+            self.preemptions,
+            self.segments,
+            self.restores,
+            self.parked_resumes
         )
     }
 }
@@ -84,7 +98,8 @@ pub enum JobPhase {
     Queued,
     /// Live on a worker.
     Running,
-    /// Preempted; state lives only in the serialized snapshot.
+    /// Preempted; the state is in the serialized snapshot, and may
+    /// also still be live on the worker that preempted it.
     Preempted,
     /// Done or failed; see the outcome.
     Finished,
@@ -109,6 +124,8 @@ pub(crate) struct JobRecord {
     pub snapshot: Option<Vec<u8>>,
     pub segments: u64,
     pub preemptions: u64,
+    restores: u64,
+    parked_resumes: u64,
     seq: u64,
     pub events: Vec<JobEvent>,
     /// The rendered JSON stream (events, then report/telemetry,
@@ -132,6 +149,19 @@ impl JobRecord {
             one_line(json)
         ));
         self.seq += 1;
+    }
+
+    /// Adds this job's counters to `s`.
+    fn tally(&self, s: &mut ServeStats) {
+        s.segments += self.segments;
+        s.preemptions += self.preemptions;
+        s.restores += self.restores;
+        s.parked_resumes += self.parked_resumes;
+        match &self.outcome {
+            Some(Ok(_)) => s.done += 1,
+            Some(Err(_)) => s.failed += 1,
+            None => {}
+        }
     }
 }
 
@@ -167,47 +197,73 @@ pub(crate) fn finish(rec: &mut JobRecord, outcome: Result<JobOutcome, JobError>)
     rec.outcome = Some(outcome);
 }
 
-/// Marks the record `Running` on worker `worker`, emits the
-/// `running`/`resumed` event, and hands back what [`construct`] needs
-/// — so the threaded pool can do the expensive build/replay outside
-/// the job-table lock.
-pub(crate) fn pickup(rec: &mut JobRecord, worker: usize) -> (JobSpec, Option<Vec<u8>>) {
-    let snapshot = rec.snapshot.take();
-    rec.phase = JobPhase::Running;
-    rec.push_event(if snapshot.is_some() {
-        JobEvent::Resumed { worker }
-    } else {
-        JobEvent::Running { worker }
-    });
-    (rec.spec.clone(), snapshot)
+/// Most engines one worker keeps parked. Two jobs sharing a worker
+/// need two; past the cap the oldest is dropped and its job resumes by
+/// replaying its snapshot bytes instead.
+pub(crate) const PARK_CAP: usize = 4;
+
+/// The engines one worker preempted and kept live, keyed by
+/// `(job id, preemption count)` so an entry matches exactly the
+/// preemption that parked it. Lives on the worker's own thread,
+/// because a [`Soc`] is not `Send`.
+#[derive(Default)]
+pub(crate) struct Lot {
+    /// Oldest first.
+    parked: VecDeque<(u64, u64, Soc)>,
 }
 
-/// The one build-or-restore both schedulers share: revives the
-/// preemption snapshot when there is one, else builds a fresh engine
-/// and opens its session.
-pub(crate) fn construct(spec: &JobSpec, snapshot: Option<Vec<u8>>) -> Result<Soc, JobError> {
-    match snapshot {
-        Some(bytes) => {
-            restore_engine(spec.engine, &bytes, spec.telemetry).map_err(JobError::SnapshotCorrupt)
+impl Lot {
+    fn park(&mut self, job: u64, preemptions: u64, engine: Soc) {
+        if self.parked.len() == PARK_CAP {
+            self.parked.pop_front();
         }
-        None => {
-            let mut engine = spec.build_engine().map_err(JobError::Rejected)?;
-            engine.begin(spec.max_cycles, spec.no_progress_limit);
-            Ok(engine)
-        }
+        self.parked.push_back((job, preemptions, engine));
+    }
+
+    fn take(&mut self, job: u64, preemptions: u64) -> Option<Soc> {
+        let at = self
+            .parked
+            .iter()
+            .position(|(j, n, _)| (*j, *n) == (job, preemptions))?;
+        self.parked.remove(at).map(|(.., engine)| engine)
+    }
+
+    /// Drops every engine whose record has moved on: picked up
+    /// elsewhere, canceled, finished or released.
+    fn prune(&mut self, core: &Core) {
+        self.parked.retain(|(job, n, _)| {
+            core.jobs
+                .get(job)
+                .is_some_and(|r| r.phase == JobPhase::Preempted && r.preemptions == *n)
+        });
     }
 }
 
-/// [`pickup`] + [`construct`] in one step, for the single-threaded
-/// scheduler. On failure the record is sealed with the typed error
-/// and `None` tells the caller to move on.
-pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Option<Soc> {
-    let (spec, snapshot) = pickup(rec, worker);
-    match construct(&spec, snapshot) {
-        Ok(engine) => Some(engine),
-        Err(e) => {
-            finish(rec, Err(e));
-            None
+/// How a claimed job gets its engine back.
+// One per pickup, moved straight into `construct`; boxing the engine
+// would buy nothing.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Revive {
+    /// The claiming worker's own parked engine, live.
+    Parked(Soc),
+    /// Replay the preemption snapshot from cycle 0.
+    Restore(JobSpec, Vec<u8>),
+    /// First pickup: build fresh.
+    Build(JobSpec),
+}
+
+/// The one build-or-restore both schedulers share. The threaded pool
+/// calls it outside the job-table lock, because replay is expensive.
+pub(crate) fn construct(revive: Revive) -> Result<Soc, JobError> {
+    match revive {
+        Revive::Parked(engine) => Ok(engine),
+        Revive::Restore(spec, bytes) => {
+            restore_engine(spec.engine, &bytes, spec.telemetry).map_err(JobError::SnapshotCorrupt)
+        }
+        Revive::Build(spec) => {
+            let mut engine = spec.build_engine().map_err(JobError::Rejected)?;
+            engine.begin(spec.max_cycles, spec.no_progress_limit);
+            Ok(engine)
         }
     }
 }
@@ -217,8 +273,8 @@ pub(crate) fn activate(rec: &mut JobRecord, worker: usize) -> Option<Soc> {
 pub(crate) enum StepResult {
     /// Keep stepping this job.
     Continue,
-    /// Drop the engine: the record is now `Finished`, or `Preempted`
-    /// (requeue it).
+    /// Hand the engine to [`Core::put_back`]: the record is now
+    /// `Finished`, or `Preempted`.
     Stop,
 }
 
@@ -232,7 +288,7 @@ pub(crate) fn step_job(rec: &mut JobRecord, engine: &mut Soc, contend: bool) -> 
         finish(rec, Err(JobError::Canceled));
         return StepResult::Stop;
     }
-    let step = engine.step_segment();
+    let step = engine.step_segment().map_err(JobError::from_sim);
     absorb_step(rec, engine, step, contend)
 }
 
@@ -242,13 +298,13 @@ pub(crate) fn step_job(rec: &mut JobRecord, engine: &mut Soc, contend: bool) -> 
 pub(crate) fn absorb_step(
     rec: &mut JobRecord,
     engine: &Soc,
-    step: Result<SegmentStatus, craft_sim::SimError>,
+    step: Result<SegmentStatus, JobError>,
     contend: bool,
 ) -> StepResult {
     match step {
         Err(e) => {
             rec.segments += 1;
-            finish(rec, Err(JobError::from_sim(e)));
+            finish(rec, Err(e));
             StepResult::Stop
         }
         Ok(SegmentStatus::Done(r)) => {
@@ -298,19 +354,23 @@ pub(crate) fn absorb_step(
     }
 }
 
-/// The shared job table: records plus the ready queue. Holds no
+/// The shared job table: live records plus the ready queue. Holds no
 /// engine state, so the threaded pool can put it behind a mutex.
 #[derive(Debug, Default)]
 pub(crate) struct Core {
-    pub jobs: Vec<JobRecord>,
-    pub queue: VecDeque<usize>,
+    pub jobs: HashMap<u64, JobRecord>,
+    next_id: u64,
+    /// Counters of the records already released.
+    released: ServeStats,
+    pub queue: VecDeque<u64>,
     pub draining: bool,
 }
 
 impl Core {
     pub fn submit(&mut self, spec: JobSpec) -> Result<u64, JobError> {
         spec.validate()?;
-        let id = self.jobs.len() as u64;
+        let id = self.next_id;
+        self.next_id += 1;
         let mut rec = JobRecord {
             id,
             spec,
@@ -319,22 +379,76 @@ impl Core {
             snapshot: None,
             segments: 0,
             preemptions: 0,
+            restores: 0,
+            parked_resumes: 0,
             seq: 0,
             events: Vec::new(),
             lines: Vec::new(),
             outcome: None,
         };
         rec.push_event(JobEvent::Queued);
-        self.jobs.push(rec);
-        self.queue.push_back(id as usize);
+        self.jobs.insert(id, rec);
+        self.queue.push_back(id);
         Ok(id)
     }
 
-    pub fn index(&self, id: u64) -> Result<usize, ServeError> {
-        if (id as usize) < self.jobs.len() {
-            Ok(id as usize)
-        } else {
-            Err(ServeError::UnknownJob(id))
+    pub fn get(&self, id: u64) -> Result<&JobRecord, ServeError> {
+        self.jobs.get(&id).ok_or(ServeError::UnknownJob(id))
+    }
+
+    /// The record of a job a worker holds or just claimed. Records are
+    /// released only once sealed, so a live job always has one.
+    pub fn job_mut(&mut self, id: u64) -> &mut JobRecord {
+        self.jobs.get_mut(&id).expect("a live job keeps its record")
+    }
+
+    /// Frees `id`'s record once its result has been delivered, keeping
+    /// its counters in the totals.
+    pub fn release(&mut self, id: u64) -> Option<JobRecord> {
+        let rec = self.jobs.remove(&id)?;
+        rec.tally(&mut self.released);
+        Some(rec)
+    }
+
+    /// Pops the queue head and claims it for `worker`: prunes `lot`,
+    /// marks the record `Running`, emits `running` / `resumed`, and
+    /// says where the engine comes from — `lot`'s parked engine when
+    /// it holds this very preemption, else a build or a replay.
+    pub fn claim(&mut self, worker: usize, lot: &mut Lot) -> Option<(u64, Revive)> {
+        let id = self.queue.pop_front()?;
+        lot.prune(self);
+        let rec = self.job_mut(id);
+        rec.phase = JobPhase::Running;
+        let revive = match rec.snapshot.take() {
+            None => {
+                rec.push_event(JobEvent::Running { worker });
+                Revive::Build(rec.spec.clone())
+            }
+            Some(bytes) => {
+                rec.push_event(JobEvent::Resumed { worker });
+                match lot.take(id, rec.preemptions) {
+                    Some(engine) => {
+                        rec.parked_resumes += 1;
+                        Revive::Parked(engine)
+                    }
+                    None => {
+                        rec.restores += 1;
+                        Revive::Restore(rec.spec.clone(), bytes)
+                    }
+                }
+            }
+        };
+        Some((id, revive))
+    }
+
+    /// Takes back the engine of a job whose step returned
+    /// [`StepResult::Stop`]: a preempted job goes to the queue tail and
+    /// its engine into `lot`; a finished job's engine is dropped.
+    pub fn put_back(&mut self, id: u64, engine: Soc, lot: &mut Lot) {
+        let rec = self.job_mut(id);
+        if rec.phase == JobPhase::Preempted {
+            lot.park(id, rec.preemptions, engine);
+            self.queue.push_back(id);
         }
     }
 
@@ -342,32 +456,26 @@ impl Core {
     /// immediately; a running job fails at its next boundary; a
     /// finished job is left alone.
     pub fn cancel(&mut self, id: u64) -> Result<(), ServeError> {
-        let idx = self.index(id)?;
-        let rec = &mut self.jobs[idx];
+        let rec = self.jobs.get_mut(&id).ok_or(ServeError::UnknownJob(id))?;
         if rec.phase == JobPhase::Finished {
             return Ok(());
         }
         rec.canceled = true;
         if matches!(rec.phase, JobPhase::Queued | JobPhase::Preempted) {
-            self.queue.retain(|&i| i != idx);
-            finish(&mut self.jobs[idx], Err(JobError::Canceled));
+            finish(rec, Err(JobError::Canceled));
+            self.queue.retain(|&i| i != id);
         }
         Ok(())
     }
 
+    /// Running totals: released records plus the live ones.
     pub fn stats(&self) -> ServeStats {
         let mut s = ServeStats {
-            submitted: self.jobs.len() as u64,
-            ..ServeStats::default()
+            submitted: self.next_id,
+            ..self.released
         };
-        for r in &self.jobs {
-            s.segments += r.segments;
-            s.preemptions += r.preemptions;
-            match &r.outcome {
-                Some(Ok(_)) => s.done += 1,
-                Some(Err(_)) => s.failed += 1,
-                None => {}
-            }
+        for r in self.jobs.values() {
+            r.tally(&mut s);
         }
         s
     }
@@ -377,7 +485,8 @@ impl Core {
 /// threaded pool, but single-threaded with `workers` virtual worker
 /// slots driven in strict round-robin — one segment per slot per
 /// turn. Used by the test suites so every assertion is about exact,
-/// reproducible schedules (no wall clock anywhere).
+/// reproducible schedules (no wall clock anywhere). It keeps every
+/// record, so events and lines stay readable after the run.
 pub struct DeterministicScheduler {
     core: Core,
     workers: usize,
@@ -408,34 +517,33 @@ impl DeterministicScheduler {
     }
 
     /// Drives every queued job to its outcome. Round-robin over the
-    /// worker slots; a slot with no resident job activates the queue
-    /// head (build or snapshot-restore), then every slot runs exactly
-    /// one segment. At a boundary with other jobs waiting the
-    /// resident job is preempted back to the queue tail.
+    /// worker slots; a slot with no resident job claims the queue head
+    /// (its own parked engine, a build or a snapshot restore), then
+    /// every slot runs exactly one segment. At a boundary with other
+    /// jobs waiting the resident job is preempted back to the queue
+    /// tail and its engine parked on that slot.
     pub fn run_until_idle(&mut self) {
-        let mut resident: Vec<Option<(usize, Soc)>> = (0..self.workers).map(|_| None).collect();
+        let mut slots: Vec<(Option<(u64, Soc)>, Lot)> =
+            (0..self.workers).map(|_| (None, Lot::default())).collect();
         loop {
             let mut progress = false;
-            for (w, slot) in resident.iter_mut().enumerate() {
-                if slot.is_none() {
-                    if let Some(idx) = self.core.queue.pop_front() {
+            for (w, (resident, lot)) in slots.iter_mut().enumerate() {
+                if resident.is_none() {
+                    if let Some((id, revive)) = self.core.claim(w, lot) {
                         progress = true;
-                        let rec = &mut self.core.jobs[idx];
-                        if let Some(engine) = activate(rec, w) {
-                            *slot = Some((idx, engine));
+                        match construct(revive) {
+                            Ok(engine) => *resident = Some((id, engine)),
+                            Err(e) => finish(self.core.job_mut(id), Err(e)),
                         }
                     }
                 }
-                if let Some((idx, engine)) = slot {
+                if let Some((id, engine)) = resident {
                     progress = true;
-                    let idx = *idx;
+                    let id = *id;
                     let contend = !self.core.queue.is_empty();
-                    let rec = &mut self.core.jobs[idx];
-                    if step_job(rec, engine, contend) == StepResult::Stop {
-                        if rec.phase == JobPhase::Preempted {
-                            self.core.queue.push_back(idx);
-                        }
-                        *slot = None;
+                    if step_job(self.core.job_mut(id), engine, contend) == StepResult::Stop {
+                        let (_, engine) = resident.take().expect("resident job");
+                        self.core.put_back(id, engine, lot);
                     }
                 }
             }
@@ -447,26 +555,17 @@ impl DeterministicScheduler {
 
     /// The job's outcome, if it has finished.
     pub fn outcome(&self, id: u64) -> Option<&Result<JobOutcome, JobError>> {
-        self.core
-            .index(id)
-            .ok()
-            .and_then(|i| self.core.jobs[i].outcome.as_ref())
+        self.core.get(id).ok().and_then(|r| r.outcome.as_ref())
     }
 
     /// The job's typed lifecycle events so far.
     pub fn events(&self, id: u64) -> &[JobEvent] {
-        self.core
-            .index(id)
-            .map(|i| self.core.jobs[i].events.as_slice())
-            .unwrap_or(&[])
+        self.core.get(id).map_or(&[], |r| r.events.as_slice())
     }
 
     /// The job's rendered JSON stream so far.
     pub fn lines(&self, id: u64) -> &[String] {
-        self.core
-            .index(id)
-            .map(|i| self.core.jobs[i].lines.as_slice())
-            .unwrap_or(&[])
+        self.core.get(id).map_or(&[], |r| r.lines.as_slice())
     }
 
     /// Aggregate counters.

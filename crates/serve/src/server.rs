@@ -4,16 +4,22 @@
 //! A `submit` request streams the job's full JSON event stream back
 //! on the same connection — blocking tails of the job record's line
 //! log — and leaves the connection open for the next request.
-//! `shutdown` drains the pool and stops the accept loop.
+//! `shutdown` drains the pool and stops the accept loop. A request
+//! line longer than [`MAX_REQUEST_BYTES`] gets one `error` line and
+//! the connection is closed, so no client can make the server buffer
+//! an unbounded line.
 
 use crate::job::ServeError;
 use crate::pool::ServePool;
 use crate::wire::{parse_request, Request};
 use craftflow_core::json_escape;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Longest request line the server reads, newline excluded.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// A running simulation job server.
 pub struct SimServer {
@@ -91,9 +97,22 @@ fn handle_conn(
     addr: SocketAddr,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let e = ServeError::BadRequest(format!(
+                "request line longer than {MAX_REQUEST_BYTES} bytes"
+            ));
+            writeln!(writer, "{}", error_line(&e))?;
+            break;
+        }
+        let line = String::from_utf8_lossy(&buf);
         if line.trim().is_empty() {
             continue;
         }

@@ -1,6 +1,7 @@
 //! The serving contract, property-tested: a job preempted at
 //! checkpoint boundaries and resumed under load (possibly many
-//! times, each time from serialized snapshot bytes) finishes with a
+//! times, as the engine parked on its worker or by replaying the
+//! snapshot bytes on another) finishes with a
 //! [`craft_soc::SocReport`] **bit-identical** to an uninterrupted
 //! run of the same submission — across engine × workload × fidelity
 //! × checkpoint grain, with and without fault vectors.
@@ -80,7 +81,8 @@ proptest! {
         };
 
         // Serve the same submission on a 1-worker scheduler with a
-        // competitor job so every boundary preempts.
+        // competitor job so every boundary preempts; the one worker
+        // resumes its own parked engines and never replays.
         let mut sched = DeterministicScheduler::new(1);
         let target = sched.submit(spec.clone()).expect("accepted");
         let mut rival = JobSpec::new(WorkloadId::VecMul, EngineKind::Soc);
@@ -99,7 +101,83 @@ proptest! {
         prop_assert_eq!(&outcome.report.to_json(), &ref_report,
             "served SocReport must be bit-identical to the uninterrupted run");
         prop_assert!(sched.outcome(rival_id).expect("rival finished").is_ok());
+        let stats = sched.stats();
+        prop_assert_eq!(stats.restores, 0, "a 1-worker schedule never replays");
+        prop_assert!(stats.parked_resumes > 0);
     }
+}
+
+/// Serves `specs` on a `workers`-slot deterministic scheduler and
+/// checks each report against the job's uninterrupted run; returns
+/// the server's counters.
+fn serve_matches_reference(workers: usize, specs: &[JobSpec]) -> craft_serve::ServeStats {
+    let mut sched = DeterministicScheduler::new(workers);
+    let ids: Vec<u64> = specs
+        .iter()
+        .map(|s| sched.submit(s.clone()).expect("accepted"))
+        .collect();
+    sched.run_until_idle();
+    for (spec, id) in specs.iter().zip(ids) {
+        let (ref_cycles, ref_completed, ref_report) = reference(spec).expect("no fail-stop");
+        let out = sched
+            .outcome(id)
+            .expect("finished")
+            .as_ref()
+            .expect("served run succeeds");
+        assert_eq!(out.cycles, ref_cycles, "job {id} cycles");
+        assert_eq!(out.completed, ref_completed, "job {id} verdict");
+        assert_eq!(out.report.to_json(), ref_report, "job {id} report");
+    }
+    sched.stats()
+}
+
+fn checkpointed(workload: WorkloadId) -> JobSpec {
+    let mut spec = JobSpec::new(workload, EngineKind::Soc);
+    spec.cfg.checkpoint_every = Some(200);
+    spec.max_cycles = MAX_CYCLES;
+    spec.no_progress_limit = NO_PROGRESS;
+    spec
+}
+
+/// Three jobs round-robin over two workers: while all three run, each
+/// pickup lands on the other worker and replays the snapshot bytes;
+/// once one job ends, the other two resume their parked engines. Both
+/// resume paths must give the uninterrupted run's report.
+#[test]
+fn cross_worker_replay_and_parked_resume_are_both_identical() {
+    let specs = [
+        checkpointed(WorkloadId::VecMul),
+        checkpointed(WorkloadId::DotProduct),
+        checkpointed(WorkloadId::Matvec),
+    ];
+    let stats = serve_matches_reference(2, &specs);
+    assert!(stats.restores > 0, "{stats:?}");
+    assert!(stats.parked_resumes > 0, "{stats:?}");
+    assert_eq!(
+        stats.restores + stats.parked_resumes,
+        stats.preemptions,
+        "every preemption resumes exactly once"
+    );
+}
+
+/// More jobs on one worker than it can keep parked: each pickup finds
+/// its engine evicted and replays the bytes, and every report still
+/// matches.
+#[test]
+fn jobs_evicted_from_a_full_lot_replay_identically() {
+    let specs: Vec<JobSpec> = [
+        WorkloadId::VecMul,
+        WorkloadId::DotProduct,
+        WorkloadId::Reduction,
+        WorkloadId::VecAddScale,
+        WorkloadId::Conv1d,
+        WorkloadId::Matvec,
+    ]
+    .into_iter()
+    .map(checkpointed)
+    .collect();
+    let stats = serve_matches_reference(1, &specs);
+    assert!(stats.restores > 0, "{stats:?}");
 }
 
 /// The same contract through the *threaded* pool: scheduling order is

@@ -1,6 +1,9 @@
 //! The TCP front end end to end: a rejected submission is one typed
-//! error line on the stream, and the connection stays usable.
+//! error line on the stream, and the connection stays usable; an
+//! oversized request line is one typed error line, then the connection
+//! closes.
 
+use craft_serve::server::MAX_REQUEST_BYTES;
 use craft_serve::SimServer;
 use craftflow_core::validate_json;
 use std::io::{BufRead, BufReader, Write};
@@ -41,6 +44,42 @@ fn a_sharded_engine_spelling_is_rejected_and_the_connection_serves_on() {
 
     writeln!(conn, "shutdown").unwrap();
     assert_eq!(next(), r#"{"event": "shutting_down"}"#);
+    serving
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// A request line longer than the server reads gets one typed `error`
+/// line and the connection is closed; the server serves a new
+/// connection as before.
+#[test]
+fn an_oversized_request_line_is_refused_and_the_connection_closed() {
+    let server = SimServer::bind("127.0.0.1:0", 1).expect("binds");
+    let addr = server.local_addr().expect("bound");
+    let serving = std::thread::spawn(move || server.serve());
+
+    // Exactly one byte over, with no newline: the server consumes all of
+    // it, so closing sends a clean end of stream rather than a reset.
+    let mut conn = TcpStream::connect(addr).expect("connects");
+    conn.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("writes");
+    let mut lines = BufReader::new(conn.try_clone().expect("clones")).lines();
+    let refused = lines.next().expect("a line").expect("readable");
+    validate_json(&refused).unwrap_or_else(|e| panic!("{e} in {refused}"));
+    assert_eq!(
+        refused,
+        r#"{"event": "error", "detail": "bad request: request line longer than 65536 bytes"}"#
+    );
+    assert!(lines.next().is_none(), "the connection is closed");
+
+    let mut conn = TcpStream::connect(addr).expect("connects");
+    let mut lines = BufReader::new(conn.try_clone().expect("clones")).lines();
+    writeln!(conn, "shutdown").unwrap();
+    assert_eq!(
+        lines.next().expect("a line").expect("readable"),
+        r#"{"event": "shutting_down"}"#
+    );
     serving
         .join()
         .expect("server thread")

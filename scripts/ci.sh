@@ -47,7 +47,7 @@ for workload in fig6_sim fig6_rtl campaign_sparse campaign_dense serve_tcp serve
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
 
-echo "==> serve smoke (release: start sim_server, submit concurrent jobs, preempt + resume, validate streamed JSON)"
+echo "==> serve smoke (release: start a 1-worker sim_server, submit concurrent jobs, preempt + resume the parked engine with no replay, validate streamed JSON)"
 cargo build --release -p craft-serve --bin sim_server --example serve_client
 serve_log="$(mktemp)"
 target/release/sim_server --port 0 --workers 1 > "$serve_log" &
