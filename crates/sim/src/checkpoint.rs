@@ -34,7 +34,12 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CRFTSNAP";
 ///   `ticks_delivered` / `ticks_skipped` no longer match a digest that
 ///   version 1 recorded. Refusing the version keeps that a typed
 ///   "unsupported", not a misleading [`CheckpointError::ReplayDivergence`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// * 3 — the dead bytes go: the always-set presence flags before the
+///   instant target and the kernel digest, the session's always-zero
+///   reserved byte, the snapshot's copy of the architectural digest's
+///   hub cycles, and each logged fault's unread hub cycle (11 bytes a
+///   frame, plus 8 per logged fault).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be decoded or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +54,8 @@ pub enum CheckpointError {
         supported: u32,
     },
     /// The snapshot holds a different payload kind than the caller
-    /// asked for (e.g. a batch snapshot fed to `Soc::restore`).
+    /// asked for (e.g. a batch snapshot restored as a sequential
+    /// engine).
     WrongKind {
         /// Kind tag found in the header.
         found: u8,
@@ -340,11 +346,12 @@ pub fn frame_snapshot(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates a framed snapshot and returns its payload slice.
-/// Rejects bad magic, unsupported versions, a wrong `kind` tag,
-/// truncation (declared length or trailer missing), trailing garbage,
-/// and checksum mismatches — each as its own [`CheckpointError`].
-pub fn unframe_snapshot(bytes: &[u8], kind: u8) -> Result<&[u8], CheckpointError> {
+/// Validates a framed snapshot and returns its `kind` tag and payload
+/// slice. Rejects bad magic, unsupported versions, truncation
+/// (declared length or trailer missing), trailing garbage and checksum
+/// mismatches — each as its own [`CheckpointError`]. What a kind means
+/// is the caller's to judge.
+pub fn unframe_snapshot(bytes: &[u8]) -> Result<(u8, &[u8]), CheckpointError> {
     let header = SNAPSHOT_MAGIC.len() + 4 + 1 + 8;
     if bytes.len() < header {
         return Err(CheckpointError::Truncated {
@@ -362,31 +369,26 @@ pub fn unframe_snapshot(bytes: &[u8], kind: u8) -> Result<&[u8], CheckpointError
             supported: SNAPSHOT_VERSION,
         });
     }
-    let found_kind = bytes[12];
-    if found_kind != kind {
-        return Err(CheckpointError::WrongKind {
-            found: found_kind,
-            expected: kind,
-        });
-    }
-    let len = u64::from_le_bytes([
-        bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19], bytes[20],
-    ]) as usize;
-    let total = header + len + 8;
-    if bytes.len() < total {
+    let kind = bytes[12];
+    let len = u64::from_le_bytes(bytes[13..header].try_into().expect("8 bytes"));
+    // The declared length is untrusted: measure it against what is
+    // present (payload and trailer) rather than adding to it.
+    let present = (bytes.len() - header) as u64;
+    let declared = len.saturating_add(8);
+    if declared > present {
         return Err(CheckpointError::Truncated {
-            needed: total,
+            needed: usize::try_from(declared).map_or(usize::MAX, |d| d.saturating_add(header)),
             have: bytes.len(),
         });
     }
-    if bytes.len() > total {
+    if present > declared {
         return Err(CheckpointError::Malformed(format!(
             "{} trailing bytes after snapshot frame",
-            bytes.len() - total
+            present - declared
         )));
     }
-    let payload = &bytes[header..header + len];
-    let recorded = u64::from_le_bytes(bytes[header + len..total].try_into().expect("8 bytes"));
+    let (payload, trailer) = bytes[header..].split_at(bytes.len() - header - 8);
+    let recorded = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
     let actual = fnv64(payload);
     if recorded != actual {
         return Err(CheckpointError::Corrupted {
@@ -394,7 +396,7 @@ pub fn unframe_snapshot(bytes: &[u8], kind: u8) -> Result<&[u8], CheckpointError
             found: actual,
         });
     }
-    Ok(payload)
+    Ok((kind, payload))
 }
 
 /// Hang-watchdog accumulator state, externalized so supervised runs
@@ -581,45 +583,51 @@ mod tests {
     fn frame_round_trips_and_rejects_each_failure_mode() {
         let payload = b"deterministic payload".to_vec();
         let framed = frame_snapshot(3, &payload);
-        assert_eq!(unframe_snapshot(&framed, 3).unwrap(), &payload[..]);
+        assert_eq!(unframe_snapshot(&framed).unwrap(), (3, &payload[..]));
 
         // Bad magic.
         let mut bad = framed.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(unframe_snapshot(&bad, 3), Err(CheckpointError::BadMagic));
+        assert_eq!(unframe_snapshot(&bad), Err(CheckpointError::BadMagic));
 
         // Version mismatch.
         let mut bad = framed.clone();
         bad[8] = bad[8].wrapping_add(1);
         assert!(matches!(
-            unframe_snapshot(&bad, 3),
+            unframe_snapshot(&bad),
             Err(CheckpointError::UnsupportedVersion { .. })
         ));
 
-        // A frame written before blocked components slept.
-        let mut v1 = framed.clone();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            unframe_snapshot(&v1, 3),
-            Err(CheckpointError::UnsupportedVersion {
-                found: 1,
-                supported: 2
-            })
-        );
-
-        // Kind mismatch.
-        assert!(matches!(
-            unframe_snapshot(&framed, 4),
-            Err(CheckpointError::WrongKind {
-                found: 3,
-                expected: 4
-            })
-        ));
+        // Frames written before blocked components slept, and before
+        // the dead bytes went.
+        for found in [1u32, 2] {
+            let mut old = framed.clone();
+            old[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                unframe_snapshot(&old),
+                Err(CheckpointError::UnsupportedVersion {
+                    found,
+                    supported: 3
+                })
+            );
+        }
 
         // Truncation (anywhere in the stream).
         for cut in [0, 10, framed.len() - 1] {
             assert!(matches!(
-                unframe_snapshot(&framed[..cut], 3),
+                unframe_snapshot(&framed[..cut]),
+                Err(CheckpointError::Truncated { .. })
+            ));
+        }
+
+        // A declared length no stream can hold is a short stream, not
+        // an overflow.
+        for len in [u64::MAX, u64::MAX - 7, u64::MAX / 2] {
+            let mut bad = framed[..21].to_vec();
+            bad[13..21].copy_from_slice(&len.to_le_bytes());
+            bad.extend_from_slice(&[0; 7]);
+            assert!(matches!(
+                unframe_snapshot(&bad),
                 Err(CheckpointError::Truncated { .. })
             ));
         }
@@ -628,7 +636,7 @@ mod tests {
         let mut bad = framed.clone();
         bad[25] ^= 0x01;
         assert!(matches!(
-            unframe_snapshot(&bad, 3),
+            unframe_snapshot(&bad),
             Err(CheckpointError::Corrupted { .. })
         ));
 
@@ -636,7 +644,7 @@ mod tests {
         let mut bad = framed.clone();
         bad.push(0);
         assert!(matches!(
-            unframe_snapshot(&bad, 3),
+            unframe_snapshot(&bad),
             Err(CheckpointError::Malformed(_))
         ));
     }

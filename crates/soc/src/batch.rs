@@ -69,12 +69,16 @@
 //! the golden [`Soc`] carries beside its own run state. Every lane
 //! replay builds from that `Soc`'s one [`Recipe`]. The supervised-run
 //! driver ([`crate::engine`]) reads the table in exactly three places:
-//! it settles the lanes when the session ends, frames each capture as
-//! a [`BatchSnapshot`], and hands out the settled report
-//! ([`Soc::batch_report`]). [`BatchSoc`] is a facade over such a `Soc`
-//! for callers that want build, one run and per-lane memory.
+//! it settles the lanes when the session ends, adds the table to each
+//! capture as a [`LaneTable`] (the frame's kind byte says one follows
+//! the golden payload), and hands out the settled report
+//! ([`Soc::batch_report`]). A batch snapshot is the one
+//! [`crate::SimSnapshot`] type with its lanes filled in, and
+//! [`crate::restore_engine`] is its one way back. [`BatchSoc`] is a
+//! facade over such a `Soc` for callers that want build, one run and
+//! per-lane memory.
 
-use crate::checkpoint::{BatchSnapshot, Recipe, SessionState, SimSnapshot};
+use crate::checkpoint::{LaneTable, Recipe, SessionState};
 use crate::soc::{
     lane_fault_seed, merge_fault_stats, FaultPatternError, FaultReport, RunResult, Soc, SocConfig,
     SocReport,
@@ -317,24 +321,22 @@ impl Lanes {
         });
     }
 
-    /// Frames a golden capture inside the lane table as of now: every
-    /// lane's spec, divergence status and shadow fault counters.
-    pub(crate) fn frame(&self, golden: &Soc, snapshot: &SimSnapshot) -> Vec<u8> {
+    /// The lane table as of now, for a golden capture: every lane's
+    /// spec, divergence status and shadow fault counters.
+    pub(crate) fn frame(&self, golden: &Soc) -> LaneTable {
         let lanes = 0..self.specs.len();
-        BatchSnapshot {
-            golden: snapshot.clone(),
+        LaneTable {
             specs: self.specs.clone(),
-            lane_status: lanes.clone().map(|l| self.status(l)).collect(),
-            lane_stats: lanes.map(|l| self.shadow_stats(golden, l)).collect(),
+            status: lanes.clone().map(|l| self.status(l)).collect(),
+            stats: lanes.map(|l| self.shadow_stats(golden, l)).collect(),
         }
-        .to_bytes()
     }
 
     /// Checks each lane's divergence status and shadow counters after
-    /// `golden` replayed to `snap`'s boundary against the recorded
-    /// ones; any mismatch is a typed
+    /// `golden` replayed to a capture boundary against the `table`
+    /// recorded there; any mismatch is a typed
     /// [`CheckpointError::ReplayDivergence`].
-    pub(crate) fn verify(&self, golden: &Soc, snap: &BatchSnapshot) -> Result<(), CheckpointError> {
+    pub(crate) fn verify(&self, golden: &Soc, table: &LaneTable) -> Result<(), CheckpointError> {
         // The divergence token ordinal doubles as the status word:
         // `u64::MAX` is unreachable as a token count and encodes
         // `Converged`.
@@ -342,12 +344,7 @@ impl Lanes {
             LaneStatus::Converged => u64::MAX,
             LaneStatus::Diverged { token } => *token,
         };
-        for (lane, (want_status, want_stats)) in snap
-            .lane_status
-            .iter()
-            .zip(snap.lane_stats.iter())
-            .enumerate()
-        {
+        for (lane, (want_status, want_stats)) in table.status.iter().zip(&table.stats).enumerate() {
             let got_status = self.status(lane);
             if got_status != *want_status {
                 return Err(CheckpointError::ReplayDivergence {
@@ -521,6 +518,7 @@ impl BatchSoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SimSnapshot;
     use crate::engine::{restore_engine, EngineKind};
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
 
@@ -651,8 +649,8 @@ mod tests {
             .0
             .last_checkpoint_bytes()
             .expect("auto checkpoint taken");
-        let snap = BatchSnapshot::from_bytes(bytes).expect("parses");
-        assert!(snap.golden.session.is_some(), "mid-run capture");
+        let snap = SimSnapshot::from_bytes(bytes).expect("parses");
+        assert!(snap.session.is_some(), "mid-run capture");
 
         // Restore from the bytes and run to completion.
         let mut back = restore_engine(EngineKind::Batch, bytes, false).expect("restores");
@@ -703,8 +701,8 @@ mod tests {
             .0
             .last_checkpoint_bytes()
             .expect("auto checkpoint taken");
-        let mut snap = BatchSnapshot::from_bytes(bytes).expect("parses");
-        snap.lane_stats[0].tokens += 1;
+        let mut snap = SimSnapshot::from_bytes(bytes).expect("parses");
+        snap.lanes.as_mut().expect("a lane table").stats[0].tokens += 1;
         match restore_engine(EngineKind::Batch, &snap.to_bytes(), false).err() {
             Some(CheckpointError::ReplayDivergence { field, .. }) => {
                 assert_eq!(field, "lane0.stats");

@@ -6,14 +6,12 @@
 //! and every snapshot point at), the ordered log of irregular events
 //! ([`FaultEvent`]s), a progress target (the kernel instant count), the
 //! open supervised-run session if any ([`SessionState`] — the one live
-//! session type, held by the [`crate::Soc`] as is), and verification
-//! digests. A restore ([`crate::Soc::restore`],
-//! [`crate::restore_engine`]) re-executes a freshly built SoC
+//! session type, held by the [`crate::Soc`] as is), verification
+//! digests and, for a batch, its [`LaneTable`]. The one restore,
+//! [`crate::restore_engine`], re-executes a freshly built SoC
 //! deterministically to the target instant and proves the
 //! reconstruction against both digests — any mismatch is a typed
-//! [`CheckpointError::ReplayDivergence`], never silent drift. There is
-//! one replay scheme: a frame without an instant target or a kernel
-//! digest is [`CheckpointError::Malformed`].
+//! [`CheckpointError::ReplayDivergence`], never silent drift.
 //!
 //! Why replay instead of state dump: the simulation state spans
 //! closures, `Rc` graphs, trait objects and seeded RNG streams. The
@@ -22,15 +20,16 @@
 //! compact and most verifiable form. The cost is bounded restore CPU;
 //! the benefit is that restore correctness is checked, not assumed.
 //!
-//! [`BatchSnapshot`] extends the scheme to batched lockstep campaigns:
-//! the golden run's snapshot plus each lane's spec, divergence status
-//! and shadow fault counters — shadow lanes re-derive their decision
-//! streams from the seeds while the golden replay regenerates the
-//! token stream they judge against.
+//! One snapshot type serves both engines, as one `Soc` does: a batch's
+//! snapshot is its golden run's plus a [`LaneTable`] — each lane's
+//! spec, divergence status and shadow fault counters. Shadow lanes
+//! re-derive their decision streams from the seeds while the golden
+//! replay regenerates the token stream they judge against. The frame's
+//! kind byte says whether a lane table follows the golden payload.
 
 use crate::batch::LaneSpec;
 use crate::pe::Fidelity;
-use crate::soc::{ClockingMode, RouterKind, SocConfig};
+use crate::soc::{ClockingMode, RouterKind, SocConfig, CTRL_RAM_WORDS};
 use craft_connections::{FaultConfig, FaultStats, LaneStatus};
 use craft_sim::checkpoint::{
     frame_snapshot, unframe_snapshot, CheckpointError, Checkpointable, KernelDigest, StateReader,
@@ -39,15 +38,24 @@ use craft_sim::checkpoint::{
 use craft_sim::Picoseconds;
 use std::sync::Arc;
 
-/// Frame kind tag of a [`SimSnapshot`].
-pub const KIND_SOC: u8 = 1;
-/// Frame kind tag of a [`BatchSnapshot`].
-pub const KIND_BATCH: u8 = 2;
+/// Frame kind of a snapshot without a lane table.
+const KIND_SOC: u8 = 1;
+/// Frame kind of a snapshot whose golden payload a [`LaneTable`]
+/// follows.
+const KIND_BATCH: u8 = 2;
+
+/// The frame kind of a snapshot with or without a lane table.
+pub(crate) fn frame_kind(lanes: bool) -> u8 {
+    if lanes {
+        KIND_BATCH
+    } else {
+        KIND_SOC
+    }
+}
 
 /// One irregular event in a run's deterministic replay log: a fault
 /// injection armed between run segments. A replay re-applies it at
-/// its kernel instant; the hub cycle is recorded beside it for the
-/// reader.
+/// its kernel instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Channel-name pattern passed to [`crate::Soc::inject_fault`].
@@ -58,8 +66,6 @@ pub struct FaultEvent {
     pub seed: u64,
     /// Kernel instant count when the injection was armed.
     pub at_instants: u64,
-    /// Hub cycle count when the injection was armed.
-    pub at_cycles: u64,
 }
 
 impl Checkpointable for FaultEvent {
@@ -68,7 +74,6 @@ impl Checkpointable for FaultEvent {
         self.cfg.save(w);
         w.put_u64(self.seed);
         w.put_u64(self.at_instants);
-        w.put_u64(self.at_cycles);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
@@ -77,7 +82,6 @@ impl Checkpointable for FaultEvent {
             cfg: FaultConfig::load(r)?,
             seed: r.get_u64()?,
             at_instants: r.get_u64()?,
-            at_cycles: r.get_u64()?,
         })
     }
 }
@@ -108,9 +112,6 @@ impl Checkpointable for SessionState {
         w.put_u64(self.no_progress_limit);
         w.put_u64(self.consumed);
         self.wd.save(w);
-        // Reserved byte, always 0: a kernel's watchdog state is wholly
-        // in `wd`.
-        w.put_u8(0);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
@@ -120,14 +121,6 @@ impl Checkpointable for SessionState {
             consumed: r.get_u64()?,
             wd: WatchdogState::load(r)?,
         };
-        match r.get_u8()? {
-            0 => {}
-            t => {
-                return Err(CheckpointError::Malformed(format!(
-                    "session reserved byte {t}"
-                )))
-            }
-        }
         // The limit `Soc::begin` refuses: stepping such a session
         // would trip the kernel's assertion on whichever thread runs it.
         if s.no_progress_limit == 0 {
@@ -233,11 +226,16 @@ impl Recipe {
     }
 }
 
-/// A versioned, self-verifying snapshot of one SoC simulation — see
-/// the [module docs](self) for the replay-recipe model. Produced by
-/// [`crate::Soc::checkpoint`]: instant-exact with a [`KernelDigest`] (a
-/// capture can sit mid-cycle under GALS); consumed by
-/// [`crate::Soc::restore`].
+/// A versioned, self-verifying snapshot of one SoC simulation, with or
+/// without lanes — see the [module docs](self) for the replay-recipe
+/// model. [`crate::Soc::snapshot_bytes`] frames one (instant-exact with
+/// a [`KernelDigest`]: a capture can sit mid-cycle under GALS);
+/// [`crate::restore_engine`] decodes and replays it.
+///
+/// The payload is the recipe, the fault log, the instant target, the
+/// progress flag, the session behind its presence flag, the kernel and
+/// architectural digests, and — when the frame's kind is 2 — the
+/// [`LaneTable`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// The shared build inputs.
@@ -246,8 +244,6 @@ pub struct SimSnapshot {
     pub faults: Vec<FaultEvent>,
     /// Replay target as an exact kernel instant count.
     pub instants: u64,
-    /// Hub cycles at capture.
-    pub hub_cycles: u64,
     /// Whether the kernel progress token was set at capture (restored
     /// verbatim; it only feeds the watchdog, never behavior).
     pub progress_set: bool,
@@ -255,8 +251,24 @@ pub struct SimSnapshot {
     pub session: Option<SessionState>,
     /// Kernel-exact digest.
     pub kernel: KernelDigest,
-    /// Architectural digest.
+    /// Architectural digest (its `hub_cycles` is where the capture sat).
     pub arch: ArchDigest,
+    /// A batch's lane table; `None` for the sequential engine.
+    pub lanes: Option<LaneTable>,
+}
+
+/// A batch's lane table at a capture boundary, in lane order: every
+/// lane's spec, divergence status and shadow fault counters. A restore
+/// re-arms the specs, replays the golden run and checks the statuses
+/// and counters against these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneTable {
+    /// Lane fault scenarios.
+    pub specs: Vec<LaneSpec>,
+    /// Per-lane divergence status at capture.
+    pub status: Vec<LaneStatus>,
+    /// Per-lane shadow fault counters at capture.
+    pub stats: Vec<FaultStats>,
 }
 
 fn save_cfg(cfg: &SocConfig, w: &mut StateWriter) {
@@ -334,6 +346,11 @@ fn load_cfg(r: &mut StateReader<'_>) -> Result<SocConfig, CheckpointError> {
     };
     cfg.validate()
         .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
+    if cfg.gmem_words == 0 || cfg.staging_words == 0 {
+        return Err(CheckpointError::Malformed(
+            "a zero-word memory cannot be built".to_string(),
+        ));
+    }
     Ok(cfg)
 }
 
@@ -368,9 +385,15 @@ fn load_opt<T: Checkpointable>(r: &mut StateReader<'_>) -> Result<Option<T>, Che
     r.get_bool()?.then(|| T::load(r)).transpose()
 }
 
-/// A value the frame must carry behind its presence flag.
-fn required<T>(v: Option<T>, what: &str) -> Result<T, CheckpointError> {
-    v.ok_or_else(|| CheckpointError::Malformed(format!("snapshot without {what}")))
+/// Checks that an image of `len` words at `base` fits a memory of
+/// `words` words, as a build requires of every image it loads.
+fn fits(what: &str, base: usize, len: usize, words: usize) -> Result<(), CheckpointError> {
+    match base.checked_add(len) {
+        Some(end) if end <= words => Ok(()),
+        _ => Err(CheckpointError::Malformed(format!(
+            "{what} of {len} words at {base} does not fit its {words}-word memory"
+        ))),
+    }
 }
 
 impl Checkpointable for Recipe {
@@ -395,6 +418,13 @@ impl Checkpointable for Recipe {
             let base = r.get_u64()? as usize;
             gmem_init.push((base, r.get_u64s()?));
         }
+        // A build loads every image whole: one that does not fit its
+        // memory is refused here, not by a panic there.
+        fits("program", 0, program.len(), CTRL_RAM_WORDS)?;
+        fits("staging image", 0, staging.len(), cfg.staging_words)?;
+        for (base, words) in &gmem_init {
+            fits("gmem region", *base, words.len(), cfg.gmem_words)?;
+        }
         Ok(Recipe {
             cfg,
             program,
@@ -404,88 +434,54 @@ impl Checkpointable for Recipe {
     }
 }
 
-impl Checkpointable for SimSnapshot {
-    fn save(&self, w: &mut StateWriter) {
-        self.recipe.save(w);
-        save_all(&self.faults, w);
-        // The instant target and the kernel digest keep the presence
-        // flags of the format, always set.
-        w.put_opt_u64(Some(self.instants));
-        w.put_u64(self.hub_cycles);
-        w.put_bool(self.progress_set);
-        save_opt(&self.session, w);
-        w.put_bool(true);
-        self.kernel.save(w);
-        self.arch.save(w);
-    }
-
-    fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        Ok(SimSnapshot {
-            recipe: Arc::new(Recipe::load(r)?),
-            faults: load_all(r)?,
-            instants: required(r.get_opt_u64()?, "an instant target")?,
-            hub_cycles: r.get_u64()?,
-            progress_set: r.get_bool()?,
-            session: load_opt(r)?,
-            kernel: required(load_opt(r)?, "a kernel digest")?,
-            arch: ArchDigest::load(r)?,
-        })
-    }
-}
-
-/// Serializes `v` to a standalone framed byte stream (magic, version,
-/// `kind`, length, payload, checksum).
-fn encode_framed<T: Checkpointable>(kind: u8, v: &T) -> Vec<u8> {
-    let mut w = StateWriter::new();
-    v.save(&mut w);
-    frame_snapshot(kind, &w.into_bytes())
-}
-
-/// Parses a framed byte stream of `kind`, requiring the payload to be
-/// consumed exactly; truncation, corruption, version and kind
-/// mismatches are each a typed error.
-fn decode_framed<T: Checkpointable>(kind: u8, bytes: &[u8]) -> Result<T, CheckpointError> {
-    let payload = unframe_snapshot(bytes, kind)?;
-    let mut r = StateReader::new(payload);
-    let v = T::load(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} unread bytes after payload",
-            r.remaining()
-        )));
-    }
-    Ok(v)
-}
-
 impl SimSnapshot {
-    /// Serializes to a standalone framed byte stream.
+    /// Serializes to a standalone framed byte stream: magic, version,
+    /// kind, length, payload, checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_framed(KIND_SOC, self)
+        let mut w = StateWriter::new();
+        self.recipe.save(&mut w);
+        save_all(&self.faults, &mut w);
+        w.put_u64(self.instants);
+        w.put_bool(self.progress_set);
+        save_opt(&self.session, &mut w);
+        self.kernel.save(&mut w);
+        self.arch.save(&mut w);
+        if let Some(lanes) = &self.lanes {
+            lanes.save(&mut w);
+        }
+        frame_snapshot(frame_kind(self.lanes.is_some()), &w.into_bytes())
     }
 
-    /// Parses a framed byte stream with typed rejection.
+    /// Parses a framed byte stream of either kind, requiring the
+    /// payload to be consumed exactly; truncation, corruption, an
+    /// unknown version or kind and an image that does not fit its
+    /// memory are each a typed error.
     pub fn from_bytes(bytes: &[u8]) -> Result<SimSnapshot, CheckpointError> {
-        decode_framed(KIND_SOC, bytes)
+        let (kind, payload) = unframe_snapshot(bytes)?;
+        let lanes = match kind {
+            KIND_SOC => false,
+            KIND_BATCH => true,
+            k => return Err(CheckpointError::Malformed(format!("snapshot kind {k}"))),
+        };
+        let mut r = StateReader::new(payload);
+        let snap = SimSnapshot {
+            recipe: Arc::new(Recipe::load(&mut r)?),
+            faults: load_all(&mut r)?,
+            instants: r.get_u64()?,
+            progress_set: r.get_bool()?,
+            session: load_opt(&mut r)?,
+            kernel: KernelDigest::load(&mut r)?,
+            arch: ArchDigest::load(&mut r)?,
+            lanes: lanes.then(|| LaneTable::load(&mut r)).transpose()?,
+        };
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Malformed(format!(
+                "{} unread bytes after payload",
+                r.remaining()
+            )));
+        }
+        Ok(snap)
     }
-}
-
-/// Snapshot of a batched lockstep campaign mid-golden-run: the golden
-/// [`SimSnapshot`] (carrying the open session), every lane's spec, and
-/// each lane's divergence status and shadow fault counters at the
-/// capture boundary. Restore rebuilds the banks with the same seeds,
-/// replays the golden run (shadow decisions re-derive along the
-/// regenerated token stream), and verifies every lane's status and
-/// stats against the recorded ones.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSnapshot {
-    /// The golden run's snapshot (session included).
-    pub golden: SimSnapshot,
-    /// Lane fault scenarios, in lane order.
-    pub specs: Vec<LaneSpec>,
-    /// Per-lane divergence status at capture.
-    pub lane_status: Vec<LaneStatus>,
-    /// Per-lane shadow fault counters at capture.
-    pub lane_stats: Vec<FaultStats>,
 }
 
 impl Checkpointable for LaneSpec {
@@ -504,49 +500,35 @@ impl Checkpointable for LaneSpec {
     }
 }
 
-impl Checkpointable for BatchSnapshot {
+impl Checkpointable for LaneTable {
     fn save(&self, w: &mut StateWriter) {
-        self.golden.save(w);
         save_all(&self.specs, w);
-        save_all(&self.lane_status, w);
-        save_all(&self.lane_stats, w);
+        save_all(&self.status, w);
+        save_all(&self.stats, w);
     }
 
     fn load(r: &mut StateReader<'_>) -> Result<Self, CheckpointError> {
-        let snap = BatchSnapshot {
-            golden: SimSnapshot::load(r)?,
+        let table = LaneTable {
             specs: load_all(r)?,
-            lane_status: load_all(r)?,
-            lane_stats: load_all(r)?,
+            status: load_all(r)?,
+            stats: load_all(r)?,
         };
-        let lanes = snap.specs.len();
-        if lanes != snap.lane_status.len() || lanes != snap.lane_stats.len() {
+        let lanes = table.specs.len();
+        if lanes != table.status.len() || lanes != table.stats.len() {
             return Err(CheckpointError::Malformed(format!(
                 "lane table lengths disagree: {lanes} specs, {} statuses, {} stats",
-                snap.lane_status.len(),
-                snap.lane_stats.len()
+                table.status.len(),
+                table.stats.len()
             )));
         }
-        Ok(snap)
-    }
-}
-
-impl BatchSnapshot {
-    /// Serializes to a standalone framed byte stream.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        encode_framed(KIND_BATCH, self)
-    }
-
-    /// Parses a framed byte stream with typed rejection.
-    pub fn from_bytes(bytes: &[u8]) -> Result<BatchSnapshot, CheckpointError> {
-        decode_framed(KIND_BATCH, bytes)
+        Ok(table)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SegmentStatus;
+    use crate::engine::{restore_engine, EngineKind, SegmentStatus};
     use crate::soc::Soc;
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
 
@@ -571,7 +553,13 @@ mod tests {
 
     fn mid_run_snapshot() -> (SimSnapshot, Soc) {
         let soc = at_first_boundary(300, None);
-        (soc.checkpoint(), soc)
+        let snap = SimSnapshot::from_bytes(&soc.snapshot_bytes()).expect("parses");
+        (snap, soc)
+    }
+
+    /// Revives a sequential engine from `snap` through its bytes.
+    fn revive(snap: &SimSnapshot) -> Result<Soc, CheckpointError> {
+        restore_engine(EngineKind::Soc, &snap.to_bytes(), false)
     }
 
     #[test]
@@ -580,6 +568,7 @@ mod tests {
         let bytes = snap.to_bytes();
         let back = SimSnapshot::from_bytes(&bytes).expect("parses");
         assert_eq!(back, snap);
+        assert_eq!(back.to_bytes(), bytes);
         // Every single-byte corruption in the payload is caught.
         let mut bad = bytes.clone();
         bad[40] ^= 0x10;
@@ -592,7 +581,7 @@ mod tests {
             Err(CheckpointError::Truncated { .. })
         ));
         assert!(matches!(
-            BatchSnapshot::from_bytes(&bytes),
+            restore_engine(EngineKind::Batch, &bytes, false),
             Err(CheckpointError::WrongKind {
                 found: KIND_SOC,
                 expected: KIND_BATCH
@@ -620,7 +609,7 @@ mod tests {
     #[test]
     fn restore_then_run_equals_uninterrupted() {
         let (snap, mut original) = mid_run_snapshot();
-        let mut restored = Soc::restore(&snap).expect("replay verifies");
+        let mut restored = revive(&snap).expect("replay verifies");
         let a = original.run_to_end().expect("original finishes");
         let b = restored.run_to_end().expect("restored finishes");
         assert_eq!(a.cycles, b.cycles);
@@ -642,9 +631,9 @@ mod tests {
     fn restore_with_faults_reproduces_stats() {
         let fault = ("l11p3->15", FaultConfig::bit_flip(0.01), 7);
         let mut soc = at_first_boundary(400, Some(fault));
-        let snap = soc.checkpoint();
+        let snap = SimSnapshot::from_bytes(&soc.snapshot_bytes()).expect("parses");
         assert_eq!(snap.faults.len(), 1);
-        let mut restored = Soc::restore(&snap).expect("replay verifies");
+        let mut restored = revive(&snap).expect("replay verifies");
         let a = soc.run_to_end().expect("finishes");
         let b = restored.run_to_end().expect("finishes");
         assert_eq!(a.cycles, b.cycles);
@@ -662,7 +651,7 @@ mod tests {
         // reaches the extra instant but the digests disagree.
         snap.kernel.instants += 1;
         snap.instants = snap.kernel.instants;
-        match Soc::restore(&snap) {
+        match revive(&snap) {
             Err(CheckpointError::ReplayDivergence { .. }) => {}
             Err(other) => panic!("expected ReplayDivergence, got {other:?}"),
             Ok(_) => panic!("expected ReplayDivergence, restore succeeded"),

@@ -47,7 +47,7 @@ pub mod soc;
 pub mod workloads;
 
 pub use batch::{BatchReport, BatchSoc, LaneRun, LaneSpec};
-pub use checkpoint::{ArchDigest, BatchSnapshot, FaultEvent, Recipe, SessionState, SimSnapshot};
+pub use checkpoint::{ArchDigest, FaultEvent, LaneTable, Recipe, SessionState, SimSnapshot};
 pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus};
 pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};

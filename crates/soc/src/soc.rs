@@ -33,6 +33,11 @@ pub const STAGING_AXI_BASE: u64 = 0;
 /// AXI word-address base of the hub slave (gmem + control page).
 pub const HUB_AXI_BASE: u64 = 0x0020_0000;
 
+/// Words of controller RAM, where the program image loads at 0 — the
+/// one size the build allocates and a snapshot's recipe is checked
+/// against.
+pub(crate) const CTRL_RAM_WORDS: usize = 1 << 18;
+
 /// CPU byte address of the staging memory window.
 pub const STAGING_CPU_BASE: u32 = crate::controller::AXI_WINDOW_BASE;
 /// CPU byte address of global memory through the hub slave.
@@ -111,7 +116,7 @@ pub struct SocConfig {
     /// cycles: `Some(k)` makes a supervised run on any engine
     /// ([`Soc::run_checked`]) capture a [`crate::SimSnapshot`]
     /// every `k` cycles — the boundaries a scheduler may preempt at —
-    /// retrievable via [`Soc::last_checkpoint`]. Captures are
+    /// retrievable via [`Soc::last_checkpoint_bytes`]. Captures are
     /// observation-only — results, cycle counts, reports and the
     /// watchdog's trip point are bit-identical with or without them
     /// (the segmented-run equivalence the checkpoint proptests pin).
@@ -1022,7 +1027,7 @@ impl Soc {
         sim.set_wake_token(id, hub_slave_wake);
 
         // --- Controller ---
-        let mut ram = FlatMemory::new(1 << 20);
+        let mut ram = FlatMemory::new(CTRL_RAM_WORDS * 4);
         ram.load_words(0, program);
         let ctrl_wake = axi_handle.client_wake();
         let id = sim.add_component(
@@ -1839,7 +1844,8 @@ mod compiled_schedule_tests {
             );
             let r = soc.run_checked(8_000_000, 100_000).expect("completes");
             assert!(r.completed);
-            let mut snapshot = soc.last_checkpoint().expect("auto checkpoint").clone();
+            let bytes = soc.last_checkpoint_bytes().expect("auto checkpoint");
+            let mut snapshot = crate::SimSnapshot::from_bytes(bytes).expect("parses");
             let mut recipe = (*snapshot.recipe).clone();
             recipe.cfg.compiled_schedule = false;
             snapshot.recipe = std::sync::Arc::new(recipe);

@@ -15,16 +15,17 @@ use craft_connections::{FaultConfig, FaultStats};
 use craft_sim::checkpoint::CheckpointError;
 use craft_sim::{SimError, Telemetry};
 use craft_soc::batch::{BatchSoc, LaneSpec};
-use craft_soc::checkpoint::{BatchSnapshot, SimSnapshot};
+use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{
     dot_product, orchestrator_program, table_words, vec_mul, TableEntry, Workload,
 };
 use craft_soc::{
-    build_engine, restore_engine, ClockingMode, EngineKind, PeCommand, PeOp, Soc, SocConfig,
-    SocReport,
+    build_engine, restore_engine, ClockingMode, EngineKind, PeCommand, PeOp, Recipe, SegmentStatus,
+    Soc, SocConfig, SocReport,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const MAX_CYCLES: u64 = 2_000_000;
 const NO_PROGRESS: u64 = 50_000;
@@ -140,18 +141,18 @@ proptest! {
         // Every outcome here outlives the first segment, so a mid-run
         // capture must exist; restore it through the byte codec and
         // run to the end.
-        let snap = seg.last_checkpoint().expect("mid-run capture exists");
+        let bytes = seg.last_checkpoint_bytes().expect("mid-run capture exists");
+        let snap = SimSnapshot::from_bytes(bytes).expect("codec round-trip");
         prop_assert!(snap.session.is_some(), "capture must carry the open session");
-        let bytes = snap.to_bytes();
-        let decoded = SimSnapshot::from_bytes(&bytes).expect("codec round-trip");
-        let mut rest = Soc::restore(&decoded).expect("restore");
+        prop_assert_eq!(&snap.to_bytes()[..], bytes, "codec round-trip");
+        let mut rest = restore_engine(EngineKind::Soc, bytes, false).expect("restore");
         prop_assert!(rest.session_open(), "restore must reopen the session");
         let rest_res = rest.run_to_end();
         let rest_out = observe(&rest, rest_res, &wl, &fault);
         prop_assert_eq!(
             &base_out, &rest_out,
             "restore-then-run diverged ({cfg:?}, ckpt at {} cycles)",
-            snap.hub_cycles
+            snap.arch.hub_cycles
         );
     }
 }
@@ -238,7 +239,7 @@ proptest! {
         );
 
         let bytes = seg.last_checkpoint_bytes().expect("mid-run capture exists");
-        let decoded = BatchSnapshot::from_bytes(bytes).expect("codec round-trip");
+        let decoded = SimSnapshot::from_bytes(bytes).expect("codec round-trip");
         prop_assert_eq!(&decoded.to_bytes()[..], bytes, "codec round-trip");
         let mut rest = restore_engine(EngineKind::Batch, bytes, false).expect("restore");
         prop_assert!(rest.session_open(), "restore must reopen the session");
@@ -320,7 +321,10 @@ fn mid_hang_checkpoint_reproduces_the_diagnosis() {
         "segmentation perturbed the diagnosis"
     );
 
-    let snap = seg.last_checkpoint().expect("capture before diagnosis");
+    let bytes = seg
+        .last_checkpoint_bytes()
+        .expect("capture before diagnosis");
+    let snap = SimSnapshot::from_bytes(bytes).expect("codec round-trip");
     let session = snap.session.as_ref().expect("session captured");
     assert!(
         session.wd.idle > 0,
@@ -331,13 +335,12 @@ fn mid_hang_checkpoint_reproduces_the_diagnosis() {
         panic!("expected Hang, got {base_err:?}");
     };
     assert!(
-        snap.hub_cycles < *cycle,
+        snap.arch.hub_cycles < *cycle,
         "capture must land before the diagnosis ({} >= {cycle})",
-        snap.hub_cycles
+        snap.arch.hub_cycles
     );
 
-    let decoded = SimSnapshot::from_bytes(&snap.to_bytes()).expect("codec round-trip");
-    let mut rest = Soc::restore(&decoded).expect("restore");
+    let mut rest = restore_engine(EngineKind::Soc, bytes, false).expect("restore");
     let rest_err = rest.run_to_end().expect_err("hang must reproduce");
     assert_eq!(
         format!("{base_err:?}"),
@@ -354,7 +357,7 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
     let program = orchestrator_program();
     let table = table_words(&wl.entries);
     let soc = Soc::build(SocConfig::default(), &program, &table, &wl.gmem_init);
-    let bytes = soc.checkpoint().to_bytes();
+    let bytes = soc.snapshot_bytes();
 
     // Version bump → UnsupportedVersion carrying both versions.
     let mut v = bytes.clone();
@@ -367,27 +370,30 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
     }
 
     // A version-1 snapshot (written before blocked components slept)
-    // records tick counters a replay can no longer reproduce. Taken
-    // mid-run so the counters differ, it must still end in the typed
+    // records tick counters a replay can no longer reproduce, and a
+    // version-2 one carries bytes version 3 dropped. Taken mid-run so
+    // the counters differ, each must still end in the typed
     // unsupported-version error on every restore path — never in a
     // `ReplayDivergence` that blames the snapshot's contents.
     let mut mid = Soc::build(SocConfig::default(), &program, &table, &wl.gmem_init);
     mid.run(2_000);
     assert!(mid.sim().ticks_skipped_blocked() > 0);
-    let mut v1 = mid.checkpoint().to_bytes();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let unsupported = CheckpointError::UnsupportedVersion {
-        found: 1,
-        supported: 2,
-    };
-    assert_eq!(
-        SimSnapshot::from_bytes(&v1).err(),
-        Some(unsupported.clone())
-    );
-    assert_eq!(
-        restore_engine(EngineKind::Soc, &v1, false).err(),
-        Some(unsupported.clone())
-    );
+    for found in [1u32, 2] {
+        let mut old = mid.snapshot_bytes();
+        old[8..12].copy_from_slice(&found.to_le_bytes());
+        let unsupported = CheckpointError::UnsupportedVersion {
+            found,
+            supported: 3,
+        };
+        assert_eq!(
+            SimSnapshot::from_bytes(&old).err(),
+            Some(unsupported.clone())
+        );
+        assert_eq!(
+            restore_engine(EngineKind::Soc, &old, false).err(),
+            Some(unsupported)
+        );
+    }
 
     // Truncation → Truncated with the byte deficit.
     let cut = bytes.len() / 2;
@@ -396,6 +402,21 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
             assert!(needed > have, "deficit must be visible: {needed} vs {have}");
         }
         other => panic!("expected Truncated, got {other:?}"),
+    }
+
+    // A 28-byte frame declaring a u64::MAX-byte payload → a typed
+    // error, not an overflowing length computation.
+    let mut huge = bytes[..21].to_vec();
+    huge[13..21].copy_from_slice(&u64::MAX.to_le_bytes());
+    huge.extend_from_slice(&[0; 7]);
+    for kind in [EngineKind::Soc, EngineKind::Batch] {
+        assert!(
+            matches!(
+                restore_engine(kind, &huge, false).err(),
+                Some(CheckpointError::Truncated { .. } | CheckpointError::Malformed(_))
+            ),
+            "{kind}: oversized length"
+        );
     }
 
     // Payload bit rot → Corrupted with both checksums.
@@ -409,7 +430,57 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
         other => panic!("expected Corrupted, got {other:?}"),
     }
 
-    // A batch snapshot fed to the SoC reader → WrongKind.
+    // Checksum-valid frames whose recipe images do not fit the memories
+    // their config builds → Malformed at decode, before any build.
+    let seg_cfg = SocConfig {
+        checkpoint_every: Some(300),
+        ..SocConfig::default()
+    };
+    let mut seg = Soc::build(seg_cfg, &program, &table, &wl.gmem_init);
+    seg.begin(MAX_CYCLES, NO_PROGRESS);
+    assert!(matches!(seg.step_segment(), Ok(SegmentStatus::Boundary)));
+    let boundary = SimSnapshot::from_bytes(&seg.snapshot_bytes()).expect("parses");
+    type Edit = (&'static str, fn(&mut Recipe));
+    let edits: [Edit; 5] = [
+        ("a gmem region past gmem_words", |r| {
+            r.gmem_init.push((r.cfg.gmem_words - 2, vec![7; 4]));
+        }),
+        ("a gmem region whose end overflows", |r| {
+            r.gmem_init.push((usize::MAX, vec![7]));
+        }),
+        ("staging longer than staging_words", |r| {
+            r.staging.resize(r.cfg.staging_words + 1, 0);
+        }),
+        // One word past the controller's 2^18-word RAM.
+        ("a program longer than the controller RAM", |r| {
+            r.program.resize((1 << 18) + 1, 0);
+        }),
+        ("a zero-word staging memory", |r| {
+            r.cfg.staging_words = 0;
+            r.staging.clear();
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut snap = boundary.clone();
+        edit(Arc::make_mut(&mut snap.recipe));
+        let damaged = snap.to_bytes();
+        assert!(
+            matches!(
+                SimSnapshot::from_bytes(&damaged),
+                Err(CheckpointError::Malformed(_))
+            ),
+            "{what}: decode"
+        );
+        assert!(
+            matches!(
+                restore_engine(EngineKind::Soc, &damaged, false).err(),
+                Some(CheckpointError::Malformed(_))
+            ),
+            "{what}: restore"
+        );
+    }
+
+    // A frame of the other kind → WrongKind, in both directions.
     let specs = [LaneSpec::new("l11p3->15", FaultConfig::bit_flip(0.01), 7)];
     let batch = build_engine(
         EngineKind::Batch,
@@ -421,16 +492,15 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
         false,
     )
     .expect("pattern matches");
-    let batch_bytes = batch.snapshot_bytes();
-    match SimSnapshot::from_bytes(&batch_bytes) {
-        Err(CheckpointError::WrongKind { found, expected }) => {
-            assert_ne!(found, expected);
-        }
-        other => panic!("expected WrongKind, got {other:?}"),
-    }
-    match BatchSnapshot::from_bytes(&bytes) {
-        Err(CheckpointError::WrongKind { .. }) => {}
-        other => panic!("expected WrongKind, got {other:?}"),
+    for (kind, frame, found, expected) in [
+        (EngineKind::Soc, batch.snapshot_bytes(), 2, 1),
+        (EngineKind::Batch, bytes, 1, 2),
+    ] {
+        assert_eq!(
+            restore_engine(kind, &frame, false).err(),
+            Some(CheckpointError::WrongKind { found, expected }),
+            "{kind}"
+        );
     }
 }
 
@@ -465,12 +535,13 @@ fn telemetry_is_invariant_across_restore() {
     producer
         .run_checked(MAX_CYCLES, NO_PROGRESS)
         .expect("clean run");
-    let mut snap = producer.last_checkpoint().expect("auto-capture").clone();
+    let bytes = producer.last_checkpoint_bytes().expect("auto-capture");
+    let mut snap = SimSnapshot::from_bytes(bytes).expect("parses");
     std::sync::Arc::make_mut(&mut snap.recipe)
         .cfg
         .checkpoint_every = None;
 
-    let mut rest = Soc::restore_with_telemetry(&snap, Some(Telemetry::new())).expect("restore");
+    let mut rest = restore_engine(EngineKind::Soc, &snap.to_bytes(), true).expect("restore");
     let rest_res = rest.run_to_end().expect("clean resume");
     assert_eq!(base_res.cycles, rest_res.cycles, "cycle counts diverged");
     let rest_json = rest.telemetry_snapshot().expect("sink attached").to_json();

@@ -27,7 +27,10 @@ use craft_sim::{HangReport, SimError};
 use craft_soc::checkpoint::SimSnapshot;
 use craft_soc::pe::Fidelity;
 use craft_soc::workloads::{dot_product, orchestrator_program, table_words, vec_mul, Workload};
-use craft_soc::{ClockingMode, RouterKind, RunResult, SegmentStatus, Soc, SocConfig, SocReport};
+use craft_soc::{
+    restore_engine, ClockingMode, EngineKind, RouterKind, RunResult, SegmentStatus, Soc, SocConfig,
+    SocReport,
+};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -311,7 +314,7 @@ fn faulted_runs_stay_armed_and_identical_to_interpreted() {
 }
 
 /// A fault injected mid-run, then re-armed from the snapshot's fault
-/// log by `restore`: the gated segmented run is the ungated one, and
+/// log by `restore_engine`: the gated segmented run is the ungated one, and
 /// the restored run is the direct gated run down to the kernel's work
 /// counters.
 #[test]
@@ -335,7 +338,10 @@ fn mid_run_injection_survives_checkpoint_restore_armed() {
         soc.inject_fault(PATTERN, FaultConfig::bit_flip(0.05), 11)
             .expect("pattern matches");
         assert!(matches!(soc.step_segment(), Ok(SegmentStatus::Boundary)));
-        let snap = soc.last_checkpoint().expect("auto checkpoint").clone();
+        let snap = soc
+            .last_checkpoint_bytes()
+            .expect("auto checkpoint")
+            .to_vec();
         let res = soc.run_to_end();
         (
             observe_faulted(&soc, ending_of(res), PATTERN),
@@ -351,9 +357,9 @@ fn mid_run_injection_survives_checkpoint_restore_armed() {
     assert_work_accounts(gated_work, reference_work, "mid-run injection");
     assert!(gated_work.ticks_skipped > 0, "gating engaged");
 
-    assert_eq!(snap.faults.len(), 1, "the injection is in the fault log");
-    let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("parses");
-    let mut back = Soc::restore(&snap).expect("restores");
+    let decoded = SimSnapshot::from_bytes(&snap).expect("parses");
+    assert_eq!(decoded.faults.len(), 1, "the injection is in the fault log");
+    let mut back = restore_engine(EngineKind::Soc, &snap, false).expect("restores");
     let res = back.run_to_end();
     assert_eq!(observe_faulted(&back, ending_of(res), PATTERN), gated);
     assert_eq!(work(&back), gated_work, "restored kernel counters");
