@@ -1,162 +1,24 @@
 //! # craft-bench — experiment harnesses
 //!
-//! Shared logic behind the per-figure/per-table binaries (see
-//! `src/bin/`) and the Criterion ablations (see `benches/`). How fast
-//! the engines run is measured by the repo's `benchmark/` package and
-//! nowhere here. Each paper artifact has a regenerator:
+//! [`claims`] holds every paper claim as one row with a bound; the
+//! `claims` bin prints the table and renders it into README.md and
+//! EXPERIMENTS.md. The `fault_campaign` bin is the robustness
+//! experiment. How fast the engines run is measured by the repo's
+//! `benchmark/` package and nowhere here. Each paper artifact is one
+//! section of the table:
 //!
-//! | artifact | binary |
+//! | artifact | section |
 //! |---|---|
-//! | Fig. 3 | `fig3_crossbar_accuracy` |
-//! | Table 2 | `table2_matchlib_inventory` |
-//! | §2.4 case study | `crossbar_loop_style` |
-//! | §2.2 QoR claim | `qor_vs_handrtl` |
-//! | §3.1 / Fig. 4 | `gals_overhead` |
-//! | Fig. 6 | `fig6_soc_accuracy` |
-//! | §4 productivity | `productivity_report` |
+//! | Fig. 3 | E2 |
+//! | Table 2 | E4 |
+//! | §2.4 case study | E5 |
+//! | §2.2 QoR claim | E6 |
+//! | §3.1 / Fig. 4 | E7 |
+//! | Fig. 6 | E9 |
+//! | §4 productivity | E11 |
+//! | §3 back end | E13 |
 
-use craft_connections::{channel, ChannelKind, In, Out, TimingModel};
-use craft_matchlib::{ArbitratedCrossbarRtl, ArbitratedCrossbarTlm, XbarMsg};
-use craft_sim::{ClockId, ClockSpec, Picoseconds, Simulator};
-
-/// Which crossbar model the Fig. 3 harness measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XbarModel {
-    /// Wire-level FSM (the HLS-generated-RTL stand-in).
-    Rtl,
-    /// Loosely-timed process with buffered (sim-accurate) handshakes.
-    SimAccurate,
-    /// Loosely-timed process with in-thread `wait()` (signal-accurate)
-    /// handshakes.
-    SignalAccurate,
-}
-
-impl XbarModel {
-    /// Display label matching the figure legend.
-    pub fn label(self) -> &'static str {
-        match self {
-            XbarModel::Rtl => "RTL",
-            XbarModel::SimAccurate => "sim-accurate",
-            XbarModel::SignalAccurate => "signal-accurate",
-        }
-    }
-}
-
-/// The Fig. 3 testbench around one arbitrated crossbar.
-pub struct XbarBench {
-    sim: Simulator,
-    clk: ClockId,
-    inject: Vec<Out<XbarMsg<u32>>>,
-    drain: Vec<In<u32>>,
-    lanes: usize,
-}
-
-impl XbarBench {
-    /// Builds an `lanes`-port crossbar of the given model.
-    pub fn new(lanes: usize, model: XbarModel) -> Self {
-        let mut sim = Simulator::new();
-        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds::new(909)));
-        let mut inject = Vec::new();
-        let mut xin = Vec::new();
-        let mut xout = Vec::new();
-        let mut drain = Vec::new();
-        for i in 0..lanes {
-            let (tx, rx, h) = channel::<XbarMsg<u32>>(format!("in{i}"), ChannelKind::Buffer(2));
-            sim.add_sequential(clk, h.sequential());
-            inject.push(tx);
-            xin.push(rx);
-            let (tx2, rx2, h2) = channel::<u32>(format!("out{i}"), ChannelKind::Buffer(2));
-            sim.add_sequential(clk, h2.sequential());
-            xout.push(tx2);
-            drain.push(rx2);
-        }
-        match model {
-            XbarModel::Rtl => {
-                sim.add_component(clk, ArbitratedCrossbarRtl::new("xbar", xin, xout, 2));
-            }
-            XbarModel::SimAccurate => {
-                sim.add_component(
-                    clk,
-                    ArbitratedCrossbarTlm::new("xbar", xin, xout, 2, TimingModel::SimAccurate),
-                );
-            }
-            XbarModel::SignalAccurate => {
-                sim.add_component(
-                    clk,
-                    ArbitratedCrossbarTlm::new("xbar", xin, xout, 2, TimingModel::SignalAccurate),
-                );
-            }
-        }
-        XbarBench {
-            sim,
-            clk,
-            inject,
-            drain,
-            lanes,
-        }
-    }
-
-    /// Runs `transactions` single-outstanding request/response pairs
-    /// through the crossbar and returns mean cycles per transaction —
-    /// the paper's Fig. 3 metric.
-    ///
-    /// # Panics
-    /// Panics if a message is lost (indicates a model bug).
-    pub fn cycles_per_transaction(&mut self, transactions: u32) -> f64 {
-        let mut total = 0u64;
-        for t in 0..transactions {
-            let src = (t as usize * 5 + 1) % self.lanes;
-            let dst = (t as usize * 3 + 2) % self.lanes;
-            self.inject[src]
-                .push_nb(XbarMsg { dst, data: t })
-                .expect("input idle between transactions");
-            let mut cycles = 0u64;
-            loop {
-                self.sim.run_cycles(self.clk, 1);
-                cycles += 1;
-                if let Some(v) = self.drain[dst].pop_nb() {
-                    assert_eq!(v, t, "message corrupted in crossbar");
-                    break;
-                }
-                assert!(cycles < 10_000, "message lost in crossbar");
-            }
-            total += cycles;
-        }
-        total as f64 / f64::from(transactions)
-    }
-}
-
-/// One Fig. 3 data point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig3Point {
-    /// Port count.
-    pub ports: usize,
-    /// Model measured.
-    pub model: XbarModel,
-    /// Mean cycles per transaction.
-    pub cycles_per_txn: f64,
-}
-
-/// Reproduces the full Fig. 3 sweep: ports in {2,4,8,16}, all three
-/// models.
-pub fn fig3_sweep(transactions: u32) -> Vec<Fig3Point> {
-    let mut out = Vec::new();
-    for &ports in &[2usize, 4, 8, 16] {
-        for model in [
-            XbarModel::Rtl,
-            XbarModel::SimAccurate,
-            XbarModel::SignalAccurate,
-        ] {
-            let mut bench = XbarBench::new(ports, model);
-            out.push(Fig3Point {
-                ports,
-                model,
-                cycles_per_txn: bench.cycles_per_transaction(transactions),
-            });
-        }
-    }
-    out
-}
+pub mod claims;
 
 /// Silences the default panic-hook backtrace chatter for the guard's
 /// lifetime and **restores the previous hook on drop** — including on
@@ -244,28 +106,66 @@ pub use craftflow_core::{json_escape, validate_json};
 mod tests {
     use super::*;
 
+    /// Every `--bin X`, `--example X`, `--test X` and `--bench X` the
+    /// docs name resolves to a target file of the root package or of a
+    /// crate.
+    #[test]
+    fn doc_commands_name_existing_targets() {
+        let root = claims::repo_root();
+        let mut packages = vec![root.clone()];
+        for crate_dir in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
+            packages.push(crate_dir.expect("crates/ entry").path());
+        }
+        let mut stale = Vec::new();
+        for doc in [
+            "README.md",
+            "EXPERIMENTS.md",
+            "DESIGN.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("doc readable");
+            for (flag, dir) in [
+                ("--bin ", "src/bin"),
+                ("--example ", "examples"),
+                ("--test ", "tests"),
+                ("--bench ", "benches"),
+            ] {
+                for rest in text.split(flag).skip(1) {
+                    let name = rest
+                        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
+                        .next()
+                        .unwrap_or_default();
+                    let file = format!("{name}.rs");
+                    if !packages.iter().any(|p| p.join(dir).join(&file).is_file()) {
+                        stale.push(format!("{doc}: {flag}{name}"));
+                    }
+                }
+            }
+        }
+        assert!(stale.is_empty(), "docs name missing targets: {stale:?}");
+    }
+
     #[test]
     fn fig3_shape_holds() {
-        let pts = fig3_sweep(20);
-        let get = |ports, model| {
-            pts.iter()
-                .find(|p| p.ports == ports && p.model == model)
-                .expect("point present")
-                .cycles_per_txn
-        };
+        use craft_connections::TimingModel;
+        let get = |ports, model| claims::crossbar_cycles_per_txn(ports, model);
+        let (sim, sig) = (
+            Some(TimingModel::SimAccurate),
+            Some(TimingModel::SignalAccurate),
+        );
         // Sim-accurate matches RTL at every port count.
         for ports in [2, 4, 8, 16] {
-            let rtl = get(ports, XbarModel::Rtl);
-            let sim = get(ports, XbarModel::SimAccurate);
+            let rtl = get(ports, None);
+            let acc = get(ports, sim);
             assert!(
-                (rtl - sim).abs() < 1e-9,
-                "sim-accurate must match RTL at {ports} ports: {rtl} vs {sim}"
+                (rtl - acc).abs() < 1e-9,
+                "sim-accurate must match RTL at {ports} ports: {rtl} vs {acc}"
             );
         }
         // Signal-accurate error grows with port count.
-        let sig2 = get(2, XbarModel::SignalAccurate);
-        let sig16 = get(16, XbarModel::SignalAccurate);
-        let rtl16 = get(16, XbarModel::Rtl);
+        let sig2 = get(2, sig);
+        let sig16 = get(16, sig);
+        let rtl16 = get(16, None);
         assert!(sig16 > sig2, "error must grow with ports");
         assert!(
             sig16 > 2.0 * rtl16,

@@ -3,7 +3,8 @@
 //! The baseline against [`super::WhvcRouter`]: every packet is fully
 //! buffered at each hop before any of it is forwarded, so per-hop
 //! latency grows with packet length (the classic store-and-forward vs
-//! wormhole trade-off; see the `noc_router_ablation` bench).
+//! wormhole trade-off; see the `router flow control` row of
+//! `craft_bench::claims`).
 
 use super::NocFlit;
 use crate::{Arbiter, Fifo};

@@ -417,7 +417,8 @@ mod tests {
 
 /// Compute-heavy convolution (16 taps): work units dominate data
 /// movement, so PE lane count is the bottleneck — used by the
-/// `pe_lanes_ablation` bench to show the compute/memory roofline knee.
+/// PE-lanes rows of `craft_bench::claims` to show the compute/memory
+/// roofline knee.
 pub fn conv1d_heavy() -> Workload {
     let n = 240;
     let taps_n = 16;

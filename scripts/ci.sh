@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Repo CI gate: formatting, lints, the full test suite, Criterion
-# compilation, the fault campaign, the benchmark's own tests and its
-# correctness gate on every workload, and a served-job smoke through
-# the socket.
+# Repo CI gate: formatting, lints, the full test suite (the paper's
+# claims table and its rendered docs included), the fault campaign, the
+# benchmark's own tests and its correctness gate on every workload, and
+# a served-job smoke through the socket.
 # The test step is what a bare `cargo test -q` at the root runs too
 # (Tier-1): the workspace's `default-members` are all of it, and the
 # dev profile is optimised so the identity suites take ~25 s warm.
@@ -21,9 +21,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
-
-echo "==> cargo bench --no-run (criterion harnesses compile)"
-cargo bench --workspace --no-run
 
 echo "==> cargo doc (workspace, no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -4,8 +4,11 @@
 # attribute line and the item it heads are dropped by brace matching —
 # up to the `}` that closes the item's first `{`, or its `;` if it has
 # no body. `tests/` and `benches/` are not under `src/` and so never
-# counted. Braces in strings and comments are not understood; a file
-# that hides one inside a test module would miscount, none does.
+# counted. Each file is matched on its own: the state resets at every
+# file boundary, so a miscount cannot carry into the next file. Braces
+# in strings and comments are not understood; a test module whose
+# strings leave braces unbalanced is counted right only because it is
+# the last item of its file.
 #
 #   scripts/loc.sh                  every crate, then the total
 #   scripts/loc.sh sim soc          those crates, then their total
@@ -28,7 +31,8 @@ fi
 
 total=0
 for crate in "$@"; do
-    n="$(find "crates/$crate/src" -name '*.rs' -exec cat {} + | awk '
+    n="$(find "crates/$crate/src" -name '*.rs' -exec awk '
+        FNR == 1 { skipping = 0; opened = 0; depth = 0 }
         !skipping && /^[[:space:]]*#\[cfg\(test\)\]/ {
             skipping = 1; opened = 0; depth = 0
             sub(/^[[:space:]]*#\[cfg\(test\)\]/, "")
@@ -48,7 +52,7 @@ for crate in "$@"; do
         }
         { kept++ }
         END { print kept + 0 }
-    ')"
+    ' {} + | awk '{ n += $1 } END { print n + 0 }')"
     printf '%-14s %6d\n' "$crate" "$n"
     total=$((total + n))
 done
