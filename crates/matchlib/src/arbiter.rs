@@ -67,13 +67,11 @@ impl Arbiter {
         if requests == 0 {
             return None;
         }
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
-            if requests & (1 << i) != 0 {
-                return Some(i);
-            }
-        }
-        None
+        // The lowest request at or above the pointer, else (wrapping)
+        // the lowest request overall.
+        let from_next = requests & (u64::MAX << self.next);
+        let pool = if from_next != 0 { from_next } else { requests };
+        Some(pool.trailing_zeros() as usize)
     }
 }
 
@@ -127,7 +125,41 @@ mod tests {
         let _ = a.pick(0b1000);
     }
 
+    /// The grant as a scan upward from the pointer, wrapping modulo
+    /// the width: the definition the bit trick in `peek_grant` must
+    /// reproduce.
+    fn scan_grant(n: usize, next: usize, requests: u64) -> Option<usize> {
+        (0..n)
+            .map(|off| (next + off) % n)
+            .find(|&i| requests & (1 << i) != 0)
+    }
+
     proptest! {
+        /// The O(1) grant equals the modulo scan for every width and
+        /// every pointer position, and `pick` moves the pointer past it.
+        #[test]
+        fn grant_equals_the_modulo_scan(seeds in proptest::collection::vec(any::<u64>(), 4..8)) {
+            for n in 1..=64usize {
+                let width_mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+                for next in 0..n {
+                    for &seed in &seeds {
+                        // Dense, sparse and single-bit masks.
+                        let sparse = seed & seed.rotate_left(17) & seed.rotate_left(41);
+                        let single = 1u64 << (seed % n as u64);
+                        for requests in [seed, sparse, single, 0, u64::MAX] {
+                            let requests = requests & width_mask;
+                            let mut a = Arbiter { n, next };
+                            let want = scan_grant(n, next, requests);
+                            prop_assert_eq!(a.peek_grant(requests), want);
+                            prop_assert_eq!(a.pick(requests), want);
+                            let next_after = want.map_or(next, |g| (g + 1) % n);
+                            prop_assert_eq!(a.next, next_after);
+                        }
+                    }
+                }
+            }
+        }
+
         /// The grant is always a requesting input.
         #[test]
         fn grant_subset_of_requests(reqs in proptest::collection::vec(0u64..16, 1..50)) {

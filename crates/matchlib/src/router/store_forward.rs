@@ -25,6 +25,8 @@ pub struct SfRouter {
     /// Per-output packet currently streaming out.
     streaming: Vec<VecDeque<NocFlit>>,
     allocators: Vec<Arbiter>,
+    /// Per-output request masks, rebuilt by each tick's bid pass.
+    bids: Vec<u64>,
     forwarded: u64,
 }
 
@@ -55,6 +57,7 @@ impl SfRouter {
             complete: (0..ports).map(|_| Fifo::new(packet_queue)).collect(),
             streaming: (0..ports).map(|_| VecDeque::new()).collect(),
             allocators: (0..ports).map(|_| Arbiter::new(ports)).collect(),
+            bids: vec![0; ports],
             forwarded: 0,
         }
     }
@@ -62,6 +65,17 @@ impl SfRouter {
     /// Total flits forwarded.
     pub fn forwarded(&self) -> u64 {
         self.forwarded
+    }
+
+    /// Enters input `i`'s queued head packet in the request mask of the
+    /// output it routes to. A bid for an output the switch loop has
+    /// already passed is never read: the next tick starts from zero.
+    fn bid(&mut self, i: usize) {
+        if let Some(pkt) = self.complete[i].peek() {
+            let out = (self.route)(pkt[0].dst);
+            assert!(out < self.bids.len(), "routing function returned bad port");
+            self.bids[out] |= 1 << i;
+        }
     }
 }
 
@@ -106,20 +120,20 @@ impl Component for SfRouter {
                 }
             }
         }
+        // Each queued head bids once for the output it routes to.
+        self.bids.fill(0);
+        for i in 0..ports {
+            self.bid(i);
+        }
         // Per output: continue streaming, else allocate a new packet.
         for out in 0..ports {
             if self.streaming[out].is_empty() {
-                let mut mask = 0u64;
-                for (i, q) in self.complete.iter().enumerate() {
-                    if let Some(pkt) = q.peek() {
-                        if (self.route)(pkt[0].dst) == out {
-                            mask |= 1 << i;
-                        }
-                    }
-                }
-                if let Some(winner) = self.allocators[out].pick(mask) {
+                if let Some(winner) = self.allocators[out].pick(self.bids[out]) {
                     let pkt = self.complete[winner].pop().expect("peeked");
                     self.streaming[out] = pkt.into();
+                    // The winner's next packet bids at once: an output
+                    // later in this loop can still grant it.
+                    self.bid(winner);
                 }
             }
             if let Some(&flit) = self.streaming[out].front() {
@@ -138,6 +152,8 @@ mod tests {
     use crate::router::make_packet;
     use craft_connections::{channel, ChannelKind};
     use craft_sim::{ClockSpec, Picoseconds, Simulator};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct Bench {
         sim: Simulator,
@@ -332,5 +348,77 @@ mod tests {
         // Packets whole, not interleaved.
         let transitions = srcs.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(transitions, 1, "{srcs:?}");
+    }
+
+    /// Lends the router to the kernel while the test reads `forwarded`.
+    struct Shared(Rc<RefCell<SfRouter>>);
+
+    impl Component for Shared {
+        fn name(&self) -> &str {
+            "shared"
+        }
+        fn is_quiescent(&self) -> bool {
+            self.0.borrow().is_quiescent()
+        }
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            self.0.borrow_mut().tick(ctx);
+        }
+    }
+
+    /// Input 0 queues a packet for output 1, which is still streaming
+    /// another, and behind it one for output 2. The tick that allocates
+    /// the first also routes the second, and it leaves on output 2 in
+    /// the same tick, as when every free output re-scanned every queue.
+    #[test]
+    fn a_winner_s_next_packet_wins_a_later_output_in_the_same_tick() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(1000)));
+        let (mut inject, mut drain, mut rin, mut rout) = (vec![], vec![], vec![], vec![]);
+        for p in 0..3 {
+            let (tx, rx, h) = channel::<NocFlit>(format!("in{p}"), ChannelKind::Buffer(2));
+            let (tx2, rx2, h2) = channel::<NocFlit>(format!("out{p}"), ChannelKind::Buffer(2));
+            sim.add_sequential(clk, h.sequential());
+            sim.add_sequential(clk, h2.sequential());
+            inject.push(tx);
+            rin.push(rx);
+            rout.push(tx2);
+            drain.push(rx2);
+        }
+        let router = Rc::new(RefCell::new(SfRouter::new("sf", rin, rout, 2, |d| {
+            d as usize
+        })));
+        sim.add_component(clk, Shared(Rc::clone(&router)));
+        let forwarded = || router.borrow().forwarded();
+        let mut send = |sim: &mut Simulator, input: usize, pkt: &[NocFlit]| {
+            for &f in pkt {
+                while inject[input].push_nb(f).is_err() {
+                    sim.run_cycles(clk, 1);
+                }
+                sim.run_cycles(clk, 1);
+            }
+        };
+        // Four flits for output 1: two fill its channel, two stay
+        // streaming.
+        send(&mut sim, 2, &make_packet(1, 2, 0, &[1, 2, 3, 4]));
+        send(&mut sim, 0, &make_packet(1, 0, 0, &[10]));
+        send(&mut sim, 0, &make_packet(2, 0, 0, &[20]));
+        sim.run_cycles(clk, 8);
+        assert_eq!(forwarded(), 2, "output 1 wedged, both packets queued");
+        let mut cycles = 0;
+        let mut steps = Vec::new();
+        while forwarded() < 6 {
+            let before = forwarded();
+            let _ = drain[1].pop_nb();
+            sim.run_cycles(clk, 1);
+            steps.push(forwarded() - before);
+            cycles += 1;
+            assert!(cycles < 20, "output 1 never drained: {steps:?}");
+        }
+        assert_eq!(
+            steps.last(),
+            Some(&2),
+            "flits 10 and 20 in one tick: {steps:?}"
+        );
+        assert_eq!(drain[2].pop_nb().map(|f| f.data), Some(20));
     }
 }

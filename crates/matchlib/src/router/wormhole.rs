@@ -7,6 +7,10 @@
 //! flit passes), and round-robin switch allocation among competing
 //! (input, VC) candidates. Backpressure is channel-level: a flit is
 //! only accepted from the link when its VC buffer has room.
+//!
+//! A tick costs its flits: a router holding none skips the switch
+//! stage, each occupied slot bids once for the output its head needs,
+//! and an output port is asked `can_push` only when a flit wants it.
 
 use super::NocFlit;
 use crate::{Arbiter, Fifo};
@@ -47,6 +51,10 @@ pub struct WhvcRouter {
     output_owner: Vec<Option<usize>>,
     /// Switch allocator per output.
     allocators: Vec<Arbiter>,
+    /// Per-output request masks, rebuilt by each tick's bid pass.
+    bids: Vec<u64>,
+    /// Bit `slot` is set while `buffers[slot]` holds a flit.
+    occupied: u64,
     /// Flits forwarded (lifetime).
     forwarded: u64,
     /// The last tick accepted no flit and forwarded none.
@@ -84,6 +92,8 @@ impl WhvcRouter {
             route_lock: vec![None; slots],
             output_owner: vec![None; ports],
             allocators: (0..ports).map(|_| Arbiter::new(slots)).collect(),
+            bids: vec![0; ports],
+            occupied: 0,
             forwarded: 0,
             idle_tick: false,
         }
@@ -119,6 +129,86 @@ impl WhvcRouter {
             None
         }
     }
+
+    /// Enters `slot`'s head in the request mask of the output it needs.
+    /// A bid for an output the switch loop has already passed is never
+    /// read: the next tick's bid pass starts from zero.
+    fn bid(&mut self, slot: usize) {
+        if let Some(out) = self.desired_output(slot) {
+            self.bids[out] |= 1 << slot;
+        }
+    }
+
+    /// Input stage: accepts at most one flit per input port, into the
+    /// VC buffer the flit names, only when that buffer has room.
+    /// Returns whether a flit moved.
+    fn accept(&mut self) -> bool {
+        let mut moved = false;
+        for i in 0..self.inputs.len() {
+            if let Some(flit) = self.inputs[i].peek() {
+                let vc = flit.vc as usize;
+                assert!(vc < self.cfg.vcs, "flit names nonexistent vc {vc}");
+                let slot = self.slot(i, vc);
+                if !self.buffers[slot].is_full() {
+                    let flit = self.inputs[i].pop_nb().expect("peeked");
+                    self.buffers[slot].push(flit).expect("had room");
+                    self.occupied |= 1 << slot;
+                    moved = true;
+                }
+            }
+        }
+        moved
+    }
+
+    /// Switch stage: one bid pass, then per output in port order the
+    /// wormhole owner streams or the round-robin allocator grants among
+    /// the bidders. A grant that pops a tail exposes the slot's next
+    /// head, which bids again at once, so an output later in the loop
+    /// can still take it this tick. Returns whether a flit moved.
+    fn switch(&mut self) -> bool {
+        self.bids.fill(0);
+        let mut held = self.occupied;
+        while held != 0 {
+            let slot = held.trailing_zeros() as usize;
+            held &= held - 1;
+            self.bid(slot);
+        }
+        let mut moved = false;
+        for out in 0..self.outputs.len() {
+            // Find the sender before asking the port: `can_push` has no
+            // side effects, so skipping an unwanted port is unobservable.
+            let wanted = match self.output_owner[out] {
+                // Wormhole: the owner streams until its tail, but only
+                // when it has a flit ready.
+                Some(owner) => self.occupied & (1 << owner) != 0,
+                None => self.bids[out] != 0,
+            };
+            if !wanted || !self.outputs[out].can_push() {
+                continue;
+            }
+            let slot = match self.output_owner[out] {
+                Some(owner) => owner,
+                None => self.allocators[out]
+                    .pick(self.bids[out])
+                    .expect("nonzero bids"),
+            };
+            let flit = self.buffers[slot].pop().expect("candidate has flit");
+            if self.buffers[slot].is_empty() {
+                self.occupied &= !(1 << slot);
+            }
+            self.outputs[out].push_nb(flit).expect("output ready");
+            self.forwarded += 1;
+            moved = true;
+            if flit.kind.is_tail() {
+                self.output_owner[out] = None;
+                self.route_lock[slot] = None;
+                self.bid(slot);
+            } else {
+                self.output_owner[out] = Some(slot);
+            }
+        }
+        moved
+    }
 }
 
 impl Component for WhvcRouter {
@@ -135,7 +225,7 @@ impl Component for WhvcRouter {
     /// and output owners may stay held across a sleep: the wormhole
     /// resumes when the owner's next flit arrives and wakes us.
     fn is_quiescent(&self) -> bool {
-        self.buffers.iter().all(Fifo::is_empty) && self.inputs.iter().all(|i| !i.has_pending())
+        self.occupied == 0 && self.inputs.iter().all(|i| !i.has_pending())
     }
 
     /// Also sleeps *blocked*: the last tick moved nothing — every
@@ -148,9 +238,11 @@ impl Component for WhvcRouter {
     /// fires the wake token. The port check is what keeps a wake from
     /// being wasted: a drain that popped earlier in this instant leaves
     /// `can_push` false until commit, but `Out::is_settled` sees the
-    /// staged pop and keeps the router up for the slot it frees. The
-    /// O(ports) scan runs only after a tick that moved nothing, so busy
-    /// routers pay one flag test.
+    /// staged pop and keeps the router up for the slot it frees. A
+    /// router holding flits answers `is_quiescent` from its occupancy
+    /// word alone, and the O(ports) scan runs only after a tick that
+    /// moved nothing, so busy routers pay one word test and one flag
+    /// test.
     fn can_sleep(&self) -> Sleep {
         if self.is_quiescent() {
             Sleep::Idle
@@ -165,64 +257,9 @@ impl Component for WhvcRouter {
     }
 
     fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
-        let ports = self.inputs.len();
-        let mut moved = false;
-        // Input stage: accept at most one flit per input port, into the
-        // VC buffer the flit names, only when that buffer has room.
-        for i in 0..ports {
-            if let Some(flit) = self.inputs[i].peek() {
-                let vc = flit.vc as usize;
-                assert!(vc < self.cfg.vcs, "flit names nonexistent vc {vc}");
-                let slot = self.slot(i, vc);
-                if !self.buffers[slot].is_full() {
-                    let flit = self.inputs[i].pop_nb().expect("peeked");
-                    self.buffers[slot].push(flit).expect("had room");
-                    moved = true;
-                }
-            }
-        }
-        // Switch stage: per output, pick among candidate slots.
-        for out in 0..ports {
-            if !self.outputs[out].can_push() {
-                continue;
-            }
-            let granted_slot = match self.output_owner[out] {
-                Some(owner) => {
-                    // Wormhole: the owner streams until its tail, but
-                    // only when it has a flit ready.
-                    if self.buffers[owner].is_empty() {
-                        continue;
-                    }
-                    owner
-                }
-                None => {
-                    let mut mask = 0u64;
-                    for slot in 0..self.buffers.len() {
-                        if self.buffers[slot].is_empty() {
-                            continue;
-                        }
-                        if self.desired_output(slot) == Some(out) {
-                            mask |= 1 << slot;
-                        }
-                    }
-                    match self.allocators[out].pick(mask) {
-                        Some(slot) => slot,
-                        None => continue,
-                    }
-                }
-            };
-            let flit = self.buffers[granted_slot]
-                .pop()
-                .expect("candidate has flit");
-            self.outputs[out].push_nb(flit).expect("output ready");
-            self.forwarded += 1;
-            moved = true;
-            if flit.kind.is_tail() {
-                self.output_owner[out] = None;
-                self.route_lock[granted_slot] = None;
-            } else {
-                self.output_owner[out] = Some(granted_slot);
-            }
+        let mut moved = self.accept();
+        if self.occupied != 0 {
+            moved |= self.switch();
         }
         self.idle_tick = !moved;
     }
@@ -234,6 +271,10 @@ mod tests {
     use crate::router::{make_packet, FlitKind};
     use craft_connections::{channel, ChannelKind};
     use craft_sim::{ClockSpec, Picoseconds, Simulator};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct Ring {
         sim: Simulator,
@@ -491,5 +532,308 @@ mod tests {
         let (a, b) = (counts[0] as i64, counts[1] as i64);
         assert!(a + b > 50, "throughput too low: {}", a + b);
         assert!((a - b).abs() <= 4, "unfair: {a} vs {b}");
+    }
+
+    /// The allocator the bid pass replaced, kept as the reference the
+    /// router must match flit for flit: per output it asks `can_push`
+    /// first, then re-scans every VC slot for a head that wants that
+    /// output.
+    fn rescan_switch(r: &mut WhvcRouter) -> bool {
+        let mut moved = false;
+        for out in 0..r.outputs.len() {
+            if !r.outputs[out].can_push() {
+                continue;
+            }
+            let granted_slot = match r.output_owner[out] {
+                Some(owner) => {
+                    if r.buffers[owner].is_empty() {
+                        continue;
+                    }
+                    owner
+                }
+                None => {
+                    let mut mask = 0u64;
+                    for slot in 0..r.buffers.len() {
+                        if !r.buffers[slot].is_empty() && r.desired_output(slot) == Some(out) {
+                            mask |= 1 << slot;
+                        }
+                    }
+                    match r.allocators[out].pick(mask) {
+                        Some(slot) => slot,
+                        None => continue,
+                    }
+                }
+            };
+            let flit = r.buffers[granted_slot].pop().expect("candidate has flit");
+            r.outputs[out].push_nb(flit).expect("output ready");
+            r.forwarded += 1;
+            moved = true;
+            if flit.kind.is_tail() {
+                r.output_owner[out] = None;
+                r.route_lock[granted_slot] = None;
+            } else {
+                r.output_owner[out] = Some(granted_slot);
+            }
+        }
+        moved
+    }
+
+    /// The router as the kernel sees it, ticked by its own bid pass or,
+    /// with `rescan`, by the reference allocator with the quiescence
+    /// test that walks every buffer. The test keeps a handle on the
+    /// router's state.
+    struct Subject {
+        router: Rc<RefCell<WhvcRouter>>,
+        rescan: bool,
+    }
+
+    impl Component for Subject {
+        fn name(&self) -> &str {
+            "subject"
+        }
+
+        fn is_quiescent(&self) -> bool {
+            let r = self.router.borrow();
+            if !self.rescan {
+                return r.is_quiescent();
+            }
+            r.buffers.iter().all(Fifo::is_empty) && r.inputs.iter().all(|i| !i.has_pending())
+        }
+
+        fn can_sleep(&self) -> Sleep {
+            if !self.rescan {
+                return self.router.borrow().can_sleep();
+            }
+            let r = self.router.borrow();
+            if self.is_quiescent() {
+                Sleep::Idle
+            } else if r.idle_tick
+                && r.inputs.iter().all(In::is_settled)
+                && r.outputs.iter().all(Out::is_settled)
+            {
+                Sleep::Blocked
+            } else {
+                Sleep::No
+            }
+        }
+
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            let mut r = self.router.borrow_mut();
+            if self.rescan {
+                let accepted = r.accept();
+                let switched = rescan_switch(&mut r);
+                r.idle_tick = !(accepted || switched);
+            } else {
+                r.tick(ctx);
+            }
+        }
+    }
+
+    /// What the differential test compares after every cycle besides
+    /// the drained flits: `forwarded`, the arbiters' pointers, every
+    /// channel's statistics and the kernel's elided ticks.
+    type Observed = (u64, Vec<Arbiter>, Vec<craft_connections::ChannelStats>, u64);
+
+    /// One router between test-driven injectors and drains, with wake
+    /// tokens wired as in the SoC so gating can put it to sleep.
+    struct Bench {
+        sim: Simulator,
+        clk: craft_sim::ClockId,
+        inject: Vec<Out<NocFlit>>,
+        drain: Vec<In<NocFlit>>,
+        channels: Vec<craft_connections::ChannelHandle<NocFlit>>,
+        router: Rc<RefCell<WhvcRouter>>,
+    }
+
+    impl Bench {
+        fn new(
+            ports: usize,
+            cfg: WhvcConfig,
+            kind: ChannelKind,
+            gating: bool,
+            rescan: bool,
+        ) -> Self {
+            let mut sim = Simulator::new();
+            sim.set_gating(gating);
+            let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(1000)));
+            let wake = craft_sim::ActivityToken::new();
+            let (mut inject, mut drain, mut channels) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut rin, mut rout) = (Vec::new(), Vec::new());
+            for p in 0..ports {
+                let (tx, rx, h) = channel::<NocFlit>(format!("in{p}"), kind);
+                let (tx2, rx2, h2) = channel::<NocFlit>(format!("out{p}"), kind);
+                for h in [&h, &h2] {
+                    sim.add_sequential_gated(clk, h.sequential(), h.commit_token());
+                }
+                rx.set_wake_token(wake.clone());
+                tx2.set_wake_token(wake.clone());
+                inject.push(tx);
+                rin.push(rx);
+                rout.push(tx2);
+                drain.push(rx2);
+                channels.extend([h, h2]);
+            }
+            let router = Rc::new(RefCell::new(WhvcRouter::new("r", rin, rout, cfg, |dst| {
+                dst as usize
+            })));
+            let subject = Subject {
+                router: Rc::clone(&router),
+                rescan,
+            };
+            let id = sim.add_component(clk, subject);
+            sim.set_wake_token(id, wake);
+            Bench {
+                sim,
+                clk,
+                inject,
+                drain,
+                channels,
+                router,
+            }
+        }
+
+        fn step(&mut self) {
+            self.sim.run_cycles(self.clk, 1);
+        }
+
+        fn forwarded(&self) -> u64 {
+            self.router.borrow().forwarded
+        }
+
+        fn observe(&self) -> Observed {
+            let r = self.router.borrow();
+            let stats = self.channels.iter().map(|h| h.stats()).collect();
+            (
+                r.forwarded,
+                r.allocators.clone(),
+                stats,
+                self.sim.ticks_skipped(),
+            )
+        }
+    }
+
+    /// Runs the bid-pass router and the re-scan reference side by side
+    /// under one random schedule: packets of 1–4 flits on every VC of
+    /// every input, each output drained with its own probability (1.0
+    /// never backs up, 0.05 wedges). Any difference in a drained flit,
+    /// an injection accepted, `forwarded`, an arbiter pointer, a
+    /// channel statistic or an elided tick fails at the cycle it
+    /// appears.
+    fn differential(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ports = rng.gen_range(2usize..=5);
+        let cfg = WhvcConfig {
+            vcs: [1, 2, 4][rng.gen_range(0usize..3)],
+            buffer_depth: rng.gen_range(1usize..=4),
+        };
+        let kinds = [
+            ChannelKind::Pipeline,
+            ChannelKind::Bypass,
+            ChannelKind::Buffer(1),
+            ChannelKind::Buffer(2),
+            ChannelKind::Buffer(3),
+        ];
+        let kind = kinds[rng.gen_range(0..kinds.len())];
+        let gating = rng.gen_bool(0.5);
+        let inject_p = [0.3, 0.7, 1.0][rng.gen_range(0usize..3)];
+        let drain_p: Vec<f64> = (0..ports)
+            .map(|_| [0.05, 0.3, 0.8, 1.0][rng.gen_range(0usize..4)])
+            .collect();
+        let case = format!("seed {seed}: {ports} ports, {cfg:?}, {kind:?}, gating {gating}");
+        let mut dut = Bench::new(ports, cfg, kind, gating, false);
+        let mut reference = Bench::new(ports, cfg, kind, gating, true);
+        // The unsent rest of each (input, VC)'s current packet.
+        let mut streams = vec![vec![Vec::<NocFlit>::new(); cfg.vcs]; ports];
+        let mut data = 0u64;
+        for cycle in 0..240 {
+            for (input, vcs) in streams.iter_mut().enumerate() {
+                if !rng.gen_bool(inject_p) {
+                    continue;
+                }
+                let vc = rng.gen_range(0..cfg.vcs);
+                if vcs[vc].is_empty() {
+                    let len = rng.gen_range(1usize..=4);
+                    let payload: Vec<u64> = (data..data + len as u64).collect();
+                    data += len as u64;
+                    let dst = rng.gen_range(0..ports) as u16;
+                    vcs[vc] = make_packet(dst, input as u16, vc as u8, &payload);
+                    vcs[vc].reverse();
+                }
+                let flit = *vcs[vc].last().expect("packet");
+                let sent = dut.inject[input].push_nb(flit).is_ok();
+                let ref_sent = reference.inject[input].push_nb(flit).is_ok();
+                assert_eq!(sent, ref_sent, "{case}: injection at cycle {cycle}");
+                if sent {
+                    vcs[vc].pop();
+                }
+            }
+            dut.step();
+            reference.step();
+            for (out, &p) in drain_p.iter().enumerate() {
+                if rng.gen_bool(p) {
+                    let got = dut.drain[out].pop_nb();
+                    let want = reference.drain[out].pop_nb();
+                    assert_eq!(got, want, "{case}: output {out} at cycle {cycle}");
+                }
+            }
+            assert_eq!(dut.observe(), reference.observe(), "{case}: cycle {cycle}");
+        }
+        assert!(dut.forwarded() > 0, "{case}: no traffic");
+    }
+
+    #[test]
+    fn bid_pass_matches_the_rescan_reference() {
+        for seed in 0..96 {
+            differential(seed);
+        }
+    }
+
+    /// Input 0 holds a single-flit packet for output 1, blocked behind a
+    /// full output, and behind it one for output 2. When output 1
+    /// frees, the tail grant exposes the second head, which bids at once
+    /// and wins output 2 in the same tick: two flits forwarded in one
+    /// cycle, by the router and the reference alike.
+    #[test]
+    fn a_freed_slot_wins_a_later_output_in_the_same_tick() {
+        let cfg = WhvcConfig {
+            vcs: 1,
+            buffer_depth: 4,
+        };
+        for rescan in [false, true] {
+            let mut b = Bench::new(3, cfg, ChannelKind::Buffer(2), true, rescan);
+            let fill = [make_packet(1, 2, 0, &[1])[0], make_packet(1, 2, 0, &[2])[0]];
+            let blocked = [
+                make_packet(1, 0, 0, &[10])[0],
+                make_packet(2, 0, 0, &[20])[0],
+            ];
+            let (mut f, mut x) = (0, 0);
+            for _ in 0..12 {
+                if f < fill.len() && b.inject[2].push_nb(fill[f]).is_ok() {
+                    f += 1;
+                } else if f == fill.len()
+                    && x < blocked.len()
+                    && b.inject[0].push_nb(blocked[x]).is_ok()
+                {
+                    x += 1;
+                }
+                b.step();
+            }
+            assert_eq!((f, x), (2, 2), "all four flits injected");
+            assert_eq!(b.forwarded(), 2, "output 1 full, flit 20 behind flit 10");
+            assert_eq!(b.drain[1].pop_nb().map(|f| f.data), Some(1));
+            let before = b.forwarded();
+            let mut steps = 0;
+            while b.forwarded() == before {
+                b.step();
+                steps += 1;
+                assert!(steps < 4, "output 1 never freed");
+            }
+            assert_eq!(b.forwarded(), before + 2, "both grants in one tick");
+            b.step();
+            assert_eq!(b.drain[2].pop_nb().map(|f| f.data), Some(20));
+            assert_eq!(b.drain[1].pop_nb().map(|f| f.data), Some(2));
+            b.step();
+            assert_eq!(b.drain[1].pop_nb().map(|f| f.data), Some(10));
+        }
     }
 }
