@@ -28,6 +28,8 @@ use craftflow_core::{
 };
 use std::path::PathBuf;
 
+mod robustness;
+
 /// The documents holding claims blocks, relative to the repo root.
 pub const DOCS: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
 
@@ -91,6 +93,7 @@ impl Row {
             .fold(f64::NEG_INFINITY, f64::max);
         let measured = match self.values.len() {
             0 => "host-dependent".to_string(),
+            _ if self.values.iter().any(|v| v.is_nan()) => "NaN: nothing to count".to_string(),
             1 => format!("{} {u}", num(lo, u)),
             _ if lo == hi => format!("{} {u} (all)", num(lo, u)),
             _ => format!("{} to {} {u}", num(lo, u), num(hi, u)),
@@ -128,6 +131,7 @@ pub fn sections() -> Vec<Section> {
         fig6,
         productivity,
         back_end,
+        robustness::robustness,
         ablations,
     ];
     producers.iter().map(|p| p()).collect()

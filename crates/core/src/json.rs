@@ -177,6 +177,12 @@ mod tests {
             "{}",
             "[1, 2.5, -3e+7, \"s\", true, false, null]",
             "{\"a\": {\"b\": [\"\\u0041\\n\"]}}  ",
+            "[]",
+            "null",
+            "-1.5e+10",
+            "\"a \\\"quoted\\\" string\"",
+            "{\"a\": [1, 2, {\"b\": null}], \"c\": true}\n",
+            "  {\"nested\": {\"deep\": [[[0]]]}}  ",
         ] {
             assert!(validate_json(ok).is_ok(), "{ok}");
         }
@@ -192,6 +198,13 @@ mod tests {
             "01x",
             "{} trailing",
             "\"\x01\"",
+            "{\"a\":}",
+            "{\"a\": 1,}",
+            "[1, 2",
+            "{'single': 1}",
+            "{\"a\": 01e}",
+            "\"unterminated",
+            "{\"raw\ncontrol\": 1}",
         ] {
             assert!(validate_json(bad).is_err(), "{bad:?}");
         }

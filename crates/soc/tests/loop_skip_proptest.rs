@@ -9,8 +9,9 @@
 //! memory, the five kernel counters, the [`craft_sim::KernelDigest`]
 //! and, for a hang, the whole diagnosis, nothing masked.
 //!
-//! Half the draws are the eight `fault_campaign` lanes known to wedge
-//! the NoC (`tests/hung_lane_identity.rs`), so advances really happen;
+//! Half the draws are the eight hot-link lanes known to wedge the NoC
+//! under the limits of claims section E14's raw-NoC sweep
+//! (`tests/hung_lane_identity.rs`), so advances really happen;
 //! the rest are arbitrary lanes, where runs that complete, run out of
 //! budget or fail-stop on a corrupt packet ride along as the cases in
 //! which nothing may be skipped. A second property draws the hang

@@ -1,8 +1,8 @@
 //! Hung fault lanes end identically however the kernel schedules them.
 //!
-//! Eight `fault_campaign` lanes that wedge the NoC (vec_mul, hot link
-//! into the hub, p = 3e-3, the campaign's limits) are run gated and
-//! ungated.
+//! Eight fault lanes that wedge the NoC (vec_mul, hot link into the
+//! hub, p = 3e-3, the limits of claims section E14's raw-NoC sweep) are
+//! run gated and ungated.
 //!
 //! * The gated kernel — where blocked routers, PEs and the AXI plane
 //!   sleep — must end exactly as it did before blocked components
@@ -48,7 +48,8 @@ use craftflow::soc::{Soc, SocConfig, SocReport};
 /// The mesh link into the hub: every result flit crosses it.
 const HOT_LINK: &str = "l11p3->15";
 const P: f64 = 3e-3;
-/// `fault_campaign`'s `SOC_MAX_CYCLES` / `SOC_NO_PROGRESS`.
+/// `SOC_MAX_CYCLES` / `SOC_NO_PROGRESS` of `craft_bench::claims`' E14
+/// producer (`crates/bench/src/claims/robustness.rs`).
 const MAX_CYCLES: u64 = 4_000_000;
 const NO_PROGRESS: u64 = 100_000;
 /// Controller, AXI master, bus, staging slave, hub AXI slave.
