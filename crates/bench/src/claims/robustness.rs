@@ -24,7 +24,7 @@ use craft_sim::{ClockSpec, Component, Picoseconds, ProvedLoop, SimError, Simulat
 use craft_soc::workloads::{
     orchestrator_program, run_workload, table_words, vec_mul, TableEntry, Workload,
 };
-use craft_soc::{PeCommand, PeOp, Soc, SocConfig};
+use craft_soc::{panic_message, protocol_check, PeCommand, PeOp, Soc, SocConfig, PROTOCOL_CHECKS};
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -39,18 +39,6 @@ const HOT_LINK: &str = "l11p3->15";
 /// workloads run under the same two).
 const SOC_MAX_CYCLES: u64 = 4_000_000;
 const SOC_NO_PROGRESS: u64 = 100_000;
-
-/// The protocol checks a corrupt packet can trip: the site and the
-/// words of the check's panic message. A panic raised anywhere else is
-/// a bug in the model or in this harness, not a detection.
-const PROTOCOL_CHECKS: [(&str, &str); 6] = [
-    ("NocMsg::from_words", "empty message"),
-    ("NocMsg::from_words", "PeCmd needs 2 words"),
-    ("NocMsg::from_words", "MemWrite truncated"),
-    ("NocMsg::from_words", "MemData truncated"),
-    ("NocMsg::from_words", "unknown NoC message type"),
-    ("WhvcRouter::accept", "flit names nonexistent vc"),
-];
 
 /// The fault modes: name, injector at a probability, and the protocol
 /// counter that witnesses the mode at a reliable link (flips are caught
@@ -244,14 +232,11 @@ fn verified(soc: &Soc, wl: &Workload) -> bool {
 
 /// Which of [`PROTOCOL_CHECKS`] raised `payload`. Any other panic is
 /// re-raised: it is a bug, and counting it as a detection would hide it.
-fn protocol_check(run: &str, payload: Box<dyn Any + Send>) -> usize {
-    let msg = match payload.downcast_ref::<String>() {
-        Some(s) => s.as_str(),
-        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
-    };
-    if let Some(i) = PROTOCOL_CHECKS.iter().position(|(_, c)| msg.contains(c)) {
+fn failstop_site(run: &str, payload: Box<dyn Any + Send>) -> usize {
+    if let Some(i) = protocol_check(payload.as_ref()) {
         return i;
     }
+    let msg = panic_message(payload.as_ref());
     eprintln!("{run}: a panic no protocol check raised: {msg}");
     resume_unwind(payload)
 }
@@ -271,7 +256,7 @@ fn noc_run(name: &str, config: fn(f64) -> FaultConfig, seed: u64) -> Outcome {
     };
     let name = format!("{name} seed {seed}");
     match run {
-        Err(payload) => Outcome::FailStop(protocol_check(&name, payload)),
+        Err(payload) => Outcome::FailStop(failstop_site(&name, payload)),
         Ok(Err(SimError::Hang { cycle, .. })) => Outcome::Hang(cycle, soc.sim().last_loop()),
         Ok(Err(e)) => panic!("{name}: unexpected simulation error: {e}"),
         Ok(Ok(r)) if !r.completed => Outcome::Stall,
@@ -316,12 +301,10 @@ fn noc_part() -> Part {
         masked.push(mask as f64);
     }
     let sites = PROTOCOL_CHECKS.iter().zip(&failstops);
-    let sites = sites
-        .filter(|(_, runs)| !runs.is_empty())
-        .map(|((site, check), runs)| {
-            let (n, list) = (runs.len(), runs.join(", "));
-            format!("{site} | \"{check}\" | {n} | {list}")
-        });
+    let sites = sites.map(|((site, check), runs)| {
+        let (n, list) = (runs.len(), runs.join(", "));
+        format!("{site} | \"{check}\" | {n} | {list}")
+    });
     let tables = vec![
         md(
             "raw NoC mode (10 runs, p = 0.02 on l11p3->15) | faulted | mismatch | hang | fail-stop | masked | detected",

@@ -66,11 +66,12 @@ mod tests {
 
     /// Every `--bin X`, `--example X`, `--test X` and `--bench X` the
     /// docs name resolves to a target file of the root package or of a
-    /// crate.
+    /// crate, and every `*.rs` file they cite exists under the root, a
+    /// package, or a package's `src/` or `tests/`.
     #[test]
     fn doc_commands_name_existing_targets() {
         let root = claims::repo_root();
-        let mut packages = vec![root.clone()];
+        let mut packages = vec![root.clone(), root.join("benchmark")];
         for crate_dir in std::fs::read_dir(root.join("crates")).expect("crates/ readable") {
             packages.push(crate_dir.expect("crates/ entry").path());
         }
@@ -97,6 +98,27 @@ mod tests {
                     if !packages.iter().any(|p| p.join(dir).join(&file).is_file()) {
                         stale.push(format!("{doc}: {flag}{name}"));
                     }
+                }
+            }
+            let path_char = |c: char| c.is_alphanumeric() || "_./-".contains(c);
+            for (at, _) in text.match_indices(".rs") {
+                let after = text[at + 3..].chars().next();
+                if after.is_some_and(|c| c.is_alphanumeric() || c == '_') {
+                    continue;
+                }
+                let start = text[..at].rfind(|c| !path_char(c)).map_or(0, |i| i + 1);
+                let cited = &text[start..at + 3];
+                let stem = &cited[..cited.len() - 3];
+                if stem.is_empty() || stem.ends_with('/') || stem.ends_with('.') {
+                    continue;
+                }
+                let found = packages.iter().any(|p| {
+                    [p.clone(), p.join("src"), p.join("tests")]
+                        .iter()
+                        .any(|base| base.join(cited).is_file())
+                });
+                if !found {
+                    stale.push(format!("{doc}: {cited}"));
                 }
             }
         }

@@ -3014,7 +3014,7 @@ mod tests {
     /// else: the edge sequence and the sleepers' wake-ups are the
     /// ungated run's.
     #[test]
-    fn plan_deopts_on_clock_stretch() {
+    fn a_clock_stretch_moves_one_edge_and_nothing_else() {
         let work = gated_matches_ungated(
             || two_period_fixture().0,
             |f| {
@@ -3035,7 +3035,7 @@ mod tests {
     /// ungated sequential, a whole new clock domain — appends to the
     /// schedule, and pausing and resuming a clock only moves its edges.
     #[test]
-    fn plan_disarms_on_structural_changes() {
+    fn registration_mid_run_appends_to_the_schedule() {
         let mut sim = Simulator::new();
         let clk = sim.add_clock(ClockSpec::new("c", Picoseconds(100)));
         let (p, _, _) = probe("p");

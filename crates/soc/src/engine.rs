@@ -637,6 +637,7 @@ pub fn restore_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::workloads::{orchestrator_program, table_words, vec_mul, Workload};
 
     #[allow(clippy::type_complexity)]
@@ -687,61 +688,6 @@ mod tests {
             .is_empty());
     }
 
-    /// The three [`EngineKind`]s — the library-only `Parallel` alias
-    /// is served by the sequential `Soc` — run one workload alike.
-    #[test]
-    fn all_three_engine_kinds_agree() {
-        let (program, staging, gmem) = build_inputs();
-        let wl = vec_mul();
-        let mut reports = Vec::new();
-        for kind in [
-            EngineKind::Soc,
-            EngineKind::Parallel { threads: 2 },
-            EngineKind::Batch,
-        ] {
-            let faults = [LaneSpec::new(
-                "l11p3->15",
-                craft_connections::FaultConfig::bit_flip(0.0),
-                7,
-            )];
-            let mut eng = build_engine(
-                kind,
-                SocConfig::default(),
-                &program,
-                &staging,
-                &gmem,
-                &faults,
-                false,
-            )
-            .expect("engine builds");
-            let served = match kind {
-                EngineKind::Parallel { .. } => EngineKind::Soc,
-                k => k,
-            };
-            assert_eq!(eng.kind(), served);
-            let res = eng.run_checked(8_000_000, 50_000).expect("clean run");
-            assert!(res.completed, "{kind}: run completed");
-            reports.push((kind, res.cycles, eng.report()));
-            for (base, expect) in &wl.expected {
-                assert_eq!(&eng.gmem_read(*base, expect.len()), expect, "{kind}: gmem");
-            }
-            if kind == EngineKind::Batch {
-                let br = eng.batch_report().expect("batch settled");
-                assert_eq!(br.lanes.len(), 1);
-            } else {
-                assert!(eng.batch_report().is_none());
-            }
-        }
-        let (_, cycles0, report0) = &reports[0];
-        for (kind, cycles, report) in &reports[1..] {
-            assert_eq!(cycles, cycles0, "{kind}: cycle-identical to Soc");
-            assert_eq!(
-                report.hub.dispatched, report0.hub.dispatched,
-                "{kind}: hub dispatch count matches"
-            );
-        }
-    }
-
     /// Every wire spelling of an engine.
     fn spellings() -> [EngineKind; 2] {
         [EngineKind::Soc, EngineKind::Batch]
@@ -776,178 +722,38 @@ mod tests {
         .expect("engine builds")
     }
 
-    /// Everything observable about a finished run, wall clock folded
-    /// out; an error renders with its whole [`craft_sim::HangReport`].
-    #[derive(Debug, PartialEq)]
-    struct Observed {
-        result: Result<(u64, bool), String>,
-        report: String,
-        gmem: Vec<u64>,
-        lanes: Option<Vec<String>>,
+    /// The sequential and batch engines run one workload alike: a
+    /// one-lane batch's lane and golden run against the sequential
+    /// reference (the oracle's lane and golden models).
+    #[test]
+    fn all_three_engine_kinds_agree() {
+        oracle::expect("a one-lane batch", oracle::one_lane);
     }
 
-    /// A run's outcome with the wall clock folded out; a hang keeps
-    /// its whole [`craft_sim::HangReport`], compared verbatim.
-    fn fold(res: &Result<RunResult, SimError>) -> Result<(u64, bool), String> {
-        match res {
-            Ok(r) => Ok((r.cycles, r.completed)),
-            Err(e) => Err(format!("{e:?}")),
-        }
-    }
-
-    fn observe(eng: &Soc, res: &Result<RunResult, SimError>) -> Observed {
-        Observed {
-            result: fold(res),
-            report: eng.report().to_json(),
-            gmem: eng.gmem_read(0, eng.config().gmem_words),
-            lanes: eng.batch_report().map(|b| {
-                let lane = |l: &crate::batch::LaneRun| {
-                    format!(
-                        "{} {} {:?} {} {:?} {:?} {:?}",
-                        l.lane,
-                        l.deopted,
-                        l.diverged_at_token,
-                        l.panicked,
-                        l.result.as_ref().map(fold),
-                        l.report,
-                        l.fault_stats
-                    )
-                };
-                let mut lanes: Vec<String> = b.lanes.iter().map(lane).collect();
-                lanes.push(format!("{:?}", (fold(&b.golden), b.deopt_lanes)));
-                lanes
-            }),
-        }
-    }
-
-    /// The chain a contended server runs: snapshot, drop, restore at
-    /// *every* boundary. Returns the outcome and the boundaries crossed.
-    fn run_chain(mut eng: Soc, kind: EngineKind) -> (Observed, usize) {
-        let mut boundaries = 0;
-        let res = loop {
-            match eng.step_segment() {
-                Ok(SegmentStatus::Boundary) => {
-                    boundaries += 1;
-                    let bytes = eng.snapshot_bytes();
-                    drop(eng);
-                    eng = restore_engine(kind, &bytes, false).expect("snapshot restores");
-                    assert!(eng.session_open(), "{kind}: session survives");
-                }
-                Ok(SegmentStatus::Done(r)) => break Ok(r),
-                Err(e) => break Err(e),
-            }
-        };
-        (observe(&eng, &res), boundaries)
-    }
-
-    /// The engine contract, for every spelling: a run preempted and
-    /// revived from bytes at every boundary ≡ the uninterrupted run —
-    /// cycles, `completed`, report, memory and lane outcomes.
+    /// Restored at every boundary, a run — sequential or batched —
+    /// ends as the uninterrupted one.
     #[test]
     fn restore_at_every_boundary_matches_uninterrupted() {
-        let wl = vec_mul();
-        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
-        for kind in spellings() {
-            let mut base = build(kind, 200, &wl, &fault);
-            let base_res = base.run_checked(8_000_000, 50_000);
-            assert!(base_res.as_ref().is_ok_and(|r| r.completed), "{kind}");
-
-            let mut eng = build(kind, 200, &wl, &fault);
-            eng.begin(8_000_000, 50_000);
-            let (chained, boundaries) = run_chain(eng, kind);
-            assert!(boundaries >= 3, "{kind}: {boundaries} boundaries");
-            assert_eq!(chained, observe(&base, &base_res), "{kind}");
-        }
+        oracle::expect("restore at every boundary", oracle::boundaries);
+        let batch = "a batch restored at every boundary";
+        oracle::expect(batch, oracle::batch_boundaries);
     }
 
-    /// The same chain through a hang: the lane ISSUE 16 measured
-    /// wedging near cycle 740. Every restore replays from t = 0, so the
-    /// watchdog tail is kept short and the interval coarse.
+    /// A restore chain through a hang reproduces its diagnosis,
+    /// sequential or on a batch lane.
     #[test]
     fn restore_chain_through_a_hang_reproduces_the_diagnosis() {
-        let wl = vec_mul();
-        let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(3e-3), 800);
-        for kind in spellings() {
-            let mut base = build(kind, 1_000, &wl, &fault);
-            let base_res = base.run_checked(8_000_000, 5_000);
-            let base_out = observe(&base, &base_res);
-            // The batch engine's golden run is fault-free; its one lane
-            // de-opts into the hang.
-            let hung = match &base_out.lanes {
-                Some(lanes) => &lanes[0],
-                None => base_out.result.as_ref().expect_err("the lane hangs"),
-            };
-            assert!(hung.contains("Hang"), "{kind}: {hung}");
-
-            // Segmented in place: the last boundary's capture survives
-            // the diagnosis.
-            let mut seg = build(kind, 1_000, &wl, &fault);
-            seg.begin(8_000_000, 5_000);
-            let mut last = None;
-            let seg_res = loop {
-                match seg.step_segment() {
-                    Ok(SegmentStatus::Boundary) => last = Some(seg.snapshot_bytes()),
-                    Ok(SegmentStatus::Done(r)) => break Ok(r),
-                    Err(e) => break Err(e),
-                }
-            };
-            assert_eq!(observe(&seg, &seg_res), base_out, "{kind}: segmented");
-            assert_eq!(seg.last_checkpoint_bytes(), last.as_deref(), "{kind}");
-            assert_eq!(last.is_some(), kind != EngineKind::Batch, "{kind}");
-
-            let mut eng = build(kind, 1_000, &wl, &fault);
-            eng.begin(8_000_000, 5_000);
-            assert_eq!(run_chain(eng, kind).0, base_out, "{kind}: chained");
-        }
+        oracle::expect("a restore chain through a hang", oracle::hangs);
+        let batch = "a batch lane hangs through a restore chain";
+        oracle::expect(batch, oracle::lane_hangs(0));
     }
 
-    /// A snapshot taken *after* the supervised loop proved the hang
-    /// periodic and advanced over most of a 30 000-cycle segment
-    /// restores by stepping every one of those cycles: the restore
-    /// checks the replay's [`craft_sim::KernelDigest`] and
-    /// [`ArchDigest`] against the capture's, so it is the oracle for
-    /// what the advance left behind. The revived run then ends in the
-    /// uninterrupted run's diagnosis.
+    /// A capture after the supervised loop advanced over a hang
+    /// restores by stepped replay into the same trip.
     #[test]
     fn a_snapshot_taken_after_a_loop_skip_restores_by_stepped_replay() {
-        let wl = vec_mul();
-        let cfg = SocConfig {
-            checkpoint_every: Some(30_000),
-            ..SocConfig::default()
-        };
-        let build = || {
-            let mut soc = Soc::build(
-                cfg,
-                &orchestrator_program(),
-                &table_words(&wl.entries),
-                &wl.gmem_init,
-            );
-            soc.inject_fault(HOT_LINK, FaultConfig::bit_flip(3e-3), 800)
-                .expect("the hot link exists");
-            soc
-        };
-        let mut base = build();
-        let base_res = base.run_checked(4_000_000, 100_000);
-        assert!(matches!(
-            base_res,
-            Err(SimError::Hang { cycle: 100_742, .. })
-        ));
-        let base_out = observe(&base, &base_res);
-
-        let mut eng = build();
-        eng.begin(4_000_000, 100_000);
-        assert_eq!(eng.step_segment().unwrap(), SegmentStatus::Boundary);
-        let sim = eng.sim();
-        assert_eq!(sim.instants(), 30_000);
-        assert_eq!(sim.loop_skips(), 1, "the segment was not stepped through");
-        assert!(sim.cycles_skipped() >= 20_000, "{}", sim.cycles_skipped());
-
-        let mut revived = restore_engine(EngineKind::Soc, &eng.snapshot_bytes(), false)
-            .expect("the stepped replay verifies");
-        assert_eq!(revived.sim().cycles_skipped(), 0, "replay steps");
-        assert_eq!(revived.sim().kernel_digest(), eng.sim().kernel_digest());
-        let res = revived.run_to_end();
-        assert_eq!(observe(&revived, &res), base_out);
+        let name = "a snapshot after a loop skip restores by stepped replay";
+        oracle::expect(name, oracle::after_skip);
     }
 
     /// The library-only `Parallel` alias is the sequential `Soc`:
@@ -958,14 +764,23 @@ mod tests {
         let wl = vec_mul();
         let fault = LaneSpec::new(HOT_LINK, FaultConfig::bit_flip(0.01), 11);
         let alias = EngineKind::Parallel { threads: 2 };
+        let observe = |eng: &Soc, res: Result<RunResult, SimError>| {
+            let res = res.map(|r| (r.cycles, r.completed));
+            let gmem = eng.gmem_read(0, eng.config().gmem_words);
+            (
+                res.map_err(|e| format!("{e:?}")),
+                eng.report().to_json(),
+                gmem,
+            )
+        };
         let mut base = build(EngineKind::Soc, 300, &wl, &fault);
         let base_res = base.run_checked(8_000_000, 50_000);
-        let base_out = observe(&base, &base_res);
-        assert!(base_out.result.as_ref().is_ok_and(|r| r.1));
+        let base_out = observe(&base, base_res);
+        assert!(base_out.0.as_ref().is_ok_and(|r| r.1));
 
         let mut eng = build(alias, 300, &wl, &fault);
         let res = eng.run_checked(8_000_000, 50_000);
-        assert_eq!(observe(&eng, &res), base_out);
+        assert_eq!(observe(&eng, res), base_out);
 
         let mut eng = build(EngineKind::Soc, 300, &wl, &fault);
         eng.begin(8_000_000, 50_000);
@@ -973,7 +788,7 @@ mod tests {
         let mut revived = restore_engine(alias, &eng.snapshot_bytes(), false).unwrap();
         assert_eq!(revived.kind(), EngineKind::Soc);
         let res = revived.run_to_end();
-        assert_eq!(observe(&revived, &res), base_out);
+        assert_eq!(observe(&revived, res), base_out);
 
         assert_eq!(
             EngineKind::parse("parallel:2"),

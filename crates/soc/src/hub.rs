@@ -431,6 +431,17 @@ impl Component for Hub {
     }
 }
 
+/// The hub's range check on a decoded `MemRead` / `MemWrite`, made
+/// at the access itself: a header a fault corrupted can name words past
+/// global memory, and that is a protocol fail-stop
+/// ([`crate::msg::PROTOCOL_CHECKS`]), not an indexing bug.
+fn in_gmem(what: &str, addr: usize, words: usize) {
+    assert!(
+        addr < words,
+        "{what} word {addr} outside global memory ({words} words)"
+    );
+}
+
 impl Hub {
     /// Everything but the outbox is idle: no job, no flit committed or
     /// staged on the eject channel, no doorbell entry, no timeout scan
@@ -458,7 +469,9 @@ impl Hub {
                 let mut st = self.state.borrow_mut();
                 let n = GMEM_PORTS.min(data.len() - *done);
                 for i in 0..n {
-                    st.gmem.write(*base + *done + i, data[*done + i]);
+                    let addr = *base + *done + i;
+                    in_gmem("MemWrite", addr, st.gmem.capacity());
+                    st.gmem.write(addr, data[*done + i]);
                 }
                 st.gmem_ops += n as u64;
                 *done += n;
@@ -481,8 +494,9 @@ impl Hub {
                 {
                     let mut st = self.state.borrow_mut();
                     for i in 0..n {
-                        let v = st.gmem.read(*base + start + i);
-                        buf.push(v);
+                        let addr = *base + start + i;
+                        in_gmem("MemRead", addr, st.gmem.capacity());
+                        buf.push(st.gmem.read(addr));
                     }
                     st.gmem_ops += n as u64;
                 }

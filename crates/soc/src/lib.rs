@@ -46,10 +46,20 @@ pub mod rtlplan;
 pub mod soc;
 pub mod workloads;
 
+#[cfg(test)]
+/// The differential oracle the unit tests hold the SoC to, shared with
+/// the integration suites.
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
+#[cfg(test)]
+extern crate self as craft_soc;
+
 pub use batch::{BatchReport, BatchSoc, LaneRun, LaneSpec};
 pub use checkpoint::{ArchDigest, FaultEvent, LaneTable, Recipe, SessionState, SimSnapshot};
 pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus};
-pub use msg::{NocMsg, PeCommand, PeOp, HUB_NODE, N_PES};
+pub use msg::{
+    panic_message, protocol_check, NocMsg, PeCommand, PeOp, HUB_NODE, N_PES, PROTOCOL_CHECKS,
+};
 pub use pe::{Fidelity, PeConfig, PeStats, ProcessingElement};
 pub use rtlplan::{DpEval, DpOp, EvalPlan, PlanCache, PlanStats, SignalPlan};
 pub use soc::{

@@ -272,6 +272,36 @@ impl PacketAssembler {
     }
 }
 
+/// The protocol checks a corrupt packet can trip: the site and the
+/// words of the check's panic message. A fault that corrupts a packet
+/// surfaces as one of these fail-stops; a panic raised anywhere else
+/// is a bug in the model, not a detection.
+pub const PROTOCOL_CHECKS: [(&str, &str); 8] = [
+    ("NocMsg::from_words", "empty message"),
+    ("NocMsg::from_words", "PeCmd needs 2 words"),
+    ("NocMsg::from_words", "MemWrite truncated"),
+    ("NocMsg::from_words", "MemData truncated"),
+    ("NocMsg::from_words", "unknown NoC message type"),
+    ("WhvcRouter::accept", "flit names nonexistent vc"),
+    ("Hub::service_head", "outside global memory"),
+    ("ProcessingElement::handle_msg", "cannot handle"),
+];
+
+/// Which of [`PROTOCOL_CHECKS`] raised the panic `payload` (a
+/// `catch_unwind` error), or `None` when no protocol check did.
+pub fn protocol_check(payload: &(dyn std::any::Any + Send)) -> Option<usize> {
+    let msg = panic_message(payload);
+    PROTOCOL_CHECKS.iter().position(|(_, c)| msg.contains(c))
+}
+
+/// The message a panic `payload` carries (empty when it is not text).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<String>() {
+        Some(s) => s.as_str(),
+        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1500,100 +1500,55 @@ mod tests {
 
 #[cfg(test)]
 mod gating_tests {
-    use super::compiled_schedule_tests::assert_gated_matches_ungated;
-    use super::*;
-    use crate::workloads::{vec_mul, Workload};
-
-    /// Gated against ungated, full report included; returns the gated
-    /// kernel's skipped-tick count so callers can assert the gating
-    /// actually engaged.
-    fn assert_gating_equivalent(cfg: SocConfig, wl: &Workload) -> u64 {
-        assert_gated_matches_ungated(cfg, wl).sim().ticks_skipped()
-    }
+    //! Gated against ungated on whole-SoC runs: the gated model of the
+    //! differential oracle on its pinned cases.
+    use crate::oracle::{engaged, expect, nothing_more};
 
     #[test]
     fn gating_equivalent_synchronous() {
-        let skipped = assert_gating_equivalent(SocConfig::default(), &vec_mul());
-        assert!(skipped > 10_000, "gating barely engaged: {skipped}");
+        expect("the default regime", engaged);
     }
 
+    /// RTL PEs and hub never sleep, but routers and channels may.
     #[test]
     fn gating_equivalent_rtl_mode() {
-        let cfg = SocConfig {
-            fidelity: Fidelity::Rtl,
-            ..SocConfig::default()
-        };
-        // RTL PEs and hub never sleep, but routers and channels may.
-        assert_gating_equivalent(cfg, &vec_mul());
+        expect("interpreted RTL", nothing_more);
     }
 
     #[test]
     fn gating_equivalent_rtl_compiled_mode() {
-        let cfg = SocConfig {
-            fidelity: Fidelity::RtlCompiled,
-            ..SocConfig::default()
-        };
-        assert_gating_equivalent(cfg, &vec_mul());
+        expect("compiled RTL", nothing_more);
     }
 
     #[test]
     fn gating_equivalent_gals() {
-        let cfg = SocConfig {
-            clocking: ClockingMode::Gals { spread_ppm: 2000 },
-            ..SocConfig::default()
-        };
-        let skipped = assert_gating_equivalent(cfg, &vec_mul());
-        assert!(skipped > 10_000, "gating barely engaged: {skipped}");
+        expect("GALS", engaged);
     }
 
     #[test]
     fn gating_equivalent_store_forward() {
-        let cfg = SocConfig {
-            router: RouterKind::StoreForward,
-            ..SocConfig::default()
-        };
-        assert_gating_equivalent(cfg, &vec_mul());
+        expect("store-forward router", nothing_more);
     }
 }
 
 #[cfg(test)]
 mod rtl_compiled_tests {
     use super::*;
-    use crate::workloads::{dot_product, run_workload_soc, vec_mul, Workload};
+    use crate::oracle::{expect, rtl};
+    use crate::workloads::{run_workload_soc, vec_mul};
 
     /// The compiled path's system-level contract: same cycles, same
     /// verified results, same charged gate totals as the interpreted
-    /// RTL path — only the wall-clock work per charge differs.
-    fn assert_compiled_matches_interpreted(wl: &Workload) {
-        let rtl_cfg = SocConfig {
-            fidelity: Fidelity::Rtl,
-            ..SocConfig::default()
-        };
-        let comp_cfg = SocConfig {
-            fidelity: Fidelity::RtlCompiled,
-            ..SocConfig::default()
-        };
-        let (ri, ok_i, soc_i) = run_workload_soc(rtl_cfg, wl, 8_000_000);
-        let (rc, ok_c, soc_c) = run_workload_soc(comp_cfg, wl, 8_000_000);
-        assert!(ok_i, "{}: interpreted RTL run failed", wl.name);
-        assert!(ok_c, "{}: compiled RTL run failed", wl.name);
-        assert_eq!(ri.cycles, rc.cycles, "{}: cycle counts differ", wl.name);
-        assert_eq!(ri.ctrl, rc.ctrl, "{}: controller status differs", wl.name);
-        assert_eq!(soc_i.report().hub, soc_c.report().hub);
-        assert_eq!(soc_i.total_work_units(), soc_c.total_work_units());
-        let (gi, gc) = (soc_i.charged_gates(), soc_c.charged_gates());
-        assert!(gi > 0, "{}: interpreted path charged nothing", wl.name);
-        assert_eq!(gi, gc, "{}: charged gate totals differ", wl.name);
-    }
-
+    /// RTL path — the oracle's compiled model, run at the other RTL
+    /// fidelity.
     #[test]
     fn compiled_matches_interpreted_vec_mul() {
-        assert_compiled_matches_interpreted(&vec_mul());
+        expect("interpreted RTL", rtl);
     }
 
     #[test]
     fn compiled_matches_interpreted_dot_product() {
-        assert_compiled_matches_interpreted(&dot_product());
+        expect("compiled RTL, dot product", rtl);
     }
 
     /// The shared plan cache lowers each operator once for the whole
@@ -1632,151 +1587,55 @@ mod rtl_compiled_tests {
 #[cfg(test)]
 mod compiled_schedule_tests {
     //! The kernel's gated loop against its ungated mode on whole-SoC
-    //! runs, full report included — and the proof that the vestigial
-    //! `compiled_schedule` field selects nothing.
+    //! runs (the differential oracle's pinned cases) — and the proof
+    //! that the vestigial `compiled_schedule` field selects nothing.
     use super::*;
-    use crate::workloads::{dot_product, run_workload_soc, vec_mul, Workload};
-    use craft_connections::FaultConfig;
-
-    /// `report` with the one field gating may change blanked: an idle
-    /// hub polls its empty eject channel on every delivered tick, so
-    /// `noc.pop_empty` counts the idle hub ticks a gated kernel elides.
-    fn across_gating(mut report: SocReport) -> SocReport {
-        report.noc.pop_empty = 0;
-        report
-    }
-
-    /// Runs `wl` gated and ungated — the same kernel loop with nothing
-    /// asleep and every channel committing — and asserts every
-    /// architecturally visible outcome is bit-identical. Returns the
-    /// gated `Soc`.
-    pub(super) fn assert_gated_matches_ungated(cfg: SocConfig, wl: &Workload) -> Soc {
-        let ungated = SocConfig {
-            gating: false,
-            ..cfg
-        };
-        let (ru, ok_u, soc_u) = run_workload_soc(ungated, wl, 8_000_000);
-        let (rg, ok_g, soc_g) = run_workload_soc(cfg, wl, 8_000_000);
-        assert!(ok_u, "{}: ungated run failed", wl.name);
-        assert!(ok_g, "{}: gated run failed", wl.name);
-        assert_eq!(ru.cycles, rg.cycles, "{}: cycle counts differ", wl.name);
-        assert_eq!(ru.ctrl, rg.ctrl, "{}: controller status differs", wl.name);
-        assert_eq!(
-            across_gating(soc_u.report()),
-            across_gating(soc_g.report()),
-            "{}: reports differ",
-            wl.name
-        );
-        assert_eq!(soc_u.total_work_units(), soc_g.total_work_units());
-        assert_eq!(soc_u.coverage().bins(), soc_g.coverage().bins());
-        // The two modes walk the same instants; the ungated one visits
-        // every registration at each.
-        assert_eq!(soc_u.sim().instants(), soc_g.sim().instants());
-        assert_eq!(soc_u.sim().ticks_skipped(), 0);
-        assert_eq!(soc_u.sim().commits_skipped(), 0);
-        assert_eq!(
-            soc_u.sim().ticks_delivered(),
-            soc_g.sim().ticks_delivered() + soc_g.sim().ticks_skipped(),
-            "{}: delivered + skipped must account for every component edge",
-            wl.name
-        );
-        soc_g
-    }
+    use crate::oracle::{
+        elides_commits, engaged, expect, finishing, keeps_gating, nothing_more, rtl,
+    };
+    use crate::workloads::vec_mul;
 
     #[test]
     fn compiled_identical_vec_mul() {
-        let soc = assert_gated_matches_ungated(SocConfig::default(), &vec_mul());
-        assert!(soc.sim().ticks_skipped() > 10_000, "gating engaged");
-        assert!(soc.sim().commits_skipped() > 10_000, "gating engaged");
+        expect("the default regime", elides_commits);
     }
 
     #[test]
     fn compiled_identical_dot_product() {
-        let soc = assert_gated_matches_ungated(SocConfig::default(), &dot_product());
-        assert!(soc.sim().ticks_skipped() > 10_000, "gating engaged");
+        expect("dot product", engaged);
     }
 
     #[test]
     fn compiled_identical_store_forward_router() {
-        let cfg = SocConfig {
-            router: RouterKind::StoreForward,
-            ..SocConfig::default()
-        };
-        assert_gated_matches_ungated(cfg, &vec_mul());
+        expect("store-forward router", nothing_more);
     }
 
+    /// RTL modes auto-disable gating, so the gated runs are the
+    /// ungated mode — the flag must be a no-op and nothing may sleep.
     #[test]
     fn compiled_identical_rtl_fidelities() {
-        // RTL modes auto-disable gating, so both runs are the ungated
-        // mode — the flag must be a no-op.
-        for fidelity in [Fidelity::Rtl, Fidelity::RtlCompiled] {
-            let cfg = SocConfig {
-                fidelity,
-                ..SocConfig::default()
-            };
-            let soc = assert_gated_matches_ungated(cfg, &vec_mul());
-            assert_eq!(
-                soc.sim().ticks_skipped(),
-                0,
-                "{fidelity:?}: gating is off, nothing may sleep"
-            );
-        }
+        expect("interpreted RTL", rtl);
+        expect("compiled RTL", rtl);
     }
 
-    /// Satellite: RTL-fidelity runs auto-disable activity gating (it
-    /// was measured *costing* wall clock there — the RTL PEs and hub
-    /// re-evaluate every gate each cycle and never quiesce).
+    /// RTL-fidelity runs auto-disable activity gating (the RTL PEs and
+    /// hub re-evaluate every gate each cycle and never quiesce); a
+    /// sim-accurate run keeps the configured value.
     #[test]
     fn rtl_mode_auto_disables_gating() {
-        for fidelity in [Fidelity::Rtl, Fidelity::RtlCompiled] {
-            let cfg = SocConfig {
-                fidelity,
-                gating: true,
-                ..SocConfig::default()
-            };
-            let (_, ok, soc) = run_workload_soc(cfg, &vec_mul(), 8_000_000);
-            assert!(ok);
-            assert!(
-                !soc.sim().gating(),
-                "{fidelity:?}: gating must be auto-disabled"
-            );
-        }
-        // Sim-accurate mode keeps the configured value.
-        let (_, ok, soc) = run_workload_soc(SocConfig::default(), &vec_mul(), 8_000_000);
-        assert!(ok && soc.sim().gating(), "sim_accurate keeps gating on");
-        let off = SocConfig {
-            gating: false,
-            ..SocConfig::default()
-        };
-        let (_, ok, soc) = run_workload_soc(off, &vec_mul(), 8_000_000);
-        assert!(ok && !soc.sim().gating());
+        expect("interpreted RTL", rtl);
+        expect("compiled RTL", rtl);
+        expect("the default regime", keeps_gating);
     }
 
     /// The configurations no steady-state schedule could describe —
     /// per-node GALS periods, supply-noise-stretched clocks, PE-failure
     /// detection with its remap storms — run the same gated loop as
-    /// everything else, and it elides work there too.
+    /// everything else, and it elides ticks and clean commits there too.
     #[test]
     fn irregular_configs_never_arm() {
-        for cfg in [
-            SocConfig {
-                clocking: ClockingMode::Gals { spread_ppm: 2000 },
-                ..SocConfig::default()
-            },
-            SocConfig {
-                clocking: ClockingMode::GalsAdaptive { noise_seed: 7 },
-                ..SocConfig::default()
-            },
-            SocConfig {
-                pe_timeout: Some(20_000),
-                ..SocConfig::default()
-            },
-        ] {
-            let soc = assert_gated_matches_ungated(cfg, &vec_mul());
-            assert!(
-                soc.sim().ticks_skipped() > 10_000,
-                "{cfg:?}: gating engaged"
-            );
+        for name in ["GALS", "adaptive GALS", "PE timeout armed"] {
+            expect(name, elides_commits);
         }
     }
 
@@ -1785,42 +1644,7 @@ mod compiled_schedule_tests {
     /// report and fault counters included.
     #[test]
     fn fault_injection_is_gating_invariant() {
-        /// The mesh link into the hub: every result flit crosses it.
-        const HOT_LINK: &str = "l11p3->15";
-        let wl = vec_mul();
-        let run = |cfg: SocConfig| {
-            let mut soc = Soc::build(
-                cfg,
-                &crate::workloads::orchestrator_program(),
-                &crate::workloads::table_words(&wl.entries),
-                &wl.gmem_init,
-            );
-            assert!(
-                soc.inject_fault(HOT_LINK, FaultConfig::bit_flip(0.01), 7)
-                    .expect("channel exists")
-                    > 0
-            );
-            let r = soc.run(8_000_000);
-            assert!(r.completed, "the degraded run still finishes");
-            (
-                r.cycles,
-                across_gating(soc.report()),
-                soc.fault_stats(HOT_LINK).expect("channel exists"),
-                soc.sim().instants(),
-                soc.sim().ticks_skipped(),
-            )
-        };
-        let gated = run(SocConfig::default());
-        assert!(gated.2.injected() > 0, "the injector fired: {:?}", gated.2);
-        assert!(gated.4 > 0, "gating engaged");
-        let ungated = run(SocConfig {
-            gating: false,
-            ..SocConfig::default()
-        });
-        assert_eq!(
-            (gated.0, gated.1, gated.2, gated.3),
-            (ungated.0, ungated.1, ungated.2, ungated.3)
-        );
+        expect("faulted, finishing", finishing);
     }
 
     /// The vestige cannot regrow a meaning: `compiled_schedule` true
@@ -2274,53 +2098,15 @@ mod api_tests {
 #[cfg(test)]
 mod telemetry_tests {
     use super::*;
+    use crate::oracle::{expect, observed_by_telemetry};
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
     use craft_connections::FaultConfig;
 
-    fn run_with(tel: Option<Telemetry>) -> (RunResult, Soc) {
-        let wl = vec_mul();
-        let program = orchestrator_program();
-        let table = table_words(&wl.entries);
-        let mut soc =
-            Soc::build_with_telemetry(SocConfig::default(), &program, &table, &wl.gmem_init, tel);
-        let r = soc.run(8_000_000);
-        (r, soc)
-    }
-
-    /// The observation-only contract: a run with a telemetry sink (and
-    /// tick profiling armed) is bit-identical to one without — and the
-    /// instrumented run actually observed something.
+    /// A sink observes the run without perturbing it: the oracle's
+    /// telemetry model against the gated run, and what it recorded.
     #[test]
     fn telemetry_is_observation_only() {
-        let (r_off, soc_off) = run_with(None);
-        let tel = Telemetry::new();
-        tel.set_profiling(true);
-        let (r_on, soc_on) = run_with(Some(tel.clone()));
-        assert!(r_off.completed && r_on.completed);
-        assert_eq!(
-            r_off.cycles, r_on.cycles,
-            "telemetry must not change timing"
-        );
-        assert_eq!(r_off.ctrl, r_on.ctrl);
-        assert_eq!(soc_off.report(), soc_on.report());
-        assert!(soc_off.telemetry_snapshot().is_none());
-
-        assert!(tel.spans_recorded() > 0, "hub/PE spans recorded");
-        let snap = soc_on.telemetry_snapshot().expect("built with telemetry");
-        assert!(snap.metric("soc.hub.dispatched").unwrap() >= 4);
-        assert_eq!(
-            snap.metric("soc.hub.retired"),
-            snap.metric("soc.hub.dispatched")
-        );
-        assert!(snap.metric("soc.pe3.commands").is_some());
-        assert!(
-            snap.metric("noc.n15.eject.transfers").unwrap() > 0,
-            "hub ejection channel carried flits"
-        );
-        assert!(!snap.profile.is_empty(), "tick profiling captured");
-        assert!(snap.spans.iter().any(|e| e.label == "retire"));
-        assert!(snap.spans.iter().any(|e| e.label == "done"));
-        assert!(snap.to_json().contains("\"metrics\""));
+        expect("the default regime", observed_by_telemetry);
     }
 
     /// Degradation leaves a span trail: the timed-out command's span

@@ -1,70 +1,17 @@
-//! Property test for the telemetry observation-only contract: for a
-//! random fidelity / clocking / gating configuration, attaching a
-//! fully enabled telemetry sink (metrics registry, span tracing,
-//! kernel tick profiling) must not change a single architectural
-//! outcome — cycle counts, verified memory results, charged gates and
-//! the whole [`SocReport`] are bit-identical with telemetry on or off.
+//! A telemetry sink never perturbs the run it observes: the telemetry
+//! model of the differential oracle (`support/oracle.rs`) on drawn
+//! cases, against the gated run on every field and against a sink on
+//! the reference on what it rendered.
 
-use craft_sim::Telemetry;
-use craft_soc::pe::Fidelity;
-use craft_soc::workloads::{orchestrator_program, table_words, vec_mul, Workload};
-use craft_soc::{ClockingMode, Soc, SocConfig, SocReport};
-use proptest::prelude::*;
+#[path = "support/oracle.rs"]
+mod oracle;
 
-/// One full workload run; returns everything observable about it.
-fn run(cfg: SocConfig, wl: &Workload, tel: Option<Telemetry>) -> (u64, bool, u64, SocReport) {
-    let mut soc = Soc::build_with_telemetry(
-        cfg,
-        &orchestrator_program(),
-        &table_words(&wl.entries),
-        &wl.gmem_init,
-        tel,
+#[test]
+fn telemetry_never_perturbs_the_run() {
+    oracle::drawn(
+        "telemetry_never_perturbs_the_run",
+        6,
+        oracle::Draw::Any,
+        oracle::ALL,
     );
-    let result = soc.run(8_000_000);
-    let mut ok = result.completed;
-    for (base, expect) in &wl.expected {
-        if &soc.gmem_read(*base, expect.len()) != expect {
-            ok = false;
-        }
-    }
-    (result.cycles, ok, soc.charged_gates(), soc.report())
-}
-
-proptest! {
-    // Each case is two full SoC runs in debug mode — keep the count
-    // low; the three fidelities each get drawn within a few cases.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn telemetry_never_perturbs_the_run(
-        fidelity in prop::sample::select(vec![
-            Fidelity::SimAccurate,
-            Fidelity::Rtl,
-            Fidelity::RtlCompiled,
-        ]),
-        clocking in prop_oneof![
-            Just(ClockingMode::Synchronous),
-            (100u32..5_000).prop_map(|spread_ppm| ClockingMode::Gals { spread_ppm }),
-        ],
-        gating: bool,
-    ) {
-        let cfg = SocConfig {
-            fidelity,
-            clocking,
-            gating,
-            ..SocConfig::default()
-        };
-        let wl = vec_mul();
-
-        let (cycles_off, ok_off, gates_off, report_off) = run(cfg, &wl, None);
-        let tel = Telemetry::new();
-        tel.set_profiling(true);
-        let (cycles_on, ok_on, gates_on, report_on) = run(cfg, &wl, Some(tel));
-
-        prop_assert!(ok_off, "baseline run must verify ({cfg:?})");
-        prop_assert!(ok_on, "instrumented run must verify ({cfg:?})");
-        prop_assert_eq!(cycles_off, cycles_on, "telemetry changed cycle count ({cfg:?})");
-        prop_assert_eq!(gates_off, gates_on, "telemetry changed charged gates ({cfg:?})");
-        prop_assert_eq!(report_off, report_on, "telemetry changed the SocReport ({cfg:?})");
-    }
 }
