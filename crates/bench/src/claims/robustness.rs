@@ -233,10 +233,10 @@ fn verified(soc: &Soc, wl: &Workload) -> bool {
 /// Which of [`PROTOCOL_CHECKS`] raised `payload`. Any other panic is
 /// re-raised: it is a bug, and counting it as a detection would hide it.
 fn failstop_site(run: &str, payload: Box<dyn Any + Send>) -> usize {
-    if let Some(i) = protocol_check(payload.as_ref()) {
+    let msg = panic_message(payload.as_ref());
+    if let Some(i) = protocol_check(msg) {
         return i;
     }
-    let msg = panic_message(payload.as_ref());
     eprintln!("{run}: a panic no protocol check raised: {msg}");
     resume_unwind(payload)
 }

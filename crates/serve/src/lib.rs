@@ -1,6 +1,6 @@
 //! # craft-serve — simulation-as-a-service over the unified engine API
 //!
-//! ROADMAP item 3's payoff: the deterministic checkpoint/restore work
+//! Why checkpoints exist: the deterministic checkpoint/restore work
 //! (PR 8) exists so the simulator can be a multi-tenant *service* —
 //! many queued experiments sharing a bounded worker pool, long runs
 //! preempted at [`craft_soc::SocConfig::checkpoint_every`] boundaries

@@ -24,6 +24,7 @@ use crate::job::{JobError, JobSpec, ServeError};
 use crate::scheduler::{
     absorb_step, construct, finish, Core, JobOutcome, Lot, ServeStats, StepResult,
 };
+use craft_soc::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -174,15 +175,16 @@ impl Drop for ServePool {
     }
 }
 
-/// Runs `f`, turning a panic into [`JobError::Panicked`].
+/// Runs `f`, turning a panic into [`JobError::Panicked`] with its
+/// message (a payload that carries no text, or an empty one, reads
+/// `non-string panic payload`).
 fn contained<T>(f: impl FnOnce() -> Result<T, JobError>) -> Result<T, JobError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(JobError::Panicked(msg))
+        let msg = match panic_message(payload.as_ref()) {
+            "" => "non-string panic payload",
+            msg => msg,
+        };
+        Err(JobError::Panicked(msg.to_string()))
     })
 }
 

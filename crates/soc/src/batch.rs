@@ -79,6 +79,7 @@
 //! per-lane memory.
 
 use crate::checkpoint::{LaneTable, Recipe, SessionState};
+use crate::msg::panic_message;
 use crate::soc::{
     lane_fault_seed, merge_fault_stats, FaultPatternError, FaultReport, RunResult, Soc, SocConfig,
     SocReport,
@@ -160,6 +161,9 @@ pub struct LaneRun {
     /// The solo replay panicked (fail-stop propagated as a panic);
     /// `result`/`report`/`fault_stats` are `None`.
     pub panicked: bool,
+    /// The replay's panic message when it panicked: a fail-stop names
+    /// its protocol check ([`crate::protocol_check`]).
+    pub panic: Option<String>,
     /// Run result — the golden result for converged lanes, the solo
     /// replay's for de-opted lanes.
     pub result: Option<Result<RunResult, SimError>>,
@@ -244,13 +248,13 @@ impl Lanes {
             .filter(|&l| matches!(statuses[l], LaneStatus::Diverged { .. }))
             .collect();
         // Each replay builds, runs and drops its own `Soc` on whichever
-        // worker claims it; `None` is a contained fail-stop panic.
+        // worker claims it; `Err` is a contained fail-stop panic's message.
         let specs = &self.specs;
         let replay = |_: usize, &lane: &usize| {
             catch_unwind(AssertUnwindSafe(|| {
                 replay_lane(recipe, &specs[lane], max_cycles, no_progress_limit)
             }))
-            .ok()
+            .map_err(|payload| panic_message(payload.as_ref()).to_string())
         };
         let mut replays = match self.workers {
             Some(n) => par_map_with_workers(&diverged, n, replay),
@@ -276,6 +280,7 @@ impl Lanes {
                         deopted: false,
                         diverged_at_token: None,
                         panicked: false,
+                        panic: None,
                         result: Some(golden_res.clone()),
                         report: Some(report),
                         fault_stats: Some(stats),
@@ -287,12 +292,13 @@ impl Lanes {
                         lane,
                         deopted: true,
                         diverged_at_token: Some(token),
-                        panicked: replay.is_none(),
+                        panicked: replay.is_err(),
+                        panic: replay.as_ref().err().cloned(),
                         result: None,
                         report: None,
                         fault_stats: None,
                     };
-                    if let Some((res, report, stats, gmem)) = replay {
+                    if let Ok((res, report, stats, gmem)) = replay {
                         run.result = Some(res);
                         run.report = Some(report);
                         run.fault_stats = Some(stats);
@@ -748,8 +754,14 @@ mod tests {
                     let gmem = batch.gmem_read_lane(l.lane, out_base, out_len);
                     assert_eq!(gmem.is_none(), l.panicked, "lane {} memory", l.lane);
                     format!(
-                        "{} {} {:?} {} {result:?} {:?} {:?} {gmem:?}",
-                        l.lane, l.deopted, l.diverged_at_token, l.panicked, l.report, l.fault_stats
+                        "{} {} {:?} {} {:?} {result:?} {:?} {:?} {gmem:?}",
+                        l.lane,
+                        l.deopted,
+                        l.diverged_at_token,
+                        l.panicked,
+                        l.panic,
+                        l.report,
+                        l.fault_stats
                     )
                 })
                 .collect();
@@ -762,6 +774,13 @@ mod tests {
             [false, false, true, false, true, false, true],
             "the drop/duplicate fail-stops are contained per lane"
         );
+        for l in &rep.lanes {
+            assert_eq!(l.panic.is_some(), l.panicked, "lane {} message", l.lane);
+            if let Some(msg) = &l.panic {
+                let check = crate::protocol_check(msg);
+                assert!(check.is_some(), "lane {}: {msg}", l.lane);
+            }
+        }
         assert!(
             matches!(rep.lanes[3].result, Some(Err(SimError::Hang { .. }))),
             "lane 3 waits out the watchdog"

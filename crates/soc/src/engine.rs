@@ -637,7 +637,6 @@ pub fn restore_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle;
     use crate::workloads::{orchestrator_program, table_words, vec_mul, Workload};
 
     #[allow(clippy::type_complexity)]
@@ -720,40 +719,6 @@ mod tests {
             telemetry,
         )
         .expect("engine builds")
-    }
-
-    /// The sequential and batch engines run one workload alike: a
-    /// one-lane batch's lane and golden run against the sequential
-    /// reference (the oracle's lane and golden models).
-    #[test]
-    fn all_three_engine_kinds_agree() {
-        oracle::expect("a one-lane batch", oracle::one_lane);
-    }
-
-    /// Restored at every boundary, a run — sequential or batched —
-    /// ends as the uninterrupted one.
-    #[test]
-    fn restore_at_every_boundary_matches_uninterrupted() {
-        oracle::expect("restore at every boundary", oracle::boundaries);
-        let batch = "a batch restored at every boundary";
-        oracle::expect(batch, oracle::batch_boundaries);
-    }
-
-    /// A restore chain through a hang reproduces its diagnosis,
-    /// sequential or on a batch lane.
-    #[test]
-    fn restore_chain_through_a_hang_reproduces_the_diagnosis() {
-        oracle::expect("a restore chain through a hang", oracle::hangs);
-        let batch = "a batch lane hangs through a restore chain";
-        oracle::expect(batch, oracle::lane_hangs(0));
-    }
-
-    /// A capture after the supervised loop advanced over a hang
-    /// restores by stepped replay into the same trip.
-    #[test]
-    fn a_snapshot_taken_after_a_loop_skip_restores_by_stepped_replay() {
-        let name = "a snapshot after a loop skip restores by stepped replay";
-        oracle::expect(name, oracle::after_skip);
     }
 
     /// The library-only `Parallel` alias is the sequential `Soc`:

@@ -46,14 +46,6 @@ pub mod rtlplan;
 pub mod soc;
 pub mod workloads;
 
-#[cfg(test)]
-/// The differential oracle the unit tests hold the SoC to, shared with
-/// the integration suites.
-#[path = "../tests/support/oracle.rs"]
-mod oracle;
-#[cfg(test)]
-extern crate self as craft_soc;
-
 pub use batch::{BatchReport, BatchSoc, LaneRun, LaneSpec};
 pub use checkpoint::{ArchDigest, FaultEvent, LaneTable, Recipe, SessionState, SimSnapshot};
 pub use engine::{build_engine, restore_engine, EngineError, EngineKind, SegmentStatus};

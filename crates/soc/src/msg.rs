@@ -287,10 +287,10 @@ pub const PROTOCOL_CHECKS: [(&str, &str); 8] = [
     ("ProcessingElement::handle_msg", "cannot handle"),
 ];
 
-/// Which of [`PROTOCOL_CHECKS`] raised the panic `payload` (a
-/// `catch_unwind` error), or `None` when no protocol check did.
-pub fn protocol_check(payload: &(dyn std::any::Any + Send)) -> Option<usize> {
-    let msg = panic_message(payload);
+/// Which of [`PROTOCOL_CHECKS`] raised the panic whose message is
+/// `msg` ([`panic_message`] of a `catch_unwind` error, or a batch
+/// lane's `LaneRun::panic`), or `None` when no protocol check did.
+pub fn protocol_check(msg: &str) -> Option<usize> {
     PROTOCOL_CHECKS.iter().position(|(_, c)| msg.contains(c))
 }
 

@@ -98,7 +98,8 @@ pub struct SocConfig {
     pub router: RouterKind,
     /// Quiescence gating: skip idle PEs/routers/hub and elide no-op
     /// channel commits. Results and cycle counts are bit-identical
-    /// either way (asserted by the `gating_tests`); only wall clock
+    /// either way (the differential oracle's gated model,
+    /// `crates/soc/tests/oracle/gating.rs`); only wall clock
     /// and the kernel's ticks-delivered accounting change.
     pub gating: bool,
     /// Hub-side PE failure detection: cycles a dispatched command may
@@ -616,8 +617,8 @@ impl Soc {
     /// the kernel's per-component tick-time profiler is armed too.
     ///
     /// Telemetry is observation-only: results, cycle counts and charged
-    /// gates are bit-identical with and without a sink (asserted by the
-    /// `telemetry_tests`), and probes are evaluated only at snapshot
+    /// gates are bit-identical with and without a sink (the differential
+    /// oracle's telemetry model, `crates/soc/tests/oracle.rs`), and probes are evaluated only at snapshot
     /// time, so an attached-but-unread sink costs nothing per cycle.
     ///
     /// # Panics
@@ -655,7 +656,7 @@ impl Soc {
         // RTL-fidelity PEs and the hub never quiesce (every gate is
         // re-evaluated each cycle), so gating only pays its bookkeeping
         // there without skipping anything. Auto-disable it; results are
-        // identical either way (see `gating_tests`).
+        // identical either way (`crates/soc/tests/oracle/rtl.rs`).
         sim.set_gating(cfg.gating && !cfg.fidelity.is_rtl());
 
         // --- Clock domains ---
@@ -1499,57 +1500,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod gating_tests {
-    //! Gated against ungated on whole-SoC runs: the gated model of the
-    //! differential oracle on its pinned cases.
-    use crate::oracle::{engaged, expect, nothing_more};
-
-    #[test]
-    fn gating_equivalent_synchronous() {
-        expect("the default regime", engaged);
-    }
-
-    /// RTL PEs and hub never sleep, but routers and channels may.
-    #[test]
-    fn gating_equivalent_rtl_mode() {
-        expect("interpreted RTL", nothing_more);
-    }
-
-    #[test]
-    fn gating_equivalent_rtl_compiled_mode() {
-        expect("compiled RTL", nothing_more);
-    }
-
-    #[test]
-    fn gating_equivalent_gals() {
-        expect("GALS", engaged);
-    }
-
-    #[test]
-    fn gating_equivalent_store_forward() {
-        expect("store-forward router", nothing_more);
-    }
-}
-
-#[cfg(test)]
 mod rtl_compiled_tests {
     use super::*;
-    use crate::oracle::{expect, rtl};
     use crate::workloads::{run_workload_soc, vec_mul};
-
-    /// The compiled path's system-level contract: same cycles, same
-    /// verified results, same charged gate totals as the interpreted
-    /// RTL path — the oracle's compiled model, run at the other RTL
-    /// fidelity.
-    #[test]
-    fn compiled_matches_interpreted_vec_mul() {
-        expect("interpreted RTL", rtl);
-    }
-
-    #[test]
-    fn compiled_matches_interpreted_dot_product() {
-        expect("compiled RTL, dot product", rtl);
-    }
 
     /// The shared plan cache lowers each operator once for the whole
     /// SoC and registers every always-on signal plan (15 PEs + hub +
@@ -1586,66 +1539,9 @@ mod rtl_compiled_tests {
 
 #[cfg(test)]
 mod compiled_schedule_tests {
-    //! The kernel's gated loop against its ungated mode on whole-SoC
-    //! runs (the differential oracle's pinned cases) — and the proof
-    //! that the vestigial `compiled_schedule` field selects nothing.
+    //! The vestigial `compiled_schedule` field selects nothing.
     use super::*;
-    use crate::oracle::{
-        elides_commits, engaged, expect, finishing, keeps_gating, nothing_more, rtl,
-    };
     use crate::workloads::vec_mul;
-
-    #[test]
-    fn compiled_identical_vec_mul() {
-        expect("the default regime", elides_commits);
-    }
-
-    #[test]
-    fn compiled_identical_dot_product() {
-        expect("dot product", engaged);
-    }
-
-    #[test]
-    fn compiled_identical_store_forward_router() {
-        expect("store-forward router", nothing_more);
-    }
-
-    /// RTL modes auto-disable gating, so the gated runs are the
-    /// ungated mode — the flag must be a no-op and nothing may sleep.
-    #[test]
-    fn compiled_identical_rtl_fidelities() {
-        expect("interpreted RTL", rtl);
-        expect("compiled RTL", rtl);
-    }
-
-    /// RTL-fidelity runs auto-disable activity gating (the RTL PEs and
-    /// hub re-evaluate every gate each cycle and never quiesce); a
-    /// sim-accurate run keeps the configured value.
-    #[test]
-    fn rtl_mode_auto_disables_gating() {
-        expect("interpreted RTL", rtl);
-        expect("compiled RTL", rtl);
-        expect("the default regime", keeps_gating);
-    }
-
-    /// The configurations no steady-state schedule could describe —
-    /// per-node GALS periods, supply-noise-stretched clocks, PE-failure
-    /// detection with its remap storms — run the same gated loop as
-    /// everything else, and it elides ticks and clean commits there too.
-    #[test]
-    fn irregular_configs_never_arm() {
-        for name in ["GALS", "adaptive GALS", "PE timeout armed"] {
-            expect(name, elides_commits);
-        }
-    }
-
-    /// Fault injection changes what a channel commits, not how the
-    /// kernel schedules: the faulted gated run is the ungated one,
-    /// report and fault counters included.
-    #[test]
-    fn fault_injection_is_gating_invariant() {
-        expect("faulted, finishing", finishing);
-    }
 
     /// The vestige cannot regrow a meaning: `compiled_schedule` true
     /// and false give the same kernel digest, report, telemetry and —
@@ -2098,16 +1994,8 @@ mod api_tests {
 #[cfg(test)]
 mod telemetry_tests {
     use super::*;
-    use crate::oracle::{expect, observed_by_telemetry};
     use crate::workloads::{orchestrator_program, table_words, vec_mul};
     use craft_connections::FaultConfig;
-
-    /// A sink observes the run without perturbing it: the oracle's
-    /// telemetry model against the gated run, and what it recorded.
-    #[test]
-    fn telemetry_is_observation_only() {
-        expect("the default regime", observed_by_telemetry);
-    }
 
     /// Degradation leaves a span trail: the timed-out command's span
     /// ends with `timeout_failed` and the re-dispatch carries a

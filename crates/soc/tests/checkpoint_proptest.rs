@@ -1,13 +1,8 @@
-//! Restore-then-run is identical to the uninterrupted run — the
-//! restored model of the differential oracle (`support/oracle.rs`) —
-//! and damaged snapshot bytes — truncated, corrupted, version-bumped,
+//! Damaged snapshot bytes — truncated, corrupted, version-bumped,
 //! wrong-kind, or checksum-valid with a recipe that cannot fit — are
-//! rejected with typed errors.
-
-#[path = "support/oracle.rs"]
-mod oracle;
-
-use oracle::{Draw, Model};
+//! rejected with typed errors. That restore-then-run is identical to
+//! the uninterrupted run is the differential oracle's restored model
+//! (`tests/oracle/restore.rs`).
 
 use craft_connections::FaultConfig;
 use craft_sim::checkpoint::CheckpointError;
@@ -19,51 +14,6 @@ use std::sync::Arc;
 
 const MAX_CYCLES: u64 = 2_000_000;
 const NO_PROGRESS: u64 = 50_000;
-
-/// Sequential engine: a fresh process restored from the byte codec
-/// of a mid-run capture finishes identically — completed, corrupted or
-/// hung.
-#[test]
-fn sequential_restore_then_run_is_identical() {
-    let property = "sequential_restore_then_run_is_identical";
-    oracle::drawn(
-        property,
-        6,
-        Draw::Restored,
-        &[Model::Supervised, Model::Restored],
-    );
-}
-
-/// Batched lockstep engine: the golden snapshot plus per-lane shadow
-/// state restores into a batch whose every lane — golden-riding and
-/// de-opted alike — finishes identical to its solo run; among them an
-/// RTL batch whose forced lane hangs around the capture.
-#[test]
-fn batch_restore_then_run_is_identical() {
-    oracle::expect("RTL lanes around a hang", oracle::lane_hangs(2));
-    oracle::drawn(
-        "batch_restore_then_run_is_identical",
-        3,
-        Draw::RestoredBatch,
-        &[Model::Lane, Model::Golden],
-    );
-}
-
-/// A checkpoint taken between a hang's onset and the watchdog's
-/// diagnosis resumes into the identical diagnosis, sim-accurate and RTL.
-#[test]
-fn mid_hang_checkpoint_reproduces_the_diagnosis() {
-    oracle::expect("a hang's idle tail", oracle::in_tail);
-    oracle::expect("an RTL hang's idle tail", oracle::in_tail);
-}
-
-/// Telemetry is part of the restore-then-run contract: the restored
-/// run renders what the uninterrupted one does, and the `sim.ckpt.*`
-/// probes count captures without perturbing the run.
-#[test]
-fn telemetry_is_invariant_across_restore() {
-    oracle::expect("restored from the last capture", oracle::captures_counted);
-}
 
 /// Damaged snapshot bytes are rejected with the matching typed error
 /// — never a panic, never a silently divergent SoC.
