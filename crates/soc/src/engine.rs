@@ -604,11 +604,12 @@ pub fn build_engine(
 /// deterministically replays to the capture boundary and verifies the
 /// digests — for a batch, every lane's divergence status and shadow
 /// counters too: the restore-then-run ≡ uninterrupted-run contract the
-/// checkpoint proptests pin. An open session resumes exactly where the
-/// capture left it, ready for [`Soc::run_to_end`]. Bytes of the wrong
-/// kind (a batch frame for a non-batch engine, or vice versa) are a
-/// typed [`CheckpointError::WrongKind`]; `telemetry` attaches a sink to
-/// the rebuilt SoC (observation-only either way).
+/// differential oracle's restored cases pin
+/// (`crates/soc/tests/oracle/restore.rs`). An open session resumes
+/// exactly where the capture left it, ready for [`Soc::run_to_end`].
+/// Bytes of the wrong kind (a batch frame for a non-batch engine, or
+/// vice versa) are a typed [`CheckpointError::WrongKind`]; `telemetry`
+/// attaches a sink to the rebuilt SoC (observation-only either way).
 pub fn restore_engine(
     kind: EngineKind,
     bytes: &[u8],

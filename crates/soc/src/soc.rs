@@ -97,10 +97,15 @@ pub struct SocConfig {
     /// NoC router microarchitecture.
     pub router: RouterKind,
     /// Quiescence gating: skip idle PEs/routers/hub and elide no-op
-    /// channel commits. Results and cycle counts are bit-identical
-    /// either way (the differential oracle's gated model,
-    /// `crates/soc/tests/oracle/gating.rs`); only wall clock
-    /// and the kernel's ticks-delivered accounting change.
+    /// channel commits, at every fidelity (an RTL PE or hub never
+    /// sleeps, its routers and clean channels do). Results and cycle
+    /// counts are bit-identical either way (the differential oracle's
+    /// gated model, `crates/soc/tests/oracle/gating.rs`); wall clock
+    /// and the kernel's ticks-delivered accounting change, and so do
+    /// two known observables (ROADMAP item 4): a hang may trip later
+    /// gated, since a sleeper's wake-up counts as watchdog progress,
+    /// and an idle gated hub does not poll its empty eject channel, so
+    /// `noc.pop_empty` reads lower.
     pub gating: bool,
     /// Hub-side PE failure detection: cycles a dispatched command may
     /// stay unacknowledged before its PE is declared failed and the
@@ -120,7 +125,8 @@ pub struct SocConfig {
     /// retrievable via [`Soc::last_checkpoint_bytes`]. Captures are
     /// observation-only — results, cycle counts, reports and the
     /// watchdog's trip point are bit-identical with or without them
-    /// (the segmented-run equivalence the checkpoint proptests pin).
+    /// (the segmented-run equivalence the differential oracle's restored
+    /// cases pin, `crates/soc/tests/oracle/restore.rs`).
     /// `None` (the default) disables auto-capture.
     pub checkpoint_every: Option<u64>,
 }
@@ -653,11 +659,12 @@ impl Soc {
             panic!("invalid SocConfig: {e}");
         }
         let mut sim = Simulator::new();
-        // RTL-fidelity PEs and the hub never quiesce (every gate is
-        // re-evaluated each cycle), so gating only pays its bookkeeping
-        // there without skipping anything. Auto-disable it; results are
-        // identical either way (`crates/soc/tests/oracle/rtl.rs`).
-        sim.set_gating(cfg.gating && !cfg.fidelity.is_rtl());
+        // Gating means the same at every fidelity. An RTL PE or hub
+        // re-evaluates (and charges) every gate each cycle, so each
+        // answers `Sleep::No` from its own `can_sleep`; routers, the
+        // controller, the AXI plane and clean channels still sleep
+        // (`crates/soc/tests/oracle/rtl.rs`).
+        sim.set_gating(cfg.gating);
 
         // --- Clock domains ---
         let hub_clock = sim.add_clock(ClockSpec::new("hub", cfg.period));

@@ -727,11 +727,9 @@ fn run_models(case: &Case, models: &[Model]) -> (Option<Stepper>, Vec<Stepper>, 
         seen.push(one(M::Reference, r.own.clone()));
     }
     if wants(M::Gated) {
-        // RTL fidelities turn gating off: the gated model is ungated.
-        let gating = case.gating && !case.fidelity.is_rtl();
-        let gated = match (gating, &reference) {
+        let gated = match (case.gating, &reference) {
             (false, Some(r)) => r.own.clone(),
-            _ => stepped(case, gating, false).own,
+            _ => stepped(case, case.gating, false).own,
         };
         seen.push(one(M::Gated, gated));
     }
@@ -1194,6 +1192,8 @@ impl Draw {
             let f = a.fault;
             f.drop >= 1.0 || f.stuck_valid_from.is_some() || f.stuck_ready_from.is_some()
         };
+        // An RTL PE or hub never sleeps and presents no state, so the
+        // loop probe cannot prove an RTL hang periodic.
         let probed = c.gating && c.clocking == ClockingMode::Synchronous && !c.fidelity.is_rtl();
         let batch = !c.lanes.is_empty();
         match self {

@@ -5,13 +5,13 @@
 use crate::*;
 
 /// Gating engaged: the gated run slept through over 10 000 ticks.
-fn engaged(r: &Runs) {
+pub(super) fn engaged(r: &Runs) {
     assert!(skipped(r.get(M::Gated)) > 10_000, "gating engaged");
 }
 
 /// Gating elided ticks and clean commits alike, and the supervised run
 /// was the default one: gated, with no sink.
-fn elides_commits(r: &Runs) {
+pub(super) fn elides_commits(r: &Runs) {
     engaged(r);
     assert!(
         r.get(M::Gated).kernel.counters[4] > 10_000,
@@ -33,9 +33,9 @@ fn elides_nothing(r: &Runs) {
     }
 }
 
-/// A sim-accurate configuration keeps the gating it asks for, and the
-/// gated run elides work; the ungated reference does not gate.
-fn keeps_gating(r: &Runs) {
+/// A configuration keeps the gating it asks for, at any fidelity, and
+/// the gated run elides work; the ungated reference does not gate.
+pub(super) fn keeps_gating(r: &Runs) {
     assert!(r.get(M::Supervised).facts.gating, "gating stays on");
     assert!(skipped(r.get(M::Gated)) > 0, "the gated run elides work");
     assert!(
@@ -198,9 +198,8 @@ fn gating_changes_nothing_observable() {
     drawn(property, 8, Draw::FaultFree, &[M::Gated, M::Compiled]);
 }
 
-/// Fault vectors across every axis (RTL fidelities auto-disable
-/// gating, GALS spreads the clocks): a faulted run observes nothing of
-/// whether the kernel gates.
+/// Fault vectors across every axis (RTL fidelities, GALS clocks): a
+/// faulted run observes nothing of whether the kernel gates.
 #[test]
 fn a_faulted_run_observes_nothing_of_gating() {
     let property = "faulted_compiled_schedule_is_identical_on_every_axis";
